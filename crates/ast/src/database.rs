@@ -100,6 +100,10 @@ impl Relation {
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Database {
     relations: FxHashMap<PredSym, Relation>,
+    /// Total fact count, kept in step with `relations` by
+    /// [`Database::insert`] and [`Database::remove`] so [`Database::len`]
+    /// is O(1) (budget checks call it once per derived fact).
+    len: usize,
 }
 
 impl Database {
@@ -127,7 +131,9 @@ impl Database {
                 second: arity,
             });
         }
-        Ok(rel.insert(fact.args))
+        let new = rel.insert(fact.args);
+        self.len += usize::from(new);
+        Ok(new)
     }
 
     /// Convenience: inserts `pred(args…)` from texts.
@@ -144,9 +150,12 @@ impl Database {
     /// Removes a ground fact. Returns `true` if it was present. Empty
     /// relations are kept (the predicate's arity stays pinned).
     pub fn remove(&mut self, fact: &GroundAtom) -> bool {
-        self.relations
+        let removed = self
+            .relations
             .get_mut(&fact.pred)
-            .is_some_and(|rel| rel.remove(&fact.args))
+            .is_some_and(|rel| rel.remove(&fact.args));
+        self.len -= usize::from(removed);
+        removed
     }
 
     /// Membership test for a ground atom.
@@ -169,14 +178,14 @@ impl Database {
         v
     }
 
-    /// Total number of facts.
+    /// Total number of facts. O(1).
     pub fn len(&self) -> usize {
-        self.relations.values().map(Relation::len).sum()
+        self.len
     }
 
-    /// `true` iff no facts at all.
+    /// `true` iff no facts at all. O(1).
     pub fn is_empty(&self) -> bool {
-        self.relations.values().all(Relation::is_empty)
+        self.len == 0
     }
 
     /// Iterates over all facts as [`GroundAtom`]s (unspecified order).

@@ -32,6 +32,9 @@
 //!   machine has ≥ 4 cores (on fewer cores the timings are still
 //!   recorded, and the gate is marked skipped rather than silently
 //!   passed);
+//! * relevant grounding (`SessionGrounder::build`) of the braided
+//!   unfounded chain at 128 pockets may take at most 2.5× its median
+//!   time at 64 pockets — linear, not quadratic, in program size;
 //! * with the span recorder **disabled** (the production default) the
 //!   braided-chain timing must stay within 2% of the previous commit's
 //!   `wave_braided_chain threads1` entry — the check needs `--baseline`
@@ -65,8 +68,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use datalog_ast::Database;
-use datalog_ground::{ground, GroundConfig, GroundMode};
+use datalog_ast::{Database, Program};
+use datalog_ground::{ground, GroundConfig, GroundMode, SessionGrounder};
 use paper_constructions::generators;
 use tiebreak_core::semantics::outcomes::all_outcomes_with;
 use tiebreak_core::semantics::well_founded::well_founded_with;
@@ -95,6 +98,19 @@ const BATCH_REPEATS: usize = 8;
 const WAVE_CHAINS: usize = 8;
 const WAVE_POCKETS: usize = 4;
 const WAVE_LOOP: usize = 128;
+
+/// Braided unfounded chain shape for the grounding scaling gate: the
+/// entries ground `GROUND_SCALING_POCKETS` and twice as many pockets
+/// (n = pockets), in `GROUND_SCALING_PAIRS` back-to-back (n, 2n) pairs
+/// after one untimed warm-up each.
+const GROUND_SCALING_CHAINS: usize = 8;
+const GROUND_SCALING_POCKETS: usize = 64;
+const GROUND_SCALING_LOOP: usize = 16;
+const GROUND_SCALING_PAIRS: usize = 15;
+
+/// The largest allowed time(2n) / time(n) for relevant grounding: a
+/// linear grounder doubles, a quadratic one quadruples.
+const GROUND_SCALING_MAX_RATIO: f64 = 2.5;
 
 fn detected_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -226,6 +242,69 @@ fn grounding_entries(entries: &mut Vec<Entry>, n: usize) {
             stats: RunStats::default(),
         });
     }
+}
+
+/// Relevant grounding of the braided unfounded chain (one predicate per
+/// atom, every atom on a positive loop) at n and 2n pockets: the
+/// session grounder's build, timed in back-to-back (n, 2n) pairs.
+/// Records each size's median and returns the median of the per-pair
+/// ratios time(2n)/time(n) for the scaling gate: both halves of a pair
+/// see the same host speed, which on a shared machine drifts over
+/// seconds, and the median discards pairs a noise burst split.
+fn ground_scaling_entries(entries: &mut Vec<Entry>) -> f64 {
+    let config = GroundConfig {
+        mode: GroundMode::Relevant,
+        ..GroundConfig::default()
+    };
+    let database = Database::new();
+    let programs: Vec<(usize, Program)> = [GROUND_SCALING_POCKETS, 2 * GROUND_SCALING_POCKETS]
+        .into_iter()
+        .map(|pockets| {
+            let program = generators::braided_unfounded_chain_program(
+                GROUND_SCALING_CHAINS,
+                pockets,
+                GROUND_SCALING_LOOP,
+            );
+            (pockets, program)
+        })
+        .collect();
+    let build = |program: &Program| {
+        let t = Instant::now();
+        let built = SessionGrounder::build(program, &database, &config).expect("grounds");
+        (t.elapsed().as_secs_f64() * 1e3, built)
+    };
+    let shapes: Vec<(usize, usize)> = programs
+        .iter()
+        .map(|(_, program)| {
+            let (_, (graph, _)) = build(program);
+            (graph.atom_count(), graph.rule_count())
+        })
+        .collect();
+    let mut times = [Vec::new(), Vec::new()];
+    let mut ratios = Vec::new();
+    for _ in 0..GROUND_SCALING_PAIRS {
+        let pair: Vec<f64> = programs.iter().map(|(_, p)| build(p).0).collect();
+        ratios.push(pair[1] / pair[0].max(f64::MIN_POSITIVE));
+        times[0].push(pair[0]);
+        times[1].push(pair[1]);
+    }
+    for (((pockets, _), (atoms, rules)), mut t) in programs.iter().zip(shapes).zip(times) {
+        entries.push(Entry {
+            bench: "ground_braid_scaling",
+            n: *pockets,
+            mode: "median".to_owned(),
+            wall_ms: median(&mut t),
+            atoms,
+            rules,
+            stats: RunStats::default(),
+        });
+    }
+    median(&mut ratios)
+}
+
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 /// The wide-forest workload through the session runtime at several
@@ -694,6 +773,7 @@ fn gates(
     sizes: &[usize],
     forest_chains: usize,
     scripts: usize,
+    ground_scaling_ratio: f64,
     baseline: &[BaselineEntry],
 ) -> Vec<Gate> {
     let mut gates = Vec::new();
@@ -874,6 +954,23 @@ fn gates(
         pass,
         skipped,
         detail,
+    });
+
+    // Relevant grounding must scale linearly: doubling the braid may at
+    // most multiply the build time by 2.5. Single-threaded.
+    let n = GROUND_SCALING_POCKETS;
+    let small = wall_of(entries, "ground_braid_scaling", n, "median");
+    let large = wall_of(entries, "ground_braid_scaling", 2 * n, "median");
+    gates.push(Gate {
+        name: format!("ground_braid_scaling_p{n}"),
+        pass: ground_scaling_ratio <= GROUND_SCALING_MAX_RATIO,
+        skipped: false,
+        detail: format!(
+            "time(2n)/time(n) = {ground_scaling_ratio:.2} (median of {GROUND_SCALING_PAIRS} \
+             back-to-back pairs; medians p{} {large:.3}ms, p{n} {small:.3}ms), required <= \
+             {GROUND_SCALING_MAX_RATIO}",
+            2 * n
+        ),
     });
     gates
 }
@@ -1080,6 +1177,7 @@ fn main() {
     tie_chain_entries(&mut entries, &tie_sizes);
     unfounded_chain_entries(&mut entries, &tie_sizes);
     grounding_entries(&mut entries, 256);
+    let ground_scaling_ratio = ground_scaling_entries(&mut entries);
     runtime_forest_entries(&mut entries, forest_chains, 8);
     wave_parallel_entries(&mut entries, WAVE_CHAINS, WAVE_POCKETS, WAVE_LOOP);
     trace_overhead_entries(&mut entries, WAVE_CHAINS, WAVE_POCKETS, WAVE_LOOP);
@@ -1088,7 +1186,14 @@ fn main() {
     server_lru_entries(&mut entries, SERVER_LRU_N, 8);
     server_batching_entries(&mut entries, SERVER_LRU_N, BATCH_CONNS, BATCH_REPEATS);
 
-    let gates = gates(&entries, &tie_sizes, forest_chains, cow_scripts, &baseline);
+    let gates = gates(
+        &entries,
+        &tie_sizes,
+        forest_chains,
+        cow_scripts,
+        ground_scaling_ratio,
+        &baseline,
+    );
     let json = to_json(&sha, &entries, &gates, &baseline);
     std::fs::write(&out_path, &json).expect("write summary");
     if let Some(path) = &summary_path {

@@ -29,12 +29,13 @@
 //!      whole without any member being forward-derivable (`p ← q, e` /
 //!      `q ← p` turns supportable the moment `e` arrives), so forward
 //!      derivation under-approximates. The grounder then re-runs the
-//!      candidate + downward-gfp passes **scoped to the affected
-//!      predicates** (those positively reachable from the inserted
-//!      facts' predicates), with every unaffected predicate's supportable
-//!      relation frozen as context. Atoms of unaffected predicates
-//!      cannot change (their support structure reads only unaffected
-//!      upstream relations), so the scoped gfp splices exactly.
+//!      relevant grounder's candidate and support-counting passes
+//!      **scoped to the affected predicates** (those positively
+//!      reachable from the inserted facts' predicates), with every
+//!      unaffected predicate's supportable relation frozen as context.
+//!      Atoms of unaffected predicates cannot change (their support
+//!      structure reads only unaffected upstream relations), so the
+//!      scoped gfp splices exactly.
 //!
 //! Emission then enumerates, per rule and per positive body occurrence,
 //! the substitutions whose occurrence matches ΔS and whose full positive
@@ -50,13 +51,15 @@
 //! decoded models, e.g. `p(c) ← ¬q(c)` staying true after `c`'s last
 //! fact is retracted).
 
-use datalog_ast::{ConstSym, Database, FxHashMap, FxHashSet, GroundAtom, PredSym, Program, Sign};
+use datalog_ast::{
+    ConstSym, Database, FxHashMap, FxHashSet, GroundAtom, PredSym, Program, Rule, Sign,
+};
 use signed_graph::{EdgeSign, Sccs, SignedDigraph};
 
 use crate::atoms::AtomSpaceOverflow;
 use crate::graph::{GroundGraph, GroundRule};
 use crate::grounder::{ground, GroundConfig, GroundError, GroundMode};
-use crate::relevant;
+use crate::relevant::{self, support_counted_gfp, SupportBudget};
 use crate::seminaive::{run_seeded, RuleEvaluator};
 
 /// What one [`SessionGrounder::delta_insert`] did to the graph.
@@ -210,7 +213,8 @@ impl SessionGrounder {
     /// # Errors
     ///
     /// Budget overflows ([`GroundError::TooManyAtoms`] /
-    /// [`GroundError::TooManyRuleInstances`]); the graph may be left
+    /// [`GroundError::TooManyRuleInstances`] /
+    /// [`GroundError::TooManyCandidateInstances`]); the graph may be left
     /// partially extended — callers recover by re-preparing.
     pub fn delta_insert(
         &mut self,
@@ -256,10 +260,7 @@ impl SessionGrounder {
         }
 
         let universe: Vec<ConstSym> = graph.atoms().universe().to_vec();
-        let fact_cap = config
-            .max_atoms
-            .min(crate::atoms::MAX_ATOM_SPACE)
-            .saturating_add(self.ignored_facts);
+        let budget = SupportBudget::new(config, self.ignored_facts);
         let mut delta_s: Vec<GroundAtom> = if seeds.is_empty() {
             Vec::new()
         } else {
@@ -267,7 +268,7 @@ impl SessionGrounder {
             let cyclic = affected.iter().any(|&p| self.on_pos_cycle[p as usize]);
             if cyclic {
                 out.scoped_refresh = true;
-                self.scoped_refresh(program, config, &affected, &universe)?
+                self.scoped_refresh(program, &budget, &affected, &universe)?
             } else {
                 let envelopes: Vec<RuleEvaluator<'_>> = program
                     .rules()
@@ -279,12 +280,9 @@ impl SessionGrounder {
                     &mut self.supportable,
                     seeds,
                     &universe,
-                    fact_cap,
+                    budget.fact_cap,
                 )
-                .map_err(|count| GroundError::TooManyAtoms {
-                    required: count.saturating_sub(self.ignored_facts),
-                    budget: config.max_atoms,
-                })?
+                .map_err(|count| budget.too_many(count))?
             }
         };
         delta_s.sort_unstable(); // deterministic emission → deterministic ids
@@ -384,14 +382,14 @@ impl SessionGrounder {
         affected
     }
 
-    /// The cyclic-case refresh: candidate + downward-gfp passes scoped to
-    /// the rules whose head predicate is affected, every other relation
-    /// frozen. Replaces the affected slice of `supportable` and returns
-    /// ΔS.
+    /// The cyclic-case refresh: the relevant grounder's candidate and
+    /// support-counting passes scoped to the rules whose head predicate
+    /// is affected, every other relation frozen. Replaces the affected
+    /// slice of `supportable` and returns ΔS.
     fn scoped_refresh(
         &mut self,
         program: &Program,
-        config: &GroundConfig,
+        budget: &SupportBudget,
         affected: &[u32],
         universe: &[ConstSym],
     ) -> Result<Vec<GroundAtom>, GroundError> {
@@ -405,24 +403,14 @@ impl SessionGrounder {
                 .get(&p)
                 .is_some_and(|&i| is_affected[i as usize])
         };
-        let scope: Vec<usize> = program
+        let scope: Vec<&Rule> = program
             .rules()
             .iter()
-            .enumerate()
-            .filter(|(_, r)| affected_pred(r.head.pred))
-            .map(|(i, _)| i)
+            .filter(|r| affected_pred(r.head.pred))
             .collect();
-        let fact_cap = config
-            .max_atoms
-            .min(crate::atoms::MAX_ATOM_SPACE)
-            .saturating_add(self.ignored_facts);
-        let too_many = |count: u64| GroundError::TooManyAtoms {
-            required: count.saturating_sub(self.ignored_facts),
-            budget: config.max_atoms,
-        };
 
-        // Frozen context + Δ̂∩affected; the old affected slice is kept
-        // aside for the ΔS diff.
+        // Frozen context + Δ̂∩affected never retire; the old affected
+        // slice is kept aside for the ΔS diff.
         let mut old_affected = Database::new();
         let mut base = Database::new();
         for fact in self.supportable.facts() {
@@ -438,47 +426,8 @@ impl SessionGrounder {
             }
         }
 
-        // Scoped candidate pass (a pre-fixpoint ⊇ the affected slice of
-        // the new S).
-        let mut current = base.clone();
-        for &i in &scope {
-            let rule = &program.rules()[i];
-            let ev = RuleEvaluator::edb_skeleton(rule, program);
-            ev.for_each_substitution::<GroundError>(&self.ground_db, universe, &mut |a| {
-                current
-                    .insert(ev.ground_atom(&rule.head, a))
-                    .expect("arity consistent");
-                if current.len() as u64 > fact_cap {
-                    return Err(too_many(current.len() as u64));
-                }
-                Ok(())
-            })?;
-        }
-
-        // Scoped downward iteration to the gfp.
-        let envelopes: Vec<(usize, RuleEvaluator<'_>)> = scope
-            .iter()
-            .map(|&i| (i, RuleEvaluator::envelope(&program.rules()[i])))
-            .collect();
-        loop {
-            let mut next = base.clone();
-            for (i, ev) in &envelopes {
-                let rule = &program.rules()[*i];
-                ev.for_each_substitution::<GroundError>(&current, universe, &mut |a| {
-                    next.insert(ev.ground_atom(&rule.head, a))
-                        .expect("arity consistent");
-                    if next.len() as u64 > fact_cap {
-                        return Err(too_many(next.len() as u64));
-                    }
-                    Ok(())
-                })?;
-            }
-            let stable = next == current;
-            current = next;
-            if stable {
-                break;
-            }
-        }
+        let current =
+            support_counted_gfp(program, &scope, &self.ground_db, base, universe, budget)?;
 
         let delta: Vec<GroundAtom> = current
             .facts()

@@ -136,6 +136,17 @@ pub enum GroundError {
         /// The configured cap.
         budget: u64,
     },
+    /// `Relevant` mode's support-counting pass would have to hold more
+    /// candidate rule instances than its cap, `max_rule_instances +
+    /// max_atoms` (at most `u32::MAX`). Candidates that later turn out
+    /// unsupported count too, so this can fire where the emitted
+    /// instances alone would fit `max_rule_instances`.
+    TooManyCandidateInstances {
+        /// The count reached when grounding aborted.
+        required: u64,
+        /// The cap applied.
+        budget: u64,
+    },
     /// The database conflicts with the program signature.
     Validation(ValidationError),
 }
@@ -150,6 +161,11 @@ impl fmt::Display for GroundError {
             GroundError::TooManyRuleInstances { required, budget } => write!(
                 f,
                 "grounding needs {required} rule instances, over budget {budget}"
+            ),
+            GroundError::TooManyCandidateInstances { required, budget } => write!(
+                f,
+                "relevant grounding needs {required} candidate rule instances, over budget \
+                 {budget}"
             ),
             GroundError::Validation(e) => e.fmt(f),
         }
@@ -203,7 +219,9 @@ impl AtomTemplate {
 /// * [`GroundError::Validation`] if the database uses a program predicate
 ///   at the wrong arity;
 /// * [`GroundError::TooManyAtoms`] / [`GroundError::TooManyRuleInstances`]
-///   when the configured budgets are exceeded.
+///   when the configured budgets are exceeded, and (`Relevant` mode)
+///   [`GroundError::TooManyCandidateInstances`] when the supportable-set
+///   computation would exceed their sum.
 pub fn ground(
     program: &Program,
     database: &Database,

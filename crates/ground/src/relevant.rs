@@ -21,15 +21,27 @@
 //! (its rule node keeps its incoming edge), so it must be grounded even
 //! though no least-model computation ever derives `p`.
 //!
-//! The computation is three join passes over [`RuleEvaluator`]s:
+//! The computation is three passes over [`RuleEvaluator`]s, each rule
+//! joined once per pass:
 //!
 //! 1. **Candidates** — each rule joined on its positive *EDB* literals
 //!    only ([`RuleEvaluator::edb_skeleton`]), other variables ranging
 //!    over U: a pre-fixpoint T̂ ⊇ S, never larger than the dense atom
-//!    space.
-//! 2. **Downward iteration** — the positive-envelope operator
-//!    ([`RuleEvaluator::envelope`]) applied repeatedly from T̂ until it
-//!    stabilizes; by Knaster–Tarski the limit is S.
+//!    space. Candidate atoms outside Δ get dense ids, except heads of
+//!    rules with no positive IDB literal: their supports lie in Δ.
+//! 2. **Support counting** — the positive-envelope instances
+//!    ([`RuleEvaluator::envelope`]) over T̂ are enumerated once, and each
+//!    candidate atom counts the instances that support it. Atoms with
+//!    no support that are not in Δ go on a worklist; retiring an atom
+//!    kills every instance it occurs in positively, and each head whose
+//!    count drops to zero retires in turn. What survives is the greatest
+//!    fixpoint S — the same deletion `close` runs on the full graph, here
+//!    touching each instance O(1) times however deep the cascade.
+//!    Only instances whose positive body holds a retirable atom are
+//!    stored (a few `u32`s each), at most `max_rule_instances +
+//!    max_atoms` of them
+//!    ([`GroundError::TooManyCandidateInstances`] past that); an
+//!    instance over fixed atoms alone supports its head for good.
 //! 3. **Emission** — each rule's positive body joined against S
 //!    ([`RuleEvaluator::for_each_substitution`]), each satisfying
 //!    substitution emitted exactly once; head and body atoms (including
@@ -37,7 +49,9 @@
 //!    node) are interned on first touch. Δ's facts are interned first so
 //!    the initial model M₀(Δ) is fully representable.
 
-use datalog_ast::{ConstSym, Database, GroundAtom, Program, Sign};
+use datalog_ast::{
+    Atom, ConstSym, Database, FxHashMap, FxHashSet, GroundAtom, PredSym, Program, Rule, Sign,
+};
 
 use crate::atoms::{AtomId, AtomInterner, MAX_ATOM_SPACE};
 use crate::graph::{GroundGraph, GroundRule};
@@ -63,7 +77,16 @@ pub(crate) fn ground_relevant_parts(
 ) -> Result<(GroundGraph, Database), GroundError> {
     debug_assert_eq!(config.mode, GroundMode::Relevant);
     let universe = Database::universe(program, database);
-    let supportable = supportable_set(program, database, config, &universe)?;
+    let budget = SupportBudget::new(config, ignored_fact_count(program, database));
+    let rules: Vec<&Rule> = program.rules().iter().collect();
+    let supportable = support_counted_gfp(
+        program,
+        &rules,
+        database,
+        database.clone(),
+        &universe,
+        &budget,
+    )?;
     let graph = emit_instances(program, database, config, &universe, &supportable)?;
     Ok((graph, supportable))
 }
@@ -78,40 +101,88 @@ pub(crate) fn ignored_fact_count(program: &Program, database: &Database) -> u64 
         .count() as u64
 }
 
-/// Passes 1 + 2: the supportable set S (see the module docs).
-pub(crate) fn supportable_set(
-    program: &Program,
-    database: &Database,
-    config: &GroundConfig,
-    universe: &[ConstSym],
-) -> Result<Database, GroundError> {
-    let atom_budget = config.max_atoms.min(MAX_ATOM_SPACE);
-    let ignored_facts = ignored_fact_count(program, database);
-    let fact_cap = atom_budget.saturating_add(ignored_facts);
-    let too_many = |count: u64| GroundError::TooManyAtoms {
-        required: count.saturating_sub(ignored_facts),
-        budget: config.max_atoms,
-    };
+/// The caps on the supportable-set computation. Its databases also carry
+/// Δ's facts about predicates the program never mentions
+/// (`ignored_facts`), so the atom cap is raised by that many and reported
+/// counts discount them. `instance_cap` bounds the candidate instances
+/// pass 2 stores: `max_rule_instances + max_atoms`, which every input
+/// whose candidates all survive stays within, clamped so instance ids
+/// fit `u32`.
+pub(crate) struct SupportBudget {
+    pub(crate) fact_cap: u64,
+    ignored_facts: u64,
+    max_atoms: u64,
+    instance_cap: u64,
+}
 
+impl SupportBudget {
+    pub(crate) fn new(config: &GroundConfig, ignored_facts: u64) -> Self {
+        SupportBudget {
+            fact_cap: config
+                .max_atoms
+                .min(MAX_ATOM_SPACE)
+                .saturating_add(ignored_facts),
+            ignored_facts,
+            max_atoms: config.max_atoms,
+            instance_cap: config
+                .max_rule_instances
+                .saturating_add(config.max_atoms)
+                .min(u64::from(u32::MAX)),
+        }
+    }
+
+    /// The error for a database that reached `count` facts.
+    pub(crate) fn too_many(&self, count: u64) -> GroundError {
+        GroundError::TooManyAtoms {
+            required: count.saturating_sub(self.ignored_facts),
+            budget: self.max_atoms,
+        }
+    }
+}
+
+/// Passes 1 + 2 over `rules`: the greatest set S ⊇ `fixed` closed under
+/// the positive envelopes of `rules` (see the module docs). Atoms of
+/// `fixed` never retire: Δ for a fresh grounding, Δ plus the frozen
+/// context for the incremental session's scoped refresh. `edb` is the
+/// database the candidate pass joins the rules' EDB skeletons against.
+pub(crate) fn support_counted_gfp(
+    program: &Program,
+    rules: &[&Rule],
+    edb: &Database,
+    fixed: Database,
+    universe: &[ConstSym],
+    budget: &SupportBudget,
+) -> Result<Database, GroundError> {
     // Pass 1: candidate heads T̂ — join each rule on its positive EDB
     // literals only, streaming each head straight into the candidate
     // database so memory stays bounded by the atom budget (T̂ never
     // exceeds the dense atom space Σ |U|^arity, so an instance Full mode
-    // accepts is never rejected here).
+    // accepts is never rejected here). New heads get dense ids — they
+    // are the atoms pass 2 may retire — unless their rule has no positive
+    // IDB literal: such a rule is its own envelope, its body lies in
+    // `fixed`, so its heads are supported for good.
     let mut pass1 = tiebreak_trace::span("ground", "candidates_pass", &[]);
-    let skeletons: Vec<RuleEvaluator<'_>> = program
-        .rules()
-        .iter()
-        .map(|r| RuleEvaluator::edb_skeleton(r, program))
-        .collect();
-    let mut candidates = database.clone();
-    for (rule, ev) in program.rules().iter().zip(&skeletons) {
-        ev.for_each_substitution::<GroundError>(database, universe, &mut |assignment| {
-            candidates
-                .insert(ev.ground_atom(&rule.head, assignment))
-                .expect("arity consistent");
-            if candidates.len() as u64 > fact_cap {
-                return Err(too_many(candidates.len() as u64));
+    let mut candidates = fixed;
+    let mut ids: FxHashMap<GroundAtom, u32> = FxHashMap::default();
+    let mut retirable_preds: FxHashSet<PredSym> = FxHashSet::default();
+    for rule in rules {
+        let ev = RuleEvaluator::edb_skeleton(rule, program);
+        let supported_for_good = rule
+            .body
+            .iter()
+            .all(|l| l.sign == Sign::Neg || !program.is_idb(l.atom.pred));
+        ev.for_each_substitution::<GroundError>(edb, universe, &mut |assignment| {
+            let head = ev.ground_atom(&rule.head, assignment);
+            if candidates.contains(&head) {
+                return Ok(());
+            }
+            if !supported_for_good {
+                retirable_preds.insert(head.pred);
+                ids.insert(head.clone(), ids.len() as u32);
+            }
+            candidates.insert(head).expect("arity consistent");
+            if candidates.len() as u64 > budget.fact_cap {
+                return Err(budget.too_many(candidates.len() as u64));
             }
             Ok(())
         })?;
@@ -119,42 +190,112 @@ pub(crate) fn supportable_set(
     pass1.arg("candidates", candidates.len() as u64);
     drop(pass1);
 
-    // Pass 2: downward iteration of the positive-envelope operator from
-    // T̂ to its greatest fixpoint S. Each round discards atoms whose
-    // every support needed an atom discarded earlier; Δ is re-seeded
-    // every round (M₀ makes its atoms true regardless of rules). The
-    // rounds only shrink (F(X) ⊆ X from a pre-fixpoint), so the cap
-    // check is purely defensive.
+    // Pass 2: support counting. Every envelope instance over T̂ with a
+    // retirable head is enumerated once. An instance whose positive body
+    // holds only fixed atoms anchors its head: it is supported for good,
+    // and further instances with that head are not needed. The others
+    // are stored (CSR over their retirable body atoms, at most
+    // `instance_cap` of them) and indexed by body atom; `supports[a]`
+    // counts the stored instances with head a. Retiring an atom kills
+    // every live instance it occurs in positively, and an unanchored head
+    // left with no live instance retires in turn — the unsupported
+    // cascade of `close`, run on T̂.
     let mut pass2 = tiebreak_trace::span("ground", "envelope_pass", &[]);
-    let envelopes: Vec<RuleEvaluator<'_>> = program
-        .rules()
-        .iter()
-        .map(RuleEvaluator::envelope)
-        .collect();
-    let mut supportable = candidates;
-    let mut rounds: u64 = 0;
-    loop {
-        rounds += 1;
-        let mut next = database.clone();
-        for (rule, ev) in program.rules().iter().zip(&envelopes) {
-            ev.for_each_substitution::<GroundError>(&supportable, universe, &mut |assignment| {
-                next.insert(ev.ground_atom(&rule.head, assignment))
-                    .expect("arity consistent");
-                if next.len() as u64 > fact_cap {
-                    return Err(too_many(next.len() as u64));
-                }
-                Ok(())
-            })?;
+    let mut supports: Vec<u32> = vec![0; ids.len()];
+    let mut anchored: Vec<bool> = vec![false; ids.len()];
+    let mut inst_head: Vec<u32> = Vec::new();
+    let mut inst_body_end: Vec<usize> = Vec::new();
+    let mut inst_body: Vec<u32> = Vec::new();
+    for rule in rules {
+        // Only atoms of predicates with retirable atoms need looking up.
+        if !retirable_preds.contains(&rule.head.pred) {
+            continue;
         }
-        let stable = next == supportable;
-        supportable = next;
-        if stable {
-            break;
+        let retirable_body: Vec<&Atom> = rule
+            .body
+            .iter()
+            .filter(|l| l.sign == Sign::Pos && retirable_preds.contains(&l.atom.pred))
+            .map(|l| &l.atom)
+            .collect();
+        let ev = RuleEvaluator::envelope(rule);
+        ev.for_each_substitution::<GroundError>(&candidates, universe, &mut |assignment| {
+            let Some(&head) = ids.get(&ev.ground_atom(&rule.head, assignment)) else {
+                return Ok(()); // a fixed head never retires
+            };
+            if anchored[head as usize] {
+                return Ok(());
+            }
+            let start = inst_body.len();
+            for atom in &retirable_body {
+                if let Some(&id) = ids.get(&ev.ground_atom(atom, assignment)) {
+                    if !inst_body[start..].contains(&id) {
+                        inst_body.push(id);
+                    }
+                }
+            }
+            if inst_body.len() == start {
+                anchored[head as usize] = true;
+                return Ok(());
+            }
+            inst_head.push(head);
+            inst_body_end.push(inst_body.len());
+            supports[head as usize] += 1;
+            if inst_head.len() as u64 > budget.instance_cap {
+                return Err(GroundError::TooManyCandidateInstances {
+                    required: inst_head.len() as u64,
+                    budget: budget.instance_cap,
+                });
+            }
+            Ok(())
+        })?;
+    }
+
+    // Occurrence index: the stored instances each atom occurs in.
+    let mut occ_start: Vec<usize> = vec![0; ids.len() + 1];
+    for &a in &inst_body {
+        occ_start[a as usize + 1] += 1;
+    }
+    for i in 0..ids.len() {
+        occ_start[i + 1] += occ_start[i];
+    }
+    let mut fill = occ_start.clone();
+    let mut occ: Vec<u32> = vec![0; inst_body.len()];
+    let mut body_start = 0;
+    for (inst, &end) in (0u32..).zip(&inst_body_end) {
+        for &a in &inst_body[body_start..end] {
+            occ[fill[a as usize]] = inst;
+            fill[a as usize] += 1;
+        }
+        body_start = end;
+    }
+
+    let mut alive = vec![true; inst_head.len()];
+    let mut worklist: Vec<u32> = (0..ids.len() as u32)
+        .filter(|&a| !anchored[a as usize] && supports[a as usize] == 0)
+        .collect();
+    let mut retired = worklist.len() as u64;
+    while let Some(a) = worklist.pop() {
+        for &inst in &occ[occ_start[a as usize]..occ_start[a as usize + 1]] {
+            if !std::mem::replace(&mut alive[inst as usize], false) {
+                continue;
+            }
+            let head = inst_head[inst as usize];
+            supports[head as usize] -= 1;
+            if !anchored[head as usize] && supports[head as usize] == 0 {
+                retired += 1;
+                worklist.push(head);
+            }
         }
     }
-    pass2.arg("rounds", rounds);
-    pass2.arg("supportable", supportable.len() as u64);
-    Ok(supportable)
+    // Counts only fall, so an atom retired exactly when it hit zero.
+    for (atom, &id) in &ids {
+        if !anchored[id as usize] && supports[id as usize] == 0 {
+            candidates.remove(atom);
+        }
+    }
+    pass2.arg("retired", retired);
+    pass2.arg("supportable", candidates.len() as u64);
+    Ok(candidates)
 }
 
 /// Pass 3: emit every instance whose positive body lies in S.
@@ -390,6 +531,42 @@ mod tests {
         .unwrap_err();
         assert!(
             matches!(err, GroundError::TooManyAtoms { required, budget: 1000 } if required > 1000),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn support_counting_respects_the_instance_budget() {
+        // Dense transitive closure: T̂ holds all 10⁴ tc pairs, well inside
+        // the atom budget, but pass 2 meets 10⁶ envelope instances. The
+        // stored-instance cap (max_rule_instances + max_atoms) must turn
+        // that into a prompt typed error, not unbounded memory.
+        let p = parse_program("tc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), tc(Y, Z).").unwrap();
+        let mut d = datalog_ast::Database::new();
+        for i in 0..100 {
+            let (x, y) = (format!("c{i}"), format!("c{}", (i + 1) % 100));
+            d.insert(datalog_ast::GroundAtom::from_texts("e", &[&x, &y]))
+                .expect("facts");
+        }
+        let err = ground(
+            &p,
+            &d,
+            &GroundConfig {
+                max_atoms: 20_000,
+                max_rule_instances: 1000,
+                mode: GroundMode::Relevant,
+                ..GroundConfig::default()
+            },
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                GroundError::TooManyCandidateInstances {
+                    required: 21_001,
+                    budget: 21_000
+                }
+            ),
             "{err:?}"
         );
     }

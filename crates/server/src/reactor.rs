@@ -328,12 +328,15 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
         sys::poll(&mut pollfds, timeout_ms)?;
         let now = Instant::now();
 
-        // Waker: drain the byte(s), then the completion queue.
+        // Waker: drain the byte(s), then the completion queue. `pending`
+        // is cleared only after the drain: cleared before it, a notify
+        // landing in between would have its byte swallowed while leaving
+        // `pending` set, and every later notify would be suppressed.
         if pollfds[0].revents & (sys::POLLIN | sys::POLLBAD) != 0 {
-            notifier.pending.store(false, Ordering::SeqCst);
             let mut waker_rx = &waker_rx;
             let mut scratch = [0u8; 64];
             while matches!(waker_rx.read(&mut scratch), Ok(n) if n > 0) {}
+            notifier.pending.store(false, Ordering::SeqCst);
         }
         for completion in dispatcher.drain_completions() {
             let Some(conn) = conns.get_mut(&completion.conn) else {
@@ -473,10 +476,10 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
                 }
                 let _ = sys::poll(&mut pollfds, 50);
                 if pollfds[0].revents & (sys::POLLIN | sys::POLLBAD) != 0 {
-                    notifier.pending.store(false, Ordering::SeqCst);
                     let mut rx = &waker_rx;
                     let mut scratch = [0u8; 64];
                     while matches!(rx.read(&mut scratch), Ok(n) if n > 0) {}
+                    notifier.pending.store(false, Ordering::SeqCst);
                 }
                 for completion in dispatcher.drain_completions() {
                     if let Some(conn) = conns.get_mut(&completion.conn) {

@@ -470,6 +470,43 @@ fn batching_fidelity_under_concurrent_load_threads_8() {
     batching_fidelity_case(8);
 }
 
+/// Two closed-loop connections on one session keep the reactor's worker
+/// completions interleaved with its waker drains. A completion notified
+/// while the reactor drains the waker must still wake it: a lost wakeup
+/// stalls both clients within a few hundred frames, so each must get
+/// through 2,000 round trips before the deadline.
+#[test]
+#[cfg(unix)]
+fn two_closed_loop_connections_never_stall() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    const FRAMES: usize = 2_000;
+    let (addr, _registry, handle) = start_server(config_for(ServerMode::Reactor));
+    let db = "move(a, b).\nmove(b, c).";
+    let (done_tx, done_rx) = mpsc::channel();
+    for conn in 0..2 {
+        let done_tx = done_tx.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).expect("connect");
+            client.open(PROG, db).expect("open");
+            for frame in 0..FRAMES {
+                let response = client.script("? win(a)").expect("script");
+                assert_eq!(response.status, "errors=0", "conn {conn} frame {frame}");
+            }
+            client.bye().expect("bye");
+            done_tx.send(conn).expect("report");
+        });
+    }
+    drop(done_tx);
+    for _ in 0..2 {
+        done_rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("a connection failed or stalled before its last frame");
+    }
+    stop_server(addr, handle);
+}
+
 /// Frames split and coalesced at arbitrary TCP segment boundaries must
 /// round-trip: the reactor reads whatever the kernel hands it and the
 /// incremental decoder reassembles frames across reads.

@@ -243,3 +243,32 @@ fn relevant_mode_handles_what_full_mode_rejects() {
         tie_breaking_datalog::ground::TruthValue::Undefined
     );
 }
+
+#[test]
+fn deep_unsupported_chain_retires_whole_and_loops_survive() {
+    // a_0 ← a_1 ← … ← a_256 with no base: retiring the chain takes one
+    // downward round per link, but support counting retires it in one
+    // worklist cascade. The positive loop p ← p, ¬q beside it is never
+    // retired (S is a greatest fixpoint); close later falsifies it as
+    // unfounded, exactly as in Full mode.
+    const LEN: usize = 256;
+    let mut src = String::from("p :- p, not q.\n");
+    for i in 0..LEN {
+        src.push_str(&format!("a{i} :- a{}.\n", i + 1));
+    }
+    let program = parse_program(&src).unwrap();
+    let database = Database::new();
+    let (_, rel_cfg) = configs();
+    let relevant = ground(&program, &database, &rel_cfg).expect("relevant grounding fits");
+    for i in 0..=LEN {
+        let a = GroundAtom::from_texts(&format!("a{i}"), &[]);
+        assert!(relevant.atoms().id_of(&a).is_none(), "a{i} must retire");
+    }
+    assert_eq!(relevant.rule_count(), 1, "only the loop's instance remains");
+    assert!(relevant
+        .atoms()
+        .id_of(&GroundAtom::from_texts("p", &[]))
+        .is_some());
+    // Identical post-close residual, models and outcomes to Full mode.
+    assert_equivalent(&program, &database);
+}
