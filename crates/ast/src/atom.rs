@@ -156,6 +156,18 @@ impl GroundAtom {
         self.args.len()
     }
 
+    /// Orders by text: predicate name, then argument names left to
+    /// right. Unlike the derived `Ord`, which compares interner ids, this
+    /// order does not depend on which names the process interned first.
+    pub fn text_cmp(&self, other: &GroundAtom) -> std::cmp::Ordering {
+        self.pred.as_str().cmp(other.pred.as_str()).then_with(|| {
+            self.args
+                .iter()
+                .map(|c| c.as_str())
+                .cmp(other.args.iter().map(|c| c.as_str()))
+        })
+    }
+
     /// Lifts back into a (ground) [`Atom`].
     pub fn to_atom(&self) -> Atom {
         Atom {

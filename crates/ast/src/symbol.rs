@@ -11,6 +11,16 @@
 //! without reference-counting overhead. This is the standard compiler
 //! interner design.
 //!
+//! **Reads take no lock.** [`Symbol::intern`] serializes writers on a
+//! mutex guarding the text → id map, but [`Symbol::as_str`] never touches
+//! it: id → text lives in append-only segments of atomic slots. Segment
+//! `s` holds 2^(6+s) slots, is allocated (zeroed, so its untouched pages
+//! cost nothing) when the first id that falls in it is interned, and is
+//! published once and never moves; each slot is written once, after its
+//! text, with release ordering. A slot is one thin pointer to the leaked
+//! text, which carries its length in a 4-byte prefix, so a symbol costs
+//! 8 bytes of slot where a `Vec<&str>` entry cost 16.
+//!
 //! Three transparent newtypes keep the kinds apart at compile time:
 //! [`PredSym`] for predicate symbols, [`VarSym`] for variables, and
 //! [`ConstSym`] for constants. Mixing them up is a type error, which is
@@ -18,6 +28,8 @@
 //! names survive but argument patterns are rewritten.
 
 use std::fmt;
+use std::ptr;
+use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::fxhash::FxHashMap;
@@ -26,19 +38,31 @@ use crate::fxhash::FxHashMap;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Symbol(u32);
 
-struct Interner {
-    map: FxHashMap<&'static str, u32>,
-    strings: Vec<&'static str>,
+/// log2 of the first segment's slot count.
+const FIRST_SEGMENT_BITS: u32 = 6;
+/// Enough doubling segments to address every `u32` id.
+const SEGMENT_COUNT: usize = (33 - FIRST_SEGMENT_BITS) as usize;
+/// Bytes of the length prefix in front of each leaked text.
+const LEN_PREFIX: usize = 4;
+
+/// The id → text directory: segment `s` points at 2^(6+s) slots, each
+/// null or a pointer to a length-prefixed leaked text. Written only under
+/// the [`texts`] lock; read without any lock.
+static SEGMENTS: [AtomicPtr<AtomicPtr<u8>>; SEGMENT_COUNT] =
+    [const { AtomicPtr::new(ptr::null_mut()) }; SEGMENT_COUNT];
+
+/// The text → id map. Its length is the next id to hand out.
+fn texts() -> &'static Mutex<FxHashMap<&'static str, u32>> {
+    static TEXTS: OnceLock<Mutex<FxHashMap<&'static str, u32>>> = OnceLock::new();
+    TEXTS.get_or_init(|| Mutex::new(FxHashMap::default()))
 }
 
-fn interner() -> &'static Mutex<Interner> {
-    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            map: FxHashMap::default(),
-            strings: Vec::new(),
-        })
-    })
+/// The segment holding `id` and the slot's offset inside it.
+fn locate(id: u32) -> (usize, usize) {
+    let biased = u64::from(id) + (1 << FIRST_SEGMENT_BITS);
+    let top = 63 - biased.leading_zeros();
+    let segment = top - FIRST_SEGMENT_BITS;
+    (segment as usize, (biased - (1 << top)) as usize)
 }
 
 impl Symbol {
@@ -46,21 +70,59 @@ impl Symbol {
     ///
     /// Interning the same text twice yields the same symbol.
     pub fn intern(text: &str) -> Self {
-        let mut guard = interner().lock().expect("symbol interner poisoned");
-        if let Some(&id) = guard.map.get(text) {
+        let mut map = texts().lock().expect("symbol interner poisoned");
+        if let Some(&id) = map.get(text) {
             return Symbol(id);
         }
-        let leaked: &'static str = Box::leak(text.to_owned().into_boxed_str());
-        let id = u32::try_from(guard.strings.len()).expect("interner overflow: > 2^32 symbols");
-        guard.strings.push(leaked);
-        guard.map.insert(leaked, id);
+        let id = u32::try_from(map.len()).expect("interner overflow: > 2^32 symbols");
+        let len = u32::try_from(text.len()).expect("symbol text longer than 4 GiB");
+        let mut bytes = Vec::with_capacity(LEN_PREFIX + text.len());
+        bytes.extend_from_slice(&len.to_le_bytes());
+        bytes.extend_from_slice(text.as_bytes());
+        let leaked: &'static [u8] = Box::leak(bytes.into_boxed_slice());
+        let stored: &'static str =
+            std::str::from_utf8(&leaked[LEN_PREFIX..]).expect("copied from a str");
+
+        let (segment, offset) = locate(id);
+        // Only writers, serialized by the lock held here, store segments.
+        let mut slots = SEGMENTS[segment].load(Ordering::Relaxed);
+        if slots.is_null() {
+            let len = 1 << (segment as u32 + FIRST_SEGMENT_BITS);
+            let fresh = Box::<[AtomicPtr<u8>]>::new_zeroed_slice(len);
+            // SAFETY: the all-zero bit pattern is a null `AtomicPtr`.
+            let fresh = unsafe { fresh.assume_init() };
+            slots = Box::leak(fresh).as_mut_ptr();
+            SEGMENTS[segment].store(slots, Ordering::Release);
+        }
+        // SAFETY: `offset` is below the segment's length by `locate`, and
+        // the leaked segment lives for the rest of the process. Readers
+        // never write through the stored (leaked, immutable) text.
+        unsafe { &*slots.add(offset) }.store(leaked.as_ptr().cast_mut(), Ordering::Release);
+        map.insert(stored, id);
         Symbol(id)
     }
 
-    /// The interned text.
+    /// The interned text. Lock-free: two acquire loads and the length
+    /// prefix.
+    ///
+    /// # Panics
+    ///
+    /// Never for a symbol returned by [`Symbol::intern`].
     pub fn as_str(self) -> &'static str {
-        let guard = interner().lock().expect("symbol interner poisoned");
-        guard.strings[self.0 as usize]
+        let (segment, offset) = locate(self.0);
+        let slots = SEGMENTS[segment].load(Ordering::Acquire);
+        assert!(!slots.is_null(), "symbol {} was never interned", self.0);
+        // SAFETY: a non-null segment has 2^(6+segment) slots and lives
+        // for the rest of the process; `offset` is in range by `locate`.
+        let text = unsafe { &*slots.add(offset) }.load(Ordering::Acquire);
+        assert!(!text.is_null(), "symbol {} was never interned", self.0);
+        // SAFETY: a non-null slot points at a leaked allocation of a
+        // 4-byte little-endian length followed by that many bytes of
+        // UTF-8, written before the slot's release store.
+        unsafe {
+            let len = u32::from_le_bytes(text.cast::<[u8; LEN_PREFIX]>().read()) as usize;
+            std::str::from_utf8_unchecked(std::slice::from_raw_parts(text.add(LEN_PREFIX), len))
+        }
     }
 
     /// The raw interner index. Stable within a process run only.
@@ -178,6 +240,65 @@ mod tests {
         let v = VarSym::new("X1");
         assert_eq!(v.to_string(), "X1");
         assert_eq!(format!("{v:?}"), "VarSym(\"X1\")");
+    }
+
+    #[test]
+    fn segment_boundaries_cover_every_id() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(63), (0, 63));
+        assert_eq!(locate(64), (1, 0));
+        assert_eq!(locate(191), (1, 127));
+        assert_eq!(locate(192), (2, 0));
+        assert_eq!(locate(u32::MAX), (SEGMENT_COUNT - 1, 63));
+    }
+
+    #[test]
+    fn reads_race_interning_without_a_lock() {
+        // Writers intern fresh names (crossing several segment
+        // boundaries) while readers resolve both old and just-published
+        // symbols; every text must come back intact.
+        let seed: Vec<Symbol> = (0..256)
+            .map(|i| Symbol::intern(&format!("stress_seed_{i}")))
+            .collect();
+        let published = Mutex::new(Vec::<(Symbol, String)>::new());
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for w in 0..2 {
+                let (published, start) = (&published, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..5_000 {
+                        let text = format!("stress_w{w}_{i}");
+                        let sym = Symbol::intern(&text);
+                        assert_eq!(sym.as_str(), text);
+                        if i % 64 == 0 {
+                            published.lock().unwrap().push((sym, text));
+                        }
+                    }
+                });
+            }
+            for _ in 0..2 {
+                let (seed, published, start) = (&seed, &published, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..200 {
+                        for (i, s) in seed.iter().enumerate() {
+                            assert_eq!(s.as_str(), format!("stress_seed_{i}"));
+                        }
+                        let fresh = published.lock().unwrap().clone();
+                        for (sym, text) in fresh.iter().skip(round % 4) {
+                            assert_eq!(sym.as_str(), text);
+                        }
+                    }
+                });
+            }
+        });
+        for w in 0..2 {
+            for i in (0..5_000).step_by(997) {
+                let text = format!("stress_w{w}_{i}");
+                assert_eq!(Symbol::intern(&text).as_str(), text);
+            }
+        }
     }
 
     #[test]

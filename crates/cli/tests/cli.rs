@@ -302,6 +302,29 @@ fn session_scripts_mutate_and_query() {
 }
 
 #[test]
+fn wf_output_is_in_text_order_in_a_fresh_process() {
+    // Parsing the database interns `z` before `a`; the printed model
+    // must still list `p(a)` first, in both the one-shot and the session
+    // front-end.
+    let prog = write_temp("text_order.dl", "q(X) :- p(X).");
+    let db = write_temp("text_order_db.dl", "p(z).\np(a).");
+    let script = write_temp("text_order_script.txt", "? wf\n");
+    let (prog, db) = (prog.to_str().unwrap(), db.to_str().unwrap());
+    let run = datalog(&["run", prog, db, "--semantics", "wf"]);
+    let session = datalog(&["session", prog, db, "--script", script.to_str().unwrap()]);
+    for out in [run, session] {
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        let facts: Vec<&str> = text.lines().filter(|l| l.ends_with(").")).collect();
+        assert_eq!(facts, ["p(a).", "p(z).", "q(a).", "q(z)."], "{text}");
+    }
+}
+
+#[test]
 fn session_survives_garbage_and_keeps_serving() {
     use std::io::Write as _;
     let prog = write_temp("sess2.dl", "p :- not q.\nq :- not p.");

@@ -393,20 +393,22 @@ pub struct EvalOutcome {
 
 impl EvalOutcome {
     /// Decodes an interpreter run against its atom table: true and
-    /// undefined facts, each sorted by `(predicate, args)`.
+    /// undefined facts, each sorted by text — predicate name, then
+    /// argument names ([`GroundAtom::text_cmp`]) — so the printed order
+    /// does not depend on the process's interning history.
     ///
     /// The single decoding point for every front-end — the `Engine`
     /// facade and the `tiebreak-runtime` session solver both go through
     /// it, so their printed fact order can never drift apart.
     pub fn decode(atoms: &datalog_ground::AtomTable, run: InterpreterRun) -> EvalOutcome {
         let mut true_facts = run.model.true_atoms(atoms);
-        true_facts.sort_by(|a, b| (a.pred.as_str(), &a.args).cmp(&(b.pred.as_str(), &b.args)));
+        true_facts.sort_unstable_by(GroundAtom::text_cmp);
         let mut undefined: Vec<GroundAtom> = run
             .model
             .undefined_atoms()
             .map(|id| atoms.decode(id))
             .collect();
-        undefined.sort_by(|a, b| (a.pred.as_str(), &a.args).cmp(&(b.pred.as_str(), &b.args)));
+        undefined.sort_unstable_by(GroundAtom::text_cmp);
         EvalOutcome {
             true_facts,
             undefined,

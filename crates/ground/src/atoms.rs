@@ -236,12 +236,14 @@ impl AtomTable {
             Layout::Dense { blocks, .. } => {
                 let block = block_of(blocks, id);
                 let mut code = id.0 - block.offset;
-                let u = self.universe.len() as u32;
-                let mut args = vec![ConstSym::new(""); block.arity];
-                for slot in args.iter_mut().rev() {
-                    *slot = self.universe[(code % u.max(1)) as usize];
-                    code /= u.max(1);
+                let u = (self.universe.len() as u32).max(1);
+                // Mixed-radix digits come out least significant first.
+                let mut args: Vec<ConstSym> = Vec::with_capacity(block.arity);
+                for _ in 0..block.arity {
+                    args.push(self.universe[(code % u) as usize]);
+                    code /= u;
                 }
+                args.reverse();
                 GroundAtom {
                     pred: block.pred,
                     args: args.into_boxed_slice(),

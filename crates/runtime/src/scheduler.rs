@@ -47,9 +47,8 @@
 //! **Wave dispatch is policy-free.** The [`PolicyFactory`] contract hands
 //! one — possibly stateful — policy instance to each branch and promises
 //! it the branch's ties in topological order, so tie-breaking runs keep
-//! branch-level scheduling; plain well-founded evaluation (also the
-//! memoized and serving-tier hot path) has no policy and dispatches in
-//! waves.
+//! branch-level scheduling; plain well-founded evaluation has no policy
+//! and dispatches in waves.
 //!
 //! **Branch cache.** Plain well-founded evaluation is policy-free and
 //! deterministic per branch, so the session memoizes each branch's
@@ -60,6 +59,14 @@
 //! Mutations invalidate exactly the branches whose component lists the
 //! cone patch changed (see [`Solver::apply`]), which is what turns a
 //! mutation + re-query cycle into cone-sized work end to end.
+//!
+//! **Not the serving-tier hot path.** Serving reads
+//! ([`crate::ReadBatch`], every `?` query of a session script) reach
+//! this scheduler at most once per solver state: the session's read
+//! memo keeps the resulting run and its decoded model, shared by every
+//! later read, until the next [`Solver::apply`] clears it. The branch
+//! cache above is what keeps that one re-run after a mutation
+//! cone-sized.
 //!
 //! Determinism: which worker evaluates a branch or a wave component, and
 //! when, affects nothing — results depend only on the shared prepared

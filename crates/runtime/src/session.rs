@@ -2,7 +2,7 @@
 //! mutable in place between them.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use datalog_ast::{AstError, ConstSym, Database, FxHashMap, FxHashSet, GroundAtom, Program};
 use datalog_ground::{
@@ -62,6 +62,40 @@ struct Prepared {
     engine: UnfoundedEngine,
 }
 
+/// The read memo: the current state's plain well-founded run and its
+/// decoded model, each computed on the first read that needs it.
+#[derive(Default)]
+struct ReadMemo {
+    run: Option<Arc<InterpreterRun>>,
+    model: Option<Arc<EvalOutcome>>,
+}
+
+impl ReadMemo {
+    /// The memoized run, evaluating it if the memo has none.
+    fn run(&mut self, solver: &Solver) -> Result<Arc<InterpreterRun>, SemanticsError> {
+        if let Some(run) = &self.run {
+            return Ok(Arc::clone(run));
+        }
+        let run = Arc::new(solver.well_founded_run()?);
+        self.run = Some(Arc::clone(&run));
+        Ok(run)
+    }
+
+    /// The memoized decoded model, decoding it if the memo has none.
+    fn model(&mut self, solver: &Solver) -> Result<Arc<EvalOutcome>, SemanticsError> {
+        if let Some(model) = &self.model {
+            return Ok(Arc::clone(model));
+        }
+        let run = self.run(solver)?;
+        let model = {
+            let _span = tiebreak_trace::span("session", "decode", &[]);
+            Arc::new(solver.decode(InterpreterRun::clone(&run)))
+        };
+        self.model = Some(Arc::clone(&model));
+        Ok(model)
+    }
+}
+
 fn prepare(
     program: &Program,
     database: &Database,
@@ -111,6 +145,11 @@ fn prepare(
 /// Each state-changing batch bumps [`Solver::epoch`] and reports a
 /// [`PrepareDelta`].
 ///
+/// Reads through [`ReadBatch`] are served from a **read memo**: the
+/// state's plain well-founded run and its decoded model are computed on
+/// the first read after a state change and then shared (`Arc`) by every
+/// later read until the next [`Solver::apply`] clears them.
+///
 /// The session honours [`EngineConfig::ground`] (grounding mode and
 /// budgets), [`EngineConfig::runtime`] (worker threads),
 /// [`EngineConfig::session`] (incremental serving), and
@@ -135,6 +174,12 @@ pub struct Solver {
     /// Per-branch well-founded results, invalidated cone-wise on
     /// mutation (see [`crate::scheduler`]).
     pub(crate) wf_cache: Mutex<Vec<Option<Arc<BranchWf>>>>,
+    /// This state's wf run and decoded model, shared by every read.
+    /// [`Solver::apply`] clears it on entry — every `&mut` path goes
+    /// through there — and it is never keyed by epoch: a rolled-back
+    /// batch restores the epoch number over a re-prepared, renumbered
+    /// graph.
+    read_memo: Mutex<ReadMemo>,
     last_delta: Option<PrepareDelta>,
 }
 
@@ -195,6 +240,7 @@ impl Solver {
             program_consts,
             epoch: 0,
             wf_cache: Mutex::new(vec![None; branches]),
+            read_memo: Mutex::new(ReadMemo::default()),
             last_delta: None,
         })
     }
@@ -343,6 +389,10 @@ impl Solver {
     pub fn apply(&mut self, mutations: Vec<Mutation>) -> Result<PrepareDelta, SolverError> {
         let _span =
             tiebreak_trace::span("session", "apply", &[("mutations", mutations.len() as u64)]);
+        // `&mut self` shuts readers out for the whole batch, so clearing
+        // here covers every outcome: no-op, incremental splice, rebuild
+        // and rollback alike.
+        self.clear_read_memo();
         // Net effect, last mutation per fact wins.
         let mut staged: Vec<(GroundAtom, bool)> = Vec::new();
         let mut staged_index: FxHashMap<GroundAtom, usize> = FxHashMap::default();
@@ -672,6 +722,21 @@ impl Solver {
         Ok(())
     }
 
+    fn clear_read_memo(&mut self) {
+        *self
+            .read_memo
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner) = ReadMemo::default();
+    }
+
+    fn lock_read_memo(&self) -> MutexGuard<'_, ReadMemo> {
+        // The memo is only ever assigned complete values, so a panic
+        // mid-evaluation leaves nothing half-written behind the poison.
+        self.read_memo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Re-prepares everything from the current (already mutated)
     /// database.
     fn rebuild_in_place(&mut self) -> Result<(), SemanticsError> {
@@ -767,15 +832,14 @@ impl Solver {
         Ok(self.decode(run))
     }
 
-    /// Answers a batch of read-only queries against **one** shared
-    /// policy-free evaluation: the first query triggers a single
-    /// wave-parallel [`Solver::well_founded_run`], every further query
-    /// is answered from that run by an O(1) model lookup (or a one-time
-    /// decode for [`ReadQuery::Model`]). This is the serving tier's
-    /// batched read path: N clients querying the same session+epoch cost
-    /// one branch-scheduled pass instead of N, and because the run is a
-    /// pure read of the prepared state the per-query answers are
-    /// bit-identical to N independent [`Solver::well_founded`] calls.
+    /// Answers a batch of read-only queries from the read memo: the
+    /// first read after a state change runs one wave-parallel
+    /// [`Solver::well_founded_run`] (and [`ReadQuery::Model`] one
+    /// decode), every further query — in this batch or any later one,
+    /// until the next [`Solver::apply`] — is answered from the shared
+    /// result by an O(1) model lookup. Because the run is a pure read of
+    /// the prepared state, the per-query answers are bit-identical to
+    /// independent [`Solver::well_founded`] calls.
     ///
     /// Answers are returned in query order.
     ///
@@ -787,7 +851,7 @@ impl Solver {
         queries
             .iter()
             .map(|query| match query {
-                ReadQuery::Model => Ok(ReadAnswer::Model(batch.model(self)?.clone())),
+                ReadQuery::Model => Ok(ReadAnswer::Model(batch.model(self)?)),
                 ReadQuery::Truth(fact) => Ok(ReadAnswer::Truth(batch.truth(self, fact)?)),
             })
             .collect()
@@ -846,63 +910,73 @@ pub enum ReadQuery {
 /// One answer from [`Solver::query_many`], in query order.
 #[derive(Clone, Debug)]
 pub enum ReadAnswer {
-    /// Answer to [`ReadQuery::Model`].
-    Model(EvalOutcome),
+    /// Answer to [`ReadQuery::Model`], shared with the read memo.
+    Model(Arc<EvalOutcome>),
     /// Answer to [`ReadQuery::Truth`].
     Truth(Option<TruthValue>),
 }
 
-/// The incremental form of [`Solver::query_many`]: a lazily-evaluated
-/// shared run that answers read-only queries one at a time. Drivers
-/// that interleave query answering with formatting (the serving tier's
-/// per-connection fan-out) use this directly; `query_many` is the
+/// Counts one read-memo lookup in the live metrics.
+fn count_read_memo(hit: bool) {
+    let m = tiebreak_trace::metrics();
+    if hit {
+        m.read_memo_hits.inc();
+    } else {
+        m.read_memo_misses.inc();
+    }
+}
+
+/// The incremental form of [`Solver::query_many`]: a view of the
+/// solver's read memo that answers read-only queries one at a time.
+/// Drivers that interleave query answering with formatting (the serving
+/// tier's per-connection fan-out) use this directly; `query_many` is the
 /// vector form built on top of it.
 ///
-/// A batch is pinned to the epoch of its first query: feeding it a
-/// solver that has since mutated (or a different solver) is a logic
-/// error and panics in debug builds. Create a fresh batch per
-/// session-lock acquisition.
+/// The batch holds no results of its own: [`ReadBatch::run`] and
+/// [`ReadBatch::model`] hand out shared handles to the memo's, computing
+/// them only when the memo is empty. A batch is pinned to the epoch of
+/// its first query: feeding it a solver that has since mutated (or a
+/// different solver) is a logic error and panics in debug builds.
+/// Create a fresh batch per session-lock acquisition.
 #[derive(Debug, Default)]
 pub struct ReadBatch {
-    run: Option<InterpreterRun>,
-    outcome: Option<EvalOutcome>,
     epoch: Option<u64>,
 }
 
 impl ReadBatch {
-    /// An empty batch; the first query pays the evaluation.
+    /// An empty batch; the first query reads (or fills) the memo.
     pub fn new() -> Self {
         ReadBatch::default()
     }
 
-    /// The shared run, evaluating it on first use.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Solver::well_founded`].
-    pub fn run(&mut self, solver: &Solver) -> Result<&InterpreterRun, SemanticsError> {
-        debug_assert!(
-            self.epoch.is_none() || self.epoch == Some(solver.epoch()),
-            "ReadBatch reused across epochs"
-        );
-        if self.run.is_none() {
-            self.run = Some(solver.well_founded_run()?);
-            self.epoch = Some(solver.epoch());
-        }
-        Ok(self.run.as_ref().expect("run populated above"))
+    fn pin(&mut self, solver: &Solver) {
+        let epoch = *self.epoch.get_or_insert(solver.epoch());
+        debug_assert_eq!(epoch, solver.epoch(), "ReadBatch reused across epochs");
     }
 
-    /// The decoded model (decoded at most once per batch).
+    /// The state's shared well-founded run, evaluated on the first read
+    /// after a state change.
     ///
     /// # Errors
     ///
     /// As for [`Solver::well_founded`].
-    pub fn model(&mut self, solver: &Solver) -> Result<&EvalOutcome, SemanticsError> {
-        if self.outcome.is_none() {
-            let run = self.run(solver)?.clone();
-            self.outcome = Some(solver.decode(run));
-        }
-        Ok(self.outcome.as_ref().expect("outcome populated above"))
+    pub fn run(&mut self, solver: &Solver) -> Result<Arc<InterpreterRun>, SemanticsError> {
+        self.pin(solver);
+        let mut memo = solver.lock_read_memo();
+        count_read_memo(memo.run.is_some());
+        memo.run(solver)
+    }
+
+    /// The state's shared decoded model (decoded at most once per state).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Solver::well_founded`].
+    pub fn model(&mut self, solver: &Solver) -> Result<Arc<EvalOutcome>, SemanticsError> {
+        self.pin(solver);
+        let mut memo = solver.lock_read_memo();
+        count_read_memo(memo.model.is_some());
+        memo.model(solver)
     }
 
     /// One atom's verdict from the shared run (`None`: not in the ground

@@ -18,10 +18,10 @@
 //! frame (every effective line a `?` query — see
 //! [`ScriptSession::frame_is_read_only`]), the worker takes the longest
 //! prefix of consecutive read-only frames as **one batch** and answers
-//! them all from **one** shared wave-parallel evaluation
-//! ([`ReadBatch`]): queries that arrived from N connections while an
-//! evaluation was in flight coalesce instead of each re-running the
-//! branch scheduler. A mutating frame at the head is taken alone — the
+//! them all under one acquisition of the session lock through one
+//! [`ReadBatch`], a view of the solver's read memo: the state's
+//! wave-parallel evaluation runs at most once, whichever connection or
+//! batch reads first. A mutating frame at the head is taken alone — the
 //! FIFO order makes it an *epoch barrier*: reads queued before it were
 //! batched and answered first, reads queued after it wait for the new
 //! epoch. Per-query answers are byte-identical to the sequential path
@@ -335,7 +335,7 @@ fn drain_session_queue(shared: &Arc<Shared>, key: usize) {
     }
 }
 
-/// Answers a batch of read-only frames from one shared evaluation,
+/// Answers a batch of read-only frames from the session's read memo,
 /// fanning per-frame responses back to their connections.
 fn execute_read_batch(shared: &Shared, entry: &Arc<SessionEntry>, jobs: Vec<ScriptJob>) {
     let m = tiebreak_trace::metrics();

@@ -140,7 +140,7 @@ impl ScriptSession {
 
     /// Whether every effective line of a script frame is a `?` query —
     /// the frame cannot mutate the session, so the server may coalesce
-    /// it with other read-only frames into one shared evaluation.
+    /// it with other read-only frames into one batch under one lock.
     ///
     /// This classification is frame-local and sound because `script`
     /// frames are transactional: staged mutations never survive a frame
@@ -160,8 +160,8 @@ impl ScriptSession {
     /// a shared [`ReadBatch`], producing byte-for-byte the output
     /// [`process_line`](ScriptSession::process_line) +
     /// [`finish`](ScriptSession::finish) would have produced for the
-    /// same lines — but every frame sharing `batch` reuses one
-    /// wave-parallel evaluation instead of paying its own. `lineno`
+    /// same lines, every query answered from the solver's read memo
+    /// through `batch`. `lineno`
     /// advances across the frame exactly like the sequential path, and
     /// the returned count is the frame's failed lines.
     ///
@@ -231,7 +231,7 @@ impl ScriptSession {
     }
 
     /// The read-only subset of [`query`](ScriptSession::query), answered
-    /// from the batch's shared run.
+    /// from the solver's read memo.
     fn read_query(
         &self,
         query: &str,
@@ -357,8 +357,8 @@ impl ScriptSession {
 
     fn query(&mut self, query: &str, out: &mut dyn Write) -> Result<(), Failure> {
         // The sequential path is the batched path with a batch of one —
-        // a private shared run per query, the same formatting code — so
-        // the two paths are byte-identical by construction.
+        // the same read memo, the same formatting code — so the two
+        // paths are byte-identical by construction.
         let mut batch = ReadBatch::new();
         self.read_query(query, &mut batch, out)
     }
@@ -438,18 +438,24 @@ pub fn write_outcomes(
         if set.truncated { " (truncated)" } else { "" }
     )?;
     for (i, model) in set.models.iter().enumerate() {
-        let facts: Vec<String> = model
-            .true_atoms(atoms)
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect();
-        writeln!(
+        write!(
             out,
-            "% outcome {} ({}): {{{}}}",
+            "% outcome {} ({}): {{",
             i + 1,
             if model.is_total() { "total" } else { "partial" },
-            facts.join(", ")
         )?;
+        // True atoms in id order, written straight to the sink.
+        let mut facts = model
+            .defined()
+            .filter(|&(_, value)| value == datalog_ground::TruthValue::True)
+            .map(|(id, _)| atoms.decode(id));
+        if let Some(first) = facts.next() {
+            write!(out, "{first}")?;
+            for fact in facts {
+                write!(out, ", {fact}")?;
+            }
+        }
+        writeln!(out, "}}")?;
     }
     Ok(())
 }
@@ -536,6 +542,80 @@ mod tests {
         );
         assert_eq!(errors, 0, "{out}");
         assert!(out.contains("% 2 distinct outcome(s)"), "{out}");
+    }
+
+    #[test]
+    fn wf_prints_facts_in_text_order_whatever_the_interning_order() {
+        // Interner ids run opposite to text order: the parent sorted by
+        // id and printed `edge(tord_z, …)` first.
+        for c in ["tord_z", "tord_m", "tord_b", "tord_a"] {
+            datalog_ast::ConstSym::new(c);
+        }
+        let mut s = session(
+            "reach(X, Y) :- edge(X, Y).",
+            "edge(tord_z, tord_a). edge(tord_a, tord_z). edge(tord_m, tord_b). \
+             edge(tord_a, tord_b).",
+        );
+        let (out, errors) = drive(&mut s, &["? wf"]);
+        assert_eq!(errors, 0, "{out}");
+        let facts = [
+            "(tord_a, tord_b).",
+            "(tord_a, tord_z).",
+            "(tord_m, tord_b).",
+            "(tord_z, tord_a).",
+        ];
+        let expected: String = ["edge", "reach"]
+            .iter()
+            .flat_map(|pred| facts.iter().map(move |args| format!("{pred}{args}\n")))
+            .collect();
+        assert_eq!(out, expected);
+    }
+
+    /// The formatting `write_outcomes` streams: one joined `String` per
+    /// model.
+    fn joined_outcomes(set: &OutcomeSet, atoms: &datalog_ground::AtomTable) -> String {
+        let mut text = format!(
+            "% {} distinct outcome(s) over {} run(s){}\n",
+            set.models.len(),
+            set.runs,
+            if set.truncated { " (truncated)" } else { "" }
+        );
+        for (i, model) in set.models.iter().enumerate() {
+            let facts: Vec<String> = model
+                .true_atoms(atoms)
+                .iter()
+                .map(std::string::ToString::to_string)
+                .collect();
+            text.push_str(&format!(
+                "% outcome {} ({}): {{{}}}\n",
+                i + 1,
+                if model.is_total() { "total" } else { "partial" },
+                facts.join(", ")
+            ));
+        }
+        text
+    }
+
+    #[test]
+    fn streamed_outcomes_match_the_joined_format() {
+        for (program, db) in [
+            (
+                "win(X) :- move(X, Y), not win(Y).",
+                "move(a, b). move(b, a). move(c, d). move(d, c). move(d, e).",
+            ),
+            // One outcome with no true atom: `{}`.
+            ("p :- p.", ""),
+        ] {
+            let s = session(program, db);
+            let set = s.solver().all_outcomes(false, 64).unwrap();
+            let atoms = s.solver().graph().atoms();
+            let mut out = Vec::new();
+            write_outcomes(&mut out, &set, atoms).unwrap();
+            assert_eq!(
+                String::from_utf8(out).unwrap(),
+                joined_outcomes(&set, atoms)
+            );
+        }
     }
 
     #[test]

@@ -209,6 +209,9 @@ pub struct Metrics {
     pub branch_cache_hits: Counter,
     pub outcome_scripts: Counter,
     pub waves_dispatched: Counter,
+    /// Reads answered from a session's read memo / reads that filled it.
+    pub read_memo_hits: Counter,
+    pub read_memo_misses: Counter,
     pub wave_width: Histogram,
     pub merge_queue_depth: Histogram,
     // Serving tier.
@@ -249,6 +252,8 @@ impl Metrics {
             branch_cache_hits: Counter::new(),
             outcome_scripts: Counter::new(),
             waves_dispatched: Counter::new(),
+            read_memo_hits: Counter::new(),
+            read_memo_misses: Counter::new(),
             wave_width: Histogram::new(),
             merge_queue_depth: Histogram::new(),
             registry_hits: Counter::new(),
@@ -320,6 +325,8 @@ impl Metrics {
             ("branch_cache_hits", &self.branch_cache_hits),
             ("outcome_scripts", &self.outcome_scripts),
             ("waves_dispatched", &self.waves_dispatched),
+            ("read_memo_hits", &self.read_memo_hits),
+            ("read_memo_misses", &self.read_memo_misses),
             ("registry_hits", &self.registry_hits),
             ("registry_misses", &self.registry_misses),
             ("registry_evictions", &self.registry_evictions),

@@ -408,11 +408,15 @@ mod tests {
         let _x = exclusive();
         let root = span("t", "root", &[]);
         let root_id = root.id();
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                let _w = child_span("t", "worker", root_id, &[]);
-            });
-        });
+        // A plain `spawn` + `join`, not a scoped thread: `join` returns
+        // only after the thread has exited, thread-local destructors (the
+        // exit flush under test) included, while a scope's join may
+        // return as soon as the closure is done.
+        std::thread::spawn(move || {
+            let _w = child_span("t", "worker", root_id, &[]);
+        })
+        .join()
+        .expect("worker thread");
         drop(root);
         let events = drain();
         let worker = events.iter().find(|e| e.name == "worker").expect("worker");
