@@ -10,9 +10,10 @@
 //! * the session runtime's copy-on-write `all_outcomes` must be ≥ 5×
 //!   faster than the core per-script re-close enumerator at 64 scripts;
 //! * incremental mutation (delta grounding + cone re-close +
-//!   condensation patch) must be ≥ 3× faster than full re-preparation
-//!   on the small-cone churn workload (n = 4096 tie chain, source-pocket
-//!   edge flapping);
+//!   condensation patch + advancing the served model) must be ≥ 3×
+//!   faster than full re-preparation on the small-cone churn workload
+//!   (n = 4096 tie chain, source-pocket edge flapping, a read of
+//!   `win(a0)` after every flip);
 //! * the serving tier's shared-LRU registry must be ≥ 3× faster than a
 //!   per-request full re-prepare over 8 repeated opens of one
 //!   program+db key;
@@ -22,10 +23,10 @@
 //!   ≥ 4 cores (below that the timings are recorded and the gate is a
 //!   first-class skip);
 //! * on a wide tie forest (64 independent branches) evaluation at
-//!   `threads = 4` must be ≥ 2× faster than `threads = 1` when the
-//!   machine has ≥ 4 cores (≥ 1.2× on 2–3 cores; the gate is skipped —
-//!   recorded as such — on a single-core host, where no wall-time
-//!   speedup is physically possible);
+//!   `threads = min(4, cores)` must be ≥ 2× faster than `threads = 1`
+//!   when the machine has ≥ 4 cores (≥ 1.2× on 2–3 cores; the gate is
+//!   skipped — recorded as such — on a single-core host, where no
+//!   wall-time speedup is physically possible);
 //! * on the braided unfounded chain — a *single* weakly-connected branch
 //!   whose waves are 8 components wide — the wave scheduler at
 //!   `threads = 4` must be ≥ 2× faster than `threads = 1` when the
@@ -75,7 +76,7 @@ use tiebreak_core::semantics::outcomes::all_outcomes_with;
 use tiebreak_core::semantics::well_founded::well_founded_with;
 use tiebreak_core::semantics::{well_founded_tie_breaking_with, RootTruePolicy};
 use tiebreak_core::{EngineConfig, EvalMode, EvalOptions, RunStats, RuntimeConfig};
-use tiebreak_runtime::{uniform, Solver};
+use tiebreak_runtime::{uniform, ReadBatch, Solver};
 
 /// Timed runs per configuration; the minimum is reported.
 const RUNS: usize = 3;
@@ -114,6 +115,12 @@ const GROUND_SCALING_MAX_RATIO: f64 = 2.5;
 
 fn detected_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// The widest worker count the forest gate times: never more workers
+/// than cores, so the gate measures scheduling, not oversubscription.
+fn forest_top_threads() -> usize {
+    detected_cores().clamp(1, 4)
 }
 
 struct Entry {
@@ -313,7 +320,10 @@ fn median(values: &mut [f64]) -> f64 {
 fn runtime_forest_entries(entries: &mut Vec<Entry>, chains: usize, pockets: usize) {
     let program = generators::win_move_program();
     let db = generators::wide_tie_forest_db(chains, pockets);
-    for &threads in &[1usize, 2, 4] {
+    let top = forest_top_threads();
+    let mut counts = vec![1, 2.min(top), top];
+    counts.dedup();
+    for threads in counts {
         let solver = Solver::with_config(
             program.clone(),
             db.clone(),
@@ -522,13 +532,16 @@ fn outcomes_cow_entries(entries: &mut Vec<Entry>, decided: usize, pockets: usize
 /// retract/insert flap of the *source* pocket's back-edge — a mutation
 /// whose forward cone is a handful of nodes out of a Θ(n) residual —
 /// through the incremental path (delta grounding + cone re-close +
-/// condensation patch) and, for the baseline, through forced full
-/// re-preparation (`with_incremental(false)`). Both paths are exact
-/// (asserted here against a fresh solver), so the entries isolate the
-/// cost of *preparing*, which is what the ≥ 3× gate bites on.
+/// condensation patch + advancing the served model) and, for the
+/// baseline, through forced full re-preparation
+/// (`with_incremental(false)`), reading `win(a0)` after every flip.
+/// Both paths are exact (asserted here against a fresh solver), so the
+/// entries time a write plus the read that sees it, which is what the
+/// ≥ 3× gate bites on.
 fn session_churn_entries(entries: &mut Vec<Entry>, sizes: &[usize], churn: usize) {
     let program = generators::win_move_program();
     let fact = datalog_ast::GroundAtom::from_texts("move", &["b0", "a0"]);
+    let probe = datalog_ast::GroundAtom::from_texts("win", &["a0"]);
     for &n in sizes {
         let db = generators::tie_chain_move_db(n);
         for (incremental, name) in [(true, "incremental"), (false, "reprepare")] {
@@ -554,7 +567,10 @@ fn session_churn_entries(entries: &mut Vec<Entry>, sizes: &[usize], churn: usize
                             d.residual_atoms
                         );
                     }
+                    // Read your write, as a serving client would.
+                    ReadBatch::new().truth(&solver, &probe).expect("reads");
                     solver.insert_fact(fact.clone()).expect("inserts");
+                    ReadBatch::new().truth(&solver, &probe).expect("reads");
                 }
             });
             // Exactness spot-check: the churned session answers like a
@@ -803,13 +819,19 @@ fn gates(
     // machine can actually run workers concurrently. On a single core the
     // gate is *skipped* (and recorded as skipped), never silently passed.
     let cores = detected_cores();
+    let top = forest_top_threads();
     let t1 = wall_of(entries, "runtime_wide_forest", forest_chains, "threads1");
-    let t4 = wall_of(entries, "runtime_wide_forest", forest_chains, "threads4");
-    let speedup = t1 / t4.max(f64::MIN_POSITIVE);
+    let tn = wall_of(
+        entries,
+        "runtime_wide_forest",
+        forest_chains,
+        &format!("threads{top}"),
+    );
+    let speedup = t1 / tn.max(f64::MIN_POSITIVE);
     let (pass, skipped, requirement) = if cores >= 4 {
-        (t4 * 2.0 <= t1, false, "2.0x (>=4 cores)")
+        (tn * 2.0 <= t1, false, "2.0x (>=4 cores)")
     } else if cores >= 2 {
-        (t4 * 1.2 <= t1, false, "1.2x (2-3 cores)")
+        (tn * 1.2 <= t1, false, "1.2x (2-3 cores)")
     } else {
         (true, true, "none (single core; timings recorded)")
     };
@@ -818,7 +840,7 @@ fn gates(
         pass,
         skipped,
         detail: format!(
-            "threads4 {t4:.3}ms vs threads1 {t1:.3}ms = {speedup:.2}x, required {requirement}, \
+            "threads{top} {tn:.3}ms vs threads1 {t1:.3}ms = {speedup:.2}x, required {requirement}, \
              {cores} core(s)"
         ),
     });

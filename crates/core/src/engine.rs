@@ -200,8 +200,13 @@ pub struct PrepareDelta {
     pub components_removed: usize,
     /// Condensation components created by the cone patch.
     pub components_added: usize,
-    /// Branches whose cached evaluation state was discarded.
+    /// Branches holding a component the cone patch created — the
+    /// branches whose well-founded values were re-evaluated.
     pub branches_invalidated: usize,
+    /// Components the served well-founded state re-evaluated while
+    /// advancing over the cone (0 when the session held no state: the
+    /// next read then evaluates in full).
+    pub components_reevaluated: usize,
     /// Branches after the patch.
     pub branches_total: usize,
     /// Residual (alive) atoms after the re-close.

@@ -97,13 +97,6 @@ pub struct RunStats {
     /// [`EvalOptions::detailed_stats`] is set; `ties_broken` always
     /// carries the count.
     pub tie_log: Vec<(usize, usize, bool)>,
-    /// Branches served from the session solver's per-branch well-founded
-    /// cache instead of being re-evaluated (incremental sessions only;
-    /// always 0 on the one-shot paths). The cached branches' own
-    /// counters are still merged in, so every *other* field is identical
-    /// whether a branch was recomputed or replayed — this field is the
-    /// one serving-dependent statistic.
-    pub branches_reused: usize,
 }
 
 impl RunStats {
@@ -143,7 +136,6 @@ impl RunStats {
         self.component_rounds
             .extend_from_slice(&other.component_rounds);
         self.tie_log.extend_from_slice(&other.tie_log);
-        self.branches_reused += other.branches_reused;
     }
 }
 

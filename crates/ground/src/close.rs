@@ -103,7 +103,7 @@ pub struct Closer<'g> {
 /// A snapshot can only be taken of (and restored to) a *quiescent*
 /// closer — one whose worklist has been drained by [`Closer::run`] — so
 /// restoring never replays half-processed events.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CloseState {
     atom_alive: Vec<bool>,
     rule_alive: Vec<bool>,
@@ -191,24 +191,48 @@ impl<'g> Closer<'g> {
     ///
     /// If the snapshot's dimensions do not match `graph`.
     pub fn from_state(graph: &'g GroundGraph, state: &CloseState) -> Self {
+        Closer::resume(graph, state.clone())
+    }
+
+    /// [`Closer::from_state`] taking the snapshot by value: resumes it
+    /// without copying. Pair with [`Closer::into_state`] to advance a
+    /// kept state in place.
+    ///
+    /// # Panics
+    ///
+    /// If the snapshot's dimensions do not match `graph`.
+    pub fn resume(graph: &'g GroundGraph, state: CloseState) -> Self {
         assert_eq!(
-            state.atom_alive.len(),
-            graph.atom_count(),
-            "snapshot is for a different graph"
-        );
-        assert_eq!(
-            state.rule_alive.len(),
-            graph.rule_count(),
+            (state.atom_alive.len(), state.rule_alive.len()),
+            (graph.atom_count(), graph.rule_count()),
             "snapshot is for a different graph"
         );
         Closer {
             graph,
-            atom_alive: state.atom_alive.clone(),
-            rule_alive: state.rule_alive.clone(),
-            rule_pending: state.rule_pending.clone(),
-            atom_support: state.atom_support.clone(),
+            atom_alive: state.atom_alive,
+            rule_alive: state.rule_alive,
+            rule_pending: state.rule_pending,
+            atom_support: state.atom_support,
             queue: VecDeque::new(),
             trail: None,
+        }
+    }
+
+    /// [`Closer::snapshot`] consuming the closer: no copy.
+    ///
+    /// # Panics
+    ///
+    /// If the worklist is not empty.
+    pub fn into_state(self) -> CloseState {
+        assert!(
+            self.queue.is_empty(),
+            "snapshot of a closer with queued events"
+        );
+        CloseState {
+            atom_alive: self.atom_alive,
+            rule_alive: self.rule_alive,
+            rule_pending: self.rule_pending,
+            atom_support: self.atom_support,
         }
     }
 

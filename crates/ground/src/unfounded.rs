@@ -184,10 +184,9 @@ pub struct UnfoundedEngine {
     /// increases depth, so equal-depth components share no path — the
     /// members of one *wave* are causally independent and can be
     /// evaluated on divergent forks (the wave scheduler's dispatch unit).
+    /// A cone patch assigns depths to its new components only: nothing
+    /// upstream of a retained component lies in the cone.
     comp_depth: Vec<u32>,
-    /// Widest wave (largest equal-depth component count) of each branch
-    /// group — the group's intra-branch parallelism budget.
-    group_width: Vec<u32>,
     /// Component ids retired by earlier [`UnfoundedEngine::patch_cone`]
     /// calls and not yet reassigned, kept sorted descending (allocation
     /// pops the smallest). Bounds the component tables at their peak
@@ -216,9 +215,9 @@ pub struct ConePatch {
     pub retired: usize,
     /// Components the re-condensed cone produced.
     pub added: usize,
-    /// The ids assigned to the new components (retired ids are recycled
-    /// before fresh ones append). Any branch containing one of these is
-    /// *not* the branch an equal-looking id denoted before the patch.
+    /// The ids assigned to the new components, in topological order
+    /// (retired ids are recycled before fresh ones append): an id listed
+    /// here no longer denotes what it did before the patch.
     pub new_components: Vec<u32>,
 }
 
@@ -318,7 +317,6 @@ impl UnfoundedEngine {
             comp_group: Vec::new(),
             group_comps: Vec::new(),
             comp_depth: Vec::new(),
-            group_width: Vec::new(),
             free_comps: Vec::new(),
             pending: vec![0; graph.rule_count()],
             removed: vec![false; graph.atom_count()],
@@ -329,6 +327,9 @@ impl UnfoundedEngine {
         // implementation shared with the cone patch, so group numbering
         // can never drift between a fresh build and a patched engine.
         engine.rebuild_groups(closer);
+        let order = std::mem::take(&mut engine.order);
+        engine.assign_depths(closer, &order);
+        engine.order = order;
         span.arg("components", engine.component_count() as u64);
         engine
     }
@@ -365,11 +366,11 @@ impl UnfoundedEngine {
     /// Branch groups (weak connectivity) are rebuilt over the resulting
     /// component set — a cone change can merge or split groups — with
     /// ids renumbered by first appearance in topological order, exactly
-    /// as [`UnfoundedEngine::build`] numbers them; callers that cache
-    /// per-branch state carry it over by comparing member lists (see the
-    /// runtime session); retired ids are recycled, so a bare list
-    /// comparison could alias a re-condensed component onto a stale
-    /// cache entry — exclude everything in
+    /// as [`UnfoundedEngine::build`] numbers them. Wave depths are
+    /// assigned to the new components only: a retained component has no
+    /// upstream component in the cone, so its depth cannot change.
+    /// Retired ids are recycled, so callers keeping per-component state
+    /// (the runtime session's round counts) overwrite the entries of
     /// [`ConePatch::new_components`].
     pub fn patch_cone(&mut self, closer: &Closer<'_>, cone: &crate::graph::Cone) -> ConePatch {
         let _span = tiebreak_trace::span(
@@ -540,6 +541,7 @@ impl UnfoundedEngine {
         self.order.extend(new_ids.iter().copied());
 
         self.rebuild_groups(closer);
+        self.assign_depths(closer, &new_ids);
         ConePatch {
             retired: retired.len(),
             added,
@@ -601,22 +603,19 @@ impl UnfoundedEngine {
             self.comp_group[c as usize] = g;
             self.group_comps[g as usize].push(c);
         }
-        self.rebuild_depths(closer);
     }
 
-    /// Recomputes wave depths and per-group wave widths from the current
-    /// component assignment and aliveness, in one pass over the
-    /// topological order. A component's in-edges are exactly (a) its
-    /// alive head rules sitting in another component (external support)
-    /// and (b) the out-of-component alive positive/negative body atoms of
-    /// its member rules — both derived from the bipartite edges `close`
-    /// propagates along, so the depth layering is faithful to the
-    /// condensation DAG the scheduler walks.
-    fn rebuild_depths(&mut self, closer: &Closer<'_>) {
+    /// Assigns wave depths to `comps` (listed in topological order, each
+    /// one's upstream components already assigned). A component's
+    /// in-edges are exactly (a) its alive head rules sitting in another
+    /// component (external support) and (b) the out-of-component alive
+    /// positive/negative body atoms of its member rules — both derived
+    /// from the bipartite edges `close` propagates along, so the depth
+    /// layering is faithful to the condensation DAG the scheduler walks.
+    fn assign_depths(&mut self, closer: &Closer<'_>, comps: &[u32]) {
         let graph = closer.graph();
-        self.comp_depth = vec![0; self.comp_atoms.slot_count()];
-        for i in 0..self.order.len() {
-            let c = self.order[i];
+        self.comp_depth.resize(self.comp_atoms.slot_count(), 0);
+        for &c in comps {
             let mut depth = 0u32;
             for &r in self.comp_head_rules.get(c) {
                 if !closer.rule_alive(r) {
@@ -642,28 +641,6 @@ impl UnfoundedEngine {
                 }
             }
             self.comp_depth[c as usize] = depth;
-        }
-        let mut depths: Vec<u32> = Vec::new();
-        self.group_width = Vec::with_capacity(self.group_comps.len());
-        for comps in &self.group_comps {
-            depths.clear();
-            for &c in comps {
-                depths.push(self.comp_depth[c as usize]);
-            }
-            depths.sort_unstable();
-            let mut widest = 0u32;
-            let mut run = 0u32;
-            let mut prev = u32::MAX;
-            for &d in &depths {
-                if d == prev {
-                    run += 1;
-                } else {
-                    prev = d;
-                    run = 1;
-                }
-                widest = widest.max(run);
-            }
-            self.group_width.push(widest);
         }
     }
 
@@ -700,16 +677,30 @@ impl UnfoundedEngine {
 
     /// The widest wave (largest number of equal-depth components) of
     /// branch group `g` — how many workers an intra-branch wave of this
-    /// group can keep busy at once.
+    /// group can keep busy at once. Computed on demand, O(|g| log |g|):
+    /// only multi-worker schedules ask.
     pub fn group_wave_width(&self, g: u32) -> usize {
-        self.group_width[g as usize] as usize
+        let mut depths: Vec<u32> = self.group_comps[g as usize]
+            .iter()
+            .map(|&c| self.comp_depth[c as usize])
+            .collect();
+        depths.sort_unstable();
+        depths
+            .chunk_by(|a, b| a == b)
+            .map(<[u32]>::len)
+            .max()
+            .unwrap_or(0)
     }
 
     /// The widest wave over all branch groups: the exploitable
     /// parallelism of the prepared state when branch-level scheduling
-    /// alone cannot split the work.
+    /// alone cannot split the work. Computed on demand, like
+    /// [`UnfoundedEngine::group_wave_width`].
     pub fn widest_wave(&self) -> usize {
-        self.group_width.iter().copied().max().unwrap_or(0) as usize
+        (0..self.group_comps.len() as u32)
+            .map(|g| self.group_wave_width(g))
+            .max()
+            .unwrap_or(0)
     }
 
     /// The component of `atom`, if it was alive at build time.

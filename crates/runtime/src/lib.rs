@@ -49,8 +49,9 @@
 //!   [`Solver::retract_fact`], and [`Solver::apply`] mutate the database
 //!   *in place*: delta grounding appends the newly supportable rule
 //!   instances, `close` is re-derived only over the mutation's forward
-//!   cone, the condensation is patched cone-wise, and untouched branches
-//!   keep their cached well-founded results — each batch bumps
+//!   cone, the condensation is patched cone-wise, and the served
+//!   well-founded model is advanced over the cone's new components
+//!   only — each batch bumps
 //!   [`Solver::epoch`] and reports a [`PrepareDelta`]. Exactness (wf
 //!   models, outcome sets, totality identical to a fresh solver on the
 //!   mutated database) is asserted by `tests/session_mutation.rs`.
@@ -86,6 +87,7 @@ mod outcomes;
 mod policy;
 mod scheduler;
 mod session;
+mod wf_state;
 
 pub use policy::{uniform, PolicyFactory, UniformPolicy};
 pub use session::{ReadAnswer, ReadBatch, ReadQuery, Solver, SolverError};

@@ -50,23 +50,17 @@
 //! branch-level scheduling; plain well-founded evaluation has no policy
 //! and dispatches in waves.
 //!
-//! **Branch cache.** Plain well-founded evaluation is policy-free and
-//! deterministic per branch, so the session memoizes each branch's
-//! `(assignments, stats)` in [`Solver::wf_cache`]. A cached branch is
-//! *replayed* instead of re-evaluated — its stats partial is merged
-//! exactly as if it had run, so every aggregate counter is identical;
-//! only [`RunStats::branches_reused`] records the serving difference.
-//! Mutations invalidate exactly the branches whose component lists the
-//! cone patch changed (see [`Solver::apply`]), which is what turns a
-//! mutation + re-query cycle into cone-sized work end to end.
-//!
-//! **Not the serving-tier hot path.** Serving reads
-//! ([`crate::ReadBatch`], every `?` query of a session script) reach
-//! this scheduler at most once per solver state: the session's read
-//! memo keeps the resulting run and its decoded model, shared by every
-//! later read, until the next [`Solver::apply`] clears it. The branch
-//! cache above is what keeps that one re-run after a mutation
-//! cone-sized.
+//! **Not the write path.** Serving reads ([`crate::ReadBatch`], every
+//! `?` query of a session script) and [`Solver::well_founded`] reach
+//! this scheduler at most once per prepared state: the session's read
+//! memo keeps the state the plain well-founded run ends in, and
+//! [`Solver::apply`] *advances* that state over each mutation's cone
+//! (re-close the cone, then run the sequential kernel over the cone's
+//! new components only) instead of re-evaluating any branch. A full
+//! run happens after preparation, after a rebuild, and under
+//! `detailed_stats`. At one worker the memo keeps the worker's own
+//! close state; at more than one the session derives it from the
+//! merged model with one sequential replay.
 //!
 //! Determinism: which worker evaluates a branch or a wave component, and
 //! when, affects nothing — results depend only on the shared prepared
@@ -82,23 +76,14 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
-use datalog_ground::{AtomId, Closer, PartialModel, TruthValue, UnfoundedEngine};
+use datalog_ground::{AtomId, CloseState, Closer, PartialModel, TruthValue, UnfoundedEngine};
 use tiebreak_core::semantics::{process_components, ComponentPass, SemanticsError};
 use tiebreak_core::{InterpreterRun, RunStats, TiePolicy};
 
 use crate::policy::PolicyFactory;
 use crate::session::Solver;
-
-/// A memoized branch result of the plain well-founded evaluation.
-#[derive(Clone, Debug)]
-pub(crate) struct BranchWf {
-    /// Values the branch decided for its own atoms (stuck atoms simply
-    /// stay out — the base model is already undefined there).
-    pub(crate) assignments: Vec<(AtomId, TruthValue)>,
-    pub(crate) stats: RunStats,
-}
 
 /// What one branch evaluation produced.
 struct BranchOutcome {
@@ -253,24 +238,29 @@ pub(crate) fn run_session<F: PolicyFactory>(
     factory: Option<&F>,
     use_unfounded: bool,
 ) -> Result<InterpreterRun, SemanticsError> {
+    let detailed = solver.config.eval.detailed_stats;
+    evaluate(solver, factory, use_unfounded, detailed).map(|(run, _)| run)
+}
+
+/// [`run_session`] with the stats detail chosen by the caller, also
+/// returning the close state the evaluation ended in when one worker
+/// did all of it (`None` when several workers split the work: each
+/// fork saw only part of it).
+pub(crate) fn evaluate<F: PolicyFactory>(
+    solver: &Solver,
+    factory: Option<&F>,
+    use_unfounded: bool,
+    detailed: bool,
+) -> Result<(InterpreterRun, Option<CloseState>), SemanticsError> {
     let branches = solver.engine.group_count();
     let threads = solver.effective_threads();
-    let detailed = solver.config.eval.detailed_stats;
-    let mut eval_span = tiebreak_trace::span(
+    let eval_span = tiebreak_trace::span(
         "eval",
         "evaluate",
         &[("branches", branches as u64), ("threads", threads as u64)],
     );
     let eval_id = eval_span.id();
     tiebreak_trace::metrics().evaluations.inc();
-    // Only the policy-free well-founded flavour is memoizable: a tie
-    // policy makes branch results run-dependent.
-    let caching = factory.is_none() && use_unfounded && !detailed;
-    let cached: Vec<Option<Arc<BranchWf>>> = if caching {
-        solver.wf_cache.lock().expect("wf cache lock").clone()
-    } else {
-        vec![None; branches]
-    };
 
     // The base close is shared by every evaluation of the session; its
     // one propagation round is part of each run's accounting so session
@@ -280,18 +270,16 @@ pub(crate) fn run_session<F: PolicyFactory>(
         ..RunStats::default()
     };
     let mut model = solver.base_model.clone();
+    let mut lone_state = None;
 
     if branches > 0 {
         let min_width = solver.config.runtime.resolved_wave_min_width();
         // Wave-eligible branches: policy-free runs with more than one
-        // worker available, skipping cached branches (they replay at
-        // merge time) and branches whose widest wave could not feed a
-        // second worker anyway.
+        // worker available, skipping branches whose widest wave could
+        // not feed a second worker anyway.
         let wave_plans: Vec<WavePlan> = if factory.is_none() && threads > 1 {
             (0..branches as u32)
-                .filter(|&b| {
-                    cached[b as usize].is_none() && solver.engine.group_wave_width(b) >= min_width
-                })
+                .filter(|&b| solver.engine.group_wave_width(b) >= min_width)
                 .map(|b| wave_plan(&solver.engine, b))
                 .collect()
         } else {
@@ -314,12 +302,11 @@ pub(crate) fn run_session<F: PolicyFactory>(
             failure: Mutex::new(None),
             failed: AtomicBool::new(false),
         };
-        let cached_ref = &cached;
         let wave_ref = &wave;
         let wave_plans_ref = &wave_plans;
         let is_wave_ref = &is_wave;
 
-        let worker = |worker_id: usize| -> Vec<BranchOutcome> {
+        let worker = |worker_id: usize| -> (Vec<BranchOutcome>, Option<CloseState>) {
             // Workers live on scoped threads: parent to the evaluation
             // span by explicit id (the TLS stack is per-thread), and
             // flush at exit so the trace survives the thread.
@@ -345,7 +332,7 @@ pub(crate) fn run_session<F: PolicyFactory>(
                 if b >= branches {
                     break;
                 }
-                if cached_ref[b].is_some() || is_wave_ref[b] {
+                if is_wave_ref[b] {
                     continue;
                 }
                 let branch = b as u32;
@@ -563,11 +550,16 @@ pub(crate) fn run_session<F: PolicyFactory>(
             // Phase barrier for the recorder: scoped workers die right
             // after returning, so push their ring buffers to the sink.
             tiebreak_trace::flush();
-            done
+            // A lone worker's fork has seen every branch: its close
+            // state is the run's final one.
+            let state = (threads <= 1 && !wave_ref.has_failed()).then(|| closer.into_state());
+            (done, state)
         };
 
         let worker_results: Vec<Vec<BranchOutcome>> = if threads <= 1 {
-            vec![worker(0)]
+            let (done, state) = worker(0);
+            lone_state = state;
+            vec![done]
         } else {
             std::thread::scope(|scope| {
                 let worker = &worker;
@@ -576,7 +568,7 @@ pub(crate) fn run_session<F: PolicyFactory>(
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("runtime worker panicked"))
+                    .map(|h| h.join().expect("runtime worker panicked").0)
                     .collect()
             })
         };
@@ -588,46 +580,28 @@ pub(crate) fn run_session<F: PolicyFactory>(
         }
         let mut partials: Vec<BranchOutcome> = worker_results.into_iter().flatten().collect();
 
-        if caching {
-            let mut guard = solver.wf_cache.lock().expect("wf cache lock");
-            for partial in &partials {
-                guard[partial.branch as usize] = Some(Arc::new(BranchWf {
-                    assignments: partial.assignments.clone(),
-                    stats: partial.stats.clone(),
-                }));
-            }
-        }
-
-        // Deterministic join: branch-id order, whatever the schedule
-        // was, with cached branches replayed in place.
+        // Deterministic join: branch-id order, whatever the schedule was.
         partials.sort_by_key(|p| p.branch);
-        let mut fresh = partials.iter().peekable();
-        for (b, slot) in cached.iter().enumerate() {
-            if let Some(hit) = slot {
-                for &(atom, value) in &hit.assignments {
-                    model.set(atom, value);
-                }
-                stats.merge(&hit.stats);
-                stats.branches_reused += 1;
-            } else {
-                let partial = fresh.next().expect("every uncached branch ran");
-                debug_assert_eq!(partial.branch as usize, b);
-                for &(atom, value) in &partial.assignments {
-                    model.set(atom, value);
-                }
-                stats.merge(&partial.stats);
+        for partial in &partials {
+            for &(atom, value) in &partial.assignments {
+                model.set(atom, value);
             }
+            stats.merge(&partial.stats);
         }
-        let m = tiebreak_trace::metrics();
-        m.branches_evaluated.add(partials.len() as u64);
-        m.branch_cache_hits.add(stats.branches_reused as u64);
-        eval_span.arg("branches_reused", stats.branches_reused as u64);
+        tiebreak_trace::metrics()
+            .branches_evaluated
+            .add(partials.len() as u64);
+    } else {
+        lone_state = Some(solver.base_close.clone());
     }
 
     let total = model.is_total();
-    Ok(InterpreterRun {
-        model,
-        total,
-        stats,
-    })
+    Ok((
+        InterpreterRun {
+            model,
+            total,
+            stats,
+        },
+        lone_state,
+    ))
 }

@@ -15,7 +15,7 @@ use tiebreak_core::semantics::SemanticsError;
 use tiebreak_core::{EngineConfig, InterpreterRun, Mutation, PrepareDelta};
 
 use crate::policy::{PolicyFactory, UniformPolicy};
-use crate::scheduler::BranchWf;
+use crate::wf_state::WfState;
 use crate::{outcomes, scheduler};
 
 /// Errors from building a [`Solver`] out of source text.
@@ -62,23 +62,23 @@ struct Prepared {
     engine: UnfoundedEngine,
 }
 
-/// The read memo: the current state's plain well-founded run and its
-/// decoded model, each computed on the first read that needs it.
+/// The read memo: the served well-founded state (see
+/// [`crate::wf_state`]) and its decoded model, each computed on the
+/// first read that needs it. [`Solver::apply`] advances the state over
+/// each mutation's cone and drops only the decoded model.
 #[derive(Default)]
 struct ReadMemo {
-    run: Option<Arc<InterpreterRun>>,
+    wf: Option<WfState>,
     model: Option<Arc<EvalOutcome>>,
 }
 
 impl ReadMemo {
-    /// The memoized run, evaluating it if the memo has none.
+    /// The served run, evaluating it in full if the memo holds no state.
     fn run(&mut self, solver: &Solver) -> Result<Arc<InterpreterRun>, SemanticsError> {
-        if let Some(run) = &self.run {
-            return Ok(Arc::clone(run));
+        if self.wf.is_none() {
+            self.wf = Some(WfState::evaluate(solver)?);
         }
-        let run = Arc::new(solver.well_founded_run()?);
-        self.run = Some(Arc::clone(&run));
-        Ok(run)
+        Ok(Arc::clone(&self.wf.as_ref().expect("just filled").run))
     }
 
     /// The memoized decoded model, decoding it if the memo has none.
@@ -137,18 +137,22 @@ fn prepare(
 /// state *incrementally* — delta grounding extends the graph with the
 /// newly supportable instances, the `close` state is re-derived only
 /// over the mutation's forward cone, the condensation is patched in the
-/// cone, and only the branches whose components the cone touched lose
-/// their cached evaluations. The result is provably identical to
+/// cone, and the served well-founded state is advanced over the cone's
+/// new components only. The result is provably identical to
 /// re-preparing from scratch on the mutated database (the fallback the
 /// session takes automatically when a mutation moves the universe of
 /// constants, and which [`tiebreak_core::SessionConfig`] can force).
 /// Each state-changing batch bumps [`Solver::epoch`] and reports a
 /// [`PrepareDelta`].
 ///
-/// Reads through [`ReadBatch`] are served from a **read memo**: the
-/// state's plain well-founded run and its decoded model are computed on
-/// the first read after a state change and then shared (`Arc`) by every
-/// later read until the next [`Solver::apply`] clears them.
+/// Reads through [`ReadBatch`], [`Solver::well_founded`] and
+/// [`Solver::well_founded_run`] are served from a **read memo**: the
+/// state the plain well-founded run ends in (close state, model,
+/// per-component round counts) and its decoded model. The first read
+/// after preparation runs in full; [`Solver::apply`] then advances the
+/// state over each mutation's cone, so a read after a write costs a
+/// lookup. A rebuild or a rolled-back batch drops the state, and the
+/// next read runs in full again.
 ///
 /// The session honours [`EngineConfig::ground`] (grounding mode and
 /// budgets), [`EngineConfig::runtime`] (worker threads),
@@ -171,14 +175,11 @@ pub struct Solver {
     const_refs: FxHashMap<ConstSym, usize>,
     program_consts: FxHashSet<ConstSym>,
     epoch: u64,
-    /// Per-branch well-founded results, invalidated cone-wise on
-    /// mutation (see [`crate::scheduler`]).
-    pub(crate) wf_cache: Mutex<Vec<Option<Arc<BranchWf>>>>,
-    /// This state's wf run and decoded model, shared by every read.
-    /// [`Solver::apply`] clears it on entry — every `&mut` path goes
-    /// through there — and it is never keyed by epoch: a rolled-back
-    /// batch restores the epoch number over a re-prepared, renumbered
-    /// graph.
+    /// This state's served wf state and decoded model, shared by every
+    /// read. [`Solver::apply`] advances it over the cone or, on a
+    /// rebuild, drops it — every `&mut` path goes through there — and it
+    /// is never keyed by epoch: a rolled-back batch restores the epoch
+    /// number over a re-prepared, renumbered graph.
     read_memo: Mutex<ReadMemo>,
     last_delta: Option<PrepareDelta>,
 }
@@ -225,7 +226,6 @@ impl Solver {
             }
         }
         let program_consts: FxHashSet<ConstSym> = program.constants().into_iter().collect();
-        let branches = prepared.engine.group_count();
         Ok(Solver {
             program,
             database,
@@ -239,7 +239,6 @@ impl Solver {
             const_refs,
             program_consts,
             epoch: 0,
-            wf_cache: Mutex::new(vec![None; branches]),
             read_memo: Mutex::new(ReadMemo::default()),
             last_delta: None,
         })
@@ -325,8 +324,12 @@ impl Solver {
     /// or the widest intra-branch wave when a single wide branch is the
     /// whole workload (extra workers would only idle either way).
     pub fn effective_threads(&self) -> usize {
+        let threads = self.config.runtime.resolved_threads();
+        if threads <= 1 {
+            return 1;
+        }
         let width = self.branch_count().max(self.engine.widest_wave());
-        self.config.runtime.resolved_threads().min(width).max(1)
+        threads.min(width).max(1)
     }
 
     /// Whether a plain well-founded evaluation of this prepared state
@@ -370,8 +373,11 @@ impl Solver {
     ///    ([`datalog_ground::Closer::reopen_cone`]), the rest is frozen;
     /// 3. **condensation patch** — components intersecting the cone are
     ///    re-condensed in place
-    ///    ([`datalog_ground::UnfoundedEngine::patch_cone`]); untouched
-    ///    branches keep their cached well-founded results.
+    ///    ([`datalog_ground::UnfoundedEngine::patch_cone`]);
+    /// 4. **advance** — when the read memo holds a well-founded state,
+    ///    the cone is re-opened and re-closed on it and the patch's new
+    ///    components are evaluated; every other component keeps its
+    ///    value.
     ///
     /// Mutations that move the universe of constants (or sessions
     /// configured non-incremental / with `prune_decided` grounding) fall
@@ -379,7 +385,7 @@ impl Solver {
     /// indistinguishable from a fresh [`Solver`] on the mutated database
     /// (wf models, outcome sets, totality — see the differential
     /// suites). A batch that nets out to no change returns an empty
-    /// delta without bumping the epoch.
+    /// delta without bumping the epoch and keeps the read memo.
     ///
     /// # Errors
     ///
@@ -389,10 +395,9 @@ impl Solver {
     pub fn apply(&mut self, mutations: Vec<Mutation>) -> Result<PrepareDelta, SolverError> {
         let _span =
             tiebreak_trace::span("session", "apply", &[("mutations", mutations.len() as u64)]);
-        // `&mut self` shuts readers out for the whole batch, so clearing
-        // here covers every outcome: no-op, incremental splice, rebuild
-        // and rollback alike.
-        self.clear_read_memo();
+        // `&mut self` shuts readers out for the whole batch. The read
+        // memo survives a no-op batch, is advanced by an incremental
+        // splice, and is dropped by every rebuild (rollbacks included).
         // Net effect, last mutation per fact wins.
         let mut staged: Vec<(GroundAtom, bool)> = Vec::new();
         let mut staged_index: FxHashMap<GroundAtom, usize> = FxHashMap::default();
@@ -669,56 +674,45 @@ impl Solver {
         delta.cone_rules = cone.rules.len();
 
         // 4. Cone re-close against the frozen remainder.
-        let mut closer = Closer::from_state(&self.graph, &self.base_close);
+        let mut closer = Closer::resume(&self.graph, std::mem::take(&mut self.base_close));
         closer.reopen_cone(&mut self.base_model, &self.m0, &cone);
         closer.run(&mut self.base_model)?;
-        self.base_close = closer.snapshot();
 
-        // 5. Condensation patch + branch-cache carry-over: a branch
-        //    whose component list is unchanged keeps its cached state.
-        //    Component ids get recycled by the patch, so a branch
-        //    containing any *newly assigned* id is never carried — its
-        //    ids no longer denote what they did before the patch.
-        let old_groups: Vec<Vec<u32>> = (0..self.engine.group_count())
-            .map(|g| self.engine.group_components(g as u32).to_vec())
-            .collect();
+        // 5. Condensation patch.
         let patch = self.engine.patch_cone(&closer, &cone);
-        drop(closer);
+        self.base_close = closer.into_state();
         delta.components_removed = patch.retired;
         delta.components_added = patch.added;
-        let reassigned: FxHashSet<u32> = patch.new_components.iter().copied().collect();
-
-        let old_cache = std::mem::take(
-            self.wf_cache
-                .get_mut()
-                .expect("no evaluation runs during mutation"),
-        );
-        let old_index: FxHashMap<&[u32], usize> = old_groups
+        let mut touched: Vec<u32> = patch
+            .new_components
             .iter()
-            .enumerate()
-            .map(|(i, comps)| (comps.as_slice(), i))
+            .map(|&c| self.engine.group_of_component(c))
             .collect();
-        let branches = self.engine.group_count();
-        let mut new_cache: Vec<Option<Arc<BranchWf>>> = Vec::with_capacity(branches);
-        let mut invalidated = 0usize;
-        for g in 0..branches {
-            let comps = self.engine.group_components(g as u32);
-            let carried = comps.iter().all(|c| !reassigned.contains(c));
-            match old_index.get(comps).filter(|_| carried) {
-                Some(&old) => new_cache.push(old_cache[old].clone()),
-                None => {
-                    invalidated += 1;
-                    new_cache.push(None);
-                }
-            }
-        }
-        *self
-            .wf_cache
-            .get_mut()
-            .expect("no evaluation runs during mutation") = new_cache;
-        delta.branches_invalidated = invalidated;
-        delta.branches_total = branches;
+        touched.sort_unstable();
+        touched.dedup();
+        delta.branches_invalidated = touched.len();
+        delta.branches_total = self.engine.group_count();
         delta.residual_atoms = self.base_close.alive_atom_count();
+
+        // 6. Advance the served well-founded state over the cone. It is
+        //    taken out first: a failed advance leaves it half-advanced,
+        //    and the caller's rebuild then runs the next read in full.
+        let memo = self
+            .read_memo
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        memo.model = None;
+        if let Some(mut wf) = memo.wf.take() {
+            wf.advance(
+                &self.graph,
+                &mut self.engine,
+                &self.m0,
+                &cone,
+                &patch.new_components,
+            )?;
+            memo.wf = Some(wf);
+            delta.components_reevaluated = patch.new_components.len();
+        }
         Ok(())
     }
 
@@ -739,19 +733,17 @@ impl Solver {
 
     /// Re-prepares everything from the current (already mutated)
     /// database.
+    /// The read memo is dropped first, whether or not the prepare
+    /// succeeds: its state describes a graph this call replaces.
     fn rebuild_in_place(&mut self) -> Result<(), SemanticsError> {
+        self.clear_read_memo();
         let prepared = prepare(&self.program, &self.database, &self.config)?;
-        let branches = prepared.engine.group_count();
         self.graph = prepared.graph;
         self.grounder = prepared.grounder;
         self.m0 = prepared.m0;
         self.base_model = prepared.base_model;
         self.base_close = prepared.base_close;
         self.engine = prepared.engine;
-        *self
-            .wf_cache
-            .get_mut()
-            .expect("no evaluation runs during mutation") = vec![None; branches];
         Ok(())
     }
 
@@ -763,9 +755,12 @@ impl Solver {
         delta.residual_atoms = self.residual_atom_count();
     }
 
-    /// Algorithm Well-Founded against the prepared state, branches in
-    /// parallel (untouched branches replay their cached result after a
-    /// mutation). Identical model to `tiebreak_core`'s interpreters.
+    /// Algorithm Well-Founded against the prepared state: the served
+    /// model of the read memo, evaluated (branches in parallel) on the
+    /// first read after preparation and advanced over each mutation's
+    /// cone since. Under `detailed_stats` every call evaluates afresh,
+    /// so the per-event logs describe one whole run. Identical model to
+    /// `tiebreak_core`'s interpreters.
     ///
     /// # Errors
     ///
@@ -782,7 +777,13 @@ impl Solver {
     ///
     /// As for [`Solver::well_founded`].
     pub fn well_founded_run(&self) -> Result<InterpreterRun, SemanticsError> {
-        scheduler::run_session::<UniformPolicy<tiebreak_core::RootTruePolicy>>(self, None, true)
+        if self.config.eval.detailed_stats {
+            return scheduler::run_session::<UniformPolicy<tiebreak_core::RootTruePolicy>>(
+                self, None, true,
+            );
+        }
+        let run = self.lock_read_memo().run(self)?;
+        Ok(InterpreterRun::clone(&run))
     }
 
     /// Algorithm Well-Founded Tie-Breaking against the prepared state,
@@ -833,12 +834,11 @@ impl Solver {
     }
 
     /// Answers a batch of read-only queries from the read memo: the
-    /// first read after a state change runs one wave-parallel
-    /// [`Solver::well_founded_run`] (and [`ReadQuery::Model`] one
-    /// decode), every further query — in this batch or any later one,
-    /// until the next [`Solver::apply`] — is answered from the shared
-    /// result by an O(1) model lookup. Because the run is a pure read of
-    /// the prepared state, the per-query answers are bit-identical to
+    /// first read after preparation or a rebuild runs one wave-parallel
+    /// well-founded evaluation, a [`ReadQuery::Model`] read after a state
+    /// change one decode, and every other query is an O(1) lookup in the
+    /// served model, which [`Solver::apply`] keeps current over each
+    /// mutation's cone. The per-query answers are bit-identical to
     /// independent [`Solver::well_founded`] calls.
     ///
     /// Answers are returned in query order.
@@ -934,7 +934,9 @@ fn count_read_memo(hit: bool) {
 ///
 /// The batch holds no results of its own: [`ReadBatch::run`] and
 /// [`ReadBatch::model`] hand out shared handles to the memo's, computing
-/// them only when the memo is empty. A batch is pinned to the epoch of
+/// them only when the memo is empty — after preparation or a rebuild for
+/// the run (writes advance it), after any state change for the decoded
+/// model. A batch is pinned to the epoch of
 /// its first query: feeding it a solver that has since mutated (or a
 /// different solver) is a logic error and panics in debug builds.
 /// Create a fresh batch per session-lock acquisition.
@@ -954,8 +956,8 @@ impl ReadBatch {
         debug_assert_eq!(epoch, solver.epoch(), "ReadBatch reused across epochs");
     }
 
-    /// The state's shared well-founded run, evaluated on the first read
-    /// after a state change.
+    /// The state's shared well-founded run, evaluated in full on the
+    /// first read after preparation or a rebuild.
     ///
     /// # Errors
     ///
@@ -963,7 +965,7 @@ impl ReadBatch {
     pub fn run(&mut self, solver: &Solver) -> Result<Arc<InterpreterRun>, SemanticsError> {
         self.pin(solver);
         let mut memo = solver.lock_read_memo();
-        count_read_memo(memo.run.is_some());
+        count_read_memo(memo.wf.is_some());
         memo.run(solver)
     }
 

@@ -1,5 +1,5 @@
 //! Session mutation semantics: epochs, [`PrepareDelta`] bookkeeping,
-//! rebuild fallbacks, and branch-cache invalidation.
+//! rebuild fallbacks, and cone-sized re-evaluation.
 //!
 //! The cross-mode/cross-thread *exactness* sweeps (mutated solver ≡
 //! fresh solver after random churn) live in the root suite
@@ -63,7 +63,7 @@ fn epochs_and_deltas_track_mutations() {
     assert!(!delta.rebuilt, "in-universe retraction stays incremental");
     assert!(delta.cone_atoms > 0 && delta.cone_rules > 0);
     assert_eq!(delta.branches_total, 1, "the a/b pocket resolved");
-    assert!(delta.branches_invalidated <= 1, "c/d branch carried over");
+    assert!(delta.branches_invalidated <= 1, "c/d branch untouched");
     assert_eq!(s.last_delta(), Some(&delta));
     assert_matches_fresh(&s);
 
@@ -317,34 +317,68 @@ fn guarded_positive_cycles_resurrect_exactly() {
 }
 
 #[test]
-fn wf_cache_replays_untouched_branches() {
-    let mut s = solver(
-        WIN,
-        "move(a, b). move(b, a). move(c, d). move(d, c). move(e, f). move(f, e).",
-        GroundMode::Relevant,
-        2,
-    );
-    assert_eq!(s.branch_count(), 3);
-    let first = s.well_founded().unwrap();
-    assert_eq!(first.stats.branches_reused, 0, "cold cache");
-    let again = s.well_founded().unwrap();
-    assert_eq!(again.stats.branches_reused, 3, "everything replays");
-    assert_eq!(again.true_facts, first.true_facts);
-    assert_eq!(again.undefined, first.undefined);
-    // Aggregate counters are identical whether replayed or recomputed.
-    assert_eq!(again.stats.close_rounds, first.stats.close_rounds);
-    assert_eq!(again.stats.unfounded_rounds, first.stats.unfounded_rounds);
-    assert_eq!(
-        again.stats.components_processed,
-        first.stats.components_processed
-    );
+fn a_write_reevaluates_only_the_cone() {
+    for threads in [1usize, 2] {
+        let mut s = solver(
+            WIN,
+            "move(a, b). move(b, a). move(c, d). move(d, c). move(e, f). move(f, e).",
+            GroundMode::Relevant,
+            threads,
+        );
+        assert_eq!(s.branch_count(), 3);
+        let cold = s
+            .retract_fact(GroundAtom::from_texts("move", &["f", "e"]))
+            .unwrap();
+        assert_eq!(cold.components_reevaluated, 0, "no state held yet");
+        let components = s.well_founded().unwrap().stats.components_processed;
 
-    // Mutating one pocket invalidates only its branch.
-    s.retract_fact(GroundAtom::from_texts("move", &["d", "c"]))
-        .unwrap();
-    let after = s.well_founded().unwrap();
-    assert_eq!(after.stats.branches_reused, 2, "two branches replayed");
-    assert_matches_fresh(&s);
+        // Mutating one pocket re-evaluates the cone's components only.
+        let delta = s
+            .retract_fact(GroundAtom::from_texts("move", &["d", "c"]))
+            .unwrap();
+        assert!(!delta.rebuilt);
+        assert_eq!(delta.components_reevaluated, delta.components_added);
+        assert!(
+            delta.components_reevaluated < components,
+            "t={threads}: {} of {components} components re-evaluated",
+            delta.components_reevaluated
+        );
+        assert!(delta.branches_invalidated <= 1, "one pocket's branch");
+        assert_matches_fresh(&s);
+        let fresh = fresh_like(&s);
+        assert_eq!(
+            s.well_founded().unwrap().stats,
+            fresh.well_founded().unwrap().stats,
+            "t={threads}"
+        );
+    }
+}
+
+#[test]
+fn advances_read_upstream_decisions_of_the_full_run() {
+    // `q` is decided by the well-founded run, not by the base close (`p`
+    // is an unfounded positive loop), so `r :- q` fires during the run.
+    // Retracting `e` re-opens `r` but not that rule: the advance must
+    // read it as fired and keep `r` true. The x/y tie is a second branch,
+    // so two workers split the full run and the kept state is replayed.
+    for threads in [1usize, 2] {
+        let mut s = solver(
+            "p :- p.\nq :- not p.\nr :- q.\nr :- e.\nx :- not y.\ny :- not x.",
+            "e.",
+            GroundMode::Relevant,
+            threads,
+        );
+        assert_eq!(s.effective_threads(), threads);
+        s.well_founded().unwrap();
+        let delta = s.retract_fact(GroundAtom::from_texts("e", &[])).unwrap();
+        assert!(delta.components_reevaluated > 0, "the state advanced");
+        assert_matches_fresh(&s);
+        let wf = s.well_founded().unwrap();
+        assert!(
+            wf.true_facts.iter().any(|f| f.to_string() == "r"),
+            "t={threads}: r lost its fired upstream rule"
+        );
+    }
 }
 
 #[test]

@@ -86,9 +86,14 @@ fn reads_follow_an_incremental_apply() {
 fn reads_follow_a_noop_batch() {
     let mut s = solver_with("move(a, b). move(b, a).", relevant());
     warm(&s);
+    let run = ReadBatch::new().run(&s).unwrap();
     let present = GroundAtom::from_texts("move", &["a", "b"]);
     let delta = s.apply(vec![Mutation::Insert(present)]).unwrap();
     assert_eq!(delta.epoch, 0, "a no-op batch keeps the epoch");
+    assert!(
+        Arc::ptr_eq(&run, &ReadBatch::new().run(&s).unwrap()),
+        "a no-op batch keeps the memo"
+    );
     assert_reads_match_fresh(&s);
 }
 
@@ -152,13 +157,22 @@ fn reads_share_one_run_and_one_model_per_state() {
         "a memo read counts a hit"
     );
 
-    s.insert_fact(GroundAtom::from_texts("move", &["c", "a"]))
+    let advances = metrics.wf_advances.get();
+    let delta = s
+        .insert_fact(GroundAtom::from_texts("move", &["c", "a"]))
         .unwrap();
-    let misses = metrics.read_memo_misses.get();
-    let after = ReadBatch::new().run(&s).unwrap();
-    assert!(!Arc::ptr_eq(&run, &after), "apply clears the memo");
+    assert!(!delta.rebuilt, "an in-universe insert splices");
     assert!(
-        metrics.read_memo_misses.get() > misses,
-        "refilling the memo counts a miss"
+        metrics.wf_advances.get() > advances,
+        "the write advances the served state"
     );
+    assert_eq!(delta.components_reevaluated, delta.components_added);
+    let hits = metrics.read_memo_hits.get();
+    let after = ReadBatch::new().run(&s).unwrap();
+    assert!(!Arc::ptr_eq(&run, &after), "a held run is not mutated");
+    assert!(
+        metrics.read_memo_hits.get() > hits,
+        "the read after a write is served by the advanced state"
+    );
+    assert_reads_match_fresh(&s);
 }

@@ -9,7 +9,7 @@
 //! linkage from the serialized form, so the CI smoke job exercises the
 //! same invariants as the in-process determinism suite.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use crate::span::{TraceEvent, TraceEventKind};
@@ -107,55 +107,105 @@ impl Trace {
     }
 
     /// A fixed-width per-(category, name) aggregation, sorted by total
-    /// time — the `--trace summary` table.
+    /// time — the `--trace summary` table. Per row: count, total and
+    /// self time, mean, p50, p99 (nearest rank) and max duration. A
+    /// span's self time is its duration minus the part of it covered by
+    /// its child spans; children running in parallel on other threads
+    /// cover their union, not their sum.
     #[must_use]
     pub fn summary(&self) -> String {
         struct Row {
             cat: &'static str,
             name: &'static str,
-            count: u64,
             total_ns: u64,
-            max_ns: u64,
+            self_ns: u64,
+            durations: Vec<u64>,
         }
+        let self_ns = self.self_times();
         let mut rows: Vec<Row> = Vec::new();
-        for e in &self.events {
-            match rows.iter_mut().find(|r| r.cat == e.cat && r.name == e.name) {
-                Some(r) => {
-                    r.count += 1;
-                    r.total_ns += e.dur_ns;
-                    r.max_ns = r.max_ns.max(e.dur_ns);
-                }
-                None => rows.push(Row {
+        let mut row_of: HashMap<(&str, &str), usize> = HashMap::new();
+        for (e, own) in self.events.iter().zip(self_ns) {
+            let r = *row_of.entry((e.cat, e.name)).or_insert_with(|| {
+                rows.push(Row {
                     cat: e.cat,
                     name: e.name,
-                    count: 1,
-                    total_ns: e.dur_ns,
-                    max_ns: e.dur_ns,
-                }),
-            }
+                    total_ns: 0,
+                    self_ns: 0,
+                    durations: Vec::new(),
+                });
+                rows.len() - 1
+            });
+            let row = &mut rows[r];
+            row.total_ns += e.dur_ns;
+            row.self_ns += own;
+            row.durations.push(e.dur_ns);
         }
         rows.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(b.name)));
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<10} {:<22} {:>8} {:>12} {:>10} {:>10}",
-            "cat", "name", "count", "total_ms", "mean_us", "max_us"
+            "{:<10} {:<22} {:>8} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10}",
+            "cat", "name", "count", "total_ms", "self_ms", "mean_us", "p50_us", "p99_us", "max_us"
         );
-        for r in &rows {
-            let mean_us = r.total_ns as f64 / 1000.0 / r.count as f64;
+        let us = |ns: u64| ns as f64 / 1000.0;
+        for r in &mut rows {
+            r.durations.sort_unstable();
+            let count = r.durations.len();
+            let rank = |p: usize| r.durations[(count * p).div_ceil(100).max(1) - 1];
             let _ = writeln!(
                 out,
-                "{:<10} {:<22} {:>8} {:>12.3} {:>10.1} {:>10.1}",
+                "{:<10} {:<22} {:>8} {:>12.3} {:>12.3} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
                 r.cat,
                 r.name,
-                r.count,
+                count,
                 r.total_ns as f64 / 1e6,
-                mean_us,
-                r.max_ns as f64 / 1000.0
+                r.self_ns as f64 / 1e6,
+                us(r.total_ns) / count as f64,
+                us(rank(50)),
+                us(rank(99)),
+                us(r.durations[count - 1]),
             );
         }
         let _ = writeln!(out, "{} events total", self.events.len());
         out
+    }
+
+    /// Each event's self time, in event order: its duration minus the
+    /// union of its child spans' intervals clipped to its own.
+    fn self_times(&self) -> Vec<u64> {
+        let index: HashMap<u64, usize> = self
+            .events
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.kind == TraceEventKind::Span)
+            .map(|(i, e)| (e.id, i))
+            .collect();
+        let mut children: Vec<Vec<(u64, u64)>> = vec![Vec::new(); self.events.len()];
+        for e in &self.events {
+            if e.kind != TraceEventKind::Span {
+                continue;
+            }
+            if let Some(&p) = index.get(&e.parent) {
+                children[p].push((e.ts_ns, e.ts_ns + e.dur_ns));
+            }
+        }
+        self.events
+            .iter()
+            .zip(&mut children)
+            .map(|(e, spans)| {
+                let (start, end) = (e.ts_ns, e.ts_ns + e.dur_ns);
+                spans.sort_unstable();
+                let (mut covered, mut reach) = (0, start);
+                for &(s, t) in spans.iter() {
+                    let (s, t) = (s.max(reach), t.min(end));
+                    if t > s {
+                        covered += t - s;
+                        reach = t;
+                    }
+                }
+                e.dur_ns - covered
+            })
+            .collect()
     }
 }
 
@@ -547,6 +597,74 @@ mod tests {
         assert!(table.contains("child"));
         assert!(table.lines().next().expect("header").contains("total_ms"));
         assert!(table.contains("events total"));
+    }
+
+    #[test]
+    fn summary_reports_percentiles_and_self_time() {
+        let _x = exclusive();
+        let mut trace = sample_trace();
+        let ms = 1_000_000;
+        let mut root_id = 0;
+        for e in &mut trace.events {
+            // root 0–10 ms; child 1–5 ms and sibling 3–7 ms overlap, so
+            // together they cover 6 ms of the root.
+            let (ts, dur) = match e.name {
+                "root" => (0, 10 * ms),
+                "child" => (ms, 4 * ms),
+                "sibling" => (3 * ms, 4 * ms),
+                _ => (2 * ms, 0),
+            };
+            (e.ts_ns, e.dur_ns) = (ts, dur);
+            if e.name == "root" {
+                root_id = e.id;
+            }
+        }
+        // Nine more roots of 1..=9 ms with no children: ten root
+        // durations 1..=10 ms in all.
+        let template = trace
+            .events
+            .iter()
+            .find(|e| e.name == "root")
+            .expect("root")
+            .clone();
+        for k in 1..10 {
+            let mut extra = template.clone();
+            extra.id = root_id + 100 + k;
+            extra.dur_ns = k * ms;
+            trace.events.push(extra);
+        }
+        let table = trace.summary();
+        let header: Vec<&str> = table
+            .lines()
+            .next()
+            .expect("header")
+            .split_whitespace()
+            .collect();
+        let row = |name: &str| -> Vec<String> {
+            let line = table
+                .lines()
+                .find(|l| l.split_whitespace().nth(1) == Some(name))
+                .unwrap_or_else(|| panic!("no {name} row in\n{table}"));
+            line.split_whitespace().map(str::to_owned).collect()
+        };
+        let col = |row: &[String], name: &str| -> f64 {
+            let i = header.iter().position(|h| *h == name).expect("column");
+            row[i].parse().expect("number")
+        };
+        let root = row("root");
+        assert_eq!(col(&root, "count"), 10.0);
+        assert_eq!(col(&root, "total_ms"), 55.0);
+        // Self: 4 ms of the first root plus the nine childless roots.
+        assert_eq!(col(&root, "self_ms"), 4.0 + 45.0);
+        assert_eq!(col(&root, "p50_us"), 5000.0);
+        assert_eq!(col(&root, "p99_us"), 10000.0);
+        assert_eq!(col(&root, "max_us"), 10000.0);
+        let child = row("child");
+        assert_eq!(
+            col(&child, "self_ms"),
+            4.0,
+            "a leaf's self time is its duration"
+        );
     }
 
     #[test]

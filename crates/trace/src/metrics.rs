@@ -206,7 +206,9 @@ pub struct Metrics {
     // Session runtime.
     pub evaluations: Counter,
     pub branches_evaluated: Counter,
-    pub branch_cache_hits: Counter,
+    /// Writes that advanced a session's served well-founded state over
+    /// the mutation's cone instead of dropping it.
+    pub wf_advances: Counter,
     pub outcome_scripts: Counter,
     pub waves_dispatched: Counter,
     /// Reads answered from a session's read memo / reads that filled it.
@@ -249,7 +251,7 @@ impl Metrics {
             components_processed: Counter::new(),
             evaluations: Counter::new(),
             branches_evaluated: Counter::new(),
-            branch_cache_hits: Counter::new(),
+            wf_advances: Counter::new(),
             outcome_scripts: Counter::new(),
             waves_dispatched: Counter::new(),
             read_memo_hits: Counter::new(),
@@ -322,7 +324,7 @@ impl Metrics {
             ("components_processed", &self.components_processed),
             ("evaluations", &self.evaluations),
             ("branches_evaluated", &self.branches_evaluated),
-            ("branch_cache_hits", &self.branch_cache_hits),
+            ("wf_advances", &self.wf_advances),
             ("outcome_scripts", &self.outcome_scripts),
             ("waves_dispatched", &self.waves_dispatched),
             ("read_memo_hits", &self.read_memo_hits),
