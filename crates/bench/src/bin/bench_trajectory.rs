@@ -27,12 +27,6 @@
 //!   when the machine has ≥ 4 cores (≥ 1.2× on 2–3 cores; the gate is
 //!   skipped — recorded as such — on a single-core host, where no
 //!   wall-time speedup is physically possible);
-//! * on the braided unfounded chain — a *single* weakly-connected branch
-//!   whose waves are 8 components wide — the wave scheduler at
-//!   `threads = 4` must be ≥ 2× faster than `threads = 1` when the
-//!   machine has ≥ 4 cores (on fewer cores the timings are still
-//!   recorded, and the gate is marked skipped rather than silently
-//!   passed);
 //! * relevant grounding (`SessionGrounder::build`) of the braided
 //!   unfounded chain at 128 pockets may take at most 2.5× its median
 //!   time at 64 pockets — linear, not quadratic, in program size;
@@ -94,11 +88,11 @@ const SERVER_LRU_N: usize = 2048;
 const BATCH_CONNS: usize = 32;
 const BATCH_REPEATS: usize = 8;
 
-/// Braided single-branch workload shape for the wave-parallel gate:
-/// `WAVE_CHAINS` is both the wave width and the entry key `n`.
-const WAVE_CHAINS: usize = 8;
-const WAVE_POCKETS: usize = 4;
-const WAVE_LOOP: usize = 128;
+/// Braided single-branch workload shape for the `wave_braided_chain`
+/// and trace-overhead entries: `BRAID_CHAINS` is the entry key `n`.
+const BRAID_CHAINS: usize = 8;
+const BRAID_POCKETS: usize = 4;
+const BRAID_LOOP: usize = 128;
 
 /// Braided unfounded chain shape for the grounding scaling gate: the
 /// entries ground `GROUND_SCALING_POCKETS` and twice as many pockets
@@ -350,14 +344,14 @@ fn runtime_forest_entries(entries: &mut Vec<Entry>, chains: usize, pockets: usiz
     }
 }
 
-/// The braided unfounded chain — one weakly-connected branch, waves as
-/// wide as the chain count — through the wave scheduler at 1 and 4
-/// workers. Unlike the other entries this cannot reuse `best_of` over a
-/// shared solver: the session memoizes policy-free branch results, so a
-/// second `well_founded` on the same solver would time the cache replay
-/// rather than the wave kernel. A fresh solver is prepared outside the
-/// timer for every run instead.
-fn wave_parallel_entries(
+/// The braided unfounded chain — one weakly-connected branch — at one
+/// worker, keyed `wave_braided_chain threads1` (the trace-overhead gate
+/// finds its baseline under that key). Unlike the other entries this
+/// cannot reuse `best_of` over a shared solver: the session memoizes
+/// the policy-free run, so a second `well_founded` on the same solver
+/// would time the memo rather than the kernel. A fresh solver is
+/// prepared outside the timer for every run instead.
+fn braided_chain_entries(
     entries: &mut Vec<Entry>,
     chains: usize,
     pockets: usize,
@@ -365,39 +359,37 @@ fn wave_parallel_entries(
 ) {
     let program = generators::braided_unfounded_chain_program(chains, pockets, loop_size);
     let db = Database::new();
-    for &threads in &[1usize, 4] {
-        let mut best = f64::INFINITY;
-        let mut shape = (0usize, 0usize);
-        let mut stats = RunStats::default();
-        for _ in 0..RUNS {
-            let solver = Solver::with_config(
-                program.clone(),
-                db.clone(),
-                EngineConfig::default().with_runtime(RuntimeConfig::with_threads(threads)),
-            )
-            .expect("prepares");
-            assert_eq!(
-                solver.branch_count(),
-                1,
-                "the hub weakly connects all chains"
-            );
-            let t = Instant::now();
-            let out = solver.well_founded().expect("runs");
-            best = best.min(t.elapsed().as_secs_f64() * 1e3);
-            assert!(out.total, "the braid is decided (everything unfounded)");
-            shape = (solver.graph().atom_count(), solver.graph().rule_count());
-            stats = out.stats;
-        }
-        entries.push(Entry {
-            bench: "wave_braided_chain",
-            n: chains,
-            mode: format!("threads{threads}"),
-            wall_ms: best,
-            atoms: shape.0,
-            rules: shape.1,
-            stats,
-        });
+    let mut best = f64::INFINITY;
+    let mut shape = (0usize, 0usize);
+    let mut stats = RunStats::default();
+    for _ in 0..RUNS {
+        let solver = Solver::with_config(
+            program.clone(),
+            db.clone(),
+            EngineConfig::default().with_runtime(RuntimeConfig::with_threads(1)),
+        )
+        .expect("prepares");
+        assert_eq!(
+            solver.branch_count(),
+            1,
+            "the hub weakly connects all chains"
+        );
+        let t = Instant::now();
+        let out = solver.well_founded().expect("runs");
+        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+        assert!(out.total, "the braid is decided (everything unfounded)");
+        shape = (solver.graph().atom_count(), solver.graph().rule_count());
+        stats = out.stats;
     }
+    entries.push(Entry {
+        bench: "wave_braided_chain",
+        n: chains,
+        mode: "threads1".to_owned(),
+        wall_ms: best,
+        atoms: shape.0,
+        rules: shape.1,
+        stats,
+    });
 }
 
 /// Tracing overhead on the braided chain at one worker. `disabled` is
@@ -422,8 +414,8 @@ fn trace_overhead_entries(
         let mut stats = RunStats::default();
         for _ in 0..RUNS {
             // Fresh solver per run for the same reason as
-            // `wave_parallel_entries`: the session memoizes policy-free
-            // branch results, so reuse would time cache replay.
+            // `braided_chain_entries`: the session memoizes the
+            // policy-free run, so reuse would time the memo.
             let solver = Solver::with_config(
                 program.clone(),
                 db.clone(),
@@ -845,28 +837,6 @@ fn gates(
         ),
     });
 
-    // Intra-branch wave scheduling: the braid is one weakly-connected
-    // branch, so any speedup here comes from the wave path alone. The
-    // ratio is only enforceable with ≥ 4 cores; on smaller hosts the
-    // timings are still recorded and the gate is marked skipped.
-    let w1 = wall_of(entries, "wave_braided_chain", WAVE_CHAINS, "threads1");
-    let w4 = wall_of(entries, "wave_braided_chain", WAVE_CHAINS, "threads4");
-    let speedup = w1 / w4.max(f64::MIN_POSITIVE);
-    let (pass, skipped, requirement) = if cores >= 4 {
-        (w4 * 2.0 <= w1, false, "2.0x (>=4 cores)")
-    } else {
-        (true, true, "none (<4 cores; timings recorded)")
-    };
-    gates.push(Gate {
-        name: format!("wave_parallel_braid_c{WAVE_CHAINS}"),
-        pass,
-        skipped,
-        detail: format!(
-            "threads4 {w4:.3}ms vs threads1 {w1:.3}ms = {speedup:.2}x, required {requirement}, \
-             {cores} core(s)"
-        ),
-    });
-
     // Copy-on-write enumeration: single-threaded, machine-independent.
     let reclose = wall_of(entries, "outcomes_enumeration", scripts, "reclose");
     let cow = wall_of(entries, "outcomes_enumeration", scripts, "cow");
@@ -944,11 +914,11 @@ fn gates(
     // without one the gate is a first-class SKIP — recorded, never
     // silently passed. The enabled-recorder cost rides along in the
     // detail for the record but is not gated.
-    let disabled = wall_of(entries, "trace_overhead", WAVE_CHAINS, "disabled");
-    let enabled = wall_of(entries, "trace_overhead", WAVE_CHAINS, "enabled");
+    let disabled = wall_of(entries, "trace_overhead", BRAID_CHAINS, "disabled");
+    let enabled = wall_of(entries, "trace_overhead", BRAID_CHAINS, "enabled");
     let base = baseline
         .iter()
-        .find(|b| b.bench == "wave_braided_chain" && b.n == WAVE_CHAINS && b.mode == "threads1")
+        .find(|b| b.bench == "wave_braided_chain" && b.n == BRAID_CHAINS && b.mode == "threads1")
         .map(|b| b.wall_ms);
     let (pass, skipped, detail) = match base {
         Some(base_ms) => {
@@ -1201,8 +1171,8 @@ fn main() {
     grounding_entries(&mut entries, 256);
     let ground_scaling_ratio = ground_scaling_entries(&mut entries);
     runtime_forest_entries(&mut entries, forest_chains, 8);
-    wave_parallel_entries(&mut entries, WAVE_CHAINS, WAVE_POCKETS, WAVE_LOOP);
-    trace_overhead_entries(&mut entries, WAVE_CHAINS, WAVE_POCKETS, WAVE_LOOP);
+    braided_chain_entries(&mut entries, BRAID_CHAINS, BRAID_POCKETS, BRAID_LOOP);
+    trace_overhead_entries(&mut entries, BRAID_CHAINS, BRAID_POCKETS, BRAID_LOOP);
     outcomes_cow_entries(&mut entries, 4096, 6); // 2^6 = 64 scripts
     session_churn_entries(&mut entries, CHURN_SIZES, 8);
     server_lru_entries(&mut entries, SERVER_LRU_N, 8);

@@ -403,6 +403,8 @@ fn run(args: &[String]) -> Result<(), String> {
     let opts = parse_options(&args[1..])?;
 
     let tracing = opts.trace_out.is_some() || opts.trace_summary;
+    let dropped = || tiebreak_trace::metrics().trace_events_dropped.get();
+    let dropped_before = dropped();
     if tracing {
         tiebreak_trace::set_enabled(true);
     }
@@ -411,6 +413,7 @@ fn run(args: &[String]) -> Result<(), String> {
         // Command failures still export whatever was recorded — a trace
         // of the failing run is exactly what you want to look at.
         let trace = tiebreak_trace::Trace::from_events(tiebreak_trace::drain());
+        let lost = dropped() - dropped_before;
         let mut export_err = None;
         if let Some(path) = &opts.trace_out {
             match std::fs::write(path, trace.to_chrome_json()) {
@@ -420,6 +423,11 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         if opts.trace_summary {
             eprintln!("{}", trace.summary());
+            // A full thread ring drops its oldest events: say so, or
+            // the table silently undercounts.
+            if lost > 0 {
+                eprintln!("% trace: {lost} event(s) dropped (thread ring full)");
+            }
         }
         if let Some(e) = export_err {
             return Err(match result {

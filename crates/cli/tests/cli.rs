@@ -743,4 +743,33 @@ fn trace_out_writes_a_valid_chrome_trace() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("win(b)."));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("ground"), "{stderr}");
+    assert!(!stderr.contains("dropped"), "{stderr}");
+}
+
+#[test]
+fn trace_summary_says_when_the_ring_dropped_events() {
+    // One span per query line: 70,000 lines overflow the 2^16-event
+    // thread ring, so the summary undercounts and must say so.
+    let prog = write_temp("drop.dl", "p :- not q.");
+    let script = write_temp("drop_script.txt", &"? p\n".repeat(70_000));
+    let out = datalog(&[
+        "session",
+        prog.to_str().unwrap(),
+        "--script",
+        script.to_str().unwrap(),
+        "--trace",
+        "summary",
+    ]);
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let note = stderr
+        .lines()
+        .find(|l| l.starts_with("% trace: ") && l.ends_with(" event(s) dropped (thread ring full)"))
+        .unwrap_or_else(|| panic!("no dropped-events note in {stderr}"));
+    let n: u64 = note["% trace: ".len()..]
+        .split(' ')
+        .next()
+        .and_then(|n| n.parse().ok())
+        .expect("a count");
+    assert!(n > 0, "{note}");
 }

@@ -139,9 +139,7 @@ pub fn wide_tie_forest_db(chains: usize, pockets: usize) -> Database {
 /// weakly connect everything, so the residual condensation is a *single*
 /// branch — the shape branch-level scheduling cannot split — while the
 /// pockets at equal chain offset share no path and form waves of width
-/// `chains`: the canonical workload for the intra-branch wave scheduler.
-/// (The hub itself sits alone in the deepest wave, exercising the
-/// single-component short-circuit.)
+/// `chains` ([`datalog_ground::UnfoundedEngine::widest_wave`]).
 pub fn braided_tie_chain_db(chains: usize, pockets: usize) -> Database {
     let mut db = Database::new();
     let mut insert = |from: &str, to: &str| {
@@ -169,8 +167,7 @@ pub fn braided_tie_chain_db(chains: usize, pockets: usize) -> Database {
 /// weakly-connected branch with waves of width `chains`, but here every
 /// component does real well-founded work — a `loop_size`-long unfounded
 /// cascade plus the `close` that retires it — so the instance measures
-/// wave *throughput* on the policy-free hot path rather than tie
-/// bookkeeping. The well-founded model is total (everything false).
+/// the policy-free hot path rather than tie bookkeeping. The well-founded model is total (everything false).
 pub fn braided_unfounded_chain_program(chains: usize, pockets: usize, loop_size: usize) -> Program {
     assert!(loop_size >= 2, "a link rule needs a second loop atom");
     let mut b = ProgramBuilder::new();

@@ -49,41 +49,13 @@ pub struct RuntimeConfig {
     /// variable if set and positive, otherwise the machine's available
     /// parallelism.
     pub threads: usize,
-    /// Minimum number of equal-depth components for an intra-branch
-    /// *wave* to be dispatched across the worker pool (policy-free
-    /// evaluations only; see the `tiebreak-runtime` scheduler docs).
-    /// Waves narrower than this run on the sequential kernel — in
-    /// particular a single-component wave pays no synchronization at
-    /// all. `0` (the default) means *auto*, currently `2`.
-    pub wave_min_width: usize,
 }
 
 impl RuntimeConfig {
     /// A config pinning the worker count (`0` = auto).
     #[must_use]
     pub fn with_threads(threads: usize) -> Self {
-        RuntimeConfig {
-            threads,
-            ..RuntimeConfig::default()
-        }
-    }
-
-    /// A copy with the wave dispatch threshold pinned (`0` = auto).
-    #[must_use]
-    pub fn with_wave_min_width(mut self, width: usize) -> Self {
-        self.wave_min_width = width;
-        self
-    }
-
-    /// The effective wave dispatch threshold: an explicit
-    /// `wave_min_width`, else `2` — never below 2, since a one-component
-    /// wave has nothing to dispatch.
-    pub fn resolved_wave_min_width(&self) -> usize {
-        if self.wave_min_width == 0 {
-            2
-        } else {
-            self.wave_min_width.max(2)
-        }
+        RuntimeConfig { threads }
     }
 
     /// The effective worker count: an explicit `threads`, else the

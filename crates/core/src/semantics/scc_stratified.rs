@@ -246,13 +246,6 @@ pub fn process_components(
             }
         }
         stats.record_component(rounds, pass.detailed);
-        // One point event per component verdict, in processing order —
-        // the wave determinism suite checks these stay topological.
-        tiebreak_trace::instant(
-            "eval",
-            "component",
-            &[("component", u64::from(c)), ("rounds", rounds as u64)],
-        );
     }
     tiebreak_trace::metrics()
         .components_processed

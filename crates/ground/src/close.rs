@@ -84,10 +84,6 @@ pub struct Closer<'g> {
     /// Per atom: alive rule nodes with this head.
     atom_support: Vec<u32>,
     queue: VecDeque<Event>,
-    /// When recording (see [`Closer::begin_trail`]): every atom defined
-    /// since recording began, in definition order — external
-    /// [`Closer::define`] calls and `close`-derived consequences alike.
-    trail: Option<Vec<AtomId>>,
 }
 
 /// An owned snapshot of a [`Closer`]'s deletion state, detached from the
@@ -156,7 +152,6 @@ impl<'g> Closer<'g> {
             rule_pending,
             atom_support,
             queue: VecDeque::new(),
-            trail: None,
         }
     }
 
@@ -214,7 +209,6 @@ impl<'g> Closer<'g> {
             rule_pending: state.rule_pending,
             atom_support: state.atom_support,
             queue: VecDeque::new(),
-            trail: None,
         }
     }
 
@@ -234,26 +228,6 @@ impl<'g> Closer<'g> {
             rule_pending: self.rule_pending,
             atom_support: self.atom_support,
         }
-    }
-
-    /// Starts recording every atom that becomes defined — by
-    /// [`Closer::define`] or by `close` propagation inside
-    /// [`Closer::run`] — until [`Closer::take_trail`] collects the list.
-    ///
-    /// The trail is the wave scheduler's merge-queue payload: a worker
-    /// evaluates a component on a private fork, takes the trail, and
-    /// sibling forks *replay* it (`define` each atom with its recorded
-    /// value, then one `run`) to resynchronize. Replay is exact because
-    /// `close` is confluent and `define` is a no-op for an atom already
-    /// holding the same value.
-    pub fn begin_trail(&mut self) {
-        self.trail = Some(Vec::new());
-    }
-
-    /// Stops recording and returns the atoms defined since
-    /// [`Closer::begin_trail`], in definition order.
-    pub fn take_trail(&mut self) -> Vec<AtomId> {
-        self.trail.take().unwrap_or_default()
     }
 
     /// Queues every already-defined atom of `model` (typically M₀), every
@@ -403,9 +377,6 @@ impl<'g> Closer<'g> {
             return;
         }
         model.set(atom, value);
-        if let Some(trail) = &mut self.trail {
-            trail.push(atom);
-        }
         self.queue.push_back(Event::AtomDefined(atom));
     }
 
@@ -518,9 +489,6 @@ impl<'g> Closer<'g> {
                         }
                         TruthValue::Undefined => {
                             model.set(head, TruthValue::True);
-                            if let Some(trail) = &mut self.trail {
-                                trail.push(head);
-                            }
                             self.queue.push_back(Event::AtomDefined(head));
                         }
                     }
@@ -535,9 +503,6 @@ impl<'g> Closer<'g> {
                         continue;
                     }
                     model.set(atom, TruthValue::False);
-                    if let Some(trail) = &mut self.trail {
-                        trail.push(atom);
-                    }
                     self.queue.push_back(Event::AtomDefined(atom));
                 }
             }

@@ -182,10 +182,10 @@ pub struct UnfoundedEngine {
     /// Wave depth of each component: its longest-path layer in the
     /// condensation DAG (sources are 0). Every condensation edge strictly
     /// increases depth, so equal-depth components share no path — the
-    /// members of one *wave* are causally independent and can be
-    /// evaluated on divergent forks (the wave scheduler's dispatch unit).
-    /// A cone patch assigns depths to its new components only: nothing
-    /// upstream of a retained component lies in the cone.
+    /// members of one *wave* are causally independent. Only
+    /// [`UnfoundedEngine::widest_wave`] reads it. A cone patch assigns
+    /// depths to its new components only: nothing upstream of a retained
+    /// component lies in the cone.
     comp_depth: Vec<u32>,
     /// Component ids retired by earlier [`UnfoundedEngine::patch_cone`]
     /// calls and not yet reassigned, kept sorted descending (allocation
@@ -668,37 +668,23 @@ impl UnfoundedEngine {
         self.comp_atoms.get(c)
     }
 
-    /// Wave depth of component `c`: its longest-path layer in the
-    /// condensation DAG (sources are 0). Equal-depth components of one
-    /// branch share no path and are therefore causally independent.
-    pub fn component_depth(&self, c: u32) -> u32 {
-        self.comp_depth[c as usize]
-    }
-
-    /// The widest wave (largest number of equal-depth components) of
-    /// branch group `g` — how many workers an intra-branch wave of this
-    /// group can keep busy at once. Computed on demand, O(|g| log |g|):
-    /// only multi-worker schedules ask.
-    pub fn group_wave_width(&self, g: u32) -> usize {
-        let mut depths: Vec<u32> = self.group_comps[g as usize]
-            .iter()
-            .map(|&c| self.comp_depth[c as usize])
-            .collect();
-        depths.sort_unstable();
-        depths
-            .chunk_by(|a, b| a == b)
-            .map(<[u32]>::len)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The widest wave over all branch groups: the exploitable
-    /// parallelism of the prepared state when branch-level scheduling
-    /// alone cannot split the work. Computed on demand, like
-    /// [`UnfoundedEngine::group_wave_width`].
+    /// The widest wave (largest number of equal-depth components in one
+    /// branch group): how many components of one branch share no path.
+    /// A shape statistic of the condensation; computed on demand,
+    /// O(|components| log |components|).
     pub fn widest_wave(&self) -> usize {
-        (0..self.group_comps.len() as u32)
-            .map(|g| self.group_wave_width(g))
+        self.group_comps
+            .iter()
+            .map(|comps| {
+                let mut depths: Vec<u32> =
+                    comps.iter().map(|&c| self.comp_depth[c as usize]).collect();
+                depths.sort_unstable();
+                depths
+                    .chunk_by(|a, b| a == b)
+                    .map(<[u32]>::len)
+                    .max()
+                    .unwrap_or(0)
+            })
             .max()
             .unwrap_or(0)
     }
@@ -1251,11 +1237,10 @@ mod tests {
         let ca = engine.component_of_atom(atom(&g, "a")).unwrap();
         let cc = engine.component_of_atom(atom(&g, "c")).unwrap();
         let ce = engine.component_of_atom(atom(&g, "e")).unwrap();
-        assert_eq!(engine.component_depth(ca), 0);
-        assert_eq!(engine.component_depth(cc), 0);
-        assert_eq!(engine.component_depth(ce), 1);
+        assert_eq!(engine.comp_depth[ca as usize], 0);
+        assert_eq!(engine.comp_depth[cc as usize], 0);
+        assert_eq!(engine.comp_depth[ce as usize], 1);
         assert_eq!(engine.group_count(), 1);
-        assert_eq!(engine.group_wave_width(0), 2);
         assert_eq!(engine.widest_wave(), 2);
         // Edges strictly increase depth, so a depth layering is always a
         // topological layering of the processing order.
@@ -1291,8 +1276,8 @@ mod tests {
         let fresh = UnfoundedEngine::build(&closer);
         assert_eq!(engine.widest_wave(), fresh.widest_wave());
         for a in closer.alive_atoms() {
-            let pd = engine.component_depth(engine.component_of_atom(a).unwrap());
-            let fd = fresh.component_depth(fresh.component_of_atom(a).unwrap());
+            let pd = engine.comp_depth[engine.component_of_atom(a).unwrap() as usize];
+            let fd = fresh.comp_depth[fresh.component_of_atom(a).unwrap() as usize];
             assert_eq!(pd, fd, "depth differs at {}", g.atoms().decode(a));
         }
     }

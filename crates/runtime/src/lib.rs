@@ -25,19 +25,10 @@
 //!   (`tiebreak_core::semantics::process_components`). Results merge at
 //!   join in branch order, so models, outcome sets, and
 //!   [`tiebreak_core::RunStats`] counters are **bit-identical across
-//!   thread counts** (see `tests/runtime_parallel.rs`).
-//! * **Intra-branch wave parallelism.** A single giant weakly-connected
-//!   branch gets no speedup from branch scheduling, so policy-free
-//!   (plain well-founded) evaluations go one level deeper: the branch's
-//!   topological component order is partitioned into *waves* of
-//!   equal-depth components (longest-path layers of the condensation
-//!   DAG — equal depth ⇒ no path between them ⇒ causally independent),
-//!   each wave is claimed across the worker pool, and cross-worker
-//!   hand-off flows through a merge queue drained in component order:
-//!   each component's close-event trail replays on every fork, which by
-//!   confluence reaches exactly the sequential kernel's fixpoint. Waves
-//!   of one component short-circuit to the sequential kernel. See
-//!   `tests/wave_parallel.rs` for the cross-thread differential suite.
+//!   thread counts** (see `tests/runtime_parallel.rs`). A branch is
+//!   never split across workers: a single-branch instance runs on one
+//!   worker at any thread count (outcome enumeration still spreads its
+//!   scripts over the pool).
 //! * **Copy-on-write outcome enumeration, parallel across scripts.**
 //!   [`Solver::all_outcomes`] forks each tie script off the shared
 //!   post-close snapshot — a few `memcpy`s — instead of re-running

@@ -319,28 +319,18 @@ impl Solver {
     }
 
     /// The worker count an evaluation will actually use: the resolved
-    /// [`tiebreak_core::RuntimeConfig`] threads, capped by the maximum
-    /// exploitable parallelism of the prepared state — the branch count,
-    /// or the widest intra-branch wave when a single wide branch is the
-    /// whole workload (extra workers would only idle either way).
+    /// [`tiebreak_core::RuntimeConfig`] threads, capped by the branch
+    /// count (a branch runs on one worker, so extra workers would only
+    /// idle).
     pub fn effective_threads(&self) -> usize {
         let threads = self.config.runtime.resolved_threads();
-        if threads <= 1 {
-            return 1;
-        }
-        let width = self.branch_count().max(self.engine.widest_wave());
-        threads.min(width).max(1)
+        threads.min(self.branch_count()).max(1)
     }
 
-    /// Whether a plain well-founded evaluation of this prepared state
-    /// would dispatch intra-branch waves: more than one effective worker
-    /// and at least one branch whose widest wave meets the configured
-    /// minimum width ([`tiebreak_core::RuntimeConfig`]). Front-ends
-    /// report this next to the thread count so `? stats` and the server
-    /// `stats` verb agree on the pool configuration.
+    /// Always `false`: evaluation never splits a branch across workers.
+    /// Kept so existing callers that report the flag still build.
     pub fn wave_dispatch_eligible(&self) -> bool {
-        self.effective_threads() > 1
-            && self.engine.widest_wave() >= self.config.runtime.resolved_wave_min_width()
+        false
     }
 
     /// Inserts one fact (see [`Solver::apply`]).
@@ -834,7 +824,7 @@ impl Solver {
     }
 
     /// Answers a batch of read-only queries from the read memo: the
-    /// first read after preparation or a rebuild runs one wave-parallel
+    /// first read after preparation or a rebuild runs one branch-parallel
     /// well-founded evaluation, a [`ReadQuery::Model`] read after a state
     /// change one decode, and every other query is an O(1) lookup in the
     /// served model, which [`Solver::apply`] keeps current over each

@@ -35,7 +35,7 @@ pub(crate) struct WfState {
 }
 
 impl WfState {
-    /// One full run on the branch/wave scheduler. At one worker the
+    /// One full run on the branch scheduler. At one worker the
     /// worker's close state is kept; at more, it is derived by
     /// [`replay`], O(residual) once per full run.
     pub(crate) fn evaluate(solver: &Solver) -> Result<Self, SemanticsError> {

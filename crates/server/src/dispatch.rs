@@ -20,7 +20,7 @@
 //! prefix of consecutive read-only frames as **one batch** and answers
 //! them all under one acquisition of the session lock through one
 //! [`ReadBatch`], a view of the solver's read memo: the state's
-//! wave-parallel evaluation runs at most once, whichever connection or
+//! well-founded evaluation runs at most once, whichever connection or
 //! batch reads first. A mutating frame at the head is taken alone — the
 //! FIFO order makes it an *epoch barrier*: reads queued before it were
 //! batched and answered first, reads queued after it wait for the new

@@ -21,7 +21,7 @@
 //!   The server's default transport is a poll-based reactor with a
 //!   bounded worker pool and **cross-connection query batching**:
 //!   read-only `script` frames from many clients against the same
-//!   session coalesce into one wave-parallel evaluation with
+//!   session coalesce into one well-founded evaluation with
 //!   byte-identical per-client answers, and mutating frames act as
 //!   epoch barriers. The pre-reactor thread-per-connection transport
 //!   remains available as [`ServerMode::LegacyThreads`].

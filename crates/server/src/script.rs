@@ -300,12 +300,7 @@ impl ScriptSession {
         )?;
         // Same accessors as the server's `stats` verb, so the two
         // views of the thread pool cannot disagree.
-        writeln!(
-            out,
-            "% threads={} wave_dispatch={}",
-            self.solver.effective_threads(),
-            self.solver.wave_dispatch_eligible(),
-        )?;
+        writeln!(out, "% threads={}", self.solver.effective_threads())?;
         if let Some(delta) = self.solver.last_delta() {
             writeln!(out, "{}", describe_delta(delta))?;
         }

@@ -442,9 +442,8 @@ fn handle_stats(registry: &SessionRegistry, entry: Option<&SessionEntry>, respon
         let session = entry.lock();
         let _ = write!(
             response,
-            "\n% threads={} wave_dispatch={}",
-            session.solver().effective_threads(),
-            session.solver().wave_dispatch_eligible(),
+            "\n% threads={}",
+            session.solver().effective_threads()
         );
     }
 }

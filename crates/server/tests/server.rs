@@ -361,7 +361,7 @@ fn fresh_session_frames(program: &str, database: &str, frames: &[&str]) -> Vec<S
 /// must act as epoch barriers. Every single response must be
 /// bit-identical to what a fresh solver would say — batching may never
 /// be observable in the bytes. Runs at 1 and 8 evaluation threads so
-/// the batched wave-parallel path is covered both ways.
+/// the batched branch-parallel path is covered both ways.
 #[cfg(unix)]
 fn batching_fidelity_case(threads: usize) {
     use tiebreak_core::{EngineConfig, RuntimeConfig};

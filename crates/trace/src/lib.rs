@@ -15,7 +15,7 @@
 //!   worker threads.
 //! - [`mod@metrics`]: a fixed-allocation registry of named counters, gauges
 //!   and log-linear histograms ([`Metrics`]), always on, updated only at
-//!   coarse phase boundaries (per close run, per wave, per request —
+//!   coarse phase boundaries (per close run, per branch, per request —
 //!   never per atom), snapshotted into plain data and rendered as
 //!   Prometheus-style text exposition for the server's `metrics` verb.
 //! - [`export`]: `chrome://tracing`-compatible Trace Event JSON
@@ -30,7 +30,7 @@
 //! `AtomicU8` with a relaxed load and branch to a no-op guard when the
 //! flag is clear — no thread-local touch, no clock read, no allocation.
 //! `bench_trajectory` measures that cost directly (`trace_span_disabled`
-//! entry) and gates the end-to-end overhead on the braided wave workload
+//! entry) and gates the end-to-end overhead on the braided chain workload
 //! at ≤ 2% against the rolling baseline.
 
 pub mod export;

@@ -3,7 +3,7 @@
 //!
 //! Unlike spans, metrics are **always on**: every cell is a plain
 //! `AtomicU64` updated with relaxed ordering, and every instrumentation
-//! point sits at a coarse phase boundary (per close run, per wave, per
+//! point sits at a coarse phase boundary (per close run, per branch, per
 //! server request — never per atom), so there is no hot-loop contention
 //! to gate. [`Metrics::snapshot`] captures a point-in-time copy as plain
 //! data; [`MetricsSnapshot::render_prometheus`] renders the Prometheus
@@ -210,12 +210,9 @@ pub struct Metrics {
     /// the mutation's cone instead of dropping it.
     pub wf_advances: Counter,
     pub outcome_scripts: Counter,
-    pub waves_dispatched: Counter,
     /// Reads answered from a session's read memo / reads that filled it.
     pub read_memo_hits: Counter,
     pub read_memo_misses: Counter,
-    pub wave_width: Histogram,
-    pub merge_queue_depth: Histogram,
     // Serving tier.
     pub registry_hits: Counter,
     pub registry_misses: Counter,
@@ -253,11 +250,8 @@ impl Metrics {
             branches_evaluated: Counter::new(),
             wf_advances: Counter::new(),
             outcome_scripts: Counter::new(),
-            waves_dispatched: Counter::new(),
             read_memo_hits: Counter::new(),
             read_memo_misses: Counter::new(),
-            wave_width: Histogram::new(),
-            merge_queue_depth: Histogram::new(),
             registry_hits: Counter::new(),
             registry_misses: Counter::new(),
             registry_evictions: Counter::new(),
@@ -326,7 +320,6 @@ impl Metrics {
             ("branches_evaluated", &self.branches_evaluated),
             ("wf_advances", &self.wf_advances),
             ("outcome_scripts", &self.outcome_scripts),
-            ("waves_dispatched", &self.waves_dispatched),
             ("read_memo_hits", &self.read_memo_hits),
             ("read_memo_misses", &self.read_memo_misses),
             ("registry_hits", &self.registry_hits),
@@ -352,11 +345,8 @@ impl Metrics {
     /// `(metric name, optional label value, histogram)` — per-verb
     /// latency histograms share one metric name with a `verb` label.
     fn histograms(&self) -> Vec<(&'static str, Option<&'static str>, &Histogram)> {
-        let mut all: Vec<(&'static str, Option<&'static str>, &Histogram)> = vec![
-            ("wave_width", None, &self.wave_width),
-            ("merge_queue_depth", None, &self.merge_queue_depth),
-            ("batch_size", None, &self.batch_size),
-        ];
+        let mut all: Vec<(&'static str, Option<&'static str>, &Histogram)> =
+            vec![("batch_size", None, &self.batch_size)];
         for (verb, h) in VERBS.iter().zip(&self.request_latency_us) {
             all.push(("request_latency_us", Some(verb), h));
         }

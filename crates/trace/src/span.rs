@@ -38,7 +38,7 @@ const RING_CAPACITY: usize = 1 << 16;
 pub enum TraceEventKind {
     /// A closed span: `ts_ns..ts_ns + dur_ns`.
     Span,
-    /// A point event (e.g. one condensation component finishing).
+    /// A point event.
     Instant,
 }
 

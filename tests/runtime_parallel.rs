@@ -18,6 +18,13 @@
 //!
 //! Thread count 8 exceeds this machine's branch counts and (possibly)
 //! its core count on purpose: oversubscription must change nothing.
+//!
+//! The braided generators force the whole residual into **one**
+//! weakly-connected branch, which runs on a single worker at any thread
+//! count; their churn suite re-checks the cross-thread invariants after
+//! every incremental mutation (`patch_cone` splices split and re-merge
+//! the branch), with the wf model also checked against a from-scratch
+//! solver on the mutated database.
 
 use std::collections::BTreeSet;
 
@@ -276,5 +283,111 @@ fn chained_instances_agree_with_reference() {
     let db = parse_database(&tie_chain_db).unwrap();
     for mode in [GroundMode::Full, GroundMode::Relevant] {
         assert_threads_agree(&program, &db, mode);
+    }
+}
+
+/// The braid is one weakly-connected branch, and a branch never spans
+/// workers: at `threads = 8` the evaluation still runs on one.
+#[test]
+fn braided_tie_chain_is_one_wide_branch() {
+    let program = generators::win_move_program();
+    let db = generators::braided_tie_chain_db(4, 3);
+    for mode in [GroundMode::Full, GroundMode::Relevant] {
+        let solver = solver_for(&program, &db, mode, 8);
+        assert_eq!(solver.branch_count(), 1, "hub must weakly connect all");
+        assert_eq!(solver.effective_threads(), 1);
+        assert_threads_agree(&program, &db, mode);
+    }
+}
+
+/// The policy-free hot path over real per-component work: every pocket
+/// runs an unfounded cascade, and the wf model is total (all false).
+#[test]
+fn braided_unfounded_chain_is_schedule_invariant() {
+    let program = generators::braided_unfounded_chain_program(3, 2, 4);
+    let db = Database::new();
+    for mode in [GroundMode::Full, GroundMode::Relevant] {
+        let solver = solver_for(&program, &db, mode, 1);
+        assert_eq!(solver.branch_count(), 1, "hub must weakly connect all");
+        let wf = solver.well_founded().expect("wf runs");
+        assert!(wf.total, "braided unfounded chain is decided");
+        assert!(wf.true_facts.is_empty(), "everything is unfounded");
+        assert_threads_agree(&program, &db, mode);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random braid shapes, fresh solvers: the full cross-thread check.
+    #[test]
+    fn random_braids_agree(chains in 1usize..4, pockets in 1usize..3) {
+        let program = generators::win_move_program();
+        let db = generators::braided_tie_chain_db(chains, pockets);
+        for mode in [GroundMode::Full, GroundMode::Relevant] {
+            assert_threads_agree(&program, &db, mode);
+        }
+    }
+
+    /// Incremental churn: flip advance and hub edges of a braid through
+    /// `patch_cone` splices (branch splits and re-merges) and re-check
+    /// the cross-thread invariants after every mutation, plus the wf
+    /// model against a from-scratch solver.
+    #[test]
+    fn churned_braids_agree(
+        flips in proptest::collection::vec((0usize..3, 0usize..3, prop::bool::ANY), 1..5),
+    ) {
+        let program = generators::win_move_program();
+        let chains = 3;
+        let pockets = 3;
+        let db = generators::braided_tie_chain_db(chains, pockets);
+        for mode in [GroundMode::Full, GroundMode::Relevant] {
+            let mut solvers: Vec<Solver> = THREADS
+                .iter()
+                .map(|&t| solver_for(&program, &db, mode, t))
+                .collect();
+            let mut current = db.clone();
+            for &(c, i, hub_edge) in &flips {
+                // Hub edges reconnect whole chains; advance edges split a
+                // chain's tail off the branch. Both constants already
+                // exist, so the mutation stays on the incremental path.
+                let fact = if hub_edge {
+                    GroundAtom::from_texts("move", &["h", &format!("t{c}a0")])
+                } else {
+                    GroundAtom::from_texts("move", &[&format!("t{c}a{i}"), &format!("t{c}a{}", i + 1)])
+                };
+                let mutation = if current.remove(&fact) {
+                    Mutation::Retract(fact)
+                } else {
+                    current.insert(fact.clone()).expect("binary fact");
+                    Mutation::Insert(fact)
+                };
+                let mut wf_runs: Vec<EvalOutcome> = Vec::new();
+                for solver in &mut solvers {
+                    solver.apply(vec![mutation.clone()]).expect("mutation applies");
+                    wf_runs.push(solver.well_founded().expect("wf runs"));
+                }
+                for wf in &wf_runs[1..] {
+                    prop_assert_eq!(decoded(wf), decoded(&wf_runs[0]));
+                    prop_assert_eq!(&wf.stats, &wf_runs[0].stats);
+                }
+                // Outcome sets across threads after the splice.
+                let sets: Vec<BTreeSet<Outcome>> = solvers
+                    .iter()
+                    .map(|s| {
+                        let set = s.all_outcomes(false, 4096).expect("enumerates");
+                        outcome_set_of_models(&set.models, s.graph().atoms())
+                    })
+                    .collect();
+                for set in &sets[1..] {
+                    prop_assert_eq!(set, &sets[0]);
+                }
+                // Ground truth: a from-scratch solver on the mutated db.
+                let fresh = solver_for(&program, &current, mode, 1)
+                    .well_founded()
+                    .expect("fresh wf runs");
+                prop_assert_eq!(decoded(&wf_runs[0]), decoded(&fresh));
+            }
+        }
     }
 }

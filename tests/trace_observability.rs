@@ -1,13 +1,12 @@
 //! Observability determinism suite: the span recorder must be a pure
 //! observer.
 //!
-//! Three families of checks over the braided wave workload and the
+//! Three families of checks over the braided chain workload and the
 //! serving tier:
 //!
 //! * **well-formedness across thread counts** — for `threads ∈ {1, 2, 8}`
 //!   every drained trace has unique sequence stamps, every span closed
-//!   with a valid (earlier-allocated) parent, the per-wave `merge`
-//!   instants in component-position order, and a chrome://tracing
+//!   with a valid (earlier-allocated) parent, and a chrome://tracing
 //!   export that round-trips through the vendored validator;
 //! * **bit-identical results** — well-founded models, outcome sets, and
 //!   merged [`RunStats`] are `==` with the recorder on and off;
@@ -50,31 +49,6 @@ fn braided_solver(threads: usize) -> Solver {
     .expect("prepares")
 }
 
-/// Merge instants carry `(branch, wave, pos, component)`; within one
-/// `(branch, wave)` group the coordinator must have recorded them in
-/// strictly increasing component-position order — the deterministic
-/// merge order the scheduler promises.
-fn assert_merges_topo_ordered(events: &[TraceEvent]) {
-    use std::collections::HashMap;
-    let mut last_pos: HashMap<(u64, u64), u64> = HashMap::new();
-    let mut merges: Vec<&TraceEvent> = events
-        .iter()
-        .filter(|e| e.kind == TraceEventKind::Instant && e.name == "merge")
-        .collect();
-    merges.sort_by_key(|e| e.seq);
-    for e in &merges {
-        let branch = e.arg("branch").expect("merge has branch");
-        let wave = e.arg("wave").expect("merge has wave");
-        let pos = e.arg("pos").expect("merge has pos");
-        if let Some(prev) = last_pos.insert((branch, wave), pos) {
-            assert!(
-                pos > prev,
-                "merge order regressed in branch {branch} wave {wave}: pos {pos} after {prev}"
-            );
-        }
-    }
-}
-
 #[test]
 fn traces_are_well_formed_across_thread_counts() {
     let _guard = exclusive();
@@ -90,7 +64,6 @@ fn traces_are_well_formed_across_thread_counts() {
         built
             .well_formed()
             .unwrap_or_else(|e| panic!("threads={threads}: {e}"));
-        assert_merges_topo_ordered(&built.events);
         // The evaluation root exists and the scheduler's spans hang off
         // it (directly or through a worker span).
         assert!(
@@ -215,5 +188,47 @@ fn server_request_spans_parent_the_pipeline_and_metrics_render() {
     assert!(
         has_ancestor(evaluate, script_request.id),
         "evaluation descends from the script request"
+    );
+}
+
+/// A traced session on the `hot_reads` benchmark instance (win–move
+/// over an 8 × 512 braided tie chain) keeps every request's own spans:
+/// per-component work must not fill the thread ring and evict them.
+#[test]
+fn traced_outcome_reads_keep_their_spans() {
+    use tiebreak_server::ScriptSession;
+
+    let _guard = exclusive();
+    let dropped_before = trace::metrics().trace_events_dropped.get();
+    trace::set_enabled(true);
+    let solver = Solver::with_config(
+        generators::win_move_program(),
+        generators::braided_tie_chain_db(8, 512),
+        EngineConfig::default().with_runtime(RuntimeConfig::with_threads(1)),
+    )
+    .expect("prepares");
+    let mut session = ScriptSession::new(solver, false);
+    let mut out = Vec::new();
+    for lineno in 1..=5 {
+        session
+            .process_line(lineno, "? outcomes 4", &mut out)
+            .expect("writes");
+    }
+    session.finish(&mut out).expect("writes");
+    trace::set_enabled(false);
+    let events = trace::drain();
+
+    let count = |cat: &str, name: &str| {
+        events
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::Span && e.cat == cat && e.name == name)
+            .count()
+    };
+    assert_eq!(count("eval", "outcomes"), 5);
+    assert_eq!(count("session", "prepare"), 1);
+    assert_eq!(
+        trace::metrics().trace_events_dropped.get(),
+        dropped_before,
+        "the ring dropped events"
     );
 }
