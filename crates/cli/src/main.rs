@@ -412,8 +412,9 @@ fn run(args: &[String]) -> Result<(), String> {
     if tracing {
         // Command failures still export whatever was recorded — a trace
         // of the failing run is exactly what you want to look at.
-        let trace = tiebreak_trace::Trace::from_events(tiebreak_trace::drain());
         let lost = dropped() - dropped_before;
+        let mut trace = tiebreak_trace::Trace::from_events(tiebreak_trace::drain());
+        trace.dropped = lost;
         let mut export_err = None;
         if let Some(path) = &opts.trace_out {
             match std::fs::write(path, trace.to_chrome_json()) {

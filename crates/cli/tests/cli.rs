@@ -325,6 +325,46 @@ fn wf_output_is_in_text_order_in_a_fresh_process() {
 }
 
 #[test]
+fn outcomes_output_is_in_text_order_in_a_fresh_process() {
+    // Parsing the database interns `z` before `a`; every outcome must
+    // still list its facts in text order, whichever front-end prints it.
+    let prog = write_temp(
+        "outcome_order.dl",
+        "w(X) :- d(X), not l(X).\nl(X) :- d(X), not w(X).",
+    );
+    let db = write_temp("outcome_order_db.dl", "d(z).\nd(a).");
+    let script = write_temp("outcome_order_script.txt", "? outcomes\n");
+    let (prog, db) = (prog.to_str().unwrap(), db.to_str().unwrap());
+    let outcomes = datalog(&["outcomes", prog, db]);
+    let threaded = datalog(&["outcomes", prog, db, "--threads", "1"]);
+    let session = datalog(&["session", prog, db, "--script", script.to_str().unwrap()]);
+    for out in [outcomes, threaded, session] {
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        let mut models: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("% outcome "))
+            .map(|l| l.split_once(": ").expect("an outcome line").1)
+            .collect();
+        models.sort_unstable();
+        assert_eq!(
+            models,
+            [
+                "{d(a), d(z), l(a), l(z)}",
+                "{d(a), d(z), l(a), w(z)}",
+                "{d(a), d(z), l(z), w(a)}",
+                "{d(a), d(z), w(a), w(z)}",
+            ],
+            "{text}"
+        );
+    }
+}
+
+#[test]
 fn session_survives_garbage_and_keeps_serving() {
     use std::io::Write as _;
     let prog = write_temp("sess2.dl", "p :- not q.\nq :- not p.");

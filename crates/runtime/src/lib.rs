@@ -36,6 +36,9 @@
 //!   O(scripts × close) into O(close + scripts × residual), and farms
 //!   the independent forks onto the worker pool in deterministic waves
 //!   (identical outcome sets *and model order* across thread counts).
+//!   It builds only the scripts its run budget lets run, and
+//!   [`ReadBatch::outcomes`] serves each state's decoded set from the
+//!   read memo, so repeated reads of one state enumerate once.
 //! * **Incremental mutation.** [`Solver::insert_fact`],
 //!   [`Solver::retract_fact`], and [`Solver::apply`] mutate the database
 //!   *in place*: delta grounding appends the newly supportable rule

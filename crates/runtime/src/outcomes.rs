@@ -22,6 +22,17 @@
 //! flipping every defaulted choice exactly once — which
 //! `crates/runtime/tests/solver.rs` and `tests/runtime_parallel.rs`
 //! assert.
+//!
+//! **Only the scripts that run are built.** The run budget admits the
+//! first `max_runs` scripts of the breadth-first order, so a child prefix
+//! is queued only while the runs already made plus the queue stay under
+//! it; any child past that point marks the set truncated instead. The
+//! frontier thus never holds more than `max_runs` prefixes of at most
+//! one bool per choice: O(`max_runs` × choices) memory, where queuing
+//! every child would build one prefix per choice per run. `runs`,
+//! `truncated` and the model order are those of the uncapped walk
+//! (`tests/runtime_parallel.rs` checks every budget up to the full run
+//! count).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -128,11 +139,18 @@ pub(crate) fn all_outcomes(
 
         // Integrate strictly in frontier order: child scripts flip every
         // defaulted (false) answer exactly once — the same branching rule
-        // as the core driver — and models dedup in wave order.
+        // as the core driver — and models dedup in wave order. A child
+        // is queued only if it falls within the run budget: the batch's
+        // scripts all count, then the frontier runs in order.
+        let runs_after_batch = runs + batch.len();
         for (prefix, result) in batch.iter().zip(results) {
             runs += 1;
             let (model, consumed) = result.expect("every slot evaluated")?;
             for flip_at in prefix.len()..consumed {
+                if runs_after_batch + frontier.len() >= max_runs {
+                    truncated = true;
+                    break;
+                }
                 let mut next = prefix.clone();
                 next.extend(std::iter::repeat_n(false, flip_at - prefix.len()));
                 next.push(true);

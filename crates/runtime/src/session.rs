@@ -10,7 +10,7 @@ use datalog_ground::{
     TruthValue, UnfoundedEngine,
 };
 use tiebreak_core::engine::EvalOutcome;
-use tiebreak_core::semantics::outcomes::OutcomeSet;
+use tiebreak_core::semantics::outcomes::{DecodedOutcomes, OutcomeSet};
 use tiebreak_core::semantics::SemanticsError;
 use tiebreak_core::{EngineConfig, InterpreterRun, Mutation, PrepareDelta};
 
@@ -63,13 +63,17 @@ struct Prepared {
 }
 
 /// The read memo: the served well-founded state (see
-/// [`crate::wf_state`]) and its decoded model, each computed on the
-/// first read that needs it. [`Solver::apply`] advances the state over
-/// each mutation's cone and drops only the decoded model.
+/// [`crate::wf_state`]), its decoded model, and the last decoded outcome
+/// set read, each computed on the first read that needs it.
+/// [`Solver::apply`] advances the state over each mutation's cone and
+/// drops the decoded model and outcome set.
 #[derive(Default)]
 struct ReadMemo {
     wf: Option<WfState>,
     model: Option<Arc<EvalOutcome>>,
+    /// One slot, keyed by `(pure, max_runs)`: a read of another key
+    /// overwrites it, so a state retains at most one set.
+    outcomes: Option<((bool, usize), Arc<DecodedOutcomes>)>,
 }
 
 impl ReadMemo {
@@ -93,6 +97,29 @@ impl ReadMemo {
         };
         self.model = Some(Arc::clone(&model));
         Ok(model)
+    }
+
+    /// The memoized outcome set under `key = (pure, max_runs)`,
+    /// enumerating and decoding it (and replacing the slot) if the memo
+    /// holds another key or none.
+    fn outcomes(
+        &mut self,
+        solver: &Solver,
+        key: (bool, usize),
+    ) -> Result<Arc<DecodedOutcomes>, SemanticsError> {
+        if let Some((k, set)) = &self.outcomes {
+            if *k == key {
+                return Ok(Arc::clone(set));
+            }
+        }
+        let (pure, max_runs) = key;
+        let set = outcomes::all_outcomes(solver, pure, max_runs)?;
+        let set = {
+            let _span = tiebreak_trace::span("session", "decode_outcomes", &[]);
+            Arc::new(set.decode(solver.graph.atoms()))
+        };
+        self.outcomes = Some((key, Arc::clone(&set)));
+        Ok(set)
     }
 }
 
@@ -146,13 +173,15 @@ fn prepare(
 /// [`PrepareDelta`].
 ///
 /// Reads through [`ReadBatch`], [`Solver::well_founded`] and
-/// [`Solver::well_founded_run`] are served from a **read memo**: the
-/// state the plain well-founded run ends in (close state, model,
-/// per-component round counts) and its decoded model. The first read
-/// after preparation runs in full; [`Solver::apply`] then advances the
-/// state over each mutation's cone, so a read after a write costs a
-/// lookup. A rebuild or a rolled-back batch drops the state, and the
-/// next read runs in full again.
+/// [`Solver::well_founded_run`] are served from a **read memo** of three
+/// values: the state the plain well-founded run ends in (close state,
+/// model, per-component round counts), its decoded model, and the last
+/// decoded outcome set read ([`ReadBatch::outcomes`]), keyed by flavour
+/// and run budget. The first read after preparation runs in full;
+/// [`Solver::apply`] then advances the state over each mutation's cone,
+/// so a wf read after a write costs a lookup, and drops the decoded
+/// model and outcome set. A no-op batch keeps all three. A rebuild or a
+/// rolled-back batch drops them, and the next read runs in full again.
 ///
 /// The session honours [`EngineConfig::ground`] (grounding mode and
 /// budgets), [`EngineConfig::runtime`] (worker threads),
@@ -175,11 +204,11 @@ pub struct Solver {
     const_refs: FxHashMap<ConstSym, usize>,
     program_consts: FxHashSet<ConstSym>,
     epoch: u64,
-    /// This state's served wf state and decoded model, shared by every
-    /// read. [`Solver::apply`] advances it over the cone or, on a
-    /// rebuild, drops it — every `&mut` path goes through there — and it
-    /// is never keyed by epoch: a rolled-back batch restores the epoch
-    /// number over a re-prepared, renumbered graph.
+    /// This state's served wf state, decoded model and decoded outcome
+    /// set, shared by every read. [`Solver::apply`] advances it over the
+    /// cone or, on a rebuild, drops it — every `&mut` path goes through
+    /// there — and it is never keyed by epoch: a rolled-back batch
+    /// restores the epoch number over a re-prepared, renumbered graph.
     read_memo: Mutex<ReadMemo>,
     last_delta: Option<PrepareDelta>,
 }
@@ -386,8 +415,9 @@ impl Solver {
         let _span =
             tiebreak_trace::span("session", "apply", &[("mutations", mutations.len() as u64)]);
         // `&mut self` shuts readers out for the whole batch. The read
-        // memo survives a no-op batch, is advanced by an incremental
-        // splice, and is dropped by every rebuild (rollbacks included).
+        // memo survives a no-op batch, has its wf state advanced (and the
+        // rest dropped) by an incremental splice, and is dropped by every
+        // rebuild (rollbacks included).
         // Net effect, last mutation per fact wins.
         let mut staged: Vec<(GroundAtom, bool)> = Vec::new();
         let mut staged_index: FxHashMap<GroundAtom, usize> = FxHashMap::default();
@@ -692,6 +722,7 @@ impl Solver {
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
         memo.model = None;
+        memo.outcomes = None;
         if let Some(mut wf) = memo.wf.take() {
             wf.advance(
                 &self.graph,
@@ -857,6 +888,12 @@ impl Solver {
     /// parallel across scripts (deterministic dedup and model order for
     /// every thread count).
     ///
+    /// At most `max_runs` scripts run, and only those are built: the
+    /// pending-script frontier holds at most `max_runs` prefixes, so
+    /// memory is O(`max_runs` × choices). Each call enumerates afresh;
+    /// [`ReadBatch::outcomes`] serves the decoded set from the read
+    /// memo instead.
+    ///
     /// # Errors
     ///
     /// As for [`Solver::well_founded`].
@@ -922,11 +959,13 @@ fn count_read_memo(hit: bool) {
 /// tier's per-connection fan-out) use this directly; `query_many` is the
 /// vector form built on top of it.
 ///
-/// The batch holds no results of its own: [`ReadBatch::run`] and
-/// [`ReadBatch::model`] hand out shared handles to the memo's, computing
-/// them only when the memo is empty — after preparation or a rebuild for
-/// the run (writes advance it), after any state change for the decoded
-/// model. A batch is pinned to the epoch of
+/// The batch holds no results of its own: [`ReadBatch::run`],
+/// [`ReadBatch::model`] and [`ReadBatch::outcomes`] hand out shared
+/// handles to the memo's three values, computing them only when the memo
+/// is empty — after preparation or a rebuild for the run (writes advance
+/// it), after any state change for the decoded model and the outcome
+/// set (which a read of another key also replaces). Every lookup counts
+/// once in the `read_memo_hits` or `read_memo_misses` metric. A batch is pinned to the epoch of
 /// its first query: feeding it a solver that has since mutated (or a
 /// different solver) is a logic error and panics in debug builds.
 /// Create a fresh batch per session-lock acquisition.
@@ -969,6 +1008,28 @@ impl ReadBatch {
         let mut memo = solver.lock_read_memo();
         count_read_memo(memo.model.is_some());
         memo.model(solver)
+    }
+
+    /// The state's shared decoded outcome set for one flavour (`pure`,
+    /// see [`Solver::all_outcomes`]) and run budget. The memo holds one
+    /// set per state: repeats of one key enumerate and decode once per
+    /// state, and a read of another key replaces the set. Facts are in
+    /// text order ([`tiebreak_core::semantics::outcomes::OutcomeSet::decode`]).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Solver::well_founded`].
+    pub fn outcomes(
+        &mut self,
+        solver: &Solver,
+        pure: bool,
+        max_runs: usize,
+    ) -> Result<Arc<DecodedOutcomes>, SemanticsError> {
+        self.pin(solver);
+        let key = (pure, max_runs);
+        let mut memo = solver.lock_read_memo();
+        count_read_memo(matches!(&memo.outcomes, Some((k, _)) if *k == key));
+        memo.outcomes(solver, key)
     }
 
     /// One atom's verdict from the shared run (`None`: not in the ground

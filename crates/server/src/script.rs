@@ -32,7 +32,7 @@
 use std::io::{self, Write};
 
 use datalog_ast::GroundAtom;
-use tiebreak_core::semantics::outcomes::OutcomeSet;
+use tiebreak_core::semantics::outcomes::{DecodedOutcomes, OutcomeSet};
 use tiebreak_core::{Mutation, PrepareDelta};
 use tiebreak_runtime::{ReadBatch, Solver};
 
@@ -263,11 +263,10 @@ impl ScriptSession {
                     .parse()
                     .map_err(|e| Failure::Script(format!("bad outcome limit: {e}")))?
             };
-            let set = self
-                .solver
-                .all_outcomes(self.pure, max_runs)
+            let set = batch
+                .outcomes(&self.solver, self.pure, max_runs)
                 .map_err(|e| Failure::Script(e.to_string()))?;
-            write_outcomes(out, &set, self.solver.graph().atoms())?;
+            write_decoded_outcomes(out, &set)?;
         } else {
             let fact = parse_fact(query)?;
             match batch
@@ -415,7 +414,9 @@ pub fn describe_delta(delta: &PrepareDelta) -> String {
     }
 }
 
-/// Writes an outcome set in the shared `outcomes` format.
+/// Writes an outcome set in the shared `outcomes` format: decoded
+/// ([`OutcomeSet::decode`], the read memo's decoding) and written by
+/// [`write_decoded_outcomes`], so every front-end prints the same bytes.
 ///
 /// # Errors
 ///
@@ -425,6 +426,17 @@ pub fn write_outcomes(
     set: &OutcomeSet,
     atoms: &datalog_ground::AtomTable,
 ) -> io::Result<()> {
+    write_decoded_outcomes(out, &set.decode(atoms))
+}
+
+/// Writes a decoded outcome set in the shared `outcomes` format: a
+/// summary line, then one line per model listing its true facts in text
+/// order.
+///
+/// # Errors
+///
+/// Sink I/O errors.
+pub fn write_decoded_outcomes(out: &mut dyn Write, set: &DecodedOutcomes) -> io::Result<()> {
     writeln!(
         out,
         "% {} distinct outcome(s) over {} run(s){}",
@@ -437,13 +449,9 @@ pub fn write_outcomes(
             out,
             "% outcome {} ({}): {{",
             i + 1,
-            if model.is_total() { "total" } else { "partial" },
+            if model.total { "total" } else { "partial" },
         )?;
-        // True atoms in id order, written straight to the sink.
-        let mut facts = model
-            .defined()
-            .filter(|&(_, value)| value == datalog_ground::TruthValue::True)
-            .map(|(id, _)| atoms.decode(id));
+        let mut facts = model.facts.iter().map(|&f| &set.facts[f as usize]);
         if let Some(first) = facts.next() {
             write!(out, "{first}")?;
             for fact in facts {
@@ -567,7 +575,7 @@ mod tests {
     }
 
     /// The formatting `write_outcomes` streams: one joined `String` per
-    /// model.
+    /// model, its true facts in text order.
     fn joined_outcomes(set: &OutcomeSet, atoms: &datalog_ground::AtomTable) -> String {
         let mut text = format!(
             "% {} distinct outcome(s) over {} run(s){}\n",
@@ -576,8 +584,9 @@ mod tests {
             if set.truncated { " (truncated)" } else { "" }
         );
         for (i, model) in set.models.iter().enumerate() {
-            let facts: Vec<String> = model
-                .true_atoms(atoms)
+            let mut true_atoms = model.true_atoms(atoms);
+            true_atoms.sort_by(GroundAtom::text_cmp);
+            let facts: Vec<String> = true_atoms
                 .iter()
                 .map(std::string::ToString::to_string)
                 .collect();
@@ -600,6 +609,11 @@ mod tests {
             ),
             // One outcome with no true atom: `{}`.
             ("p :- p.", ""),
+            // Interned opposite to text order.
+            (
+                "win(X) :- move(X, Y), not win(Y).",
+                "move(jord_z, jord_y). move(jord_y, jord_z). move(jord_b, jord_a).",
+            ),
         ] {
             let s = session(program, db);
             let set = s.solver().all_outcomes(false, 64).unwrap();
@@ -611,6 +625,37 @@ mod tests {
                 joined_outcomes(&set, atoms)
             );
         }
+    }
+
+    #[test]
+    fn outcomes_print_facts_in_text_order_whatever_the_interning_order() {
+        // Interner ids run opposite to text order: listing each model's
+        // facts by atom id would put `move(oord_z, …)` first.
+        for c in ["oord_z", "oord_m", "oord_b", "oord_a"] {
+            datalog_ast::ConstSym::new(c);
+        }
+        let mut s = session(
+            "win(X) :- move(X, Y), not win(Y).",
+            "move(oord_z, oord_a). move(oord_a, oord_z). move(oord_m, oord_b).",
+        );
+        let (out, errors) = drive(&mut s, &["? outcomes 8"]);
+        assert_eq!(errors, 0, "{out}");
+        let mut lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.remove(0), "% 2 distinct outcome(s) over 2 run(s)");
+        // Which orientation the walk meets first is not under test.
+        let mut models: Vec<&str> = lines
+            .iter()
+            .map(|l| l.split_once(": ").expect("an outcome line").1)
+            .collect();
+        models.sort_unstable();
+        let moves = "move(oord_a, oord_z), move(oord_m, oord_b), move(oord_z, oord_a)";
+        assert_eq!(
+            models,
+            [
+                format!("{{{moves}, win(oord_a), win(oord_m)}}"),
+                format!("{{{moves}, win(oord_m), win(oord_z)}}"),
+            ]
+        );
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! `trace_check FILE...` — validates Trace Event JSON files emitted by
 //! `--trace-out` against the schema subset the workspace produces
-//! (structure, required fields, span id uniqueness, parent linkage).
+//! (structure, required fields, span id uniqueness, parent linkage),
+//! and prints each file's counts, including the events the recorder
+//! dropped (`unknown` when the file does not record them).
 //! Exits nonzero on the first invalid file; CI runs it on the smoke
 //! trace before uploading the artifact.
 
@@ -22,8 +24,13 @@ fn main() -> ExitCode {
         };
         match tiebreak_trace::validate_trace_json(&text) {
             Ok(check) => println!(
-                "{file}: ok ({} events: {} spans, {} instants)",
-                check.events, check.spans, check.instants
+                "{file}: ok ({} events: {} spans, {} instants; {} dropped)",
+                check.events,
+                check.spans,
+                check.instants,
+                check
+                    .dropped
+                    .map_or_else(|| "unknown".to_owned(), |n| n.to_string()),
             ),
             Err(err) => {
                 eprintln!("trace_check: {file}: invalid trace: {err}");

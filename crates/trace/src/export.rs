@@ -7,7 +7,10 @@
 //! instant events (`"ph":"i"`). Span/parent ids travel in `args` —
 //! `args.id` and `args.parent` — which the validator uses to re-check
 //! linkage from the serialized form, so the CI smoke job exercises the
-//! same invariants as the in-process determinism suite.
+//! same invariants as the in-process determinism suite. The count of
+//! events the thread rings dropped while recording travels in
+//! `otherData.trace_events_dropped`, so a reader of the file knows
+//! whether it is complete.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -18,12 +21,14 @@ use crate::span::{TraceEvent, TraceEventKind};
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     pub events: Vec<TraceEvent>,
+    /// Events lost to full thread rings while these were recorded.
+    pub dropped: u64,
 }
 
 impl Trace {
     #[must_use]
     pub fn from_events(events: Vec<TraceEvent>) -> Self {
-        Trace { events }
+        Trace { events, dropped: 0 }
     }
 
     /// Structural invariants every drained trace must satisfy: span ids
@@ -102,7 +107,12 @@ impl Trace {
             }
             out.push_str("}}");
         }
-        out.push_str("]}");
+        write!(
+            out,
+            "],\"otherData\":{{\"trace_events_dropped\":{}}}}}",
+            self.dropped
+        )
+        .expect("write to String");
         out
     }
 
@@ -241,6 +251,8 @@ pub struct TraceCheck {
     pub events: usize,
     pub spans: usize,
     pub instants: usize,
+    /// `otherData.trace_events_dropped`, when the file records it.
+    pub dropped: Option<u64>,
 }
 
 /// Validates serialized Trace Event JSON against the schema subset this
@@ -249,18 +261,28 @@ pub struct TraceCheck {
 /// `name`/`cat`/`ph`/`ts`/`pid`/`tid`, `"X"` events carrying a
 /// non-negative `dur`, and `args.parent` links resolving to recorded
 /// `args.id` spans. This is the checker behind the `trace_check` bin.
+/// It also returns the dropped-event count of `otherData`, if present.
 pub fn validate_trace_json(text: &str) -> Result<TraceCheck, String> {
     let value = Parser::new(text).parse()?;
+    let mut check = TraceCheck::default();
     let events = match &value {
         Value::Array(items) => items,
-        Value::Object(fields) => match fields.iter().find(|(k, _)| k == "traceEvents") {
-            Some((_, Value::Array(items))) => items,
-            Some(_) => return Err("traceEvents is not an array".into()),
-            None => return Err("top-level object has no traceEvents".into()),
-        },
+        Value::Object(fields) => {
+            let field = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
+            if let Some(Value::Object(other)) = field("otherData") {
+                check.dropped = other.iter().find_map(|(k, v)| match v {
+                    Value::Number(n) if k == "trace_events_dropped" => Some(*n as u64),
+                    _ => None,
+                });
+            }
+            match field("traceEvents") {
+                Some(Value::Array(items)) => items,
+                Some(_) => return Err("traceEvents is not an array".into()),
+                None => return Err("top-level object has no traceEvents".into()),
+            }
+        }
         _ => return Err("top level is neither object nor array".into()),
     };
-    let mut check = TraceCheck::default();
     let mut span_ids = HashSet::new();
     let mut parents: Vec<(usize, u64)> = Vec::new();
     for (i, event) in events.iter().enumerate() {
@@ -557,6 +579,21 @@ mod tests {
         assert_eq!(check.events, trace.events.len());
         assert_eq!(check.spans, 3);
         assert_eq!(check.instants, 1);
+        assert_eq!(check.dropped, Some(0));
+    }
+
+    #[test]
+    fn dropped_events_roundtrip() {
+        let _x = exclusive();
+        let mut trace = sample_trace();
+        trace.dropped = 7;
+        let json = trace.to_chrome_json();
+        assert!(json.ends_with(r#""otherData":{"trace_events_dropped":7}}"#));
+        let check = validate_trace_json(&json).expect("valid JSON");
+        assert_eq!(check.dropped, Some(7));
+        // A file without the field reads as "not recorded", not as 0.
+        let bare = r#"{"traceEvents":[]}"#;
+        assert_eq!(validate_trace_json(bare).unwrap().dropped, None);
     }
 
     #[test]

@@ -391,3 +391,52 @@ proptest! {
         }
     }
 }
+
+/// The run budget cuts the breadth-first walk and nothing else: for
+/// every budget `n` up to one past the full walk, `n` scripts run (or
+/// all of them), the set is truncated exactly when scripts were left,
+/// and its models are the full walk's first ones, in order.
+fn assert_truncation_is_a_prefix(program: &Program, db: &Database) {
+    for threads in [1, 2] {
+        let solver = solver_for(program, db, GroundMode::Relevant, threads);
+        for pure in [false, true] {
+            let full = solver.all_outcomes(pure, 4096).expect("enumerates");
+            assert!(!full.truncated, "instances are small");
+            for n in 0..=full.runs + 1 {
+                let set = solver.all_outcomes(pure, n).expect("enumerates");
+                assert_eq!(set.runs, n.min(full.runs), "runs at n={n}");
+                assert_eq!(set.truncated, n < full.runs, "truncated at n={n}");
+                assert!(
+                    full.models.starts_with(&set.models),
+                    "models at n={n} are not a prefix of the full walk's"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn propositional_truncation_is_a_prefix(
+        program in arb_program(5, 8),
+        mask in any::<u32>(),
+    ) {
+        assert_truncation_is_a_prefix(&program, &db_from_mask(&program, mask));
+    }
+
+    #[test]
+    fn first_order_truncation_is_a_prefix(seed in 0u64..5_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let program = generators::random_call_consistent(&mut rng, 4, 6, 2);
+        let db = generators::random_database(&mut rng, &program, 2, 0.35, true);
+        assert_truncation_is_a_prefix(&program, &db);
+    }
+
+    #[test]
+    fn braid_truncation_is_a_prefix(chains in 1usize..4, pockets in 1usize..3) {
+        let db = generators::braided_tie_chain_db(chains, pockets);
+        assert_truncation_is_a_prefix(&generators::win_move_program(), &db);
+    }
+}

@@ -191,15 +191,12 @@ fn server_request_spans_parent_the_pipeline_and_metrics_render() {
     );
 }
 
-/// A traced session on the `hot_reads` benchmark instance (win–move
-/// over an 8 × 512 braided tie chain) keeps every request's own spans:
-/// per-component work must not fill the thread ring and evict them.
-#[test]
-fn traced_outcome_reads_keep_their_spans() {
+/// A traced `hot_reads` session (win–move over an 8 × 512 braided tie
+/// chain, the benchmark instance) running `lines`: its output and the
+/// drained events.
+fn traced_hot_session(lines: &[&str]) -> (String, Vec<TraceEvent>) {
     use tiebreak_server::ScriptSession;
 
-    let _guard = exclusive();
-    let dropped_before = trace::metrics().trace_events_dropped.get();
     trace::set_enabled(true);
     let solver = Solver::with_config(
         generators::win_move_program(),
@@ -209,26 +206,63 @@ fn traced_outcome_reads_keep_their_spans() {
     .expect("prepares");
     let mut session = ScriptSession::new(solver, false);
     let mut out = Vec::new();
-    for lineno in 1..=5 {
-        session
-            .process_line(lineno, "? outcomes 4", &mut out)
-            .expect("writes");
+    for (i, line) in lines.iter().enumerate() {
+        session.process_line(i + 1, line, &mut out).expect("writes");
     }
     session.finish(&mut out).expect("writes");
     trace::set_enabled(false);
-    let events = trace::drain();
+    (String::from_utf8(out).expect("utf-8"), trace::drain())
+}
 
-    let count = |cat: &str, name: &str| {
-        events
-            .iter()
-            .filter(|e| e.kind == TraceEventKind::Span && e.cat == cat && e.name == name)
-            .count()
-    };
-    assert_eq!(count("eval", "outcomes"), 5);
-    assert_eq!(count("session", "prepare"), 1);
+fn span_count(events: &[TraceEvent], cat: &str, name: &str) -> usize {
+    events
+        .iter()
+        .filter(|e| e.kind == TraceEventKind::Span && e.cat == cat && e.name == name)
+        .count()
+}
+
+/// Every request keeps its own spans: per-component work must not fill
+/// the thread ring and evict them. A retract and re-insert of one pocket
+/// edge between the reads makes each of the five `? outcomes 4`
+/// enumerate afresh.
+#[test]
+fn traced_outcome_reads_keep_their_spans() {
+    let _guard = exclusive();
+    let dropped_before = trace::metrics().trace_events_dropped.get();
+    let (out, events) = traced_hot_session(&[
+        "? outcomes 4",
+        "- move(t0b3, t0a3).",
+        "? outcomes 4",
+        "+ move(t0b3, t0a3).",
+        "? outcomes 4",
+        "- move(t0b3, t0a3).",
+        "? outcomes 4",
+        "+ move(t0b3, t0a3).",
+        "? outcomes 4",
+    ]);
+    assert!(!out.contains('!'), "{out}");
+    assert_eq!(span_count(&events, "eval", "outcomes"), 5);
+    assert_eq!(span_count(&events, "session", "apply"), 4);
+    assert_eq!(
+        span_count(&events, "session", "prepare"),
+        1,
+        "writes splice"
+    );
     assert_eq!(
         trace::metrics().trace_events_dropped.get(),
         dropped_before,
         "the ring dropped events"
     );
+}
+
+/// Repeated `? outcomes 4` on one state are served from the read memo:
+/// one enumeration, then four hits.
+#[test]
+fn repeated_outcome_reads_enumerate_once() {
+    let _guard = exclusive();
+    let hits_before = trace::metrics().read_memo_hits.get();
+    let (out, events) = traced_hot_session(&["? outcomes 4"; 5]);
+    assert_eq!(out.matches("% 4 distinct outcome(s)").count(), 5, "{out}");
+    assert_eq!(span_count(&events, "eval", "outcomes"), 1);
+    assert_eq!(trace::metrics().read_memo_hits.get() - hits_before, 4);
 }
