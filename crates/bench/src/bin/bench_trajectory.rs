@@ -30,6 +30,10 @@
 //! * relevant grounding (`SessionGrounder::build`) of the braided
 //!   unfounded chain at 128 pockets may take at most 2.5× its median
 //!   time at 64 pockets — linear, not quadratic, in program size;
+//! * a session write plus its read-your-write on the braided tie chain
+//!   at 1,024 pockets may take at most 1.3× its time at 512 pockets when
+//!   the write's cone is the same size at both — writes cost their cone,
+//!   not the instance;
 //! * with the span recorder **disabled** (the production default) the
 //!   braided-chain timing must stay within 2% of the previous commit's
 //!   `wave_braided_chain threads1` entry — the check needs `--baseline`
@@ -106,6 +110,22 @@ const GROUND_SCALING_PAIRS: usize = 15;
 /// The largest allowed time(2n) / time(n) for relevant grounding: a
 /// linear grounder doubles, a quadratic one quadruples.
 const GROUND_SCALING_MAX_RATIO: f64 = 2.5;
+
+/// Braided tie chain shape for the write scaling gate: win–move over
+/// `WRITE_SCALING_CHAINS` chains of `WRITE_SCALING_POCKETS` and twice as
+/// many pockets (n = pockets). One timed sample is
+/// `WRITE_SCALING_WRITES` toggles of one pocket edge, each followed by
+/// a read of the toggled position; samples run in
+/// `WRITE_SCALING_PAIRS` back-to-back (n, 2n) pairs.
+const WRITE_SCALING_CHAINS: usize = 8;
+const WRITE_SCALING_POCKETS: usize = 512;
+const WRITE_SCALING_WRITES: usize = 256;
+const WRITE_SCALING_PAIRS: usize = 15;
+
+/// The largest allowed time(2n) / time(n) for a write whose cone does
+/// not grow with n: a cone-sized write stays near 1, a write that pays
+/// for the instance doubles.
+const WRITE_SCALING_MAX_RATIO: f64 = 1.3;
 
 fn detected_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -297,6 +317,83 @@ fn ground_scaling_entries(entries: &mut Vec<Entry>) -> f64 {
             wall_ms: median(&mut t),
             atoms,
             rules,
+            stats: RunStats::default(),
+        });
+    }
+    median(&mut ratios)
+}
+
+/// The write scaling workload: on win–move over the braided tie chain
+/// at n and 2n pockets, toggle `move(t0b2, t0a2)` and read `win(t0a2)`,
+/// `WRITE_SCALING_WRITES` times per sample, in back-to-back (n, 2n)
+/// pairs as [`ground_scaling_entries`] times grounding. The toggled
+/// pocket sits near its chain's head, so the cone (pockets 0–2 of chain
+/// 0 and the hub) is the same at both sizes, which is asserted. Records
+/// each size's median sample and returns the median per-pair ratio.
+fn write_scaling_entries(entries: &mut Vec<Entry>) -> f64 {
+    let program = generators::win_move_program();
+    let fact = datalog_ast::GroundAtom::from_texts("move", &["t0b2", "t0a2"]);
+    let probe = datalog_ast::GroundAtom::from_texts("win", &["t0a2"]);
+    let mut solvers: Vec<(usize, Solver)> = [WRITE_SCALING_POCKETS, 2 * WRITE_SCALING_POCKETS]
+        .into_iter()
+        .map(|pockets| {
+            let db = generators::braided_tie_chain_db(WRITE_SCALING_CHAINS, pockets);
+            let config = EngineConfig::default().with_runtime(RuntimeConfig::with_threads(1));
+            let solver = Solver::with_config(program.clone(), db, config).expect("prepares");
+            (pockets, solver)
+        })
+        .collect();
+    // One write and the read that sees it; returns the write's cone.
+    let write = |solver: &mut Solver| -> usize {
+        let delta = if solver.database().contains(&fact) {
+            solver.retract_fact(fact.clone())
+        } else {
+            solver.insert_fact(fact.clone())
+        }
+        .expect("writes");
+        assert!(!delta.rebuilt, "the toggle stays incremental");
+        ReadBatch::new().truth(solver, &probe).expect("reads");
+        delta.cone_atoms
+    };
+    // Untimed warm-up: the first read evaluates in full, and two
+    // toggles put each solver's cone components at the end of its
+    // order, where every later toggle finds them.
+    let cones: Vec<usize> = solvers
+        .iter_mut()
+        .map(|(_, solver)| {
+            ReadBatch::new().truth(solver, &probe).expect("reads");
+            write(solver);
+            write(solver)
+        })
+        .collect();
+    assert_eq!(
+        cones[0], cones[1],
+        "the cone does not grow with the instance"
+    );
+    let sample = |solver: &mut Solver| {
+        let t = Instant::now();
+        for _ in 0..WRITE_SCALING_WRITES {
+            write(solver);
+        }
+        t.elapsed().as_secs_f64() * 1e3
+    };
+    let mut times = [Vec::new(), Vec::new()];
+    let mut ratios = Vec::new();
+    for _ in 0..WRITE_SCALING_PAIRS {
+        let small = sample(&mut solvers[0].1);
+        let large = sample(&mut solvers[1].1);
+        ratios.push(large / small.max(f64::MIN_POSITIVE));
+        times[0].push(small);
+        times[1].push(large);
+    }
+    for ((pockets, solver), mut t) in solvers.iter().zip(times) {
+        entries.push(Entry {
+            bench: "session_write_scaling",
+            n: *pockets,
+            mode: "median".to_owned(),
+            wall_ms: median(&mut t),
+            atoms: solver.graph().atom_count(),
+            rules: solver.graph().rule_count(),
             stats: RunStats::default(),
         });
     }
@@ -782,6 +879,7 @@ fn gates(
     forest_chains: usize,
     scripts: usize,
     ground_scaling_ratio: f64,
+    write_scaling_ratio: f64,
     baseline: &[BaselineEntry],
 ) -> Vec<Gate> {
     let mut gates = Vec::new();
@@ -961,6 +1059,24 @@ fn gates(
             "time(2n)/time(n) = {ground_scaling_ratio:.2} (median of {GROUND_SCALING_PAIRS} \
              back-to-back pairs; medians p{} {large:.3}ms, p{n} {small:.3}ms), required <= \
              {GROUND_SCALING_MAX_RATIO}",
+            2 * n
+        ),
+    });
+
+    // A write whose cone is fixed must cost the same however large the
+    // instance: doubling the braid may multiply a write plus its read
+    // by at most 1.3. Single-threaded.
+    let n = WRITE_SCALING_POCKETS;
+    let small = wall_of(entries, "session_write_scaling", n, "median");
+    let large = wall_of(entries, "session_write_scaling", 2 * n, "median");
+    gates.push(Gate {
+        name: format!("session_write_scaling_p{n}"),
+        pass: write_scaling_ratio <= WRITE_SCALING_MAX_RATIO,
+        skipped: false,
+        detail: format!(
+            "time(2n)/time(n) = {write_scaling_ratio:.2} (median of {WRITE_SCALING_PAIRS} \
+             back-to-back pairs of {WRITE_SCALING_WRITES} writes; medians p{} {large:.3}ms, \
+             p{n} {small:.3}ms), required <= {WRITE_SCALING_MAX_RATIO}",
             2 * n
         ),
     });
@@ -1175,6 +1291,7 @@ fn main() {
     trace_overhead_entries(&mut entries, BRAID_CHAINS, BRAID_POCKETS, BRAID_LOOP);
     outcomes_cow_entries(&mut entries, 4096, 6); // 2^6 = 64 scripts
     session_churn_entries(&mut entries, CHURN_SIZES, 8);
+    let write_scaling_ratio = write_scaling_entries(&mut entries);
     server_lru_entries(&mut entries, SERVER_LRU_N, 8);
     server_batching_entries(&mut entries, SERVER_LRU_N, BATCH_CONNS, BATCH_REPEATS);
 
@@ -1184,6 +1301,7 @@ fn main() {
         forest_chains,
         cow_scripts,
         ground_scaling_ratio,
+        write_scaling_ratio,
         &baseline,
     );
     let json = to_json(&sha, &entries, &gates, &baseline);

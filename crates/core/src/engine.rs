@@ -172,15 +172,16 @@ pub struct PrepareDelta {
     pub components_removed: usize,
     /// Condensation components created by the cone patch.
     pub components_added: usize,
-    /// Branches holding a component the cone patch created — the
-    /// branches whose well-founded values were re-evaluated.
+    /// Branches whose per-branch state the batch discarded: every branch
+    /// on a re-prepare, and 0 on the incremental path, which keeps no
+    /// per-branch state (the served well-founded state is advanced over
+    /// the cone instead). Kept so existing callers that report it still
+    /// build.
     pub branches_invalidated: usize,
     /// Components the served well-founded state re-evaluated while
     /// advancing over the cone (0 when the session held no state: the
     /// next read then evaluates in full).
     pub components_reevaluated: usize,
-    /// Branches after the patch.
-    pub branches_total: usize,
     /// Residual (alive) atoms after the re-close.
     pub residual_atoms: usize,
 }

@@ -259,31 +259,32 @@ impl SessionGrounder {
             }
         }
 
+        if seeds.is_empty() {
+            out.new_atoms = graph.atom_count() - out.first_new_atom;
+            return Ok(out);
+        }
+        // Copied out because emission below grows the graph it lives in.
         let universe: Vec<ConstSym> = graph.atoms().universe().to_vec();
         let budget = SupportBudget::new(config, self.ignored_facts);
-        let mut delta_s: Vec<GroundAtom> = if seeds.is_empty() {
-            Vec::new()
+        let affected = self.affected_preds(&seeds);
+        let cyclic = affected.iter().any(|&p| self.on_pos_cycle[p as usize]);
+        let mut delta_s: Vec<GroundAtom> = if cyclic {
+            out.scoped_refresh = true;
+            self.scoped_refresh(program, &budget, &affected, &universe)?
         } else {
-            let affected = self.affected_preds(&seeds);
-            let cyclic = affected.iter().any(|&p| self.on_pos_cycle[p as usize]);
-            if cyclic {
-                out.scoped_refresh = true;
-                self.scoped_refresh(program, &budget, &affected, &universe)?
-            } else {
-                let envelopes: Vec<RuleEvaluator<'_>> = program
-                    .rules()
-                    .iter()
-                    .map(RuleEvaluator::envelope)
-                    .collect();
-                run_seeded(
-                    &envelopes,
-                    &mut self.supportable,
-                    seeds,
-                    &universe,
-                    budget.fact_cap,
-                )
-                .map_err(|count| budget.too_many(count))?
-            }
+            let envelopes: Vec<RuleEvaluator<'_>> = program
+                .rules()
+                .iter()
+                .map(RuleEvaluator::envelope)
+                .collect();
+            run_seeded(
+                &envelopes,
+                &mut self.supportable,
+                seeds,
+                &universe,
+                budget.fact_cap,
+            )
+            .map_err(|count| budget.too_many(count))?
         };
         delta_s.sort_unstable(); // deterministic emission → deterministic ids
         out.delta_supportable = delta_s.len();

@@ -51,7 +51,7 @@ pub struct GroundRule {
 /// The forward cone of a mutation: the nodes reachable from the changed
 /// atoms (and any freshly appended rule instances) along graph edges.
 /// See [`GroundGraph::forward_cone`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Cone {
     /// Member atoms, in discovery order.
     pub atoms: Vec<AtomId>,
@@ -222,12 +222,29 @@ impl GroundGraph {
         seed_atoms: impl IntoIterator<Item = AtomId>,
         seed_rules: impl IntoIterator<Item = RuleId>,
     ) -> Cone {
-        let mut cone = Cone {
-            atoms: Vec::new(),
-            rules: Vec::new(),
-            atom_in: vec![false; self.atom_count()],
-            rule_in: vec![false; self.rule_count()],
-        };
+        let mut cone = Cone::default();
+        self.forward_cone_into(&mut cone, seed_atoms, seed_rules);
+        cone
+    }
+
+    /// [`GroundGraph::forward_cone`] into a cone left by an earlier call,
+    /// reusing its membership bitmaps: only the entries the old cone
+    /// marked are cleared, and the bitmaps grow with the graph, so a call
+    /// costs O(cone) rather than O(graph).
+    pub fn forward_cone_into(
+        &self,
+        cone: &mut Cone,
+        seed_atoms: impl IntoIterator<Item = AtomId>,
+        seed_rules: impl IntoIterator<Item = RuleId>,
+    ) {
+        for a in cone.atoms.drain(..) {
+            cone.atom_in[a.index()] = false;
+        }
+        for r in cone.rules.drain(..) {
+            cone.rule_in[r.index()] = false;
+        }
+        cone.atom_in.resize(self.atom_count(), false);
+        cone.rule_in.resize(self.rule_count(), false);
         let mut atom_stack: Vec<AtomId> = Vec::new();
         let mut rule_stack: Vec<RuleId> = Vec::new();
         for a in seed_atoms {
@@ -262,7 +279,6 @@ impl GroundGraph {
                 break;
             }
         }
-        cone
     }
 
     /// Pretty-prints a rule node as `rule#i[subst]: head :- body`.

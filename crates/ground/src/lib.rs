@@ -55,4 +55,4 @@ pub use graph::{Cone, GraphFootprint, GroundGraph, GroundRule, RuleId};
 pub use grounder::{ground, GroundConfig, GroundError, GroundMode};
 pub use model::{PartialModel, TruthValue};
 pub use reference::{naive_close, naive_largest_unfounded, ResidualGraph};
-pub use unfounded::{ComponentGraph, ConePatch, UnfoundedEngine};
+pub use unfounded::{BranchGroups, ComponentGraph, ConePatch, UnfoundedEngine};

@@ -31,13 +31,21 @@
 //! Starting from a closed state no alive atom lacks support and no alive
 //! rule has zero pending, so the global simulation never takes the
 //! "unsupported" branch either — the fire-cascade is the whole story.
+//!
+//! **Incremental patches.** A mutation re-closes only its forward cone,
+//! and [`UnfoundedEngine::patch_cone`] re-condenses only the cone's
+//! alive remnant, in O(cone): retained components keep their ids and
+//! position, and the branch grouping is recomputed on demand
+//! ([`UnfoundedEngine::groups`]) rather than per patch.
+
+use std::sync::OnceLock;
 
 use datalog_ast::Sign;
 use signed_graph::{EdgeSign, NodeId, Sccs, SignedDigraph};
 
 use crate::atoms::AtomId;
 use crate::close::{Closer, NodeKind};
-use crate::graph::RuleId;
+use crate::graph::{Cone, GroundGraph, RuleId};
 
 /// Sentinel component id for nodes not alive when the engine was built.
 const NO_COMP: u32 = u32::MAX;
@@ -117,14 +125,37 @@ impl<T: Copy> CsrArena<T> {
         self.spans[c as usize] = (0, 0);
     }
 
-    /// Points slot `c` (which must be empty or cleared) at a fresh span
-    /// appended to the slab tail.
-    fn set(&mut self, c: u32, items: &[T]) {
-        self.clear(c);
-        let start = self.data.len() as u32;
-        self.data.extend_from_slice(items);
-        self.spans[c as usize] = (start, items.len() as u32);
-        self.live += items.len() as u32;
+    /// Appends one fresh span per slot of `slots` (each empty or
+    /// cleared) to the slab tail and counting-sorts `members()` into
+    /// them: a pair `(i, item)` puts `item` in `slots[i]`, in sequence
+    /// order. `members` is called for sizing and again for placement,
+    /// and must yield the same sequence both times; `cursors` is
+    /// reusable scratch.
+    fn append_sorted<I>(&mut self, slots: &[u32], members: impl Fn() -> I, cursors: &mut Vec<u32>)
+    where
+        I: Iterator<Item = (u32, T)>,
+    {
+        cursors.clear();
+        cursors.resize(slots.len(), 0);
+        for (i, _) in members() {
+            cursors[i as usize] += 1;
+        }
+        let mut start = self.data.len() as u32;
+        for (&c, cursor) in slots.iter().zip(cursors.iter_mut()) {
+            let len = *cursor;
+            self.clear(c);
+            self.spans[c as usize] = (start, len);
+            self.live += len;
+            *cursor = start;
+            start += len;
+        }
+        let Some((_, fill)) = members().next() else {
+            return;
+        };
+        self.data.resize(start as usize, fill);
+        for (i, item) in members() {
+            self.place(cursors, i, item);
+        }
     }
 
     /// Rewrites the slab to live spans only, once garbage dominates (the
@@ -150,7 +181,15 @@ impl<T: Copy> CsrArena<T> {
 /// unfounded-set and tie-structure queries.
 ///
 /// Build it once after the first `close(M₀, G)`; it stays valid for the
-/// rest of the run because deletions only ever shrink components.
+/// rest of the run because deletions only ever shrink components. A
+/// session that mutates its database keeps it current with
+/// [`UnfoundedEngine::patch_cone`], at a cost proportional to the
+/// mutation's cone.
+///
+/// A node has a component id iff it is alive in the close state the
+/// engine was built or last patched against (checked in debug builds
+/// after every patch). The branch grouping
+/// ([`UnfoundedEngine::groups`]) reads aliveness from that alone.
 ///
 /// The engine is `Clone` so that parallel schedulers can hand each worker
 /// a private copy (the `pending`/`removed`/`queue`/`node_of_atom` fields
@@ -172,13 +211,12 @@ pub struct UnfoundedEngine {
     /// Component ids in topological order of the condensation (sources
     /// first — the processing order).
     order: Vec<u32>,
-    /// Branch group of each component: two components share a group iff
-    /// they are weakly connected in the condensation DAG. Close
-    /// propagation follows graph edges, so groups are *causally
-    /// independent* — the unit of parallel scheduling.
-    comp_group: Vec<u32>,
-    /// Member components of each group, in topological order.
-    group_comps: Vec<Vec<u32>>,
+    /// Position of each live component in `order` (stale for retired
+    /// ids), so a patch edits `order` from its first retired position on.
+    order_pos: Vec<u32>,
+    /// The branch grouping: computed by a build, dropped by every patch,
+    /// and recomputed on the next use (see [`UnfoundedEngine::groups`]).
+    groups: OnceLock<BranchGroups>,
     /// Wave depth of each component: its longest-path layer in the
     /// condensation DAG (sources are 0). Every condensation edge strictly
     /// increases depth, so equal-depth components share no path — the
@@ -202,23 +240,140 @@ pub struct UnfoundedEngine {
     /// Scratch: subgraph node of each atom ([`NO_NODE`] outside a call),
     /// valid only for the component whose subgraph is being built.
     node_of_atom: Vec<NodeId>,
+    /// Scratch of [`UnfoundedEngine::patch_cone`]'s cone condensation.
+    tarjan: ConeTarjan,
 }
 
 /// Sentinel for [`UnfoundedEngine::node_of_atom`] entries not in the
 /// subgraph under construction.
 const NO_NODE: NodeId = NodeId::MAX;
 
+/// Sentinel for [`UnfoundedEngine::order_pos`] entries of components a
+/// patch is retiring.
+const NO_POS: u32 = u32::MAX;
+
+/// Reusable buffers of the cone condensation, sized by the first patch
+/// (an engine that is never patched holds none): after a patch every DFS
+/// index is [`NO_NODE`] again and the lists are empty or stale, so
+/// steady-state patches allocate nothing here.
+#[derive(Clone, Default)]
+struct ConeTarjan {
+    /// DFS index per atom, [`NO_NODE`] outside a patch.
+    atom_index: Vec<u32>,
+    /// DFS index per rule node, [`NO_NODE`] outside a patch.
+    rule_index: Vec<u32>,
+    /// Lowlink per DFS index.
+    low: Vec<u32>,
+    /// The cone's alive atoms, ascending.
+    atoms: Vec<AtomId>,
+    /// The cone's alive rule nodes, ascending.
+    rules: Vec<RuleId>,
+    /// DFS frames: a node and the position of its next out-edge.
+    frames: Vec<(NodeKind, u32)>,
+    /// Tarjan's stack of visited nodes not yet assigned a component.
+    stack: Vec<NodeKind>,
+    /// Per new component: the next slab position of the table being
+    /// placed.
+    cursors: Vec<u32>,
+}
+
+impl ConeTarjan {
+    fn index(&mut self, v: NodeKind) -> &mut u32 {
+        match v {
+            NodeKind::Atom(a) => &mut self.atom_index[a.index()],
+            NodeKind::Rule(r) => &mut self.rule_index[r.index()],
+        }
+    }
+
+    /// Gives `v` the next DFS index and pushes it on both stacks.
+    fn open(&mut self, v: NodeKind) {
+        let index = self.low.len() as u32;
+        *self.index(v) = index;
+        self.low.push(index);
+        self.stack.push(v);
+        self.frames.push((v, 0));
+    }
+}
+
+/// The out-edge of `v` in the alive cone at or after edge position
+/// `pos`, and the position after it. An atom's out-edges are its uses
+/// (the alive cone rules in [`GroundGraph::uses_of`], ascending by rule
+/// id with one edge per body occurrence); a rule's is its head, when
+/// that is an alive cone atom.
+fn cone_successor(
+    closer: &Closer<'_>,
+    cone: &Cone,
+    v: NodeKind,
+    mut pos: u32,
+) -> (Option<NodeKind>, u32) {
+    let graph = closer.graph();
+    match v {
+        NodeKind::Atom(a) => {
+            let uses = graph.uses_of(a);
+            while let Some(&(r, _)) = uses.get(pos as usize) {
+                pos += 1;
+                if cone.rule_in[r.index()] && closer.rule_alive(r) {
+                    return (Some(NodeKind::Rule(r)), pos);
+                }
+            }
+            (None, pos)
+        }
+        NodeKind::Rule(r) => {
+            let head = graph.rule(r).head;
+            if pos == 0 && cone.atom_in[head.index()] && closer.atom_alive(head) {
+                (Some(NodeKind::Atom(head)), 1)
+            } else {
+                (None, 1)
+            }
+        }
+    }
+}
+
 /// What [`UnfoundedEngine::patch_cone`] did to the condensation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConePatch {
-    /// Components the cone retired.
-    pub retired: usize,
-    /// Components the re-condensed cone produced.
-    pub added: usize,
+    /// The component ids the cone retired, ascending. Until reassigned
+    /// (see `new_components`) they denote nothing.
+    pub retired: Vec<u32>,
     /// The ids assigned to the new components, in topological order
     /// (retired ids are recycled before fresh ones append): an id listed
     /// here no longer denotes what it did before the patch.
     pub new_components: Vec<u32>,
+}
+
+/// The branch grouping of a condensation: two components share a group
+/// iff they are weakly connected in the condensation DAG. Close
+/// propagation follows graph edges, so groups are *causally independent*
+/// — the unit of parallel scheduling. Groups are numbered by first
+/// appearance in the topological order, which fixes per-branch policy
+/// seeds and the order in which the scheduler merges branch stats.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BranchGroups {
+    /// Group of each component id (`u32::MAX` for retired ids).
+    comp_group: Vec<u32>,
+    /// Member components of each group, in topological order.
+    group_comps: Vec<Vec<u32>>,
+}
+
+impl BranchGroups {
+    /// Number of branch groups (weakly connected families of components).
+    /// Groups share no graph edges, so `close` propagation never crosses
+    /// a group boundary: they can be evaluated concurrently and merged in
+    /// any order.
+    pub fn count(&self) -> usize {
+        self.group_comps.len()
+    }
+
+    /// The branch group of component `c`.
+    pub fn group_of(&self, c: u32) -> u32 {
+        self.comp_group[c as usize]
+    }
+
+    /// The components of group `g`, in topological order of the
+    /// condensation (sources first — the required processing order).
+    pub fn components(&self, g: u32) -> &[u32] {
+        &self.group_comps[g as usize]
+    }
 }
 
 /// The alive induced subgraph of one component, for tie detection.
@@ -307,6 +462,10 @@ impl UnfoundedEngine {
         }
 
         let order: Vec<u32> = sccs.topological_order().collect();
+        let mut order_pos = vec![NO_POS; n_comps];
+        for (i, &c) in order.iter().enumerate() {
+            order_pos[c as usize] = i as u32;
+        }
         let mut engine = UnfoundedEngine {
             atom_comp,
             rule_comp,
@@ -314,19 +473,19 @@ impl UnfoundedEngine {
             comp_rules,
             comp_head_rules,
             order,
-            comp_group: Vec::new(),
-            group_comps: Vec::new(),
+            order_pos,
+            groups: OnceLock::new(),
             comp_depth: Vec::new(),
             free_comps: Vec::new(),
             pending: vec![0; graph.rule_count()],
             removed: vec![false; graph.atom_count()],
             queue: Vec::new(),
             node_of_atom: vec![NO_NODE; graph.atom_count()],
+            tarjan: ConeTarjan::default(),
         };
-        // Branch groups (weak connectivity of the condensation): the one
-        // implementation shared with the cone patch, so group numbering
-        // can never drift between a fresh build and a patched engine.
-        engine.rebuild_groups(closer);
+        // A fresh condensation comes with its grouping, so shape
+        // statistics ([`UnfoundedEngine::widest_wave`]) read it directly.
+        engine.groups(graph);
         let order = std::mem::take(&mut engine.order);
         engine.assign_depths(closer, &order);
         engine.order = order;
@@ -363,16 +522,31 @@ impl UnfoundedEngine {
     /// closure), so new components have no successors among the retained
     /// ones.
     ///
-    /// Branch groups (weak connectivity) are rebuilt over the resulting
-    /// component set — a cone change can merge or split groups — with
-    /// ids renumbered by first appearance in topological order, exactly
-    /// as [`UnfoundedEngine::build`] numbers them. Wave depths are
-    /// assigned to the new components only: a retained component has no
-    /// upstream component in the cone, so its depth cannot change.
-    /// Retired ids are recycled, so callers keeping per-component state
-    /// (the runtime session's round counts) overwrite the entries of
+    /// No step walks the whole residual:
+    ///
+    /// * the cone is condensed by an iterative Tarjan that reads the
+    ///   ground graph's own adjacency (no subgraph is materialised) with
+    ///   reusable scratch. Roots are taken in the node order of a fresh
+    ///   build (atoms ascending, then rules ascending), so component ids,
+    ///   topological order and member lists come out exactly as
+    ///   re-condensing a [`SignedDigraph`] of the cone would give them;
+    /// * members are counting-sorted straight into the CSR arenas;
+    /// * the topological order is edited from the first retired position
+    ///   on — O(cone) once a cone's components sit at the end of the
+    ///   order, where every patch appends them;
+    /// * the slab compaction is O(live) but amortised over the patches
+    ///   whose garbage triggered it;
+    /// * the branch grouping is dropped, not rebuilt: the next
+    ///   [`UnfoundedEngine::groups`] call recomputes it, numbered exactly
+    ///   as [`UnfoundedEngine::build`] numbers it.
+    ///
+    /// Wave depths are assigned to the new components only: a retained
+    /// component has no upstream component in the cone, so its depth
+    /// cannot change. Retired ids are recycled, so callers keeping
+    /// per-component state (the runtime session's round counts) forget
+    /// the entries of [`ConePatch::retired`] and overwrite those of
     /// [`ConePatch::new_components`].
-    pub fn patch_cone(&mut self, closer: &Closer<'_>, cone: &crate::graph::Cone) -> ConePatch {
+    pub fn patch_cone(&mut self, closer: &Closer<'_>, cone: &Cone) -> ConePatch {
         let _span = tiebreak_trace::span(
             "condense",
             "patch_cone",
@@ -389,91 +563,20 @@ impl UnfoundedEngine {
         self.pending.resize(graph.rule_count(), 0);
         self.removed.resize(graph.atom_count(), false);
         self.node_of_atom.resize(graph.atom_count(), NO_NODE);
+        self.tarjan.atom_index.resize(graph.atom_count(), NO_NODE);
+        self.tarjan.rule_index.resize(graph.rule_count(), NO_NODE);
+        self.groups.take();
 
-        // Retire every component the cone touches.
-        let mut retired: Vec<u32> = Vec::new();
-        let mut is_retired = vec![false; self.comp_atoms.slot_count()];
-        let retire = |c: u32, is_retired: &mut Vec<bool>, retired: &mut Vec<u32>| {
-            if c != NO_COMP && !is_retired[c as usize] {
-                is_retired[c as usize] = true;
-                retired.push(c);
-            }
-        };
-        for &a in &cone.atoms {
-            retire(self.atom_comp[a.index()], &mut is_retired, &mut retired);
-            self.atom_comp[a.index()] = NO_COMP;
-        }
-        for &r in &cone.rules {
-            retire(self.rule_comp[r.index()], &mut is_retired, &mut retired);
-            self.rule_comp[r.index()] = NO_COMP;
-        }
-        for &c in &retired {
-            self.comp_atoms.clear(c);
-            self.comp_rules.clear(c);
-            self.comp_head_rules.clear(c);
-        }
-
-        // Re-condense the alive cone remnant. Edges to alive atoms
-        // outside the cone are boundary context, not subgraph edges.
-        // Nodes are laid out in ascending id order — atoms first, rules
-        // after — exactly like [`Closer::remaining_digraph`] lays out a
-        // fresh build, so the per-component member lists (and with them
-        // every tie partition's spanning-tree root) come out identical
-        // to a from-scratch condensation.
-        let mut cone_atoms = cone.atoms.clone();
-        cone_atoms.sort_unstable();
-        let mut cone_rules = cone.rules.clone();
-        cone_rules.sort_unstable();
-        let mut node_kinds: Vec<NodeKind> = Vec::new();
-        for &a in &cone_atoms {
-            if closer.atom_alive(a) {
-                self.node_of_atom[a.index()] = node_kinds.len() as NodeId;
-                node_kinds.push(NodeKind::Atom(a));
-            }
-        }
-        let mut rule_node: Vec<NodeId> = vec![NO_NODE; cone_rules.len()];
-        for (i, &r) in cone_rules.iter().enumerate() {
-            if closer.rule_alive(r) {
-                rule_node[i] = node_kinds.len() as NodeId;
-                node_kinds.push(NodeKind::Rule(r));
-            }
-        }
-        let mut digraph = SignedDigraph::new(node_kinds.len());
-        for (i, &r) in cone_rules.iter().enumerate() {
-            let rn = rule_node[i];
-            if rn == NO_NODE {
-                continue;
-            }
-            let rule = graph.rule(r);
-            let hn = self.node_of_atom[rule.head.index()];
-            if hn != NO_NODE && cone.atom_in[rule.head.index()] {
-                digraph.add_edge(rn, hn, EdgeSign::Pos);
-            }
-            for &(a, s) in &rule.body {
-                if !cone.atom_in[a.index()] {
-                    continue;
-                }
-                let an = self.node_of_atom[a.index()];
-                if an != NO_NODE {
-                    let sign = match s {
-                        Sign::Pos => EdgeSign::Pos,
-                        Sign::Neg => EdgeSign::Neg,
-                    };
-                    digraph.add_edge(an, rn, sign);
-                }
-            }
-        }
-        let sccs = Sccs::compute(&digraph);
-        let added = sccs.len();
+        let retired = self.retire_cone(cone);
+        let added = self.condense_cone(closer, cone);
         // Ids for the new components, in topological order of the cone
         // sub-condensation: slots retired by this or any earlier patch
         // are reused first (so a long-lived session flapping facts does
         // not grow the component tables without bound), then fresh ids
         // append. The free list is drained smallest-first for
         // determinism.
-        self.free_comps.extend(retired.iter().copied());
+        self.free_comps.extend_from_slice(&retired);
         self.free_comps.sort_unstable_by(|a, b| b.cmp(a));
-        self.free_comps.dedup();
         let new_ids: Vec<u32> = (0..added)
             .map(|_| {
                 self.free_comps.pop().unwrap_or_else(|| {
@@ -485,51 +588,8 @@ impl UnfoundedEngine {
                 })
             })
             .collect();
-        let mut rank_of_sub = vec![u32::MAX; added];
-        for (rank, c) in sccs.topological_order().enumerate() {
-            rank_of_sub[c as usize] = rank as u32;
-        }
-        // Buffer the new members per component (same push order as
-        // before: node_kinds order for members, cone_atoms order for head
-        // rules), then splice each buffer into the arenas as one span.
-        let mut new_atoms: Vec<Vec<AtomId>> = vec![Vec::new(); added];
-        let mut new_rules: Vec<Vec<RuleId>> = vec![Vec::new(); added];
-        for (node, &kind) in node_kinds.iter().enumerate() {
-            let rank = rank_of_sub[sccs.component_of(node as NodeId) as usize] as usize;
-            let c = new_ids[rank];
-            match kind {
-                NodeKind::Atom(a) => {
-                    self.atom_comp[a.index()] = c;
-                    new_atoms[rank].push(a);
-                }
-                NodeKind::Rule(r) => {
-                    self.rule_comp[r.index()] = c;
-                    new_rules[rank].push(r);
-                }
-            }
-        }
-        let mut rank_of_comp = vec![usize::MAX; self.comp_atoms.slot_count()];
-        for (rank, &c) in new_ids.iter().enumerate() {
-            rank_of_comp[c as usize] = rank;
-        }
-        let mut new_heads: Vec<Vec<RuleId>> = vec![Vec::new(); added];
-        for &a in &cone_atoms {
-            self.node_of_atom[a.index()] = NO_NODE; // reset scratch
-            if !closer.atom_alive(a) {
-                continue;
-            }
-            let rank = rank_of_comp[self.atom_comp[a.index()] as usize];
-            for &r in graph.heads_of(a) {
-                if closer.rule_alive(r) {
-                    new_heads[rank].push(r);
-                }
-            }
-        }
-        for (rank, &c) in new_ids.iter().enumerate() {
-            self.comp_atoms.set(c, &new_atoms[rank]);
-            self.comp_rules.set(c, &new_rules[rank]);
-            self.comp_head_rules.set(c, &new_heads[rank]);
-        }
+        self.order_pos.resize(self.comp_atoms.slot_count(), NO_POS);
+        self.place_cone_members(closer, &new_ids);
         self.comp_atoms.compact();
         self.comp_rules.compact();
         self.comp_head_rules.compact();
@@ -537,24 +597,215 @@ impl UnfoundedEngine {
         // New order: retained components in place, cone components after
         // (their in-edges all come from retained components or from
         // earlier cone components), in cone-topological order.
-        self.order.retain(|&c| !is_retired[c as usize]);
-        self.order.extend(new_ids.iter().copied());
-
-        self.rebuild_groups(closer);
+        for &c in &new_ids {
+            self.order_pos[c as usize] = self.order.len() as u32;
+            self.order.push(c);
+        }
         self.assign_depths(closer, &new_ids);
+        debug_assert!(
+            self.comp_ids_track_aliveness(closer),
+            "a node has a component id iff it is alive"
+        );
         ConePatch {
-            retired: retired.len(),
-            added,
+            retired,
             new_components: new_ids,
         }
     }
 
-    /// Recomputes branch groups (weak connectivity of the condensation)
-    /// from the current component assignment and aliveness, numbering
-    /// groups by first appearance in topological order — the same
-    /// numbering rule as [`UnfoundedEngine::build`].
-    fn rebuild_groups(&mut self, closer: &Closer<'_>) {
+    /// Takes every component the cone touches out of the condensation:
+    /// cone nodes lose their component id, the components' member lists
+    /// are emptied, and `order` drops them by one pass over its suffix
+    /// from the first retired position. Returns the retired ids,
+    /// ascending.
+    fn retire_cone(&mut self, cone: &Cone) -> Vec<u32> {
+        let mut retired: Vec<u32> = Vec::new();
+        for &a in &cone.atoms {
+            let c = std::mem::replace(&mut self.atom_comp[a.index()], NO_COMP);
+            if c != NO_COMP {
+                retired.push(c);
+            }
+        }
+        for &r in &cone.rules {
+            let c = std::mem::replace(&mut self.rule_comp[r.index()], NO_COMP);
+            if c != NO_COMP {
+                retired.push(c);
+            }
+        }
+        retired.sort_unstable();
+        retired.dedup();
+        for &c in &retired {
+            self.comp_atoms.clear(c);
+            self.comp_rules.clear(c);
+            self.comp_head_rules.clear(c);
+        }
+        let Some(first) = retired.iter().map(|&c| self.order_pos[c as usize]).min() else {
+            return retired;
+        };
+        for &c in &retired {
+            self.order_pos[c as usize] = NO_POS;
+        }
+        let mut kept = first as usize;
+        for i in first as usize..self.order.len() {
+            let c = self.order[i];
+            if self.order_pos[c as usize] != NO_POS {
+                self.order[kept] = c;
+                self.order_pos[c as usize] = kept as u32;
+                kept += 1;
+            }
+        }
+        self.order.truncate(kept);
+        retired
+    }
+
+    /// Tarjan's algorithm over the alive cone, read off the ground graph
+    /// (see [`cone_successor`]) with roots in ascending atom ids, then
+    /// ascending rule ids. Leaves each alive cone node's component in
+    /// emission order (sinks first) in `atom_comp`/`rule_comp` and
+    /// returns the number of components. A node is on Tarjan's stack iff
+    /// it is visited and still has no component: the cone's nodes lost
+    /// theirs in [`UnfoundedEngine::retire_cone`].
+    fn condense_cone(&mut self, closer: &Closer<'_>, cone: &Cone) -> usize {
+        let t = &mut self.tarjan;
+        t.atoms.clear();
+        t.atoms
+            .extend(cone.atoms.iter().copied().filter(|&a| closer.atom_alive(a)));
+        t.atoms.sort_unstable();
+        t.rules.clear();
+        t.rules
+            .extend(cone.rules.iter().copied().filter(|&r| closer.rule_alive(r)));
+        t.rules.sort_unstable();
+
+        t.low.clear();
+        let mut emitted = 0u32;
+        for i in 0..t.atoms.len() + t.rules.len() {
+            let root = match t.atoms.get(i) {
+                Some(&a) => NodeKind::Atom(a),
+                None => NodeKind::Rule(t.rules[i - t.atoms.len()]),
+            };
+            if *t.index(root) != NO_NODE {
+                continue;
+            }
+            t.open(root);
+            while let Some(&(v, pos)) = t.frames.last() {
+                let (succ, next_pos) = cone_successor(closer, cone, v, pos);
+                t.frames.last_mut().expect("frame in hand").1 = next_pos;
+                let v_index = *t.index(v) as usize;
+                if let Some(w) = succ {
+                    let w_index = *t.index(w);
+                    let w_assigned = match w {
+                        NodeKind::Atom(a) => self.atom_comp[a.index()] != NO_COMP,
+                        NodeKind::Rule(r) => self.rule_comp[r.index()] != NO_COMP,
+                    };
+                    if w_index == NO_NODE {
+                        t.open(w);
+                    } else if !w_assigned {
+                        t.low[v_index] = t.low[v_index].min(w_index);
+                    }
+                    continue;
+                }
+                t.frames.pop();
+                let v_low = t.low[v_index];
+                if let Some(&(parent, _)) = t.frames.last() {
+                    let p_index = *t.index(parent) as usize;
+                    t.low[p_index] = t.low[p_index].min(v_low);
+                }
+                if v_low as usize == v_index {
+                    loop {
+                        let w = t.stack.pop().expect("Tarjan stack underflow");
+                        match w {
+                            NodeKind::Atom(a) => self.atom_comp[a.index()] = emitted,
+                            NodeKind::Rule(r) => self.rule_comp[r.index()] = emitted,
+                        }
+                        if w == v {
+                            break;
+                        }
+                    }
+                    emitted += 1;
+                }
+            }
+        }
+        emitted as usize
+    }
+
+    /// Counting-sorts the cone's members into the arenas under
+    /// `new_ids` (indexed by topological rank; Tarjan emitted rank `k`
+    /// as component `added - 1 - k`), then replaces the emission ids
+    /// [`UnfoundedEngine::condense_cone`] left in `atom_comp`/`rule_comp`
+    /// by the new ids and clears the DFS indices. Member lists come out
+    /// in ascending id order, head rules grouped by ascending head atom,
+    /// as in [`UnfoundedEngine::build`].
+    fn place_cone_members(&mut self, closer: &Closer<'_>, new_ids: &[u32]) {
         let graph = closer.graph();
+        let rank = |emitted: u32| (new_ids.len() - 1 - emitted as usize) as u32;
+        let t = &mut self.tarjan;
+        let (atom_comp, rule_comp) = (&self.atom_comp, &self.rule_comp);
+        let atom_rank = |a: AtomId| rank(atom_comp[a.index()]);
+        self.comp_atoms.append_sorted(
+            new_ids,
+            || t.atoms.iter().map(|&a| (atom_rank(a), a)),
+            &mut t.cursors,
+        );
+        self.comp_rules.append_sorted(
+            new_ids,
+            || t.rules.iter().map(|&r| (rank(rule_comp[r.index()]), r)),
+            &mut t.cursors,
+        );
+        self.comp_head_rules.append_sorted(
+            new_ids,
+            || {
+                t.atoms.iter().flat_map(|&a| {
+                    graph
+                        .heads_of(a)
+                        .iter()
+                        .filter(|&&r| closer.rule_alive(r))
+                        .map(move |&r| (atom_rank(a), r))
+                })
+            },
+            &mut t.cursors,
+        );
+
+        for &a in &t.atoms {
+            let c = &mut self.atom_comp[a.index()];
+            *c = new_ids[rank(*c) as usize];
+            t.atom_index[a.index()] = NO_NODE;
+        }
+        for &r in &t.rules {
+            let c = &mut self.rule_comp[r.index()];
+            *c = new_ids[rank(*c) as usize];
+            t.rule_index[r.index()] = NO_NODE;
+        }
+    }
+
+    /// `true` iff exactly the nodes alive in `closer` carry a component
+    /// id: the invariant [`UnfoundedEngine::groups`] reads aliveness
+    /// from. O(graph); debug builds check it after every patch.
+    fn comp_ids_track_aliveness(&self, closer: &Closer<'_>) -> bool {
+        let graph = closer.graph();
+        graph
+            .atoms()
+            .ids()
+            .all(|a| (self.atom_comp[a.index()] != NO_COMP) == closer.atom_alive(a))
+            && (0..graph.rule_count())
+                .all(|i| (self.rule_comp[i] != NO_COMP) == closer.rule_alive(RuleId(i as u32)))
+    }
+
+    /// The branch grouping (weak connectivity of the condensation). A
+    /// build computes it; a patch drops it, and the next call recomputes
+    /// it and caches it until the following patch. `graph` must be the
+    /// graph the engine was built or last patched against.
+    ///
+    /// The grouping is one union-find over the rule nodes, O(residual):
+    /// the evaluation scheduler asks for it on a full run, the session
+    /// for its branch count, and a write never does. Groups are
+    /// numbered by first appearance in the topological order, exactly as
+    /// a fresh build numbers them, so a patched engine hands out the
+    /// same branch ids (and per-branch policies) as a fresh one.
+    pub fn groups(&self, graph: &GroundGraph) -> &BranchGroups {
+        self.groups.get_or_init(|| self.compute_groups(graph))
+    }
+
+    fn compute_groups(&self, graph: &GroundGraph) -> BranchGroups {
+        let _span = tiebreak_trace::span("condense", "branch_groups", &[]);
         let n_comps = self.comp_atoms.slot_count();
         let mut uf: Vec<u32> = (0..n_comps as u32).collect();
         fn find(uf: &mut [u32], mut x: u32) -> u32 {
@@ -564,44 +815,44 @@ impl UnfoundedEngine {
             }
             x
         }
-        for (i, rule) in graph.rules().iter().enumerate() {
-            let cr = self.rule_comp[i];
-            if cr == NO_COMP || !closer.rule_alive(RuleId(i as u32)) {
+        // A node has a component iff it is alive, so the alive edges
+        // between components are the edges of rules with a component to
+        // an atom with a component.
+        for (i, &cr) in self.rule_comp.iter().enumerate() {
+            if cr == NO_COMP {
                 continue;
             }
-            let link = |ca: u32, uf: &mut Vec<u32>| {
+            let rule = graph.rule(RuleId(i as u32));
+            let atoms = std::iter::once(rule.head).chain(rule.body.iter().map(|&(a, _)| a));
+            for a in atoms {
+                let ca = self.atom_comp[a.index()];
                 if ca != NO_COMP && ca != cr {
-                    let (ra, rr) = (find(uf, ca), find(uf, cr));
+                    let (ra, rr) = (find(&mut uf, ca), find(&mut uf, cr));
                     if ra != rr {
                         uf[ra as usize] = rr;
                     }
                 }
-            };
-            if closer.atom_alive(rule.head) {
-                link(self.atom_comp[rule.head.index()], &mut uf);
-            }
-            for &(a, _) in &rule.body {
-                if closer.atom_alive(a) {
-                    link(self.atom_comp[a.index()], &mut uf);
-                }
             }
         }
-        self.comp_group = vec![u32::MAX; n_comps];
+        let mut comp_group = vec![u32::MAX; n_comps];
         let mut group_of_root: Vec<u32> = vec![u32::MAX; n_comps];
-        self.group_comps = Vec::new();
-        for i in 0..self.order.len() {
-            let c = self.order[i];
+        let mut group_comps: Vec<Vec<u32>> = Vec::new();
+        for &c in &self.order {
             let root = find(&mut uf, c);
             let g = if group_of_root[root as usize] == u32::MAX {
-                let g = self.group_comps.len() as u32;
+                let g = group_comps.len() as u32;
                 group_of_root[root as usize] = g;
-                self.group_comps.push(Vec::new());
+                group_comps.push(Vec::new());
                 g
             } else {
                 group_of_root[root as usize]
             };
-            self.comp_group[c as usize] = g;
-            self.group_comps[g as usize].push(c);
+            comp_group[c as usize] = g;
+            group_comps[g as usize].push(c);
+        }
+        BranchGroups {
+            comp_group,
+            group_comps,
         }
     }
 
@@ -644,25 +895,6 @@ impl UnfoundedEngine {
         }
     }
 
-    /// Number of branch groups (weakly connected families of components).
-    /// Groups share no graph edges, so `close` propagation never crosses
-    /// a group boundary: they can be evaluated concurrently and merged in
-    /// any order.
-    pub fn group_count(&self) -> usize {
-        self.group_comps.len()
-    }
-
-    /// The branch group of component `c`.
-    pub fn group_of_component(&self, c: u32) -> u32 {
-        self.comp_group[c as usize]
-    }
-
-    /// The components of group `g`, in topological order of the
-    /// condensation (sources first — the required processing order).
-    pub fn group_components(&self, g: u32) -> &[u32] {
-        &self.group_comps[g as usize]
-    }
-
     /// The member atoms of component `c` (aliveness as of build time).
     pub fn component_atoms(&self, c: u32) -> &[AtomId] {
         self.comp_atoms.get(c)
@@ -672,8 +904,18 @@ impl UnfoundedEngine {
     /// branch group): how many components of one branch share no path.
     /// A shape statistic of the condensation; computed on demand,
     /// O(|components| log |components|).
+    ///
+    /// # Panics
+    ///
+    /// If a patch dropped the grouping and no [`UnfoundedEngine::groups`]
+    /// call has recomputed it since (a fresh build always has it).
     pub fn widest_wave(&self) -> usize {
-        self.group_comps
+        let groups = self
+            .groups
+            .get()
+            .expect("the grouping is current (call `groups` after a patch)");
+        groups
+            .group_comps
             .iter()
             .map(|comps| {
                 let mut depths: Vec<u32> =
@@ -1018,22 +1260,23 @@ mod tests {
         );
         let (closer, _) = run_close(&g, &p, &d);
         let engine = UnfoundedEngine::build(&closer);
-        assert_eq!(engine.group_count(), 2);
-        let gp = engine.group_of_component(engine.component_of_atom(atom(&g, "p")).unwrap());
-        let gr = engine.group_of_component(engine.component_of_atom(atom(&g, "r")).unwrap());
-        let ga = engine.group_of_component(engine.component_of_atom(atom(&g, "a")).unwrap());
+        let groups = engine.groups(&g);
+        assert_eq!(groups.count(), 2);
+        let gp = groups.group_of(engine.component_of_atom(atom(&g, "p")).unwrap());
+        let gr = groups.group_of(engine.component_of_atom(atom(&g, "r")).unwrap());
+        let ga = groups.group_of(engine.component_of_atom(atom(&g, "a")).unwrap());
         assert_eq!(gp, gr, "dependent component joins its upstream's group");
         assert_ne!(gp, ga, "independent branches split");
         // Group-internal component order is topological: p's tie precedes
         // the r component that depends on it.
-        let comps = engine.group_components(gp);
+        let comps = groups.components(gp);
         let cp = engine.component_of_atom(atom(&g, "p")).unwrap();
         let cr = engine.component_of_atom(atom(&g, "r")).unwrap();
         let pos = |c: u32| comps.iter().position(|&x| x == c).unwrap();
         assert!(pos(cp) < pos(cr));
         // Every component belongs to exactly one group.
-        let total: usize = (0..engine.group_count())
-            .map(|g| engine.group_components(g as u32).len())
+        let total: usize = (0..groups.count())
+            .map(|g| groups.components(g as u32).len())
             .sum();
         assert_eq!(total, engine.component_count());
     }
@@ -1063,7 +1306,7 @@ mod tests {
 
         let fresh = UnfoundedEngine::build(&closer);
         assert_eq!(engine.component_count(), fresh.component_count());
-        assert_eq!(engine.group_count(), fresh.group_count());
+        assert_eq!(engine.groups(&g).count(), fresh.groups(&g).count());
         // Same partition: two alive atoms share a patched component iff
         // they share a fresh one, ditto groups.
         let alive: Vec<AtomId> = closer.alive_atoms().collect();
@@ -1077,7 +1320,7 @@ mod tests {
                     g.atoms().decode(b)
                 );
                 let pg = |e: &UnfoundedEngine, x: AtomId| {
-                    e.component_of_atom(x).map(|c| e.group_of_component(c))
+                    e.component_of_atom(x).map(|c| e.groups(&g).group_of(c))
                 };
                 assert_eq!(
                     pg(&engine, a) == pg(&engine, b),
@@ -1155,7 +1398,11 @@ mod tests {
         let g = ground(&p, &d, &GroundConfig::default()).unwrap();
         let (mut closer, mut model) = run_close(&g, &p, &d);
         let mut engine = UnfoundedEngine::build(&closer);
-        assert_eq!(engine.group_count(), 1, "bridge rule merges the pockets");
+        assert_eq!(
+            engine.groups(&g).count(),
+            1,
+            "bridge rule merges the pockets"
+        );
 
         let e = g
             .atoms()
@@ -1167,10 +1414,10 @@ mod tests {
         closer.reopen_cone(&mut model, &initial, &cone);
         closer.run(&mut model).unwrap();
         engine.patch_cone(&closer, &cone);
-        assert_eq!(engine.group_count(), 2, "retraction splits the groups");
+        assert_eq!(engine.groups(&g).count(), 2, "retraction splits the groups");
         assert_eq!(
-            engine.group_count(),
-            UnfoundedEngine::build(&closer).group_count()
+            engine.groups(&g).count(),
+            UnfoundedEngine::build(&closer).groups(&g).count()
         );
     }
 
@@ -1240,7 +1487,7 @@ mod tests {
         assert_eq!(engine.comp_depth[ca as usize], 0);
         assert_eq!(engine.comp_depth[cc as usize], 0);
         assert_eq!(engine.comp_depth[ce as usize], 1);
-        assert_eq!(engine.group_count(), 1);
+        assert_eq!(engine.groups(&g).count(), 1);
         assert_eq!(engine.widest_wave(), 2);
         // Edges strictly increase depth, so a depth layering is always a
         // topological layering of the processing order.
@@ -1274,12 +1521,364 @@ mod tests {
         engine.patch_cone(&closer, &cone);
 
         let fresh = UnfoundedEngine::build(&closer);
+        engine.groups(&g);
         assert_eq!(engine.widest_wave(), fresh.widest_wave());
         for a in closer.alive_atoms() {
             let pd = engine.comp_depth[engine.component_of_atom(a).unwrap() as usize];
             let fd = fresh.comp_depth[fresh.component_of_atom(a).unwrap() as usize];
             assert_eq!(pd, fd, "depth differs at {}", g.atoms().decode(a));
         }
+    }
+
+    /// The cone patch as it was built before the Tarjan over the ground
+    /// graph: the alive cone materialised as a [`SignedDigraph`],
+    /// condensed by [`Sccs`], members buffered per component, `order`
+    /// filtered whole, and the grouping rebuilt eagerly from `closer`'s
+    /// aliveness. The oracle of [`patch_matches_the_materialised_reference`].
+    fn reference_patch(
+        engine: &mut UnfoundedEngine,
+        closer: &Closer<'_>,
+        cone: &Cone,
+    ) -> (ConePatch, BranchGroups) {
+        let graph = closer.graph();
+        engine.atom_comp.resize(graph.atom_count(), NO_COMP);
+        engine.rule_comp.resize(graph.rule_count(), NO_COMP);
+
+        let mut retired: Vec<u32> = Vec::new();
+        let mut is_retired = vec![false; engine.comp_atoms.slot_count()];
+        let mut retire = |c: u32| {
+            if c != NO_COMP && !is_retired[c as usize] {
+                is_retired[c as usize] = true;
+                retired.push(c);
+            }
+        };
+        for &a in &cone.atoms {
+            retire(std::mem::replace(&mut engine.atom_comp[a.index()], NO_COMP));
+        }
+        for &r in &cone.rules {
+            retire(std::mem::replace(&mut engine.rule_comp[r.index()], NO_COMP));
+        }
+        for &c in &retired {
+            engine.comp_atoms.clear(c);
+            engine.comp_rules.clear(c);
+            engine.comp_head_rules.clear(c);
+        }
+
+        let mut cone_atoms = cone.atoms.clone();
+        cone_atoms.sort_unstable();
+        let mut cone_rules = cone.rules.clone();
+        cone_rules.sort_unstable();
+        let mut node_of_atom = vec![NO_NODE; graph.atom_count()];
+        let mut node_kinds: Vec<NodeKind> = Vec::new();
+        for &a in &cone_atoms {
+            if closer.atom_alive(a) {
+                node_of_atom[a.index()] = node_kinds.len() as NodeId;
+                node_kinds.push(NodeKind::Atom(a));
+            }
+        }
+        let mut rule_node: Vec<NodeId> = vec![NO_NODE; cone_rules.len()];
+        for (i, &r) in cone_rules.iter().enumerate() {
+            if closer.rule_alive(r) {
+                rule_node[i] = node_kinds.len() as NodeId;
+                node_kinds.push(NodeKind::Rule(r));
+            }
+        }
+        let mut digraph = SignedDigraph::new(node_kinds.len());
+        for (i, &r) in cone_rules.iter().enumerate() {
+            let rn = rule_node[i];
+            if rn == NO_NODE {
+                continue;
+            }
+            let rule = graph.rule(r);
+            let hn = node_of_atom[rule.head.index()];
+            if hn != NO_NODE && cone.atom_in[rule.head.index()] {
+                digraph.add_edge(rn, hn, EdgeSign::Pos);
+            }
+            for &(a, s) in &rule.body {
+                let an = node_of_atom[a.index()];
+                if cone.atom_in[a.index()] && an != NO_NODE {
+                    let sign = if s.is_pos() {
+                        EdgeSign::Pos
+                    } else {
+                        EdgeSign::Neg
+                    };
+                    digraph.add_edge(an, rn, sign);
+                }
+            }
+        }
+        let sccs = Sccs::compute(&digraph);
+        let added = sccs.len();
+        engine.free_comps.extend(retired.iter().copied());
+        engine.free_comps.sort_unstable_by(|a, b| b.cmp(a));
+        engine.free_comps.dedup();
+        let new_ids: Vec<u32> = (0..added)
+            .map(|_| {
+                engine.free_comps.pop().unwrap_or_else(|| {
+                    let id = engine.comp_atoms.slot_count() as u32;
+                    engine.comp_atoms.ensure_slot(id);
+                    engine.comp_rules.ensure_slot(id);
+                    engine.comp_head_rules.ensure_slot(id);
+                    id
+                })
+            })
+            .collect();
+        let mut rank_of_sub = vec![u32::MAX; added];
+        for (rank, c) in sccs.topological_order().enumerate() {
+            rank_of_sub[c as usize] = rank as u32;
+        }
+        let mut new_atoms: Vec<Vec<AtomId>> = vec![Vec::new(); added];
+        let mut new_rules: Vec<Vec<RuleId>> = vec![Vec::new(); added];
+        for (node, &kind) in node_kinds.iter().enumerate() {
+            let rank = rank_of_sub[sccs.component_of(node as NodeId) as usize] as usize;
+            match kind {
+                NodeKind::Atom(a) => {
+                    engine.atom_comp[a.index()] = new_ids[rank];
+                    new_atoms[rank].push(a);
+                }
+                NodeKind::Rule(r) => {
+                    engine.rule_comp[r.index()] = new_ids[rank];
+                    new_rules[rank].push(r);
+                }
+            }
+        }
+        let mut rank_of_comp = vec![usize::MAX; engine.comp_atoms.slot_count()];
+        for (rank, &c) in new_ids.iter().enumerate() {
+            rank_of_comp[c as usize] = rank;
+        }
+        let mut new_heads: Vec<Vec<RuleId>> = vec![Vec::new(); added];
+        for &a in &cone_atoms {
+            if closer.atom_alive(a) {
+                let rank = rank_of_comp[engine.atom_comp[a.index()] as usize];
+                for &r in graph.heads_of(a) {
+                    if closer.rule_alive(r) {
+                        new_heads[rank].push(r);
+                    }
+                }
+            }
+        }
+        fn store<T: Copy>(arena: &mut CsrArena<T>, c: u32, items: &[T]) {
+            arena.append_sorted(&[c], || items.iter().map(|&x| (0, x)), &mut Vec::new());
+        }
+        for (rank, &c) in new_ids.iter().enumerate() {
+            store(&mut engine.comp_atoms, c, &new_atoms[rank]);
+            store(&mut engine.comp_rules, c, &new_rules[rank]);
+            store(&mut engine.comp_head_rules, c, &new_heads[rank]);
+        }
+        engine.order.retain(|&c| !is_retired[c as usize]);
+        engine.order.extend(new_ids.iter().copied());
+        engine.assign_depths(closer, &new_ids);
+        retired.sort_unstable();
+        (
+            ConePatch {
+                retired,
+                new_components: new_ids,
+            },
+            reference_groups(engine, closer),
+        )
+    }
+
+    /// The eager grouping: union-find over every rule alive in `closer`.
+    fn reference_groups(engine: &UnfoundedEngine, closer: &Closer<'_>) -> BranchGroups {
+        let graph = closer.graph();
+        let n_comps = engine.comp_atoms.slot_count();
+        let mut uf: Vec<u32> = (0..n_comps as u32).collect();
+        fn find(uf: &mut [u32], mut x: u32) -> u32 {
+            while uf[x as usize] != x {
+                x = uf[x as usize];
+            }
+            x
+        }
+        for (i, rule) in graph.rules().iter().enumerate() {
+            let cr = engine.rule_comp[i];
+            if cr == NO_COMP || !closer.rule_alive(RuleId(i as u32)) {
+                continue;
+            }
+            let atoms = std::iter::once(rule.head).chain(rule.body.iter().map(|&(a, _)| a));
+            for a in atoms {
+                let ca = engine.atom_comp[a.index()];
+                if closer.atom_alive(a) && ca != NO_COMP && ca != cr {
+                    let (ra, rr) = (find(&mut uf, ca), find(&mut uf, cr));
+                    uf[ra as usize] = rr;
+                }
+            }
+        }
+        let mut comp_group = vec![u32::MAX; n_comps];
+        let mut group_comps: Vec<Vec<u32>> = Vec::new();
+        let mut group_of_root = vec![u32::MAX; n_comps];
+        for &c in &engine.order {
+            let root = find(&mut uf, c) as usize;
+            if group_of_root[root] == u32::MAX {
+                group_of_root[root] = group_comps.len() as u32;
+                group_comps.push(Vec::new());
+            }
+            comp_group[c as usize] = group_of_root[root];
+            group_comps[group_of_root[root] as usize].push(c);
+        }
+        BranchGroups {
+            comp_group,
+            group_comps,
+        }
+    }
+
+    /// Replays `flips` (indices into `edb`, each toggling that fact) on a
+    /// relevant-grounded session of `program`, patching one engine and
+    /// checking each patch against [`reference_patch`] run on a clone of
+    /// the engine it started from.
+    fn assert_patches_match_reference(
+        program: &datalog_ast::Program,
+        db0: &datalog_ast::Database,
+        edb: &[GroundAtom],
+        flips: &[usize],
+    ) {
+        use crate::delta::SessionGrounder;
+        use crate::grounder::GroundMode;
+        let config = GroundConfig {
+            mode: GroundMode::Relevant,
+            ..GroundConfig::default()
+        };
+        let (mut graph, mut grounder) = SessionGrounder::build(program, db0, &config).unwrap();
+        let mut db = db0.clone();
+        let mut model = PartialModel::initial(program, &db, graph.atoms());
+        let (mut engine, mut state) = {
+            let mut closer = Closer::new(&graph);
+            closer.bootstrap(&model);
+            closer.run(&mut model).unwrap();
+            (UnfoundedEngine::build(&closer), closer.into_state())
+        };
+        let mut cone = Cone::default();
+        for &k in flips {
+            let fact = edb[k].clone();
+            let inserted = !db.remove(&fact);
+            let (first_atom, first_rule) = (graph.atom_count(), graph.rule_count());
+            if inserted {
+                db.insert(fact.clone()).unwrap();
+                grounder
+                    .delta_insert(&mut graph, program, &config, std::slice::from_ref(&fact))
+                    .unwrap();
+            }
+            let m0 = PartialModel::initial(program, &db, graph.atoms());
+            model.grow(graph.atom_count());
+            state.grow(graph.atom_count(), graph.rule_count());
+            let seeds = graph.atoms().id_of(&fact).into_iter();
+            let new_atoms = (first_atom..graph.atom_count()).map(|i| AtomId(i as u32));
+            let new_rules = (first_rule..graph.rule_count()).map(|i| RuleId(i as u32));
+            graph.forward_cone_into(&mut cone, seeds.chain(new_atoms), new_rules);
+            let mut closer = Closer::resume(&graph, state);
+            closer.reopen_cone(&mut model, &m0, &cone);
+            closer.run(&mut model).unwrap();
+
+            let mut reference = engine.clone();
+            let (reference_patch, reference_groups) =
+                reference_patch(&mut reference, &closer, &cone);
+            let patch = engine.patch_cone(&closer, &cone);
+            assert_eq!(patch, reference_patch, "patch report");
+            assert_eq!(engine.order, reference.order, "topological order");
+            assert_eq!(engine.atom_comp, reference.atom_comp, "atom components");
+            assert_eq!(engine.rule_comp, reference.rule_comp, "rule components");
+            for &c in &engine.order {
+                assert_eq!(engine.comp_atoms.get(c), reference.comp_atoms.get(c));
+                assert_eq!(engine.comp_rules.get(c), reference.comp_rules.get(c));
+                assert_eq!(
+                    engine.comp_head_rules.get(c),
+                    reference.comp_head_rules.get(c)
+                );
+                assert_eq!(
+                    engine.comp_depth[c as usize],
+                    reference.comp_depth[c as usize]
+                );
+                assert_eq!(engine.order_pos[c as usize] as usize, {
+                    engine.order.iter().position(|&x| x == c).unwrap()
+                });
+            }
+            assert_eq!(engine.free_comps, reference.free_comps, "free list");
+            assert_eq!(engine.groups(&graph), &reference_groups, "branch groups");
+            assert!(engine.tarjan.atom_index.iter().all(|&v| v == NO_NODE));
+            assert!(engine.tarjan.rule_index.iter().all(|&v| v == NO_NODE));
+            state = closer.into_state();
+        }
+    }
+
+    /// Random propositional programs over `p0..p5` (heads) and the
+    /// toggled facts `e0..e2` (bodies only).
+    fn arb_patch_case() -> impl proptest::strategy::Strategy<Value = (String, Vec<bool>, Vec<usize>)>
+    {
+        use proptest::prelude::*;
+        let literal = (0..9usize, any::<bool>()).prop_map(|(i, neg)| {
+            let name = if i < 6 {
+                format!("p{i}")
+            } else {
+                format!("e{}", i - 6)
+            };
+            if neg {
+                format!("not {name}")
+            } else {
+                name
+            }
+        });
+        let rule =
+            (0..6usize, proptest::collection::vec(literal, 0..4)).prop_map(|(head, body)| {
+                if body.is_empty() {
+                    format!("p{head}.\n")
+                } else {
+                    format!("p{head} :- {}.\n", body.join(", "))
+                }
+            });
+        (
+            proptest::collection::vec(rule, 1..14).prop_map(|rules| {
+                // Every toggled fact is a predicate of the program.
+                let mut src = String::from("p0 :- e0, e1, e2.\n");
+                src.extend(rules);
+                src
+            }),
+            proptest::collection::vec(any::<bool>(), 3),
+            proptest::collection::vec(0..3usize, 1..12),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn patch_matches_the_materialised_reference(
+            (src, present, flips) in arb_patch_case()
+        ) {
+            let program = parse_program(&src).unwrap();
+            let edb: Vec<GroundAtom> =
+                (0..3).map(|i| GroundAtom::from_texts(&format!("e{i}"), &[])).collect();
+            let mut db = datalog_ast::Database::new();
+            for (fact, &on) in edb.iter().zip(&present) {
+                if on {
+                    db.insert(fact.clone()).unwrap();
+                }
+            }
+            assert_patches_match_reference(&program, &db, &edb, &flips);
+        }
+    }
+
+    #[test]
+    fn win_move_patches_match_the_materialised_reference() {
+        // Pockets hanging off a hub, toggled pocket by pocket: cones that
+        // split, merge and re-form multi-node components.
+        let program = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
+        let mut src = String::new();
+        for i in 0..6 {
+            src.push_str(&format!("move(a{i}, b{i}).\nmove(b{i}, a{i}).\n"));
+            if i + 1 < 6 {
+                src.push_str(&format!("move(a{i}, a{}).\n", i + 1));
+            }
+        }
+        src.push_str("move(h, a0).\nmove(h, a3).\n");
+        let db = parse_database(&src).unwrap();
+        let edb: Vec<GroundAtom> = (0..6)
+            .flat_map(|i| {
+                [
+                    GroundAtom::from_texts("move", &[&format!("b{i}"), &format!("a{i}")]),
+                    GroundAtom::from_texts("move", &[&format!("a{i}"), &format!("b{i}")]),
+                ]
+            })
+            .chain([GroundAtom::from_texts("move", &["b2", "h"])])
+            .collect();
+        let flips: Vec<usize> = (0..60).map(|k| (k * 7 + k / 5) % edb.len()).collect();
+        assert_patches_match_reference(&program, &db, &edb, &flips);
     }
 
     #[test]

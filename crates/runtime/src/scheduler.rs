@@ -2,7 +2,7 @@
 //!
 //! One evaluation = one walk of the residual condensation. The walk
 //! splits into *branches* (weakly connected component families,
-//! [`UnfoundedEngine::group_count`](datalog_ground::UnfoundedEngine::group_count)):
+//! [`UnfoundedEngine::groups`](datalog_ground::UnfoundedEngine::groups)):
 //! `close` propagation follows graph edges, so no assignment made inside
 //! one branch can ever reach another — branches are causally independent
 //! and every dependency a component has lies inside its own branch,
@@ -29,7 +29,11 @@
 //! run happens after preparation, after a rebuild, and under
 //! `detailed_stats`. At one worker the memo keeps the worker's own
 //! close state; at more than one the session derives it from the
-//! merged model with one sequential replay.
+//! merged model with one sequential replay. A write does not regroup
+//! branches either: the cone patch drops the grouping, and the next
+//! full run (or branch count) recomputes it, numbered as a fresh build
+//! numbers it, so branch ids, per-branch policies and the merge order
+//! below match a fresh session's.
 //!
 //! Determinism: which worker evaluates a branch, and when, affects
 //! nothing — results depend only on the shared prepared state and the
@@ -113,7 +117,8 @@ pub(crate) fn evaluate<F: PolicyFactory>(
     use_unfounded: bool,
     detailed: bool,
 ) -> Result<(InterpreterRun, Option<CloseState>), SemanticsError> {
-    let branches = solver.engine.group_count();
+    let groups = solver.engine.groups(&solver.graph);
+    let branches = groups.count();
     let threads = solver.effective_threads();
     let eval_span = tiebreak_trace::span(
         "eval",
@@ -162,7 +167,7 @@ pub(crate) fn evaluate<F: PolicyFactory>(
                     tiebreak_trace::span("eval", "branch", &[("branch", u64::from(branch))]);
                 let outcome = catch_unwind(AssertUnwindSafe(
                     || -> Result<BranchOutcome, SemanticsError> {
-                        let comps = solver.engine.group_components(branch);
+                        let comps = groups.components(branch);
                         let mut branch_stats = RunStats::default();
                         let mut policy = factory.map(|f| f.policy_for(branch));
                         let mut pass = ComponentPass {

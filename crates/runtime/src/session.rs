@@ -6,8 +6,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use datalog_ast::{AstError, ConstSym, Database, FxHashMap, FxHashSet, GroundAtom, Program};
 use datalog_ground::{
-    AtomId, CloseState, Closer, GroundGraph, GroundMode, PartialModel, RuleId, SessionGrounder,
-    TruthValue, UnfoundedEngine,
+    AtomId, CloseState, Closer, Cone, GroundGraph, GroundMode, PartialModel, RuleId,
+    SessionGrounder, TruthValue, UnfoundedEngine,
 };
 use tiebreak_core::engine::EvalOutcome;
 use tiebreak_core::semantics::outcomes::{DecodedOutcomes, OutcomeSet};
@@ -59,6 +59,8 @@ struct Prepared {
     m0: PartialModel,
     base_model: PartialModel,
     base_close: CloseState,
+    /// Atoms `base_close` leaves alive.
+    residual_atoms: usize,
     engine: UnfoundedEngine,
 }
 
@@ -139,6 +141,7 @@ fn prepare(
         closer.run(&mut base_model)?;
     }
     let engine = UnfoundedEngine::build(&closer);
+    let residual_atoms = closer.alive_atom_count();
     let base_close = closer.snapshot();
     drop(closer);
     Ok(Prepared {
@@ -147,6 +150,7 @@ fn prepare(
         m0,
         base_model,
         base_close,
+        residual_atoms,
         engine,
     })
 }
@@ -198,7 +202,12 @@ pub struct Solver {
     m0: PartialModel,
     pub(crate) base_model: PartialModel,
     pub(crate) base_close: CloseState,
+    /// Atoms `base_close` leaves alive, adjusted over each cone.
+    residual_atoms: usize,
     pub(crate) engine: UnfoundedEngine,
+    /// The last mutation's forward cone, kept so the next one reuses its
+    /// membership bitmaps.
+    cone: Cone,
     /// Occurrences of each constant across current database facts (the
     /// universe guard; program constants are permanent).
     const_refs: FxHashMap<ConstSym, usize>,
@@ -264,7 +273,9 @@ impl Solver {
             m0: prepared.m0,
             base_model: prepared.base_model,
             base_close: prepared.base_close,
+            residual_atoms: prepared.residual_atoms,
             engine: prepared.engine,
+            cone: Cone::default(),
             const_refs,
             program_consts,
             epoch: 0,
@@ -315,9 +326,10 @@ impl Solver {
         self.last_delta.as_ref()
     }
 
-    /// Atoms left alive (undefined) by the shared base `close`.
+    /// Atoms left alive (undefined) by the shared base `close`: a
+    /// counter kept by [`Solver::apply`], O(1).
     pub fn residual_atom_count(&self) -> usize {
-        self.base_close.alive_atom_count()
+        self.residual_atoms
     }
 
     /// Resident-size accounting of the prepared ground graph (grows under
@@ -342,9 +354,11 @@ impl Solver {
     }
 
     /// Independent branches (weakly connected component families) — the
-    /// parallel scheduling units.
+    /// parallel scheduling units. The first call after a write regroups
+    /// the condensation, O(residual) (see
+    /// [`UnfoundedEngine::groups`]); later calls read the cached grouping.
     pub fn branch_count(&self) -> usize {
-        self.engine.group_count()
+        self.engine.groups(&self.graph).count()
     }
 
     /// The worker count an evaluation will actually use: the resolved
@@ -447,7 +461,6 @@ impl Solver {
         if inserts.is_empty() && retracts.is_empty() {
             return Ok(PrepareDelta {
                 epoch: self.epoch,
-                branches_total: self.branch_count(),
                 residual_atoms: self.residual_atom_count(),
                 ..PrepareDelta::default()
             });
@@ -687,32 +700,37 @@ impl Solver {
         //    grounding appended.
         let new_atoms = (dg.first_new_atom..atom_count).map(|i| AtomId(i as u32));
         let new_rules = (dg.first_new_rule..rule_count).map(|i| RuleId(i as u32));
-        let cone = self
-            .graph
-            .forward_cone(seed_atoms.into_iter().chain(new_atoms), new_rules);
+        self.graph.forward_cone_into(
+            &mut self.cone,
+            seed_atoms.into_iter().chain(new_atoms),
+            new_rules,
+        );
+        let cone = &self.cone;
         delta.cone_atoms = cone.atoms.len();
         delta.cone_rules = cone.rules.len();
 
-        // 4. Cone re-close against the frozen remainder.
+        // 4. Cone re-close against the frozen remainder. Only cone atoms
+        //    change aliveness, so the residual count moves by the cone's
+        //    alive atoms before and after (appended atoms were never
+        //    counted).
         let mut closer = Closer::resume(&self.graph, std::mem::take(&mut self.base_close));
-        closer.reopen_cone(&mut self.base_model, &self.m0, &cone);
+        let alive_before = cone
+            .atoms
+            .iter()
+            .filter(|a| a.index() < dg.first_new_atom && closer.atom_alive(**a))
+            .count();
+        closer.reopen_cone(&mut self.base_model, &self.m0, cone);
         closer.run(&mut self.base_model)?;
+        let alive_after = cone.atoms.iter().filter(|&&a| closer.atom_alive(a)).count();
+        self.residual_atoms = self.residual_atoms + alive_after - alive_before;
 
         // 5. Condensation patch.
-        let patch = self.engine.patch_cone(&closer, &cone);
+        let patch = self.engine.patch_cone(&closer, cone);
         self.base_close = closer.into_state();
-        delta.components_removed = patch.retired;
-        delta.components_added = patch.added;
-        let mut touched: Vec<u32> = patch
-            .new_components
-            .iter()
-            .map(|&c| self.engine.group_of_component(c))
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        delta.branches_invalidated = touched.len();
-        delta.branches_total = self.engine.group_count();
-        delta.residual_atoms = self.base_close.alive_atom_count();
+        debug_assert_eq!(self.residual_atoms, self.base_close.alive_atom_count());
+        delta.components_removed = patch.retired.len();
+        delta.components_added = patch.new_components.len();
+        delta.residual_atoms = self.residual_atoms;
 
         // 6. Advance the served well-founded state over the cone. It is
         //    taken out first: a failed advance leaves it half-advanced,
@@ -724,13 +742,7 @@ impl Solver {
         memo.model = None;
         memo.outcomes = None;
         if let Some(mut wf) = memo.wf.take() {
-            wf.advance(
-                &self.graph,
-                &mut self.engine,
-                &self.m0,
-                &cone,
-                &patch.new_components,
-            )?;
+            wf.advance(&self.graph, &mut self.engine, &self.m0, cone, &patch)?;
             memo.wf = Some(wf);
             delta.components_reevaluated = patch.new_components.len();
         }
@@ -764,6 +776,7 @@ impl Solver {
         self.m0 = prepared.m0;
         self.base_model = prepared.base_model;
         self.base_close = prepared.base_close;
+        self.residual_atoms = prepared.residual_atoms;
         self.engine = prepared.engine;
         Ok(())
     }
@@ -771,7 +784,6 @@ impl Solver {
     fn finish_rebuild_delta(&self, delta: &mut PrepareDelta, reason: String) {
         delta.rebuilt = true;
         delta.rebuild_reason = Some(reason);
-        delta.branches_total = self.branch_count();
         delta.branches_invalidated = self.branch_count();
         delta.residual_atoms = self.residual_atom_count();
     }

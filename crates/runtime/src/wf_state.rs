@@ -14,7 +14,9 @@
 
 use std::sync::Arc;
 
-use datalog_ground::{CloseState, Closer, Cone, GroundGraph, PartialModel, UnfoundedEngine};
+use datalog_ground::{
+    CloseState, Closer, Cone, ConePatch, GroundGraph, PartialModel, UnfoundedEngine,
+};
 use tiebreak_core::semantics::{process_components, ComponentPass, SemanticsError};
 use tiebreak_core::{InterpreterRun, RootTruePolicy, RunStats};
 
@@ -29,9 +31,11 @@ pub(crate) struct WfState {
     pub(crate) run: Arc<InterpreterRun>,
     /// The close state the run ended in: what the next cone re-opens.
     close: CloseState,
-    /// Unfounded rounds per component id. Only live components are read;
-    /// an id retired by a patch is overwritten when it is recycled.
-    rounds: Vec<usize>,
+    /// Unfounded rounds of the live components.
+    rounds: Rounds,
+    /// Undefined atoms of `run.model`: the run is total iff there are
+    /// none.
+    undefined: usize,
 }
 
 impl WfState {
@@ -48,16 +52,18 @@ impl WfState {
             None => replay(solver, &run.model)?,
         };
         let engine = &solver.engine;
-        let mut rounds = Vec::new();
+        let groups = engine.groups(&solver.graph);
+        let mut rounds = Rounds::default();
         let mut logged = run.stats.component_rounds.iter();
-        for g in 0..engine.group_count() as u32 {
-            for &c in engine.group_components(g) {
+        for g in 0..groups.count() as u32 {
+            for &c in groups.components(g) {
                 let r = *logged.next().expect("one round count per component");
-                set_rounds(&mut rounds, c, r);
+                rounds.insert(c, r);
             }
         }
-        run.stats = stats_from_rounds(engine.order(), &rounds);
+        run.stats = rounds.stats(engine.component_count());
         Ok(WfState {
+            undefined: run.model.undefined_atoms().count(),
             run: Arc::new(run),
             close,
             rounds,
@@ -65,8 +71,10 @@ impl WfState {
     }
 
     /// Advances the state over a mutation's cone, after `engine` was
-    /// patched with it: `new_components` are the patch's components, in
-    /// topological order. Sequential at any thread count. On error the
+    /// patched with it (`patch`: its retired ids, and its new components
+    /// in topological order). Sequential at any thread count, and
+    /// O(cone): the model's undefined count and the stats' round sum and
+    /// maximum are adjusted by what changed, not rescanned. On error the
     /// state is half-advanced and must be dropped.
     pub(crate) fn advance(
         &mut self,
@@ -74,8 +82,9 @@ impl WfState {
         engine: &mut UnfoundedEngine,
         m0: &PartialModel,
         cone: &Cone,
-        new_components: &[u32],
+        patch: &ConePatch,
     ) -> Result<(), SemanticsError> {
+        let new_components = &patch.new_components;
         let _span = tiebreak_trace::span(
             "session",
             "advance",
@@ -84,6 +93,15 @@ impl WfState {
         tiebreak_trace::metrics().wf_advances.inc();
         // In place unless a reader still holds the old run.
         let run = Arc::make_mut(&mut self.run);
+        // Appended atoms are in the cone and were never counted.
+        let known = run.model.len();
+        let undefined_in_cone = |model: &PartialModel, known: usize| {
+            cone.atoms
+                .iter()
+                .filter(|a| a.index() < known && !model.get(**a).is_defined())
+                .count()
+        };
+        let before = undefined_in_cone(&run.model, known);
         run.model.grow(graph.atom_count());
         self.close.grow(graph.atom_count(), graph.rule_count());
         let mut closer = Closer::resume(graph, std::mem::take(&mut self.close));
@@ -104,11 +122,17 @@ impl WfState {
             &mut stats,
         )?;
         self.close = closer.into_state();
-        for (&c, &r) in new_components.iter().zip(&stats.component_rounds) {
-            set_rounds(&mut self.rounds, c, r);
+        self.undefined = self.undefined + undefined_in_cone(&run.model, usize::MAX) - before;
+        for &c in &patch.retired {
+            self.rounds.remove(c);
         }
-        run.stats = stats_from_rounds(engine.order(), &self.rounds);
-        run.total = run.model.is_total();
+        for (&c, &r) in new_components.iter().zip(&stats.component_rounds) {
+            self.rounds.insert(c, r);
+        }
+        run.stats = self.rounds.stats(engine.component_count());
+        run.total = self.undefined == 0;
+        debug_assert_eq!(self.undefined, run.model.undefined_atoms().count());
+        debug_assert_eq!(run.stats, self.rounds.scan(engine.order()));
         Ok(())
     }
 }
@@ -130,26 +154,68 @@ fn replay(solver: &Solver, model: &PartialModel) -> Result<CloseState, Semantics
     Ok(closer.into_state())
 }
 
-fn set_rounds(rounds: &mut Vec<usize>, c: u32, r: usize) {
-    let c = c as usize;
-    if c >= rounds.len() {
-        rounds.resize(c + 1, 0);
-    }
-    rounds[c] = r;
+/// The unfounded rounds of each live component, with their running sum
+/// and a histogram of round counts, so a patch that retires and adds a
+/// few components updates a plain well-founded run's stats in O(cone).
+#[derive(Default)]
+struct Rounds {
+    /// Rounds per component id. An id retired by a patch is removed
+    /// before it is recycled.
+    by_comp: Vec<usize>,
+    /// The sum over live components.
+    sum: usize,
+    /// `hist[r]`: live components with `r` rounds. Its last entry is
+    /// non-zero, so its length is one past the maximum.
+    hist: Vec<usize>,
 }
 
-/// A plain well-founded run's stats from its live components' rounds:
-/// each unfounded round is one `close` round, plus the base close.
-fn stats_from_rounds(order: &[u32], rounds: &[usize]) -> RunStats {
-    let mut stats = RunStats {
-        components_processed: order.len(),
-        ..RunStats::default()
-    };
-    for &c in order {
-        let r = rounds[c as usize];
-        stats.unfounded_rounds += r;
-        stats.max_component_rounds = stats.max_component_rounds.max(r);
+impl Rounds {
+    fn insert(&mut self, c: u32, r: usize) {
+        let c = c as usize;
+        if c >= self.by_comp.len() {
+            self.by_comp.resize(c + 1, 0);
+        }
+        self.by_comp[c] = r;
+        self.sum += r;
+        if r >= self.hist.len() {
+            self.hist.resize(r + 1, 0);
+        }
+        self.hist[r] += 1;
     }
-    stats.close_rounds = 1 + stats.unfounded_rounds;
-    stats
+
+    fn remove(&mut self, c: u32) {
+        let r = self.by_comp[c as usize];
+        self.sum -= r;
+        self.hist[r] -= 1;
+        while self.hist.last() == Some(&0) {
+            self.hist.pop();
+        }
+    }
+
+    /// A plain well-founded run's stats over `components` live
+    /// components: each unfounded round is one `close` round, plus the
+    /// base close.
+    fn stats(&self, components: usize) -> RunStats {
+        RunStats {
+            components_processed: components,
+            unfounded_rounds: self.sum,
+            max_component_rounds: self.hist.len().saturating_sub(1),
+            close_rounds: 1 + self.sum,
+            ..RunStats::default()
+        }
+    }
+
+    /// [`Rounds::stats`] recomputed by a scan of the live components in
+    /// `order`: the debug-build check of the running sum and histogram.
+    fn scan(&self, order: &[u32]) -> RunStats {
+        let rounds = || order.iter().map(|&c| self.by_comp[c as usize]);
+        let sum: usize = rounds().sum();
+        RunStats {
+            components_processed: order.len(),
+            unfounded_rounds: sum,
+            max_component_rounds: rounds().max().unwrap_or(0),
+            close_rounds: 1 + sum,
+            ..RunStats::default()
+        }
+    }
 }

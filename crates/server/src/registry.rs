@@ -116,13 +116,15 @@ impl SessionEntry {
         self.session.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Re-reads the ground-graph footprint (and mutation epoch) into the
-    /// lock-free mirrors. Call after running script batches: incremental
+    /// Re-reads the ground-graph atom count (and mutation epoch) into
+    /// the lock-free mirrors. Call after running script batches: incremental
     /// grounding can grow the graph, and admission control should see
     /// that growth.
     pub fn sync_footprint(&self, session: &ScriptSession) {
+        // The atom count alone, O(1): this runs after every script
+        // frame, reads included.
         self.resident_atoms
-            .store(session.solver().footprint().atoms, Ordering::Relaxed);
+            .store(session.solver().graph().atom_count(), Ordering::Relaxed);
         self.epoch
             .store(session.solver().epoch(), Ordering::Relaxed);
     }

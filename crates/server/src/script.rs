@@ -399,7 +399,7 @@ pub fn describe_delta(delta: &PrepareDelta) -> String {
     } else {
         format!(
             "% epoch {}: +{} -{} | cone {} atoms / {} rules | grounded +{} atoms +{} rules | \
-             branches {}/{} invalidated | residual {}",
+             components -{} +{} | residual {}",
             delta.epoch,
             delta.inserted,
             delta.retracted,
@@ -407,8 +407,8 @@ pub fn describe_delta(delta: &PrepareDelta) -> String {
             delta.cone_rules,
             delta.new_atoms,
             delta.new_rules,
-            delta.branches_invalidated,
-            delta.branches_total,
+            delta.components_removed,
+            delta.components_added,
             delta.residual_atoms,
         )
     }
