@@ -24,7 +24,11 @@ pub type Tuple = Box<[ConstSym]>;
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Relation {
     arity: usize,
+    /// The tuples of a relation of positive arity.
     tuples: FxHashSet<Tuple>,
+    /// The one possible tuple of a nullary relation, so that a
+    /// propositional atom costs no hash table of its own.
+    unit: Option<Tuple>,
 }
 
 impl Relation {
@@ -33,6 +37,7 @@ impl Relation {
         Relation {
             arity,
             tuples: FxHashSet::default(),
+            unit: None,
         }
     }
 
@@ -43,12 +48,12 @@ impl Relation {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.tuples.len() + usize::from(self.unit.is_some())
     }
 
     /// `true` iff no tuples.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len() == 0
     }
 
     /// Inserts a tuple. Returns `true` if it was new.
@@ -65,28 +70,37 @@ impl Relation {
             tuple.len(),
             self.arity
         );
+        if self.arity == 0 {
+            return self.unit.replace(tuple).is_none();
+        }
         self.tuples.insert(tuple)
     }
 
     /// Membership test.
     pub fn contains(&self, tuple: &[ConstSym]) -> bool {
+        if self.arity == 0 {
+            return tuple.is_empty() && self.unit.is_some();
+        }
         self.tuples.contains(tuple)
     }
 
     /// Removes a tuple. Returns `true` if it was present.
     pub fn remove(&mut self, tuple: &[ConstSym]) -> bool {
+        if self.arity == 0 {
+            return tuple.is_empty() && self.unit.take().is_some();
+        }
         self.tuples.remove(tuple)
     }
 
     /// Iterates over the tuples (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.tuples.iter()
+        self.unit.iter().chain(&self.tuples)
     }
 
     /// The tuples in lexicographic order of their constant texts
     /// (deterministic output for display and tests).
     pub fn sorted(&self) -> Vec<&Tuple> {
-        let mut v: Vec<&Tuple> = self.tuples.iter().collect();
+        let mut v: Vec<&Tuple> = self.iter().collect();
         v.sort_by(|a, b| {
             a.iter()
                 .map(|c| c.as_str())
@@ -338,6 +352,22 @@ mod tests {
         assert_eq!(db.len(), 0);
         // The (now empty) relation keeps its arity pinned.
         assert!(db.insert(GroundAtom::from_texts("p", &["a", "b"])).is_err());
+    }
+
+    #[test]
+    fn nullary_relations_hold_one_tuple() {
+        let mut db = Database::new();
+        let p = GroundAtom::from_texts("p", &[]);
+        assert!(db.insert(p.clone()).unwrap());
+        assert!(!db.insert(p.clone()).unwrap());
+        assert_eq!(db.len(), 1);
+        assert!(db.contains(&p));
+        assert_eq!(db.relation(p.pred).unwrap().iter().count(), 1);
+        assert_eq!(db.to_string(), "p.\n");
+        assert!(db.remove(&p));
+        assert!(!db.contains(&p));
+        assert!(db.relation(p.pred).unwrap().is_empty());
+        assert!(db.insert(GroundAtom::from_texts("p", &["a"])).is_err());
     }
 
     #[test]

@@ -8,15 +8,20 @@
 //! * negation: the keyword `not`, or the operators `!` and `~`,
 //! * comments: `%` and `//` to end of line,
 //! * whitespace is insignificant.
+//!
+//! Identifier tokens borrow their text from the input, so lexing
+//! allocates only the token vector. Positions count characters, not
+//! bytes: a column after a multibyte identifier or `¬` is the one an
+//! editor shows.
 
 use crate::error::{ParseError, Pos};
 
 /// A lexical token.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Token {
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Token<'a> {
     /// An identifier (predicate, variable, or constant — classified by the
-    /// parser).
-    Ident(String),
+    /// parser), borrowed from the input.
+    Ident(&'a str),
     /// `(`
     LParen,
     /// `)`
@@ -33,7 +38,7 @@ pub enum Token {
     Eof,
 }
 
-impl std::fmt::Display for Token {
+impl std::fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "`{s}`"),
@@ -49,10 +54,10 @@ impl std::fmt::Display for Token {
 }
 
 /// A token tagged with its source position.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Spanned {
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Spanned<'a> {
     /// The token.
-    pub token: Token,
+    pub token: Token<'a>,
     /// Position of the token's first character.
     pub pos: Pos,
 }
@@ -62,140 +67,129 @@ pub struct Spanned {
 /// # Errors
 ///
 /// [`ParseError`] on any character outside the token language.
-pub fn lex(input: &str) -> Result<Vec<Spanned>, ParseError> {
+pub fn lex(input: &str) -> Result<Vec<Spanned<'_>>, ParseError> {
+    let bytes = input.as_bytes();
     let mut out = Vec::new();
-    let mut chars = input.chars().peekable();
+    let mut at = 0;
     let mut line: u32 = 1;
     let mut col: u32 = 1;
-
-    macro_rules! bump {
-        () => {{
-            let c = chars.next();
-            if let Some(ch) = c {
-                if ch == '\n' {
-                    line += 1;
-                    col = 1;
-                } else {
-                    col += 1;
-                }
-            }
-            c
-        }};
-    }
-
     loop {
         let pos = Pos { line, col };
-        let Some(&c) = chars.peek() else {
+        let Some(&b) = bytes.get(at) else {
             out.push(Spanned {
                 token: Token::Eof,
                 pos,
             });
             return Ok(out);
         };
-        match c {
-            c if c.is_whitespace() => {
-                bump!();
+        // Single-byte tokens and ASCII whitespace; everything else is
+        // decoded as a character below.
+        let token = match b {
+            b'\n' => {
+                at += 1;
+                line += 1;
+                col = 1;
+                continue;
             }
-            '%' => {
-                while let Some(&c) = chars.peek() {
-                    if c == '\n' {
-                        break;
-                    }
-                    bump!();
-                }
+            b' ' | b'\t' | b'\r' | b'\x0B' | b'\x0C' => {
+                at += 1;
+                col += 1;
+                continue;
             }
-            '/' => {
-                bump!();
-                if chars.peek() == Some(&'/') {
-                    while let Some(&c) = chars.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        bump!();
-                    }
-                } else {
+            b'%' => {
+                at = skip_line(input, at, &mut col);
+                continue;
+            }
+            b'/' => {
+                if bytes.get(at + 1) != Some(&b'/') {
                     return Err(ParseError::new(pos, "stray `/` (expected `//` comment)"));
                 }
+                at = skip_line(input, at, &mut col);
+                continue;
             }
-            '(' => {
-                bump!();
-                out.push(Spanned {
-                    token: Token::LParen,
-                    pos,
-                });
-            }
-            ')' => {
-                bump!();
-                out.push(Spanned {
-                    token: Token::RParen,
-                    pos,
-                });
-            }
-            ',' => {
-                bump!();
-                out.push(Spanned {
-                    token: Token::Comma,
-                    pos,
-                });
-            }
-            '.' => {
-                bump!();
-                out.push(Spanned {
-                    token: Token::Dot,
-                    pos,
-                });
-            }
-            '!' | '~' | '¬' => {
-                bump!();
-                out.push(Spanned {
-                    token: Token::Not,
-                    pos,
-                });
-            }
-            ':' => {
-                bump!();
-                if chars.peek() == Some(&'-') {
-                    bump!();
-                    out.push(Spanned {
-                        token: Token::Arrow,
-                        pos,
-                    });
-                } else {
+            b':' => {
+                if bytes.get(at + 1) != Some(&b'-') {
                     return Err(ParseError::new(pos, "stray `:` (expected `:-`)"));
                 }
-            }
-            c if c.is_alphanumeric() || c == '_' => {
-                let mut ident = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_alphanumeric() || c == '_' {
-                        ident.push(c);
-                        bump!();
-                    } else {
-                        break;
-                    }
-                }
-                let token = if ident == "not" {
-                    Token::Not
-                } else {
-                    Token::Ident(ident)
-                };
-                out.push(Spanned { token, pos });
-            }
-            other => {
-                return Err(ParseError::new(
+                at += 2;
+                col += 2;
+                out.push(Spanned {
+                    token: Token::Arrow,
                     pos,
-                    format!("unexpected character `{other}`"),
-                ));
+                });
+                continue;
             }
-        }
+            b'(' => Token::LParen,
+            b')' => Token::RParen,
+            b',' => Token::Comma,
+            b'.' => Token::Dot,
+            b'!' | b'~' => Token::Not,
+            _ => {
+                let c = input[at..].chars().next().expect("in bounds");
+                if c == '¬' || c.is_whitespace() {
+                    at += c.len_utf8();
+                    col += 1;
+                    if c == '¬' {
+                        out.push(Spanned {
+                            token: Token::Not,
+                            pos,
+                        });
+                    }
+                    continue;
+                } else if is_ident_char(c) {
+                    let start = at;
+                    while let Some(&b) = bytes.get(at) {
+                        let len = if b.is_ascii_alphanumeric() || b == b'_' {
+                            1
+                        } else if b < 0x80 {
+                            break;
+                        } else {
+                            match input[at..].chars().next() {
+                                Some(c) if is_ident_char(c) => c.len_utf8(),
+                                _ => break,
+                            }
+                        };
+                        at += len;
+                        col += 1;
+                    }
+                    let ident = &input[start..at];
+                    let token = if ident == "not" {
+                        Token::Not
+                    } else {
+                        Token::Ident(ident)
+                    };
+                    out.push(Spanned { token, pos });
+                    continue;
+                } else {
+                    return Err(ParseError::new(pos, format!("unexpected character `{c}`")));
+                }
+            }
+        };
+        // A one-byte token.
+        at += 1;
+        col += 1;
+        out.push(Spanned { token, pos });
     }
+}
+
+fn is_ident_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// Skips a comment from byte `at` up to (not including) the next line
+/// break, advancing `col` by the characters skipped; returns the byte
+/// position of the line break or the end of the input.
+fn skip_line(input: &str, at: usize, col: &mut u32) -> usize {
+    let end = input[at..].find('\n').map_or(input.len(), |n| at + n);
+    *col += input[at..end].chars().count() as u32;
+    end
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(input: &str) -> Vec<Token> {
+    fn kinds(input: &str) -> Vec<Token<'_>> {
         lex(input).unwrap().into_iter().map(|s| s.token).collect()
     }
 
@@ -205,22 +199,22 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Token::Ident("win".into()),
+                Token::Ident("win"),
                 Token::LParen,
-                Token::Ident("X".into()),
+                Token::Ident("X"),
                 Token::RParen,
                 Token::Arrow,
-                Token::Ident("move".into()),
+                Token::Ident("move"),
                 Token::LParen,
-                Token::Ident("X".into()),
+                Token::Ident("X"),
                 Token::Comma,
-                Token::Ident("Y".into()),
+                Token::Ident("Y"),
                 Token::RParen,
                 Token::Comma,
                 Token::Not,
-                Token::Ident("win".into()),
+                Token::Ident("win"),
                 Token::LParen,
-                Token::Ident("Y".into()),
+                Token::Ident("Y"),
                 Token::RParen,
                 Token::Dot,
                 Token::Eof,
@@ -245,9 +239,9 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Token::Ident("p".into()),
+                Token::Ident("p"),
                 Token::Dot,
-                Token::Ident("q".into()),
+                Token::Ident("q"),
                 Token::Dot,
                 Token::Eof
             ]
@@ -259,6 +253,22 @@ mod tests {
         let toks = lex("p.\n q.").unwrap();
         assert_eq!(toks[0].pos, Pos { line: 1, col: 1 });
         assert_eq!(toks[2].pos, Pos { line: 2, col: 2 }); // `q`
+    }
+
+    #[test]
+    fn columns_count_characters_not_bytes() {
+        // `¬` and `é` are two bytes each but one column each.
+        let toks = lex("¬pé(X), q.").unwrap();
+        assert_eq!(toks[1].token, Token::Ident("pé"));
+        let cols: Vec<u32> = toks.iter().map(|t| t.pos.col).collect();
+        assert_eq!(cols, vec![1, 2, 4, 5, 6, 7, 9, 10, 11]);
+        let err = lex("pé @").unwrap_err();
+        assert_eq!(err.pos, Pos { line: 1, col: 4 });
+        // Comments count characters too, up to the end of the input.
+        let toks = lex("p %é\u{85}é").unwrap();
+        assert_eq!(toks[1].pos, Pos { line: 1, col: 7 });
+        let toks = lex("% é\n\u{85}q").unwrap();
+        assert_eq!(toks[0].pos, Pos { line: 2, col: 2 });
     }
 
     #[test]
@@ -277,6 +287,6 @@ mod tests {
     #[test]
     fn numeric_identifiers_allowed() {
         let toks = kinds("succ(0, 1).");
-        assert!(matches!(&toks[2], Token::Ident(s) if s == "0"));
+        assert_eq!(toks[2], Token::Ident("0"));
     }
 }

@@ -21,36 +21,36 @@ use crate::program::{Program, RuleSpan};
 use crate::rule::Rule;
 use crate::term::Term;
 
-struct Parser {
-    tokens: Vec<Spanned>,
+struct Parser<'a> {
+    tokens: Vec<Spanned<'a>>,
     at: usize,
 }
 
-impl Parser {
-    fn new(input: &str) -> Result<Self, ParseError> {
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Result<Self, ParseError> {
         Ok(Parser {
             tokens: lex(input)?,
             at: 0,
         })
     }
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.at].token
+    fn peek(&self) -> Token<'a> {
+        self.tokens[self.at].token
     }
 
     fn pos(&self) -> Pos {
         self.tokens[self.at].pos
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.at].token.clone();
+    fn bump(&mut self) -> Token<'a> {
+        let t = self.peek();
         if self.at + 1 < self.tokens.len() {
             self.at += 1;
         }
         t
     }
 
-    fn expect(&mut self, want: &Token, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, want: Token<'_>, what: &str) -> Result<(), ParseError> {
         if self.peek() == want {
             self.bump();
             Ok(())
@@ -62,8 +62,8 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, ParseError> {
-        match self.peek().clone() {
+    fn ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
+        match self.peek() {
             Token::Ident(s) => {
                 self.bump();
                 Ok(s)
@@ -78,11 +78,10 @@ impl Parser {
     fn atom(&mut self) -> Result<Atom, ParseError> {
         let name = self.ident("a predicate name")?;
         let mut args = Vec::new();
-        if *self.peek() == Token::LParen {
+        if self.peek() == Token::LParen {
             self.bump();
             loop {
-                let t = self.ident("a term")?;
-                args.push(Term::from_text(&t));
+                args.push(Term::from_text(self.ident("a term")?));
                 match self.peek() {
                     Token::Comma => {
                         self.bump();
@@ -100,11 +99,11 @@ impl Parser {
                 }
             }
         }
-        Ok(Atom::new(name.as_str(), args))
+        Ok(Atom::new(name, args))
     }
 
     fn literal(&mut self) -> Result<Literal, ParseError> {
-        if *self.peek() == Token::Not {
+        if self.peek() == Token::Not {
             self.bump();
             Ok(Literal::neg(self.atom()?))
         } else {
@@ -117,19 +116,19 @@ impl Parser {
         let head = self.atom()?;
         let mut body = Vec::new();
         let mut literal_positions = Vec::new();
-        if *self.peek() == Token::Arrow {
+        if self.peek() == Token::Arrow {
             self.bump();
             loop {
                 literal_positions.push(self.pos());
                 body.push(self.literal()?);
-                if *self.peek() == Token::Comma {
+                if self.peek() == Token::Comma {
                     self.bump();
                 } else {
                     break;
                 }
             }
         }
-        self.expect(&Token::Dot, "`.` terminating the clause")
+        self.expect(Token::Dot, "`.` terminating the clause")
             .map_err(|e| {
                 ParseError::new(
                     e.pos,
@@ -145,7 +144,7 @@ impl Parser {
 
     fn program(&mut self) -> Result<Vec<(Rule, RuleSpan)>, ParseError> {
         let mut rules = Vec::new();
-        while *self.peek() != Token::Eof {
+        while self.peek() != Token::Eof {
             rules.push(self.clause()?);
         }
         Ok(rules)
@@ -160,8 +159,17 @@ impl Parser {
 /// predicate occurs with inconsistent arities.
 pub fn parse_program(input: &str) -> Result<Program, AstError> {
     let mut span = tiebreak_trace::span("parse", "parse_program", &[("bytes", input.len() as u64)]);
-    let rules = Parser::new(input)?.program()?;
+    let mut parser = {
+        let _lex = tiebreak_trace::span("parse", "lex", &[]);
+        Parser::new(input)?
+    };
+    let rules = {
+        let _clauses = tiebreak_trace::span("parse", "clauses", &[]);
+        parser.program()?
+    };
+    drop(parser);
     span.arg("rules", rules.len() as u64);
+    let _build = tiebreak_trace::span("parse", "build", &[]);
     Ok(Program::with_spans(rules)?)
 }
 
@@ -175,7 +183,7 @@ pub fn parse_database(input: &str) -> Result<Database, AstError> {
     let _span = tiebreak_trace::span("parse", "parse_database", &[("bytes", input.len() as u64)]);
     let mut parser = Parser::new(input)?;
     let mut db = Database::new();
-    while *parser.peek() != Token::Eof {
+    while parser.peek() != Token::Eof {
         let pos = parser.pos();
         let (rule, _span) = parser.clause()?;
         if !rule.is_fact() {

@@ -5,6 +5,7 @@
 //! predicate is IDB iff it heads some rule — paper, Section 2), and the
 //! constants appearing in the rules.
 
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 use crate::atom::Sign;
@@ -111,28 +112,44 @@ impl Program {
     fn build(
         spanned: impl IntoIterator<Item = (Rule, Option<RuleSpan>)>,
     ) -> Result<Self, ValidationError> {
-        let mut seen: FxHashMap<Rule, usize> = FxHashMap::default();
-        let mut rules: Vec<Rule> = Vec::new();
-        let mut spans: Vec<RuleSpan> = Vec::new();
+        let (mut rules, mut source_spans): (Vec<Rule>, Vec<Option<RuleSpan>>) =
+            spanned.into_iter().unzip();
+        // First occurrence wins. The map borrows the rules, so finding
+        // duplicates copies no rule.
+        let mut keep: Vec<bool> = Vec::with_capacity(rules.len());
         let mut duplicates: Vec<DuplicateRule> = Vec::new();
-        let mut all_spanned = true;
-        for (rule, span) in spanned {
-            if let Some(&kept) = seen.get(&rule) {
-                duplicates.push(DuplicateRule { kept, span });
-                continue;
+        {
+            let mut seen: FxHashMap<&Rule, usize> = FxHashMap::default();
+            seen.reserve(rules.len());
+            for (rule, span) in rules.iter().zip(&mut source_spans) {
+                let next = seen.len();
+                match seen.entry(rule) {
+                    Entry::Occupied(first) => {
+                        keep.push(false);
+                        duplicates.push(DuplicateRule {
+                            kept: *first.get(),
+                            span: span.take(),
+                        });
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert(next);
+                        keep.push(true);
+                    }
+                }
             }
-            seen.insert(rule.clone(), rules.len());
-            all_spanned &= span.is_some();
-            if let Some(span) = span {
-                spans.push(span);
-            }
-            rules.push(rule);
+        }
+        if !duplicates.is_empty() {
+            let mut flags = keep.iter();
+            rules.retain(|_| *flags.next().expect("one flag per rule"));
+            let mut flags = keep.iter();
+            source_spans.retain(|_| *flags.next().expect("one flag per rule"));
         }
         // Spans are all-or-nothing: a partially spanned input (never
         // produced by the parser or the builder) degrades to span-less.
-        if !all_spanned {
-            spans.clear();
-        }
+        let spans: Vec<RuleSpan> = source_spans
+            .into_iter()
+            .collect::<Option<_>>()
+            .unwrap_or_default();
 
         let mut preds: FxHashMap<PredSym, PredInfo> = FxHashMap::default();
         let mut pred_order: Vec<PredSym> = Vec::new();

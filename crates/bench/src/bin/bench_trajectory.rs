@@ -111,6 +111,13 @@ const GROUND_SCALING_PAIRS: usize = 15;
 /// linear grounder doubles, a quadratic one quadruples.
 const GROUND_SCALING_MAX_RATIO: f64 = 2.5;
 
+/// Pockets per chain (n) of the first-order grounding scaling gate:
+/// win–move over `braided_tie_chain_db(GROUND_SCALING_CHAINS, n)` and
+/// twice as many, under the same pairing and bound as the braid gate.
+/// The Theorem 4 circuit family would re-test the propositional case:
+/// `Circuit::to_program` emits only nullary gate predicates.
+const FIRST_ORDER_SCALING_POCKETS: usize = 256;
+
 /// Braided tie chain shape for the write scaling gate: win–move over
 /// `WRITE_SCALING_CHAINS` chains of `WRITE_SCALING_POCKETS` and twice as
 /// many pockets (n = pockets). One timed sample is
@@ -267,52 +274,105 @@ fn grounding_entries(entries: &mut Vec<Entry>, n: usize) {
 
 /// Relevant grounding of the braided unfounded chain (one predicate per
 /// atom, every atom on a positive loop) at n and 2n pockets: the
-/// session grounder's build, timed in back-to-back (n, 2n) pairs.
-/// Records each size's median and returns the median of the per-pair
-/// ratios time(2n)/time(n) for the scaling gate: both halves of a pair
-/// see the same host speed, which on a shared machine drifts over
-/// seconds, and the median discards pairs a noise burst split.
+/// session grounder's build. Returns the median pair ratio (see
+/// [`paired_scaling`]).
 fn ground_scaling_entries(entries: &mut Vec<Entry>) -> f64 {
     let config = GroundConfig {
         mode: GroundMode::Relevant,
         ..GroundConfig::default()
     };
     let database = Database::new();
-    let programs: Vec<(usize, Program)> = [GROUND_SCALING_POCKETS, 2 * GROUND_SCALING_POCKETS]
+    let programs: Vec<Program> = [GROUND_SCALING_POCKETS, 2 * GROUND_SCALING_POCKETS]
         .into_iter()
         .map(|pockets| {
-            let program = generators::braided_unfounded_chain_program(
+            generators::braided_unfounded_chain_program(
                 GROUND_SCALING_CHAINS,
                 pockets,
                 GROUND_SCALING_LOOP,
-            );
-            (pockets, program)
+            )
         })
         .collect();
-    let build = |program: &Program| {
-        let t = Instant::now();
-        let built = SessionGrounder::build(program, &database, &config).expect("grounds");
-        (t.elapsed().as_secs_f64() * 1e3, built)
+    paired_scaling(
+        entries,
+        "ground_braid_scaling",
+        GROUND_SCALING_POCKETS,
+        |size| {
+            let t = Instant::now();
+            let (graph, _) =
+                SessionGrounder::build(&programs[size], &database, &config).expect("grounds");
+            (
+                t.elapsed().as_secs_f64() * 1e3,
+                graph.atom_count(),
+                graph.rule_count(),
+            )
+        },
+    )
+}
+
+/// First-order relevant grounding: win–move over
+/// `braided_tie_chain_db(GROUND_SCALING_CHAINS, n)` at n and 2n
+/// pockets, each sample parsing the fact text and building the session
+/// grounder, so per-fact and per-instance costs both show. Returns the
+/// median pair ratio (see [`paired_scaling`]).
+fn first_order_scaling_entries(entries: &mut Vec<Entry>) -> f64 {
+    let config = GroundConfig {
+        mode: GroundMode::Relevant,
+        ..GroundConfig::default()
     };
-    let shapes: Vec<(usize, usize)> = programs
-        .iter()
-        .map(|(_, program)| {
-            let (_, (graph, _)) = build(program);
-            (graph.atom_count(), graph.rule_count())
+    let program = generators::win_move_program();
+    let texts: Vec<String> = [FIRST_ORDER_SCALING_POCKETS, 2 * FIRST_ORDER_SCALING_POCKETS]
+        .into_iter()
+        .map(|pockets| generators::braided_tie_chain_db(GROUND_SCALING_CHAINS, pockets).to_string())
+        .collect();
+    paired_scaling(
+        entries,
+        "ground_first_order_scaling",
+        FIRST_ORDER_SCALING_POCKETS,
+        |size| {
+            let t = Instant::now();
+            let database = datalog_ast::parse_database(&texts[size]).expect("parses");
+            let (graph, _) = SessionGrounder::build(&program, &database, &config).expect("grounds");
+            (
+                t.elapsed().as_secs_f64() * 1e3,
+                graph.atom_count(),
+                graph.rule_count(),
+            )
+        },
+    )
+}
+
+/// Times `sample(0)` (size `n`) and `sample(1)` (size 2n) after one
+/// untimed warm-up each, in `GROUND_SCALING_PAIRS` back-to-back pairs;
+/// a sample returns its wall time in ms and the graph's atom and rule
+/// counts. Records each size's median under `bench` and returns the
+/// median of the per-pair ratios time(2n)/time(n) for a scaling gate:
+/// both halves of a pair see the same host speed, which on a shared
+/// machine drifts over seconds, and the median discards pairs a noise
+/// burst split.
+fn paired_scaling(
+    entries: &mut Vec<Entry>,
+    bench: &'static str,
+    n: usize,
+    sample: impl Fn(usize) -> (f64, usize, usize),
+) -> f64 {
+    let shapes: Vec<(usize, usize)> = (0..2)
+        .map(|size| {
+            let (_, atoms, rules) = sample(size);
+            (atoms, rules)
         })
         .collect();
     let mut times = [Vec::new(), Vec::new()];
     let mut ratios = Vec::new();
     for _ in 0..GROUND_SCALING_PAIRS {
-        let pair: Vec<f64> = programs.iter().map(|(_, p)| build(p).0).collect();
+        let pair = [sample(0).0, sample(1).0];
         ratios.push(pair[1] / pair[0].max(f64::MIN_POSITIVE));
         times[0].push(pair[0]);
         times[1].push(pair[1]);
     }
-    for (((pockets, _), (atoms, rules)), mut t) in programs.iter().zip(shapes).zip(times) {
+    for ((size, (atoms, rules)), mut t) in [n, 2 * n].into_iter().zip(shapes).zip(times) {
         entries.push(Entry {
-            bench: "ground_braid_scaling",
-            n: *pockets,
+            bench,
+            n: size,
             mode: "median".to_owned(),
             wall_ms: median(&mut t),
             atoms,
@@ -878,7 +938,7 @@ fn gates(
     sizes: &[usize],
     forest_chains: usize,
     scripts: usize,
-    ground_scaling_ratio: f64,
+    ground_scaling_ratios: [f64; 2],
     write_scaling_ratio: f64,
     baseline: &[BaselineEntry],
 ) -> Vec<Gate> {
@@ -1046,22 +1106,29 @@ fn gates(
         detail,
     });
 
-    // Relevant grounding must scale linearly: doubling the braid may at
-    // most multiply the build time by 2.5. Single-threaded.
-    let n = GROUND_SCALING_POCKETS;
-    let small = wall_of(entries, "ground_braid_scaling", n, "median");
-    let large = wall_of(entries, "ground_braid_scaling", 2 * n, "median");
-    gates.push(Gate {
-        name: format!("ground_braid_scaling_p{n}"),
-        pass: ground_scaling_ratio <= GROUND_SCALING_MAX_RATIO,
-        skipped: false,
-        detail: format!(
-            "time(2n)/time(n) = {ground_scaling_ratio:.2} (median of {GROUND_SCALING_PAIRS} \
-             back-to-back pairs; medians p{} {large:.3}ms, p{n} {small:.3}ms), required <= \
-             {GROUND_SCALING_MAX_RATIO}",
-            2 * n
-        ),
-    });
+    // Relevant grounding must scale linearly: doubling the instance may
+    // at most multiply the build time by 2.5, propositional (the braid)
+    // and first-order (win–move, parsing included) alike.
+    // Single-threaded.
+    let scaling = [
+        ("ground_braid_scaling", GROUND_SCALING_POCKETS),
+        ("ground_first_order_scaling", FIRST_ORDER_SCALING_POCKETS),
+    ];
+    for ((bench, n), ratio) in scaling.into_iter().zip(ground_scaling_ratios) {
+        let small = wall_of(entries, bench, n, "median");
+        let large = wall_of(entries, bench, 2 * n, "median");
+        gates.push(Gate {
+            name: format!("{bench}_p{n}"),
+            pass: ratio <= GROUND_SCALING_MAX_RATIO,
+            skipped: false,
+            detail: format!(
+                "time(2n)/time(n) = {ratio:.2} (median of {GROUND_SCALING_PAIRS} back-to-back \
+                 pairs; medians p{} {large:.3}ms, p{n} {small:.3}ms), required <= \
+                 {GROUND_SCALING_MAX_RATIO}",
+                2 * n
+            ),
+        });
+    }
 
     // A write whose cone is fixed must cost the same however large the
     // instance: doubling the braid may multiply a write plus its read
@@ -1285,7 +1352,10 @@ fn main() {
     tie_chain_entries(&mut entries, &tie_sizes);
     unfounded_chain_entries(&mut entries, &tie_sizes);
     grounding_entries(&mut entries, 256);
-    let ground_scaling_ratio = ground_scaling_entries(&mut entries);
+    let ground_scaling_ratios = [
+        ground_scaling_entries(&mut entries),
+        first_order_scaling_entries(&mut entries),
+    ];
     runtime_forest_entries(&mut entries, forest_chains, 8);
     braided_chain_entries(&mut entries, BRAID_CHAINS, BRAID_POCKETS, BRAID_LOOP);
     trace_overhead_entries(&mut entries, BRAID_CHAINS, BRAID_POCKETS, BRAID_LOOP);
@@ -1300,7 +1370,7 @@ fn main() {
         &tie_sizes,
         forest_chains,
         cow_scripts,
-        ground_scaling_ratio,
+        ground_scaling_ratios,
         write_scaling_ratio,
         &baseline,
     );

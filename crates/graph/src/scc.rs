@@ -22,7 +22,19 @@ impl Sccs {
     /// `b` (a ≠ b), then `b`'s index is smaller than `a`'s. In particular,
     /// component 0 has no outgoing inter-component edges.
     pub fn compute(graph: &SignedDigraph) -> Self {
-        let n = graph.node_count();
+        Sccs::of_adjacency(graph.node_count(), |v| graph.out_edges(v), |&(w, _)| w)
+    }
+
+    /// [`Sccs::compute`] over a graph in the caller's own adjacency
+    /// layout: `n` nodes, `out_edges(v)` the out-edges of node `v`, and
+    /// `target` the node an edge points to. Components come out exactly
+    /// as [`Sccs::compute`] numbers them for the same edges in the same
+    /// order.
+    pub fn of_adjacency<'g, E: 'g>(
+        n: usize,
+        out_edges: impl Fn(NodeId) -> &'g [E],
+        target: impl Fn(&E) -> NodeId,
+    ) -> Self {
         const UNVISITED: u32 = u32::MAX;
 
         let mut index: Vec<u32> = vec![UNVISITED; n];
@@ -48,9 +60,9 @@ impl Sccs {
             on_stack[root as usize] = true;
 
             while let Some(&mut (v, ref mut edge_pos)) = frames.last_mut() {
-                let out = graph.out_edges(v);
+                let out = out_edges(v);
                 if *edge_pos < out.len() {
-                    let (w, _) = out[*edge_pos];
+                    let w = target(&out[*edge_pos]);
                     *edge_pos += 1;
                     if index[w as usize] == UNVISITED {
                         index[w as usize] = next_index;

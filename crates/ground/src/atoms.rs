@@ -70,8 +70,42 @@ enum Layout {
     Sparse {
         atoms: Vec<GroundAtom>,
         index: FxHashMap<GroundAtom, u32>,
-        by_pred: FxHashMap<PredSym, Vec<u32>>,
+        by_pred: PredChains,
     },
+}
+
+/// End of a [`PredChains`] chain.
+const NO_NEXT: u32 = u32::MAX;
+
+/// The atom ids of each predicate of a sparse table, chained in
+/// ascending order through one link per atom: a predicate costs one map
+/// entry, so a propositional atom costs no list of its own.
+#[derive(Clone, Debug, Default)]
+struct PredChains {
+    /// Per predicate: its first and last atom id.
+    ends: FxHashMap<PredSym, (u32, u32)>,
+    /// Per atom id: the next id of the same predicate, or [`NO_NEXT`].
+    next: Vec<u32>,
+}
+
+impl PredChains {
+    /// Appends atom `id`, which must be the next id, to `pred`'s chain.
+    fn push(&mut self, pred: PredSym, id: u32) {
+        debug_assert_eq!(id as usize, self.next.len(), "ids append in order");
+        self.next.push(NO_NEXT);
+        let (_, last) = self.ends.entry(pred).or_insert((id, id));
+        if *last != id {
+            self.next[*last as usize] = id;
+            *last = id;
+        }
+    }
+
+    fn iter(&self, pred: PredSym) -> PredIds<'_> {
+        PredIds::Chain {
+            next: &self.next,
+            at: self.ends.get(&pred).map_or(NO_NEXT, |&(first, _)| first),
+        }
+    }
 }
 
 /// The universe of ground atoms for one (program, database) pair, dense
@@ -274,9 +308,7 @@ impl AtomTable {
                 let (offset, size) = block.map_or((0, 0), |b| (b.offset, b.size));
                 PredIds::Range(offset..offset + size)
             }
-            Layout::Sparse { by_pred, .. } => {
-                PredIds::List(by_pred.get(&pred).map_or(&[][..], |v| v.as_slice()).iter())
-            }
+            Layout::Sparse { by_pred, .. } => by_pred.iter(pred),
         }
     }
 
@@ -327,7 +359,7 @@ impl AtomTable {
         let id = u32::try_from(next).expect("budget clamped to u32 range");
         atoms.push(atom.clone());
         index.insert(atom.clone(), id);
-        by_pred.entry(atom.pred).or_default().push(id);
+        by_pred.push(atom.pred, id);
         self.total += 1;
         Ok(AtomId(id))
     }
@@ -352,8 +384,13 @@ fn block_of(blocks: &[PredBlock], id: AtomId) -> &PredBlock {
 pub enum PredIds<'a> {
     /// A dense block's contiguous id range.
     Range(std::ops::Range<u32>),
-    /// A sparse table's per-predicate id list.
-    List(std::slice::Iter<'a, u32>),
+    /// A sparse table's per-predicate chain: the links and the next id.
+    Chain {
+        /// Per atom id: the next id of the same predicate.
+        next: &'a [u32],
+        /// The next id to yield, or `u32::MAX` at the end.
+        at: u32,
+    },
 }
 
 impl Iterator for PredIds<'_> {
@@ -362,14 +399,14 @@ impl Iterator for PredIds<'_> {
     fn next(&mut self) -> Option<AtomId> {
         match self {
             PredIds::Range(r) => r.next().map(AtomId),
-            PredIds::List(it) => it.next().map(|&i| AtomId(i)),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            PredIds::Range(r) => r.size_hint(),
-            PredIds::List(it) => it.size_hint(),
+            PredIds::Chain { next, at } => {
+                let id = *at;
+                if id == NO_NEXT {
+                    return None;
+                }
+                *at = next[id as usize];
+                Some(AtomId(id))
+            }
         }
     }
 }
@@ -381,7 +418,7 @@ pub struct AtomInterner {
     universe: Vec<ConstSym>,
     atoms: Vec<GroundAtom>,
     index: FxHashMap<GroundAtom, u32>,
-    by_pred: FxHashMap<PredSym, Vec<u32>>,
+    by_pred: PredChains,
     /// Clamped to [`MAX_ATOM_SPACE`].
     max_atoms: u64,
 }
@@ -394,7 +431,7 @@ impl AtomInterner {
             universe,
             atoms: Vec::new(),
             index: FxHashMap::default(),
-            by_pred: FxHashMap::default(),
+            by_pred: PredChains::default(),
             max_atoms: max_atoms.min(MAX_ATOM_SPACE),
         }
     }
@@ -428,7 +465,7 @@ impl AtomInterner {
         let id = u32::try_from(next).expect("budget clamped to u32 range");
         self.atoms.push(atom.clone());
         self.index.insert(atom.clone(), id);
-        self.by_pred.entry(atom.pred).or_default().push(id);
+        self.by_pred.push(atom.pred, id);
         Ok(AtomId(id))
     }
 

@@ -54,9 +54,10 @@
 use datalog_ast::{
     ConstSym, Database, FxHashMap, FxHashSet, GroundAtom, PredSym, Program, Rule, Sign,
 };
-use signed_graph::{EdgeSign, Sccs, SignedDigraph};
+use signed_graph::Sccs;
 
 use crate::atoms::AtomSpaceOverflow;
+use crate::csr::CsrArena;
 use crate::graph::{GroundGraph, GroundRule};
 use crate::grounder::{ground, GroundConfig, GroundError, GroundMode};
 use crate::relevant::{self, support_counted_gfp, SupportBudget};
@@ -93,9 +94,9 @@ pub struct SessionGrounder {
     ignored_facts: u64,
     /// Program predicates in [`Program::predicates`] order.
     pred_index: FxHashMap<PredSym, u32>,
-    /// Positive dependency successors: `pos_succ[p]` lists head
+    /// Positive dependency successors: slot `p` lists head
     /// predicates of rules with a positive body literal of predicate `p`.
-    pos_succ: Vec<Vec<u32>>,
+    pos_succ: CsrArena<u32>,
     /// Predicate lies on a positive dependency cycle (gfp-sensitive).
     on_pos_cycle: Vec<bool>,
 }
@@ -154,25 +155,27 @@ impl SessionGrounder {
             .enumerate()
             .map(|(i, &p)| (p, i as u32))
             .collect();
-        let mut pos_succ: Vec<Vec<u32>> = vec![Vec::new(); preds.len()];
-        let mut digraph = SignedDigraph::new(preds.len());
-        let mut self_loop = vec![false; preds.len()];
-        for rule in program.rules() {
-            let head = pred_index[&rule.head.pred];
-            for lit in &rule.body {
-                if lit.sign == Sign::Pos {
-                    let body = pred_index[&lit.atom.pred];
-                    pos_succ[body as usize].push(head);
-                    digraph.add_edge(body, head, EdgeSign::Pos);
-                    if body == head {
-                        self_loop[body as usize] = true;
-                    }
-                }
-            }
+        let pos_edges = || {
+            let pred_index = &pred_index;
+            program.rules().iter().flat_map(move |rule| {
+                let head = pred_index[&rule.head.pred];
+                rule.body
+                    .iter()
+                    .filter(|lit| lit.sign == Sign::Pos)
+                    .map(move |lit| (pred_index[&lit.atom.pred], head))
+            })
+        };
+        let mut counts = vec![0u32; preds.len()];
+        for (body, _) in pos_edges() {
+            counts[body as usize] += 1;
         }
-        let sccs = Sccs::compute(&digraph);
-        let on_pos_cycle: Vec<bool> = (0..preds.len())
-            .map(|i| self_loop[i] || sccs.members(sccs.component_of(i as u32)).len() > 1)
+        let (mut pos_succ, mut cursors) = CsrArena::from_counts(&counts, 0);
+        for (body, head) in pos_edges() {
+            pos_succ.place(&mut cursors, body, head);
+        }
+        let sccs = Sccs::of_adjacency(preds.len(), |p| pos_succ.get(p), |&q| q);
+        let on_pos_cycle: Vec<bool> = (0..preds.len() as u32)
+            .map(|p| pos_succ.get(p).contains(&p) || sccs.members(sccs.component_of(p)).len() > 1)
             .collect();
 
         let ignored_facts = relevant::ignored_fact_count(program, database);
@@ -361,7 +364,7 @@ impl SessionGrounder {
     /// (inclusive): the only predicates whose supportable relations can
     /// grow.
     fn affected_preds(&self, seeds: &[GroundAtom]) -> Vec<u32> {
-        let mut in_set = vec![false; self.pos_succ.len()];
+        let mut in_set = vec![false; self.pos_succ.slot_count()];
         let mut stack: Vec<u32> = Vec::new();
         for fact in seeds {
             let p = self.pred_index[&fact.pred];
@@ -373,7 +376,7 @@ impl SessionGrounder {
         let mut affected = Vec::new();
         while let Some(p) = stack.pop() {
             affected.push(p);
-            for &q in &self.pos_succ[p as usize] {
+            for &q in self.pos_succ.get(p) {
                 if !in_set[q as usize] {
                     in_set[q as usize] = true;
                     stack.push(q);

@@ -20,6 +20,7 @@
 use datalog_ast::{ConstSym, GroundAtom, Program, Sign};
 
 use crate::atoms::{AtomId, AtomSpaceOverflow, AtomTable};
+use crate::csr::CsrArena;
 
 /// Identifier of a rule node.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -80,27 +81,42 @@ pub struct GraphFootprint {
 
 /// The ground graph: atoms (via the table) plus rule nodes and their
 /// incidence lists.
+///
+/// The incidence lists are CSR arenas indexed by atom: a build sizes
+/// them exactly (a few allocations for the whole graph, not two per
+/// atom), and delta grounding appends to them in place or at the slab
+/// tail ([`GroundGraph::push_rule`]). Either way each list holds its
+/// rule nodes in ascending id order.
 #[derive(Clone, Debug)]
 pub struct GroundGraph {
     atoms: AtomTable,
     rules: Vec<GroundRule>,
     /// For each atom: the rule nodes in whose body it occurs, with sign.
-    atom_uses: Vec<Vec<(RuleId, Sign)>>,
+    atom_uses: CsrArena<(RuleId, Sign)>,
     /// For each atom: the rule nodes whose head it is.
-    atom_heads: Vec<Vec<RuleId>>,
+    atom_heads: CsrArena<RuleId>,
 }
 
 impl GroundGraph {
     /// Assembles a ground graph from its parts. `rules` must reference
     /// only atoms of `atoms`. (Normally called via [`crate::ground`].)
     pub fn from_parts(atoms: AtomTable, rules: Vec<GroundRule>) -> Self {
-        let mut atom_uses: Vec<Vec<(RuleId, Sign)>> = vec![Vec::new(); atoms.len()];
-        let mut atom_heads: Vec<Vec<RuleId>> = vec![Vec::new(); atoms.len()];
+        let mut use_counts = vec![0u32; atoms.len()];
+        let mut head_counts = vec![0u32; atoms.len()];
+        for rule in &rules {
+            head_counts[rule.head.index()] += 1;
+            for &(a, _) in &rule.body {
+                use_counts[a.index()] += 1;
+            }
+        }
+        let (mut atom_uses, mut use_cursors) =
+            CsrArena::from_counts(&use_counts, (RuleId(0), Sign::Pos));
+        let (mut atom_heads, mut head_cursors) = CsrArena::from_counts(&head_counts, RuleId(0));
         for (i, rule) in rules.iter().enumerate() {
             let id = RuleId(i as u32);
-            atom_heads[rule.head.index()].push(id);
+            atom_heads.place(&mut head_cursors, rule.head.0, id);
             for &(a, s) in &rule.body {
-                atom_uses[a.index()].push((id, s));
+                atom_uses.place(&mut use_cursors, a.0, (id, s));
             }
         }
         GroundGraph {
@@ -138,12 +154,12 @@ impl GroundGraph {
 
     /// The body occurrences of `atom` across all rule nodes.
     pub fn uses_of(&self, atom: AtomId) -> &[(RuleId, Sign)] {
-        &self.atom_uses[atom.index()]
+        self.atom_uses.get(atom.0)
     }
 
     /// The rule nodes whose head is `atom`.
     pub fn heads_of(&self, atom: AtomId) -> &[RuleId] {
-        &self.atom_heads[atom.index()]
+        self.atom_heads.get(atom.0)
     }
 
     /// Total number of edges (head edges + body edges).
@@ -163,10 +179,11 @@ impl GroundGraph {
         let rules = self.rule_count();
         let edges = self.edge_count();
         let subst_consts: usize = self.rules.iter().map(|r| r.subst.len()).sum();
-        // Per atom: decode entry + index slot + two adjacency spines.
-        // Per rule: the GroundRule header + two boxed-slice headers.
-        // Per edge: a body slot plus its incidence-list mirror.
-        let approx_bytes = atoms * 64 + rules * 72 + edges * 16 + subst_consts * 4;
+        // Per atom: decode entry + index slot + per-predicate link + two
+        // incidence spans (12 bytes each).
+        // Per rule: the GroundRule header (with two boxed-slice headers).
+        // Per edge: a body slot plus its incidence-arena mirror.
+        let approx_bytes = atoms * 88 + rules * 48 + edges * 16 + subst_consts * 4;
         GraphFootprint {
             atoms,
             rules,
@@ -192,10 +209,8 @@ impl GroundGraph {
         max_atoms: u64,
     ) -> Result<AtomId, AtomSpaceOverflow> {
         let id = self.atoms.intern(atom, max_atoms)?;
-        while self.atom_uses.len() < self.atoms.len() {
-            self.atom_uses.push(Vec::new());
-            self.atom_heads.push(Vec::new());
-        }
+        self.atom_uses.ensure_slot(id.0);
+        self.atom_heads.ensure_slot(id.0);
         Ok(id)
     }
 
@@ -203,10 +218,12 @@ impl GroundGraph {
     /// its atoms must already be in the table.
     pub fn push_rule(&mut self, rule: GroundRule) -> RuleId {
         let id = RuleId(u32::try_from(self.rules.len()).expect("rule ids fit u32 within budget"));
-        self.atom_heads[rule.head.index()].push(id);
+        self.atom_heads.push(rule.head.0, id);
         for &(a, s) in &rule.body {
-            self.atom_uses[a.index()].push((id, s));
+            self.atom_uses.push(a.0, (id, s));
         }
+        self.atom_heads.compact();
+        self.atom_uses.compact();
         self.rules.push(rule);
         id
     }

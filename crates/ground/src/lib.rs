@@ -39,6 +39,7 @@
 
 pub mod atoms;
 pub mod close;
+mod csr;
 pub mod delta;
 pub mod graph;
 pub mod grounder;

@@ -22,7 +22,8 @@
 //! though no least-model computation ever derives `p`.
 //!
 //! The computation is three passes over [`RuleEvaluator`]s, each rule
-//! joined once per pass:
+//! joined once per pass (a variable-free rule needs no join plan: its
+//! one instance is a membership test per positive literal):
 //!
 //! 1. **Candidates** — each rule joined on its positive *EDB* literals
 //!    only ([`RuleEvaluator::edb_skeleton`]), other variables ranging
@@ -166,13 +167,14 @@ pub(crate) fn support_counted_gfp(
     let mut ids: FxHashMap<GroundAtom, u32> = FxHashMap::default();
     let mut retirable_preds: FxHashSet<PredSym> = FxHashSet::default();
     for rule in rules {
-        let ev = RuleEvaluator::edb_skeleton(rule, program);
         let supported_for_good = rule
             .body
             .iter()
             .all(|l| l.sign == Sign::Neg || !program.is_idb(l.atom.pred));
-        ev.for_each_substitution::<GroundError>(edb, universe, &mut |assignment| {
-            let head = ev.ground_atom(&rule.head, assignment);
+        let joined = |a: &Atom| !program.is_idb(a.pred);
+        let plan = || RuleEvaluator::edb_skeleton(rule, program);
+        for_each_instance(rule, plan, joined, edb, universe, |ground, _| {
+            let head = ground(&rule.head);
             if candidates.contains(&head) {
                 return Ok(());
             }
@@ -211,23 +213,20 @@ pub(crate) fn support_counted_gfp(
         if !retirable_preds.contains(&rule.head.pred) {
             continue;
         }
-        let retirable_body: Vec<&Atom> = rule
-            .body
-            .iter()
-            .filter(|l| l.sign == Sign::Pos && retirable_preds.contains(&l.atom.pred))
-            .map(|l| &l.atom)
-            .collect();
-        let ev = RuleEvaluator::envelope(rule);
-        ev.for_each_substitution::<GroundError>(&candidates, universe, &mut |assignment| {
-            let Some(&head) = ids.get(&ev.ground_atom(&rule.head, assignment)) else {
+        let plan = || RuleEvaluator::envelope(rule);
+        for_each_instance(rule, plan, all, &candidates, universe, |ground, _| {
+            let Some(&head) = ids.get(&ground(&rule.head)) else {
                 return Ok(()); // a fixed head never retires
             };
             if anchored[head as usize] {
                 return Ok(());
             }
             let start = inst_body.len();
-            for atom in &retirable_body {
-                if let Some(&id) = ids.get(&ev.ground_atom(atom, assignment)) {
+            for lit in &rule.body {
+                if lit.sign == Sign::Neg || !retirable_preds.contains(&lit.atom.pred) {
+                    continue;
+                }
+                if let Some(&id) = ids.get(&ground(&lit.atom)) {
                     if !inst_body[start..].contains(&id) {
                         inst_body.push(id);
                     }
@@ -298,6 +297,49 @@ pub(crate) fn support_counted_gfp(
     Ok(candidates)
 }
 
+/// Runs `visit` once per instance of `rule` whose positive literals
+/// selected by `joined` are facts of `db`, handing it a grounding
+/// function and the substitution. A rule with variables is joined by
+/// the evaluator `plan` builds, which must join exactly those literals.
+/// A variable-free rule needs no join plan: its one instance exists iff
+/// each selected literal is a fact of `db`.
+fn for_each_instance<'r>(
+    rule: &'r Rule,
+    plan: impl FnOnce() -> RuleEvaluator<'r>,
+    joined: impl Fn(&Atom) -> bool,
+    db: &Database,
+    universe: &[ConstSym],
+    mut visit: impl FnMut(&dyn Fn(&Atom) -> GroundAtom, &[ConstSym]) -> Result<(), GroundError>,
+) -> Result<(), GroundError> {
+    if rule.is_ground() {
+        let holds = rule
+            .body
+            .iter()
+            .filter(|l| l.sign == Sign::Pos && joined(&l.atom))
+            .all(|l| db.contains(&ground_of(&l.atom)));
+        return if holds {
+            visit(&ground_of, &[])
+        } else {
+            Ok(())
+        };
+    }
+    let ev = plan();
+    ev.for_each_substitution(db, universe, &mut |assignment| {
+        visit(&|atom| ev.ground_atom(atom, assignment), assignment)
+    })
+}
+
+/// [`for_each_instance`]'s `joined` for evaluators that join every
+/// positive literal.
+fn all(_: &Atom) -> bool {
+    true
+}
+
+/// A variable-free atom as a [`GroundAtom`].
+fn ground_of(atom: &Atom) -> GroundAtom {
+    atom.to_ground().expect("atom of a variable-free rule")
+}
+
 /// Pass 3: emit every instance whose positive body lies in S.
 pub(crate) fn emit_instances(
     program: &Program,
@@ -327,16 +369,14 @@ pub(crate) fn emit_instances(
     let mut emitted: u64 = 0;
 
     for (rule_index, rule) in program.rules().iter().enumerate() {
-        let ev = RuleEvaluator::new(rule);
-        ev.for_each_substitution::<GroundError>(supportable, universe, &mut |assignment| {
+        let plan = || RuleEvaluator::new(rule);
+        for_each_instance(rule, plan, all, supportable, universe, |ground, subst| {
             if config.prune_decided {
                 // Positive literals are satisfied in S by
                 // construction (EDB positives ∈ Δ); only a negative
                 // literal on a Δ fact can be M₀-false here.
                 for lit in &rule.body {
-                    if lit.sign == Sign::Neg
-                        && database.contains(&ev.ground_atom(&lit.atom, assignment))
-                    {
+                    if lit.sign == Sign::Neg && database.contains(&ground(&lit.atom)) {
                         return Ok(());
                     }
                 }
@@ -359,17 +399,16 @@ pub(crate) fn emit_instances(
                         budget: config.max_atoms,
                     })
             };
-            let head = intern(&ev.ground_atom(&rule.head, assignment))?;
-            let body = rule
-                .body
-                .iter()
-                .map(|lit| Ok((intern(&ev.ground_atom(&lit.atom, assignment))?, lit.sign)))
-                .collect::<Result<Box<[(AtomId, Sign)]>, GroundError>>()?;
+            let head = intern(&ground(&rule.head))?;
+            let mut body = Vec::with_capacity(rule.body.len());
+            for lit in &rule.body {
+                body.push((intern(&ground(&lit.atom))?, lit.sign));
+            }
             rules_out.push(GroundRule {
                 head,
-                body,
+                body: body.into_boxed_slice(),
                 rule_index: rule_index as u32,
-                subst: assignment.into(),
+                subst: subst.into(),
             });
             Ok(())
         })?;

@@ -41,141 +41,15 @@
 use std::sync::OnceLock;
 
 use datalog_ast::Sign;
-use signed_graph::{EdgeSign, NodeId, Sccs, SignedDigraph};
+use signed_graph::{EdgeSign, NodeId, SignedDigraph};
 
 use crate::atoms::AtomId;
 use crate::close::{Closer, NodeKind};
+use crate::csr::CsrArena;
 use crate::graph::{Cone, GroundGraph, RuleId};
 
 /// Sentinel component id for nodes not alive when the engine was built.
 const NO_COMP: u32 = u32::MAX;
-
-/// A compressed-sparse-row arena: per-slot `(start, len)` spans into one
-/// contiguous data slab. The per-component member tables use this instead
-/// of `Vec<Vec<_>>` so that (a) iterating a component touches one cache
-/// line run instead of chasing a pointer per component, and (b) cloning
-/// the engine for a worker fork is three flat `memcpy`s rather than one
-/// allocation per component.
-///
-/// [`UnfoundedEngine::patch_cone`] keeps arenas valid across incremental
-/// patches: retiring a component empties its span (the slab range becomes
-/// garbage), re-condensed components append at the slab tail, and the slab
-/// is compacted once per patch when garbage dominates — so a session
-/// flapping facts forever holds the slab at O(live members).
-#[derive(Clone)]
-struct CsrArena<T> {
-    /// Per slot: `(start, len)` into `data`. Cleared slots are `(0, 0)`.
-    spans: Vec<(u32, u32)>,
-    data: Vec<T>,
-    /// Total length of all live spans (slab minus garbage).
-    live: u32,
-}
-
-impl<T: Copy> CsrArena<T> {
-    /// A counting-sort shell: spans sized from `counts`, slab filled with
-    /// `fill`. Returns the arena and the per-slot write cursors for
-    /// [`CsrArena::place`].
-    fn from_counts(counts: &[u32], fill: T) -> (Self, Vec<u32>) {
-        let mut spans = Vec::with_capacity(counts.len());
-        let mut start = 0u32;
-        for &c in counts {
-            spans.push((start, c));
-            start += c;
-        }
-        let cursors: Vec<u32> = spans.iter().map(|&(s, _)| s).collect();
-        let arena = CsrArena {
-            spans,
-            data: vec![fill; start as usize],
-            live: start,
-        };
-        (arena, cursors)
-    }
-
-    /// Placement write during a counting-sort build: `item` goes to slot
-    /// `c`'s next cursor position.
-    fn place(&mut self, cursors: &mut [u32], c: u32, item: T) {
-        let at = cursors[c as usize];
-        self.data[at as usize] = item;
-        cursors[c as usize] = at + 1;
-    }
-
-    /// The members of slot `c`.
-    fn get(&self, c: u32) -> &[T] {
-        let (start, len) = self.spans[c as usize];
-        &self.data[start as usize..(start + len) as usize]
-    }
-
-    /// Number of slots (live and cleared alike).
-    fn slot_count(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Grows the span table to cover slot `c`; new slots are empty.
-    fn ensure_slot(&mut self, c: u32) {
-        if c as usize >= self.spans.len() {
-            self.spans.resize(c as usize + 1, (0, 0));
-        }
-    }
-
-    /// Empties slot `c`; its old slab range becomes garbage until the
-    /// next [`CsrArena::compact`].
-    fn clear(&mut self, c: u32) {
-        let (_, len) = self.spans[c as usize];
-        self.live -= len;
-        self.spans[c as usize] = (0, 0);
-    }
-
-    /// Appends one fresh span per slot of `slots` (each empty or
-    /// cleared) to the slab tail and counting-sorts `members()` into
-    /// them: a pair `(i, item)` puts `item` in `slots[i]`, in sequence
-    /// order. `members` is called for sizing and again for placement,
-    /// and must yield the same sequence both times; `cursors` is
-    /// reusable scratch.
-    fn append_sorted<I>(&mut self, slots: &[u32], members: impl Fn() -> I, cursors: &mut Vec<u32>)
-    where
-        I: Iterator<Item = (u32, T)>,
-    {
-        cursors.clear();
-        cursors.resize(slots.len(), 0);
-        for (i, _) in members() {
-            cursors[i as usize] += 1;
-        }
-        let mut start = self.data.len() as u32;
-        for (&c, cursor) in slots.iter().zip(cursors.iter_mut()) {
-            let len = *cursor;
-            self.clear(c);
-            self.spans[c as usize] = (start, len);
-            self.live += len;
-            *cursor = start;
-            start += len;
-        }
-        let Some((_, fill)) = members().next() else {
-            return;
-        };
-        self.data.resize(start as usize, fill);
-        for (i, item) in members() {
-            self.place(cursors, i, item);
-        }
-    }
-
-    /// Rewrites the slab to live spans only, once garbage dominates (the
-    /// `2 × live + 64` bound keeps compaction amortized O(1) per patched
-    /// member while still capping the slab at O(live)). Slot contents are
-    /// untouched; only their slab positions move.
-    fn compact(&mut self) {
-        if self.data.len() as u32 <= self.live.saturating_mul(2) + 64 {
-            return;
-        }
-        let mut data = Vec::with_capacity(self.live as usize);
-        for span in &mut self.spans {
-            let (start, len) = *span;
-            let new_start = data.len() as u32;
-            data.extend_from_slice(&self.data[start as usize..(start + len) as usize]);
-            *span = (new_start, len);
-        }
-        self.data = data;
-    }
-}
 
 /// The SCC condensation of a residual graph, with component-scoped
 /// unfounded-set and tie-structure queries.
@@ -405,37 +279,73 @@ impl UnfoundedEngine {
         let mut span = tiebreak_trace::span("condense", "condense", &[]);
         tiebreak_trace::metrics().condense_runs.inc();
         let graph = closer.graph();
-        let rem = closer.remaining_digraph();
-        let sccs = Sccs::compute(&rem.digraph);
-        let n_comps = sccs.len();
+        let mut engine = UnfoundedEngine {
+            atom_comp: vec![NO_COMP; graph.atom_count()],
+            rule_comp: vec![NO_COMP; graph.rule_count()],
+            comp_atoms: CsrArena::default(),
+            comp_rules: CsrArena::default(),
+            comp_head_rules: CsrArena::default(),
+            order: Vec::new(),
+            order_pos: Vec::new(),
+            groups: OnceLock::new(),
+            comp_depth: Vec::new(),
+            free_comps: Vec::new(),
+            pending: vec![0; graph.rule_count()],
+            removed: vec![false; graph.atom_count()],
+            queue: Vec::new(),
+            node_of_atom: vec![NO_NODE; graph.atom_count()],
+            tarjan: ConeTarjan {
+                atom_index: vec![NO_NODE; graph.atom_count()],
+                rule_index: vec![NO_NODE; graph.rule_count()],
+                ..ConeTarjan::default()
+            },
+        };
+        // The whole graph is one cone: the patch's Tarjan over the ground
+        // graph's own adjacency, roots in ascending atom then rule ids,
+        // numbers components exactly as `Sccs::compute` over
+        // `Closer::remaining_digraph` would (emission order, sinks
+        // first) without materialising that digraph. Its scratch is
+        // dropped again: an engine that is never patched holds none.
+        let everything = Cone {
+            atoms: graph.atoms().ids().collect(),
+            rules: (0..graph.rule_count() as u32).map(RuleId).collect(),
+            atom_in: vec![true; graph.atom_count()],
+            rule_in: vec![true; graph.rule_count()],
+        };
+        let n_comps = engine.condense_cone(closer, &everything);
+        drop(everything);
+        engine.tarjan = ConeTarjan::default();
+        let UnfoundedEngine {
+            atom_comp,
+            rule_comp,
+            ..
+        } = &engine;
 
-        let mut atom_comp = vec![NO_COMP; graph.atom_count()];
-        let mut rule_comp = vec![NO_COMP; graph.rule_count()];
         // Counting-sort the members into CSR arenas: one sizing pass, one
-        // placement pass, preserving the node order of `remaining_digraph`
-        // (atoms ascending, then rules ascending) within each component.
+        // placement pass, atoms ascending and rules ascending within each
+        // component.
         let mut atom_counts = vec![0u32; n_comps];
         let mut rule_counts = vec![0u32; n_comps];
-        for (node, &kind) in rem.kinds.iter().enumerate() {
-            let c = sccs.component_of(node as NodeId) as usize;
-            match kind {
-                NodeKind::Atom(_) => atom_counts[c] += 1,
-                NodeKind::Rule(_) => rule_counts[c] += 1,
+        for &c in atom_comp {
+            if c != NO_COMP {
+                atom_counts[c as usize] += 1;
+            }
+        }
+        for &c in rule_comp {
+            if c != NO_COMP {
+                rule_counts[c as usize] += 1;
             }
         }
         let (mut comp_atoms, mut atom_cursors) = CsrArena::from_counts(&atom_counts, AtomId(0));
         let (mut comp_rules, mut rule_cursors) = CsrArena::from_counts(&rule_counts, RuleId(0));
-        for (node, &kind) in rem.kinds.iter().enumerate() {
-            let c = sccs.component_of(node as NodeId);
-            match kind {
-                NodeKind::Atom(a) => {
-                    atom_comp[a.index()] = c;
-                    comp_atoms.place(&mut atom_cursors, c, a);
-                }
-                NodeKind::Rule(r) => {
-                    rule_comp[r.index()] = c;
-                    comp_rules.place(&mut rule_cursors, c, r);
-                }
+        for (i, &c) in atom_comp.iter().enumerate() {
+            if c != NO_COMP {
+                comp_atoms.place(&mut atom_cursors, c, AtomId(i as u32));
+            }
+        }
+        for (i, &c) in rule_comp.iter().enumerate() {
+            if c != NO_COMP {
+                comp_rules.place(&mut rule_cursors, c, RuleId(i as u32));
             }
         }
 
@@ -461,28 +371,17 @@ impl UnfoundedEngine {
             }
         }
 
-        let order: Vec<u32> = sccs.topological_order().collect();
+        // Tarjan emits sinks first: the processing order is the reverse.
+        let order: Vec<u32> = (0..n_comps as u32).rev().collect();
         let mut order_pos = vec![NO_POS; n_comps];
         for (i, &c) in order.iter().enumerate() {
             order_pos[c as usize] = i as u32;
         }
-        let mut engine = UnfoundedEngine {
-            atom_comp,
-            rule_comp,
-            comp_atoms,
-            comp_rules,
-            comp_head_rules,
-            order,
-            order_pos,
-            groups: OnceLock::new(),
-            comp_depth: Vec::new(),
-            free_comps: Vec::new(),
-            pending: vec![0; graph.rule_count()],
-            removed: vec![false; graph.atom_count()],
-            queue: Vec::new(),
-            node_of_atom: vec![NO_NODE; graph.atom_count()],
-            tarjan: ConeTarjan::default(),
-        };
+        engine.comp_atoms = comp_atoms;
+        engine.comp_rules = comp_rules;
+        engine.comp_head_rules = comp_head_rules;
+        engine.order = order;
+        engine.order_pos = order_pos;
         // A fresh condensation comes with its grouping, so shape
         // statistics ([`UnfoundedEngine::widest_wave`]) read it directly.
         engine.groups(graph);
@@ -1098,6 +997,7 @@ mod tests {
     use crate::model::PartialModel;
     use crate::model::TruthValue;
     use datalog_ast::{parse_database, parse_program, GroundAtom};
+    use signed_graph::Sccs;
 
     fn closed(
         program_src: &str,
@@ -1129,6 +1029,54 @@ mod tests {
         g.atoms()
             .id_of(&GroundAtom::from_texts(name, &[]))
             .expect("atom exists")
+    }
+
+    /// A build numbers components, orders them and lists their members
+    /// exactly as `Sccs::compute` over the materialised remaining
+    /// digraph does.
+    #[test]
+    fn build_matches_the_digraph_condensation() {
+        let cases = [
+            (
+                "p :- p, not q.\nq :- q, not p.\nr :- p.\ns :- r, s.\nt :- not s.",
+                "",
+            ),
+            (
+                "win(X) :- move(X, Y), not win(Y).",
+                "move(a, b).\nmove(b, a).\nmove(b, c).\nmove(c, d).\nmove(d, c).",
+            ),
+            (
+                "a :- b, c.\nb :- a.\nc :- c, not a.\nd :- a, b.\nd :- d.\ne :- not d.",
+                "",
+            ),
+        ];
+        for (src, db) in cases {
+            let (g, p, d) = closed(src, db);
+            let (closer, _) = run_close(&g, &p, &d);
+            let engine = UnfoundedEngine::build(&closer);
+            let rem = closer.remaining_digraph();
+            let sccs = Sccs::compute(&rem.digraph);
+            assert_eq!(engine.order(), sccs.topological_order().collect::<Vec<_>>());
+            for (node, &kind) in rem.kinds.iter().enumerate() {
+                let c = sccs.component_of(node as NodeId);
+                match kind {
+                    NodeKind::Atom(a) => assert_eq!(engine.atom_comp[a.index()], c, "{src}"),
+                    NodeKind::Rule(r) => assert_eq!(engine.rule_comp[r.index()], c, "{src}"),
+                }
+            }
+            for c in 0..sccs.len() as u32 {
+                let members = sccs.members(c);
+                let mut atoms: Vec<AtomId> =
+                    members.iter().filter_map(|&n| rem.as_atom(n)).collect();
+                atoms.sort_unstable();
+                assert_eq!(engine.comp_atoms.get(c), atoms.as_slice(), "{src}");
+                assert_eq!(
+                    engine.comp_rules.get(c).len() + atoms.len(),
+                    members.len(),
+                    "{src}"
+                );
+            }
+        }
     }
 
     /// The union of local unfounded sets over the topological order, with

@@ -189,6 +189,24 @@ fn server_request_spans_parent_the_pipeline_and_metrics_render() {
         has_ancestor(evaluate, script_request.id),
         "evaluation descends from the script request"
     );
+    // Parsing shows where its time goes, as grounding does: lexing,
+    // clause parsing with interning, and the program build.
+    let parse = span("parse_program");
+    assert!(
+        has_ancestor(parse, registry_open.id),
+        "parsing descends from the registry open"
+    );
+    for name in ["lex", "clauses", "build"] {
+        let child = trace
+            .events
+            .iter()
+            .find(|e| e.kind == TraceEventKind::Span && e.cat == "parse" && e.name == name)
+            .unwrap_or_else(|| panic!("no parse/{name} span in the server trace"));
+        assert_eq!(
+            child.parent, parse.id,
+            "parse/{name} is a child of parse_program"
+        );
+    }
 }
 
 /// A traced `hot_reads` session (win–move over an 8 × 512 braided tie
