@@ -24,7 +24,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use datalog_ground::GroundMode;
 use paper_constructions::generators;
 use tiebreak_core::semantics::outcomes::all_outcomes_with;
-use tiebreak_core::{Engine, EngineConfig, EvalMode, EvalOptions, RootTruePolicy, RuntimeConfig};
+use tiebreak_core::{Engine, EngineConfig, EvalOptions, RootTruePolicy, RuntimeConfig};
 use tiebreak_runtime::{uniform, Solver};
 
 fn solver(program: &str, db: datalog_ast::Database, threads: usize) -> Solver {
@@ -110,15 +110,8 @@ fn bench_outcomes_cow(c: &mut Criterion) {
 
     group.bench_function("reclose_per_script", |b| {
         b.iter(|| {
-            let set = all_outcomes_with(
-                &graph,
-                &program,
-                &db,
-                false,
-                256,
-                &EvalOptions::with_mode(EvalMode::Stratified),
-            )
-            .expect("enumerates");
+            let set = all_outcomes_with(&graph, &program, &db, false, 256, &EvalOptions::default())
+                .expect("enumerates");
             assert_eq!(set.runs, 64);
             std::hint::black_box(set.models.len())
         });

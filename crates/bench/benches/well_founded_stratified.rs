@@ -2,8 +2,8 @@
 //!
 //! Two alternation-heavy workloads where the global interpreters pay
 //! Θ(n²) (every tie break / unfounded round re-scans or re-clones the
-//! whole remaining graph) while [`EvalMode::Stratified`] walks the
-//! condensation once:
+//! whole remaining graph) while the condensation-driven `*_with`
+//! interpreters walk the condensation once:
 //!
 //! * the **win–move tie chain** — `n` draw pockets `a_i ↔ b_i` linked by
 //!   `a_i → a_{i+1}`: one tie component per pocket, resolvable only
@@ -21,12 +21,14 @@ use datalog_ast::Database;
 use datalog_ground::{ground, GroundConfig, GroundMode};
 use paper_constructions::generators;
 use tiebreak_core::semantics::well_founded::{well_founded, well_founded_with};
-use tiebreak_core::semantics::{well_founded_tie_breaking_with, RootTruePolicy};
-use tiebreak_core::{EvalMode, EvalOptions};
+use tiebreak_core::semantics::{
+    well_founded_tie_breaking, well_founded_tie_breaking_with, RootTruePolicy,
+};
+use tiebreak_core::EvalOptions;
 
-fn options(mode: EvalMode) -> EvalOptions {
-    EvalOptions::with_mode(mode)
-}
+/// The two interpreters compared: the paper-literal global loop and the
+/// condensation-driven one.
+const MODES: [&str; 2] = ["global", "stratified"];
 
 fn bench_tie_chain(c: &mut Criterion) {
     let program = generators::win_move_program();
@@ -44,18 +46,22 @@ fn bench_tie_chain(c: &mut Criterion) {
         )
         .expect("grounds");
         group.throughput(Throughput::Elements(n as u64));
-        for mode in [EvalMode::Global, EvalMode::Stratified] {
-            let id = BenchmarkId::new(format!("{mode:?}").to_lowercase(), n);
+        for mode in MODES {
+            let id = BenchmarkId::new(mode, n);
             group.bench_with_input(id, &n, |b, _| {
                 b.iter(|| {
                     let mut policy = RootTruePolicy;
-                    let run = well_founded_tie_breaking_with(
-                        &graph,
-                        &program,
-                        &db,
-                        &mut policy,
-                        &options(mode),
-                    )
+                    let run = if mode == "global" {
+                        well_founded_tie_breaking(&graph, &program, &db, &mut policy)
+                    } else {
+                        well_founded_tie_breaking_with(
+                            &graph,
+                            &program,
+                            &db,
+                            &mut policy,
+                            &EvalOptions::default(),
+                        )
+                    }
                     .expect("runs");
                     assert!(run.total, "every pocket is decided");
                     std::hint::black_box(run.stats.ties_broken)
@@ -74,15 +80,14 @@ fn bench_unfounded_chain(c: &mut Criterion) {
         let db = Database::new();
         let graph = ground(&program, &db, &GroundConfig::default()).expect("grounds");
         group.throughput(Throughput::Elements(n as u64));
-        for mode in [EvalMode::Global, EvalMode::Stratified] {
-            let id = BenchmarkId::new(format!("{mode:?}").to_lowercase(), n);
+        for mode in MODES {
+            let id = BenchmarkId::new(mode, n);
             group.bench_with_input(id, &n, |b, _| {
                 b.iter(|| {
-                    let run = match mode {
-                        EvalMode::Global => well_founded(&graph, &program, &db),
-                        EvalMode::Stratified => {
-                            well_founded_with(&graph, &program, &db, &options(mode))
-                        }
+                    let run = if mode == "global" {
+                        well_founded(&graph, &program, &db)
+                    } else {
+                        well_founded_with(&graph, &program, &db, &EvalOptions::default())
                     }
                     .expect("runs");
                     assert!(run.total);

@@ -5,8 +5,9 @@
 //! summary (instance sizes, mode, wall time, close/unfounded/tie round
 //! counts), and fails (exit code 1) when a perf gate regresses:
 //!
-//! * `Stratified` must not be slower than `Global` on the win–move tie
-//!   chain at n ≥ 1024 (and ≥ 5× faster at n = 4096);
+//! * the condensation-driven interpreter (`stratified`) must not be
+//!   slower than the paper-literal global loop (`global`) on the
+//!   win–move tie chain at n ≥ 1024 (and ≥ 5× faster at n = 4096);
 //! * the session runtime's copy-on-write `all_outcomes` must be ≥ 5×
 //!   faster than the core per-script re-close enumerator at 64 scripts;
 //! * incremental mutation (delta grounding + cone re-close +
@@ -71,9 +72,11 @@ use datalog_ast::{Database, Program};
 use datalog_ground::{ground, GroundConfig, GroundMode, SessionGrounder};
 use paper_constructions::generators;
 use tiebreak_core::semantics::outcomes::all_outcomes_with;
-use tiebreak_core::semantics::well_founded::well_founded_with;
-use tiebreak_core::semantics::{well_founded_tie_breaking_with, RootTruePolicy};
-use tiebreak_core::{EngineConfig, EvalMode, EvalOptions, RunStats, RuntimeConfig};
+use tiebreak_core::semantics::well_founded::{well_founded, well_founded_with};
+use tiebreak_core::semantics::{
+    well_founded_tie_breaking, well_founded_tie_breaking_with, RootTruePolicy,
+};
+use tiebreak_core::{EngineConfig, EvalOptions, RunStats, RuntimeConfig};
 use tiebreak_runtime::{uniform, ReadBatch, Solver};
 
 /// Timed runs per configuration; the minimum is reported.
@@ -166,10 +169,6 @@ fn best_of<R>(mut f: impl FnMut() -> R) -> (f64, R) {
     (best, last.expect("RUNS > 0"))
 }
 
-fn mode_name(mode: EvalMode) -> String {
-    format!("{mode:?}").to_lowercase()
-}
-
 /// The win–move chain of draw pockets, evaluated with WF tie-breaking in
 /// both modes (relevant grounding keeps the graph linear in n).
 fn tie_chain_entries(entries: &mut Vec<Entry>, sizes: &[usize]) {
@@ -185,20 +184,30 @@ fn tie_chain_entries(entries: &mut Vec<Entry>, sizes: &[usize]) {
             },
         )
         .expect("grounds");
-        for mode in [EvalMode::Global, EvalMode::Stratified] {
-            let options = EvalOptions::with_mode(mode);
+        // `global` is the paper-literal loop, `stratified` the
+        // condensation-driven interpreter.
+        for mode in ["global", "stratified"] {
             let (wall_ms, stats) = best_of(|| {
                 let mut policy = RootTruePolicy;
-                let run =
-                    well_founded_tie_breaking_with(&graph, &program, &db, &mut policy, &options)
-                        .expect("runs");
+                let run = if mode == "global" {
+                    well_founded_tie_breaking(&graph, &program, &db, &mut policy)
+                } else {
+                    well_founded_tie_breaking_with(
+                        &graph,
+                        &program,
+                        &db,
+                        &mut policy,
+                        &EvalOptions::default(),
+                    )
+                }
+                .expect("runs");
                 assert!(run.total, "every pocket is decided");
                 run.stats
             });
             entries.push(Entry {
                 bench: "win_move_tie_chain",
                 n,
-                mode: mode_name(mode),
+                mode: mode.to_owned(),
                 wall_ms,
                 atoms: graph.atom_count(),
                 rules: graph.rule_count(),
@@ -214,17 +223,21 @@ fn unfounded_chain_entries(entries: &mut Vec<Entry>, sizes: &[usize]) {
         let program = generators::unfounded_chain_program(n);
         let db = Database::new();
         let graph = ground(&program, &db, &GroundConfig::default()).expect("grounds");
-        for mode in [EvalMode::Global, EvalMode::Stratified] {
-            let options = EvalOptions::with_mode(mode);
+        for mode in ["global", "stratified"] {
             let (wall_ms, stats) = best_of(|| {
-                let run = well_founded_with(&graph, &program, &db, &options).expect("runs");
+                let run = if mode == "global" {
+                    well_founded(&graph, &program, &db)
+                } else {
+                    well_founded_with(&graph, &program, &db, &EvalOptions::default())
+                }
+                .expect("runs");
                 assert!(run.total);
                 run.stats
             });
             entries.push(Entry {
                 bench: "unfounded_chain",
                 n,
-                mode: mode_name(mode),
+                mode: mode.to_owned(),
                 wall_ms,
                 atoms: graph.atom_count(),
                 rules: graph.rule_count(),
@@ -639,7 +652,7 @@ fn outcomes_cow_entries(entries: &mut Vec<Entry>, decided: usize, pockets: usize
             &db,
             false,
             scripts * 4,
-            &EvalOptions::with_mode(EvalMode::Stratified),
+            &EvalOptions::default(),
         )
         .expect("enumerates");
         set.runs

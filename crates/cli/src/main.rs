@@ -8,7 +8,7 @@
 //! datalog models   <program.dl> [database.dl] [--stable] [--limit N]
 //! datalog ground   <program.dl> [database.dl]
 //! datalog explain  <program.dl> [database.dl] --atom "win(a)" [--semantics wf|tb]
-//!                  [--threads N]
+//!                  [--policy root-true|root-false|random] [--seed N] [--threads N]
 //! datalog outcomes <program.dl> [database.dl] [--semantics tb|pure-tb] [--limit N]
 //!                  [--threads N]
 //! datalog totality <program.dl> [--nonuniform]          (propositional only)
@@ -74,35 +74,32 @@
 //! grounding; `full` builds the paper-literal *G(Π, Δ)* — same
 //! post-`close` semantics, `relevant` is far smaller on large databases.
 //!
-//! Every command that evaluates accepts `--eval-mode global|stratified`:
-//! `stratified` (the production default) drives the interpreters over the
-//! SCC condensation of the residual graph; `global` is the paper-literal
-//! loop — same models and outcome sets.
+//! `run` (`wf|tb|pure-tb`), `explain` and `outcomes` evaluate on one
+//! `tiebreak-runtime` session solver, the same evaluator `session` and
+//! `serve` use: it grounds, closes and condenses once, evaluates
+//! independent condensation branches on worker threads, and forks each
+//! `outcomes` tie script copy-on-write off the shared post-close state.
+//! `--threads N` (N ≥ 1; `0` and non-numeric values are rejected with a
+//! diagnostic) pins the worker count; without it the count resolves
+//! through `TIEBREAK_THREADS` (which warns and falls back when unusable),
+//! then the machine's parallelism. The worker count never changes the
+//! output: `--policy random` seeds one stream per branch from `--seed`,
+//! so every policy prints the same bytes at every thread count.
+//! `run --semantics stratified` is the semi-naive engine and takes no
+//! `--threads`.
 //!
-//! `run`, `outcomes`, and `explain` accept `--threads N` (N ≥ 1; `0`
-//! and non-numeric values are rejected with a diagnostic — omit the
-//! flag for automatic selection via `TIEBREAK_THREADS`, which itself
-//! warns and falls back when unusable): the query then goes through the
-//! `tiebreak-runtime` session solver, which grounds, closes, and
-//! condenses once and evaluates independent condensation branches on
-//! `N` worker threads. With the deterministic
-//! policies (`root-true`, `root-false`) output is bit-identical to the
-//! sequential path and across thread counts; `--policy random` stays
-//! reproducible per `--seed` and per thread count (choice streams are
-//! keyed by branch), but draws different choices than the sequential
-//! single-RNG run. For `outcomes` the session also forks each tie
-//! script copy-on-write off the shared post-close state instead of
-//! re-closing per script.
+//! Each command accepts only the `--semantics` values it can run (`run`:
+//! `wf|tb|pure-tb|stratified`; `explain`: `wf|tb`; `outcomes`,
+//! `session`, `serve`: `tb|pure-tb`) and rejects any other value.
 //!
 //! Programs use `head(X) :- body(X), not other(X).` syntax; database files
 //! contain ground facts only.
 
 use std::process::ExitCode;
 
-use tiebreak_core::engine::EvalOutcome;
-use tiebreak_core::semantics::{RandomPolicy, RootFalsePolicy, RootTruePolicy, TiePolicy};
-use tiebreak_core::{Engine, EngineConfig, EvalMode, GroundMode, RuntimeConfig};
-use tiebreak_runtime::{uniform, PolicyFactory, Solver};
+use tiebreak_core::semantics::{RandomPolicy, TiePolicy};
+use tiebreak_core::{Engine, EngineConfig, GroundMode, RuntimeConfig};
+use tiebreak_runtime::{PolicyFactory, Solver};
 use tiebreak_server::{Client, LineOutcome, RegistryConfig, ScriptSession, Server, ServerConfig};
 
 fn main() -> ExitCode {
@@ -117,7 +114,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage:\n  datalog analyze <program.dl>\n  datalog check <program.dl> [db.dl] [--format text|json]\n  datalog run <program.dl> [db.dl] [--semantics wf|tb|pure-tb|stratified] [--policy root-true|root-false|random] [--seed N] [--threads N]\n  datalog models <program.dl> [db.dl] [--stable] [--limit N]\n  datalog ground <program.dl> [db.dl]\n  datalog explain <program.dl> [db.dl] --atom \"win(a)\" [--semantics wf|tb] [--threads N]\n  datalog outcomes <program.dl> [db.dl] [--semantics tb|pure-tb] [--limit N] [--threads N]\n  datalog totality <program.dl> [--nonuniform]\n  datalog session <program.dl> [db.dl] [--script FILE] [--semantics tb|pure-tb] [--threads N]\n  datalog serve [--addr HOST:PORT] [--semantics tb|pure-tb] [--threads N] [--max-sessions N] [--max-resident-atoms N] [--strict] [--reactor | --legacy-threads] [--max-idle-secs N]\n  datalog client <program.dl> [db.dl] --addr HOST:PORT [--script FILE] [--concurrency N] [--repeat K]\n  datalog client --addr HOST:PORT --stats | --metrics | --shutdown\n\nGrounding commands also accept --ground-mode full|relevant (default: relevant).\nrun/outcomes/session/serve accept --trace-out FILE (chrome://tracing JSON) and\n--trace summary (aggregate span table on stderr); either enables the recorder.\nEvaluating commands also accept --eval-mode global|stratified (default: stratified).\n--threads N (N >= 1) routes run/outcomes/explain through the parallel session\nruntime; omit the flag for automatic selection via TIEBREAK_THREADS or the\nmachine's parallelism.\nsession scripts: '+fact.' insert, '-fact.' retract, '? wf', '?fact.',\n'? outcomes [N]', '? stats', '#' comments; reads stdin without --script.\nserve listens for client connections and keeps prepared sessions resident\nbehind an LRU; client opens (or reuses) a server-side session and streams a\nscript against it.\ncheck exits non-zero exactly when an error-severity lint fires; serve --strict\nruns the same analysis on every open and rejects error lints before preparing."
+    "usage:\n  datalog analyze <program.dl>\n  datalog check <program.dl> [db.dl] [--format text|json]\n  datalog run <program.dl> [db.dl] [--semantics wf|tb|pure-tb|stratified] [--policy root-true|root-false|random] [--seed N] [--threads N]\n  datalog models <program.dl> [db.dl] [--stable] [--limit N]\n  datalog ground <program.dl> [db.dl]\n  datalog explain <program.dl> [db.dl] --atom \"win(a)\" [--semantics wf|tb] [--policy root-true|root-false|random] [--seed N] [--threads N]\n  datalog outcomes <program.dl> [db.dl] [--semantics tb|pure-tb] [--limit N] [--threads N]\n  datalog totality <program.dl> [--nonuniform]\n  datalog session <program.dl> [db.dl] [--script FILE] [--semantics tb|pure-tb] [--threads N]\n  datalog serve [--addr HOST:PORT] [--semantics tb|pure-tb] [--threads N] [--max-sessions N] [--max-resident-atoms N] [--strict] [--reactor | --legacy-threads] [--max-idle-secs N]\n  datalog client <program.dl> [db.dl] --addr HOST:PORT [--script FILE] [--concurrency N] [--repeat K]\n  datalog client --addr HOST:PORT --stats | --metrics | --shutdown\n\nGrounding commands also accept --ground-mode full|relevant (default: relevant).\nrun/outcomes/session/serve accept --trace-out FILE (chrome://tracing JSON) and\n--trace summary (aggregate span table on stderr); either enables the recorder.\nrun/explain/outcomes/session/serve evaluate on the parallel session runtime;\n--threads N (N >= 1) pins its worker count, otherwise TIEBREAK_THREADS or the\nmachine's parallelism decides. The worker count never changes the output.\nsession scripts: '+fact.' insert, '-fact.' retract, '? wf', '?fact.',\n'? outcomes [N]', '? stats', '#' comments; reads stdin without --script.\nserve listens for client connections and keeps prepared sessions resident\nbehind an LRU; client opens (or reuses) a server-side session and streams a\nscript against it.\ncheck exits non-zero exactly when an error-severity lint fires; serve --strict\nruns the same analysis on every open and rejects error lints before preparing."
         .to_owned()
 }
 
@@ -132,7 +129,6 @@ struct Options {
     atom: Option<String>,
     nonuniform: bool,
     ground_mode: GroundMode,
-    eval_mode: EvalMode,
     threads: Option<usize>,
     script: Option<String>,
     addr: Option<String>,
@@ -163,7 +159,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         atom: None,
         nonuniform: false,
         ground_mode: GroundMode::Relevant,
-        eval_mode: EvalMode::Stratified,
         threads: None,
         script: None,
         addr: None,
@@ -215,13 +210,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     "full" => GroundMode::Full,
                     "relevant" => GroundMode::Relevant,
                     other => return Err(format!("unknown ground mode {other} (full|relevant)")),
-                };
-            }
-            "--eval-mode" => {
-                opts.eval_mode = match it.next().ok_or("--eval-mode needs a value")?.as_str() {
-                    "global" => EvalMode::Global,
-                    "stratified" => EvalMode::Stratified,
-                    other => return Err(format!("unknown eval mode {other} (global|stratified)")),
                 };
             }
             "--threads" => {
@@ -322,7 +310,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
 fn engine_config(opts: &Options) -> EngineConfig {
     EngineConfig::default()
         .with_ground_mode(opts.ground_mode)
-        .with_eval_mode(opts.eval_mode)
         .with_runtime(RuntimeConfig::with_threads(opts.threads.unwrap_or(0)))
 }
 
@@ -347,52 +334,91 @@ fn load_engine(opts: &Options) -> Result<Engine, String> {
         .map_err(|e| e.to_string())
 }
 
-/// Builds the session solver for the `--threads` paths (parsing the
-/// sources directly — no intermediate `Engine` to clone out of).
+/// Builds the session solver every evaluating command runs on (parsing
+/// the sources directly — no intermediate `Engine` to clone out of), and
+/// reports an unusable `TIEBREAK_THREADS` on stderr.
 fn load_solver(opts: &Options) -> Result<Solver, String> {
     let (program_src, db_src) = load_sources(opts)?;
     let program = datalog_ast::parse_program(&program_src).map_err(|e| e.to_string())?;
     let database = datalog_ast::parse_database(&db_src).map_err(|e| e.to_string())?;
-    Solver::with_config(program, database, engine_config(opts)).map_err(|e| e.to_string())
+    let solver =
+        Solver::with_config(program, database, engine_config(opts)).map_err(|e| e.to_string())?;
+    if let Some(diag) = solver.thread_diagnostic() {
+        eprintln!("{diag}");
+    }
+    Ok(solver)
 }
 
-/// `--policy random` for the session path: one independently seeded
-/// stream per branch. Deterministic for a given `--seed` and across
-/// thread counts (the stream is keyed by the schedule-independent
-/// branch id) — but *not* the same choice sequence as the sequential
-/// path, which threads a single RNG through the whole run.
-struct BranchSeededRandom(u64);
+/// The tie-breaking flavours `outcomes`, `session` and `serve` run.
+const TIE_BREAKING: &[&str] = &["tb", "pure-tb"];
 
-impl PolicyFactory for BranchSeededRandom {
-    type Policy = RandomPolicy;
-
-    fn policy_for(&self, branch: u32) -> RandomPolicy {
-        // Mix the branch id in with the golden-ratio multiplier so
-        // adjacent branches get unrelated streams.
-        RandomPolicy::seeded(self.0 ^ u64::from(branch).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+/// Returns `--semantics` (default `tb`) if `command` can run it, and
+/// otherwise an error naming the values it accepts.
+fn semantics<'a>(opts: &'a Options, command: &str, accepted: &[&str]) -> Result<&'a str, String> {
+    if accepted.contains(&opts.semantics.as_str()) {
+        Ok(&opts.semantics)
+    } else {
+        Err(format!(
+            "unknown semantics {} for {command} ({})",
+            opts.semantics,
+            accepted.join("|")
+        ))
     }
 }
 
-/// Runs a tie-breaking flavour on the session solver with the chosen
-/// policy lifted per branch.
-fn solver_tie_breaking(solver: &Solver, pure: bool, opts: &Options) -> Result<EvalOutcome, String> {
-    fn go<F: PolicyFactory>(
-        solver: &Solver,
-        pure: bool,
-        factory: &F,
-    ) -> Result<EvalOutcome, String> {
-        if pure {
-            solver.pure_tie_breaking(factory)
-        } else {
-            solver.well_founded_tie_breaking(factory)
+/// `--policy` with its `--seed`, lifted to one policy per condensation
+/// branch. `random` seeds an independent stream per branch, keyed by the
+/// schedule-independent branch id, so the choices depend on the seed
+/// and never on the worker count.
+#[derive(Clone, Copy, Debug)]
+enum PolicyChoice {
+    /// `root-true` / `root-false`.
+    RootSide(bool),
+    /// `random` with its seed.
+    Random(u64),
+}
+
+impl PolicyChoice {
+    fn from_options(opts: &Options) -> Result<Self, String> {
+        match opts.policy.as_str() {
+            "root-true" => Ok(PolicyChoice::RootSide(true)),
+            "root-false" => Ok(PolicyChoice::RootSide(false)),
+            "random" => Ok(PolicyChoice::Random(opts.seed)),
+            other => Err(format!(
+                "unknown policy {other} (root-true|root-false|random)"
+            )),
         }
-        .map_err(|e| e.to_string())
     }
-    match opts.policy.as_str() {
-        "root-true" => go(solver, pure, &uniform(RootTruePolicy)),
-        "root-false" => go(solver, pure, &uniform(RootFalsePolicy)),
-        "random" => go(solver, pure, &BranchSeededRandom(opts.seed)),
-        other => Err(format!("unknown policy {other}")),
+}
+
+impl PolicyFactory for PolicyChoice {
+    type Policy = BranchPolicy;
+
+    fn policy_for(&self, branch: u32) -> BranchPolicy {
+        match *self {
+            PolicyChoice::RootSide(root_true) => BranchPolicy::RootSide(root_true),
+            // Mix the branch id in with the golden-ratio multiplier so
+            // adjacent branches get unrelated streams.
+            PolicyChoice::Random(seed) => BranchPolicy::Random(RandomPolicy::seeded(
+                seed ^ u64::from(branch).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            )),
+        }
+    }
+}
+
+/// One branch's tie policy under a [`PolicyChoice`].
+enum BranchPolicy {
+    /// Always makes the root side `true` (or always `false`).
+    RootSide(bool),
+    Random(RandomPolicy),
+}
+
+impl TiePolicy for BranchPolicy {
+    fn choose_root_side_true(&mut self, view: &tiebreak_core::TieView<'_>) -> bool {
+        match self {
+            BranchPolicy::RootSide(root_true) => *root_true,
+            BranchPolicy::Random(policy) => policy.choose_root_side_true(view),
+        }
     }
 }
 
@@ -472,57 +498,30 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
             Ok(())
         }
         "run" => {
-            let outcome = match opts.semantics.as_str() {
-                "wf" => {
-                    if opts.threads.is_some() {
-                        load_solver(opts)?
-                            .well_founded()
-                            .map_err(|e| e.to_string())?
-                    } else {
-                        load_engine(opts)?
-                            .well_founded()
-                            .map_err(|e| e.to_string())?
-                    }
+            let semantics = semantics(opts, "run", &["wf", "tb", "pure-tb", "stratified"])?;
+            let policy = PolicyChoice::from_options(opts)?;
+            if semantics == "stratified" {
+                if opts.threads.is_some() {
+                    return Err(
+                        "--threads applies to wf|tb|pure-tb (--semantics stratified is the \
+                         sequential semi-naive engine)"
+                            .to_owned(),
+                    );
                 }
-                "tb" | "pure-tb" => {
-                    let pure = opts.semantics == "pure-tb";
-                    if opts.threads.is_some() {
-                        let solver = load_solver(opts)?;
-                        solver_tie_breaking(&solver, pure, opts)?
-                    } else {
-                        let engine = load_engine(opts)?;
-                        let mut policy: Box<dyn TiePolicy> = match opts.policy.as_str() {
-                            "root-true" => Box::new(RootTruePolicy),
-                            "root-false" => Box::new(RootFalsePolicy),
-                            "random" => Box::new(RandomPolicy::seeded(opts.seed)),
-                            other => return Err(format!("unknown policy {other}")),
-                        };
-                        let mut adapter = PolicyBox(&mut *policy);
-                        let result = if pure {
-                            engine.pure_tie_breaking(&mut adapter)
-                        } else {
-                            engine.well_founded_tie_breaking(&mut adapter)
-                        };
-                        result.map_err(|e| e.to_string())?
-                    }
+                let engine = load_engine(opts)?;
+                let run = engine.stratified().map_err(|e| e.to_string())?;
+                for fact in run.true_atoms() {
+                    println!("{fact}.");
                 }
-                "stratified" => {
-                    if opts.threads.is_some() {
-                        return Err(
-                            "--threads applies to wf|tb|pure-tb (--semantics stratified is the \
-                             sequential semi-naive engine)"
-                                .to_owned(),
-                        );
-                    }
-                    let engine = load_engine(opts)?;
-                    let run = engine.stratified().map_err(|e| e.to_string())?;
-                    for fact in run.true_atoms() {
-                        println!("{fact}.");
-                    }
-                    return Ok(());
-                }
-                other => return Err(format!("unknown semantics {other}")),
-            };
+                return Ok(());
+            }
+            let solver = load_solver(opts)?;
+            let outcome = match semantics {
+                "wf" => solver.well_founded(),
+                "pure-tb" => solver.pure_tie_breaking(&policy),
+                _ => solver.well_founded_tie_breaking(&policy),
+            }
+            .map_err(|e| e.to_string())?;
             for fact in &outcome.true_facts {
                 println!("{fact}.");
             }
@@ -586,6 +585,8 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
             Ok(())
         }
         "explain" => {
+            let semantics = semantics(opts, "explain", &["wf", "tb"])?;
+            let policy = PolicyChoice::from_options(opts)?;
             let atom_src = opts
                 .atom
                 .clone()
@@ -597,81 +598,32 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
                 .first()
                 .and_then(|r| r.head.to_ground())
                 .ok_or("--atom must be a single ground atom")?;
-
-            if opts.threads.is_some() {
-                // Session path: the solver's prepared graph carries the
-                // atom space the parallel run's model is indexed by.
-                let solver = load_solver(opts)?;
-                let run = match opts.semantics.as_str() {
-                    "wf" => solver.well_founded_run().map_err(|e| e.to_string())?,
-                    "tb" => solver
-                        .well_founded_tie_breaking_run(&uniform(RootTruePolicy))
-                        .map_err(|e| e.to_string())?,
-                    other => return Err(format!("explain supports wf|tb, not {other}")),
-                };
-                print_explanation(
-                    solver.graph(),
-                    solver.program(),
-                    solver.database(),
-                    &run.model,
-                    &ground_atom,
-                )
+            // The solver's prepared graph carries the atom space its
+            // model is indexed by; `tb` justifies the model `run` prints
+            // under the same `--policy` and `--seed`.
+            let solver = load_solver(opts)?;
+            let run = if semantics == "tb" {
+                solver.well_founded_tie_breaking_run(&policy)
             } else {
-                let engine = load_engine(opts)?;
-                let graph = engine.ground().map_err(|e| e.to_string())?;
-                let program = engine.program();
-                let database = engine.database();
-                let eval = tiebreak_core::EvalOptions::with_mode(opts.eval_mode);
-                let model = match opts.semantics.as_str() {
-                    "wf" => {
-                        tiebreak_core::semantics::well_founded_with(
-                            &graph, program, database, &eval,
-                        )
-                        .map_err(|e| e.to_string())?
-                        .model
-                    }
-                    "tb" => {
-                        let mut policy = RootTruePolicy;
-                        tiebreak_core::semantics::well_founded_tie_breaking_with(
-                            &graph,
-                            program,
-                            database,
-                            &mut policy,
-                            &eval,
-                        )
-                        .map_err(|e| e.to_string())?
-                        .model
-                    }
-                    other => return Err(format!("explain supports wf|tb, not {other}")),
-                };
-                print_explanation(&graph, program, database, &model, &ground_atom)
+                solver.well_founded_run()
             }
+            .map_err(|e| e.to_string())?;
+            print_explanation(
+                solver.graph(),
+                solver.program(),
+                solver.database(),
+                &run.model,
+                &ground_atom,
+            )
         }
         "outcomes" => {
+            let pure = semantics(opts, "outcomes", TIE_BREAKING)? == "pure-tb";
             let max_runs = if opts.limit == 0 { 256 } else { opts.limit };
-            let pure = opts.semantics == "pure-tb";
-            if opts.threads.is_some() {
-                // Session path: one ground + close, copy-on-write forks
-                // per tie script.
-                let solver = load_solver(opts)?;
-                let set = solver
-                    .all_outcomes(pure, max_runs)
-                    .map_err(|e| e.to_string())?;
-                print_outcomes(&set, solver.graph().atoms());
-            } else {
-                let engine = load_engine(opts)?;
-                let graph = engine.ground().map_err(|e| e.to_string())?;
-                let set = tiebreak_core::semantics::outcomes::all_outcomes_with(
-                    &graph,
-                    engine.program(),
-                    engine.database(),
-                    pure,
-                    max_runs,
-                    &tiebreak_core::EvalOptions::with_mode(opts.eval_mode),
-                )
+            let solver = load_solver(opts)?;
+            let set = solver
+                .all_outcomes(pure, max_runs)
                 .map_err(|e| e.to_string())?;
-                print_outcomes(&set, graph.atoms());
-            }
+            print_outcomes(&set, solver.graph().atoms());
             Ok(())
         }
         "totality" => {
@@ -699,12 +651,13 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
             Ok(())
         }
         "session" => {
+            let pure = semantics(opts, "session", TIE_BREAKING)? == "pure-tb";
             let solver = load_solver(opts)?;
             match &opts.script {
                 Some(path) => {
                     let script = std::fs::read_to_string(path)
                         .map_err(|e| format!("cannot read {path}: {e}"))?;
-                    run_session_lines(solver, script.lines().map(|l| Ok(l.to_owned())), opts)
+                    run_session_lines(solver, script.lines().map(|l| Ok(l.to_owned())), pure)
                 }
                 None => {
                     // Line-streamed so the session can be driven
@@ -719,7 +672,7 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
                             .lock()
                             .lines()
                             .map(|l| l.map_err(|e| format!("cannot read stdin: {e}"))),
-                        opts,
+                        pure,
                     )
                 }
             }
@@ -741,17 +694,11 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
 fn run_session_lines(
     solver: Solver,
     lines: impl Iterator<Item = Result<String, String>>,
-    opts: &Options,
+    pure: bool,
 ) -> Result<(), String> {
     use std::io::Write as _;
 
-    // Surface the thread-resolution diagnostic (e.g. an unusable
-    // TIEBREAK_THREADS) once per session, on stderr like every other
-    // CLI diagnostic.
-    if let Some(diag) = solver.thread_diagnostic() {
-        eprintln!("{diag}");
-    }
-    let mut session = ScriptSession::new(solver, opts.semantics == "pure-tb");
+    let mut session = ScriptSession::new(solver, pure);
     let mut stdout = std::io::stdout();
     let mut errors = 0usize;
     let mut first_error: Option<usize> = None;
@@ -791,11 +738,12 @@ fn run_session_lines(
 fn run_serve(opts: &Options) -> Result<(), String> {
     use std::io::Write as _;
 
+    let pure = semantics(opts, "serve", TIE_BREAKING)? == "pure-tb";
     let addr = opts.addr.as_deref().unwrap_or("127.0.0.1:4545");
     let mut registry = RegistryConfig {
         engine: engine_config(opts),
         strict: opts.strict,
-        pure: opts.semantics == "pure-tb",
+        pure,
         ..RegistryConfig::default()
     };
     if opts.max_sessions > 0 {
@@ -1014,15 +962,6 @@ fn print_explanation(
         tiebreak_core::analysis::explain::render(graph, program, model, id, &justification)
     );
     Ok(())
-}
-
-/// Adapter: lets a boxed policy satisfy the generic bound.
-struct PolicyBox<'a>(&'a mut dyn TiePolicy);
-
-impl TiePolicy for PolicyBox<'_> {
-    fn choose_root_side_true(&mut self, view: &tiebreak_core::TieView<'_>) -> bool {
-        self.0.choose_root_side_true(view)
-    }
 }
 
 #[cfg(test)]

@@ -79,7 +79,8 @@ fn threads_flag_routes_through_the_session_runtime() {
         "move(a, b).\nmove(b, a).\nmove(c, d).\nmove(d, c).\nmove(e, f).\nmove(f, g).",
     );
 
-    // `run --threads` must print exactly what the sequential path prints.
+    // `run` prints the same bytes with the worker count automatic,
+    // pinned to one, or pinned to four.
     let mut outputs = Vec::new();
     for extra in [&[][..], &["--threads", "1"][..], &["--threads", "4"][..]] {
         let mut args = vec![
@@ -98,7 +99,7 @@ fn threads_flag_routes_through_the_session_runtime() {
         );
         outputs.push(String::from_utf8_lossy(&out.stdout).into_owned());
     }
-    assert_eq!(outputs[0], outputs[1], "sequential vs session");
+    assert_eq!(outputs[0], outputs[1], "auto vs 1 worker");
     assert_eq!(outputs[1], outputs[2], "1 vs 4 workers");
 
     // `outcomes --threads` enumerates the same outcome count (2 pockets
@@ -686,63 +687,109 @@ fn ground_mode_flag_switches_grounders() {
     assert!(text.contains("unknown ground mode"), "{text}");
 }
 
-#[test]
-fn eval_mode_flag_switches_interpreters() {
-    let prog = write_temp("em.dl", "win(X) :- move(X, Y), not win(Y).");
-    let db = write_temp(
-        "em_db.dl",
-        "move(a, b).\nmove(b, c).\nmove(d, e).\nmove(e, d).",
-    );
+/// The `nondeterministic_choice` example's textual twin: three
+/// independent draw pockets, eight outcomes.
+fn nondeterministic_choice_dl() -> String {
+    concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/dl/nondeterministic_choice.dl"
+    )
+    .to_owned()
+}
 
-    // Both modes resolve the DAG part identically and decide the d ↔ e
-    // draw pocket by breaking a tie.
-    let mut outputs = Vec::new();
-    for mode in ["global", "stratified"] {
-        let out = datalog(&[
+#[test]
+fn thread_count_cannot_change_the_bytes() {
+    let prog = nondeterministic_choice_dl();
+    for command in [
+        &[
             "run",
-            prog.to_str().unwrap(),
-            db.to_str().unwrap(),
             "--semantics",
             "tb",
-            "--eval-mode",
-            mode,
-        ]);
+            "--policy",
+            "random",
+            "--seed",
+            "3",
+        ][..],
+        &["outcomes"][..],
+        &["outcomes", "--limit", "3"][..],
+    ] {
+        let mut outputs = Vec::new();
+        for threads in [&[][..], &["--threads", "1"][..], &["--threads", "4"][..]] {
+            let mut args = vec![command[0], prog.as_str()];
+            args.extend_from_slice(&command[1..]);
+            args.extend_from_slice(threads);
+            let out = datalog(&args);
+            assert!(
+                out.status.success(),
+                "{args:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            outputs.push(out.stdout);
+        }
+        assert!(!outputs[0].is_empty(), "{command:?}");
+        assert_eq!(outputs[0], outputs[1], "{command:?}: auto vs 1 worker");
+        assert_eq!(outputs[1], outputs[2], "{command:?}: 1 vs 4 workers");
+    }
+
+    // The evaluation-mode switch is gone: the flag is unknown.
+    let out = datalog(&["run", prog.as_str(), "--eval-mode", "global"]);
+    assert!(!out.status.success());
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(text.contains("unknown flag --eval-mode"), "{text}");
+}
+
+#[test]
+fn semantics_values_a_command_cannot_run_are_rejected() {
+    let prog = write_temp("sem.dl", "p :- not q.\nq :- not p.");
+    let prog = prog.to_str().unwrap();
+    for (args, accepted) in [
+        (
+            &["outcomes", prog, "--semantics", "bogus"][..],
+            "(tb|pure-tb)",
+        ),
+        (&["outcomes", prog, "--semantics", "wf"][..], "(tb|pure-tb)"),
+        (
+            &["session", prog, "--semantics", "pure_tb"][..],
+            "(tb|pure-tb)",
+        ),
+        (&["serve", "--semantics", "stratified"][..], "(tb|pure-tb)"),
+        (
+            &["explain", prog, "--atom", "p", "--semantics", "pure-tb"][..],
+            "(wf|tb)",
+        ),
+        (
+            &["run", prog, "--semantics", "tie-breaking"][..],
+            "(wf|tb|pure-tb|stratified)",
+        ),
+    ] {
+        let out = datalog(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert!(text.contains("unknown semantics"), "{args:?}: {text}");
+        assert!(text.contains(accepted), "{args:?}: {text}");
+    }
+}
+
+#[test]
+fn explain_justifies_the_model_run_prints_under_the_policy() {
+    let prog = write_temp("explain_policy.dl", "p :- not q.\nq :- not p.");
+    let prog = prog.to_str().unwrap();
+    for (policy, run_prints, p_value) in [
+        ("root-true", "p.", "p is true"),
+        ("root-false", "q.", "p is false"),
+    ] {
+        let out = datalog(&["run", prog, "--policy", policy]);
+        assert!(out.status.success());
+        assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), run_prints);
+        let out = datalog(&["explain", prog, "--atom", "p", "--policy", policy]);
         assert!(
             out.status.success(),
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        let text = String::from_utf8_lossy(&out.stdout).to_string();
-        assert!(text.contains("win(b)."), "{mode}: {text}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("ties broken: 1"), "{mode}: {stderr}");
-        outputs.push(text);
-    }
-
-    // The outcomes command honors the flag too: same outcome set.
-    for mode in ["global", "stratified"] {
-        let out = datalog(&[
-            "outcomes",
-            prog.to_str().unwrap(),
-            db.to_str().unwrap(),
-            "--eval-mode",
-            mode,
-        ]);
-        assert!(out.status.success());
         let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.contains("% 2 distinct outcome(s)"), "{mode}: {text}");
+        assert!(text.contains(p_value), "{policy}: {text}");
     }
-
-    let out = datalog(&[
-        "run",
-        prog.to_str().unwrap(),
-        db.to_str().unwrap(),
-        "--eval-mode",
-        "bogus",
-    ]);
-    assert!(!out.status.success());
-    let text = String::from_utf8_lossy(&out.stderr);
-    assert!(text.contains("unknown eval mode"), "{text}");
 }
 
 #[test]

@@ -36,7 +36,7 @@ use crate::semantics::tie_breaking::{
     pure_tie_breaking_with, well_founded_tie_breaking_with, TiePolicy,
 };
 use crate::semantics::well_founded::well_founded_with;
-use crate::semantics::{EvalMode, EvalOptions, InterpreterRun, RunStats, SemanticsError};
+use crate::semantics::{EvalOptions, InterpreterRun, RunStats, SemanticsError};
 
 /// Parallelism knobs for the `tiebreak-runtime` session solver.
 ///
@@ -186,22 +186,23 @@ pub struct PrepareDelta {
     pub residual_atoms: usize,
 }
 
-/// Engine-wide budgets, grounding mode, evaluation mode, and runtime
+/// Engine-wide budgets, grounding mode, evaluation options, and runtime
 /// parallelism.
 ///
-/// The default is the **production path**: `GroundMode::Relevant` +
-/// `EvalMode::Stratified` (identical semantics to the paper-literal
-/// modes — see the differential suites — but linear instead of quadratic
-/// on large instances). [`EngineConfig::paper_literal`] restores
-/// `Full`/`Global` for paper-exact experiments and the differential
-/// suites.
+/// The default is the **production path**: `GroundMode::Relevant`
+/// grounding, evaluated by the condensation-driven interpreters (the only
+/// ones the facade and the session runtime run). `GroundMode::Full` via
+/// [`EngineConfig::with_ground_mode`] restores the paper-literal dense
+/// grounding; the paper-literal global evaluation loops are the plain
+/// [`crate::semantics::well_founded()`]-style functions, which the
+/// differential suites check the production path against.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Grounding budgets and [`GroundMode`].
     pub ground: GroundConfig,
     /// Enumeration budgets.
     pub enumerate: EnumerateConfig,
-    /// Evaluation mode and stats detail for the interpreters.
+    /// Stats detail and totality certificate for the interpreters.
     pub eval: EvalOptions,
     /// Parallelism for the `tiebreak-runtime` session solver.
     pub runtime: RuntimeConfig,
@@ -224,10 +225,7 @@ impl Default for EngineConfig {
                 ..GroundConfig::default()
             },
             enumerate: EnumerateConfig::default(),
-            eval: EvalOptions {
-                mode: EvalMode::Stratified,
-                ..EvalOptions::default()
-            },
+            eval: EvalOptions::default(),
             runtime: RuntimeConfig::default(),
             session: SessionConfig::default(),
             analysis: false,
@@ -236,36 +234,12 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The paper-literal configuration: `GroundMode::Full` grounding and
-    /// `EvalMode::Global` evaluation, exactly as the 1992 listings.
-    #[must_use]
-    pub fn paper_literal() -> Self {
-        EngineConfig {
-            ground: GroundConfig::default(),
-            enumerate: EnumerateConfig::default(),
-            eval: EvalOptions::default(),
-            runtime: RuntimeConfig::default(),
-            session: SessionConfig::default(),
-            analysis: false,
-        }
-    }
-
     /// Selects the grounding mode (`Relevant` — the production default —
     /// grounds only supportable instances; `Full` is the paper-literal
     /// dense instantiation — identical post-`close` semantics).
     #[must_use]
     pub fn with_ground_mode(mut self, mode: GroundMode) -> Self {
         self.ground.mode = mode;
-        self
-    }
-
-    /// Selects the evaluation mode (`Stratified` — the production
-    /// default — drives the interpreters over the SCC condensation;
-    /// `Global` is the paper-literal loop — identical models and outcome
-    /// sets).
-    #[must_use]
-    pub fn with_eval_mode(mut self, mode: EvalMode) -> Self {
-        self.eval.mode = mode;
         self
     }
 
@@ -670,34 +644,40 @@ mod tests {
 
     #[test]
     fn stratified_eval_mode_agrees_through_the_facade() {
+        // The facade runs the condensation-driven interpreters; the
+        // paper-literal global loops over the same ground graph are the
+        // oracle.
         let sources = (
             "win(X) :- move(X, Y), not win(Y).",
             "move(a, b).\nmove(b, a).\nmove(c, a).\nmove(d, e).\nmove(e, d).",
         );
-        let global = Engine::from_sources(sources.0, sources.1)
-            .unwrap()
-            .with_config(EngineConfig::default().with_eval_mode(EvalMode::Global));
-        let strat = Engine::from_sources(sources.0, sources.1)
-            .unwrap()
-            .with_config(EngineConfig::default().with_eval_mode(EvalMode::Stratified));
+        let engine = Engine::from_sources(sources.0, sources.1).unwrap();
+        let graph = engine.ground().unwrap();
+        let (program, database) = (engine.program(), engine.database());
 
-        let a = global.well_founded().unwrap();
-        let b = strat.well_founded().unwrap();
-        assert_eq!(a.true_facts, b.true_facts);
-        assert_eq!(a.undefined, b.undefined);
-        assert_eq!(a.total, b.total);
+        let wf = engine.well_founded().unwrap();
+        let oracle = engine.decode(
+            &graph,
+            crate::semantics::well_founded(&graph, program, database).unwrap(),
+        );
+        assert_eq!(wf.true_facts, oracle.true_facts);
+        assert_eq!(wf.undefined, oracle.undefined);
+        assert_eq!(wf.total, oracle.total);
 
-        // The d ↔ e pocket is a tie both modes can break.
-        let ta = global
+        // The d ↔ e pocket is a tie both interpreters can break.
+        let tb = engine
             .well_founded_tie_breaking(&mut RootTruePolicy)
             .unwrap();
-        let tb = strat
-            .well_founded_tie_breaking(&mut RootTruePolicy)
-            .unwrap();
-        assert_eq!(ta.total, tb.total);
-        assert_eq!(ta.stats.ties_broken, tb.stats.ties_broken);
+        let oracle = crate::semantics::well_founded_tie_breaking(
+            &graph,
+            program,
+            database,
+            &mut RootTruePolicy,
+        )
+        .unwrap();
+        assert_eq!(tb.total, oracle.total);
+        assert_eq!(tb.stats.ties_broken, oracle.stats.ties_broken);
         // Detailed stats stay off by default (the tie_log bugfix).
-        assert!(ta.stats.tie_log.is_empty());
         assert!(tb.stats.tie_log.is_empty());
         let detailed = Engine::from_sources(sources.0, sources.1)
             .unwrap()
@@ -712,10 +692,14 @@ mod tests {
     fn production_defaults_are_relevant_stratified() {
         let config = EngineConfig::default();
         assert_eq!(config.ground.mode, GroundMode::Relevant);
-        assert_eq!(config.eval.mode, EvalMode::Stratified);
-        let literal = EngineConfig::paper_literal();
-        assert_eq!(literal.ground.mode, GroundMode::Full);
-        assert_eq!(literal.eval.mode, EvalMode::Global);
+        assert_eq!(config.eval, EvalOptions::default());
+        let full = EngineConfig::default().with_ground_mode(GroundMode::Full);
+        assert_eq!(full.ground.mode, GroundMode::Full);
+        // Every facade evaluation walks the condensation: the
+        // stratified interpreter reports the components it visited.
+        let engine = Engine::from_sources("p :- not q.\nq :- not p.", "").unwrap();
+        let out = engine.well_founded().unwrap();
+        assert!(out.stats.components_processed > 0);
     }
 
     #[test]

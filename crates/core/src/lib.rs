@@ -41,6 +41,6 @@ pub mod semantics;
 pub use datalog_ground::{GroundConfig, GroundMode};
 pub use engine::{Engine, EngineConfig, Mutation, PrepareDelta, RuntimeConfig, SessionConfig};
 pub use semantics::{
-    EvalMode, EvalOptions, InterpreterRun, RandomPolicy, RootFalsePolicy, RootTruePolicy, RunStats,
+    EvalOptions, InterpreterRun, RandomPolicy, RootFalsePolicy, RootTruePolicy, RunStats,
     ScriptedPolicy, SemanticsError, TiePolicy, TieView,
 };

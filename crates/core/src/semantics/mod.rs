@@ -28,26 +28,19 @@ pub use tie_breaking::{
 };
 pub use well_founded::{well_founded, well_founded_with};
 
-/// How an interpreter traverses the residual graph.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EvalMode {
-    /// The paper-literal loop: every unfounded-set and tie query scans
-    /// (and clones) the whole remaining graph.
-    #[default]
-    Global,
-    /// SCC-stratified evaluation: condense the residual graph once and
-    /// process components in topological order with component-local
-    /// unfounded sets and tie breaks. Same models and outcome sets as
-    /// [`EvalMode::Global`] (see the differential suites), but linear
-    /// instead of quadratic on alternation-heavy instances.
-    Stratified,
-}
-
-/// Per-run evaluation knobs shared by the interpreters.
+/// Per-run evaluation knobs shared by the `*_with` interpreters.
+///
+/// The `*_with` entry points ([`well_founded_with`],
+/// [`pure_tie_breaking_with`], [`well_founded_tie_breaking_with`],
+/// [`outcomes::all_outcomes_with`]) always run the condensation-driven
+/// interpreter of [`scc_stratified`]. The paper-literal global loops and
+/// the per-script enumerator over them are reached only through the
+/// plain names ([`well_founded()`], [`pure_tie_breaking()`],
+/// [`well_founded_tie_breaking()`], [`outcomes::all_outcomes`]): they are
+/// the paper-exact references the differential suites check the `*_with`
+/// interpreters against.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalOptions {
-    /// Traversal strategy (default [`EvalMode::Global`]).
-    pub mode: EvalMode,
     /// Record per-event details in [`RunStats`] (`tie_log`,
     /// `component_rounds`). Off by default: large enumerations would
     /// otherwise grow the logs without bound; the scalar counters
@@ -64,16 +57,6 @@ pub struct EvalOptions {
     pub certified_total: bool,
 }
 
-impl EvalOptions {
-    /// Options selecting `mode` with default details.
-    pub fn with_mode(mode: EvalMode) -> Self {
-        EvalOptions {
-            mode,
-            ..EvalOptions::default()
-        }
-    }
-}
-
 /// Statistics collected by an interpreter run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
@@ -83,11 +66,11 @@ pub struct RunStats {
     pub unfounded_rounds: usize,
     /// Number of ties broken.
     pub ties_broken: usize,
-    /// Residual components visited ([`EvalMode::Stratified`] only; 0 for
-    /// global runs).
+    /// Residual components visited (0 for the paper-literal global
+    /// loops, which do not condense).
     pub components_processed: usize,
     /// Largest number of unfounded/tie rounds any single component needed
-    /// ([`EvalMode::Stratified`] only).
+    /// (0 for the paper-literal global loops).
     pub max_component_rounds: usize,
     /// Per-component round counts in processing order. Recorded only when
     /// [`EvalOptions::detailed_stats`] is set.

@@ -15,7 +15,10 @@
 use datalog_ast::{Database, GroundAtom, Program};
 use datalog_ground::{AtomTable, GroundGraph, PartialModel, TruthValue};
 
-use super::tie_breaking::{pure_tie_breaking_with, well_founded_tie_breaking_with, ScriptedPolicy};
+use super::tie_breaking::{
+    pure_tie_breaking, pure_tie_breaking_with, well_founded_tie_breaking,
+    well_founded_tie_breaking_with, ScriptedPolicy,
+};
 use super::{EvalOptions, SemanticsError};
 
 /// The set of distinct outcomes of one interpreter over all choice
@@ -108,7 +111,9 @@ pub struct DecodedModel {
 }
 
 /// Explores every script of tie choices for the chosen interpreter
-/// flavour, stopping after `max_runs` runs.
+/// flavour with the paper-literal loops, stopping after `max_runs` runs:
+/// the core enumerator the differential suites check
+/// [`all_outcomes_with`] and the session runtime against.
 ///
 /// # Errors
 ///
@@ -121,19 +126,20 @@ pub fn all_outcomes(
     pure: bool,
     max_runs: usize,
 ) -> Result<OutcomeSet, SemanticsError> {
-    all_outcomes_with(
-        graph,
-        program,
-        database,
-        pure,
-        max_runs,
-        &EvalOptions::default(),
-    )
+    explore_scripts(max_runs, |prefix| {
+        let mut policy = ScriptedPolicy::new(prefix.to_vec(), false);
+        let run = if pure {
+            pure_tie_breaking(graph, program, database, &mut policy)?
+        } else {
+            well_founded_tie_breaking(graph, program, database, &mut policy)?
+        };
+        Ok((run.model, policy.consumed()))
+    })
 }
 
-/// [`all_outcomes`] with explicit [`EvalOptions`] — used by the
-/// differential suites to compare the outcome sets of the global and
-/// SCC-stratified evaluation modes.
+/// [`all_outcomes`] over the condensation-driven interpreters, with
+/// explicit [`EvalOptions`]: the same script tree and outcome set, each
+/// script re-closed from scratch.
 ///
 /// # Errors
 ///

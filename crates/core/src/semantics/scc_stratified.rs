@@ -1,4 +1,5 @@
-//! SCC-stratified evaluation ([`crate::semantics::EvalMode::Stratified`]).
+//! SCC-stratified evaluation: the interpreter behind every `*_with` entry
+//! point and the session runtime.
 //!
 //! The paper's interpreters alternate `close` with whole-graph queries:
 //! every unfounded-set round clones the live deletion state
@@ -33,7 +34,8 @@
 //! they do in the global loop.
 //!
 //! The differential suites (`tests/eval_modes.rs`, plus the unit tests
-//! here) check that stratified and global runs produce identical
+//! here) check that stratified runs and the paper-literal global loops
+//! (the plain `well_founded`, `pure_tie_breaking`, … names) produce identical
 //! well-founded models and identical tie-breaking outcome *sets*;
 //! individual runs may break isomorphic ties in a different order.
 

@@ -13,13 +13,12 @@
 use datalog_ast::{Database, Program};
 use datalog_ground::{Closer, GroundGraph, PartialModel, TruthValue};
 
-use super::{EvalMode, EvalOptions, InterpreterRun, RunStats, SemanticsError};
+use super::{EvalOptions, InterpreterRun, RunStats, SemanticsError};
 
-/// Runs the well-founded interpreter with explicit [`EvalOptions`]:
-/// [`EvalMode::Global`] is the paper-literal loop below,
-/// [`EvalMode::Stratified`] the condensation-driven variant of
-/// [`super::scc_stratified`] (identical model, linear in the number of
-/// unfounded rounds instead of quadratic).
+/// Runs the condensation-driven well-founded interpreter of
+/// [`super::scc_stratified`] with explicit [`EvalOptions`]: the same model
+/// as the paper-literal loop [`well_founded`], in time linear in the
+/// number of unfounded rounds instead of quadratic.
 ///
 /// # Errors
 ///
@@ -30,20 +29,19 @@ pub fn well_founded_with(
     database: &Database,
     options: &EvalOptions,
 ) -> Result<InterpreterRun, SemanticsError> {
-    match options.mode {
-        EvalMode::Global => well_founded(graph, program, database),
-        EvalMode::Stratified => super::scc_stratified::run_stratified(
-            graph,
-            program,
-            database,
-            None,
-            true,
-            options.detailed_stats,
-        ),
-    }
+    super::scc_stratified::run_stratified(
+        graph,
+        program,
+        database,
+        None,
+        true,
+        options.detailed_stats,
+    )
 }
 
-/// Runs the well-founded interpreter over a pre-built ground graph.
+/// Runs the paper-literal well-founded loop over a pre-built ground graph
+/// (every unfounded-set query scans the whole remaining graph): the
+/// reference that [`well_founded_with`] is checked against.
 ///
 /// # Errors
 ///

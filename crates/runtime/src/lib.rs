@@ -21,7 +21,7 @@
 //!   ([`RuntimeConfig::threads`], `TIEBREAK_THREADS`), each forking a
 //!   private copy of the post-close state and walking its branch's
 //!   components in topological order with the same kernel the sequential
-//!   `EvalMode::Stratified` path uses
+//!   `tiebreak_core::semantics::*_with` interpreters use
 //!   (`tiebreak_core::semantics::process_components`). Results merge at
 //!   join in branch order, so models, outcome sets, and
 //!   [`tiebreak_core::RunStats`] counters are **bit-identical across

@@ -190,9 +190,9 @@ fn prepare(
 /// The session honours [`EngineConfig::ground`] (grounding mode and
 /// budgets), [`EngineConfig::runtime`] (worker threads),
 /// [`EngineConfig::session`] (incremental serving), and
-/// `EngineConfig::eval.detailed_stats`. `EngineConfig::eval.mode` is
-/// ignored: a session is inherently condensation-driven — the sequential
-/// `EvalMode::Global` loop exists only on the `Engine` facade.
+/// `EngineConfig::eval.detailed_stats`. Like every production evaluator
+/// it is condensation-driven; the paper-literal global loops are test
+/// oracles only.
 pub struct Solver {
     pub(crate) program: Program,
     pub(crate) database: Database,

@@ -12,8 +12,7 @@ use datalog_ground::{ground, GroundConfig, PartialModel};
 use tiebreak_core::semantics::outcomes::all_outcomes_with;
 use tiebreak_core::semantics::well_founded::well_founded;
 use tiebreak_core::{
-    EngineConfig, EvalMode, EvalOptions, RootFalsePolicy, RootTruePolicy, RuntimeConfig, TiePolicy,
-    TieView,
+    EngineConfig, EvalOptions, RootFalsePolicy, RootTruePolicy, RuntimeConfig, TiePolicy, TieView,
 };
 use tiebreak_runtime::{uniform, PolicyFactory, Solver};
 
@@ -198,7 +197,7 @@ fn cow_enumeration_matches_core_outcomes() {
             &database,
             pure,
             1_000,
-            &EvalOptions::with_mode(EvalMode::Stratified),
+            &EvalOptions::default(),
         )
         .unwrap();
         let cow_set = solver.all_outcomes(pure, 1_000).unwrap();

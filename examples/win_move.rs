@@ -10,6 +10,7 @@
 //! ```
 
 use tie_breaking_datalog::constructions::generators;
+use tie_breaking_datalog::core::semantics::well_founded_tie_breaking_with;
 use tie_breaking_datalog::prelude::*;
 
 fn main() {
@@ -63,28 +64,50 @@ fn main() {
     let stable = engine.stable_models().expect("enumerates");
     println!("stable models: {}", stable.len());
 
-    // Evaluation modes: a chain of 64 draw pockets is quadratic for the
-    // global loop (each tie break re-scans the whole remaining graph)
-    // and linear for the SCC-stratified one — same answers either way.
+    // Two interpreters: a chain of 64 draw pockets is quadratic for the
+    // paper-literal global loop (each tie break re-scans the whole
+    // remaining graph) and linear for the condensation-driven one every
+    // `*_with` function and the engine run — same answers either way.
+    let program = generators::win_move_program();
     let chain = generators::tie_chain_move_db(64);
-    for mode in [EvalMode::Global, EvalMode::Stratified] {
-        let engine = Engine::new(generators::win_move_program(), chain.clone()).with_config(
-            EngineConfig::default()
-                .with_ground_mode(GroundMode::Relevant)
-                .with_eval_mode(mode),
-        );
-        let mut policy = RootTruePolicy;
-        let out = engine.well_founded_tie_breaking(&mut policy).expect("runs");
+    let graph = ground(
+        &program,
+        &chain,
+        &GroundConfig {
+            mode: GroundMode::Relevant,
+            ..GroundConfig::default()
+        },
+    )
+    .expect("grounds");
+    let runs = [
+        (
+            "global",
+            well_founded_tie_breaking(&graph, &program, &chain, &mut RootTruePolicy),
+        ),
+        (
+            "stratified",
+            well_founded_tie_breaking_with(
+                &graph,
+                &program,
+                &chain,
+                &mut RootTruePolicy,
+                &EvalOptions::default(),
+            ),
+        ),
+    ];
+    for (mode, run) in runs {
+        let run = run.expect("runs");
         println!(
-            "tie chain (n = 64, {mode:?}): total = {}, wins = {}, ties broken = {}, \
+            "tie chain (n = 64, {mode}): total = {}, wins = {}, ties broken = {}, \
              components = {}",
-            out.total,
-            out.true_facts
+            run.total,
+            run.model
+                .true_atoms(graph.atoms())
                 .iter()
                 .filter(|f| f.pred.as_str() == "win")
                 .count(),
-            out.stats.ties_broken,
-            out.stats.components_processed,
+            run.stats.ties_broken,
+            run.stats.components_processed,
         );
     }
 }

@@ -73,8 +73,7 @@ pub mod prelude {
         RootFalsePolicy, RootTruePolicy, ScriptedPolicy, TiePolicy,
     };
     pub use tiebreak_core::{
-        Engine, EngineConfig, EvalMode, EvalOptions, Mutation, PrepareDelta, RuntimeConfig,
-        SessionConfig,
+        Engine, EngineConfig, EvalOptions, Mutation, PrepareDelta, RuntimeConfig, SessionConfig,
     };
     pub use tiebreak_runtime::{uniform, PolicyFactory, Solver};
     pub use tiebreak_trace::{metrics, MetricsSnapshot, Trace};

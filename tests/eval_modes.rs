@@ -1,7 +1,11 @@
-//! Differential suite: `EvalMode::Global` ≡ `EvalMode::Stratified`.
+//! Differential suite: the paper-literal global loops ≡ the
+//! condensation-driven interpreters.
 //!
-//! The SCC-stratified interpreters must be observationally identical to
-//! the paper-literal global loops:
+//! The SCC-stratified interpreters behind every `*_with` entry point
+//! (`well_founded_with`, `all_outcomes_with`, …) must be observationally
+//! identical to the paper-literal global loops and the core enumerator
+//! over them, reached through the plain names (`well_founded`,
+//! `all_outcomes`, …):
 //!
 //! * the **well-founded model** is the same partial model (it is unique,
 //!   so the runs must agree atom by atom);
@@ -22,10 +26,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tie_breaking_datalog::ast::{Atom, Literal, Rule, Sign, Term};
 use tie_breaking_datalog::constructions::generators;
-use tie_breaking_datalog::core::semantics::outcomes::all_outcomes_with;
-use tie_breaking_datalog::core::semantics::scc_stratified::well_founded_stratified;
-use tie_breaking_datalog::core::semantics::well_founded::well_founded;
-use tie_breaking_datalog::core::semantics::{EvalMode, EvalOptions};
+use tie_breaking_datalog::core::semantics::outcomes::{all_outcomes, all_outcomes_with};
+use tie_breaking_datalog::core::semantics::well_founded::{well_founded, well_founded_with};
+use tie_breaking_datalog::core::semantics::EvalOptions;
 use tie_breaking_datalog::ground::GroundGraph;
 use tie_breaking_datalog::prelude::*;
 
@@ -70,7 +73,8 @@ fn db_from_mask(program: &Program, mask: u32) -> Database {
 /// One decoded outcome: sorted true facts and sorted undefined facts.
 type Outcome = (Vec<String>, Vec<String>);
 
-/// The outcome set of one interpreter flavour in one mode, or `None`
+/// The outcome set of one interpreter flavour — the global-loop oracle,
+/// or the condensation-driven interpreter when `stratified` — or `None`
 /// when exploration hit the run budget (skip the comparison then — a
 /// truncated set depends on exploration order).
 fn outcome_set(
@@ -78,16 +82,13 @@ fn outcome_set(
     program: &Program,
     database: &Database,
     pure: bool,
-    mode: EvalMode,
+    stratified: bool,
 ) -> Option<BTreeSet<Outcome>> {
-    let set = all_outcomes_with(
-        graph,
-        program,
-        database,
-        pure,
-        512,
-        &EvalOptions::with_mode(mode),
-    )
+    let set = if stratified {
+        all_outcomes_with(graph, program, database, pure, 512, &EvalOptions::default())
+    } else {
+        all_outcomes(graph, program, database, pure, 512)
+    }
     .expect("outcomes enumerate");
     if set.truncated {
         return None;
@@ -117,7 +118,8 @@ fn outcome_set(
 fn assert_modes_agree(graph: &GroundGraph, program: &Program, database: &Database) {
     // Well-founded model: unique, so modes must agree exactly.
     let global = well_founded(graph, program, database).expect("global wf runs");
-    let strat = well_founded_stratified(graph, program, database).expect("stratified wf runs");
+    let strat = well_founded_with(graph, program, database, &EvalOptions::default())
+        .expect("stratified wf runs");
     assert_eq!(strat.model, global.model, "well-founded models differ");
     assert_eq!(strat.total, global.total, "totality verdicts differ");
 
@@ -125,8 +127,8 @@ fn assert_modes_agree(graph: &GroundGraph, program: &Program, database: &Databas
     // shared outcome carries the same totality verdict (encoded by its
     // undefined-fact list).
     for pure in [false, true] {
-        let a = outcome_set(graph, program, database, pure, EvalMode::Global);
-        let b = outcome_set(graph, program, database, pure, EvalMode::Stratified);
+        let a = outcome_set(graph, program, database, pure, false);
+        let b = outcome_set(graph, program, database, pure, true);
         if let (Some(a), Some(b)) = (a, b) {
             assert_eq!(
                 a, b,

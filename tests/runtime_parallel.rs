@@ -184,7 +184,7 @@ fn assert_threads_agree(program: &Program, db: &Database, mode: GroundMode) {
             db,
             pure,
             4096,
-            &EvalOptions::with_mode(EvalMode::Stratified),
+            &EvalOptions::default(),
         )
         .expect("core enumerates");
         assert!(!core.truncated);
