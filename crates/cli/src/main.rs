@@ -99,7 +99,7 @@ use std::process::ExitCode;
 
 use tiebreak_core::semantics::{RandomPolicy, TiePolicy};
 use tiebreak_core::{Engine, EngineConfig, GroundMode, RuntimeConfig};
-use tiebreak_runtime::{PolicyFactory, Solver};
+use tiebreak_runtime::{reply, PolicyFactory, Solver};
 use tiebreak_server::{Client, LineOutcome, RegistryConfig, ScriptSession, Server, ServerConfig};
 
 fn main() -> ExitCode {
@@ -516,24 +516,25 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
                 return Ok(());
             }
             let solver = load_solver(opts)?;
-            let outcome = match semantics {
-                "wf" => solver.well_founded(),
-                "pure-tb" => solver.pure_tie_breaking(&policy),
-                _ => solver.well_founded_tie_breaking(&policy),
+            let run = match semantics {
+                "wf" => solver.well_founded_run(),
+                "pure-tb" => solver.pure_tie_breaking_run(&policy),
+                _ => solver.well_founded_tie_breaking_run(&policy),
             }
             .map_err(|e| e.to_string())?;
-            for fact in &outcome.true_facts {
-                println!("{fact}.");
-            }
-            if !outcome.total {
+            let mut facts = Vec::new();
+            reply::write_true_facts(&mut facts, solver.graph().atoms(), &run.model, None)
+                .expect("no cap");
+            write_stdout(&facts)?;
+            if !run.total {
                 eprintln!(
-                    "% partial model: {} atoms left undefined",
-                    outcome.undefined.len()
+                    "{}",
+                    reply::partial_model_line(run.model.undefined_atoms().count())
                 );
             }
             eprintln!(
                 "% ties broken: {}, unfounded rounds: {}",
-                outcome.stats.ties_broken, outcome.stats.unfounded_rounds
+                run.stats.ties_broken, run.stats.unfounded_rounds
             );
             Ok(())
         }
@@ -623,8 +624,9 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
             let set = solver
                 .all_outcomes(pure, max_runs)
                 .map_err(|e| e.to_string())?;
-            print_outcomes(&set, solver.graph().atoms());
-            Ok(())
+            let outcomes =
+                reply::render_outcomes(solver.graph().atoms(), &set, None).expect("no cap");
+            write_stdout(&outcomes)
         }
         "totality" => {
             let engine = load_engine(opts)?;
@@ -684,9 +686,10 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
 }
 
 /// Streams mutation-script lines against one long-lived [`Solver`]
-/// through the shared [`ScriptSession`] interpreter, flushing stdout
-/// after every processed line so a pipe driver gets each answer before
-/// the next read blocks.
+/// through the shared [`ScriptSession`] interpreter, writing through one
+/// buffer and flushing it after every processed line, so a process on
+/// the other end of a pipe gets each answer before the next read blocks
+/// and a reply costs a few write calls, not one per fact.
 ///
 /// A malformed line does not tear the session down: the interpreter
 /// reports `! line N: …` on stdout, discards the staged batch, and
@@ -699,7 +702,8 @@ fn run_session_lines(
     use std::io::Write as _;
 
     let mut session = ScriptSession::new(solver, pure);
-    let mut stdout = std::io::stdout();
+    let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
+    let stdout_err = |e: std::io::Error| format!("cannot write stdout: {e}");
     let mut errors = 0usize;
     let mut first_error: Option<usize> = None;
     for (idx, raw) in lines.enumerate() {
@@ -707,21 +711,17 @@ fn run_session_lines(
         let lineno = idx + 1;
         let outcome = session
             .process_line(lineno, &raw, &mut stdout)
-            .map_err(|e| format!("cannot write stdout: {e}"))?;
+            .map_err(stdout_err)?;
         if outcome == LineOutcome::Error {
             errors += 1;
             first_error.get_or_insert(lineno);
         }
-        stdout.flush().ok();
+        stdout.flush().map_err(stdout_err)?;
     }
-    if session
-        .finish(&mut stdout)
-        .map_err(|e| format!("cannot write stdout: {e}"))?
-        == LineOutcome::Error
-    {
+    if session.finish(&mut stdout).map_err(stdout_err)? == LineOutcome::Error {
         errors += 1;
     }
-    stdout.flush().ok();
+    stdout.flush().map_err(stdout_err)?;
     match (errors, first_error) {
         (0, _) => Ok(()),
         (n, Some(line)) => Err(format!(
@@ -935,13 +935,15 @@ fn run_load(
     Ok(())
 }
 
-/// Prints an outcome set in the shared `outcomes` format.
-fn print_outcomes(
-    set: &tiebreak_core::semantics::outcomes::OutcomeSet,
-    atoms: &datalog_ground::AtomTable,
-) {
-    let mut stdout = std::io::stdout();
-    tiebreak_server::script::write_outcomes(&mut stdout, set, atoms).expect("stdout");
+/// Writes rendered output to stdout in one buffered write.
+fn write_stdout(bytes: &[u8]) -> Result<(), String> {
+    use std::io::Write as _;
+
+    let mut stdout = std::io::stdout().lock();
+    stdout
+        .write_all(bytes)
+        .and_then(|()| stdout.flush())
+        .map_err(|e| format!("cannot write stdout: {e}"))
 }
 
 /// Justifies and renders one atom against a computed model.

@@ -17,10 +17,7 @@ use std::fmt;
 
 use datalog_ground::{AtomId, CloseConflict, GroundError, PartialModel};
 
-pub use scc_stratified::{
-    process_components, pure_tie_breaking_stratified, well_founded_stratified,
-    well_founded_tie_breaking_stratified, ComponentPass,
-};
+pub use scc_stratified::{process_components, ComponentPass};
 pub use tie_breaking::{
     pure_tie_breaking, pure_tie_breaking_with, well_founded_tie_breaking,
     well_founded_tie_breaking_with, RandomPolicy, RootFalsePolicy, RootTruePolicy, ScriptedPolicy,

@@ -46,51 +46,6 @@ use signed_graph::{tie, Sccs};
 use super::tie_breaking::{break_tie, TiePolicy};
 use super::{InterpreterRun, RunStats, SemanticsError};
 
-/// Algorithm Well-Founded over the condensation: identical model to
-/// [`super::well_founded()`], linear instead of quadratic in the number of
-/// unfounded rounds.
-///
-/// # Errors
-///
-/// As for [`super::well_founded()`].
-pub fn well_founded_stratified(
-    graph: &GroundGraph,
-    program: &Program,
-    database: &Database,
-) -> Result<InterpreterRun, SemanticsError> {
-    run_stratified(graph, program, database, None, true, false)
-}
-
-/// Algorithm Pure Tie-Breaking over the condensation: identical outcome
-/// set to [`super::pure_tie_breaking`].
-///
-/// # Errors
-///
-/// As for [`super::pure_tie_breaking`].
-pub fn pure_tie_breaking_stratified<P: TiePolicy>(
-    graph: &GroundGraph,
-    program: &Program,
-    database: &Database,
-    policy: &mut P,
-) -> Result<InterpreterRun, SemanticsError> {
-    run_stratified(graph, program, database, Some(policy), false, false)
-}
-
-/// Algorithm Well-Founded Tie-Breaking over the condensation: identical
-/// outcome set to [`super::well_founded_tie_breaking`].
-///
-/// # Errors
-///
-/// As for [`super::well_founded_tie_breaking`].
-pub fn well_founded_tie_breaking_stratified<P: TiePolicy>(
-    graph: &GroundGraph,
-    program: &Program,
-    database: &Database,
-    policy: &mut P,
-) -> Result<InterpreterRun, SemanticsError> {
-    run_stratified(graph, program, database, Some(policy), true, false)
-}
-
 /// One pass over a sequence of condensation components — the flavour
 /// switches (`policy: None` means plain well-founded; `use_unfounded`
 /// keeps the unfounded-set priority of the well-founded flavours).
@@ -158,7 +113,7 @@ pub(crate) fn run_stratified(
 /// `close` after every batch.
 ///
 /// This is the shared evaluation kernel: the stratified interpreters
-/// (e.g. [`well_founded_stratified`]) drive it over the full topological
+/// (e.g. [`super::well_founded_with`]) drive it over the full topological
 /// order after grounding and closing, and the `tiebreak-runtime` session
 /// scheduler calls it per *branch* (a weakly-connected family of
 /// components) on forked copies of the post-close state — causally
@@ -259,9 +214,11 @@ pub fn process_components(
 mod tests {
     use super::*;
     use crate::semantics::tie_breaking::{
-        well_founded_tie_breaking, RootFalsePolicy, RootTruePolicy, ScriptedPolicy,
+        pure_tie_breaking_with, well_founded_tie_breaking, well_founded_tie_breaking_with,
+        RootFalsePolicy, RootTruePolicy, ScriptedPolicy,
     };
-    use crate::semantics::well_founded::well_founded;
+    use crate::semantics::well_founded::{well_founded, well_founded_with};
+    use crate::semantics::EvalOptions;
     use datalog_ast::{parse_database, parse_program, GroundAtom};
     use datalog_ground::{ground, GroundConfig};
 
@@ -298,7 +255,7 @@ mod tests {
         ] {
             let (g, p, d) = setup(src, db);
             let global = well_founded(&g, &p, &d).unwrap();
-            let strat = well_founded_stratified(&g, &p, &d).unwrap();
+            let strat = well_founded_with(&g, &p, &d, &EvalOptions::default()).unwrap();
             assert_eq!(strat.model, global.model, "program: {src}");
             assert_eq!(strat.total, global.total);
         }
@@ -317,7 +274,7 @@ mod tests {
         }
         let (g, p, d) = setup(&src, "");
         let global = well_founded(&g, &p, &d).unwrap();
-        let strat = well_founded_stratified(&g, &p, &d).unwrap();
+        let strat = well_founded_with(&g, &p, &d, &EvalOptions::default()).unwrap();
         assert_eq!(strat.model, global.model);
         assert!(strat.total);
         assert_eq!(global.stats.unfounded_rounds, 4, "global alternates");
@@ -337,14 +294,28 @@ mod tests {
                 if policy_true {
                     let mut pol = RootTruePolicy;
                     if strat {
-                        well_founded_tie_breaking_stratified(&g, &p, &d, &mut pol).unwrap()
+                        well_founded_tie_breaking_with(
+                            &g,
+                            &p,
+                            &d,
+                            &mut pol,
+                            &EvalOptions::default(),
+                        )
+                        .unwrap()
                     } else {
                         well_founded_tie_breaking(&g, &p, &d, &mut pol).unwrap()
                     }
                 } else {
                     let mut pol = RootFalsePolicy;
                     if strat {
-                        well_founded_tie_breaking_stratified(&g, &p, &d, &mut pol).unwrap()
+                        well_founded_tie_breaking_with(
+                            &g,
+                            &p,
+                            &d,
+                            &mut pol,
+                            &EvalOptions::default(),
+                        )
+                        .unwrap()
                     } else {
                         well_founded_tie_breaking(&g, &p, &d, &mut pol).unwrap()
                     }
@@ -363,7 +334,8 @@ mod tests {
         // the tie — in both modes.
         let (g, p, d) = setup("p :- p, not q.\nq :- q, not p.", "");
         let mut pol = RootTruePolicy;
-        let strat = well_founded_tie_breaking_stratified(&g, &p, &d, &mut pol).unwrap();
+        let strat =
+            well_founded_tie_breaking_with(&g, &p, &d, &mut pol, &EvalOptions::default()).unwrap();
         assert!(strat.total);
         assert_eq!(val(&g, &strat, "p", &[]), TruthValue::False);
         assert_eq!(val(&g, &strat, "q", &[]), TruthValue::False);
@@ -372,7 +344,7 @@ mod tests {
 
         // Pure tie-breaking instead breaks the tie in both modes.
         let mut pol = RootTruePolicy;
-        let pure = pure_tie_breaking_stratified(&g, &p, &d, &mut pol).unwrap();
+        let pure = pure_tie_breaking_with(&g, &p, &d, &mut pol, &EvalOptions::default()).unwrap();
         assert!(pure.total);
         assert_eq!(pure.stats.ties_broken, 1);
         assert_ne!(val(&g, &pure, "p", &[]), val(&g, &pure, "q", &[]));
@@ -387,7 +359,8 @@ mod tests {
         let mut pol = RootTruePolicy;
         let global = well_founded_tie_breaking(&g, &p, &d, &mut pol).unwrap();
         let mut pol = RootTruePolicy;
-        let strat = well_founded_tie_breaking_stratified(&g, &p, &d, &mut pol).unwrap();
+        let strat =
+            well_founded_tie_breaking_with(&g, &p, &d, &mut pol, &EvalOptions::default()).unwrap();
         assert_eq!(strat.model, global.model);
         assert!(!strat.total);
         assert_eq!(strat.stats.ties_broken, 0);
@@ -402,7 +375,8 @@ mod tests {
         let mut pol = RootTruePolicy;
         let global = well_founded_tie_breaking(&g, &p, &d, &mut pol).unwrap();
         let mut pol = RootTruePolicy;
-        let strat = well_founded_tie_breaking_stratified(&g, &p, &d, &mut pol).unwrap();
+        let strat =
+            well_founded_tie_breaking_with(&g, &p, &d, &mut pol, &EvalOptions::default()).unwrap();
         assert_eq!(strat.model, global.model);
         assert!(strat.total);
         assert_eq!(val(&g, &strat, "p", &[]), TruthValue::True);
@@ -423,7 +397,8 @@ mod tests {
         }
         let (g, p, d) = setup("win(X) :- move(X, Y), not win(Y).", &db);
         let mut pol = RootTruePolicy;
-        let strat = well_founded_tie_breaking_stratified(&g, &p, &d, &mut pol).unwrap();
+        let strat =
+            well_founded_tie_breaking_with(&g, &p, &d, &mut pol, &EvalOptions::default()).unwrap();
         assert!(strat.total);
         assert!(strat.stats.ties_broken >= 1);
         assert!(strat.stats.components_processed > 0);
@@ -441,7 +416,8 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for &choice in &[false, true] {
             let mut pol = ScriptedPolicy::new(vec![choice], false);
-            let r = well_founded_tie_breaking_stratified(&g, &p, &d, &mut pol).unwrap();
+            let r = well_founded_tie_breaking_with(&g, &p, &d, &mut pol, &EvalOptions::default())
+                .unwrap();
             assert!(r.total);
             assert_eq!(pol.consumed(), 1);
             seen.insert(format!("{:?}", val(&g, &r, "p", &[])));
@@ -458,7 +434,8 @@ mod tests {
         assert_eq!(run.stats.component_rounds.iter().sum::<usize>(), 1);
         // Default (non-detailed) keeps the logs empty but the counters.
         let mut pol = RootTruePolicy;
-        let lean = well_founded_tie_breaking_stratified(&g, &p, &d, &mut pol).unwrap();
+        let lean =
+            well_founded_tie_breaking_with(&g, &p, &d, &mut pol, &EvalOptions::default()).unwrap();
         assert!(lean.stats.tie_log.is_empty());
         assert!(lean.stats.component_rounds.is_empty());
         assert_eq!(lean.stats.ties_broken, 1);

@@ -36,9 +36,14 @@
 //!   O(scripts × close) into O(close + scripts × residual), and farms
 //!   the independent forks onto the worker pool in deterministic waves
 //!   (identical outcome sets *and model order* across thread counts).
-//!   It builds only the scripts its run budget lets run, and
-//!   [`ReadBatch::outcomes`] serves each state's decoded set from the
-//!   read memo, so repeated reads of one state enumerate once.
+//!   It builds only the scripts its run budget lets run.
+//! * **Render once per state.** The read memo keeps the encoded bytes of
+//!   the `? wf` and `? outcomes N` replies ([`ReadBatch::model`],
+//!   [`ReadBatch::outcomes`]), rendered by the one renderer in
+//!   [`reply`] on the first read of a state, so a repeated read of one
+//!   state copies bytes: no decode, no formatting, no sort. The memo
+//!   never holds a body larger than the reply cap
+//!   ([`Solver::set_reply_cap`]).
 //! * **Incremental mutation.** [`Solver::insert_fact`],
 //!   [`Solver::retract_fact`], and [`Solver::apply`] mutate the database
 //!   *in place*: delta grounding appends the newly supportable rule
@@ -79,10 +84,12 @@
 
 mod outcomes;
 mod policy;
+pub mod reply;
 mod scheduler;
 mod session;
 mod wf_state;
 
 pub use policy::{uniform, PolicyFactory, UniformPolicy};
-pub use session::{ReadAnswer, ReadBatch, ReadQuery, Solver, SolverError};
+pub use reply::{Reply, ReplyTooLarge};
+pub use session::{ReadBatch, Solver, SolverError};
 pub use tiebreak_core::{Mutation, PrepareDelta, RuntimeConfig, SessionConfig};

@@ -10,11 +10,12 @@ use datalog_ground::{
     SessionGrounder, TruthValue, UnfoundedEngine,
 };
 use tiebreak_core::engine::EvalOutcome;
-use tiebreak_core::semantics::outcomes::{DecodedOutcomes, OutcomeSet};
+use tiebreak_core::semantics::outcomes::OutcomeSet;
 use tiebreak_core::semantics::SemanticsError;
 use tiebreak_core::{EngineConfig, InterpreterRun, Mutation, PrepareDelta};
 
 use crate::policy::{PolicyFactory, UniformPolicy};
+use crate::reply::{self, Reply};
 use crate::wf_state::WfState;
 use crate::{outcomes, scheduler};
 
@@ -65,17 +66,18 @@ struct Prepared {
 }
 
 /// The read memo: the served well-founded state (see
-/// [`crate::wf_state`]), its decoded model, and the last decoded outcome
-/// set read, each computed on the first read that needs it.
-/// [`Solver::apply`] advances the state over each mutation's cone and
-/// drops the decoded model and outcome set.
+/// [`crate::wf_state`]) and the encoded bodies of the `? wf` reply and of
+/// the last `? outcomes N` reply read, each computed on the first read
+/// that needs it. A body is rendered under the solver's reply cap, and
+/// one that outgrows it is kept as the verdict alone. [`Solver::apply`]
+/// advances the state over each mutation's cone and drops both bodies.
 #[derive(Default)]
 struct ReadMemo {
     wf: Option<WfState>,
-    model: Option<Arc<EvalOutcome>>,
+    model: Option<Reply>,
     /// One slot, keyed by `(pure, max_runs)`: a read of another key
-    /// overwrites it, so a state retains at most one set.
-    outcomes: Option<((bool, usize), Arc<DecodedOutcomes>)>,
+    /// overwrites it, so a state retains at most one body.
+    outcomes: Option<((bool, usize), Reply)>,
 }
 
 impl ReadMemo {
@@ -87,41 +89,37 @@ impl ReadMemo {
         Ok(Arc::clone(&self.wf.as_ref().expect("just filled").run))
     }
 
-    /// The memoized decoded model, decoding it if the memo has none.
-    fn model(&mut self, solver: &Solver) -> Result<Arc<EvalOutcome>, SemanticsError> {
-        if let Some(model) = &self.model {
-            return Ok(Arc::clone(model));
+    /// The memoized `? wf` body, rendering it if the memo has none.
+    fn model(&mut self, solver: &Solver) -> Result<Reply, SemanticsError> {
+        if let Some(reply) = &self.model {
+            return Ok(reply.clone());
         }
         let run = self.run(solver)?;
-        let model = {
-            let _span = tiebreak_trace::span("session", "decode", &[]);
-            Arc::new(solver.decode(InterpreterRun::clone(&run)))
+        let reply = {
+            let _span = tiebreak_trace::span("session", "render", &[]);
+            reply::render_model(solver.graph.atoms(), &run, solver.reply_cap)
         };
-        self.model = Some(Arc::clone(&model));
-        Ok(model)
+        self.model = Some(reply.clone());
+        Ok(reply)
     }
 
-    /// The memoized outcome set under `key = (pure, max_runs)`,
-    /// enumerating and decoding it (and replacing the slot) if the memo
+    /// The memoized `? outcomes` body under `key = (pure, max_runs)`,
+    /// enumerating and rendering it (and replacing the slot) if the memo
     /// holds another key or none.
-    fn outcomes(
-        &mut self,
-        solver: &Solver,
-        key: (bool, usize),
-    ) -> Result<Arc<DecodedOutcomes>, SemanticsError> {
-        if let Some((k, set)) = &self.outcomes {
+    fn outcomes(&mut self, solver: &Solver, key: (bool, usize)) -> Result<Reply, SemanticsError> {
+        if let Some((k, reply)) = &self.outcomes {
             if *k == key {
-                return Ok(Arc::clone(set));
+                return Ok(reply.clone());
             }
         }
         let (pure, max_runs) = key;
         let set = outcomes::all_outcomes(solver, pure, max_runs)?;
-        let set = {
-            let _span = tiebreak_trace::span("session", "decode_outcomes", &[]);
-            Arc::new(set.decode(solver.graph.atoms()))
+        let reply = {
+            let _span = tiebreak_trace::span("session", "render_outcomes", &[]);
+            reply::render_outcomes(solver.graph.atoms(), &set, solver.reply_cap)
         };
-        self.outcomes = Some((key, Arc::clone(&set)));
-        Ok(set)
+        self.outcomes = Some((key, reply.clone()));
+        Ok(reply)
     }
 }
 
@@ -179,13 +177,16 @@ fn prepare(
 /// Reads through [`ReadBatch`], [`Solver::well_founded`] and
 /// [`Solver::well_founded_run`] are served from a **read memo** of three
 /// values: the state the plain well-founded run ends in (close state,
-/// model, per-component round counts), its decoded model, and the last
-/// decoded outcome set read ([`ReadBatch::outcomes`]), keyed by flavour
-/// and run budget. The first read after preparation runs in full;
+/// model, per-component round counts), the encoded `? wf` reply body
+/// ([`ReadBatch::model`]), and the encoded body of the last
+/// `? outcomes N` reply read ([`ReadBatch::outcomes`]), keyed by flavour
+/// and run budget. A hit writes bytes: no decode, no formatting, no
+/// sort. The first read after preparation runs in full;
 /// [`Solver::apply`] then advances the state over each mutation's cone,
-/// so a wf read after a write costs a lookup, and drops the decoded
-/// model and outcome set. A no-op batch keeps all three. A rebuild or a
-/// rolled-back batch drops them, and the next read runs in full again.
+/// so a wf read after a write costs a lookup, and drops both bodies. A
+/// no-op batch keeps all three. A rebuild or a rolled-back batch drops
+/// them, and the next read runs in full again. The memo never holds a
+/// body larger than the reply cap ([`Solver::set_reply_cap`]).
 ///
 /// The session honours [`EngineConfig::ground`] (grounding mode and
 /// budgets), [`EngineConfig::runtime`] (worker threads),
@@ -213,12 +214,14 @@ pub struct Solver {
     const_refs: FxHashMap<ConstSym, usize>,
     program_consts: FxHashSet<ConstSym>,
     epoch: u64,
-    /// This state's served wf state, decoded model and decoded outcome
-    /// set, shared by every read. [`Solver::apply`] advances it over the
+    /// This state's served wf state and encoded reply bodies, shared by
+    /// every read. [`Solver::apply`] advances it over the
     /// cone or, on a rebuild, drops it — every `&mut` path goes through
     /// there — and it is never keyed by epoch: a rolled-back batch
     /// restores the epoch number over a re-prepared, renumbered graph.
     read_memo: Mutex<ReadMemo>,
+    /// The largest reply body the read memo renders and keeps.
+    reply_cap: Option<usize>,
     last_delta: Option<PrepareDelta>,
 }
 
@@ -280,6 +283,7 @@ impl Solver {
             program_consts,
             epoch: 0,
             read_memo: Mutex::new(ReadMemo::default()),
+            reply_cap: None,
             last_delta: None,
         })
     }
@@ -324,6 +328,28 @@ impl Solver {
     /// The [`PrepareDelta`] of the most recent state-changing mutation.
     pub fn last_delta(&self) -> Option<&PrepareDelta> {
         self.last_delta.as_ref()
+    }
+
+    /// Caps the reply bodies the read memo renders ([`ReadBatch::model`],
+    /// [`ReadBatch::outcomes`]) at `cap` bytes (`None`: no cap). A body
+    /// that outgrows it stops rendering at the first line past the cap,
+    /// and the memo keeps only the [`ReplyTooLarge`] verdict. Drops the
+    /// memoized bodies, which were rendered under the old cap.
+    ///
+    /// [`ReplyTooLarge`]: crate::ReplyTooLarge
+    pub fn set_reply_cap(&mut self, cap: Option<usize>) {
+        self.reply_cap = cap;
+        let memo = self
+            .read_memo
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        memo.model = None;
+        memo.outcomes = None;
+    }
+
+    /// The reply cap ([`Solver::set_reply_cap`]).
+    pub fn reply_cap(&self) -> Option<usize> {
+        self.reply_cap
     }
 
     /// Atoms left alive (undefined) by the shared base `close`: a
@@ -862,32 +888,19 @@ impl Solver {
         &self,
         factory: &F,
     ) -> Result<EvalOutcome, SemanticsError> {
-        let run = scheduler::run_session(self, Some(factory), false)?;
-        Ok(self.decode(run))
+        Ok(self.decode(self.pure_tie_breaking_run(factory)?))
     }
 
-    /// Answers a batch of read-only queries from the read memo: the
-    /// first read after preparation or a rebuild runs one branch-parallel
-    /// well-founded evaluation, a [`ReadQuery::Model`] read after a state
-    /// change one decode, and every other query is an O(1) lookup in the
-    /// served model, which [`Solver::apply`] keeps current over each
-    /// mutation's cone. The per-query answers are bit-identical to
-    /// independent [`Solver::well_founded`] calls.
-    ///
-    /// Answers are returned in query order.
+    /// [`Solver::pure_tie_breaking`] returning the raw [`InterpreterRun`].
     ///
     /// # Errors
     ///
     /// As for [`Solver::well_founded`].
-    pub fn query_many(&self, queries: &[ReadQuery]) -> Result<Vec<ReadAnswer>, SemanticsError> {
-        let mut batch = ReadBatch::new();
-        queries
-            .iter()
-            .map(|query| match query {
-                ReadQuery::Model => Ok(ReadAnswer::Model(batch.model(self)?)),
-                ReadQuery::Truth(fact) => Ok(ReadAnswer::Truth(batch.truth(self, fact)?)),
-            })
-            .collect()
+    pub fn pure_tie_breaking_run<F: PolicyFactory>(
+        &self,
+        factory: &F,
+    ) -> Result<InterpreterRun, SemanticsError> {
+        scheduler::run_session(self, Some(factory), false)
     }
 
     /// Explores every tie script of the chosen interpreter flavour
@@ -903,7 +916,7 @@ impl Solver {
     /// At most `max_runs` scripts run, and only those are built: the
     /// pending-script frontier holds at most `max_runs` prefixes, so
     /// memory is O(`max_runs` × choices). Each call enumerates afresh;
-    /// [`ReadBatch::outcomes`] serves the decoded set from the read
+    /// [`ReadBatch::outcomes`] serves the rendered reply from the read
     /// memo instead.
     ///
     /// # Errors
@@ -935,26 +948,6 @@ impl Solver {
     }
 }
 
-/// One read-only query for [`Solver::query_many`].
-#[derive(Clone, Debug)]
-pub enum ReadQuery {
-    /// The full decoded well-founded model ([`EvalOutcome`]).
-    Model,
-    /// One ground atom's three-valued verdict (`None` when the atom is
-    /// not in the ground atom space, which the well-founded semantics
-    /// reads as false).
-    Truth(GroundAtom),
-}
-
-/// One answer from [`Solver::query_many`], in query order.
-#[derive(Clone, Debug)]
-pub enum ReadAnswer {
-    /// Answer to [`ReadQuery::Model`], shared with the read memo.
-    Model(Arc<EvalOutcome>),
-    /// Answer to [`ReadQuery::Truth`].
-    Truth(Option<TruthValue>),
-}
-
 /// Counts one read-memo lookup in the live metrics.
 fn count_read_memo(hit: bool) {
     let m = tiebreak_trace::metrics();
@@ -965,22 +958,21 @@ fn count_read_memo(hit: bool) {
     }
 }
 
-/// The incremental form of [`Solver::query_many`]: a view of the
-/// solver's read memo that answers read-only queries one at a time.
-/// Drivers that interleave query answering with formatting (the serving
-/// tier's per-connection fan-out) use this directly; `query_many` is the
-/// vector form built on top of it.
+/// A view of the solver's read memo that answers read-only queries one
+/// at a time. The script interpreter and the serving tier's
+/// per-connection fan-out answer every read through one.
 ///
 /// The batch holds no results of its own: [`ReadBatch::run`],
 /// [`ReadBatch::model`] and [`ReadBatch::outcomes`] hand out shared
-/// handles to the memo's three values, computing them only when the memo
-/// is empty — after preparation or a rebuild for the run (writes advance
-/// it), after any state change for the decoded model and the outcome
-/// set (which a read of another key also replaces). Every lookup counts
-/// once in the `read_memo_hits` or `read_memo_misses` metric. A batch is pinned to the epoch of
-/// its first query: feeding it a solver that has since mutated (or a
-/// different solver) is a logic error and panics in debug builds.
-/// Create a fresh batch per session-lock acquisition.
+/// handles to the memo's three values — the served run and the encoded
+/// bodies of the `? wf` and `? outcomes N` replies — computing them only
+/// when the memo is empty: after preparation or a rebuild for the run
+/// (writes advance it), after any state change for the bodies (which a
+/// read of another outcome key also replaces). Every lookup counts once
+/// in the `read_memo_hits` or `read_memo_misses` metric. A batch is
+/// pinned to the epoch of its first query: feeding it a solver that has
+/// since mutated (or a different solver) is a logic error and panics in
+/// debug builds. Create a fresh batch per session-lock acquisition.
 #[derive(Debug, Default)]
 pub struct ReadBatch {
     epoch: Option<u64>,
@@ -1010,23 +1002,29 @@ impl ReadBatch {
         memo.run(solver)
     }
 
-    /// The state's shared decoded model (decoded at most once per state).
+    /// The state's `? wf` reply body: one `fact.` line per true atom in
+    /// text order, then `% partial model: N atoms left undefined` when
+    /// the model is partial ([`crate::reply::render_model`]). Rendered
+    /// at most once per state; every later read of the state gets the
+    /// same `Arc`. `Err(ReplyTooLarge)` inside the `Ok` when the body
+    /// outgrows the solver's reply cap.
     ///
     /// # Errors
     ///
     /// As for [`Solver::well_founded`].
-    pub fn model(&mut self, solver: &Solver) -> Result<Arc<EvalOutcome>, SemanticsError> {
+    pub fn model(&mut self, solver: &Solver) -> Result<Reply, SemanticsError> {
         self.pin(solver);
         let mut memo = solver.lock_read_memo();
         count_read_memo(memo.model.is_some());
         memo.model(solver)
     }
 
-    /// The state's shared decoded outcome set for one flavour (`pure`,
-    /// see [`Solver::all_outcomes`]) and run budget. The memo holds one
-    /// set per state: repeats of one key enumerate and decode once per
-    /// state, and a read of another key replaces the set. Facts are in
-    /// text order ([`tiebreak_core::semantics::outcomes::OutcomeSet::decode`]).
+    /// The state's `? outcomes` reply body for one flavour (`pure`, see
+    /// [`Solver::all_outcomes`]) and run budget
+    /// ([`crate::reply::render_outcomes`]). The memo holds one body per
+    /// state: repeats of one key enumerate and render once per state, and
+    /// a read of another key replaces the body. `Err(ReplyTooLarge)`
+    /// inside the `Ok` when the body outgrows the solver's reply cap.
     ///
     /// # Errors
     ///
@@ -1036,7 +1034,7 @@ impl ReadBatch {
         solver: &Solver,
         pure: bool,
         max_runs: usize,
-    ) -> Result<Arc<DecodedOutcomes>, SemanticsError> {
+    ) -> Result<Reply, SemanticsError> {
         self.pin(solver);
         let key = (pure, max_runs);
         let mut memo = solver.lock_read_memo();

@@ -3,16 +3,22 @@
 //! change took (incremental splice, no-op batch, universe-moving rebuild,
 //! or a failed batch rolled back to the same epoch number).
 //!
+//! The memo's `? wf` and `? outcomes N` bytes must equal the formatter
+//! they replaced (decode, sort by text, `Display` per fact), kept here as
+//! the oracle.
+//!
 //! The memo counters are process-global, so every test serializes on one
 //! mutex: a test that counts lookups sees only its own.
 
+use std::io::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use datalog_ast::{parse_database, parse_program, GroundAtom};
-use datalog_ground::{AtomId, TruthValue};
-use tiebreak_core::semantics::outcomes::DecodedOutcomes;
+use datalog_ast::{parse_database, parse_program, Database, GroundAtom, Program};
+use datalog_ground::{AtomId, AtomTable, TruthValue};
+use paper_constructions::generators;
+use tiebreak_core::semantics::outcomes::OutcomeSet;
 use tiebreak_core::{EngineConfig, GroundMode, Mutation};
-use tiebreak_runtime::{ReadBatch, Solver};
+use tiebreak_runtime::{ReadBatch, ReplyTooLarge, Solver};
 
 const WIN: &str = "win(X) :- move(X, Y), not win(Y).";
 
@@ -41,16 +47,99 @@ fn atoms_of(solver: &Solver) -> Vec<GroundAtom> {
         .collect()
 }
 
+/// The `? wf` formatter the memo replaced: decode true and undefined
+/// atoms, sort both by text, print each fact through `Display`.
+fn oracle_wf(solver: &Solver) -> Vec<u8> {
+    let outcome = solver.well_founded().unwrap();
+    let mut out = Vec::new();
+    for fact in &outcome.true_facts {
+        writeln!(out, "{fact}.").unwrap();
+    }
+    if !outcome.total {
+        writeln!(
+            out,
+            "% partial model: {} atoms left undefined",
+            outcome.undefined.len()
+        )
+        .unwrap();
+    }
+    out
+}
+
+/// The `? outcomes` formatter the memo replaced: per model, decode its
+/// true atoms, sort them by text, print each through `Display`.
+fn oracle_outcomes(set: &OutcomeSet, atoms: &AtomTable) -> Vec<u8> {
+    let mut out = Vec::new();
+    writeln!(
+        out,
+        "% {} distinct outcome(s) over {} run(s){}",
+        set.models.len(),
+        set.runs,
+        if set.truncated { " (truncated)" } else { "" }
+    )
+    .unwrap();
+    for (i, model) in set.models.iter().enumerate() {
+        let mut facts = model.true_atoms(atoms);
+        facts.sort_by(GroundAtom::text_cmp);
+        let facts: Vec<String> = facts.iter().map(ToString::to_string).collect();
+        writeln!(
+            out,
+            "% outcome {} ({}): {{{}}}",
+            i + 1,
+            if model.is_total() { "total" } else { "partial" },
+            facts.join(", ")
+        )
+        .unwrap();
+    }
+    out
+}
+
+fn memo_wf(solver: &Solver) -> Arc<[u8]> {
+    ReadBatch::new().model(solver).unwrap().unwrap()
+}
+
+fn memo_outcomes(solver: &Solver, pure: bool, max_runs: usize) -> Arc<[u8]> {
+    ReadBatch::new()
+        .outcomes(solver, pure, max_runs)
+        .unwrap()
+        .unwrap()
+}
+
+/// The run budgets the byte-identity checks read: 1, 2, 4 and the
+/// default `? outcomes` budget, which enumerates every outcome of the
+/// example twins (at most 8) and truncates the braid's.
+const BUDGETS: [usize; 4] = [1, 2, 4, 256];
+
+/// The memo's `? wf` bytes and its `? outcomes N` bytes for every
+/// budget and both flavours equal the oracle's on the same solver.
+fn assert_memo_bytes_match_oracle(solver: &Solver, what: &str) {
+    assert_eq!(
+        String::from_utf8_lossy(&memo_wf(solver)),
+        String::from_utf8_lossy(&oracle_wf(solver)),
+        "{what}: ? wf"
+    );
+    for pure in [false, true] {
+        for max_runs in BUDGETS {
+            let set = solver.all_outcomes(pure, max_runs).unwrap();
+            assert_eq!(
+                String::from_utf8_lossy(&memo_outcomes(solver, pure, max_runs)),
+                String::from_utf8_lossy(&oracle_outcomes(&set, solver.graph().atoms())),
+                "{what}: ? outcomes {max_runs}, pure={pure}"
+            );
+        }
+    }
+}
+
 /// Fills the memo through a batch (so a stale memo would be served
 /// next), without asserting anything.
 fn warm(solver: &Solver) {
     let mut batch = ReadBatch::new();
-    batch.model(solver).unwrap();
+    batch.model(solver).unwrap().unwrap();
     batch.run(solver).unwrap();
 }
 
 /// A batch read of `solver` equals a fresh solver on its database: the
-/// decoded model, and the verdict of every atom either side knows (an
+/// `? wf` bytes, and the verdict of every atom either side knows (an
 /// atom outside the ground atom space reads as false; a mutated session
 /// keeps atoms a fresh grounding would not create).
 fn assert_reads_match_fresh(solver: &Solver) {
@@ -60,12 +149,12 @@ fn assert_reads_match_fresh(solver: &Solver) {
         *solver.config(),
     )
     .unwrap();
-    let expected = fresh.well_founded().unwrap();
+    assert_eq!(
+        String::from_utf8_lossy(&memo_wf(solver)),
+        String::from_utf8_lossy(&oracle_wf(&fresh)),
+        "memo ? wf bytes"
+    );
     let mut batch = ReadBatch::new();
-    let model = batch.model(solver).unwrap();
-    assert_eq!(model.true_facts, expected.true_facts, "memo true facts");
-    assert_eq!(model.undefined, expected.undefined, "memo undefined facts");
-    assert_eq!(model.total, expected.total, "memo totality");
     let mut fresh_batch = ReadBatch::new();
     let false_outside = |v: Option<TruthValue>| v.unwrap_or(TruthValue::False);
     for fact in atoms_of(&fresh).iter().chain(&atoms_of(solver)) {
@@ -155,17 +244,19 @@ fn reads_share_one_run_and_one_model_per_state() {
     let mut s = solver_with("move(a, b). move(b, c).", relevant());
     let (run, model) = {
         let mut batch = ReadBatch::new();
-        (batch.run(&s).unwrap(), batch.model(&s).unwrap())
+        (batch.run(&s).unwrap(), batch.model(&s).unwrap().unwrap())
     };
     let mut later = ReadBatch::new();
     assert!(Arc::ptr_eq(&run, &later.run(&s).unwrap()), "run memoized");
     assert!(
-        Arc::ptr_eq(&model, &later.model(&s).unwrap()),
-        "model memoized"
+        Arc::ptr_eq(&model, &later.model(&s).unwrap().unwrap()),
+        "? wf bytes memoized"
     );
     let metrics = tiebreak_trace::metrics();
     let hits = metrics.read_memo_hits.get();
-    ReadBatch::new().truth(&s, &model.true_facts[0]).unwrap();
+    ReadBatch::new()
+        .truth(&s, &GroundAtom::from_texts("win", &["b"]))
+        .unwrap();
     assert!(
         metrics.read_memo_hits.get() > hits,
         "a memo read counts a hit"
@@ -188,28 +279,24 @@ fn reads_share_one_run_and_one_model_per_state() {
         metrics.read_memo_hits.get() > hits,
         "the read after a write is served by the advanced state"
     );
+    assert!(
+        !Arc::ptr_eq(&model, &memo_wf(&s)),
+        "the write dropped the ? wf bytes"
+    );
     assert_reads_match_fresh(&s);
 }
 
-/// The decoded outcomes of a batch read, as text: runs, truncation, and
-/// the models as a sorted list of (total, facts).
-type RenderedOutcomes = (usize, bool, Vec<(bool, Vec<String>)>);
-
-fn rendered(set: &DecodedOutcomes) -> RenderedOutcomes {
-    let mut models: Vec<(bool, Vec<String>)> = set
-        .models
-        .iter()
-        .map(|m| {
-            let facts = m
-                .facts
-                .iter()
-                .map(|&f| set.facts[f as usize].to_string())
-                .collect();
-            (m.total, facts)
-        })
+/// An `? outcomes` body up to model order: its summary line and its
+/// model lines without their ordinals, sorted.
+fn model_set(bytes: &[u8]) -> (String, Vec<String>) {
+    let text = String::from_utf8(bytes.to_vec()).unwrap();
+    let mut lines = text.lines();
+    let summary = lines.next().unwrap().to_owned();
+    let mut models: Vec<String> = lines
+        .map(|l| l.split_once(" (").unwrap().1.to_owned())
         .collect();
     models.sort();
-    (set.runs, set.truncated, models)
+    (summary, models)
 }
 
 /// A batch outcome read of `solver` equals a fresh solver's enumeration
@@ -222,12 +309,12 @@ fn assert_outcomes_match_fresh(solver: &Solver) {
     )
     .unwrap();
     for pure in [false, true] {
-        let expected = fresh
-            .all_outcomes(pure, 64)
-            .unwrap()
-            .decode(fresh.graph().atoms());
-        let served = ReadBatch::new().outcomes(solver, pure, 64).unwrap();
-        assert_eq!(rendered(&served), rendered(&expected), "pure={pure}");
+        let expected = oracle_outcomes(
+            &fresh.all_outcomes(pure, 64).unwrap(),
+            fresh.graph().atoms(),
+        );
+        let served = memo_outcomes(solver, pure, 64);
+        assert_eq!(model_set(&served), model_set(&expected), "pure={pure}");
     }
 }
 
@@ -238,21 +325,20 @@ fn outcome_reads_share_one_set_per_key() {
         "move(a, b). move(b, a). move(c, d). move(d, c).",
         relevant(),
     );
-    let mut batch = ReadBatch::new();
-    let set = batch.outcomes(&s, false, 64).unwrap();
-    assert_eq!(set.models.len(), 4);
+    let set = memo_outcomes(&s, false, 64);
+    assert!(set.starts_with(b"% 4 distinct outcome(s) over 4 run(s)\n"));
     assert!(
-        Arc::ptr_eq(&set, &ReadBatch::new().outcomes(&s, false, 64).unwrap()),
+        Arc::ptr_eq(&set, &memo_outcomes(&s, false, 64)),
         "a repeat lookup is served by the memo"
     );
-    let capped = batch.outcomes(&s, false, 2).unwrap();
+    let capped = memo_outcomes(&s, false, 2);
     assert!(!Arc::ptr_eq(&set, &capped), "another budget misses");
-    assert!(capped.truncated && capped.runs == 2);
-    let pure = batch.outcomes(&s, true, 64).unwrap();
+    assert!(capped.starts_with(b"% 2 distinct outcome(s) over 2 run(s) (truncated)\n"));
+    let pure = memo_outcomes(&s, true, 64);
     assert!(!Arc::ptr_eq(&set, &pure), "another flavour misses");
     assert!(
-        !Arc::ptr_eq(&set, &batch.outcomes(&s, false, 64).unwrap()),
-        "the memo keeps one set: another key replaced the first"
+        !Arc::ptr_eq(&set, &memo_outcomes(&s, false, 64)),
+        "the memo keeps one body: another key replaced the first"
     );
 }
 
@@ -263,11 +349,11 @@ fn outcome_reads_count_once_per_lookup() {
     let metrics = tiebreak_trace::metrics();
     let counts = || (metrics.read_memo_hits.get(), metrics.read_memo_misses.get());
     let (hits, misses) = counts();
-    ReadBatch::new().outcomes(&s, false, 8).unwrap();
+    ReadBatch::new().outcomes(&s, false, 8).unwrap().unwrap();
     assert_eq!(counts(), (hits, misses + 1), "the first lookup misses");
-    ReadBatch::new().outcomes(&s, false, 8).unwrap();
+    ReadBatch::new().outcomes(&s, false, 8).unwrap().unwrap();
     assert_eq!(counts(), (hits + 1, misses + 1), "the repeat hits");
-    ReadBatch::new().outcomes(&s, true, 8).unwrap();
+    ReadBatch::new().outcomes(&s, true, 8).unwrap().unwrap();
     assert_eq!(counts(), (hits + 1, misses + 2), "another flavour misses");
 }
 
@@ -275,13 +361,18 @@ fn outcome_reads_count_once_per_lookup() {
 fn outcome_memo_survives_a_noop_batch() {
     let _serial = serial();
     let mut s = solver_with("move(a, b). move(b, a).", relevant());
-    let set = ReadBatch::new().outcomes(&s, false, 64).unwrap();
+    let set = memo_outcomes(&s, false, 64);
+    let wf = memo_wf(&s);
     let present = GroundAtom::from_texts("move", &["a", "b"]);
     let delta = s.apply(vec![Mutation::Insert(present)]).unwrap();
     assert_eq!(delta.epoch, 0, "a no-op batch keeps the epoch");
     assert!(
-        Arc::ptr_eq(&set, &ReadBatch::new().outcomes(&s, false, 64).unwrap()),
-        "a no-op batch keeps the outcome sets"
+        Arc::ptr_eq(&set, &memo_outcomes(&s, false, 64)),
+        "a no-op batch keeps the outcome bytes"
+    );
+    assert!(
+        Arc::ptr_eq(&wf, &memo_wf(&s)),
+        "a no-op batch keeps the ? wf bytes"
     );
 }
 
@@ -289,20 +380,21 @@ fn outcome_memo_survives_a_noop_batch() {
 fn outcome_memo_follows_an_incremental_write() {
     let _serial = serial();
     let mut s = solver_with("move(a, b). move(b, a). move(c, d).", relevant());
-    let before = ReadBatch::new().outcomes(&s, false, 64).unwrap();
+    let before = memo_outcomes(&s, false, 64);
     let delta = s
         .insert_fact(GroundAtom::from_texts("move", &["d", "c"]))
         .unwrap();
     assert!(!delta.rebuilt, "an in-universe insert splices");
     let metrics = tiebreak_trace::metrics();
     let misses = metrics.read_memo_misses.get();
-    let after = ReadBatch::new().outcomes(&s, false, 64).unwrap();
+    let after = memo_outcomes(&s, false, 64);
     assert_eq!(
         metrics.read_memo_misses.get(),
         misses + 1,
-        "the write dropped the set"
+        "the write dropped the body"
     );
-    assert_eq!((before.models.len(), after.models.len()), (2, 4));
+    assert!(before.starts_with(b"% 2 distinct"));
+    assert!(after.starts_with(b"% 4 distinct"));
     assert_outcomes_match_fresh(&s);
 }
 
@@ -319,15 +411,136 @@ fn outcome_memo_follows_a_failed_batch_rolled_back_to_the_same_epoch() {
     let mut s = solver_with(db, config);
     s.insert_fact(GroundAtom::from_texts("move", &["b", "c"]))
         .unwrap();
-    let before = ReadBatch::new().outcomes(&s, false, 64).unwrap();
+    let before = memo_outcomes(&s, false, 64);
 
     let err = s.insert_fact(GroundAtom::from_texts("move", &["memo_zz", "a"]));
     assert!(err.is_err(), "the grown universe busts the rule budget");
     assert_eq!(s.epoch(), 1, "the rollback restores the epoch number");
-    let after = ReadBatch::new().outcomes(&s, false, 64).unwrap();
+    let after = memo_outcomes(&s, false, 64);
     assert!(
         !Arc::ptr_eq(&before, &after),
-        "the rollback dropped the set"
+        "the rollback dropped the body"
     );
     assert_outcomes_match_fresh(&s);
+}
+
+fn twin(program: &str, database: &str) -> Solver {
+    Solver::with_config(
+        parse_program(program).unwrap(),
+        parse_database(database).unwrap(),
+        relevant(),
+    )
+    .unwrap()
+}
+
+#[test]
+fn memo_bytes_match_the_oracle_on_the_example_twins_and_a_braid() {
+    let _serial = serial();
+    macro_rules! example {
+        ($name:literal) => {
+            (
+                $name,
+                include_str!(concat!("../../../examples/dl/", $name, ".dl")),
+                include_str!(concat!("../../../examples/dl/", $name, "_db.dl")),
+            )
+        };
+    }
+    for (name, program, database) in [
+        example!("quickstart"),
+        example!("win_move"),
+        example!("circuit_totality"),
+        example!("two_counter"),
+        example!("default_reasoning"),
+        example!("nondeterministic_choice"),
+    ] {
+        assert_memo_bytes_match_oracle(&twin(program, database), name);
+    }
+    let braid = Solver::with_config(
+        generators::win_move_program(),
+        generators::braided_tie_chain_db(2, 16),
+        relevant(),
+    )
+    .unwrap();
+    assert_memo_bytes_match_oracle(&braid, "braided_tie_chain_db(2, 16)");
+}
+
+#[test]
+fn memo_bytes_match_the_oracle_after_batches_that_append_atoms() {
+    let _serial = serial();
+    let mut s = Solver::with_config(
+        generators::win_move_program(),
+        generators::braided_tie_chain_db(2, 4),
+        relevant(),
+    )
+    .unwrap();
+    assert_memo_bytes_match_oracle(&s, "before the writes");
+    let edge = |from: &str, to: &str| GroundAtom::from_texts("move", &[from, to]);
+    for batch in [
+        vec![Mutation::Insert(edge("t0b1", "t1a2"))],
+        vec![
+            Mutation::Insert(edge("t1b3", "t0b0")),
+            Mutation::Retract(edge("t0a0", "t0b0")),
+        ],
+    ] {
+        let delta = s.apply(batch).unwrap();
+        assert!(!delta.rebuilt, "in-universe writes splice");
+        assert!(delta.new_atoms > 0, "the batch appends atoms");
+        assert_memo_bytes_match_oracle(&s, &format!("epoch {}", s.epoch()));
+        assert_reads_match_fresh(&s);
+        assert_outcomes_match_fresh(&s);
+    }
+}
+
+#[test]
+fn memo_bytes_match_the_oracle_with_constants_interned_against_text_order() {
+    let _serial = serial();
+    let names = ["rbo_z", "rbo_y", "rbo_m", "rbo_b", "rbo_a"];
+    for name in names {
+        datalog_ast::ConstSym::new(name);
+    }
+    assert!(
+        datalog_ast::ConstSym::new("rbo_z") < datalog_ast::ConstSym::new("rbo_a"),
+        "interner ids run opposite to text order"
+    );
+    let s = twin(
+        WIN,
+        "move(rbo_z, rbo_y). move(rbo_y, rbo_z). move(rbo_m, rbo_b). move(rbo_b, rbo_a). \
+         move(rbo_a, rbo_b). move(rbo_z, rbo_a).",
+    );
+    assert_memo_bytes_match_oracle(&s, "interned against text order");
+}
+
+#[test]
+fn an_over_cap_reply_keeps_only_the_verdict() {
+    let _serial = serial();
+    let program: Program = generators::win_move_program();
+    let database: Database = generators::braided_tie_chain_db(2, 16);
+    let mut s = Solver::with_config(program, database, relevant()).unwrap();
+    let wf = memo_wf(&s);
+    let outcomes = memo_outcomes(&s, false, 4);
+
+    let cap = 100;
+    s.set_reply_cap(Some(cap));
+    let verdict = ReadBatch::new().model(&s).unwrap().unwrap_err();
+    assert_eq!(verdict.cap, cap);
+    let line = wf.split(|&b| b == b'\n').map(<[u8]>::len).max().unwrap() + 1;
+    assert!(
+        verdict.bytes > cap && verdict.bytes <= cap + line,
+        "rendering stops at the first line past the cap: {verdict:?}"
+    );
+    let ReplyTooLarge { bytes, .. } = ReadBatch::new()
+        .outcomes(&s, false, 4)
+        .unwrap()
+        .unwrap_err();
+    assert!(bytes > cap && bytes < outcomes.len(), "{bytes}");
+    assert_eq!(
+        ReadBatch::new().model(&s).unwrap(),
+        Err(verdict),
+        "the memo keeps the verdict"
+    );
+
+    s.set_reply_cap(Some(wf.len()));
+    assert_eq!(memo_wf(&s), wf, "a reply at the cap fits");
+    s.set_reply_cap(None);
+    assert_eq!(memo_outcomes(&s, false, 4), outcomes);
 }

@@ -33,7 +33,6 @@
 //! `server/batch` span that parents the per-frame request spans.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -43,7 +42,7 @@ use tiebreak_runtime::ReadBatch;
 use crate::reactor::Notifier;
 use crate::registry::{SessionEntry, SessionRegistry};
 use crate::script::ScriptSession;
-use crate::server::{handle_request, Next};
+use crate::server::{cap_response, frame_reply, handle_request, Next};
 
 /// Per-connection protocol state, shared between the reactor (which
 /// owns the socket) and whichever worker executes the connection's
@@ -93,6 +92,8 @@ enum WorkItem {
 struct Shared {
     registry: Arc<SessionRegistry>,
     notifier: Arc<Notifier>,
+    /// The frame cap every response is held to ([`cap_response`]).
+    max_frame: u32,
     work: Mutex<VecDeque<WorkItem>>,
     available: Condvar,
     /// Session queues keyed by entry identity (`Arc` pointer), not
@@ -110,15 +111,18 @@ pub(crate) struct Dispatcher {
 }
 
 impl Dispatcher {
-    /// Spawns `workers` threads (at least one).
+    /// Spawns `workers` threads (at least one) answering with frames of
+    /// at most `max_frame` bytes.
     pub(crate) fn start(
         registry: Arc<SessionRegistry>,
         notifier: Arc<Notifier>,
         workers: usize,
+        max_frame: u32,
     ) -> Dispatcher {
         let shared = Arc::new(Shared {
             registry,
             notifier,
+            max_frame,
             work: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             sessions: Mutex::new(HashMap::new()),
@@ -225,7 +229,8 @@ impl Dispatcher {
     }
 }
 
-fn complete(shared: &Shared, completion: Completion) {
+fn complete(shared: &Shared, mut completion: Completion) {
+    cap_response(&mut completion.response, shared.max_frame);
     shared
         .completions
         .lock()
@@ -353,17 +358,13 @@ fn execute_read_batch(shared: &Shared, entry: &Arc<SessionEntry>, jobs: Vec<Scri
             .ok()
             .and_then(|text| text.split_once('\n').map(|(_, b)| b))
             .unwrap_or("");
-        let mut out = Vec::new();
-        let errors = {
-            let mut state = job.session.lock().unwrap_or_else(PoisonError::into_inner);
-            session
-                .process_read_frame(&mut state.lineno, body, &mut batch, &mut out)
-                // Writes to a Vec cannot fail; count defensively.
-                .unwrap_or(1)
-        };
         let mut response = Vec::new();
-        let _ = writeln!(response, "ok errors={errors}");
-        response.extend_from_slice(&out);
+        {
+            let mut state = job.session.lock().unwrap_or_else(PoisonError::into_inner);
+            frame_reply(&mut response, |out| {
+                session.process_read_frame(&mut state.lineno, body, &mut batch, out)
+            });
+        }
         drop(span);
         let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         m.request_latency_us[vi].record(elapsed_us);

@@ -275,7 +275,12 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let (notifier, waker_rx) = waker_pair()?;
     let notifier = Arc::new(notifier);
-    let dispatcher = Dispatcher::start(Arc::clone(&registry), Arc::clone(&notifier), workers);
+    let dispatcher = Dispatcher::start(
+        Arc::clone(&registry),
+        Arc::clone(&notifier),
+        workers,
+        max_frame,
+    );
     let m = tiebreak_trace::metrics();
 
     let mut conns: HashMap<u64, Conn> = HashMap::new();

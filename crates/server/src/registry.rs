@@ -225,6 +225,9 @@ struct Counters {
 /// The shared LRU session registry.
 pub struct SessionRegistry {
     config: RegistryConfig,
+    /// The reply cap every prepared session renders under
+    /// ([`ScriptSession::with_reply_cap`]): the server's frame cap.
+    reply_cap: Option<usize>,
     inner: Mutex<Inner>,
     /// Logical clock for LRU stamps.
     clock: AtomicU64,
@@ -240,12 +243,20 @@ impl SessionRegistry {
     pub fn new(config: RegistryConfig) -> Self {
         SessionRegistry {
             config,
+            reply_cap: None,
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
                 counters: Counters::default(),
             }),
             clock: AtomicU64::new(0),
         }
+    }
+
+    /// Caps the replies of every session this registry prepares at the
+    /// server's frame cap.
+    pub(crate) fn with_reply_cap(mut self, max_frame: u32) -> Self {
+        self.reply_cap = Some(max_frame as usize);
+        self
     }
 
     /// The configuration the registry was built with.
@@ -330,9 +341,13 @@ impl SessionRegistry {
         }
 
         let epoch = solver.epoch();
+        let mut session = ScriptSession::new(solver, self.config.pure);
+        if let Some(cap) = self.reply_cap {
+            session = session.with_reply_cap(cap);
+        }
         let entry = Arc::new(SessionEntry {
             key,
-            session: Mutex::new(ScriptSession::new(solver, self.config.pure)),
+            session: Mutex::new(session),
             resident_atoms: AtomicUsize::new(atoms),
             epoch: AtomicU64::new(epoch),
             last_used: AtomicU64::new(self.tick()),

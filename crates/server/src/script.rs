@@ -28,13 +28,23 @@
 //! errors (e.g. a grounding-budget overflow) are reported the same way;
 //! the solver itself rolls failed batches back (see
 //! [`Solver::apply`]), so the session keeps serving afterwards.
+//!
+//! **Reply cap.** A front-end that sends replies in bounded frames gives
+//! the session its cap ([`ScriptSession::with_reply_cap`]). The
+//! `? wf` and `? outcomes` bodies are then rendered under it, and a
+//! frame ([`ScriptSession::process_frame`],
+//! [`ScriptSession::process_read_frame`]) whose reply would pass it
+//! stops at the line that passes it: nothing past the cap is written,
+//! and the frame fails with an [`io::Error`] wrapping [`ReplyTooLarge`].
+//! Batches the frame applied before that line stay applied; its later
+//! lines do not run.
 
 use std::io::{self, Write};
 
 use datalog_ast::GroundAtom;
-use tiebreak_core::semantics::outcomes::{DecodedOutcomes, OutcomeSet};
+use tiebreak_core::semantics::outcomes::OutcomeSet;
 use tiebreak_core::{Mutation, PrepareDelta};
-use tiebreak_runtime::{ReadBatch, Solver};
+use tiebreak_runtime::{reply, ReadBatch, ReplyTooLarge, Solver};
 
 /// Default cap on `? outcomes` enumeration when the script names none.
 pub const DEFAULT_OUTCOME_RUNS: usize = 256;
@@ -70,6 +80,15 @@ impl ScriptSession {
         }
     }
 
+    /// Caps every reply this session renders at `cap` bytes (see the
+    /// module docs): the server passes its frame cap. Without it, as in
+    /// the CLI's `session`, replies are unbounded.
+    #[must_use]
+    pub fn with_reply_cap(mut self, cap: usize) -> Self {
+        self.solver.set_reply_cap(Some(cap));
+        self
+    }
+
     /// The underlying solver.
     pub fn solver(&self) -> &Solver {
         &self.solver
@@ -87,7 +106,9 @@ impl ScriptSession {
     ///
     /// # Errors
     ///
-    /// Only sink I/O errors. Malformed lines and failed
+    /// Only sink I/O errors, which include a `? wf` or `? outcomes`
+    /// reply over the reply cap (an [`io::Error`] wrapping
+    /// [`ReplyTooLarge`]). Malformed lines and failed
     /// applies/evaluations are reported *into the sink* and the session
     /// stays usable — see the module docs for the discard semantics.
     pub fn process_line(
@@ -138,6 +159,44 @@ impl ScriptSession {
         }
     }
 
+    /// Runs one `script` frame: every line through
+    /// [`process_line`](ScriptSession::process_line), then
+    /// [`finish`](ScriptSession::finish), so staged mutations never
+    /// outlive the frame. `lineno` advances across the frame; the
+    /// returned count is the frame's failed lines.
+    ///
+    /// # Errors
+    ///
+    /// Sink I/O errors, and a reply that would pass the reply cap (an
+    /// [`io::Error`] wrapping [`ReplyTooLarge`]); the frame's remaining
+    /// lines do not run and its staged mutations are discarded.
+    pub fn process_frame(
+        &mut self,
+        lineno: &mut usize,
+        body: &str,
+        out: &mut dyn Write,
+    ) -> io::Result<usize> {
+        let mut out = CappedSink::new(out, self.solver.reply_cap());
+        let mut errors = 0;
+        let result = body
+            .lines()
+            .try_for_each(|line| {
+                *lineno += 1;
+                if self.process_line(*lineno, line, &mut out)? == LineOutcome::Error {
+                    errors += 1;
+                }
+                Ok(())
+            })
+            .and_then(|()| self.finish(&mut out));
+        match result {
+            Ok(outcome) => Ok(errors + usize::from(outcome == LineOutcome::Error)),
+            Err(e) => {
+                self.staged.clear();
+                Err(e)
+            }
+        }
+    }
+
     /// Whether every effective line of a script frame is a `?` query —
     /// the frame cannot mutate the session, so the server may coalesce
     /// it with other read-only frames into one batch under one lock.
@@ -167,7 +226,9 @@ impl ScriptSession {
     ///
     /// # Errors
     ///
-    /// Sink I/O errors only; malformed queries are reported in-band.
+    /// Sink I/O errors, and a reply that would pass the reply cap (an
+    /// [`io::Error`] wrapping [`ReplyTooLarge`]; the frame's remaining
+    /// lines do not run). Malformed queries are reported in-band.
     pub fn process_read_frame(
         &self,
         lineno: &mut usize,
@@ -179,6 +240,7 @@ impl ScriptSession {
             Self::frame_is_read_only(body),
             "process_read_frame on a frame with non-query lines"
         );
+        let out = &mut CappedSink::new(out, self.solver.reply_cap());
         let mut errors = 0;
         for raw in body.lines() {
             *lineno += 1;
@@ -239,19 +301,10 @@ impl ScriptSession {
         out: &mut dyn Write,
     ) -> Result<(), Failure> {
         if query == "wf" {
-            let outcome = batch
+            let reply = batch
                 .model(&self.solver)
                 .map_err(|e| Failure::Script(e.to_string()))?;
-            for fact in &outcome.true_facts {
-                writeln!(out, "{fact}.")?;
-            }
-            if !outcome.total {
-                writeln!(
-                    out,
-                    "% partial model: {} atoms left undefined",
-                    outcome.undefined.len()
-                )?;
-            }
+            out.write_all(&reply?)?;
         } else if query == "stats" {
             self.write_stats(out)?;
         } else if let Some(limit) = query.strip_prefix("outcomes") {
@@ -263,10 +316,10 @@ impl ScriptSession {
                     .parse()
                     .map_err(|e| Failure::Script(format!("bad outcome limit: {e}")))?
             };
-            let set = batch
+            let reply = batch
                 .outcomes(&self.solver, self.pure, max_runs)
                 .map_err(|e| Failure::Script(e.to_string()))?;
-            write_decoded_outcomes(out, &set)?;
+            out.write_all(&reply?)?;
         } else {
             let fact = parse_fact(query)?;
             match batch
@@ -371,6 +424,47 @@ impl From<io::Error> for Failure {
     }
 }
 
+/// A reply over the cap fails the frame like a sink that cannot take it.
+impl From<ReplyTooLarge> for Failure {
+    fn from(e: ReplyTooLarge) -> Self {
+        Failure::Io(io::Error::other(e))
+    }
+}
+
+/// A frame's sink: forwards writes until the frame's reply would pass
+/// the cap, then fails every write with [`ReplyTooLarge`].
+struct CappedSink<'a> {
+    out: &'a mut dyn Write,
+    written: usize,
+    cap: Option<usize>,
+}
+
+impl<'a> CappedSink<'a> {
+    fn new(out: &'a mut dyn Write, cap: Option<usize>) -> Self {
+        CappedSink {
+            out,
+            written: 0,
+            cap,
+        }
+    }
+}
+
+impl Write for CappedSink<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let bytes = self.written + buf.len();
+        if let Some(cap) = self.cap.filter(|&cap| bytes > cap) {
+            return Err(io::Error::other(ReplyTooLarge { bytes, cap }));
+        }
+        let n = self.out.write(buf)?;
+        self.written += n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
+}
+
 /// Parses one `pred(c1, …).` session-script fact (trailing dot
 /// optional).
 fn parse_fact(src: &str) -> Result<GroundAtom, Failure> {
@@ -414,9 +508,9 @@ pub fn describe_delta(delta: &PrepareDelta) -> String {
     }
 }
 
-/// Writes an outcome set in the shared `outcomes` format: decoded
-/// ([`OutcomeSet::decode`], the read memo's decoding) and written by
-/// [`write_decoded_outcomes`], so every front-end prints the same bytes.
+/// Writes an outcome set in the shared `outcomes` format
+/// ([`reply::render_outcomes`], the renderer the read memo uses), so
+/// every front-end prints the same bytes.
 ///
 /// # Errors
 ///
@@ -426,41 +520,7 @@ pub fn write_outcomes(
     set: &OutcomeSet,
     atoms: &datalog_ground::AtomTable,
 ) -> io::Result<()> {
-    write_decoded_outcomes(out, &set.decode(atoms))
-}
-
-/// Writes a decoded outcome set in the shared `outcomes` format: a
-/// summary line, then one line per model listing its true facts in text
-/// order.
-///
-/// # Errors
-///
-/// Sink I/O errors.
-pub fn write_decoded_outcomes(out: &mut dyn Write, set: &DecodedOutcomes) -> io::Result<()> {
-    writeln!(
-        out,
-        "% {} distinct outcome(s) over {} run(s){}",
-        set.models.len(),
-        set.runs,
-        if set.truncated { " (truncated)" } else { "" }
-    )?;
-    for (i, model) in set.models.iter().enumerate() {
-        write!(
-            out,
-            "% outcome {} ({}): {{",
-            i + 1,
-            if model.total { "total" } else { "partial" },
-        )?;
-        let mut facts = model.facts.iter().map(|&f| &set.facts[f as usize]);
-        if let Some(first) = facts.next() {
-            write!(out, "{first}")?;
-            for fact in facts {
-                write!(out, ", {fact}")?;
-            }
-        }
-        writeln!(out, "}}")?;
-    }
-    Ok(())
+    out.write_all(&reply::render_outcomes(atoms, set, None).expect("no cap"))
 }
 
 #[cfg(test)]

@@ -48,8 +48,9 @@ use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
+use tiebreak_runtime::ReplyTooLarge;
+
 use crate::registry::{RegistryConfig, SessionEntry, SessionRegistry};
-use crate::script::LineOutcome;
 use crate::wire::{read_frame, write_frame, WireError, DEFAULT_MAX_FRAME_BYTES};
 
 /// Default idle deadline: connections with no frame activity for this
@@ -161,7 +162,7 @@ impl Server {
         };
         Ok(Server {
             listener,
-            registry: Arc::new(SessionRegistry::new(config.registry)),
+            registry: Arc::new(SessionRegistry::new(config.registry).with_reply_cap(max_frame)),
             max_frame,
             mode: config.mode,
             max_idle_secs: config.max_idle_secs,
@@ -315,6 +316,7 @@ fn serve_connection(
         };
         let mut response = Vec::new();
         let next = handle_request(&payload, registry, &mut entry, &mut lineno, &mut response);
+        cap_response(&mut response, max_frame);
         if write_frame(&mut writer, &response).is_err() {
             return;
         }
@@ -529,23 +531,49 @@ fn handle_script(
         let _ = write!(response, "error no session open (send an open frame first)");
         return;
     };
-    let mut out = Vec::new();
-    let mut errors: usize = 0;
     let mut session = entry.lock();
-    for line in body.lines() {
-        *lineno += 1;
-        match session.process_line(*lineno, line, &mut out) {
-            Ok(LineOutcome::Ok) => {}
-            Ok(LineOutcome::Error) => errors += 1,
-            // Writes to a Vec cannot fail; treat defensively anyway.
-            Err(_) => errors += 1,
+    frame_reply(response, |out| session.process_frame(lineno, body, out));
+    entry.sync_footprint(&session);
+}
+
+/// Writes a script frame's response: `ok errors=N` and the frame's
+/// output, or, when the frame failed (a reply over the cap: writes to a
+/// `Vec` cannot fail otherwise), the in-band error. The frame writes
+/// straight into `response` behind a provisional `ok errors=0` header,
+/// so a large reply is copied once; a frame with failed lines rewrites
+/// the header.
+pub(crate) fn frame_reply(
+    response: &mut Vec<u8>,
+    frame: impl FnOnce(&mut Vec<u8>) -> io::Result<usize>,
+) {
+    const OK: &[u8] = b"ok errors=0\n";
+    response.extend_from_slice(OK);
+    match frame(response) {
+        Ok(0) => {}
+        Ok(errors) => {
+            let out = response.split_off(OK.len());
+            response.clear();
+            let _ = writeln!(response, "ok errors={errors}");
+            response.extend_from_slice(&out);
+        }
+        Err(e) => {
+            response.clear();
+            let _ = write!(response, "error {e}");
         }
     }
-    if matches!(session.finish(&mut out), Ok(LineOutcome::Error) | Err(_)) {
-        errors += 1;
+}
+
+/// Replaces a response larger than the frame cap with the in-band
+/// error, so the connection keeps serving: the script interpreter stops
+/// at the cap, and this catches the `ok errors=N` header that can take
+/// a reply just under it past, and any other verb's reply.
+pub(crate) fn cap_response(response: &mut Vec<u8>, max_frame: u32) {
+    let cap = max_frame as usize;
+    if response.len() > cap {
+        let too_large = ReplyTooLarge {
+            bytes: response.len(),
+            cap,
+        };
+        *response = format!("error {too_large}").into_bytes();
     }
-    entry.sync_footprint(&session);
-    drop(session);
-    let _ = writeln!(response, "ok errors={errors}");
-    response.extend_from_slice(&out);
 }

@@ -664,3 +664,61 @@ fn strict_mode_rejects_certain_blowups_before_prepare() {
 
     stop_server(addr, handle);
 }
+
+#[test]
+fn over_cap_replies_are_answered_in_band_reactor() {
+    over_cap_replies_case(ServerMode::Reactor);
+}
+
+#[test]
+fn over_cap_replies_are_answered_in_band_legacy() {
+    over_cap_replies_case(ServerMode::LegacyThreads);
+}
+
+/// A hostile client asks for replies larger than the server's frame
+/// cap: one `? outcomes` over the cap, a read-only script of many
+/// under-cap queries whose sum is over it, and a mutating one. Each is
+/// answered with an in-band error, and the connection keeps serving.
+fn over_cap_replies_case(mode: ServerMode) {
+    const CAP: u32 = 2048;
+    let (addr, _registry, handle) = start_server(ServerConfig {
+        max_frame_bytes: CAP,
+        ..config_for(mode)
+    });
+    let db = paper_constructions::generators::braided_tie_chain_db(2, 4).to_string();
+    let too_large = |result: Result<_, ClientError>| match result {
+        Err(ClientError::Server(msg)) => {
+            assert!(msg.starts_with("reply of "), "{msg}");
+            assert!(msg.ends_with("exceeds the 2048-byte frame cap"), "{msg}");
+        }
+        other => panic!("expected an in-band over-cap error, got {other:?}"),
+    };
+    let mut client = Client::connect(addr).expect("connect");
+    client.open(PROG, &db).expect("open");
+
+    too_large(client.script("? outcomes 16"));
+    // The memo keeps the verdict; the repeat is refused the same way.
+    too_large(client.script("? outcomes 16"));
+
+    let wf = client.script("? wf").expect("one ? wf fits");
+    assert!(wf.body.len() < CAP as usize / 2, "{}", wf.body.len());
+    let many = "? wf\n".repeat(CAP as usize / wf.body.len() + 1);
+    too_large(client.script(&many));
+    too_large(client.script(&format!("- move(t0a0, t0b0).\n{many}")));
+
+    // The connection keeps serving, and the batch applied before the
+    // over-cap line stayed applied.
+    let expected = fresh_solver_output(
+        PROG,
+        &db,
+        &["- move(t0a0, t0b0).", "? win(t0a0)", "? outcomes 2"],
+    );
+    let expected = expected.split_once('\n').expect("epoch line").1;
+    let response = client
+        .script("? win(t0a0)\n? outcomes 2")
+        .expect("a normal query after the refusals");
+    assert_eq!(response.status, "errors=0");
+    assert_eq!(response.body, expected);
+
+    stop_server(addr, handle);
+}

@@ -68,9 +68,8 @@ pub mod prelude {
         stratify, structural_nonuniform_totality, structural_totality, useless_predicates,
     };
     pub use tiebreak_core::semantics::{
-        pure_tie_breaking, pure_tie_breaking_stratified, well_founded, well_founded_stratified,
-        well_founded_tie_breaking, well_founded_tie_breaking_stratified, RandomPolicy,
-        RootFalsePolicy, RootTruePolicy, ScriptedPolicy, TiePolicy,
+        pure_tie_breaking, well_founded, well_founded_tie_breaking, RandomPolicy, RootFalsePolicy,
+        RootTruePolicy, ScriptedPolicy, TiePolicy,
     };
     pub use tiebreak_core::{
         Engine, EngineConfig, EvalOptions, Mutation, PrepareDelta, RuntimeConfig, SessionConfig,
