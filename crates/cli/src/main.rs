@@ -16,7 +16,7 @@
 //!                  [--threads N]
 //! datalog serve    [--addr HOST:PORT] [--semantics tb|pure-tb] [--threads N]
 //!                  [--max-sessions N] [--max-resident-atoms N] [--strict]
-//!                  [--reactor | --legacy-threads] [--max-idle-secs N]
+//!                  [--max-idle-secs N]
 //! datalog client   <program.dl> [database.dl] --addr HOST:PORT [--script FILE]
 //!                  [--concurrency N] [--repeat K]
 //! datalog client   --addr HOST:PORT --stats | --metrics | --shutdown
@@ -57,12 +57,12 @@
 //! `serve` exposes the same session machinery over TCP: a long-lived
 //! process managing many prepared sessions behind an LRU keyed by
 //! program + database source, so repeated opens of the same pair skip
-//! the ground → close → condense preparation entirely. The default
-//! transport is a poll-based reactor with cross-connection query
-//! batching (read-only script frames from many clients against one
-//! session share a single evaluation); `--legacy-threads` selects the
-//! pre-reactor thread-per-connection transport, and `--max-idle-secs N`
-//! sets the reactor's idle-connection reaping deadline (0 disables).
+//! the ground → close → condense preparation entirely. One poll-based
+//! reactor serves every connection from a fixed set of threads; script
+//! frames against one session run one at a time in arrival order, and
+//! concurrent readers share each evaluation through the session's read
+//! memo. `--max-idle-secs N` sets the idle-connection reaping deadline
+//! (0 disables).
 //! `client` drives a served session with the same script language (and
 //! `--shutdown` stops the server); `--concurrency N --repeat K` turns
 //! it into a load generator that opens N concurrent connections and
@@ -114,7 +114,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage:\n  datalog analyze <program.dl>\n  datalog check <program.dl> [db.dl] [--format text|json]\n  datalog run <program.dl> [db.dl] [--semantics wf|tb|pure-tb|stratified] [--policy root-true|root-false|random] [--seed N] [--threads N]\n  datalog models <program.dl> [db.dl] [--stable] [--limit N]\n  datalog ground <program.dl> [db.dl]\n  datalog explain <program.dl> [db.dl] --atom \"win(a)\" [--semantics wf|tb] [--policy root-true|root-false|random] [--seed N] [--threads N]\n  datalog outcomes <program.dl> [db.dl] [--semantics tb|pure-tb] [--limit N] [--threads N]\n  datalog totality <program.dl> [--nonuniform]\n  datalog session <program.dl> [db.dl] [--script FILE] [--semantics tb|pure-tb] [--threads N]\n  datalog serve [--addr HOST:PORT] [--semantics tb|pure-tb] [--threads N] [--max-sessions N] [--max-resident-atoms N] [--strict] [--reactor | --legacy-threads] [--max-idle-secs N]\n  datalog client <program.dl> [db.dl] --addr HOST:PORT [--script FILE] [--concurrency N] [--repeat K]\n  datalog client --addr HOST:PORT --stats | --metrics | --shutdown\n\nGrounding commands also accept --ground-mode full|relevant (default: relevant).\nrun/outcomes/session/serve accept --trace-out FILE (chrome://tracing JSON) and\n--trace summary (aggregate span table on stderr); either enables the recorder.\nrun/explain/outcomes/session/serve evaluate on the parallel session runtime;\n--threads N (N >= 1) pins its worker count, otherwise TIEBREAK_THREADS or the\nmachine's parallelism decides. The worker count never changes the output.\nsession scripts: '+fact.' insert, '-fact.' retract, '? wf', '?fact.',\n'? outcomes [N]', '? stats', '#' comments; reads stdin without --script.\nserve listens for client connections and keeps prepared sessions resident\nbehind an LRU; client opens (or reuses) a server-side session and streams a\nscript against it.\ncheck exits non-zero exactly when an error-severity lint fires; serve --strict\nruns the same analysis on every open and rejects error lints before preparing."
+    "usage:\n  datalog analyze <program.dl>\n  datalog check <program.dl> [db.dl] [--format text|json]\n  datalog run <program.dl> [db.dl] [--semantics wf|tb|pure-tb|stratified] [--policy root-true|root-false|random] [--seed N] [--threads N]\n  datalog models <program.dl> [db.dl] [--stable] [--limit N]\n  datalog ground <program.dl> [db.dl]\n  datalog explain <program.dl> [db.dl] --atom \"win(a)\" [--semantics wf|tb] [--policy root-true|root-false|random] [--seed N] [--threads N]\n  datalog outcomes <program.dl> [db.dl] [--semantics tb|pure-tb] [--limit N] [--threads N]\n  datalog totality <program.dl> [--nonuniform]\n  datalog session <program.dl> [db.dl] [--script FILE] [--semantics tb|pure-tb] [--threads N]\n  datalog serve [--addr HOST:PORT] [--semantics tb|pure-tb] [--threads N] [--max-sessions N] [--max-resident-atoms N] [--strict] [--max-idle-secs N]\n  datalog client <program.dl> [db.dl] --addr HOST:PORT [--script FILE] [--concurrency N] [--repeat K]\n  datalog client --addr HOST:PORT --stats | --metrics | --shutdown\n\nGrounding commands also accept --ground-mode full|relevant (default: relevant).\nrun/outcomes/session/serve accept --trace-out FILE (chrome://tracing JSON) and\n--trace summary (aggregate span table on stderr); either enables the recorder.\nrun/explain/outcomes/session/serve evaluate on the parallel session runtime;\n--threads N (N >= 1) pins its worker count, otherwise TIEBREAK_THREADS or the\nmachine's parallelism decides. The worker count never changes the output.\nsession scripts: '+fact.' insert, '-fact.' retract, '? wf', '?fact.',\n'? outcomes [N]', '? stats', '#' comments; reads stdin without --script.\nserve listens for client connections and keeps prepared sessions resident\nbehind an LRU; client opens (or reuses) a server-side session and streams a\nscript against it.\ncheck exits non-zero exactly when an error-severity lint fires; serve --strict\nruns the same analysis on every open and rejects error lints before preparing."
         .to_owned()
 }
 
@@ -141,8 +141,6 @@ struct Options {
     trace_summary: bool,
     stats: bool,
     metrics: bool,
-    reactor: bool,
-    legacy_threads: bool,
     max_idle_secs: u64,
     concurrency: usize,
     repeat: usize,
@@ -171,8 +169,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         trace_summary: false,
         stats: false,
         metrics: false,
-        reactor: false,
-        legacy_threads: false,
         max_idle_secs: tiebreak_server::DEFAULT_MAX_IDLE_SECS,
         concurrency: 1,
         repeat: 1,
@@ -251,8 +247,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--shutdown" => opts.shutdown = true,
             "--strict" => opts.strict = true,
-            "--reactor" => opts.reactor = true,
-            "--legacy-threads" => opts.legacy_threads = true,
             "--max-idle-secs" => {
                 opts.max_idle_secs = it
                     .next()
@@ -515,7 +509,9 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
                 }
                 return Ok(());
             }
+            let prepare = tiebreak_trace::span("run", "prepare", &[]);
             let solver = load_solver(opts)?;
+            drop(prepare);
             let run = match semantics {
                 "wf" => solver.well_founded_run(),
                 "pure-tb" => solver.pure_tie_breaking_run(&policy),
@@ -536,6 +532,11 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
                 "% ties broken: {}, unfounded rounds: {}",
                 run.stats.ties_broken, run.stats.unfounded_rounds
             );
+            // The process exits next and its output is flushed: skip
+            // the destructors, which cost several milliseconds freeing
+            // a large instance's arenas that exit reclaims anyway.
+            let _drop = tiebreak_trace::span("run", "drop", &[]);
+            std::mem::forget((run, solver));
             Ok(())
         }
         "models" => {
@@ -752,21 +753,11 @@ fn run_serve(opts: &Options) -> Result<(), String> {
     if opts.max_resident_atoms > 0 {
         registry.max_resident_atoms = opts.max_resident_atoms;
     }
-    if opts.reactor && opts.legacy_threads {
-        return Err("--reactor and --legacy-threads are mutually exclusive".to_owned());
-    }
-    let mode = if opts.legacy_threads {
-        tiebreak_server::ServerMode::LegacyThreads
-    } else {
-        // The reactor is the default; --reactor spells it out.
-        tiebreak_server::ServerMode::Reactor
-    };
     let server = Server::bind(
         addr,
         ServerConfig {
             registry,
             max_frame_bytes: 0,
-            mode,
             max_idle_secs: opts.max_idle_secs,
             workers: 0,
         },
@@ -1052,27 +1043,14 @@ mod tests {
     }
 
     #[test]
-    fn reactor_and_idle_flags_parse() {
-        let args: Vec<String> = ["--reactor", "--max-idle-secs", "45"]
+    fn idle_flag_parses_and_defaults_to_the_server_constant() {
+        let opts = parse_options(&[]).unwrap();
+        assert_eq!(opts.max_idle_secs, tiebreak_server::DEFAULT_MAX_IDLE_SECS);
+        let args: Vec<String> = ["--max-idle-secs", "45"]
             .iter()
             .map(std::string::ToString::to_string)
             .collect();
-        let opts = parse_options(&args).unwrap();
-        assert!(opts.reactor);
-        assert!(!opts.legacy_threads);
-        assert_eq!(opts.max_idle_secs, 45);
-    }
-
-    #[test]
-    fn legacy_threads_flag_parses() {
-        let args = vec!["--legacy-threads".to_owned()];
-        let opts = parse_options(&args).unwrap();
-        assert!(opts.legacy_threads);
-        assert_eq!(
-            opts.max_idle_secs,
-            tiebreak_server::DEFAULT_MAX_IDLE_SECS,
-            "idle deadline defaults to the server's constant"
-        );
+        assert_eq!(parse_options(&args).unwrap().max_idle_secs, 45);
     }
 
     #[test]
@@ -1100,16 +1078,6 @@ mod tests {
         assert!(err.contains("at least one connection"));
         let err = parse_options(&["--repeat".to_owned(), "0".to_owned()]).unwrap_err();
         assert!(err.contains("at least one round"));
-    }
-
-    #[test]
-    fn conflicting_transport_flags_rejected() {
-        let args: Vec<String> = ["serve", "--reactor", "--legacy-threads"]
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect();
-        let err = run(&args).unwrap_err();
-        assert!(err.contains("mutually exclusive"));
     }
 
     #[test]

@@ -18,13 +18,13 @@
 //!   atoms (the grounder's own budget unit) and eviction as graceful
 //!   degradation;
 //! * [`server`] / [`client`] — the TCP server and a blocking client.
-//!   The server's default transport is a poll-based reactor with a
-//!   bounded worker pool and **cross-connection query batching**:
-//!   read-only `script` frames from many clients against the same
-//!   session coalesce into one well-founded evaluation with
-//!   byte-identical per-client answers, and mutating frames act as
-//!   epoch barriers. The pre-reactor thread-per-connection transport
-//!   remains available as [`ServerMode::LegacyThreads`].
+//!   The server has one transport: a poll-based reactor in front of a
+//!   fixed worker pool. Every request frame is answered by the same
+//!   handler; `script` frames against one session wait in that
+//!   session's FIFO, which one worker drains a frame at a time, so
+//!   writes apply in arrival order. Concurrent readers share each
+//!   evaluation through the solver's read memo, not through the
+//!   transport.
 //!
 //! # Example
 //!
@@ -61,5 +61,5 @@ pub use registry::{
     OpenError, OpenOutcome, RegistryConfig, RegistryStats, SessionRegistry, SessionStat,
 };
 pub use script::{LineOutcome, ScriptSession};
-pub use server::{Server, ServerConfig, ServerMode, DEFAULT_MAX_IDLE_SECS};
+pub use server::{Server, ServerConfig, DEFAULT_MAX_IDLE_SECS};
 pub use wire::{read_frame, write_frame, FrameDecoder, WireError, DEFAULT_MAX_FRAME_BYTES};

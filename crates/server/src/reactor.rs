@@ -1,24 +1,25 @@
 //! The poll-based reactor: one thread multiplexing every connection.
 //!
-//! The legacy transport spends a thread (and its stack) per connection,
-//! parked in a blocking `read`. The reactor replaces that with a single
-//! event loop over nonblocking sockets: each connection is a small
-//! state machine
+//! A single event loop over nonblocking sockets serves every
+//! connection; each connection is a small state machine
 //!
 //! ```text
 //! reading header → reading payload → dispatched → writing response ⟲
 //! ```
 //!
-//! and an idle connection costs one `pollfd` entry instead of a stack.
-//! Frame reassembly is [`FrameDecoder`]'s job (a frame split across TCP
-//! segments, or several frames coalesced into one segment, parse
-//! identically to the blocking reader). Complete frames are handed to
-//! the [`dispatch`](crate::dispatch) worker pool; at most one request
-//! per connection is in flight, which both preserves the wire
-//! protocol's strict request→response ordering and gives natural
-//! backpressure (the reactor stops reading a connection while its
-//! request is dispatched, so a flooding client backs up into its own
-//! TCP window, not into server memory).
+//! and an idle connection costs one `pollfd` entry instead of a thread
+//! and its stack. The set of threads is fixed: this loop plus the
+//! [`dispatch`](crate::dispatch) worker pool, however many clients
+//! connect. Frame reassembly is [`FrameDecoder`]'s job (a frame split
+//! across TCP segments, or several frames coalesced into one segment,
+//! parse identically to the blocking reader). Complete frames are
+//! handed to the worker pool; at most one request per connection is in
+//! flight, which both preserves the wire protocol's strict
+//! request→response ordering and gives natural backpressure (the
+//! reactor stops reading a connection while its request is dispatched,
+//! so a flooding client backs up into its own TCP window, not into
+//! server memory). Accepting connections happens here too, so this is
+//! where a cap on open connections belongs.
 //!
 //! Responses come back over a completion queue plus a loopback *waker*
 //! connection (a std-only stand-in for `socketpair(2)`): a worker
@@ -528,8 +529,8 @@ fn read_ready(conn: &mut Conn, rbuf: &mut [u8], now: Instant) -> bool {
                 conn.last_activity = now;
                 if let Err(e) = conn.decoder.feed(&rbuf[..n], &mut frames) {
                     // Oversized header: the stream is desynchronized.
-                    // Report in-band (like the legacy transport) and
-                    // close once the error frame is written.
+                    // Report in-band and close once the error frame
+                    // is written.
                     conn.queue_response(format!("error {e}").as_bytes());
                     conn.close_after_write = true;
                     conn.flush_writes();

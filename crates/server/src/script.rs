@@ -197,38 +197,21 @@ impl ScriptSession {
         }
     }
 
-    /// Whether every effective line of a script frame is a `?` query —
-    /// the frame cannot mutate the session, so the server may coalesce
-    /// it with other read-only frames into one batch under one lock.
-    ///
-    /// This classification is frame-local and sound because `script`
-    /// frames are transactional: staged mutations never survive a frame
-    /// boundary (the server calls [`ScriptSession::finish`] per frame),
-    /// so a frame of pure queries touches no mutable state.
-    pub fn frame_is_read_only(body: &str) -> bool {
-        body.lines().map(str::trim).all(|line| {
-            line.is_empty()
-                || line.starts_with('#')
-                || line.starts_with('%')
-                || line.starts_with('?')
-        })
-    }
-
-    /// Runs one read-only frame (see
-    /// [`frame_is_read_only`](ScriptSession::frame_is_read_only)) against
-    /// a shared [`ReadBatch`], producing byte-for-byte the output
-    /// [`process_line`](ScriptSession::process_line) +
-    /// [`finish`](ScriptSession::finish) would have produced for the
-    /// same lines, every query answered from the solver's read memo
-    /// through `batch`. `lineno`
-    /// advances across the frame exactly like the sequential path, and
-    /// the returned count is the frame's failed lines.
+    /// Runs one read-only frame (every line a `?` query, a comment or
+    /// blank) through `&self` against a shared [`ReadBatch`], producing
+    /// byte-for-byte the output
+    /// [`process_frame`](ScriptSession::process_frame) would have
+    /// produced for the same lines, every query answered from the
+    /// solver's read memo through `batch`. `lineno` advances across the
+    /// frame exactly like `process_frame`, and the returned count is the
+    /// frame's failed lines.
     ///
     /// # Errors
     ///
     /// Sink I/O errors, and a reply that would pass the reply cap (an
     /// [`io::Error`] wrapping [`ReplyTooLarge`]; the frame's remaining
-    /// lines do not run). Malformed queries are reported in-band.
+    /// lines do not run). Malformed queries, and mutation lines, which
+    /// this read path cannot run, are reported in-band.
     pub fn process_read_frame(
         &self,
         lineno: &mut usize,
@@ -236,10 +219,6 @@ impl ScriptSession {
         batch: &mut ReadBatch,
         out: &mut dyn Write,
     ) -> io::Result<usize> {
-        debug_assert!(
-            Self::frame_is_read_only(body),
-            "process_read_frame on a frame with non-query lines"
-        );
         let out = &mut CappedSink::new(out, self.solver.reply_cap());
         let mut errors = 0;
         for raw in body.lines() {
@@ -270,9 +249,8 @@ impl ScriptSession {
                         Err(e) => Err(e),
                     }
                 }
-                // Unreachable for correctly classified frames; report
-                // with the sequential path's message so even a
-                // misclassified frame degrades to an in-band error.
+                // A mutation line, which this `&self` path cannot
+                // stage, fails in-band.
                 None => Err(Failure::Script(format!(
                     "expected '+fact.', '-fact.', or '?query', got {line:?}"
                 ))),
@@ -282,8 +260,8 @@ impl ScriptSession {
                 Err(Failure::Io(e)) => return Err(e),
                 Err(Failure::Script(msg)) => {
                     // No staged mutations can exist here, so no discard
-                    // report — identical to the sequential path's output
-                    // for a read-only frame.
+                    // report — identical to `process_frame`'s output for
+                    // a read-only frame.
                     writeln!(out, "! line {lineno}: {msg}")?;
                     errors += 1;
                 }
@@ -333,8 +311,8 @@ impl ScriptSession {
         Ok(())
     }
 
-    /// The `? stats` report (shared by the sequential and batched
-    /// paths so the two cannot drift).
+    /// The `? stats` report (shared by `query` and `read_query` so the
+    /// two cannot drift).
     fn write_stats(&self, out: &mut dyn Write) -> Result<(), Failure> {
         let fp = self.solver.footprint();
         writeln!(
@@ -403,9 +381,9 @@ impl ScriptSession {
     }
 
     fn query(&mut self, query: &str, out: &mut dyn Write) -> Result<(), Failure> {
-        // The sequential path is the batched path with a batch of one —
-        // the same read memo, the same formatting code — so the two
-        // paths are byte-identical by construction.
+        // The read path with a batch of one — the same read memo, the
+        // same formatting code — so the two paths are byte-identical by
+        // construction.
         let mut batch = ReadBatch::new();
         self.read_query(query, &mut batch, out)
     }

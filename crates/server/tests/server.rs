@@ -1,6 +1,8 @@
 //! End-to-end tests of the serving tier: many concurrent connections,
 //! result fidelity against fresh single-session solvers, and hostile
-//! input on the wire.
+//! input on the wire. The server's reactor runs on unix targets only.
+
+#![cfg(unix)]
 
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -10,20 +12,10 @@ use rand::{Rng, SeedableRng};
 use tiebreak_runtime::Solver;
 use tiebreak_server::{
     read_frame, write_frame, Client, ClientError, LineOutcome, RegistryConfig, ScriptSession,
-    Server, ServerConfig, ServerMode, SessionRegistry, WireError, DEFAULT_MAX_FRAME_BYTES,
+    Server, ServerConfig, SessionRegistry, WireError, DEFAULT_MAX_FRAME_BYTES,
 };
 
 const PROG: &str = "win(X) :- move(X, Y), not win(Y).";
-
-/// A default config with the transport pinned — the behavioral suites
-/// run once per [`ServerMode`] so the reactor and the legacy
-/// thread-per-connection transport stay observably interchangeable.
-fn config_for(mode: ServerMode) -> ServerConfig {
-    ServerConfig {
-        mode,
-        ..ServerConfig::default()
-    }
-}
 
 /// Starts a server on an OS-assigned port; returns its address, its
 /// registry (for stats assertions), and the run-loop thread handle.
@@ -62,17 +54,8 @@ fn fresh_solver_output(program: &str, database: &str, lines: &[&str]) -> String 
 }
 
 #[test]
-fn concurrent_clients_get_bit_identical_results_reactor() {
-    concurrent_clients_case(ServerMode::Reactor);
-}
-
-#[test]
-fn concurrent_clients_get_bit_identical_results_legacy() {
-    concurrent_clients_case(ServerMode::LegacyThreads);
-}
-
-fn concurrent_clients_case(mode: ServerMode) {
-    let (addr, registry, handle) = start_server(config_for(mode));
+fn concurrent_clients_get_bit_identical_results() {
+    let (addr, registry, handle) = start_server(ServerConfig::default());
 
     // Five clients churn disjoint sessions (each mutates its own
     // chain); five more share one tie-pocket session, query-only so the
@@ -142,17 +125,8 @@ fn concurrent_clients_case(mode: ServerMode) {
 }
 
 #[test]
-fn malformed_connection_does_not_disturb_others_reactor() {
-    malformed_connection_case(ServerMode::Reactor);
-}
-
-#[test]
-fn malformed_connection_does_not_disturb_others_legacy() {
-    malformed_connection_case(ServerMode::LegacyThreads);
-}
-
-fn malformed_connection_case(mode: ServerMode) {
-    let (addr, _registry, handle) = start_server(config_for(mode));
+fn malformed_connection_does_not_disturb_others() {
+    let (addr, _registry, handle) = start_server(ServerConfig::default());
     let db = "move(a, b).\nmove(b, c).";
 
     // Client B holds a healthy connection to the same session for the
@@ -258,17 +232,8 @@ fn evicted_sessions_reprepare_transparently() {
 }
 
 #[test]
-fn fuzzed_frames_never_kill_the_server_reactor() {
-    fuzzed_frames_case(ServerMode::Reactor);
-}
-
-#[test]
-fn fuzzed_frames_never_kill_the_server_legacy() {
-    fuzzed_frames_case(ServerMode::LegacyThreads);
-}
-
-fn fuzzed_frames_case(mode: ServerMode) {
-    let (addr, _registry, handle) = start_server(config_for(mode));
+fn fuzzed_frames_never_kill_the_server() {
+    let (addr, _registry, handle) = start_server(ServerConfig::default());
     let mut rng = SmallRng::seed_from_u64(0x5eed_f00d);
 
     let mut client = Client::connect(addr).expect("connect");
@@ -332,8 +297,8 @@ fn fuzzed_byte_streams_never_panic_the_frame_parser() {
 /// Drives `frames` through a fresh single-session solver **with the
 /// server's per-frame structure** (process each line, then `finish`,
 /// with a line counter that persists across frames) — the oracle for
-/// per-response fidelity under batching. Returns one output string per
-/// frame.
+/// per-response fidelity under concurrent load. Returns one output
+/// string per frame.
 fn fresh_session_frames(program: &str, database: &str, frames: &[&str]) -> Vec<String> {
     let solver = Solver::from_sources(program, database).expect("prepare");
     let mut session = ScriptSession::new(solver, false);
@@ -355,15 +320,14 @@ fn fresh_session_frames(program: &str, database: &str, frames: &[&str]) -> Vec<S
         .collect()
 }
 
-/// The tentpole fidelity suite: 32 concurrent clients hammer **one**
-/// hot session. Thirty-one stream read-only frames (eligible for
-/// cross-connection batching); one interleaves mutating frames, which
-/// must act as epoch barriers. Every single response must be
-/// bit-identical to what a fresh solver would say — batching may never
-/// be observable in the bytes. Runs at 1 and 8 evaluation threads so
-/// the batched branch-parallel path is covered both ways.
-#[cfg(unix)]
-fn batching_fidelity_case(threads: usize) {
+/// The fidelity suite: 32 concurrent clients hammer **one** hot
+/// session. Thirty-one stream read-only frames, sharing the session's
+/// read memo; one interleaves mutating frames, which advance the epoch
+/// between reads. Every single response must be bit-identical to what a
+/// fresh solver would say — scheduling may never be observable in the
+/// bytes. Runs at 1 and 8 evaluation threads so the branch-parallel
+/// path is covered both ways.
+fn concurrent_reads_and_writes_case(threads: usize) {
     use tiebreak_core::{EngineConfig, RuntimeConfig};
 
     let config = ServerConfig {
@@ -371,7 +335,6 @@ fn batching_fidelity_case(threads: usize) {
             engine: EngineConfig::default().with_runtime(RuntimeConfig::with_threads(threads)),
             ..RegistryConfig::default()
         },
-        mode: ServerMode::Reactor,
         ..ServerConfig::default()
     };
     let (addr, _registry, handle) = start_server(config);
@@ -397,10 +360,6 @@ fn batching_fidelity_case(threads: usize) {
         .collect();
     let mutator_refs: Vec<&str> = mutator_frames.iter().map(String::as_str).collect();
     let expected_mutator = fresh_session_frames(PROG, db, &mutator_refs);
-
-    let m = tiebreak_trace::metrics();
-    let batches_before = m.batches_dispatched.get();
-    let batch_frames_before = m.batch_size.sum();
 
     const READERS: usize = 31;
     const REPEATS: usize = 8;
@@ -442,32 +401,17 @@ fn batching_fidelity_case(threads: usize) {
         }
     });
 
-    // Every read-only frame went through the batched dispatch path
-    // (batch sizes of one still count); the metrics are global to the
-    // test process, so assert growth, not absolute values.
-    assert!(
-        m.batches_dispatched.get() > batches_before,
-        "read frames must flow through the batch dispatcher"
-    );
-    assert!(
-        m.batch_size.sum() >= batch_frames_before + (READERS * REPEATS) as u64,
-        "all {} read frames must be accounted to batches",
-        READERS * REPEATS
-    );
-
     stop_server(addr, handle);
 }
 
 #[test]
-#[cfg(unix)]
-fn batching_fidelity_under_concurrent_load_threads_1() {
-    batching_fidelity_case(1);
+fn concurrent_reads_and_writes_match_a_fresh_solver_threads_1() {
+    concurrent_reads_and_writes_case(1);
 }
 
 #[test]
-#[cfg(unix)]
-fn batching_fidelity_under_concurrent_load_threads_8() {
-    batching_fidelity_case(8);
+fn concurrent_reads_and_writes_match_a_fresh_solver_threads_8() {
+    concurrent_reads_and_writes_case(8);
 }
 
 /// Two closed-loop connections on one session keep the reactor's worker
@@ -476,13 +420,12 @@ fn batching_fidelity_under_concurrent_load_threads_8() {
 /// stalls both clients within a few hundred frames, so each must get
 /// through 2,000 round trips before the deadline.
 #[test]
-#[cfg(unix)]
 fn two_closed_loop_connections_never_stall() {
     use std::sync::mpsc;
     use std::time::Duration;
 
     const FRAMES: usize = 2_000;
-    let (addr, _registry, handle) = start_server(config_for(ServerMode::Reactor));
+    let (addr, _registry, handle) = start_server(ServerConfig::default());
     let db = "move(a, b).\nmove(b, c).";
     let (done_tx, done_rx) = mpsc::channel();
     for conn in 0..2 {
@@ -511,11 +454,10 @@ fn two_closed_loop_connections_never_stall() {
 /// round-trip: the reactor reads whatever the kernel hands it and the
 /// incremental decoder reassembles frames across reads.
 #[test]
-#[cfg(unix)]
 fn split_and_coalesced_frames_round_trip_over_tcp() {
     use std::io::Write as _;
 
-    let (addr, _registry, handle) = start_server(config_for(ServerMode::Reactor));
+    let (addr, _registry, handle) = start_server(ServerConfig::default());
     let mut rng = SmallRng::seed_from_u64(0xc0a1e5ce);
 
     for round in 0..20 {
@@ -579,12 +521,10 @@ fn split_and_coalesced_frames_round_trip_over_tcp() {
 /// flight; the reap is observable as a clean EOF and a counter bump,
 /// and the server keeps serving new connections afterwards.
 #[test]
-#[cfg(unix)]
 fn idle_connections_are_reaped() {
     use std::time::Duration;
 
     let config = ServerConfig {
-        mode: ServerMode::Reactor,
         max_idle_secs: 1,
         ..ServerConfig::default()
     };
@@ -665,25 +605,17 @@ fn strict_mode_rejects_certain_blowups_before_prepare() {
     stop_server(addr, handle);
 }
 
-#[test]
-fn over_cap_replies_are_answered_in_band_reactor() {
-    over_cap_replies_case(ServerMode::Reactor);
-}
-
-#[test]
-fn over_cap_replies_are_answered_in_band_legacy() {
-    over_cap_replies_case(ServerMode::LegacyThreads);
-}
-
 /// A hostile client asks for replies larger than the server's frame
 /// cap: one `? outcomes` over the cap, a read-only script of many
 /// under-cap queries whose sum is over it, and a mutating one. Each is
-/// answered with an in-band error, and the connection keeps serving.
-fn over_cap_replies_case(mode: ServerMode) {
+/// answered with an in-band error, counted in `request_errors`, and the
+/// connection keeps serving.
+#[test]
+fn over_cap_replies_are_answered_in_band() {
     const CAP: u32 = 2048;
     let (addr, _registry, handle) = start_server(ServerConfig {
         max_frame_bytes: CAP,
-        ..config_for(mode)
+        ..ServerConfig::default()
     });
     let db = paper_constructions::generators::braided_tie_chain_db(2, 4).to_string();
     let too_large = |result: Result<_, ClientError>| match result {
@@ -696,6 +628,9 @@ fn over_cap_replies_case(mode: ServerMode) {
     let mut client = Client::connect(addr).expect("connect");
     client.open(PROG, &db).expect("open");
 
+    // The counter is global to the test process: other tests can only
+    // raise it, so the four refusals below raise it by at least four.
+    let errors_before = tiebreak_trace::metrics().request_errors.get();
     too_large(client.script("? outcomes 16"));
     // The memo keeps the verdict; the repeat is refused the same way.
     too_large(client.script("? outcomes 16"));
@@ -705,6 +640,8 @@ fn over_cap_replies_case(mode: ServerMode) {
     let many = "? wf\n".repeat(CAP as usize / wf.body.len() + 1);
     too_large(client.script(&many));
     too_large(client.script(&format!("- move(t0a0, t0b0).\n{many}")));
+    let refused = tiebreak_trace::metrics().request_errors.get() - errors_before;
+    assert!(refused >= 4, "request_errors rose by {refused}");
 
     // The connection keeps serving, and the batch applied before the
     // over-cap line stayed applied.

@@ -225,11 +225,9 @@ pub struct Metrics {
     /// Per-verb request latency in microseconds, indexed by
     /// [`verb_index`].
     pub request_latency_us: [Histogram; VERBS.len()],
-    // Reactor + cross-connection batching.
+    // Reactor.
     pub conns_open: Gauge,
     pub conns_reaped: Counter,
-    pub batches_dispatched: Counter,
-    pub batch_size: Histogram,
     // The recorder's own health.
     pub trace_events_dropped: Counter,
 }
@@ -263,8 +261,6 @@ impl Metrics {
             request_latency_us: [const { Histogram::new() }; VERBS.len()],
             conns_open: Gauge::new(),
             conns_reaped: Counter::new(),
-            batches_dispatched: Counter::new(),
-            batch_size: Histogram::new(),
             trace_events_dropped: Counter::new(),
         }
     }
@@ -329,7 +325,6 @@ impl Metrics {
             ("requests", &self.requests),
             ("request_errors", &self.request_errors),
             ("conns_reaped", &self.conns_reaped),
-            ("batches_dispatched", &self.batches_dispatched),
             ("trace_events_dropped", &self.trace_events_dropped),
         ]
     }
@@ -345,12 +340,11 @@ impl Metrics {
     /// `(metric name, optional label value, histogram)` — per-verb
     /// latency histograms share one metric name with a `verb` label.
     fn histograms(&self) -> Vec<(&'static str, Option<&'static str>, &Histogram)> {
-        let mut all: Vec<(&'static str, Option<&'static str>, &Histogram)> =
-            vec![("batch_size", None, &self.batch_size)];
-        for (verb, h) in VERBS.iter().zip(&self.request_latency_us) {
-            all.push(("request_latency_us", Some(verb), h));
-        }
-        all
+        VERBS
+            .iter()
+            .zip(&self.request_latency_us)
+            .map(|(verb, h)| ("request_latency_us", Some(*verb), h))
+            .collect()
     }
 }
 
