@@ -4,17 +4,15 @@
 //! datalog analyze  <program.dl>
 //! datalog check    <program.dl> [database.dl] [--format text|json]
 //! datalog run      <program.dl> [database.dl] [--semantics wf|tb|pure-tb|stratified]
-//!                  [--policy root-true|root-false|random] [--seed N] [--threads N]
+//!                  [--policy root-true|root-false|random] [--seed N]
 //! datalog models   <program.dl> [database.dl] [--stable] [--limit N]
 //! datalog ground   <program.dl> [database.dl]
 //! datalog explain  <program.dl> [database.dl] --atom "win(a)" [--semantics wf|tb]
-//!                  [--policy root-true|root-false|random] [--seed N] [--threads N]
+//!                  [--policy root-true|root-false|random] [--seed N]
 //! datalog outcomes <program.dl> [database.dl] [--semantics tb|pure-tb] [--limit N]
-//!                  [--threads N]
 //! datalog totality <program.dl> [--nonuniform]          (propositional only)
 //! datalog session  <program.dl> [database.dl] [--script FILE] [--semantics tb|pure-tb]
-//!                  [--threads N]
-//! datalog serve    [--addr HOST:PORT] [--semantics tb|pure-tb] [--threads N]
+//! datalog serve    [--addr HOST:PORT] [--semantics tb|pure-tb]
 //!                  [--max-sessions N] [--max-resident-atoms N] [--strict]
 //!                  [--max-idle-secs N]
 //! datalog client   <program.dl> [database.dl] --addr HOST:PORT [--script FILE]
@@ -48,7 +46,7 @@
 //! atom's truth value, `? outcomes [N]` enumerates tie outcomes, and
 //! `? stats` reports the session state. Every applied batch prints a
 //! `% epoch …` line describing the incremental work (cone size, delta
-//! grounding, branch invalidation) or the re-prepare fallback.
+//! grounding, components retired and added) or the re-prepare fallback.
 //! Malformed lines do **not** tear the session down: the error is
 //! reported as `! line N: …`, the staged-but-unapplied batch is
 //! discarded, and processing continues; the exit status reports whether
@@ -76,17 +74,12 @@
 //!
 //! `run` (`wf|tb|pure-tb`), `explain` and `outcomes` evaluate on one
 //! `tiebreak-runtime` session solver, the same evaluator `session` and
-//! `serve` use: it grounds, closes and condenses once, evaluates
-//! independent condensation branches on worker threads, and forks each
+//! `serve` use: it grounds, closes and condenses once, walks the
+//! condensation once in topological order on one thread, and forks each
 //! `outcomes` tie script copy-on-write off the shared post-close state.
-//! `--threads N` (N ≥ 1; `0` and non-numeric values are rejected with a
-//! diagnostic) pins the worker count; without it the count resolves
-//! through `TIEBREAK_THREADS` (which warns and falls back when unusable),
-//! then the machine's parallelism. The worker count never changes the
-//! output: `--policy random` seeds one stream per branch from `--seed`,
-//! so every policy prints the same bytes at every thread count.
-//! `run --semantics stratified` is the semi-naive engine and takes no
-//! `--threads`.
+//! `--policy random` draws one stream, seeded by `--seed`, in that
+//! order. `--threads 1` is accepted and changes nothing (the `perfbench`
+//! harness passes it); any other value is rejected.
 //!
 //! Each command accepts only the `--semantics` values it can run (`run`:
 //! `wf|tb|pure-tb|stratified`; `explain`: `wf|tb`; `outcomes`,
@@ -98,8 +91,8 @@
 use std::process::ExitCode;
 
 use tiebreak_core::semantics::{RandomPolicy, TiePolicy};
-use tiebreak_core::{Engine, EngineConfig, GroundMode, RuntimeConfig};
-use tiebreak_runtime::{reply, PolicyFactory, Solver};
+use tiebreak_core::{Engine, EngineConfig, GroundMode};
+use tiebreak_runtime::{reply, Solver};
 use tiebreak_server::{Client, LineOutcome, RegistryConfig, ScriptSession, Server, ServerConfig};
 
 fn main() -> ExitCode {
@@ -114,7 +107,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage:\n  datalog analyze <program.dl>\n  datalog check <program.dl> [db.dl] [--format text|json]\n  datalog run <program.dl> [db.dl] [--semantics wf|tb|pure-tb|stratified] [--policy root-true|root-false|random] [--seed N] [--threads N]\n  datalog models <program.dl> [db.dl] [--stable] [--limit N]\n  datalog ground <program.dl> [db.dl]\n  datalog explain <program.dl> [db.dl] --atom \"win(a)\" [--semantics wf|tb] [--policy root-true|root-false|random] [--seed N] [--threads N]\n  datalog outcomes <program.dl> [db.dl] [--semantics tb|pure-tb] [--limit N] [--threads N]\n  datalog totality <program.dl> [--nonuniform]\n  datalog session <program.dl> [db.dl] [--script FILE] [--semantics tb|pure-tb] [--threads N]\n  datalog serve [--addr HOST:PORT] [--semantics tb|pure-tb] [--threads N] [--max-sessions N] [--max-resident-atoms N] [--strict] [--max-idle-secs N]\n  datalog client <program.dl> [db.dl] --addr HOST:PORT [--script FILE] [--concurrency N] [--repeat K]\n  datalog client --addr HOST:PORT --stats | --metrics | --shutdown\n\nGrounding commands also accept --ground-mode full|relevant (default: relevant).\nrun/outcomes/session/serve accept --trace-out FILE (chrome://tracing JSON) and\n--trace summary (aggregate span table on stderr); either enables the recorder.\nrun/explain/outcomes/session/serve evaluate on the parallel session runtime;\n--threads N (N >= 1) pins its worker count, otherwise TIEBREAK_THREADS or the\nmachine's parallelism decides. The worker count never changes the output.\nsession scripts: '+fact.' insert, '-fact.' retract, '? wf', '?fact.',\n'? outcomes [N]', '? stats', '#' comments; reads stdin without --script.\nserve listens for client connections and keeps prepared sessions resident\nbehind an LRU; client opens (or reuses) a server-side session and streams a\nscript against it.\ncheck exits non-zero exactly when an error-severity lint fires; serve --strict\nruns the same analysis on every open and rejects error lints before preparing."
+    "usage:\n  datalog analyze <program.dl>\n  datalog check <program.dl> [db.dl] [--format text|json]\n  datalog run <program.dl> [db.dl] [--semantics wf|tb|pure-tb|stratified] [--policy root-true|root-false|random] [--seed N]\n  datalog models <program.dl> [db.dl] [--stable] [--limit N]\n  datalog ground <program.dl> [db.dl]\n  datalog explain <program.dl> [db.dl] --atom \"win(a)\" [--semantics wf|tb] [--policy root-true|root-false|random] [--seed N]\n  datalog outcomes <program.dl> [db.dl] [--semantics tb|pure-tb] [--limit N]\n  datalog totality <program.dl> [--nonuniform]\n  datalog session <program.dl> [db.dl] [--script FILE] [--semantics tb|pure-tb]\n  datalog serve [--addr HOST:PORT] [--semantics tb|pure-tb] [--max-sessions N] [--max-resident-atoms N] [--strict] [--max-idle-secs N]\n  datalog client <program.dl> [db.dl] --addr HOST:PORT [--script FILE] [--concurrency N] [--repeat K]\n  datalog client --addr HOST:PORT --stats | --metrics | --shutdown\n\nGrounding commands also accept --ground-mode full|relevant (default: relevant).\nrun/outcomes/session/serve accept --trace-out FILE (chrome://tracing JSON) and\n--trace summary (aggregate span table on stderr); either enables the recorder.\nrun/explain/outcomes/session/serve evaluate on the session runtime, one thread,\none walk in topological order.\nsession scripts: '+fact.' insert, '-fact.' retract, '? wf', '?fact.',\n'? outcomes [N]', '? stats', '#' comments; reads stdin without --script.\nserve listens for client connections and keeps prepared sessions resident\nbehind an LRU; client opens (or reuses) a server-side session and streams a\nscript against it.\ncheck exits non-zero exactly when an error-severity lint fires; serve --strict\nruns the same analysis on every open and rejects error lints before preparing."
         .to_owned()
 }
 
@@ -129,7 +122,6 @@ struct Options {
     atom: Option<String>,
     nonuniform: bool,
     ground_mode: GroundMode,
-    threads: Option<usize>,
     script: Option<String>,
     addr: Option<String>,
     max_sessions: usize,
@@ -157,7 +149,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         atom: None,
         nonuniform: false,
         ground_mode: GroundMode::Relevant,
-        threads: None,
         script: None,
         addr: None,
         max_sessions: 0,
@@ -208,23 +199,16 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     other => return Err(format!("unknown ground mode {other} (full|relevant)")),
                 };
             }
-            "--threads" => {
-                let raw = it.next().ok_or("--threads needs a value")?;
-                let n: usize = raw.parse().map_err(|_| {
-                    format!(
-                        "bad thread count {raw:?}: --threads needs a positive integer \
-                         (omit the flag for automatic selection via TIEBREAK_THREADS \
-                         or the machine's parallelism)"
-                    )
-                })?;
-                if n == 0 {
-                    return Err("bad thread count 0: --threads needs at least one worker \
-                                (omit the flag for automatic selection via TIEBREAK_THREADS \
-                                or the machine's parallelism)"
-                        .to_owned());
+            // A no-op only `perfbench` passes;
+            // goes with ROADMAP item 1's benchmark cleanup.
+            "--threads" => match it.next().ok_or("--threads needs a value")?.as_str() {
+                "1" => {}
+                other => {
+                    return Err(format!(
+                        "bad thread count {other:?}: evaluation runs on one thread"
+                    ))
                 }
-                opts.threads = Some(n);
-            }
+            },
             "--script" => {
                 opts.script = Some(it.next().ok_or("--script needs a file path")?.clone());
             }
@@ -302,9 +286,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
 }
 
 fn engine_config(opts: &Options) -> EngineConfig {
-    EngineConfig::default()
-        .with_ground_mode(opts.ground_mode)
-        .with_runtime(RuntimeConfig::with_threads(opts.threads.unwrap_or(0)))
+    EngineConfig::default().with_ground_mode(opts.ground_mode)
 }
 
 /// Reads the program and (optional) database sources named in `opts`.
@@ -329,18 +311,12 @@ fn load_engine(opts: &Options) -> Result<Engine, String> {
 }
 
 /// Builds the session solver every evaluating command runs on (parsing
-/// the sources directly — no intermediate `Engine` to clone out of), and
-/// reports an unusable `TIEBREAK_THREADS` on stderr.
+/// the sources directly — no intermediate `Engine` to clone out of).
 fn load_solver(opts: &Options) -> Result<Solver, String> {
     let (program_src, db_src) = load_sources(opts)?;
     let program = datalog_ast::parse_program(&program_src).map_err(|e| e.to_string())?;
     let database = datalog_ast::parse_database(&db_src).map_err(|e| e.to_string())?;
-    let solver =
-        Solver::with_config(program, database, engine_config(opts)).map_err(|e| e.to_string())?;
-    if let Some(diag) = solver.thread_diagnostic() {
-        eprintln!("{diag}");
-    }
-    Ok(solver)
+    Solver::with_config(program, database, engine_config(opts)).map_err(|e| e.to_string())
 }
 
 /// The tie-breaking flavours `outcomes`, `session` and `serve` run.
@@ -360,24 +336,22 @@ fn semantics<'a>(opts: &'a Options, command: &str, accepted: &[&str]) -> Result<
     }
 }
 
-/// `--policy` with its `--seed`, lifted to one policy per condensation
-/// branch. `random` seeds an independent stream per branch, keyed by the
-/// schedule-independent branch id, so the choices depend on the seed
-/// and never on the worker count.
-#[derive(Clone, Copy, Debug)]
-enum PolicyChoice {
+/// `--policy` with its `--seed`: the one tie policy of a run, which
+/// meets the ties in the condensation's topological order. `random`
+/// draws one stream seeded by `--seed`.
+enum Policy {
     /// `root-true` / `root-false`.
     RootSide(bool),
-    /// `random` with its seed.
-    Random(u64),
+    /// `random`: one stream seeded by `--seed`.
+    Random(RandomPolicy),
 }
 
-impl PolicyChoice {
+impl Policy {
     fn from_options(opts: &Options) -> Result<Self, String> {
         match opts.policy.as_str() {
-            "root-true" => Ok(PolicyChoice::RootSide(true)),
-            "root-false" => Ok(PolicyChoice::RootSide(false)),
-            "random" => Ok(PolicyChoice::Random(opts.seed)),
+            "root-true" => Ok(Policy::RootSide(true)),
+            "root-false" => Ok(Policy::RootSide(false)),
+            "random" => Ok(Policy::Random(RandomPolicy::seeded(opts.seed))),
             other => Err(format!(
                 "unknown policy {other} (root-true|root-false|random)"
             )),
@@ -385,33 +359,11 @@ impl PolicyChoice {
     }
 }
 
-impl PolicyFactory for PolicyChoice {
-    type Policy = BranchPolicy;
-
-    fn policy_for(&self, branch: u32) -> BranchPolicy {
-        match *self {
-            PolicyChoice::RootSide(root_true) => BranchPolicy::RootSide(root_true),
-            // Mix the branch id in with the golden-ratio multiplier so
-            // adjacent branches get unrelated streams.
-            PolicyChoice::Random(seed) => BranchPolicy::Random(RandomPolicy::seeded(
-                seed ^ u64::from(branch).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            )),
-        }
-    }
-}
-
-/// One branch's tie policy under a [`PolicyChoice`].
-enum BranchPolicy {
-    /// Always makes the root side `true` (or always `false`).
-    RootSide(bool),
-    Random(RandomPolicy),
-}
-
-impl TiePolicy for BranchPolicy {
+impl TiePolicy for Policy {
     fn choose_root_side_true(&mut self, view: &tiebreak_core::TieView<'_>) -> bool {
         match self {
-            BranchPolicy::RootSide(root_true) => *root_true,
-            BranchPolicy::Random(policy) => policy.choose_root_side_true(view),
+            Policy::RootSide(root_true) => *root_true,
+            Policy::Random(policy) => policy.choose_root_side_true(view),
         }
     }
 }
@@ -493,15 +445,8 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
         }
         "run" => {
             let semantics = semantics(opts, "run", &["wf", "tb", "pure-tb", "stratified"])?;
-            let policy = PolicyChoice::from_options(opts)?;
+            let mut policy = Policy::from_options(opts)?;
             if semantics == "stratified" {
-                if opts.threads.is_some() {
-                    return Err(
-                        "--threads applies to wf|tb|pure-tb (--semantics stratified is the \
-                         sequential semi-naive engine)"
-                            .to_owned(),
-                    );
-                }
                 let engine = load_engine(opts)?;
                 let run = engine.stratified().map_err(|e| e.to_string())?;
                 for fact in run.true_atoms() {
@@ -514,8 +459,8 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
             drop(prepare);
             let run = match semantics {
                 "wf" => solver.well_founded_run(),
-                "pure-tb" => solver.pure_tie_breaking_run(&policy),
-                _ => solver.well_founded_tie_breaking_run(&policy),
+                "pure-tb" => solver.pure_tie_breaking_run(&mut policy),
+                _ => solver.well_founded_tie_breaking_run(&mut policy),
             }
             .map_err(|e| e.to_string())?;
             let mut facts = Vec::new();
@@ -588,7 +533,7 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
         }
         "explain" => {
             let semantics = semantics(opts, "explain", &["wf", "tb"])?;
-            let policy = PolicyChoice::from_options(opts)?;
+            let mut policy = Policy::from_options(opts)?;
             let atom_src = opts
                 .atom
                 .clone()
@@ -605,7 +550,7 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
             // under the same `--policy` and `--seed`.
             let solver = load_solver(opts)?;
             let run = if semantics == "tb" {
-                solver.well_founded_tie_breaking_run(&policy)
+                solver.well_founded_tie_breaking_run(&mut policy)
             } else {
                 solver.well_founded_run()
             }
@@ -825,8 +770,8 @@ fn run_client(opts: &Options) -> Result<(), String> {
         .open(&program_src, &db_src)
         .map_err(|e| e.to_string())?;
     println!("% {}", response.status);
-    // The body carries server-side diagnostics (e.g. the
-    // TIEBREAK_THREADS fallback warning) — show them.
+    // The body carries server-side annotations (e.g. the `--strict`
+    // analysis summary) — show them.
     if !response.body.is_empty() {
         println!("{}", response.body);
     }

@@ -79,10 +79,10 @@ fn threads_flag_routes_through_the_session_runtime() {
         "move(a, b).\nmove(b, a).\nmove(c, d).\nmove(d, c).\nmove(e, f).\nmove(f, g).",
     );
 
-    // `run` prints the same bytes with the worker count automatic,
-    // pinned to one, or pinned to four.
+    // `run` prints the same bytes with and without `--threads 1`, the
+    // one value the flag accepts.
     let mut outputs = Vec::new();
-    for extra in [&[][..], &["--threads", "1"][..], &["--threads", "4"][..]] {
+    for extra in [&[][..], &["--threads", "1"][..]] {
         let mut args = vec![
             "run",
             prog.to_str().unwrap(),
@@ -99,23 +99,22 @@ fn threads_flag_routes_through_the_session_runtime() {
         );
         outputs.push(String::from_utf8_lossy(&out.stdout).into_owned());
     }
-    assert_eq!(outputs[0], outputs[1], "auto vs 1 worker");
-    assert_eq!(outputs[1], outputs[2], "1 vs 4 workers");
+    assert_eq!(outputs[0], outputs[1], "no flag vs --threads 1");
 
-    // `outcomes --threads` enumerates the same outcome count (2 pockets
-    // ⇒ 4 total outcomes) through the copy-on-write path.
+    // `outcomes --threads 1` enumerates the 4 outcomes (2 pockets)
+    // through the copy-on-write path.
     let out = datalog(&[
         "outcomes",
         prog.to_str().unwrap(),
         db.to_str().unwrap(),
         "--threads",
-        "2",
+        "1",
     ]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("% 4 distinct outcome(s)"), "{text}");
 
-    // `explain --threads` justifies against the session's model.
+    // `explain --threads 1` justifies against the session's model.
     let out = datalog(&[
         "explain",
         prog.to_str().unwrap(),
@@ -125,7 +124,7 @@ fn threads_flag_routes_through_the_session_runtime() {
         "--semantics",
         "wf",
         "--threads",
-        "2",
+        "1",
     ]);
     assert!(
         out.status.success(),
@@ -151,7 +150,7 @@ fn stratified_semantics_rejects_threads() {
     ]);
     assert!(!out.status.success());
     let text = String::from_utf8_lossy(&out.stderr);
-    assert!(text.contains("--threads applies to"), "{text}");
+    assert!(text.contains("evaluation runs on one thread"), "{text}");
 }
 
 #[test]
@@ -161,8 +160,8 @@ fn random_policy_with_threads_is_seed_reproducible() {
         "rand_t_db.dl",
         "move(a, b).\nmove(b, a).\nmove(c, d).\nmove(d, c).",
     );
-    let run = |threads: &str| {
-        let out = datalog(&[
+    let run = |extra: &[&str]| {
+        let mut args = vec![
             "run",
             prog.to_str().unwrap(),
             db.to_str().unwrap(),
@@ -170,87 +169,36 @@ fn random_policy_with_threads_is_seed_reproducible() {
             "random",
             "--seed",
             "7",
-            "--threads",
-            threads,
-        ]);
+        ];
+        args.extend_from_slice(extra);
+        let out = datalog(&args);
         assert!(out.status.success());
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
-    // Branch-keyed streams: same seed ⇒ same choices, whatever the
-    // worker count.
-    assert_eq!(run("1"), run("1"));
-    assert_eq!(run("1"), run("8"));
+    // One stream per run: same seed ⇒ same choices, and `--threads 1`
+    // changes nothing.
+    assert_eq!(run(&["--threads", "1"]), run(&["--threads", "1"]));
+    assert_eq!(run(&["--threads", "1"]), run(&[]));
 }
 
 #[test]
 fn bad_threads_value_is_rejected() {
     let prog = write_temp("rt_bad.dl", "p :- not q.\nq :- not p.");
-    // Non-numeric: a clear diagnostic pointing at the auto default.
-    let out = datalog(&["run", prog.to_str().unwrap(), "--threads", "many"]);
-    assert!(!out.status.success());
-    let text = String::from_utf8_lossy(&out.stderr);
-    assert!(text.contains("bad thread count"), "{text}");
-    assert!(text.contains("positive integer"), "{text}");
-    assert!(text.contains("TIEBREAK_THREADS"), "{text}");
-
-    // Zero workers cannot run anything: rejected, not silently "auto".
-    let out = datalog(&["run", prog.to_str().unwrap(), "--threads", "0"]);
-    assert!(!out.status.success());
-    let text = String::from_utf8_lossy(&out.stderr);
-    assert!(text.contains("bad thread count 0"), "{text}");
-    assert!(text.contains("at least one worker"), "{text}");
-}
-
-#[test]
-fn unusable_tiebreak_threads_env_warns_and_falls_back() {
-    let prog = write_temp("env_t.dl", "win(X) :- move(X, Y), not win(Y).");
-    let db = write_temp("env_t_db.dl", "move(a, b).\nmove(b, a).");
-    let script = write_temp("env_t_script.txt", "? outcomes 10\n");
-    for bad in ["many", "0", "-3"] {
-        // An explicit --threads pins the count: the env var is not even
-        // consulted, so no warning and a clean run.
-        let out = Command::new(env!("CARGO_BIN_EXE_datalog"))
-            .args([
-                "run",
-                prog.to_str().unwrap(),
-                db.to_str().unwrap(),
-                "--threads",
-                "1",
-            ])
-            .env("TIEBREAK_THREADS", bad)
-            .output()
-            .expect("binary runs");
-        assert!(out.status.success(), "TIEBREAK_THREADS={bad}");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(!err.contains("TIEBREAK_THREADS"), "{err}");
-
-        // The session resolves threads automatically: the unusable value
-        // warns on stderr and falls back to the machine's parallelism
-        // instead of silently ignoring the setting (or crashing).
-        let out = Command::new(env!("CARGO_BIN_EXE_datalog"))
-            .args([
-                "session",
-                prog.to_str().unwrap(),
-                db.to_str().unwrap(),
-                "--script",
-                script.to_str().unwrap(),
-            ])
-            .env("TIEBREAK_THREADS", bad)
-            .output()
-            .expect("binary runs");
+    // Every value but 1 is rejected, on every command that takes it.
+    for (command, value) in [
+        ("run", "many"),
+        ("run", "0"),
+        ("outcomes", "2"),
+        ("session", "8"),
+    ] {
+        let out = datalog(&[command, prog.to_str().unwrap(), "--threads", value]);
+        assert!(!out.status.success(), "{command} --threads {value}");
+        let text = String::from_utf8_lossy(&out.stderr);
         assert!(
-            out.status.success(),
-            "TIEBREAK_THREADS={bad}: {}",
-            String::from_utf8_lossy(&out.stderr)
+            text.contains(&format!("bad thread count {value:?}")),
+            "{text}"
         );
-        let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.contains("2 distinct outcome(s)"), "{text}");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            err.contains("TIEBREAK_THREADS"),
-            "TIEBREAK_THREADS={bad}: {err}"
-        );
-        assert!(err.contains("not a positive integer"), "{err}");
+        assert!(text.contains("evaluation runs on one thread"), "{text}");
     }
 }
 
@@ -714,7 +662,7 @@ fn thread_count_cannot_change_the_bytes() {
         &["outcomes", "--limit", "3"][..],
     ] {
         let mut outputs = Vec::new();
-        for threads in [&[][..], &["--threads", "1"][..], &["--threads", "4"][..]] {
+        for threads in [&[][..], &["--threads", "1"][..]] {
             let mut args = vec![command[0], prog.as_str()];
             args.extend_from_slice(&command[1..]);
             args.extend_from_slice(threads);
@@ -727,8 +675,10 @@ fn thread_count_cannot_change_the_bytes() {
             outputs.push(out.stdout);
         }
         assert!(!outputs[0].is_empty(), "{command:?}");
-        assert_eq!(outputs[0], outputs[1], "{command:?}: auto vs 1 worker");
-        assert_eq!(outputs[1], outputs[2], "{command:?}: 1 vs 4 workers");
+        assert_eq!(
+            outputs[0], outputs[1],
+            "{command:?}: no flag vs --threads 1"
+        );
     }
 
     // The evaluation-mode switch is gone: the flag is unknown.

@@ -111,10 +111,8 @@ pub fn tie_chain_move_db(n: usize) -> Database {
 /// A **wide tie forest** for the win–move game: `chains` independent
 /// copies of [`tie_chain_move_db`]-style pocket chains, `pockets` draw
 /// pockets each, with no moves between copies. The residual condensation
-/// is a forest of `chains` weakly-connected branches — the canonical
-/// *wide* workload for the parallel session runtime: branches are
-/// causally independent, so the scheduler's speedup is bounded only by
-/// `min(threads, chains)`.
+/// is a forest of `chains` weakly-connected families of components: the
+/// canonical *wide* workload, whose ties no propagation connects.
 pub fn wide_tie_forest_db(chains: usize, pockets: usize) -> Database {
     let mut db = Database::new();
     let mut insert = |from: &str, to: &str| {
@@ -136,10 +134,9 @@ pub fn wide_tie_forest_db(chains: usize, pockets: usize) -> Database {
 /// A **braided tie chain** for the win–move game: `chains` parallel
 /// pocket chains of `pockets` draw pockets each, plus one hub position
 /// `h` that can advance into every chain's first pocket. The hub moves
-/// weakly connect everything, so the residual condensation is a *single*
-/// branch — the shape branch-level scheduling cannot split — while the
-/// pockets at equal chain offset share no path and form waves of width
-/// `chains` ([`datalog_ground::UnfoundedEngine::widest_wave`]).
+/// weakly connect everything, so the residual condensation is one
+/// weakly-connected family of components, while the pockets at equal
+/// chain offset share no path.
 pub fn braided_tie_chain_db(chains: usize, pockets: usize) -> Database {
     let mut db = Database::new();
     let mut insert = |from: &str, to: &str| {
@@ -164,7 +161,7 @@ pub fn braided_tie_chain_db(chains: usize, pockets: usize) -> Database {
 /// link rule handing each pocket support from its predecessor pocket,
 /// and a guarded hub atom supported by every chain's last pocket. Like
 /// [`braided_tie_chain_db`] the hub makes the residual one
-/// weakly-connected branch with waves of width `chains`, but here every
+/// weakly-connected family of components, but here every
 /// component does real well-founded work — a `loop_size`-long unfounded
 /// cascade plus the `close` that retires it — so the instance measures
 /// the policy-free hot path rather than tie bookkeeping. The well-founded model is total (everything false).

@@ -38,67 +38,17 @@ use crate::semantics::tie_breaking::{
 use crate::semantics::well_founded::well_founded_with;
 use crate::semantics::{EvalOptions, InterpreterRun, RunStats, SemanticsError};
 
-/// Parallelism knobs for the `tiebreak-runtime` session solver.
-///
-/// The config travels inside [`EngineConfig`] so one value configures the
-/// whole pipeline; the sequential [`Engine`] facade simply ignores it.
+/// Nothing to configure. Only `perfbench` uses it;
+/// goes with ROADMAP item 1's benchmark cleanup.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RuntimeConfig {
-    /// Worker threads for the parallel branch scheduler. `0` (the
-    /// default) means *auto*: the `TIEBREAK_THREADS` environment
-    /// variable if set and positive, otherwise the machine's available
-    /// parallelism.
-    pub threads: usize,
-}
+pub struct RuntimeConfig;
 
 impl RuntimeConfig {
-    /// A config pinning the worker count (`0` = auto).
+    /// Ignores `_threads`. Only `perfbench` calls it;
+    /// goes with ROADMAP item 1's benchmark cleanup.
     #[must_use]
-    pub fn with_threads(threads: usize) -> Self {
-        RuntimeConfig { threads }
-    }
-
-    /// The effective worker count: an explicit `threads`, else the
-    /// `TIEBREAK_THREADS` environment variable, else available
-    /// parallelism (at least 1).
-    ///
-    /// Resolution is silent; a set-but-unusable `TIEBREAK_THREADS` falls
-    /// back to the machine's parallelism and the misconfiguration is
-    /// reported by [`RuntimeConfig::threads_diagnostic`], which each
-    /// front-end surfaces in its own channel (CLI stderr, one line per
-    /// session start; the network server in every `open` response) — a
-    /// long-lived server must warn *every* misconfigured session, not
-    /// just the first one a process-global `Once` would cover.
-    pub fn resolved_threads(&self) -> usize {
-        self.resolve_threads().0
-    }
-
-    /// The diagnostic for a set-but-unusable `TIEBREAK_THREADS`
-    /// (non-numeric, or `0`): a configuration mistake, not a request for
-    /// the default. `None` when the variable is absent, usable, or
-    /// overridden by an explicit [`RuntimeConfig::threads`].
-    pub fn threads_diagnostic(&self) -> Option<String> {
-        self.resolve_threads().1
-    }
-
-    fn resolve_threads(&self) -> (usize, Option<String>) {
-        if self.threads > 0 {
-            return (self.threads, None);
-        }
-        let mut diagnostic = None;
-        if let Ok(raw) = std::env::var("TIEBREAK_THREADS") {
-            match raw.trim().parse::<usize>() {
-                Ok(n) if n > 0 => return (n, None),
-                _ => {
-                    diagnostic = Some(format!(
-                        "warning: TIEBREAK_THREADS={raw:?} is not a positive integer; \
-                         falling back to the machine's available parallelism"
-                    ));
-                }
-            }
-        }
-        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        (threads, diagnostic)
+    pub fn with_threads(_threads: usize) -> Self {
+        RuntimeConfig
     }
 }
 
@@ -172,11 +122,8 @@ pub struct PrepareDelta {
     pub components_removed: usize,
     /// Condensation components created by the cone patch.
     pub components_added: usize,
-    /// Branches whose per-branch state the batch discarded: every branch
-    /// on a re-prepare, and 0 on the incremental path, which keeps no
-    /// per-branch state (the served well-founded state is advanced over
-    /// the cone instead). Kept so existing callers that report it still
-    /// build.
+    /// Always 0. Only `perfbench` reads it;
+    /// goes with ROADMAP item 1's benchmark cleanup.
     pub branches_invalidated: usize,
     /// Components the served well-founded state re-evaluated while
     /// advancing over the cone (0 when the session held no state: the
@@ -186,8 +133,8 @@ pub struct PrepareDelta {
     pub residual_atoms: usize,
 }
 
-/// Engine-wide budgets, grounding mode, evaluation options, and runtime
-/// parallelism.
+/// Engine-wide budgets, grounding mode, evaluation options, and session
+/// behaviour.
 ///
 /// The default is the **production path**: `GroundMode::Relevant`
 /// grounding, evaluated by the condensation-driven interpreters (the only
@@ -204,8 +151,6 @@ pub struct EngineConfig {
     pub enumerate: EnumerateConfig,
     /// Stats detail and totality certificate for the interpreters.
     pub eval: EvalOptions,
-    /// Parallelism for the `tiebreak-runtime` session solver.
-    pub runtime: RuntimeConfig,
     /// Incremental-session behaviour for the `tiebreak-runtime` solver.
     pub session: SessionConfig,
     /// Run the `datalog-analyze` static pass before preparing a session
@@ -226,7 +171,6 @@ impl Default for EngineConfig {
             },
             enumerate: EnumerateConfig::default(),
             eval: EvalOptions::default(),
-            runtime: RuntimeConfig::default(),
             session: SessionConfig::default(),
             analysis: false,
         }
@@ -243,12 +187,10 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the runtime parallelism config (used by the
-    /// `tiebreak-runtime` session solver; ignored by the sequential
-    /// facade methods).
+    /// Returns `self` unchanged. Only `perfbench` calls it;
+    /// goes with ROADMAP item 1's benchmark cleanup.
     #[must_use]
-    pub fn with_runtime(mut self, runtime: RuntimeConfig) -> Self {
-        self.runtime = runtime;
+    pub fn with_runtime(self, _runtime: RuntimeConfig) -> Self {
         self
     }
 
@@ -700,18 +642,6 @@ mod tests {
         let engine = Engine::from_sources("p :- not q.\nq :- not p.", "").unwrap();
         let out = engine.well_founded().unwrap();
         assert!(out.stats.components_processed > 0);
-    }
-
-    #[test]
-    fn runtime_config_resolution() {
-        // Pinned thread counts win over every fallback; auto resolves to
-        // at least one worker whatever the environment says.
-        assert_eq!(RuntimeConfig::with_threads(3).resolved_threads(), 3);
-        assert!(RuntimeConfig::default().resolved_threads() >= 1);
-        // An explicit count never warns — the env var is not consulted.
-        // (The unusable-env diagnostic itself is pinned by the CLI and
-        // server suites, which control the variable per subprocess.)
-        assert_eq!(RuntimeConfig::with_threads(3).threads_diagnostic(), None);
     }
 
     #[test]

@@ -97,26 +97,6 @@ impl RunStats {
             self.component_rounds.push(rounds);
         }
     }
-
-    /// Merges the stats of another (partial) run into `self`: counters
-    /// add, `max_component_rounds` maxes, detailed logs append.
-    ///
-    /// This is how the parallel runtime aggregates per-worker partials:
-    /// each branch task accumulates into a private `RunStats` (no shared
-    /// counter, no lock on the hot path) and the scheduler merges the
-    /// partials **at join, in deterministic branch order**, so the
-    /// aggregate — including the `tie_log` / `component_rounds` sequences
-    /// — is bit-identical across thread counts and schedules.
-    pub fn merge(&mut self, other: &RunStats) {
-        self.close_rounds += other.close_rounds;
-        self.unfounded_rounds += other.unfounded_rounds;
-        self.ties_broken += other.ties_broken;
-        self.components_processed += other.components_processed;
-        self.max_component_rounds = self.max_component_rounds.max(other.max_component_rounds);
-        self.component_rounds
-            .extend_from_slice(&other.component_rounds);
-        self.tie_log.extend_from_slice(&other.tie_log);
-    }
 }
 
 /// The outcome of an interpreter.

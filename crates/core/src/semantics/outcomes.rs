@@ -170,17 +170,16 @@ pub fn all_outcomes_with(
 /// `run_script` evaluates one script prefix and returns the final model
 /// plus the number of choices the run consumed.
 ///
-/// The session runtime's parallel enumerator
+/// The session runtime's enumerator
 /// (`tiebreak_runtime::Solver::all_outcomes`) walks the **same choice
 /// tree with the same branching rule** (every defaulted answer flipped
-/// exactly once) but breadth-first, in worker-pool waves. An exhaustive
-/// (untruncated) exploration therefore visits the identical script set
-/// and run count and yields the identical outcome *set*; model
-/// *discovery order* differs between the two drivers (DFS pops the
-/// deepest flip first, the wave walk the shallowest), and under a
-/// `max_runs` cut the explored subsets can differ too. Each driver is
-/// individually deterministic — this one by construction, the wave walk
-/// across all thread counts.
+/// exactly once) but breadth-first. An exhaustive (untruncated)
+/// exploration therefore visits the identical script set and run count
+/// and yields the identical outcome *set*; model *discovery order*
+/// differs between the two drivers (DFS pops the deepest flip first,
+/// the breadth-first walk the shallowest), and under a `max_runs` cut
+/// the explored subsets can differ too. Both drivers are deterministic
+/// by construction.
 ///
 /// # Errors
 ///

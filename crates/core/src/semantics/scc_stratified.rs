@@ -51,7 +51,8 @@ use super::{InterpreterRun, RunStats, SemanticsError};
 /// keeps the unfounded-set priority of the well-founded flavours).
 ///
 /// Bundling them keeps [`process_components`]' signature stable while
-/// the runtime crate drives the same kernel over component subsets.
+/// the runtime crate drives the same kernel over the whole order or a
+/// mutation cone's new components.
 pub struct ComponentPass<'p> {
     /// Falsify component-local unfounded sets before looking at ties.
     pub use_unfounded: bool,
@@ -115,10 +116,9 @@ pub(crate) fn run_stratified(
 /// This is the shared evaluation kernel: the stratified interpreters
 /// (e.g. [`super::well_founded_with`]) drive it over the full topological
 /// order after grounding and closing, and the `tiebreak-runtime` session
-/// scheduler calls it per *branch* (a weakly-connected family of
-/// components) on forked copies of the post-close state — causally
-/// independent branches touch disjoint atoms, so the kernel itself never
-/// needs to know it is running concurrently.
+/// drives it over the same order on a fork of its shared post-close
+/// state (and over a mutation cone's new components when it advances
+/// its served model).
 ///
 /// # Errors
 ///

@@ -35,10 +35,7 @@
 //! **Incremental patches.** A mutation re-closes only its forward cone,
 //! and [`UnfoundedEngine::patch_cone`] re-condenses only the cone's
 //! alive remnant, in O(cone): retained components keep their ids and
-//! position, and the branch grouping is recomputed on demand
-//! ([`UnfoundedEngine::groups`]) rather than per patch.
-
-use std::sync::OnceLock;
+//! position.
 
 use datalog_ast::Sign;
 use signed_graph::{EdgeSign, NodeId, SignedDigraph};
@@ -46,7 +43,7 @@ use signed_graph::{EdgeSign, NodeId, SignedDigraph};
 use crate::atoms::AtomId;
 use crate::close::{Closer, NodeKind};
 use crate::csr::CsrArena;
-use crate::graph::{Cone, GroundGraph, RuleId};
+use crate::graph::{Cone, RuleId};
 
 /// Sentinel component id for nodes not alive when the engine was built.
 const NO_COMP: u32 = u32::MAX;
@@ -62,12 +59,11 @@ const NO_COMP: u32 = u32::MAX;
 ///
 /// A node has a component id iff it is alive in the close state the
 /// engine was built or last patched against (checked in debug builds
-/// after every patch). The branch grouping
-/// ([`UnfoundedEngine::groups`]) reads aliveness from that alone.
+/// after every patch).
 ///
-/// The engine is `Clone` so that parallel schedulers can hand each worker
-/// a private copy (the `pending`/`removed`/`queue`/`node_of_atom` fields
-/// are per-call scratch and must not be shared across threads).
+/// The engine is `Clone` so that an evaluation can walk a private copy
+/// (the `pending`/`removed`/`queue`/`node_of_atom` fields are per-call
+/// scratch).
 #[derive(Clone)]
 pub struct UnfoundedEngine {
     /// Component of each atom (by [`AtomId`] index); [`NO_COMP`] if the
@@ -88,17 +84,6 @@ pub struct UnfoundedEngine {
     /// Position of each live component in `order` (stale for retired
     /// ids), so a patch edits `order` from its first retired position on.
     order_pos: Vec<u32>,
-    /// The branch grouping: computed by a build, dropped by every patch,
-    /// and recomputed on the next use (see [`UnfoundedEngine::groups`]).
-    groups: OnceLock<BranchGroups>,
-    /// Wave depth of each component: its longest-path layer in the
-    /// condensation DAG (sources are 0). Every condensation edge strictly
-    /// increases depth, so equal-depth components share no path — the
-    /// members of one *wave* are causally independent. Only
-    /// [`UnfoundedEngine::widest_wave`] reads it. A cone patch assigns
-    /// depths to its new components only: nothing upstream of a retained
-    /// component lies in the cone.
-    comp_depth: Vec<u32>,
     /// Component ids retired by earlier [`UnfoundedEngine::patch_cone`]
     /// calls and not yet reassigned, kept sorted descending (allocation
     /// pops the smallest). Bounds the component tables at their peak
@@ -215,41 +200,6 @@ pub struct ConePatch {
     pub new_components: Vec<u32>,
 }
 
-/// The branch grouping of a condensation: two components share a group
-/// iff they are weakly connected in the condensation DAG. Close
-/// propagation follows graph edges, so groups are *causally independent*
-/// — the unit of parallel scheduling. Groups are numbered by first
-/// appearance in the topological order, which fixes per-branch policy
-/// seeds and the order in which the scheduler merges branch stats.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BranchGroups {
-    /// Group of each component id (`u32::MAX` for retired ids).
-    comp_group: Vec<u32>,
-    /// Member components of each group, in topological order.
-    group_comps: Vec<Vec<u32>>,
-}
-
-impl BranchGroups {
-    /// Number of branch groups (weakly connected families of components).
-    /// Groups share no graph edges, so `close` propagation never crosses
-    /// a group boundary: they can be evaluated concurrently and merged in
-    /// any order.
-    pub fn count(&self) -> usize {
-        self.group_comps.len()
-    }
-
-    /// The branch group of component `c`.
-    pub fn group_of(&self, c: u32) -> u32 {
-        self.comp_group[c as usize]
-    }
-
-    /// The components of group `g`, in topological order of the
-    /// condensation (sources first — the required processing order).
-    pub fn components(&self, g: u32) -> &[u32] {
-        &self.group_comps[g as usize]
-    }
-}
-
 /// The alive induced subgraph of one component, for tie detection.
 ///
 /// Nodes are the component's alive atoms and alive rule nodes, densely
@@ -287,8 +237,6 @@ impl UnfoundedEngine {
             comp_head_rules: CsrArena::default(),
             order: Vec::new(),
             order_pos: Vec::new(),
-            groups: OnceLock::new(),
-            comp_depth: Vec::new(),
             free_comps: Vec::new(),
             pending: vec![0; graph.rule_count()],
             removed: vec![false; graph.atom_count()],
@@ -382,12 +330,6 @@ impl UnfoundedEngine {
         engine.comp_head_rules = comp_head_rules;
         engine.order = order;
         engine.order_pos = order_pos;
-        // A fresh condensation comes with its grouping, so shape
-        // statistics ([`UnfoundedEngine::widest_wave`]) read it directly.
-        engine.groups(graph);
-        let order = std::mem::take(&mut engine.order);
-        engine.assign_depths(closer, &order);
-        engine.order = order;
         span.arg("components", engine.component_count() as u64);
         engine
     }
@@ -434,14 +376,9 @@ impl UnfoundedEngine {
     ///   on — O(cone) once a cone's components sit at the end of the
     ///   order, where every patch appends them;
     /// * the slab compaction is O(live) but amortised over the patches
-    ///   whose garbage triggered it;
-    /// * the branch grouping is dropped, not rebuilt: the next
-    ///   [`UnfoundedEngine::groups`] call recomputes it, numbered exactly
-    ///   as [`UnfoundedEngine::build`] numbers it.
+    ///   whose garbage triggered it.
     ///
-    /// Wave depths are assigned to the new components only: a retained
-    /// component has no upstream component in the cone, so its depth
-    /// cannot change. Retired ids are recycled, so callers keeping
+    /// Retired ids are recycled, so callers keeping
     /// per-component state (the runtime session's round counts) forget
     /// the entries of [`ConePatch::retired`] and overwrite those of
     /// [`ConePatch::new_components`].
@@ -464,7 +401,6 @@ impl UnfoundedEngine {
         self.node_of_atom.resize(graph.atom_count(), NO_NODE);
         self.tarjan.atom_index.resize(graph.atom_count(), NO_NODE);
         self.tarjan.rule_index.resize(graph.rule_count(), NO_NODE);
-        self.groups.take();
 
         let retired = self.retire_cone(cone);
         let added = self.condense_cone(closer, cone);
@@ -500,7 +436,6 @@ impl UnfoundedEngine {
             self.order_pos[c as usize] = self.order.len() as u32;
             self.order.push(c);
         }
-        self.assign_depths(closer, &new_ids);
         debug_assert!(
             self.comp_ids_track_aliveness(closer),
             "a node has a component id iff it is alive"
@@ -676,8 +611,7 @@ impl UnfoundedEngine {
     }
 
     /// `true` iff exactly the nodes alive in `closer` carry a component
-    /// id: the invariant [`UnfoundedEngine::groups`] reads aliveness
-    /// from. O(graph); debug builds check it after every patch.
+    /// id. O(graph); debug builds check it after every patch.
     fn comp_ids_track_aliveness(&self, closer: &Closer<'_>) -> bool {
         let graph = closer.graph();
         graph
@@ -688,146 +622,15 @@ impl UnfoundedEngine {
                 .all(|i| (self.rule_comp[i] != NO_COMP) == closer.rule_alive(RuleId(i as u32)))
     }
 
-    /// The branch grouping (weak connectivity of the condensation). A
-    /// build computes it; a patch drops it, and the next call recomputes
-    /// it and caches it until the following patch. `graph` must be the
-    /// graph the engine was built or last patched against.
-    ///
-    /// The grouping is one union-find over the rule nodes, O(residual):
-    /// the evaluation scheduler asks for it on a full run, the session
-    /// for its branch count, and a write never does. Groups are
-    /// numbered by first appearance in the topological order, exactly as
-    /// a fresh build numbers them, so a patched engine hands out the
-    /// same branch ids (and per-branch policies) as a fresh one.
-    pub fn groups(&self, graph: &GroundGraph) -> &BranchGroups {
-        self.groups.get_or_init(|| self.compute_groups(graph))
-    }
-
-    fn compute_groups(&self, graph: &GroundGraph) -> BranchGroups {
-        let _span = tiebreak_trace::span("condense", "branch_groups", &[]);
-        let n_comps = self.comp_atoms.slot_count();
-        let mut uf: Vec<u32> = (0..n_comps as u32).collect();
-        fn find(uf: &mut [u32], mut x: u32) -> u32 {
-            while uf[x as usize] != x {
-                uf[x as usize] = uf[uf[x as usize] as usize];
-                x = uf[x as usize];
-            }
-            x
-        }
-        // A node has a component iff it is alive, so the alive edges
-        // between components are the edges of rules with a component to
-        // an atom with a component.
-        for (i, &cr) in self.rule_comp.iter().enumerate() {
-            if cr == NO_COMP {
-                continue;
-            }
-            let rule = graph.rule(RuleId(i as u32));
-            let atoms = std::iter::once(rule.head).chain(rule.body.iter().map(|&(a, _)| a));
-            for a in atoms {
-                let ca = self.atom_comp[a.index()];
-                if ca != NO_COMP && ca != cr {
-                    let (ra, rr) = (find(&mut uf, ca), find(&mut uf, cr));
-                    if ra != rr {
-                        uf[ra as usize] = rr;
-                    }
-                }
-            }
-        }
-        let mut comp_group = vec![u32::MAX; n_comps];
-        let mut group_of_root: Vec<u32> = vec![u32::MAX; n_comps];
-        let mut group_comps: Vec<Vec<u32>> = Vec::new();
-        for &c in &self.order {
-            let root = find(&mut uf, c);
-            let g = if group_of_root[root as usize] == u32::MAX {
-                let g = group_comps.len() as u32;
-                group_of_root[root as usize] = g;
-                group_comps.push(Vec::new());
-                g
-            } else {
-                group_of_root[root as usize]
-            };
-            comp_group[c as usize] = g;
-            group_comps[g as usize].push(c);
-        }
-        BranchGroups {
-            comp_group,
-            group_comps,
-        }
-    }
-
-    /// Assigns wave depths to `comps` (listed in topological order, each
-    /// one's upstream components already assigned). A component's
-    /// in-edges are exactly (a) its alive head rules sitting in another
-    /// component (external support) and (b) the out-of-component alive
-    /// positive/negative body atoms of its member rules — both derived
-    /// from the bipartite edges `close` propagates along, so the depth
-    /// layering is faithful to the condensation DAG the scheduler walks.
-    fn assign_depths(&mut self, closer: &Closer<'_>, comps: &[u32]) {
-        let graph = closer.graph();
-        self.comp_depth.resize(self.comp_atoms.slot_count(), 0);
-        for &c in comps {
-            let mut depth = 0u32;
-            for &r in self.comp_head_rules.get(c) {
-                if !closer.rule_alive(r) {
-                    continue;
-                }
-                let rc = self.rule_comp[r.index()];
-                if rc != NO_COMP && rc != c {
-                    depth = depth.max(self.comp_depth[rc as usize] + 1);
-                }
-            }
-            for &r in self.comp_rules.get(c) {
-                if !closer.rule_alive(r) {
-                    continue;
-                }
-                for &(a, _) in &graph.rule(r).body {
-                    if !closer.atom_alive(a) {
-                        continue;
-                    }
-                    let ac = self.atom_comp[a.index()];
-                    if ac != NO_COMP && ac != c {
-                        depth = depth.max(self.comp_depth[ac as usize] + 1);
-                    }
-                }
-            }
-            self.comp_depth[c as usize] = depth;
-        }
-    }
-
     /// The member atoms of component `c` (aliveness as of build time).
     pub fn component_atoms(&self, c: u32) -> &[AtomId] {
         self.comp_atoms.get(c)
     }
 
-    /// The widest wave (largest number of equal-depth components in one
-    /// branch group): how many components of one branch share no path.
-    /// A shape statistic of the condensation; computed on demand,
-    /// O(|components| log |components|).
-    ///
-    /// # Panics
-    ///
-    /// If a patch dropped the grouping and no [`UnfoundedEngine::groups`]
-    /// call has recomputed it since (a fresh build always has it).
+    /// Always 0. Only `perfbench` calls it;
+    /// goes with ROADMAP item 1's benchmark cleanup.
     pub fn widest_wave(&self) -> usize {
-        let groups = self
-            .groups
-            .get()
-            .expect("the grouping is current (call `groups` after a patch)");
-        groups
-            .group_comps
-            .iter()
-            .map(|comps| {
-                let mut depths: Vec<u32> =
-                    comps.iter().map(|&c| self.comp_depth[c as usize]).collect();
-                depths.sort_unstable();
-                depths
-                    .chunk_by(|a, b| a == b)
-                    .map(<[u32]>::len)
-                    .max()
-                    .unwrap_or(0)
-            })
-            .max()
-            .unwrap_or(0)
+        0
     }
 
     /// The component of `atom`, if it was alive at build time.
@@ -1198,41 +1001,10 @@ mod tests {
         assert_eq!(sccs.len(), 1);
     }
 
-    #[test]
-    fn branch_groups_split_exactly_at_weak_connectivity() {
-        // Two independent ties + a dependent chain hanging off the first:
-        // {p, q} and {r} are one group (r depends on p); {a, b} another.
-        let (g, p, d) = closed(
-            "p :- not q.\nq :- not p.\nr :- not p, not r.\na :- not b.\nb :- not a.",
-            "",
-        );
-        let (closer, _) = run_close(&g, &p, &d);
-        let engine = UnfoundedEngine::build(&closer);
-        let groups = engine.groups(&g);
-        assert_eq!(groups.count(), 2);
-        let gp = groups.group_of(engine.component_of_atom(atom(&g, "p")).unwrap());
-        let gr = groups.group_of(engine.component_of_atom(atom(&g, "r")).unwrap());
-        let ga = groups.group_of(engine.component_of_atom(atom(&g, "a")).unwrap());
-        assert_eq!(gp, gr, "dependent component joins its upstream's group");
-        assert_ne!(gp, ga, "independent branches split");
-        // Group-internal component order is topological: p's tie precedes
-        // the r component that depends on it.
-        let comps = groups.components(gp);
-        let cp = engine.component_of_atom(atom(&g, "p")).unwrap();
-        let cr = engine.component_of_atom(atom(&g, "r")).unwrap();
-        let pos = |c: u32| comps.iter().position(|&x| x == c).unwrap();
-        assert!(pos(cp) < pos(cr));
-        // Every component belongs to exactly one group.
-        let total: usize = (0..groups.count())
-            .map(|g| groups.components(g as u32).len())
-            .sum();
-        assert_eq!(total, engine.component_count());
-    }
-
     /// Flip one fact, splice the cone through close + engine, and check
     /// the patched condensation against a freshly built engine on the
-    /// same (mutated) state: identical component partition, identical
-    /// group partition, topologically valid order.
+    /// same (mutated) state: identical component partition, topologically
+    /// valid order.
     fn assert_patch_matches_fresh(program_src: &str, db_src: &str, flip: (&str, &[&str])) {
         let p = parse_program(program_src).unwrap();
         let d = parse_database(db_src).unwrap();
@@ -1254,9 +1026,8 @@ mod tests {
 
         let fresh = UnfoundedEngine::build(&closer);
         assert_eq!(engine.component_count(), fresh.component_count());
-        assert_eq!(engine.groups(&g).count(), fresh.groups(&g).count());
         // Same partition: two alive atoms share a patched component iff
-        // they share a fresh one, ditto groups.
+        // they share a fresh one.
         let alive: Vec<AtomId> = closer.alive_atoms().collect();
         for &a in &alive {
             for &b in &alive {
@@ -1266,14 +1037,6 @@ mod tests {
                     "component partition differs at ({}, {})",
                     g.atoms().decode(a),
                     g.atoms().decode(b)
-                );
-                let pg = |e: &UnfoundedEngine, x: AtomId| {
-                    e.component_of_atom(x).map(|c| e.groups(&g).group_of(c))
-                };
-                assert_eq!(
-                    pg(&engine, a) == pg(&engine, b),
-                    pg(&fresh, a) == pg(&fresh, b),
-                    "group partition differs"
                 );
             }
         }
@@ -1332,40 +1095,12 @@ mod tests {
             "g.",
             ("g", &[]),
         );
-    }
-
-    #[test]
-    fn patch_merges_and_splits_branch_groups() {
-        // Two pockets bridged by a rule guarded on e: with e the groups
-        // merge, without it they split — the patch must track both ways.
-        let p = parse_program(
+        // Two pockets bridged by a rule guarded on e: retracting e cuts
+        // the bridge.
+        assert_patch_matches_fresh(
             "p :- not q.\nq :- not p.\na :- not b.\nb :- not a.\nr :- not p, not a, e.",
-        )
-        .unwrap();
-        let d = parse_database("e.").unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
-        let (mut closer, mut model) = run_close(&g, &p, &d);
-        let mut engine = UnfoundedEngine::build(&closer);
-        assert_eq!(
-            engine.groups(&g).count(),
-            1,
-            "bridge rule merges the pockets"
-        );
-
-        let e = g
-            .atoms()
-            .id_of(&datalog_ast::GroundAtom::from_texts("e", &[]))
-            .unwrap();
-        let d2 = datalog_ast::Database::new();
-        let initial = PartialModel::initial(&p, &d2, g.atoms());
-        let cone = g.forward_cone([e], []);
-        closer.reopen_cone(&mut model, &initial, &cone);
-        closer.run(&mut model).unwrap();
-        engine.patch_cone(&closer, &cone);
-        assert_eq!(engine.groups(&g).count(), 2, "retraction splits the groups");
-        assert_eq!(
-            engine.groups(&g).count(),
-            UnfoundedEngine::build(&closer).groups(&g).count()
+            "e.",
+            ("e", &[]),
         );
     }
 
@@ -1418,76 +1153,16 @@ mod tests {
         );
     }
 
-    #[test]
-    fn wave_depths_layer_the_condensation() {
-        // Two independent ties at depth 0 feed a stuck loop through one
-        // rule each: the stuck loop sits at depth 1, the ties form one
-        // two-wide wave, and the whole thing is a single branch group.
-        let (g, p, d) = closed(
-            "a :- not b.\nb :- not a.\nc :- not d.\nd :- not c.\ne :- not a, not c, not e.",
-            "",
-        );
-        let (closer, _) = run_close(&g, &p, &d);
-        let engine = UnfoundedEngine::build(&closer);
-        let ca = engine.component_of_atom(atom(&g, "a")).unwrap();
-        let cc = engine.component_of_atom(atom(&g, "c")).unwrap();
-        let ce = engine.component_of_atom(atom(&g, "e")).unwrap();
-        assert_eq!(engine.comp_depth[ca as usize], 0);
-        assert_eq!(engine.comp_depth[cc as usize], 0);
-        assert_eq!(engine.comp_depth[ce as usize], 1);
-        assert_eq!(engine.groups(&g).count(), 1);
-        assert_eq!(engine.widest_wave(), 2);
-        // Edges strictly increase depth, so a depth layering is always a
-        // topological layering of the processing order.
-        let pos = |c: u32| engine.order().iter().position(|&x| x == c).unwrap();
-        assert!(pos(ca) < pos(ce) && pos(cc) < pos(ce));
-    }
-
-    #[test]
-    fn patched_engine_keeps_wave_depths_fresh() {
-        // Retracting the bridge fact splits the branch; depths and wave
-        // widths must match a fresh build on the mutated state.
-        let p = parse_program(
-            "p :- not q.\nq :- not p.\na :- not b.\nb :- not a.\nr :- not p, not a, e.",
-        )
-        .unwrap();
-        let d = parse_database("e.").unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
-        let (mut closer, mut model) = run_close(&g, &p, &d);
-        let mut engine = UnfoundedEngine::build(&closer);
-        assert_eq!(engine.widest_wave(), 2, "p-tie and a-tie share depth 0");
-
-        let e = g
-            .atoms()
-            .id_of(&datalog_ast::GroundAtom::from_texts("e", &[]))
-            .unwrap();
-        let d2 = datalog_ast::Database::new();
-        let initial = PartialModel::initial(&p, &d2, g.atoms());
-        let cone = g.forward_cone([e], []);
-        closer.reopen_cone(&mut model, &initial, &cone);
-        closer.run(&mut model).unwrap();
-        engine.patch_cone(&closer, &cone);
-
-        let fresh = UnfoundedEngine::build(&closer);
-        engine.groups(&g);
-        assert_eq!(engine.widest_wave(), fresh.widest_wave());
-        for a in closer.alive_atoms() {
-            let pd = engine.comp_depth[engine.component_of_atom(a).unwrap() as usize];
-            let fd = fresh.comp_depth[fresh.component_of_atom(a).unwrap() as usize];
-            assert_eq!(pd, fd, "depth differs at {}", g.atoms().decode(a));
-        }
-    }
-
     /// The cone patch as it was built before the Tarjan over the ground
     /// graph: the alive cone materialised as a [`SignedDigraph`],
     /// condensed by [`Sccs`], members buffered per component, `order`
-    /// filtered whole, and the grouping rebuilt eagerly from `closer`'s
-    /// aliveness. The oracle of [`patch_matches_the_materialised_reference`].
+    /// filtered whole. The oracle of
+    /// [`patch_matches_the_materialised_reference`].
     fn reference_patch(
         engine: &mut UnfoundedEngine,
         closer: &Closer<'_>,
         cone: &Cone,
-    ) -> (ConePatch, BranchGroups) {
+    ) -> ConePatch {
         let graph = closer.graph();
         engine.atom_comp.resize(graph.atom_count(), NO_COMP);
         engine.rule_comp.resize(graph.rule_count(), NO_COMP);
@@ -1614,57 +1289,10 @@ mod tests {
         }
         engine.order.retain(|&c| !is_retired[c as usize]);
         engine.order.extend(new_ids.iter().copied());
-        engine.assign_depths(closer, &new_ids);
         retired.sort_unstable();
-        (
-            ConePatch {
-                retired,
-                new_components: new_ids,
-            },
-            reference_groups(engine, closer),
-        )
-    }
-
-    /// The eager grouping: union-find over every rule alive in `closer`.
-    fn reference_groups(engine: &UnfoundedEngine, closer: &Closer<'_>) -> BranchGroups {
-        let graph = closer.graph();
-        let n_comps = engine.comp_atoms.slot_count();
-        let mut uf: Vec<u32> = (0..n_comps as u32).collect();
-        fn find(uf: &mut [u32], mut x: u32) -> u32 {
-            while uf[x as usize] != x {
-                x = uf[x as usize];
-            }
-            x
-        }
-        for (i, rule) in graph.rules().iter().enumerate() {
-            let cr = engine.rule_comp[i];
-            if cr == NO_COMP || !closer.rule_alive(RuleId(i as u32)) {
-                continue;
-            }
-            let atoms = std::iter::once(rule.head).chain(rule.body.iter().map(|&(a, _)| a));
-            for a in atoms {
-                let ca = engine.atom_comp[a.index()];
-                if closer.atom_alive(a) && ca != NO_COMP && ca != cr {
-                    let (ra, rr) = (find(&mut uf, ca), find(&mut uf, cr));
-                    uf[ra as usize] = rr;
-                }
-            }
-        }
-        let mut comp_group = vec![u32::MAX; n_comps];
-        let mut group_comps: Vec<Vec<u32>> = Vec::new();
-        let mut group_of_root = vec![u32::MAX; n_comps];
-        for &c in &engine.order {
-            let root = find(&mut uf, c) as usize;
-            if group_of_root[root] == u32::MAX {
-                group_of_root[root] = group_comps.len() as u32;
-                group_comps.push(Vec::new());
-            }
-            comp_group[c as usize] = group_of_root[root];
-            group_comps[group_of_root[root] as usize].push(c);
-        }
-        BranchGroups {
-            comp_group,
-            group_comps,
+        ConePatch {
+            retired,
+            new_components: new_ids,
         }
     }
 
@@ -1716,8 +1344,7 @@ mod tests {
             closer.run(&mut model).unwrap();
 
             let mut reference = engine.clone();
-            let (reference_patch, reference_groups) =
-                reference_patch(&mut reference, &closer, &cone);
+            let reference_patch = reference_patch(&mut reference, &closer, &cone);
             let patch = engine.patch_cone(&closer, &cone);
             assert_eq!(patch, reference_patch, "patch report");
             assert_eq!(engine.order, reference.order, "topological order");
@@ -1730,16 +1357,11 @@ mod tests {
                     engine.comp_head_rules.get(c),
                     reference.comp_head_rules.get(c)
                 );
-                assert_eq!(
-                    engine.comp_depth[c as usize],
-                    reference.comp_depth[c as usize]
-                );
                 assert_eq!(engine.order_pos[c as usize] as usize, {
                     engine.order.iter().position(|&x| x == c).unwrap()
                 });
             }
             assert_eq!(engine.free_comps, reference.free_comps, "free list");
-            assert_eq!(engine.groups(&graph), &reference_groups, "branch groups");
             assert!(engine.tarjan.atom_index.iter().all(|&v| v == NO_NODE));
             assert!(engine.tarjan.rule_index.iter().all(|&v| v == NO_NODE));
             state = closer.into_state();

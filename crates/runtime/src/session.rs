@@ -12,12 +12,11 @@ use datalog_ground::{
 use tiebreak_core::engine::EvalOutcome;
 use tiebreak_core::semantics::outcomes::OutcomeSet;
 use tiebreak_core::semantics::SemanticsError;
-use tiebreak_core::{EngineConfig, InterpreterRun, Mutation, PrepareDelta};
+use tiebreak_core::{EngineConfig, InterpreterRun, Mutation, PrepareDelta, TiePolicy};
 
-use crate::policy::{PolicyFactory, UniformPolicy};
 use crate::reply::{self, Reply};
 use crate::wf_state::WfState;
-use crate::{outcomes, scheduler};
+use crate::{eval, outcomes};
 
 /// Errors from building a [`Solver`] out of source text.
 #[derive(Clone, Debug)]
@@ -158,8 +157,8 @@ fn prepare(
 /// Construction grounds the instance, runs the first `close(M₀, G)`,
 /// snapshots the quiescent deletion state, and condenses the residual
 /// graph — **once**. Every evaluation afterwards works against this
-/// prepared state: parallel branch dispatch for single runs,
-/// copy-on-write forks for outcome enumeration.
+/// prepared state: a copy-on-write fork walked once in topological
+/// order for a single run, one fork per script for outcome enumeration.
 ///
 /// The database is **mutable in place**: [`Solver::insert_fact`],
 /// [`Solver::retract_fact`], and [`Solver::apply`] update the prepared
@@ -189,8 +188,7 @@ fn prepare(
 /// body larger than the reply cap ([`Solver::set_reply_cap`]).
 ///
 /// The session honours [`EngineConfig::ground`] (grounding mode and
-/// budgets), [`EngineConfig::runtime`] (worker threads),
-/// [`EngineConfig::session`] (incremental serving), and
+/// budgets), [`EngineConfig::session`] (incremental serving), and
 /// `EngineConfig::eval.detailed_stats`. Like every production evaluator
 /// it is condensation-driven; the paper-literal global loops are test
 /// oracles only.
@@ -365,39 +363,19 @@ impl Solver {
         self.graph.footprint()
     }
 
-    /// The diagnostic for a set-but-unusable `TIEBREAK_THREADS` under
-    /// this session's config (see
-    /// [`tiebreak_core::RuntimeConfig::threads_diagnostic`]). Front-ends
-    /// surface it once per session or connection — a long-lived server
-    /// must report every misconfigured session, not only the first.
-    pub fn thread_diagnostic(&self) -> Option<String> {
-        self.config.runtime.threads_diagnostic()
-    }
-
     /// Components of the residual condensation.
     pub fn component_count(&self) -> usize {
         self.engine.component_count()
     }
 
-    /// Independent branches (weakly connected component families) — the
-    /// parallel scheduling units. The first call after a write regroups
-    /// the condensation, O(residual) (see
-    /// [`UnfoundedEngine::groups`]); later calls read the cached grouping.
-    pub fn branch_count(&self) -> usize {
-        self.engine.groups(&self.graph).count()
-    }
-
-    /// The worker count an evaluation will actually use: the resolved
-    /// [`tiebreak_core::RuntimeConfig`] threads, capped by the branch
-    /// count (a branch runs on one worker, so extra workers would only
-    /// idle).
+    /// Always 1. Only `perfbench` calls it;
+    /// goes with ROADMAP item 1's benchmark cleanup.
     pub fn effective_threads(&self) -> usize {
-        let threads = self.config.runtime.resolved_threads();
-        threads.min(self.branch_count()).max(1)
+        1
     }
 
-    /// Always `false`: evaluation never splits a branch across workers.
-    /// Kept so existing callers that report the flag still build.
+    /// Always `false`. Only `perfbench` calls it;
+    /// goes with ROADMAP item 1's benchmark cleanup.
     pub fn wave_dispatch_eligible(&self) -> bool {
         false
     }
@@ -810,13 +788,12 @@ impl Solver {
     fn finish_rebuild_delta(&self, delta: &mut PrepareDelta, reason: String) {
         delta.rebuilt = true;
         delta.rebuild_reason = Some(reason);
-        delta.branches_invalidated = self.branch_count();
         delta.residual_atoms = self.residual_atom_count();
     }
 
     /// Algorithm Well-Founded against the prepared state: the served
-    /// model of the read memo, evaluated (branches in parallel) on the
-    /// first read after preparation and advanced over each mutation's
+    /// model of the read memo, evaluated in full on the first read after
+    /// preparation and advanced over each mutation's
     /// cone since. Under `detailed_stats` every call evaluates afresh,
     /// so the per-event logs describe one whole run. Identical model to
     /// `tiebreak_core`'s interpreters.
@@ -837,26 +814,25 @@ impl Solver {
     /// As for [`Solver::well_founded`].
     pub fn well_founded_run(&self) -> Result<InterpreterRun, SemanticsError> {
         if self.config.eval.detailed_stats {
-            return scheduler::run_session::<UniformPolicy<tiebreak_core::RootTruePolicy>>(
-                self, None, true,
-            );
+            return eval::evaluate(self, None, true, true).map(|(run, _)| run);
         }
         let run = self.lock_read_memo().run(self)?;
         Ok(InterpreterRun::clone(&run))
     }
 
-    /// Algorithm Well-Founded Tie-Breaking against the prepared state,
-    /// branches in parallel with per-branch policies from `factory`.
-    /// Identical outcome set to `tiebreak_core`'s interpreters.
+    /// Algorithm Well-Founded Tie-Breaking against the prepared state:
+    /// one walk in topological order, so `policy` meets the ties in the
+    /// order the one-shot `tiebreak_core` interpreters meet them.
+    /// Identical outcome set to those interpreters.
     ///
     /// # Errors
     ///
     /// As for [`Solver::well_founded`].
-    pub fn well_founded_tie_breaking<F: PolicyFactory>(
+    pub fn well_founded_tie_breaking(
         &self,
-        factory: &F,
+        policy: &mut impl TiePolicy,
     ) -> Result<EvalOutcome, SemanticsError> {
-        Ok(self.decode(self.well_founded_tie_breaking_run(factory)?))
+        Ok(self.decode(self.well_founded_tie_breaking_run(policy)?))
     }
 
     /// [`Solver::well_founded_tie_breaking`] returning the raw
@@ -865,9 +841,9 @@ impl Solver {
     /// # Errors
     ///
     /// As for [`Solver::well_founded`].
-    pub fn well_founded_tie_breaking_run<F: PolicyFactory>(
+    pub fn well_founded_tie_breaking_run(
         &self,
-        factory: &F,
+        policy: &mut impl TiePolicy,
     ) -> Result<InterpreterRun, SemanticsError> {
         if self.config.eval.certified_total {
             // A stratification-grade certificate: no tie can fire, so
@@ -875,20 +851,20 @@ impl Solver {
             // model without paying for tie machinery.
             return self.well_founded_run();
         }
-        scheduler::run_session(self, Some(factory), true)
+        self.tie_breaking_run(policy, true)
     }
 
-    /// Algorithm Pure Tie-Breaking against the prepared state, branches
-    /// in parallel with per-branch policies from `factory`.
+    /// Algorithm Pure Tie-Breaking against the prepared state: one walk
+    /// in topological order with `policy`.
     ///
     /// # Errors
     ///
     /// As for [`Solver::well_founded`].
-    pub fn pure_tie_breaking<F: PolicyFactory>(
+    pub fn pure_tie_breaking(
         &self,
-        factory: &F,
+        policy: &mut impl TiePolicy,
     ) -> Result<EvalOutcome, SemanticsError> {
-        Ok(self.decode(self.pure_tie_breaking_run(factory)?))
+        Ok(self.decode(self.pure_tie_breaking_run(policy)?))
     }
 
     /// [`Solver::pure_tie_breaking`] returning the raw [`InterpreterRun`].
@@ -896,22 +872,34 @@ impl Solver {
     /// # Errors
     ///
     /// As for [`Solver::well_founded`].
-    pub fn pure_tie_breaking_run<F: PolicyFactory>(
+    pub fn pure_tie_breaking_run(
         &self,
-        factory: &F,
+        policy: &mut impl TiePolicy,
     ) -> Result<InterpreterRun, SemanticsError> {
-        scheduler::run_session(self, Some(factory), false)
+        self.tie_breaking_run(policy, false)
+    }
+
+    fn tie_breaking_run(
+        &self,
+        policy: &mut impl TiePolicy,
+        use_unfounded: bool,
+    ) -> Result<InterpreterRun, SemanticsError> {
+        let detailed = self.config.eval.detailed_stats;
+        eval::evaluate(
+            self,
+            Some(policy as &mut dyn TiePolicy),
+            use_unfounded,
+            detailed,
+        )
+        .map(|(run, _)| run)
     }
 
     /// Explores every tie script of the chosen interpreter flavour
     /// (`pure` selects Pure Tie-Breaking; otherwise Well-Founded
     /// Tie-Breaking), forking each script copy-on-write off the shared
-    /// post-close snapshot and farming the forks onto the worker pool.
-    /// Identical outcome set to
+    /// post-close snapshot, breadth-first. Identical outcome set to
     /// `tiebreak_core::semantics::outcomes::all_outcomes`, but
-    /// O(close + scripts × residual) instead of O(scripts × close), and
-    /// parallel across scripts (deterministic dedup and model order for
-    /// every thread count).
+    /// O(close + scripts × residual) instead of O(scripts × close).
     ///
     /// At most `max_runs` scripts run, and only those are built: the
     /// pending-script frontier holds at most `max_runs` prefixes, so

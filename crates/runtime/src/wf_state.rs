@@ -18,10 +18,9 @@ use datalog_ground::{
     CloseState, Closer, Cone, ConePatch, GroundGraph, PartialModel, UnfoundedEngine,
 };
 use tiebreak_core::semantics::{process_components, ComponentPass, SemanticsError};
-use tiebreak_core::{InterpreterRun, RootTruePolicy, RunStats};
+use tiebreak_core::{InterpreterRun, RunStats};
 
-use crate::policy::UniformPolicy;
-use crate::scheduler;
+use crate::eval;
 use crate::session::Solver;
 
 /// The state a plain well-founded run ends in.
@@ -39,27 +38,15 @@ pub(crate) struct WfState {
 }
 
 impl WfState {
-    /// One full run on the branch scheduler. At one worker the
-    /// worker's close state is kept; at more, it is derived by
-    /// [`replay`], O(residual) once per full run.
+    /// One full walk ([`eval::evaluate`]), keeping the close state it
+    /// ends in.
     pub(crate) fn evaluate(solver: &Solver) -> Result<Self, SemanticsError> {
-        // Detailed stats carry the per-component rounds: each branch's
-        // components in topological order, branches in id order.
-        let (mut run, lone) =
-            scheduler::evaluate::<UniformPolicy<RootTruePolicy>>(solver, None, true, true)?;
-        let close = match lone {
-            Some(close) => close,
-            None => replay(solver, &run.model)?,
-        };
+        // Detailed stats carry the per-component rounds, in walk order.
+        let (mut run, close) = eval::evaluate(solver, None, true, true)?;
         let engine = &solver.engine;
-        let groups = engine.groups(&solver.graph);
         let mut rounds = Rounds::default();
-        let mut logged = run.stats.component_rounds.iter();
-        for g in 0..groups.count() as u32 {
-            for &c in groups.components(g) {
-                let r = *logged.next().expect("one round count per component");
-                rounds.insert(c, r);
-            }
+        for (&c, &r) in engine.order().iter().zip(&run.stats.component_rounds) {
+            rounds.insert(c, r);
         }
         run.stats = rounds.stats(engine.component_count());
         Ok(WfState {
@@ -72,10 +59,10 @@ impl WfState {
 
     /// Advances the state over a mutation's cone, after `engine` was
     /// patched with it (`patch`: its retired ids, and its new components
-    /// in topological order). Sequential at any thread count, and
-    /// O(cone): the model's undefined count and the stats' round sum and
-    /// maximum are adjusted by what changed, not rescanned. On error the
-    /// state is half-advanced and must be dropped.
+    /// in topological order), in O(cone): the model's undefined count and
+    /// the stats' round sum and maximum are adjusted by what changed, not
+    /// rescanned. On error the state is half-advanced and must be
+    /// dropped.
     pub(crate) fn advance(
         &mut self,
         graph: &GroundGraph,
@@ -135,23 +122,6 @@ impl WfState {
         debug_assert_eq!(run.stats, self.rounds.scan(engine.order()));
         Ok(())
     }
-}
-
-/// The close state of a run that several workers split: every atom the
-/// run decided is defined on a fork of the base close, then one `close`
-/// run. [`Closer::reopen_cone`] reads only aliveness, support, and
-/// whether a dead rule's pending count is 0, and all three depend only
-/// on the final model, so the next advance reads this state exactly as
-/// it would a lone worker's.
-fn replay(solver: &Solver, model: &PartialModel) -> Result<CloseState, SemanticsError> {
-    let mut fork = solver.base_model.clone();
-    let mut closer = Closer::from_state(&solver.graph, &solver.base_close);
-    for (atom, value) in model.defined() {
-        // A no-op for the atoms the base close already decided.
-        closer.define(&mut fork, atom, value);
-    }
-    closer.run(&mut fork)?;
-    Ok(closer.into_state())
 }
 
 /// The unfounded rounds of each live component, with their running sum

@@ -1,7 +1,7 @@
 //! Session mutation semantics: epochs, [`PrepareDelta`] bookkeeping,
 //! rebuild fallbacks, and cone-sized re-evaluation.
 //!
-//! The cross-mode/cross-thread *exactness* sweeps (mutated solver ≡
+//! The cross-mode *exactness* sweeps (mutated solver ≡
 //! fresh solver after random churn) live in the root suite
 //! (`tests/session_mutation.rs`); here the API contract is pinned on
 //! hand-picked instances.
@@ -9,16 +9,14 @@
 use datalog_ast::{parse_database, parse_program, GroundAtom};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use tiebreak_core::{EngineConfig, GroundMode, Mutation, RootTruePolicy, RuntimeConfig};
-use tiebreak_runtime::{uniform, Solver};
+use tiebreak_core::{EngineConfig, GroundMode, Mutation, RootTruePolicy};
+use tiebreak_runtime::Solver;
 
-fn solver(program: &str, db: &str, mode: GroundMode, threads: usize) -> Solver {
+fn solver(program: &str, db: &str, mode: GroundMode) -> Solver {
     Solver::with_config(
         parse_program(program).unwrap(),
         parse_database(db).unwrap(),
-        EngineConfig::default()
-            .with_ground_mode(mode)
-            .with_runtime(RuntimeConfig::with_threads(threads)),
+        EngineConfig::default().with_ground_mode(mode),
     )
     .unwrap()
 }
@@ -49,13 +47,11 @@ fn epochs_and_deltas_track_mutations() {
         WIN,
         "move(a, b). move(b, a). move(c, d). move(d, c).",
         GroundMode::Relevant,
-        2,
     );
     assert_eq!(s.epoch(), 0);
     assert!(s.last_delta().is_none());
-    assert_eq!(s.branch_count(), 2);
 
-    // Retract one pocket's back-edge: its branch collapses, the other
+    // Retract one pocket's back-edge: that pocket resolves, the other
     // survives untouched.
     let delta = s
         .retract_fact(GroundAtom::from_texts("move", &["b", "a"]))
@@ -64,8 +60,6 @@ fn epochs_and_deltas_track_mutations() {
     assert_eq!((delta.inserted, delta.retracted), (0, 1));
     assert!(!delta.rebuilt, "in-universe retraction stays incremental");
     assert!(delta.cone_atoms > 0 && delta.cone_rules > 0);
-    assert_eq!(s.branch_count(), 1, "the a/b pocket resolved, c/d stays");
-    assert_eq!(delta.branches_invalidated, 0, "no branch state discarded");
     assert_eq!(s.last_delta(), Some(&delta));
     assert_matches_fresh(&s);
 
@@ -77,13 +71,12 @@ fn epochs_and_deltas_track_mutations() {
     assert_eq!(s.epoch(), 2);
     assert!(!delta.rebuilt);
     assert_eq!(delta.new_rules, 0, "stale instance reused");
-    assert_eq!(s.branch_count(), 2);
     assert_matches_fresh(&s);
 }
 
 #[test]
 fn noop_batches_do_not_bump_the_epoch() {
-    let mut s = solver(WIN, "move(a, b).", GroundMode::Relevant, 1);
+    let mut s = solver(WIN, "move(a, b).", GroundMode::Relevant);
     // Already present / already absent.
     let d1 = s
         .insert_fact(GroundAtom::from_texts("move", &["a", "b"]))
@@ -108,7 +101,7 @@ fn noop_batches_do_not_bump_the_epoch() {
 #[test]
 fn new_constants_force_a_rebuild() {
     for mode in [GroundMode::Full, GroundMode::Relevant] {
-        let mut s = solver(WIN, "move(a, b).", mode, 1);
+        let mut s = solver(WIN, "move(a, b).", mode);
         let delta = s
             .insert_fact(GroundAtom::from_texts("move", &["b", "zz"]))
             .unwrap();
@@ -153,7 +146,6 @@ fn program_constants_never_leave_the_universe() {
         "p(a) :- e(a).\nq(X) :- e(X).",
         "e(a).",
         GroundMode::Relevant,
-        1,
     );
     let delta = s.retract_fact(GroundAtom::from_texts("e", &["a"])).unwrap();
     assert!(!delta.rebuilt);
@@ -182,7 +174,7 @@ fn incremental_can_be_disabled() {
 
 #[test]
 fn arity_conflicts_reject_the_whole_batch() {
-    let mut s = solver(WIN, "move(a, b).", GroundMode::Relevant, 1);
+    let mut s = solver(WIN, "move(a, b).", GroundMode::Relevant);
     let err = s.apply(vec![
         Mutation::Insert(GroundAtom::from_texts("move", &["a", "b", "c"])),
         Mutation::Insert(GroundAtom::from_texts("move", &["b", "a"])),
@@ -287,7 +279,6 @@ fn delta_grounding_appends_supportable_instances() {
         WIN,
         "move(a, b). move(b, c). move(c, a).",
         GroundMode::Relevant,
-        1,
     );
     let rules0 = s.graph().rule_count();
     let delta = s
@@ -306,7 +297,7 @@ fn guarded_positive_cycles_resurrect_exactly() {
     // gfp refresh), and pure tie-breaking can then break it — a fresh
     // solver and the mutated one must agree on the whole outcome set.
     for mode in [GroundMode::Full, GroundMode::Relevant] {
-        let mut s = solver("p :- q, e.\nq :- p.", "", mode, 1);
+        let mut s = solver("p :- q, e.\nq :- p.", "", mode);
         s.insert_fact(GroundAtom::from_texts("e", &[])).unwrap();
         assert_matches_fresh(&s);
         let fresh = fresh_like(&s);
@@ -320,40 +311,34 @@ fn guarded_positive_cycles_resurrect_exactly() {
 
 #[test]
 fn a_write_reevaluates_only_the_cone() {
-    for threads in [1usize, 2] {
-        let mut s = solver(
-            WIN,
-            "move(a, b). move(b, a). move(c, d). move(d, c). move(e, f). move(f, e).",
-            GroundMode::Relevant,
-            threads,
-        );
-        assert_eq!(s.branch_count(), 3);
-        let cold = s
-            .retract_fact(GroundAtom::from_texts("move", &["f", "e"]))
-            .unwrap();
-        assert_eq!(cold.components_reevaluated, 0, "no state held yet");
-        let components = s.well_founded().unwrap().stats.components_processed;
+    let mut s = solver(
+        WIN,
+        "move(a, b). move(b, a). move(c, d). move(d, c). move(e, f). move(f, e).",
+        GroundMode::Relevant,
+    );
+    let cold = s
+        .retract_fact(GroundAtom::from_texts("move", &["f", "e"]))
+        .unwrap();
+    assert_eq!(cold.components_reevaluated, 0, "no state held yet");
+    let components = s.well_founded().unwrap().stats.components_processed;
 
-        // Mutating one pocket re-evaluates the cone's components only.
-        let delta = s
-            .retract_fact(GroundAtom::from_texts("move", &["d", "c"]))
-            .unwrap();
-        assert!(!delta.rebuilt);
-        assert_eq!(delta.components_reevaluated, delta.components_added);
-        assert!(
-            delta.components_reevaluated < components,
-            "t={threads}: {} of {components} components re-evaluated",
-            delta.components_reevaluated
-        );
-        assert_eq!(s.branch_count(), 1, "only the a/b pocket's branch is left");
-        assert_matches_fresh(&s);
-        let fresh = fresh_like(&s);
-        assert_eq!(
-            s.well_founded().unwrap().stats,
-            fresh.well_founded().unwrap().stats,
-            "t={threads}"
-        );
-    }
+    // Mutating one pocket re-evaluates the cone's components only.
+    let delta = s
+        .retract_fact(GroundAtom::from_texts("move", &["d", "c"]))
+        .unwrap();
+    assert!(!delta.rebuilt);
+    assert_eq!(delta.components_reevaluated, delta.components_added);
+    assert!(
+        delta.components_reevaluated < components,
+        "{} of {components} components re-evaluated",
+        delta.components_reevaluated
+    );
+    assert_matches_fresh(&s);
+    let fresh = fresh_like(&s);
+    assert_eq!(
+        s.well_founded().unwrap().stats,
+        fresh.well_founded().unwrap().stats
+    );
 }
 
 #[test]
@@ -361,26 +346,21 @@ fn advances_read_upstream_decisions_of_the_full_run() {
     // `q` is decided by the well-founded run, not by the base close (`p`
     // is an unfounded positive loop), so `r :- q` fires during the run.
     // Retracting `e` re-opens `r` but not that rule: the advance must
-    // read it as fired and keep `r` true. The x/y tie is a second branch,
-    // so two workers split the full run and the kept state is replayed.
-    for threads in [1usize, 2] {
-        let mut s = solver(
-            "p :- p.\nq :- not p.\nr :- q.\nr :- e.\nx :- not y.\ny :- not x.",
-            "e.",
-            GroundMode::Relevant,
-            threads,
-        );
-        assert_eq!(s.effective_threads(), threads);
-        s.well_founded().unwrap();
-        let delta = s.retract_fact(GroundAtom::from_texts("e", &[])).unwrap();
-        assert!(delta.components_reevaluated > 0, "the state advanced");
-        assert_matches_fresh(&s);
-        let wf = s.well_founded().unwrap();
-        assert!(
-            wf.true_facts.iter().any(|f| f.to_string() == "r"),
-            "t={threads}: r lost its fired upstream rule"
-        );
-    }
+    // read it as fired and keep `r` true.
+    let mut s = solver(
+        "p :- p.\nq :- not p.\nr :- q.\nr :- e.\nx :- not y.\ny :- not x.",
+        "e.",
+        GroundMode::Relevant,
+    );
+    s.well_founded().unwrap();
+    let delta = s.retract_fact(GroundAtom::from_texts("e", &[])).unwrap();
+    assert!(delta.components_reevaluated > 0, "the state advanced");
+    assert_matches_fresh(&s);
+    let wf = s.well_founded().unwrap();
+    assert!(
+        wf.true_facts.iter().any(|f| f.to_string() == "r"),
+        "r lost its fired upstream rule"
+    );
 }
 
 #[test]
@@ -397,7 +377,6 @@ fn killed_delta_rules_never_replay_as_fired() {
             "h(X) :- e(X), not b(X).\nh(X) :- f(X), not g(X).",
             "b(c). g(c).",
             mode,
-            1,
         );
         s.insert_fact(GroundAtom::from_texts("e", &["c"])).unwrap();
         assert_matches_fresh(&s);
@@ -412,7 +391,7 @@ fn killed_delta_rules_never_replay_as_fired() {
 }
 
 #[test]
-fn mutation_sequences_stay_exact_across_thread_counts() {
+fn mutation_sequences_stay_exact() {
     let script = [
         Mutation::Retract(GroundAtom::from_texts("move", &["b", "a"])),
         Mutation::Insert(GroundAtom::from_texts("move", &["c", "c"])),
@@ -421,66 +400,59 @@ fn mutation_sequences_stay_exact_across_thread_counts() {
         Mutation::Insert(GroundAtom::from_texts("move", &["d", "a"])),
     ];
     for mode in [GroundMode::Full, GroundMode::Relevant] {
-        for threads in [1usize, 4] {
-            let mut s = solver(
-                WIN,
-                "move(a, b). move(b, a). move(c, d). move(d, c).",
-                mode,
-                threads,
-            );
-            for m in &script {
-                s.apply(vec![m.clone()]).unwrap();
-                assert_matches_fresh(&s);
-                let fresh = fresh_like(&s);
-                let a = s
-                    .well_founded_tie_breaking(&uniform(RootTruePolicy))
-                    .unwrap();
-                let b = fresh
-                    .well_founded_tie_breaking(&uniform(RootTruePolicy))
-                    .unwrap();
-                assert_eq!(a.true_facts, b.true_facts, "{mode:?} t={threads}");
-            }
+        let mut s = solver(WIN, "move(a, b). move(b, a). move(c, d). move(d, c).", mode);
+        for m in &script {
+            s.apply(vec![m.clone()]).unwrap();
+            assert_matches_fresh(&s);
+            let fresh = fresh_like(&s);
+            let a = s.well_founded_tie_breaking(&mut RootTruePolicy).unwrap();
+            let b = fresh
+                .well_founded_tie_breaking(&mut RootTruePolicy)
+                .unwrap();
+            assert_eq!(a.true_facts, b.true_facts, "{mode:?}");
         }
     }
 }
 
-/// Applies 60 random toggles from `toggles` to a solver over
-/// `(program, db)` whose memo holds a served state, and after every
-/// write compares the maintained counters with a fresh solver's.
+/// Applies two seeded sequences of 60 random toggles from `toggles` to a
+/// solver over `(program, db)` whose memo holds a served state, and
+/// after every write compares the maintained counters with a fresh
+/// solver's.
 fn assert_counters_track_fresh(program: &str, db: &str, toggles: &[GroundAtom]) {
-    for mode in [GroundMode::Full, GroundMode::Relevant] {
-        for threads in [1usize, 2] {
-            let mut rng = SmallRng::seed_from_u64(0x5eed + threads as u64);
-            let mut s = solver(program, db, mode, threads);
-            s.well_founded_run().unwrap(); // the memo holds a state to advance
-            for step in 0..60 {
-                let fact = toggles[rng.gen_range(0..toggles.len())].clone();
-                let delta = if s.database().contains(&fact) {
-                    s.retract_fact(fact)
-                } else {
-                    s.insert_fact(fact)
-                }
-                .unwrap();
-                assert!(!delta.rebuilt, "{mode:?} t={threads} step {step}");
-                let fresh = fresh_like(&s);
-                assert_eq!(
-                    s.residual_atom_count(),
-                    fresh.residual_atom_count(),
-                    "{mode:?} t={threads} step {step}: residual atoms"
-                );
-                assert_eq!(delta.residual_atoms, fresh.residual_atom_count());
-                let served = s.well_founded_run().unwrap();
-                let reference = fresh.well_founded_run().unwrap();
-                assert_eq!(
-                    served.total, reference.total,
-                    "{mode:?} t={threads} step {step}: totality"
-                );
-                assert_eq!(
-                    served.stats, reference.stats,
-                    "{mode:?} t={threads} step {step}: run stats"
-                );
-                assert_matches_fresh(&s);
+    for (mode, seed) in [GroundMode::Full, GroundMode::Relevant]
+        .into_iter()
+        .flat_map(|mode| [(mode, 1u64), (mode, 2)])
+    {
+        let mut rng = SmallRng::seed_from_u64(0x5eed + seed);
+        let mut s = solver(program, db, mode);
+        s.well_founded_run().unwrap(); // the memo holds a state to advance
+        for step in 0..60 {
+            let fact = toggles[rng.gen_range(0..toggles.len())].clone();
+            let delta = if s.database().contains(&fact) {
+                s.retract_fact(fact)
+            } else {
+                s.insert_fact(fact)
             }
+            .unwrap();
+            assert!(!delta.rebuilt, "{mode:?} seed {seed} step {step}");
+            let fresh = fresh_like(&s);
+            assert_eq!(
+                s.residual_atom_count(),
+                fresh.residual_atom_count(),
+                "{mode:?} seed {seed} step {step}: residual atoms"
+            );
+            assert_eq!(delta.residual_atoms, fresh.residual_atom_count());
+            let served = s.well_founded_run().unwrap();
+            let reference = fresh.well_founded_run().unwrap();
+            assert_eq!(
+                served.total, reference.total,
+                "{mode:?} seed {seed} step {step}: totality"
+            );
+            assert_eq!(
+                served.stats, reference.stats,
+                "{mode:?} seed {seed} step {step}: run stats"
+            );
+            assert_matches_fresh(&s);
         }
     }
 }

@@ -1,9 +1,8 @@
 //! Session-level behaviour of the runtime [`Solver`].
 //!
-//! The cross-mode/cross-thread differential sweeps live in the root
-//! suite (`tests/runtime_parallel.rs`); here: session reuse, branch
-//! bookkeeping, per-branch policies, CoW enumeration equivalence on
-//! hand-picked instances, and the stats-merge bugfix.
+//! The cross-mode differential sweeps live in the root suite
+//! (`tests/runtime_parallel.rs`); here: session reuse, the one policy of
+//! a run, CoW enumeration equivalence on hand-picked instances.
 
 use std::collections::BTreeSet;
 
@@ -12,37 +11,31 @@ use datalog_ground::{ground, GroundConfig, PartialModel};
 use tiebreak_core::semantics::outcomes::all_outcomes_with;
 use tiebreak_core::semantics::well_founded::well_founded;
 use tiebreak_core::{
-    EngineConfig, EvalOptions, RootFalsePolicy, RootTruePolicy, RuntimeConfig, TiePolicy, TieView,
+    EngineConfig, EvalOptions, RootFalsePolicy, RootTruePolicy, TiePolicy, TieView,
 };
-use tiebreak_runtime::{uniform, PolicyFactory, Solver};
+use tiebreak_runtime::Solver;
 
-fn solver_with_threads(program: &str, database: &str, threads: usize) -> Solver {
-    Solver::with_config(
-        parse_program(program).unwrap(),
-        parse_database(database).unwrap(),
-        EngineConfig::default().with_runtime(RuntimeConfig::with_threads(threads)),
-    )
-    .unwrap()
+fn solver(program: &str, database: &str) -> Solver {
+    Solver::from_sources(program, database).unwrap()
 }
 
-/// Two independent draw pockets + a decided chain: two branches.
+/// Two independent draw pockets + a decided chain.
 const POCKETS: &str = "win(X) :- move(X, Y), not win(Y).";
 const POCKET_DB: &str = "move(a, b). move(b, a). move(c, d). move(d, c). move(e, f). move(f, g).";
 
 #[test]
 fn session_prepares_once_and_serves_many() {
-    let solver = solver_with_threads(POCKETS, POCKET_DB, 2);
-    assert_eq!(solver.branch_count(), 2, "two tie pockets, one decided");
+    let solver = solver(POCKETS, POCKET_DB);
     assert!(solver.residual_atom_count() >= 4);
 
     // Several evaluations against the same prepared state.
     let wf = solver.well_founded().unwrap();
     assert!(!wf.total, "the pockets are draws under wf");
     let tb1 = solver
-        .well_founded_tie_breaking(&uniform(RootTruePolicy))
+        .well_founded_tie_breaking(&mut RootTruePolicy)
         .unwrap();
     let tb2 = solver
-        .well_founded_tie_breaking(&uniform(RootTruePolicy))
+        .well_founded_tie_breaking(&mut RootTruePolicy)
         .unwrap();
     assert!(tb1.total && tb2.total);
     assert_eq!(tb1.true_facts, tb2.true_facts, "evaluations are repeatable");
@@ -58,7 +51,7 @@ fn matches_the_one_shot_interpreters() {
 
     // The solver grounds in Relevant mode by default; compare decoded
     // fact lists, which are atom-table independent.
-    let solver = solver_with_threads(POCKETS, POCKET_DB, 4);
+    let solver = solver(POCKETS, POCKET_DB);
     let wf = solver.well_founded().unwrap();
     let mut expected: Vec<String> = reference
         .model
@@ -76,79 +69,43 @@ fn matches_the_one_shot_interpreters() {
     assert_eq!(wf.total, reference.total);
 }
 
-#[test]
-fn results_are_bit_identical_across_thread_counts() {
-    let runs: Vec<_> = [1usize, 2, 8]
-        .iter()
-        .map(|&t| {
-            let solver = solver_with_threads(POCKETS, POCKET_DB, t);
-            (
-                solver.well_founded().unwrap(),
-                solver
-                    .well_founded_tie_breaking(&uniform(RootTruePolicy))
-                    .unwrap(),
-            )
-        })
-        .collect();
-    for (wf, tb) in &runs[1..] {
-        assert_eq!(wf.true_facts, runs[0].0.true_facts);
-        assert_eq!(wf.undefined, runs[0].0.undefined);
-        assert_eq!(
-            wf.stats, runs[0].0.stats,
-            "wf stats merge deterministically"
-        );
-        assert_eq!(tb.true_facts, runs[0].1.true_facts);
-        assert_eq!(
-            tb.stats, runs[0].1.stats,
-            "tb stats merge deterministically"
-        );
-    }
-}
+/// A policy recording the tie indices it was shown.
+#[derive(Default)]
+struct IndexProbe(Vec<usize>);
 
-/// A factory recording which branches asked for a policy.
-struct BranchProbe;
-
-impl PolicyFactory for BranchProbe {
-    type Policy = BranchKeyed;
-
-    fn policy_for(&self, branch: u32) -> BranchKeyed {
-        BranchKeyed { branch }
-    }
-}
-
-struct BranchKeyed {
-    branch: u32,
-}
-
-impl TiePolicy for BranchKeyed {
+impl TiePolicy for IndexProbe {
     fn choose_root_side_true(&mut self, view: &TieView<'_>) -> bool {
-        // Branch-keyed, schedule-independent choice; the in-branch tie
-        // index restarts at 0 per branch.
-        assert_eq!(view.index, 0, "each pocket is its branch's only tie");
-        self.branch.is_multiple_of(2)
+        self.0.push(view.index);
+        view.index.is_multiple_of(2)
     }
 }
 
 #[test]
-fn per_branch_policies_are_branch_keyed() {
-    for threads in [1, 2, 8] {
-        let solver = solver_with_threads(POCKETS, POCKET_DB, threads);
-        let out = solver.well_founded_tie_breaking(&BranchProbe).unwrap();
-        assert!(out.total);
-        assert_eq!(out.stats.ties_broken, 2);
-    }
+fn one_policy_meets_every_tie_of_the_run_in_order() {
+    // The two pockets are independent, yet one policy sees both ties,
+    // numbered across the whole run, and its choices differ per tie.
+    let solver = solver(POCKETS, POCKET_DB);
+    let mut probe = IndexProbe::default();
+    let out = solver.well_founded_tie_breaking(&mut probe).unwrap();
+    assert!(out.total);
+    assert_eq!(out.stats.ties_broken, 2);
+    assert_eq!(probe.0, [0, 1]);
+    let root_true = solver
+        .well_founded_tie_breaking(&mut RootTruePolicy)
+        .unwrap();
+    assert_ne!(out.true_facts, root_true.true_facts);
 }
 
 #[test]
 fn pure_flavour_breaks_guarded_cycles() {
     // Pure TB breaks the {p, q} tie; WF-TB falsifies it as unfounded.
-    let solver = solver_with_threads("p :- p, not q.\nq :- q, not p.", "", 2);
-    let pure = solver.pure_tie_breaking(&uniform(RootTruePolicy)).unwrap();
+    let solver = solver("p :- p, not q.\nq :- q, not p.", "");
+    let pure = solver.pure_tie_breaking(&mut RootTruePolicy).unwrap();
     assert!(pure.total);
     assert_eq!(pure.stats.ties_broken, 1);
     assert_eq!(pure.true_facts.len(), 1);
     let wf = solver
-        .well_founded_tie_breaking(&uniform(RootTruePolicy))
+        .well_founded_tie_breaking(&mut RootTruePolicy)
         .unwrap();
     assert!(wf.total);
     assert_eq!(wf.stats.ties_broken, 0);
@@ -158,9 +115,9 @@ fn pure_flavour_breaks_guarded_cycles() {
 
 #[test]
 fn stuck_residues_stay_partial_and_veto_downstream() {
-    let solver = solver_with_threads("p :- not q.\nq :- not p.\np :- x.\nx :- not x.", "", 4);
+    let solver = solver("p :- not q.\nq :- not p.\np :- x.\nx :- not x.", "");
     let out = solver
-        .well_founded_tie_breaking(&uniform(RootTruePolicy))
+        .well_founded_tie_breaking(&mut RootTruePolicy)
         .unwrap();
     assert!(!out.total);
     assert_eq!(out.stats.ties_broken, 0);
@@ -182,12 +139,7 @@ fn cow_enumeration_matches_core_outcomes() {
     let db_src = "move(a, b). move(b, a). move(c, d). move(d, c). move(p, q). move(q, p).";
     let database = parse_database(db_src).unwrap();
 
-    let solver = Solver::with_config(
-        program.clone(),
-        database.clone(),
-        EngineConfig::default().with_runtime(RuntimeConfig::with_threads(1)),
-    )
-    .unwrap();
+    let solver = Solver::new(program.clone(), database.clone()).unwrap();
     let graph = ground(&program, &database, &solver.config().ground).unwrap();
 
     for pure in [false, true] {
@@ -232,7 +184,7 @@ fn enumeration_respects_the_run_budget() {
     for i in 0..6 {
         src.push_str(&format!("a{i} :- not b{i}.\nb{i} :- not a{i}.\n"));
     }
-    let solver = solver_with_threads(&src, "", 2);
+    let solver = solver(&src, "");
     let set = solver.all_outcomes(false, 10).unwrap();
     assert!(set.truncated);
     assert_eq!(set.runs, 10);
@@ -243,12 +195,12 @@ fn enumeration_respects_the_run_budget() {
 
 #[test]
 fn opposite_uniform_policies_reach_opposite_orientations() {
-    let solver = solver_with_threads("p :- not q.\nq :- not p.", "", 2);
+    let solver = solver("p :- not q.\nq :- not p.", "");
     let t = solver
-        .well_founded_tie_breaking(&uniform(RootTruePolicy))
+        .well_founded_tie_breaking(&mut RootTruePolicy)
         .unwrap();
     let f = solver
-        .well_founded_tie_breaking(&uniform(RootFalsePolicy))
+        .well_founded_tie_breaking(&mut RootFalsePolicy)
         .unwrap();
     assert!(t.total && f.total);
     assert_ne!(t.true_facts, f.true_facts);
@@ -288,24 +240,18 @@ fn analysis_certifies_stratified_sessions_onto_the_fast_path() {
     let program = "reach(X) :- edge(X).\nreach(Y) :- reach(X), next(X, Y).\n\
                    blocked(X) :- node(X), not reach(X).";
     let db = "edge(a). next(a, b). node(a). node(b). node(c).";
-    let base = solver_with_threads(program, db, 2);
+    let base = solver(program, db);
     let fast = Solver::with_config(
         parse_program(program).unwrap(),
         parse_database(db).unwrap(),
-        EngineConfig::default()
-            .with_runtime(RuntimeConfig::with_threads(2))
-            .with_analysis(true),
+        EngineConfig::default().with_analysis(true),
     )
     .unwrap();
     assert!(fast.config().eval.certified_total, "stratified → certified");
     assert!(!base.config().eval.certified_total);
 
-    let slow = base
-        .well_founded_tie_breaking(&uniform(RootTruePolicy))
-        .unwrap();
-    let quick = fast
-        .well_founded_tie_breaking(&uniform(RootTruePolicy))
-        .unwrap();
+    let slow = base.well_founded_tie_breaking(&mut RootTruePolicy).unwrap();
+    let quick = fast.well_founded_tie_breaking(&mut RootTruePolicy).unwrap();
     assert!(slow.total && quick.total);
     assert_eq!(slow.true_facts, quick.true_facts);
     assert_eq!(quick.stats.ties_broken, 0);
@@ -323,7 +269,7 @@ fn analysis_leaves_tied_programs_on_the_tie_path() {
     .unwrap();
     assert!(!solver.config().eval.certified_total);
     let out = solver
-        .well_founded_tie_breaking(&uniform(RootTruePolicy))
+        .well_founded_tie_breaking(&mut RootTruePolicy)
         .unwrap();
     assert!(out.total);
     assert_eq!(out.stats.ties_broken, 1);

@@ -317,10 +317,9 @@ impl ScriptSession {
         let fp = self.solver.footprint();
         writeln!(
             out,
-            "% epoch {} | {} branches | {} components | {} residual atoms | db {} facts | \
+            "% epoch {} | {} components | {} residual atoms | db {} facts | \
              graph {} atoms / {} rules / ~{} KiB",
             self.solver.epoch(),
-            self.solver.branch_count(),
             self.solver.component_count(),
             self.solver.residual_atom_count(),
             self.solver.database().len(),
@@ -328,9 +327,6 @@ impl ScriptSession {
             fp.rules,
             fp.approx_bytes / 1024,
         )?;
-        // Same accessors as the server's `stats` verb, so the two
-        // views of the thread pool cannot disagree.
-        writeln!(out, "% threads={}", self.solver.effective_threads())?;
         if let Some(delta) = self.solver.last_delta() {
             writeln!(out, "{}", describe_delta(delta))?;
         }

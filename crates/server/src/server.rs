@@ -217,7 +217,7 @@ pub(crate) fn handle_request(
             Next::Continue
         }
         "stats" => {
-            handle_stats(registry, entry.as_deref(), response);
+            handle_stats(registry, response);
             Next::Continue
         }
         "metrics" => {
@@ -263,13 +263,9 @@ pub(crate) fn handle_request(
     next
 }
 
-/// The `stats` verb: registry-wide counters, the per-session breakdown,
-/// and — when this connection has a session open — its thread-pool
-/// state, reported through the same [`Solver`] accessors as the script
-/// language's `? stats` so the two views cannot disagree.
-///
-/// [`Solver`]: tiebreak_runtime::Solver
-fn handle_stats(registry: &SessionRegistry, entry: Option<&SessionEntry>, response: &mut Vec<u8>) {
+/// The `stats` verb: registry-wide counters and the per-session
+/// breakdown.
+fn handle_stats(registry: &SessionRegistry, response: &mut Vec<u8>) {
     let s = registry.stats();
     let _ = write!(
         response,
@@ -281,14 +277,6 @@ fn handle_stats(registry: &SessionRegistry, entry: Option<&SessionEntry>, respon
             response,
             "\n% session key={:016x} epoch={} atoms={} last_used={}",
             per.key, per.epoch, per.resident_atoms, per.last_used
-        );
-    }
-    if let Some(entry) = entry {
-        let session = entry.lock();
-        let _ = write!(
-            response,
-            "\n% threads={}",
-            session.solver().effective_threads()
         );
     }
 }
@@ -327,23 +315,14 @@ fn handle_open(
         Ok(outcome) => {
             let prepare_ms = opened_at.elapsed().as_secs_f64() * 1e3;
             let session = outcome.entry.lock();
-            let threads = session.solver().effective_threads();
-            let diagnostic = session.solver().thread_diagnostic();
             let _ = write!(
                 response,
-                "ok opened key={:016x} reused={} evicted={} atoms={} threads={}",
+                "ok opened key={:016x} reused={} evicted={} atoms={}",
                 outcome.entry.key(),
                 outcome.reused,
                 outcome.evicted,
                 session.solver().footprint().atoms,
-                threads,
             );
-            // Surface the TIEBREAK_THREADS fallback diagnostic to every
-            // connection that opens a session — not just whichever one
-            // happened to arrive first in the process's lifetime.
-            if let Some(diag) = diagnostic {
-                let _ = write!(response, "\n% {diag}");
-            }
             if let Some(summary) = outcome.entry.analysis_summary() {
                 let _ = write!(response, "\n% analysis: {summary}");
             }

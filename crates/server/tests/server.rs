@@ -325,19 +325,10 @@ fn fresh_session_frames(program: &str, database: &str, frames: &[&str]) -> Vec<S
 /// read memo; one interleaves mutating frames, which advance the epoch
 /// between reads. Every single response must be bit-identical to what a
 /// fresh solver would say — scheduling may never be observable in the
-/// bytes. Runs at 1 and 8 evaluation threads so the branch-parallel
-/// path is covered both ways.
-fn concurrent_reads_and_writes_case(threads: usize) {
-    use tiebreak_core::{EngineConfig, RuntimeConfig};
-
-    let config = ServerConfig {
-        registry: RegistryConfig {
-            engine: EngineConfig::default().with_runtime(RuntimeConfig::with_threads(threads)),
-            ..RegistryConfig::default()
-        },
-        ..ServerConfig::default()
-    };
-    let (addr, _registry, handle) = start_server(config);
+/// bytes.
+#[test]
+fn concurrent_reads_and_writes_match_a_fresh_solver() {
+    let (addr, _registry, handle) = start_server(ServerConfig::default());
 
     // A 2-cycle: win(p) and win(q) are undefined, and stay undefined
     // while the mutator toggles a disconnected edge move(x9, y9) — so
@@ -375,7 +366,7 @@ fn concurrent_reads_and_writes_case(threads: usize) {
                     assert_eq!(response.status, "errors=0");
                     assert_eq!(
                         &response.body, expected_read,
-                        "reader {reader} round {round} (threads={threads})"
+                        "reader {reader} round {round}"
                     );
                 }
                 client.bye().expect("bye");
@@ -389,10 +380,7 @@ fn concurrent_reads_and_writes_case(threads: usize) {
             for (i, frame) in mutator_refs.iter().enumerate() {
                 let response = client.script(frame).expect("script");
                 assert_eq!(response.status, "errors=0");
-                assert_eq!(
-                    &response.body, &expected_mutator[i],
-                    "mutator frame {i} (threads={threads})"
-                );
+                assert_eq!(&response.body, &expected_mutator[i], "mutator frame {i}");
             }
             client.bye().expect("bye");
         }));
@@ -402,16 +390,6 @@ fn concurrent_reads_and_writes_case(threads: usize) {
     });
 
     stop_server(addr, handle);
-}
-
-#[test]
-fn concurrent_reads_and_writes_match_a_fresh_solver_threads_1() {
-    concurrent_reads_and_writes_case(1);
-}
-
-#[test]
-fn concurrent_reads_and_writes_match_a_fresh_solver_threads_8() {
-    concurrent_reads_and_writes_case(8);
 }
 
 /// Two closed-loop connections on one session keep the reactor's worker

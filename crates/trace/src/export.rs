@@ -546,7 +546,7 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
     use crate::set_enabled;
-    use crate::span::{child_span, drain, span};
+    use crate::span::{drain, span};
     use std::sync::{Mutex, MutexGuard, PoisonError};
 
     fn exclusive() -> MutexGuard<'static, ()> {
@@ -559,12 +559,11 @@ mod tests {
 
     fn sample_trace() -> Trace {
         let root = span("test", "root", &[("size", 3)]);
-        let root_id = root.id();
         {
             let _child = span("test", "child", &[]);
             crate::span::instant("test", "tick", &[("pos", 1)]);
         }
-        drop(child_span("test", "sibling", root_id, &[]));
+        drop(span("test", "sibling", &[]));
         drop(root);
         Trace::from_events(drain())
     }

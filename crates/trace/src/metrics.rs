@@ -3,7 +3,7 @@
 //!
 //! Unlike spans, metrics are **always on**: every cell is a plain
 //! `AtomicU64` updated with relaxed ordering, and every instrumentation
-//! point sits at a coarse phase boundary (per close run, per branch, per
+//! point sits at a coarse phase boundary (per close run, per evaluation, per
 //! server request — never per atom), so there is no hot-loop contention
 //! to gate. [`Metrics::snapshot`] captures a point-in-time copy as plain
 //! data; [`MetricsSnapshot::render_prometheus`] renders the Prometheus
@@ -205,7 +205,6 @@ pub struct Metrics {
     pub components_processed: Counter,
     // Session runtime.
     pub evaluations: Counter,
-    pub branches_evaluated: Counter,
     /// Writes that advanced a session's served well-founded state over
     /// the mutation's cone instead of dropping it.
     pub wf_advances: Counter,
@@ -245,7 +244,6 @@ impl Metrics {
             condense_runs: Counter::new(),
             components_processed: Counter::new(),
             evaluations: Counter::new(),
-            branches_evaluated: Counter::new(),
             wf_advances: Counter::new(),
             outcome_scripts: Counter::new(),
             read_memo_hits: Counter::new(),
@@ -313,7 +311,6 @@ impl Metrics {
             ("condense_runs", &self.condense_runs),
             ("components_processed", &self.components_processed),
             ("evaluations", &self.evaluations),
-            ("branches_evaluated", &self.branches_evaluated),
             ("wf_advances", &self.wf_advances),
             ("outcome_scripts", &self.outcome_scripts),
             ("read_memo_hits", &self.read_memo_hits),

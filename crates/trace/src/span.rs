@@ -5,15 +5,12 @@
 //! its own ring buffer plus three global atomic counters (sequence
 //! stamp, span id, thread ordinal). The sole lock is the global sink
 //! mutex, taken at **phase barriers** — an explicit [`flush`] at the end
-//! of a scheduler worker or a server request, or the implicit flush when
-//! a thread's TLS is torn down (which covers `std::thread::scope`
-//! workers). [`drain`] flushes the calling thread and takes the sink,
+//! of a server request, or the implicit flush when a thread's TLS is
+//! torn down. [`drain`] flushes the calling thread and takes the sink,
 //! returning events sorted by sequence stamp.
 //!
 //! Parent linkage: each thread keeps a stack of open span ids; a new
-//! span parents to the top of the stack. Work handed to another thread
-//! crosses the TLS boundary with an explicit id — capture
-//! [`SpanGuard::id`] and open the remote side with [`child_span`].
+//! span parents to the top of the stack.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -175,17 +172,12 @@ impl SpanGuard {
         }
     }
 
-    fn start(
-        cat: &'static str,
-        name: &'static str,
-        explicit_parent: Option<u64>,
-        args: &[(&'static str, u64)],
-    ) -> Self {
+    fn start(cat: &'static str, name: &'static str, args: &[(&'static str, u64)]) -> Self {
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
         let (args_len, args) = clamp_args(args);
         let (parent, tid) = BUF.with(|b| {
             let mut b = b.borrow_mut();
-            let parent = explicit_parent.unwrap_or_else(|| b.stack.last().copied().unwrap_or(0));
+            let parent = b.stack.last().copied().unwrap_or(0);
             b.stack.push(id);
             (parent, b.tid)
         });
@@ -201,8 +193,7 @@ impl SpanGuard {
         }
     }
 
-    /// The span id, for parenting work handed to another thread via
-    /// [`child_span`]. Zero when tracing is disabled.
+    /// The span id. Zero when tracing is disabled.
     #[must_use]
     pub fn id(&self) -> u64 {
         self.id
@@ -260,23 +251,7 @@ pub fn span(cat: &'static str, name: &'static str, args: &[(&'static str, u64)])
     if !crate::enabled() {
         return SpanGuard::disabled();
     }
-    SpanGuard::start(cat, name, None, args)
-}
-
-/// Opens a span under an explicit parent id — the cross-thread edge
-/// (scheduler workers parent to the evaluation span of the submitting
-/// thread). `parent` 0 makes a root.
-#[inline]
-pub fn child_span(
-    cat: &'static str,
-    name: &'static str,
-    parent: u64,
-    args: &[(&'static str, u64)],
-) -> SpanGuard {
-    if !crate::enabled() {
-        return SpanGuard::disabled();
-    }
-    SpanGuard::start(cat, name, Some(parent), args)
+    SpanGuard::start(cat, name, args)
 }
 
 /// Records a point event parented to the innermost open span.
@@ -340,7 +315,7 @@ pub fn flush() {
 /// Flushes the calling thread, then takes every event accumulated in
 /// the sink, sorted by sequence stamp. Events still sitting in *other*
 /// live threads' buffers are not included — flush those threads first
-/// (scheduler workers flush on exit).
+/// (server workers flush at every request boundary, every thread on exit).
 #[must_use]
 pub fn drain() -> Vec<TraceEvent> {
     flush();
@@ -401,28 +376,6 @@ mod tests {
         assert_eq!(inner.arg("n"), Some(7));
         // Sequence stamps are drop-ordered: inner closes before outer.
         assert!(inner.seq < outer.seq);
-    }
-
-    #[test]
-    fn cross_thread_child_span_flushes_on_exit() {
-        let _x = exclusive();
-        let root = span("t", "root", &[]);
-        let root_id = root.id();
-        // A plain `spawn` + `join`, not a scoped thread: `join` returns
-        // only after the thread has exited, thread-local destructors (the
-        // exit flush under test) included, while a scope's join may
-        // return as soon as the closure is done.
-        std::thread::spawn(move || {
-            let _w = child_span("t", "worker", root_id, &[]);
-        })
-        .join()
-        .expect("worker thread");
-        drop(root);
-        let events = drain();
-        let worker = events.iter().find(|e| e.name == "worker").expect("worker");
-        let root = events.iter().find(|e| e.name == "root").expect("root");
-        assert_eq!(worker.parent, root.id);
-        assert_ne!(worker.tid, root.tid);
     }
 
     #[test]

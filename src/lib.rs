@@ -39,8 +39,8 @@
 //! [`ground`] (ground graphs and `close`), [`core`] (semantics and
 //! analyses), [`analyze`] (the pre-grounding static analyzer: safety
 //! lints, totality certificates, grounding cost estimates),
-//! [`runtime`] (the parallel session solver: ground once, close once,
-//! serve many evaluations), [`trace`] (structured tracing and metrics
+//! [`runtime`] (the session solver: ground once, close once, serve many
+//! evaluations), [`trace`] (structured tracing and metrics
 //! across every layer), and [`constructions`] (reductions and
 //! generators).
 
@@ -72,8 +72,8 @@ pub mod prelude {
         RootTruePolicy, ScriptedPolicy, TiePolicy,
     };
     pub use tiebreak_core::{
-        Engine, EngineConfig, EvalOptions, Mutation, PrepareDelta, RuntimeConfig, SessionConfig,
+        Engine, EngineConfig, EvalOptions, Mutation, PrepareDelta, SessionConfig,
     };
-    pub use tiebreak_runtime::{uniform, PolicyFactory, Solver};
+    pub use tiebreak_runtime::Solver;
     pub use tiebreak_trace::{metrics, MetricsSnapshot, Trace};
 }

@@ -4,7 +4,7 @@
 //!
 //! * **call-consistent grade** — every well-founded tie-breaking run
 //!   terminates with a *total* model, for every database, every tie
-//!   script, both ground modes, and any thread count;
+//!   script, and both ground modes;
 //! * **stratified grade** — additionally the outcome set is a
 //!   singleton (no tie ever fires) and the `certified_total` fast path
 //!   (plain well-founded evaluation, no tie machinery) is bit-identical
@@ -19,18 +19,6 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tie_breaking_datalog::constructions::generators;
 use tie_breaking_datalog::prelude::*;
-
-/// One independently seeded random policy per branch (deterministic per
-/// seed, schedule-independent).
-struct BranchSeededRandom(u64);
-
-impl PolicyFactory for BranchSeededRandom {
-    type Policy = RandomPolicy;
-
-    fn policy_for(&self, branch: u32) -> RandomPolicy {
-        RandomPolicy::seeded(self.0 ^ u64::from(branch).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -53,57 +41,52 @@ proptest! {
 
         let mut reference_facts: Option<Vec<GroundAtom>> = None;
         for mode in [GroundMode::Full, GroundMode::Relevant] {
-            for threads in [1usize, 4] {
-                let config = EngineConfig::default()
-                    .with_ground_mode(mode)
-                    .with_runtime(RuntimeConfig::with_threads(threads));
-                let solver = Solver::with_config(program.clone(), db.clone(), config)
-                    .expect("prepares");
+            let config = EngineConfig::default().with_ground_mode(mode);
+            let solver = Solver::with_config(program.clone(), db.clone(), config)
+                .expect("prepares");
 
-                // Call-consistent grade: every tie script totals.
-                for policy_seed in [seed, seed ^ 0xdead_beef] {
-                    let out = solver
-                        .well_founded_tie_breaking(&BranchSeededRandom(policy_seed))
-                        .expect("runs");
-                    prop_assert!(out.total, "certified program left a partial model");
-                    if stratified {
-                        // No tie can fire, so every script and policy
-                        // must land on the same (unique) model.
-                        match &reference_facts {
-                            Some(r) => prop_assert_eq!(r, &out.true_facts),
-                            None => reference_facts = Some(out.true_facts.clone()),
-                        }
-                        prop_assert_eq!(out.stats.ties_broken, 0);
-                    }
-                }
-
+            // Call-consistent grade: every tie script totals.
+            for policy_seed in [seed, seed ^ 0xdead_beef] {
+                let out = solver
+                    .well_founded_tie_breaking(&mut RandomPolicy::seeded(policy_seed))
+                    .expect("runs");
+                prop_assert!(out.total, "certified program left a partial model");
                 if stratified {
-                    // Singleton outcome set, in both flavours' budgets.
-                    let set = solver.all_outcomes(false, 64).expect("enumerates");
-                    prop_assert_eq!(set.models.len(), 1);
-                    prop_assert!(!set.truncated);
-
-                    // The analysis-armed fast path (plain well-founded
-                    // evaluation) is bit-identical to the tie path.
-                    let fast = Solver::with_config(
-                        program.clone(),
-                        db.clone(),
-                        EngineConfig::default()
-                            .with_ground_mode(mode)
-                            .with_runtime(RuntimeConfig::with_threads(threads))
-                            .with_analysis(true),
-                    )
-                    .expect("prepares");
-                    prop_assert!(fast.config().eval.certified_total);
-                    let quick = fast
-                        .well_founded_tie_breaking(&uniform(RootTruePolicy))
-                        .expect("runs");
-                    prop_assert!(quick.total);
-                    prop_assert_eq!(
-                        reference_facts.as_ref().expect("set above"),
-                        &quick.true_facts
-                    );
+                    // No tie can fire, so every script and policy
+                    // must land on the same (unique) model.
+                    match &reference_facts {
+                        Some(r) => prop_assert_eq!(r, &out.true_facts),
+                        None => reference_facts = Some(out.true_facts.clone()),
+                    }
+                    prop_assert_eq!(out.stats.ties_broken, 0);
                 }
+            }
+
+            if stratified {
+                // Singleton outcome set, in both flavours' budgets.
+                let set = solver.all_outcomes(false, 64).expect("enumerates");
+                prop_assert_eq!(set.models.len(), 1);
+                prop_assert!(!set.truncated);
+
+                // The analysis-armed fast path (plain well-founded
+                // evaluation) is bit-identical to the tie path.
+                let fast = Solver::with_config(
+                    program.clone(),
+                    db.clone(),
+                    EngineConfig::default()
+                        .with_ground_mode(mode)
+                        .with_analysis(true),
+                )
+                .expect("prepares");
+                prop_assert!(fast.config().eval.certified_total);
+                let quick = fast
+                    .well_founded_tie_breaking(&mut RootTruePolicy)
+                    .expect("runs");
+                prop_assert!(quick.total);
+                prop_assert_eq!(
+                    reference_facts.as_ref().expect("set above"),
+                    &quick.true_facts
+                );
             }
         }
     }

@@ -1,32 +1,27 @@
-//! Parallel determinism suite: the session runtime across thread counts.
+//! Differential suite: the session runtime against the core
+//! interpreters.
 //!
 //! For every instance of the random program sweep (the same generators
 //! as `tests/eval_modes.rs`) and for **both ground modes**, the runtime
-//! [`Solver`] must produce, across `threads ∈ {1, 2, 8}`:
+//! [`Solver`] must produce:
 //!
-//! * **identical well-founded models** — bit-identical decoded fact
-//!   lists, which must also equal the one-shot `tiebreak-core`
-//!   interpreter's model on the same ground graph;
-//! * **identical tie-breaking outcome *sets*** — the session's
-//!   copy-on-write enumeration agrees with the core enumerator, for both
-//!   the pure and well-founded flavours;
-//! * **identical [`RunStats`] counters** — `components_processed`,
-//!   `max_component_rounds`, `ties_broken`, `unfounded_rounds`,
-//!   `close_rounds` merge deterministically from per-branch partials at
-//!   join (the concurrency aggregation bugfix), so the whole struct is
-//!   compared with `==`.
-//!
-//! Thread count 8 exceeds this machine's branch counts and (possibly)
-//! its core count on purpose: oversubscription must change nothing.
+//! * **the reference well-founded model** — the decoded fact list of the
+//!   paper-literal global loop on an independently grounded graph;
+//! * **the core enumerator's tie-breaking outcome *sets*** — the
+//!   session's copy-on-write enumeration agrees with
+//!   `all_outcomes_with`, for both the pure and well-founded flavours;
+//! * **the core walk's single runs** — a `RandomPolicy` meets the ties
+//!   of one session walk in the order `well_founded_tie_breaking_with`
+//!   and `pure_tie_breaking_with` meet them on the solver's own graph,
+//!   so model, totality, tie count and tie log are equal seed by seed.
 //!
 //! The braided generators force the whole residual into **one**
-//! weakly-connected branch, which runs on a single worker at any thread
-//! count; their churn suite re-checks the cross-thread invariants after
-//! every incremental mutation (`patch_cone` splices split and re-merge
-//! the branch), with the wf model also checked against a from-scratch
-//! solver on the mutated database.
+//! weakly-connected family of components; their churn suite re-checks
+//! the wf model and the outcome set after every incremental mutation
+//! (`patch_cone` splices split and re-merge the braid) against a
+//! from-scratch solver on the mutated database.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -35,10 +30,17 @@ use tie_breaking_datalog::ast::{Atom, Literal, Rule, Sign, Term};
 use tie_breaking_datalog::constructions::generators;
 use tie_breaking_datalog::core::engine::EvalOutcome;
 use tie_breaking_datalog::core::semantics::outcomes::all_outcomes_with;
+use tie_breaking_datalog::core::semantics::tie_breaking::{
+    pure_tie_breaking_with, well_founded_tie_breaking_with,
+};
 use tie_breaking_datalog::core::semantics::well_founded::well_founded;
+use tie_breaking_datalog::core::semantics::{process_components, ComponentPass};
+use tie_breaking_datalog::core::RunStats;
+use tie_breaking_datalog::ground::{Closer, GroundGraph, RuleId, UnfoundedEngine};
 use tie_breaking_datalog::prelude::*;
 
-const THREADS: [usize; 3] = [1, 2, 8];
+/// Policy seeds of the single-run comparison.
+const SEEDS: [u64; 4] = [0, 1, 7, 0x5eed_cafe];
 
 /// A random propositional program over `preds` proposition names (the
 /// `tests/eval_modes.rs` generator).
@@ -79,13 +81,11 @@ fn db_from_mask(program: &Program, mask: u32) -> Database {
     db
 }
 
-fn solver_for(program: &Program, db: &Database, mode: GroundMode, threads: usize) -> Solver {
+fn solver_for(program: &Program, db: &Database, mode: GroundMode) -> Solver {
     Solver::with_config(
         program.clone(),
         db.clone(),
-        EngineConfig::default()
-            .with_ground_mode(mode)
-            .with_runtime(RuntimeConfig::with_threads(threads)),
+        EngineConfig::default().with_ground_mode(mode),
     )
     .expect("session prepares")
 }
@@ -132,8 +132,14 @@ fn outcome_set_of_models(
         .collect()
 }
 
-/// The full cross-thread check for one instance in one ground mode.
-fn assert_threads_agree(program: &Program, db: &Database, mode: GroundMode) {
+fn outcome_set(solver: &Solver, pure: bool) -> BTreeSet<Outcome> {
+    let set = solver.all_outcomes(pure, 4096).expect("enumerates");
+    assert!(!set.truncated, "sweep instances are small");
+    outcome_set_of_models(&set.models, solver.graph().atoms())
+}
+
+/// The full reference check for one instance in one ground mode.
+fn assert_matches_reference(program: &Program, db: &Database, mode: GroundMode) {
     // The one-shot reference interpreter on an independently grounded
     // graph (paper-literal Full mode so the reference is mode-agnostic).
     let ref_graph = ground(program, db, &GroundConfig::default()).expect("reference grounds");
@@ -146,38 +152,14 @@ fn assert_threads_agree(program: &Program, db: &Database, mode: GroundMode) {
         .collect();
     ref_true.sort();
 
-    let mut wf_runs: Vec<(EvalOutcome, BTreeSet<Outcome>, BTreeSet<Outcome>)> = Vec::new();
-    for threads in THREADS {
-        let solver = solver_for(program, db, mode, threads);
-        let wf = solver.well_founded().expect("wf runs");
-        let sets: Vec<BTreeSet<Outcome>> = [false, true]
-            .iter()
-            .map(|&pure| {
-                let set = solver.all_outcomes(pure, 4096).expect("enumerates");
-                assert!(!set.truncated, "sweep instances are small");
-                outcome_set_of_models(&set.models, solver.graph().atoms())
-            })
-            .collect();
-        wf_runs.push((wf, sets[0].clone(), sets[1].clone()));
-    }
+    let solver = solver_for(program, db, mode);
+    let wf = solver.well_founded().expect("wf runs");
+    assert_eq!(decoded(&wf).0, ref_true, "session wf ≠ reference wf");
+    assert_eq!(wf.total, reference.total);
 
-    // Identical wf models across thread counts, and vs the reference.
-    let (first_wf, first_tb_set, first_pure_set) = &wf_runs[0];
-    let first_decoded = decoded(first_wf);
-    assert_eq!(first_decoded.0, ref_true, "session wf ≠ reference wf");
-    assert_eq!(first_wf.total, reference.total);
-    for (wf, tb_set, pure_set) in &wf_runs[1..] {
-        assert_eq!(decoded(wf), first_decoded, "wf model differs by threads");
-        assert_eq!(wf.total, first_wf.total);
-        assert_eq!(wf.stats, first_wf.stats, "wf stats differ by threads");
-        assert_eq!(tb_set, first_tb_set, "tb outcome set differs by threads");
-        assert_eq!(pure_set, first_pure_set, "pure outcome set differs");
-    }
-
-    // Outcome sets also agree with the core enumerator over the same
-    // prepared graph (the solver's own graph, so atom spaces coincide).
-    let solver = solver_for(program, db, mode, 2);
-    for (pure, session_set) in [(false, first_tb_set), (true, first_pure_set)] {
+    // Outcome sets agree with the core enumerator over the same prepared
+    // graph (the solver's own graph, so atom spaces coincide).
+    for pure in [false, true] {
         let core = all_outcomes_with(
             solver.graph(),
             program,
@@ -189,21 +171,66 @@ fn assert_threads_agree(program: &Program, db: &Database, mode: GroundMode) {
         .expect("core enumerates");
         assert!(!core.truncated);
         let core_set = outcome_set_of_models(&core.models, solver.graph().atoms());
-        assert_eq!(&core_set, session_set, "session ≠ core outcome set");
+        assert_eq!(
+            core_set,
+            outcome_set(&solver, pure),
+            "session ≠ core outcome set"
+        );
     }
+}
 
-    // Tie-breaking single runs: stats identical across thread counts.
-    let tb_runs: Vec<EvalOutcome> = THREADS
-        .iter()
-        .map(|&t| {
-            solver_for(program, db, mode, t)
-                .well_founded_tie_breaking(&uniform(RootTruePolicy))
-                .expect("tb runs")
-        })
-        .collect();
-    for tb in &tb_runs[1..] {
-        assert_eq!(decoded(tb), decoded(&tb_runs[0]));
-        assert_eq!(tb.stats, tb_runs[0].stats, "tb stats differ by threads");
+/// A fresh solver's single runs under `RandomPolicy::seeded(s)`, with
+/// detailed stats, equal the core interpreters' runs on the solver's own
+/// graph: both walk the same topological order with one policy, so they
+/// meet the same ties in the same order and draw the same coins.
+fn assert_random_walks_match_core(program: &Program, db: &Database, mode: GroundMode) {
+    let solver = Solver::with_config(
+        program.clone(),
+        db.clone(),
+        EngineConfig::default()
+            .with_ground_mode(mode)
+            .with_detailed_stats(true),
+    )
+    .expect("session prepares");
+    let options = EvalOptions {
+        detailed_stats: true,
+        ..EvalOptions::default()
+    };
+    for seed in SEEDS {
+        for pure in [false, true] {
+            let (session, core) = if pure {
+                (
+                    solver.pure_tie_breaking_run(&mut RandomPolicy::seeded(seed)),
+                    pure_tie_breaking_with(
+                        solver.graph(),
+                        program,
+                        db,
+                        &mut RandomPolicy::seeded(seed),
+                        &options,
+                    ),
+                )
+            } else {
+                (
+                    solver.well_founded_tie_breaking_run(&mut RandomPolicy::seeded(seed)),
+                    well_founded_tie_breaking_with(
+                        solver.graph(),
+                        program,
+                        db,
+                        &mut RandomPolicy::seeded(seed),
+                        &options,
+                    ),
+                )
+            };
+            let (session, core) = (session.expect("session runs"), core.expect("core runs"));
+            let what = format!("seed {seed}, pure {pure}");
+            assert!(session.model == core.model, "model: {what}");
+            assert_eq!(session.total, core.total, "total: {what}");
+            assert_eq!(
+                session.stats.ties_broken, core.stats.ties_broken,
+                "ties: {what}"
+            );
+            assert_eq!(session.stats.tie_log, core.stats.tie_log, "tie log: {what}");
+        }
     }
 }
 
@@ -214,54 +241,187 @@ proptest! {
     /// loops, negation cycles, and stuck odd components — over random
     /// fact masks, both ground modes.
     #[test]
-    fn propositional_threads_agree(
+    fn propositional_sessions_agree(
         program in arb_program(5, 8),
         mask in any::<u32>(),
     ) {
         let db = db_from_mask(&program, mask);
         for mode in [GroundMode::Full, GroundMode::Relevant] {
-            assert_threads_agree(&program, &db, mode);
+            assert_matches_reference(&program, &db, mode);
         }
     }
 
     /// Random first-order call-consistent programs over random databases
-    /// (every residual component is a tie: the branch-heavy regime).
+    /// (every residual component is a tie).
     #[test]
-    fn first_order_call_consistent_threads_agree(seed in 0u64..5_000) {
+    fn first_order_call_consistent_sessions_agree(seed in 0u64..5_000) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let program = generators::random_call_consistent(&mut rng, 4, 6, 2);
         let db = generators::random_database(&mut rng, &program, 2, 0.35, true);
         for mode in [GroundMode::Full, GroundMode::Relevant] {
-            assert_threads_agree(&program, &db, mode);
+            assert_matches_reference(&program, &db, mode);
+        }
+    }
+
+    /// One `RandomPolicy` stream per run: the session walk and the core
+    /// walk draw the same coins at the same ties, on propositional
+    /// programs of the sweep.
+    #[test]
+    fn propositional_random_walks_match_core(
+        program in arb_program(5, 8),
+        mask in any::<u32>(),
+    ) {
+        let db = db_from_mask(&program, mask);
+        for mode in [GroundMode::Full, GroundMode::Relevant] {
+            assert_random_walks_match_core(&program, &db, mode);
+        }
+    }
+
+    /// The same on first-order call-consistent programs, whose many
+    /// independent tie pockets each take a coin from the one stream.
+    #[test]
+    fn first_order_random_walks_match_core(seed in 0u64..5_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let program = generators::random_call_consistent(&mut rng, 4, 6, 2);
+        let db = generators::random_database(&mut rng, &program, 2, 0.35, true);
+        for mode in [GroundMode::Full, GroundMode::Relevant] {
+            assert_random_walks_match_core(&program, &db, mode);
         }
     }
 }
 
-/// The deterministic wide-forest instance: many independent branches,
-/// thread counts both below and above the branch count.
+/// Independent tie pockets — a forest of chains, and a braid whose hub
+/// joins its chains — each take the next coin of the one stream.
+#[test]
+fn independent_pockets_random_walks_match_core() {
+    let program = generators::win_move_program();
+    for db in [
+        generators::wide_tie_forest_db(8, 3),
+        generators::braided_tie_chain_db(3, 2),
+        generators::outcome_pocket_db(4, 6),
+    ] {
+        for mode in [GroundMode::Full, GroundMode::Relevant] {
+            assert_random_walks_match_core(&program, &db, mode);
+        }
+    }
+}
+
+/// Another topological order of `engine`'s condensation of `closer`'s
+/// residual: Kahn's algorithm over the edges the alive rules make
+/// between components, always taking the ready component that comes
+/// *last* in `engine.order()`. Components of rule nodes alone hold no
+/// atom and constrain nothing.
+fn latest_first_order(closer: &Closer<'_>, engine: &UnfoundedEngine) -> Vec<u32> {
+    let order = engine.order();
+    let slots = order.iter().max().map_or(0, |&c| c as usize + 1);
+    let mut pos = vec![0usize; slots];
+    for (i, &c) in order.iter().enumerate() {
+        pos[c as usize] = i;
+    }
+    let mut succ: Vec<Vec<u32>> = vec![Vec::new(); slots];
+    let mut indegree = vec![0usize; slots];
+    for (i, rule) in closer.graph().rules().iter().enumerate() {
+        if !closer.rule_alive(RuleId(i as u32)) {
+            continue;
+        }
+        let Some(to) = engine.component_of_atom(rule.head) else {
+            continue;
+        };
+        for &(atom, _) in &rule.body {
+            if let Some(from) = engine.component_of_atom(atom) {
+                if from != to && !succ[from as usize].contains(&to) {
+                    succ[from as usize].push(to);
+                    indegree[to as usize] += 1;
+                }
+            }
+        }
+    }
+    let mut ready: BinaryHeap<(usize, u32)> = order
+        .iter()
+        .filter(|&&c| indegree[c as usize] == 0)
+        .map(|&c| (pos[c as usize], c))
+        .collect();
+    let mut walk = Vec::with_capacity(order.len());
+    while let Some((_, c)) = ready.pop() {
+        walk.push(c);
+        for &d in &succ[c as usize] {
+            indegree[d as usize] -= 1;
+            if indegree[d as usize] == 0 {
+                ready.push((pos[d as usize], d));
+            }
+        }
+    }
+    assert_eq!(walk.len(), order.len(), "the condensation is acyclic");
+    walk
+}
+
+/// Runs Well-Founded Tie-Breaking on `graph` with `policy`, walking the
+/// condensation in `engine.order()` or in [`latest_first_order`];
+/// returns the model and the order walked.
+fn walk(
+    graph: &GroundGraph,
+    program: &Program,
+    db: &Database,
+    policy: &mut dyn TiePolicy,
+    latest_first: bool,
+) -> (PartialModel, Vec<u32>) {
+    let mut model = PartialModel::initial(program, db, graph.atoms());
+    let mut closer = Closer::new(graph);
+    closer.bootstrap(&model);
+    closer.run(&mut model).expect("closes");
+    let mut engine = UnfoundedEngine::build(&closer);
+    let order = if latest_first {
+        latest_first_order(&closer, &engine)
+    } else {
+        engine.order().to_vec()
+    };
+    let mut pass = ComponentPass {
+        use_unfounded: true,
+        detailed: false,
+        policy: Some(policy),
+    };
+    process_components(
+        &mut closer,
+        &mut model,
+        &mut engine,
+        &order,
+        &mut pass,
+        &mut RunStats::default(),
+    )
+    .expect("walks");
+    (model, order)
+}
+
+/// The session's model equals the walks in both topological orders, and
+/// the orders differ.
+fn assert_schedule_invariant(solver: &Solver, model: &PartialModel) {
+    let (program, db) = (solver.program(), solver.database());
+    let (first, order) = walk(solver.graph(), program, db, &mut RootTruePolicy, false);
+    let (last, other) = walk(solver.graph(), program, db, &mut RootTruePolicy, true);
+    assert_ne!(order, other, "the instance has one topological order");
+    assert!(first == *model, "engine order");
+    assert!(last == *model, "latest-first order");
+}
+
+/// The deterministic wide-forest instance: twelve independent chains.
+/// A stateless policy's model cannot depend on the schedule: walking the
+/// condensation in another topological order, which interleaves the
+/// chains differently, gives the session's model.
 #[test]
 fn wide_forest_is_schedule_invariant() {
     let program = generators::win_move_program();
-    let db = generators::wide_tie_forest_db(12, 4);
+    let chains = 12;
+    let db = generators::wide_tie_forest_db(chains, 4);
     for mode in [GroundMode::Full, GroundMode::Relevant] {
-        let runs: Vec<EvalOutcome> = [1usize, 2, 8, 32]
-            .iter()
-            .map(|&t| {
-                solver_for(&program, &db, mode, t)
-                    .well_founded_tie_breaking(&uniform(RootTruePolicy))
-                    .expect("runs")
-            })
-            .collect();
-        for r in &runs {
-            assert!(r.total);
-            // At least the source pocket of every chain needs an actual
-            // tie break (downstream pockets may resolve by propagation).
-            assert!(r.stats.ties_broken >= 12);
-        }
-        for r in &runs[1..] {
-            assert_eq!(decoded(r), decoded(&runs[0]));
-            assert_eq!(r.stats, runs[0].stats);
-        }
+        let solver = solver_for(&program, &db, mode);
+        let forest = solver
+            .well_founded_tie_breaking_run(&mut RootTruePolicy)
+            .expect("runs");
+        assert!(forest.total);
+        // At least the source pocket of every chain needs an actual
+        // tie break (downstream pockets may resolve by propagation).
+        assert!(forest.stats.ties_broken >= chains);
+        assert_schedule_invariant(&solver, &forest.model);
     }
 }
 
@@ -282,57 +442,57 @@ fn chained_instances_agree_with_reference() {
     let program = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
     let db = parse_database(&tie_chain_db).unwrap();
     for mode in [GroundMode::Full, GroundMode::Relevant] {
-        assert_threads_agree(&program, &db, mode);
+        assert_matches_reference(&program, &db, mode);
+        assert_random_walks_match_core(&program, &db, mode);
     }
 }
 
-/// The braid is one weakly-connected branch, and a branch never spans
-/// workers: at `threads = 8` the evaluation still runs on one.
+/// The braid: one hub weakly connects every chain.
 #[test]
-fn braided_tie_chain_is_one_wide_branch() {
+fn braided_tie_chain_agrees() {
     let program = generators::win_move_program();
     let db = generators::braided_tie_chain_db(4, 3);
     for mode in [GroundMode::Full, GroundMode::Relevant] {
-        let solver = solver_for(&program, &db, mode, 8);
-        assert_eq!(solver.branch_count(), 1, "hub must weakly connect all");
-        assert_eq!(solver.effective_threads(), 1);
-        assert_threads_agree(&program, &db, mode);
+        assert_matches_reference(&program, &db, mode);
+        assert_random_walks_match_core(&program, &db, mode);
     }
 }
 
 /// The policy-free hot path over real per-component work: every pocket
-/// runs an unfounded cascade, and the wf model is total (all false).
+/// runs an unfounded cascade, and the wf model is total (all false) —
+/// in either topological order, and as the order-free global loop
+/// computes it.
 #[test]
 fn braided_unfounded_chain_is_schedule_invariant() {
     let program = generators::braided_unfounded_chain_program(3, 2, 4);
     let db = Database::new();
     for mode in [GroundMode::Full, GroundMode::Relevant] {
-        let solver = solver_for(&program, &db, mode, 1);
-        assert_eq!(solver.branch_count(), 1, "hub must weakly connect all");
-        let wf = solver.well_founded().expect("wf runs");
-        assert!(wf.total, "braided unfounded chain is decided");
-        assert!(wf.true_facts.is_empty(), "everything is unfounded");
-        assert_threads_agree(&program, &db, mode);
+        let solver = solver_for(&program, &db, mode);
+        let run = solver.well_founded_run().expect("wf runs");
+        assert!(run.total, "braided unfounded chain is decided");
+        assert_eq!(run.model.true_atoms(solver.graph().atoms()).len(), 0);
+        assert_schedule_invariant(&solver, &run.model);
+        assert_matches_reference(&program, &db, mode);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random braid shapes, fresh solvers: the full cross-thread check.
+    /// Random braid shapes, fresh solvers: the full reference check.
     #[test]
     fn random_braids_agree(chains in 1usize..4, pockets in 1usize..3) {
         let program = generators::win_move_program();
         let db = generators::braided_tie_chain_db(chains, pockets);
         for mode in [GroundMode::Full, GroundMode::Relevant] {
-            assert_threads_agree(&program, &db, mode);
+            assert_matches_reference(&program, &db, mode);
         }
     }
 
     /// Incremental churn: flip advance and hub edges of a braid through
-    /// `patch_cone` splices (branch splits and re-merges) and re-check
-    /// the cross-thread invariants after every mutation, plus the wf
-    /// model against a from-scratch solver.
+    /// `patch_cone` splices (the braid splits and re-merges) and re-check
+    /// the wf model, its stats and the outcome set against a from-scratch
+    /// solver after every mutation.
     #[test]
     fn churned_braids_agree(
         flips in proptest::collection::vec((0usize..3, 0usize..3, prop::bool::ANY), 1..5),
@@ -342,14 +502,11 @@ proptest! {
         let pockets = 3;
         let db = generators::braided_tie_chain_db(chains, pockets);
         for mode in [GroundMode::Full, GroundMode::Relevant] {
-            let mut solvers: Vec<Solver> = THREADS
-                .iter()
-                .map(|&t| solver_for(&program, &db, mode, t))
-                .collect();
+            let mut solver = solver_for(&program, &db, mode);
             let mut current = db.clone();
             for &(c, i, hub_edge) in &flips {
                 // Hub edges reconnect whole chains; advance edges split a
-                // chain's tail off the branch. Both constants already
+                // chain's tail off the braid. Both constants already
                 // exist, so the mutation stays on the incremental path.
                 let fact = if hub_edge {
                     GroundAtom::from_texts("move", &["h", &format!("t{c}a0")])
@@ -362,31 +519,14 @@ proptest! {
                     current.insert(fact.clone()).expect("binary fact");
                     Mutation::Insert(fact)
                 };
-                let mut wf_runs: Vec<EvalOutcome> = Vec::new();
-                for solver in &mut solvers {
-                    solver.apply(vec![mutation.clone()]).expect("mutation applies");
-                    wf_runs.push(solver.well_founded().expect("wf runs"));
-                }
-                for wf in &wf_runs[1..] {
-                    prop_assert_eq!(decoded(wf), decoded(&wf_runs[0]));
-                    prop_assert_eq!(&wf.stats, &wf_runs[0].stats);
-                }
-                // Outcome sets across threads after the splice.
-                let sets: Vec<BTreeSet<Outcome>> = solvers
-                    .iter()
-                    .map(|s| {
-                        let set = s.all_outcomes(false, 4096).expect("enumerates");
-                        outcome_set_of_models(&set.models, s.graph().atoms())
-                    })
-                    .collect();
-                for set in &sets[1..] {
-                    prop_assert_eq!(set, &sets[0]);
-                }
+                solver.apply(vec![mutation]).expect("mutation applies");
+                let wf = solver.well_founded().expect("wf runs");
                 // Ground truth: a from-scratch solver on the mutated db.
-                let fresh = solver_for(&program, &current, mode, 1)
-                    .well_founded()
-                    .expect("fresh wf runs");
-                prop_assert_eq!(decoded(&wf_runs[0]), decoded(&fresh));
+                let fresh = solver_for(&program, &current, mode);
+                let fresh_wf = fresh.well_founded().expect("fresh wf runs");
+                prop_assert_eq!(decoded(&wf), decoded(&fresh_wf));
+                prop_assert_eq!(&wf.stats, &fresh_wf.stats);
+                prop_assert_eq!(outcome_set(&solver, false), outcome_set(&fresh, false));
             }
         }
     }
@@ -397,24 +537,21 @@ proptest! {
 /// all of them), the set is truncated exactly when scripts were left,
 /// and its models are the full walk's first ones, in order.
 fn assert_truncation_is_a_prefix(program: &Program, db: &Database) {
-    for threads in [1, 2] {
-        let solver = solver_for(program, db, GroundMode::Relevant, threads);
-        for pure in [false, true] {
-            let full = solver.all_outcomes(pure, 4096).expect("enumerates");
-            assert!(!full.truncated, "instances are small");
-            for n in 0..=full.runs + 1 {
-                let set = solver.all_outcomes(pure, n).expect("enumerates");
-                assert_eq!(set.runs, n.min(full.runs), "runs at n={n}");
-                assert_eq!(set.truncated, n < full.runs, "truncated at n={n}");
-                assert!(
-                    full.models.starts_with(&set.models),
-                    "models at n={n} are not a prefix of the full walk's"
-                );
-            }
+    let solver = solver_for(program, db, GroundMode::Relevant);
+    for pure in [false, true] {
+        let full = solver.all_outcomes(pure, 4096).expect("enumerates");
+        assert!(!full.truncated, "instances are small");
+        for n in 0..=full.runs + 1 {
+            let set = solver.all_outcomes(pure, n).expect("enumerates");
+            assert_eq!(set.runs, n.min(full.runs), "runs at n={n}");
+            assert_eq!(set.truncated, n < full.runs, "truncated at n={n}");
+            assert!(
+                full.models.starts_with(&set.models),
+                "models at n={n} are not a prefix of the full walk's"
+            );
         }
     }
 }
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

@@ -18,7 +18,7 @@
 //!   flavours (individual runs may break isomorphic ties in different
 //!   component orders — the sets are the semantic object, exactly as in
 //!   the global-vs-stratified differential suite);
-//! * across **both ground modes** and worker counts 1 and 4.
+//! * across **both ground modes**.
 //!
 //! The sweep deliberately includes mutations that add or retire
 //! constants (exercising the re-prepare fallback), programs with
@@ -61,13 +61,11 @@ fn arb_program(preds: usize, max_rules: usize) -> impl Strategy<Value = Program>
     })
 }
 
-fn solver_for(program: &Program, db: &Database, mode: GroundMode, threads: usize) -> Solver {
+fn solver_for(program: &Program, db: &Database, mode: GroundMode) -> Solver {
     Solver::with_config(
         program.clone(),
         db.clone(),
-        EngineConfig::default()
-            .with_ground_mode(mode)
-            .with_runtime(RuntimeConfig::with_threads(threads)),
+        EngineConfig::default().with_ground_mode(mode),
     )
     .expect("session prepares")
 }
@@ -146,9 +144,8 @@ fn churn<F: Fn(u32) -> GroundAtom>(
     fact_of: F,
     toggles: &[u32],
     mode: GroundMode,
-    threads: usize,
 ) {
-    let mut solver = solver_for(program, db0, mode, threads);
+    let mut solver = solver_for(program, db0, mode);
     for (step, &t) in toggles.iter().enumerate() {
         let fact = fact_of(t);
         let delta = if solver.database().contains(&fact) {
@@ -190,9 +187,7 @@ proptest! {
             GroundAtom::new(pred, std::iter::empty())
         };
         for mode in [GroundMode::Full, GroundMode::Relevant] {
-            for threads in [1usize, 4] {
-                churn(&program, &db, fact_of, &toggles, mode, threads);
-            }
+            churn(&program, &db, fact_of, &toggles, mode);
         }
     }
 
@@ -214,9 +209,7 @@ proptest! {
         }
         let fact_of = |t: u32| edge(t / 4, t % 4);
         for mode in [GroundMode::Full, GroundMode::Relevant] {
-            for threads in [1usize, 4] {
-                churn(&program, &db, fact_of, &toggles, mode, threads);
-            }
+            churn(&program, &db, fact_of, &toggles, mode);
         }
     }
 
@@ -237,9 +230,7 @@ proptest! {
         let db = parse_database("e(c0, c1).\nn(c0).\nn(c1).\nn(c2).").unwrap();
         let fact_of = |t: u32| edge(t / 3, t % 3);
         for mode in [GroundMode::Full, GroundMode::Relevant] {
-            for threads in [1usize, 4] {
-                churn(&program, &db, fact_of, &toggles, mode, threads);
-            }
+            churn(&program, &db, fact_of, &toggles, mode);
         }
     }
 }
@@ -251,7 +242,7 @@ fn batched_mutations_match_net_effect() {
     let program = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
     let db = parse_database("move(a, b).\nmove(b, a).\nmove(c, d).").unwrap();
     for mode in [GroundMode::Full, GroundMode::Relevant] {
-        let mut solver = solver_for(&program, &db, mode, 2);
+        let mut solver = solver_for(&program, &db, mode);
         solver
             .apply(vec![
                 Mutation::Retract(GroundAtom::from_texts("move", &["b", "a"])),
@@ -272,7 +263,7 @@ fn flapping_fact_reuses_stale_instances() {
     let program = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
     let db = parse_database("move(a, b).\nmove(b, a).\nmove(b, c).").unwrap();
     let fact = GroundAtom::from_texts("move", &["b", "c"]);
-    let mut solver = solver_for(&program, &db, GroundMode::Relevant, 1);
+    let mut solver = solver_for(&program, &db, GroundMode::Relevant);
     let rules_after_first_cycle = {
         solver.retract_fact(fact.clone()).unwrap();
         solver.insert_fact(fact.clone()).unwrap();

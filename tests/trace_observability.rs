@@ -4,12 +4,12 @@
 //! Three families of checks over the braided chain workload and the
 //! serving tier:
 //!
-//! * **well-formedness across thread counts** — for `threads ∈ {1, 2, 8}`
-//!   every drained trace has unique sequence stamps, every span closed
-//!   with a valid (earlier-allocated) parent, and a chrome://tracing
-//!   export that round-trips through the vendored validator;
+//! * **well-formedness** — a drained trace has unique sequence stamps,
+//!   every span closed with a valid (earlier-allocated) parent, and a
+//!   chrome://tracing export that round-trips through the vendored
+//!   validator;
 //! * **bit-identical results** — well-founded models, outcome sets, and
-//!   merged [`RunStats`] are `==` with the recorder on and off;
+//!   [`RunStats`] are `==` with the recorder on and off;
 //! * **server span tree** — one traced `open` + `? query` exchange
 //!   yields `server` request spans that parent the registry open and
 //!   the evaluation spans recorded further down the stack, and the
@@ -24,7 +24,6 @@ use tie_breaking_datalog::constructions::generators;
 use tie_breaking_datalog::prelude::*;
 use tie_breaking_datalog::trace::{self, TraceEvent, TraceEventKind};
 
-const THREADS: [usize; 3] = [1, 2, 8];
 const CHAINS: usize = 4;
 const POCKETS: usize = 2;
 const LOOP: usize = 16;
@@ -39,74 +38,53 @@ fn exclusive() -> MutexGuard<'static, ()> {
     guard
 }
 
-fn braided_solver(threads: usize) -> Solver {
+fn braided_solver() -> Solver {
     let program = generators::braided_unfounded_chain_program(CHAINS, POCKETS, LOOP);
-    Solver::with_config(
-        program,
-        Database::new(),
-        EngineConfig::default().with_runtime(RuntimeConfig::with_threads(threads)),
-    )
-    .expect("prepares")
+    Solver::new(program, Database::new()).expect("prepares")
 }
 
 #[test]
-fn traces_are_well_formed_across_thread_counts() {
+fn traces_are_well_formed() {
     let _guard = exclusive();
-    for threads in THREADS {
-        trace::set_enabled(true);
-        let solver = braided_solver(threads);
-        let out = solver.well_founded().expect("runs");
-        assert!(out.total, "the braid is decided");
-        trace::set_enabled(false);
-        let events = trace::drain();
-        assert!(!events.is_empty(), "threads={threads} recorded nothing");
-        let built = trace::Trace::from_events(events);
-        built
-            .well_formed()
-            .unwrap_or_else(|e| panic!("threads={threads}: {e}"));
-        // The evaluation root exists and the scheduler's spans hang off
-        // it (directly or through a worker span).
-        assert!(
-            built.events.iter().any(|e| e.name == "evaluate"),
-            "threads={threads} has no evaluate span"
-        );
-        let check = trace::validate_trace_json(&built.to_chrome_json())
-            .unwrap_or_else(|e| panic!("threads={threads} export invalid: {e}"));
-        assert_eq!(check.events, built.events.len());
-    }
+    trace::set_enabled(true);
+    let solver = braided_solver();
+    let out = solver.well_founded().expect("runs");
+    assert!(out.total, "the braid is decided");
+    trace::set_enabled(false);
+    let events = trace::drain();
+    assert!(!events.is_empty(), "the run recorded nothing");
+    let built = trace::Trace::from_events(events);
+    built.well_formed().unwrap_or_else(|e| panic!("{e}"));
+    // The evaluation root exists.
+    assert!(
+        built.events.iter().any(|e| e.name == "evaluate"),
+        "no evaluate span"
+    );
+    let check = trace::validate_trace_json(&built.to_chrome_json())
+        .unwrap_or_else(|e| panic!("export invalid: {e}"));
+    assert_eq!(check.events, built.events.len());
 }
 
 #[test]
 fn tracing_leaves_results_bit_identical() {
     let _guard = exclusive();
-    for threads in THREADS {
-        let quiet = braided_solver(threads);
-        let quiet_wf = quiet.well_founded().expect("runs");
-        let quiet_outcomes = quiet.all_outcomes(false, 64).expect("enumerates");
+    let quiet = braided_solver();
+    let quiet_wf = quiet.well_founded().expect("runs");
+    let quiet_outcomes = quiet.all_outcomes(false, 64).expect("enumerates");
 
-        trace::set_enabled(true);
-        let traced = braided_solver(threads);
-        let traced_wf = traced.well_founded().expect("runs");
-        let traced_outcomes = traced.all_outcomes(false, 64).expect("enumerates");
-        trace::set_enabled(false);
-        drop(trace::drain());
+    trace::set_enabled(true);
+    let traced = braided_solver();
+    let traced_wf = traced.well_founded().expect("runs");
+    let traced_outcomes = traced.all_outcomes(false, 64).expect("enumerates");
+    trace::set_enabled(false);
+    drop(trace::drain());
 
-        assert_eq!(
-            quiet_wf.true_facts, traced_wf.true_facts,
-            "threads={threads}"
-        );
-        assert_eq!(quiet_wf.undefined, traced_wf.undefined, "threads={threads}");
-        assert_eq!(quiet_wf.total, traced_wf.total, "threads={threads}");
-        assert_eq!(quiet_wf.stats, traced_wf.stats, "threads={threads}");
-        assert_eq!(
-            quiet_outcomes.models, traced_outcomes.models,
-            "threads={threads}"
-        );
-        assert_eq!(
-            quiet_outcomes.runs, traced_outcomes.runs,
-            "threads={threads}"
-        );
-    }
+    assert_eq!(quiet_wf.true_facts, traced_wf.true_facts);
+    assert_eq!(quiet_wf.undefined, traced_wf.undefined);
+    assert_eq!(quiet_wf.total, traced_wf.total);
+    assert_eq!(quiet_wf.stats, traced_wf.stats);
+    assert_eq!(quiet_outcomes.models, traced_outcomes.models);
+    assert_eq!(quiet_outcomes.runs, traced_outcomes.runs);
 }
 
 #[test]
@@ -216,10 +194,9 @@ fn traced_hot_session(lines: &[&str]) -> (String, Vec<TraceEvent>) {
     use tiebreak_server::ScriptSession;
 
     trace::set_enabled(true);
-    let solver = Solver::with_config(
+    let solver = Solver::new(
         generators::win_move_program(),
         generators::braided_tie_chain_db(8, 512),
-        EngineConfig::default().with_runtime(RuntimeConfig::with_threads(1)),
     )
     .expect("prepares");
     let mut session = ScriptSession::new(solver, false);
