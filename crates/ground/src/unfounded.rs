@@ -1095,8 +1095,77 @@ mod tests {
             "g.",
             ("g", &[]),
         );
-        // Two pockets bridged by a rule guarded on e: retracting e cuts
-        // the bridge.
+    }
+
+    /// The number of branch groups of `engine`'s condensation: the
+    /// weakly connected families of its components, joined by the
+    /// alive rule-to-atom edges between two components.
+    fn branch_group_count(engine: &UnfoundedEngine, graph: &crate::graph::GroundGraph) -> usize {
+        let mut uf: Vec<u32> = (0..engine.comp_atoms.slot_count() as u32).collect();
+        fn find(uf: &mut [u32], mut x: u32) -> u32 {
+            while uf[x as usize] != x {
+                uf[x as usize] = uf[uf[x as usize] as usize];
+                x = uf[x as usize];
+            }
+            x
+        }
+        for (i, &cr) in engine.rule_comp.iter().enumerate() {
+            if cr == NO_COMP {
+                continue;
+            }
+            let rule = graph.rule(RuleId(i as u32));
+            let atoms = std::iter::once(rule.head).chain(rule.body.iter().map(|&(a, _)| a));
+            for a in atoms {
+                let ca = engine.atom_comp[a.index()];
+                if ca != NO_COMP {
+                    let (ra, rr) = (find(&mut uf, ca), find(&mut uf, cr));
+                    uf[ra as usize] = rr;
+                }
+            }
+        }
+        let mut roots: Vec<u32> = engine.order().iter().map(|&c| find(&mut uf, c)).collect();
+        roots.sort_unstable();
+        roots.dedup();
+        roots.len()
+    }
+
+    #[test]
+    fn patch_merges_and_splits_branch_groups() {
+        // Two pockets bridged by a rule guarded on e: with e the groups
+        // merge, without it they split — the patch must track both ways.
+        let p = parse_program(
+            "p :- not q.\nq :- not p.\na :- not b.\nb :- not a.\nr :- not p, not a, e.",
+        )
+        .unwrap();
+        let d = parse_database("e.").unwrap();
+        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let (mut closer, mut model) = run_close(&g, &p, &d);
+        let mut engine = UnfoundedEngine::build(&closer);
+        assert_eq!(
+            branch_group_count(&engine, &g),
+            1,
+            "bridge rule merges the pockets"
+        );
+
+        let e = g
+            .atoms()
+            .id_of(&datalog_ast::GroundAtom::from_texts("e", &[]))
+            .unwrap();
+        let d2 = datalog_ast::Database::new();
+        let initial = PartialModel::initial(&p, &d2, g.atoms());
+        let cone = g.forward_cone([e], []);
+        closer.reopen_cone(&mut model, &initial, &cone);
+        closer.run(&mut model).unwrap();
+        engine.patch_cone(&closer, &cone);
+        assert_eq!(
+            branch_group_count(&engine, &g),
+            2,
+            "retraction splits the groups"
+        );
+        assert_eq!(
+            branch_group_count(&engine, &g),
+            branch_group_count(&UnfoundedEngine::build(&closer), &g)
+        );
         assert_patch_matches_fresh(
             "p :- not q.\nq :- not p.\na :- not b.\nb :- not a.\nr :- not p, not a, e.",
             "e.",

@@ -325,10 +325,14 @@ fn fresh_session_frames(program: &str, database: &str, frames: &[&str]) -> Vec<S
 /// read memo; one interleaves mutating frames, which advance the epoch
 /// between reads. Every single response must be bit-identical to what a
 /// fresh solver would say — scheduling may never be observable in the
-/// bytes.
-#[test]
-fn concurrent_reads_and_writes_match_a_fresh_solver() {
-    let (addr, _registry, handle) = start_server(ServerConfig::default());
+/// bytes. Runs with 1 and 8 dispatch worker threads, so frames of the
+/// one session are served both strictly in turn and from many workers.
+fn concurrent_reads_and_writes_case(worker_threads: usize) {
+    let config = ServerConfig {
+        workers: worker_threads,
+        ..ServerConfig::default()
+    };
+    let (addr, _registry, handle) = start_server(config);
 
     // A 2-cycle: win(p) and win(q) are undefined, and stay undefined
     // while the mutator toggles a disconnected edge move(x9, y9) — so
@@ -366,7 +370,7 @@ fn concurrent_reads_and_writes_match_a_fresh_solver() {
                     assert_eq!(response.status, "errors=0");
                     assert_eq!(
                         &response.body, expected_read,
-                        "reader {reader} round {round}"
+                        "reader {reader} round {round} (workers={worker_threads})"
                     );
                 }
                 client.bye().expect("bye");
@@ -380,7 +384,10 @@ fn concurrent_reads_and_writes_match_a_fresh_solver() {
             for (i, frame) in mutator_refs.iter().enumerate() {
                 let response = client.script(frame).expect("script");
                 assert_eq!(response.status, "errors=0");
-                assert_eq!(&response.body, &expected_mutator[i], "mutator frame {i}");
+                assert_eq!(
+                    &response.body, &expected_mutator[i],
+                    "mutator frame {i} (workers={worker_threads})"
+                );
             }
             client.bye().expect("bye");
         }));
@@ -390,6 +397,16 @@ fn concurrent_reads_and_writes_match_a_fresh_solver() {
     });
 
     stop_server(addr, handle);
+}
+
+#[test]
+fn concurrent_reads_and_writes_match_a_fresh_solver_threads_1() {
+    concurrent_reads_and_writes_case(1);
+}
+
+#[test]
+fn concurrent_reads_and_writes_match_a_fresh_solver_threads_8() {
+    concurrent_reads_and_writes_case(8);
 }
 
 /// Two closed-loop connections on one session keep the reactor's worker
