@@ -810,3 +810,42 @@ fn trace_summary_says_when_the_ring_dropped_events() {
         .expect("a count");
     assert!(n > 0, "{note}");
 }
+
+/// `datalog ground` of one `examples/dl` twin: the instance count line
+/// and the rule nodes in emission order.
+fn ground_example(name: &str) -> String {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/dl/");
+    let out = datalog(&[
+        "ground",
+        &format!("{dir}{name}.dl"),
+        &format!("{dir}{name}_db.dl"),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8")
+}
+
+#[test]
+fn ground_prints_rule_nodes_in_emission_order() {
+    // Emission walks each relation in its hash-set order, so this pins
+    // the rule order (and with it every rule id) of the relevant
+    // grounder on the two twins.
+    assert_eq!(
+        ground_example("win_move"),
+        "% 11 ground atoms, 5 rule nodes, 15 edges\n\
+         r0[X=b, Y=c]: win(b) :- move(b, c), not win(c)\n\
+         r0[X=a, Y=b]: win(a) :- move(a, b), not win(b)\n\
+         r0[X=p, Y=q]: win(p) :- move(p, q), not win(q)\n\
+         r0[X=t, Y=p]: win(t) :- move(t, p), not win(p)\n\
+         r0[X=q, Y=p]: win(q) :- move(q, p), not win(p)\n"
+    );
+    assert_eq!(
+        ground_example("default_reasoning"),
+        "% 3 ground atoms, 2 rule nodes, 6 edges\n\
+         r0: flies :- bird, not grounded\n\
+         r1: grounded :- bird, not flies\n"
+    );
+}
