@@ -19,7 +19,8 @@ use crate::error::{AstError, ParseError, Pos};
 use crate::lexer::{lex, Spanned, Token};
 use crate::program::{Program, RuleSpan};
 use crate::rule::Rule;
-use crate::term::Term;
+use crate::symbol::{ConstSym, PredSym};
+use crate::term::{names_a_variable, Term};
 
 struct Parser<'a> {
     tokens: Vec<Spanned<'a>>,
@@ -102,6 +103,43 @@ impl<'a> Parser<'a> {
         Ok(Atom::new(name, args))
     }
 
+    /// Parses `IDENT ( "(" IDENT ("," IDENT)* ")" )? "."` with every
+    /// argument a constant, leaving the arguments in `args`. Returns
+    /// `None`, with the position somewhere inside the clause, on anything
+    /// else (a variable, a body, a syntax error). Names are interned in
+    /// the order [`Parser::atom`] interns them: arguments left to right,
+    /// then the predicate.
+    fn ground_fact(&mut self, args: &mut Vec<ConstSym>) -> Option<PredSym> {
+        let Token::Ident(name) = self.peek() else {
+            return None;
+        };
+        self.bump();
+        args.clear();
+        if self.peek() == Token::LParen {
+            self.bump();
+            loop {
+                let Token::Ident(text) = self.peek() else {
+                    return None;
+                };
+                if names_a_variable(text) {
+                    return None;
+                }
+                self.bump();
+                args.push(ConstSym::new(text));
+                match self.bump() {
+                    Token::Comma => {}
+                    Token::RParen => break,
+                    _ => return None,
+                }
+            }
+        }
+        if self.peek() != Token::Dot {
+            return None;
+        }
+        self.bump();
+        Some(PredSym::new(name))
+    }
+
     fn literal(&mut self) -> Result<Literal, ParseError> {
         if self.peek() == Token::Not {
             self.bump();
@@ -175,6 +213,10 @@ pub fn parse_program(input: &str) -> Result<Program, AstError> {
 
 /// Parses a database (fact file): every clause must be a ground fact.
 ///
+/// Each fact goes from its tokens straight into its relation through one
+/// reused argument buffer. A clause that is not a plain ground fact is
+/// re-parsed as a general clause, which reports the error.
+///
 /// # Errors
 ///
 /// [`AstError::Parse`] on syntax errors or non-fact clauses;
@@ -183,7 +225,14 @@ pub fn parse_database(input: &str) -> Result<Database, AstError> {
     let _span = tiebreak_trace::span("parse", "parse_database", &[("bytes", input.len() as u64)]);
     let mut parser = Parser::new(input)?;
     let mut db = Database::new();
+    let mut args: Vec<ConstSym> = Vec::new();
     while parser.peek() != Token::Eof {
+        let start = parser.at;
+        if let Some(pred) = parser.ground_fact(&mut args) {
+            db.insert_tuple(pred, &args)?;
+            continue;
+        }
+        parser.at = start;
         let pos = parser.pos();
         let (rule, _span) = parser.clause()?;
         if !rule.is_fact() {
@@ -256,6 +305,25 @@ mod tests {
         assert_eq!(db.len(), 3);
         assert!(parse_database("p(X).").is_err());
         assert!(parse_database("p :- q.").is_err());
+    }
+
+    #[test]
+    fn malformed_facts_report_the_general_clause_error() {
+        // The fact fast path hands every clause it cannot take to the
+        // general clause parser, which words and places the error.
+        for (input, want) in [
+            ("e(a, b).\ne(X, c).", "2:1: facts must be ground"),
+            ("e(a, b) :- q.", "1:1: expected a fact"),
+            ("e(a, b", "1:7: expected `,` or `)`, found end of input"),
+            ("e(a, b) q.", "1:9: expected `.` terminating the clause"),
+            ("e(a,).", "1:5: expected a term"),
+            ("not.", "1:1: expected a predicate name"),
+        ] {
+            let err = parse_database(input).unwrap_err().to_string();
+            assert!(err.contains(want), "{input:?}: {err}");
+        }
+        let db = parse_database("e(a, b).\nP(c).\nq.").unwrap();
+        assert_eq!(db.to_string(), "P(c).\ne(a, b).\nq.\n");
     }
 
     #[test]

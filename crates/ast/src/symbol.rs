@@ -21,6 +21,12 @@
 //! text, which carries its length in a 4-byte prefix, so a symbol costs
 //! 8 bytes of slot where a `Vec<&str>` entry cost 16.
 //!
+//! Two gauges watch the table's growth: `tiebreak_interned_symbols`
+//! (distinct names) and `tiebreak_interned_bytes` (leaked text bytes,
+//! length prefixes included). Both are set from the interner's own
+//! totals under the writer lock, so they never run backwards and a
+//! metrics reset lasts only until the next new name.
+//!
 //! Three transparent newtypes keep the kinds apart at compile time:
 //! [`PredSym`] for predicate symbols, [`VarSym`] for variables, and
 //! [`ConstSym`] for constants. Mixing them up is a type error, which is
@@ -31,7 +37,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::fxhash::FxHasher;
@@ -52,6 +58,10 @@ const LEN_PREFIX: usize = 4;
 /// the [`texts`] lock; read without any lock.
 static SEGMENTS: [AtomicPtr<AtomicPtr<u8>>; SEGMENT_COUNT] =
     [const { AtomicPtr::new(ptr::null_mut()) }; SEGMENT_COUNT];
+
+/// Bytes of every leaked text, length prefixes included. Written only
+/// under the [`texts`] lock.
+static TEXT_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// The hasher of the text → id map: Fx with its well-mixed high bits
 /// rotated down. The table picks buckets from the low bits, and Fx
@@ -129,6 +139,11 @@ impl Symbol {
         // never write through the stored (leaked, immutable) text.
         unsafe { &*slots.add(offset) }.store(leaked.as_ptr().cast_mut(), Ordering::Release);
         map.insert(stored, id);
+        let m = tiebreak_trace::metrics();
+        m.interned_symbols.set(u64::from(id) + 1);
+        let bytes = TEXT_BYTES.load(Ordering::Relaxed) + leaked.len() as u64;
+        TEXT_BYTES.store(bytes, Ordering::Relaxed);
+        m.interned_bytes.set(bytes);
         Symbol(id)
     }
 
@@ -236,6 +251,9 @@ symbol_newtype! {
     /// A constant symbol (e.g. the `a` in `p(X, a)`).
     ConstSym
 }
+
+/// Filler for unused inline tuple slots: never read as a name.
+pub(crate) const FILLER: ConstSym = ConstSym(Symbol(0));
 
 #[cfg(test)]
 mod tests {

@@ -8,6 +8,14 @@ use std::fmt;
 
 use crate::symbol::{ConstSym, VarSym};
 
+/// The textual convention of [`Term::from_text`]: a leading uppercase
+/// letter or `_` names a variable.
+pub(crate) fn names_a_variable(text: &str) -> bool {
+    text.chars()
+        .next()
+        .is_some_and(|c| c.is_uppercase() || c == '_')
+}
+
 /// A term: a variable or a constant.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Term {
@@ -25,10 +33,10 @@ impl Term {
     /// This is the same convention the parser uses, exposed for builders
     /// and tests.
     pub fn from_text(text: &str) -> Self {
-        let first = text.chars().next();
-        match first {
-            Some(c) if c.is_uppercase() || c == '_' => Term::Var(VarSym::new(text)),
-            _ => Term::Const(ConstSym::new(text)),
+        if names_a_variable(text) {
+            Term::Var(VarSym::new(text))
+        } else {
+            Term::Const(ConstSym::new(text))
         }
     }
 

@@ -9,7 +9,12 @@
 //! hashing on the hot path. The **sparse** layout (used by the relevant
 //! grounder, [`crate::grounder::GroundMode::Relevant`]) interns only the
 //! atoms that actually occur in Δ or in an emitted rule instance: ids are
-//! assigned in first-intern order and decoding reads the stored atom.
+//! assigned in first-intern order. Its atoms live in one store: a
+//! predicate per id, every argument tuple back to back in one flat
+//! arena, and a hand-written open-addressing index of `u32` ids probed
+//! with a borrowed `(PredSym, &[ConstSym])` key — a known atom costs a
+//! hash probe, a new one an arena append, and neither allocates beyond
+//! amortized growth. Decoding copies the stored tuple out of the arena.
 //!
 //! Atom ids are `u32`, so every table caps its atom budget at
 //! `u32::MAX`; [`AtomTable::build`] and [`AtomInterner::intern`] report
@@ -17,6 +22,9 @@
 
 use std::fmt;
 
+use std::hash::Hasher;
+
+use datalog_ast::fxhash::FxHasher;
 use datalog_ast::{ConstSym, Database, FxHashMap, GroundAtom, PredSym, Program};
 
 /// Identifier of a ground atom: an index into the [`AtomTable`] layout.
@@ -67,11 +75,7 @@ enum Layout {
         pred_index: FxHashMap<PredSym, u32>,
     },
     /// Interned atoms in first-touch order.
-    Sparse {
-        atoms: Vec<GroundAtom>,
-        index: FxHashMap<GroundAtom, u32>,
-        by_pred: PredChains,
-    },
+    Sparse(AtomStore),
 }
 
 /// End of a [`PredChains`] chain.
@@ -104,6 +108,144 @@ impl PredChains {
         PredIds::Chain {
             next: &self.next,
             at: self.ends.get(&pred).map_or(NO_NEXT, |&(first, _)| first),
+        }
+    }
+}
+
+/// An empty [`AtomStore`] index slot.
+const EMPTY: u64 = u64::MAX;
+
+/// The interned atoms of a sparse table, in id order (see the module
+/// docs).
+#[derive(Clone, Debug, Default)]
+struct AtomStore {
+    /// Per atom id: its predicate, and where its arguments end in
+    /// `args` (they start where the previous atom's end).
+    atoms: Vec<(PredSym, u32)>,
+    /// Every atom's arguments, back to back.
+    args: Vec<ConstSym>,
+    /// Linear-probing index: per slot, the top 32 bits of an atom's key
+    /// hash above its id, or [`EMPTY`] (no id is `u32::MAX`). The hash
+    /// bits spare a probe from reading atoms that do not match and let
+    /// the index grow without rereading a tuple. Its length is zero or
+    /// a power of two, and it is kept at most half full.
+    slots: Vec<u64>,
+    by_pred: PredChains,
+}
+
+/// The top 32 bits of the Fx hash of `pred(args…)`, which Fx mixes
+/// best.
+fn key_tag(pred: PredSym, args: &[ConstSym]) -> u32 {
+    let mut h = FxHasher::default();
+    h.write_u32(pred.symbol().index());
+    for c in args {
+        h.write_u32(c.symbol().index());
+    }
+    (h.finish() >> 32) as u32
+}
+
+impl AtomStore {
+    fn len(&self) -> usize {
+        self.atoms.len()
+    }
+
+    fn pred_of(&self, id: u32) -> PredSym {
+        self.atoms[id as usize].0
+    }
+
+    fn args_of(&self, id: u32) -> &[ConstSym] {
+        let i = id as usize;
+        let start = if i == 0 {
+            0
+        } else {
+            self.atoms[i - 1].1 as usize
+        };
+        &self.args[start..self.atoms[i].1 as usize]
+    }
+
+    /// The home slot of a key: the top bits of its tag.
+    fn home(&self, tag: u32) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        ((u64::from(tag) << 32) >> (64 - bits)) as usize
+    }
+
+    /// The id of `pred(args…)`, or the empty slot where it would go.
+    fn probe(&self, pred: PredSym, args: &[ConstSym], tag: u32) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(tag);
+        loop {
+            let slot = self.slots[at];
+            if slot == EMPTY {
+                return Err(at);
+            }
+            let id = slot as u32;
+            if (slot >> 32) as u32 == tag && self.pred_of(id) == pred && self.args_of(id) == args {
+                return Ok(id);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    fn find(&self, pred: PredSym, args: &[ConstSym]) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(pred, args, key_tag(pred, args)).ok()
+    }
+
+    /// Interns `pred(args…)`. A new atom takes the next id if that id is
+    /// below `max_atoms`.
+    fn intern(
+        &mut self,
+        pred: PredSym,
+        args: &[ConstSym],
+        max_atoms: u64,
+    ) -> Result<u32, AtomSpaceOverflow> {
+        let tag = key_tag(pred, args);
+        // A full index grows only for an atom it does not hold yet.
+        if (self.len() + 1) * 2 > self.slots.len() {
+            if let Some(id) = self.find(pred, args) {
+                return Ok(id);
+            }
+            self.grow_index();
+        }
+        let slot = match self.probe(pred, args, tag) {
+            Ok(id) => return Ok(id),
+            Err(slot) => slot,
+        };
+        let next = self.len() as u64;
+        if next >= max_atoms {
+            return Err(AtomSpaceOverflow {
+                required: next.saturating_add(1),
+            });
+        }
+        let id = u32::try_from(next).expect("budget clamped to u32 range");
+        self.slots[slot] = u64::from(tag) << 32 | u64::from(id);
+        self.args.extend_from_slice(args);
+        let end = u32::try_from(self.args.len()).expect("argument arena fits u32 offsets");
+        self.atoms.push((pred, end));
+        self.by_pred.push(pred, id);
+        Ok(id)
+    }
+
+    /// Doubles the index (16 slots at first) and re-places every id.
+    fn grow_index(&mut self) {
+        let len = (self.slots.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; len]);
+        let mask = len - 1;
+        for slot in old.into_iter().filter(|&slot| slot != EMPTY) {
+            let mut at = self.home((slot >> 32) as u32);
+            while self.slots[at] != EMPTY {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = slot;
+        }
+    }
+
+    fn decode(&self, id: u32) -> GroundAtom {
+        GroundAtom {
+            pred: self.pred_of(id),
+            args: self.args_of(id).into(),
         }
     }
 }
@@ -241,22 +383,13 @@ impl AtomTable {
                 let id = u64::from(block.offset).checked_add(code)?;
                 u32::try_from(id).ok().map(AtomId)
             }
-            Layout::Sparse { index, .. } => {
-                let key = GroundAtom {
-                    pred,
-                    args: args.into(),
-                };
-                index.get(&key).copied().map(AtomId)
-            }
+            Layout::Sparse(store) => store.find(pred, args).map(AtomId),
         }
     }
 
     /// The id of a [`GroundAtom`].
     pub fn id_of(&self, atom: &GroundAtom) -> Option<AtomId> {
-        match &self.layout {
-            Layout::Dense { .. } => self.atom_id(atom.pred, &atom.args),
-            Layout::Sparse { index, .. } => index.get(atom).copied().map(AtomId),
-        }
+        self.atom_id(atom.pred, &atom.args)
     }
 
     /// Decodes an id back into its [`GroundAtom`].
@@ -283,7 +416,7 @@ impl AtomTable {
                     args: args.into_boxed_slice(),
                 }
             }
-            Layout::Sparse { atoms, .. } => atoms[id.index()].clone(),
+            Layout::Sparse(store) => store.decode(id.0),
         }
     }
 
@@ -296,7 +429,7 @@ impl AtomTable {
         assert!(id.0 < self.total, "AtomId {} out of range", id.0);
         match &self.layout {
             Layout::Dense { blocks, .. } => block_of(blocks, id).pred,
-            Layout::Sparse { atoms, .. } => atoms[id.index()].pred,
+            Layout::Sparse(store) => store.pred_of(id.0),
         }
     }
 
@@ -308,7 +441,7 @@ impl AtomTable {
                 let (offset, size) = block.map_or((0, 0), |b| (b.offset, b.size));
                 PredIds::Range(offset..offset + size)
             }
-            Layout::Sparse { by_pred, .. } => by_pred.iter(pred),
+            Layout::Sparse(store) => store.by_pred.iter(pred),
         }
     }
 
@@ -339,28 +472,30 @@ impl AtomTable {
         atom: &GroundAtom,
         max_atoms: u64,
     ) -> Result<AtomId, AtomSpaceOverflow> {
-        let Layout::Sparse {
-            atoms,
-            index,
-            by_pred,
-        } = &mut self.layout
-        else {
+        self.intern_tuple(atom.pred, &atom.args, max_atoms)
+    }
+
+    /// [`AtomTable::intern`] of the atom `pred(args…)`, from a borrowed
+    /// tuple.
+    ///
+    /// # Errors
+    ///
+    /// As for [`AtomTable::intern`].
+    ///
+    /// # Panics
+    ///
+    /// As for [`AtomTable::intern`].
+    pub fn intern_tuple(
+        &mut self,
+        pred: PredSym,
+        args: &[ConstSym],
+        max_atoms: u64,
+    ) -> Result<AtomId, AtomSpaceOverflow> {
+        let Layout::Sparse(store) = &mut self.layout else {
             panic!("intern on a dense atom table (the dense layout is universe-complete)");
         };
-        if let Some(&i) = index.get(atom) {
-            return Ok(AtomId(i));
-        }
-        let next = u64::from(self.total);
-        if next >= max_atoms.min(MAX_ATOM_SPACE) {
-            return Err(AtomSpaceOverflow {
-                required: next.saturating_add(1),
-            });
-        }
-        let id = u32::try_from(next).expect("budget clamped to u32 range");
-        atoms.push(atom.clone());
-        index.insert(atom.clone(), id);
-        by_pred.push(atom.pred, id);
-        self.total += 1;
+        let id = store.intern(pred, args, max_atoms.min(MAX_ATOM_SPACE))?;
+        self.total = store.len() as u32;
         Ok(AtomId(id))
     }
 }
@@ -416,9 +551,7 @@ impl Iterator for PredIds<'_> {
 /// insertion.
 pub struct AtomInterner {
     universe: Vec<ConstSym>,
-    atoms: Vec<GroundAtom>,
-    index: FxHashMap<GroundAtom, u32>,
-    by_pred: PredChains,
+    store: AtomStore,
     /// Clamped to [`MAX_ATOM_SPACE`].
     max_atoms: u64,
 }
@@ -429,21 +562,19 @@ impl AtomInterner {
     pub fn new(universe: Vec<ConstSym>, max_atoms: u64) -> Self {
         AtomInterner {
             universe,
-            atoms: Vec::new(),
-            index: FxHashMap::default(),
-            by_pred: PredChains::default(),
+            store: AtomStore::default(),
             max_atoms: max_atoms.min(MAX_ATOM_SPACE),
         }
     }
 
     /// Number of atoms interned so far.
     pub fn len(&self) -> usize {
-        self.atoms.len()
+        self.store.len()
     }
 
     /// `true` iff nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.atoms.is_empty()
+        self.store.len() == 0
     }
 
     /// Interns `atom`, returning its (possibly pre-existing) id.
@@ -453,34 +584,31 @@ impl AtomInterner {
     /// [`AtomSpaceOverflow`] when a *new* atom would exceed the budget;
     /// `required` is the count reached (a lower bound on the true need).
     pub fn intern(&mut self, atom: &GroundAtom) -> Result<AtomId, AtomSpaceOverflow> {
-        if let Some(&i) = self.index.get(atom) {
-            return Ok(AtomId(i));
-        }
-        let next = self.atoms.len() as u64;
-        if next >= self.max_atoms {
-            return Err(AtomSpaceOverflow {
-                required: next.saturating_add(1),
-            });
-        }
-        let id = u32::try_from(next).expect("budget clamped to u32 range");
-        self.atoms.push(atom.clone());
-        self.index.insert(atom.clone(), id);
-        self.by_pred.push(atom.pred, id);
-        Ok(AtomId(id))
+        self.intern_tuple(atom.pred, &atom.args)
+    }
+
+    /// [`AtomInterner::intern`] of the atom `pred(args…)`, from a
+    /// borrowed tuple.
+    ///
+    /// # Errors
+    ///
+    /// As for [`AtomInterner::intern`].
+    pub fn intern_tuple(
+        &mut self,
+        pred: PredSym,
+        args: &[ConstSym],
+    ) -> Result<AtomId, AtomSpaceOverflow> {
+        self.store.intern(pred, args, self.max_atoms).map(AtomId)
     }
 
     /// Finalizes the interner into a sparse [`AtomTable`].
     pub fn finish(self) -> AtomTable {
-        let total = self.atoms.len() as u32;
+        let total = self.store.len() as u32;
         let const_index = index_universe(&self.universe);
         AtomTable {
             universe: self.universe,
             const_index,
-            layout: Layout::Sparse {
-                atoms: self.atoms,
-                index: self.index,
-                by_pred: self.by_pred,
-            },
+            layout: Layout::Sparse(self.store),
             total,
         }
     }
@@ -612,6 +740,32 @@ mod tests {
         assert_eq!(t.pred_of(id1).as_str(), "move");
         assert_eq!(t.ids_of_pred("win".into()).collect::<Vec<_>>(), vec![id0]);
         assert_eq!(t.ids().count(), 2);
+    }
+
+    #[test]
+    fn interner_index_survives_growth() {
+        // Enough atoms, of mixed arities, to double the index several
+        // times; every id stays findable and decodes to its atom.
+        let mut interner = AtomInterner::new(Vec::new(), 1 << 20);
+        let atom = |i: usize| {
+            let args: Vec<String> = (0..=i % 7).map(|j| format!("g{}", i + j)).collect();
+            let args: Vec<&str> = args.iter().map(String::as_str).collect();
+            GroundAtom::from_texts(if i.is_multiple_of(2) { "even" } else { "odd" }, &args)
+        };
+        for i in 0..1000 {
+            assert_eq!(interner.intern(&atom(i)).unwrap(), AtomId(i as u32));
+        }
+        for i in 0..1000 {
+            assert_eq!(interner.intern(&atom(i)).unwrap(), AtomId(i as u32));
+        }
+        let t = interner.finish();
+        for i in 0..1000 {
+            let id = AtomId(i as u32);
+            assert_eq!(t.decode(id), atom(i));
+            assert_eq!(t.id_of(&atom(i)), Some(id));
+        }
+        assert_eq!(t.ids_of_pred("odd".into()).count(), 500);
+        assert_eq!(t.id_of(&GroundAtom::from_texts("odd", &["g0"])), None);
     }
 
     #[test]

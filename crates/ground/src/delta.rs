@@ -52,7 +52,7 @@
 //! fact is retracted).
 
 use datalog_ast::{
-    ConstSym, Database, FxHashMap, FxHashSet, GroundAtom, PredSym, Program, Rule, Sign,
+    ConstSym, Database, FxHashMap, FxHashSet, GroundAtom, PredSym, Program, Rule, Sign, Tuple,
 };
 use signed_graph::Sccs;
 
@@ -137,10 +137,15 @@ impl SessionGrounder {
                 m.ground_runs.inc();
                 m.ground_atoms.add(graph.atom_count() as u64);
                 m.ground_instances.add(graph.rule_count() as u64);
+                // Δ̂ is copied tuple by tuple in Δ's own order, so its
+                // layout (which the scoped refresh's joins walk) is the
+                // same as when it was built from Δ's facts.
                 let mut ground_db = Database::new();
-                for fact in database.facts() {
-                    if program.arity(fact.pred).is_some() {
-                        ground_db.insert(fact).map_err(GroundError::Validation)?;
+                for (pred, args) in database.tuples() {
+                    if program.arity(pred).is_some() {
+                        ground_db
+                            .insert_tuple(pred, args)
+                            .map_err(GroundError::Validation)?;
                     }
                 }
                 (graph, supportable, ground_db)
@@ -300,12 +305,13 @@ impl SessionGrounder {
         // Instance delta: one semi-naive join per positive occurrence
         // whose predicate gained supportable atoms; substitutions
         // deduplicated across occurrences.
+        let mut args: Vec<ConstSym> = Vec::new();
         for (rule_index, rule) in program.rules().iter().enumerate() {
             let ev = RuleEvaluator::new(rule);
             if ev.positive_len() == 0 {
                 continue; // no positive body: all instances emitted at build
             }
-            let mut seen: FxHashSet<Box<[ConstSym]>> = FxHashSet::default();
+            let mut seen: FxHashSet<Tuple> = FxHashSet::default();
             for occ in 0..ev.positive_len() {
                 if delta_db.relation(ev.positive_pred(occ)).is_none() {
                     continue;
@@ -316,7 +322,7 @@ impl SessionGrounder {
                     occ,
                     &universe,
                     &mut |assignment| {
-                        if !seen.insert(assignment.into()) {
+                        if !seen.insert(Tuple::new(assignment)) {
                             return Ok(());
                         }
                         let required = graph.rule_count() as u64 + 1;
@@ -326,24 +332,19 @@ impl SessionGrounder {
                                 budget: config.max_rule_instances,
                             });
                         }
+                        ev.ground_args(&rule.head, assignment, &mut args);
                         let head = graph
-                            .intern_atom(&ev.ground_atom(&rule.head, assignment), config.max_atoms)
+                            .intern_tuple(rule.head.pred, &args, config.max_atoms)
                             .map_err(&overflow)?;
-                        let body = rule
-                            .body
-                            .iter()
-                            .map(|lit| {
-                                Ok((
-                                    graph
-                                        .intern_atom(
-                                            &ev.ground_atom(&lit.atom, assignment),
-                                            config.max_atoms,
-                                        )
-                                        .map_err(&overflow)?,
-                                    lit.sign,
-                                ))
-                            })
-                            .collect::<Result<Box<[_]>, GroundError>>()?;
+                        let mut body = Vec::with_capacity(rule.body.len());
+                        for lit in &rule.body {
+                            ev.ground_args(&lit.atom, assignment, &mut args);
+                            let atom = graph
+                                .intern_tuple(lit.atom.pred, &args, config.max_atoms)
+                                .map_err(&overflow)?;
+                            body.push((atom, lit.sign));
+                        }
+                        let body = body.into_boxed_slice();
                         graph.push_rule(GroundRule {
                             head,
                             body,

@@ -17,7 +17,7 @@
 //! (body atom → rule node → head atom), which is exactly how far `close`
 //! propagation can travel.
 
-use datalog_ast::{ConstSym, GroundAtom, Program, Sign};
+use datalog_ast::{ConstSym, GroundAtom, PredSym, Program, Sign};
 
 use crate::atoms::{AtomId, AtomSpaceOverflow, AtomTable};
 use crate::csr::CsrArena;
@@ -208,7 +208,26 @@ impl GroundGraph {
         atom: &GroundAtom,
         max_atoms: u64,
     ) -> Result<AtomId, AtomSpaceOverflow> {
-        let id = self.atoms.intern(atom, max_atoms)?;
+        self.intern_tuple(atom.pred, &atom.args, max_atoms)
+    }
+
+    /// [`GroundGraph::intern_atom`] of the atom `pred(args…)`, from a
+    /// borrowed tuple.
+    ///
+    /// # Errors
+    ///
+    /// As for [`GroundGraph::intern_atom`].
+    ///
+    /// # Panics
+    ///
+    /// As for [`GroundGraph::intern_atom`].
+    pub fn intern_tuple(
+        &mut self,
+        pred: PredSym,
+        args: &[ConstSym],
+        max_atoms: u64,
+    ) -> Result<AtomId, AtomSpaceOverflow> {
+        let id = self.atoms.intern_tuple(pred, args, max_atoms)?;
         self.atom_uses.ensure_slot(id.0);
         self.atom_heads.ensure_slot(id.0);
         Ok(id)

@@ -286,8 +286,8 @@ fn ground_full(
     // Δ facts (EDB or IDB); `edb_mask` marks EDB atoms.
     let (decided_true, edb_mask) = if config.prune_decided {
         let mut in_delta = vec![false; atoms.len()];
-        for fact in database.facts() {
-            if let Some(id) = atoms.id_of(&fact) {
+        for (pred, args) in database.tuples() {
+            if let Some(id) = atoms.atom_id(pred, args) {
                 in_delta[id.index()] = true;
             }
         }

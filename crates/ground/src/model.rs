@@ -75,8 +75,8 @@ impl PartialModel {
                 }
             }
         }
-        for fact in database.facts() {
-            if let Some(id) = atoms.id_of(&fact) {
+        for (pred, args) in database.tuples() {
+            if let Some(id) = atoms.atom_id(pred, args) {
                 m.values[id.index()] = TruthValue::True;
             }
             // Facts about predicates the program never mentions are outside

@@ -48,13 +48,24 @@
 //!    substitution emitted exactly once; head and body atoms (including
 //!    negative literals, so the instance is the paper's untruncated rule
 //!    node) are interned on first touch. Δ's facts are interned first so
-//!    the initial model M₀(Δ) is fully representable.
+//!    the initial model M₀(Δ) is fully representable. Emission walks each
+//!    relation of S in its hash-set order, and that walk fixes atom ids
+//!    and rule order.
+//!
+//! No pass builds a [`GroundAtom`](datalog_ast::GroundAtom) to look one up: each literal is
+//! grounded into one reused argument buffer
+//! ([`RuleEvaluator::ground_args`]) and probed as a borrowed
+//! `(PredSym, &[ConstSym])` key — in the databases, in pass 2's id map
+//! and in the atom interner.
+
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 
 use datalog_ast::{
-    Atom, ConstSym, Database, FxHashMap, FxHashSet, GroundAtom, PredSym, Program, Rule, Sign,
+    Atom, ConstSym, Database, FxHashMap, FxHashSet, PredSym, Program, Rule, Sign, Tuple,
 };
 
-use crate::atoms::{AtomId, AtomInterner, MAX_ATOM_SPACE};
+use crate::atoms::{AtomInterner, AtomSpaceOverflow, MAX_ATOM_SPACE};
 use crate::graph::{GroundGraph, GroundRule};
 use crate::grounder::{GroundConfig, GroundError, GroundMode};
 use crate::seminaive::RuleEvaluator;
@@ -77,7 +88,12 @@ pub(crate) fn ground_relevant_parts(
     config: &GroundConfig,
 ) -> Result<(GroundGraph, Database), GroundError> {
     debug_assert_eq!(config.mode, GroundMode::Relevant);
-    let universe = Database::universe(program, database);
+    let universe = {
+        let mut span = tiebreak_trace::span("ground", "universe", &[]);
+        let universe = Database::universe(program, database);
+        span.arg("constants", universe.len() as u64);
+        universe
+    };
     let budget = SupportBudget::new(config, ignored_fact_count(program, database));
     let rules: Vec<&Rule> = program.rules().iter().collect();
     let supportable = support_counted_gfp(
@@ -97,9 +113,10 @@ pub(crate) fn ground_relevant_parts(
 /// atoms, so budget arithmetic must discount them.
 pub(crate) fn ignored_fact_count(program: &Program, database: &Database) -> u64 {
     database
-        .facts()
-        .filter(|f| program.arity(f.pred).is_none())
-        .count() as u64
+        .relations()
+        .filter(|&(pred, _)| program.arity(pred).is_none())
+        .map(|(_, rel)| rel.len() as u64)
+        .sum()
 }
 
 /// The caps on the supportable-set computation. Its databases also carry
@@ -164,8 +181,9 @@ pub(crate) fn support_counted_gfp(
     // `fixed`, so its heads are supported for good.
     let mut pass1 = tiebreak_trace::span("ground", "candidates_pass", &[]);
     let mut candidates = fixed;
-    let mut ids: FxHashMap<GroundAtom, u32> = FxHashMap::default();
+    let mut ids: FxHashMap<AtomKey, u32> = FxHashMap::default();
     let mut retirable_preds: FxHashSet<PredSym> = FxHashSet::default();
+    let mut args: Vec<ConstSym> = Vec::new();
     for rule in rules {
         let supported_for_good = rule
             .body
@@ -173,16 +191,23 @@ pub(crate) fn support_counted_gfp(
             .all(|l| l.sign == Sign::Neg || !program.is_idb(l.atom.pred));
         let joined = |a: &Atom| !program.is_idb(a.pred);
         let plan = || RuleEvaluator::edb_skeleton(rule, program);
+        let pred = rule.head.pred;
         for_each_instance(rule, plan, joined, edb, universe, |ground, _| {
-            let head = ground(&rule.head);
-            if candidates.contains(&head) {
+            ground(&rule.head, &mut args);
+            if candidates.contains_tuple(pred, &args) {
                 return Ok(());
             }
             if !supported_for_good {
-                retirable_preds.insert(head.pred);
-                ids.insert(head.clone(), ids.len() as u32);
+                retirable_preds.insert(pred);
+                let key = AtomKey {
+                    pred,
+                    args: Tuple::new(&args),
+                };
+                ids.insert(key, ids.len() as u32);
             }
-            candidates.insert(head).expect("arity consistent");
+            candidates
+                .insert_tuple(pred, &args)
+                .expect("arity consistent");
             if candidates.len() as u64 > budget.fact_cap {
                 return Err(budget.too_many(candidates.len() as u64));
             }
@@ -215,7 +240,8 @@ pub(crate) fn support_counted_gfp(
         }
         let plan = || RuleEvaluator::envelope(rule);
         for_each_instance(rule, plan, all, &candidates, universe, |ground, _| {
-            let Some(&head) = ids.get(&ground(&rule.head)) else {
+            ground(&rule.head, &mut args);
+            let Some(head) = id_in(&ids, rule.head.pred, &args) else {
                 return Ok(()); // a fixed head never retires
             };
             if anchored[head as usize] {
@@ -226,7 +252,8 @@ pub(crate) fn support_counted_gfp(
                 if lit.sign == Sign::Neg || !retirable_preds.contains(&lit.atom.pred) {
                     continue;
                 }
-                if let Some(&id) = ids.get(&ground(&lit.atom)) {
+                ground(&lit.atom, &mut args);
+                if let Some(id) = id_in(&ids, lit.atom.pred, &args) {
                     if !inst_body[start..].contains(&id) {
                         inst_body.push(id);
                     }
@@ -287,15 +314,81 @@ pub(crate) fn support_counted_gfp(
         }
     }
     // Counts only fall, so an atom retired exactly when it hit zero.
-    for (atom, &id) in &ids {
+    for (key, &id) in &ids {
         if !anchored[id as usize] && supports[id as usize] == 0 {
-            candidates.remove(atom);
+            candidates.remove_tuple(key.pred, &key.args);
         }
     }
     pass2.arg("retired", retired);
     pass2.arg("supportable", candidates.len() as u64);
     Ok(candidates)
 }
+
+/// A candidate atom as a key of pass 2's id map. It hashes exactly like
+/// a `GroundAtom` (predicate, then the argument slice), so the map walks
+/// its atoms — and retires them — in the order a map keyed on ground
+/// atoms would; [`AtomRef`] lets it be probed with a borrowed tuple.
+#[derive(PartialEq, Eq, Hash)]
+struct AtomKey {
+    pred: PredSym,
+    args: Tuple,
+}
+
+/// An atom key, owned or borrowed.
+trait AtomRef {
+    fn pred(&self) -> PredSym;
+    fn args(&self) -> &[ConstSym];
+}
+
+impl AtomRef for AtomKey {
+    fn pred(&self) -> PredSym {
+        self.pred
+    }
+
+    fn args(&self) -> &[ConstSym] {
+        &self.args
+    }
+}
+
+impl AtomRef for (PredSym, &[ConstSym]) {
+    fn pred(&self) -> PredSym {
+        self.0
+    }
+
+    fn args(&self) -> &[ConstSym] {
+        self.1
+    }
+}
+
+impl<'a> Borrow<dyn AtomRef + 'a> for AtomKey {
+    fn borrow(&self) -> &(dyn AtomRef + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn AtomRef + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.pred().hash(state);
+        self.args().hash(state);
+    }
+}
+
+impl PartialEq for dyn AtomRef + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.pred() == other.pred() && self.args() == other.args()
+    }
+}
+
+impl Eq for dyn AtomRef + '_ {}
+
+/// The id of `pred(args…)` in pass 2's id map.
+fn id_in(ids: &FxHashMap<AtomKey, u32>, pred: PredSym, args: &[ConstSym]) -> Option<u32> {
+    ids.get(&(pred, args) as &dyn AtomRef).copied()
+}
+
+/// Writes the arguments of one of a rule's atoms, under the instance at
+/// hand, into a buffer (cleared first).
+type Ground<'a> = &'a dyn Fn(&Atom, &mut Vec<ConstSym>);
 
 /// Runs `visit` once per instance of `rule` whose positive literals
 /// selected by `joined` are facts of `db`, handing it a grounding
@@ -309,14 +402,18 @@ fn for_each_instance<'r>(
     joined: impl Fn(&Atom) -> bool,
     db: &Database,
     universe: &[ConstSym],
-    mut visit: impl FnMut(&dyn Fn(&Atom) -> GroundAtom, &[ConstSym]) -> Result<(), GroundError>,
+    mut visit: impl FnMut(Ground<'_>, &[ConstSym]) -> Result<(), GroundError>,
 ) -> Result<(), GroundError> {
     if rule.is_ground() {
+        let mut args = Vec::new();
         let holds = rule
             .body
             .iter()
             .filter(|l| l.sign == Sign::Pos && joined(&l.atom))
-            .all(|l| db.contains(&ground_of(&l.atom)));
+            .all(|l| {
+                ground_of(&l.atom, &mut args);
+                db.contains_tuple(l.atom.pred, &args)
+            });
         return if holds {
             visit(&ground_of, &[])
         } else {
@@ -325,7 +422,10 @@ fn for_each_instance<'r>(
     }
     let ev = plan();
     ev.for_each_substitution(db, universe, &mut |assignment| {
-        visit(&|atom| ev.ground_atom(atom, assignment), assignment)
+        visit(
+            &|atom, args| ev.ground_args(atom, assignment, args),
+            assignment,
+        )
     })
 }
 
@@ -335,9 +435,14 @@ fn all(_: &Atom) -> bool {
     true
 }
 
-/// A variable-free atom as a [`GroundAtom`].
-fn ground_of(atom: &Atom) -> GroundAtom {
-    atom.to_ground().expect("atom of a variable-free rule")
+/// The arguments of an atom of a variable-free rule.
+fn ground_of(atom: &Atom, args: &mut Vec<ConstSym>) {
+    args.clear();
+    args.extend(
+        atom.args
+            .iter()
+            .map(|t| t.as_const().expect("atom of a variable-free rule")),
+    );
 }
 
 /// Pass 3: emit every instance whose positive body lies in S.
@@ -350,23 +455,25 @@ pub(crate) fn emit_instances(
 ) -> Result<GroundGraph, GroundError> {
     let _span = tiebreak_trace::span("ground", "emit_pass", &[]);
     let mut interner = AtomInterner::new(universe.to_vec(), config.max_atoms);
-    let mut delta_facts: Vec<GroundAtom> = database
-        .facts()
-        .filter(|f| program.arity(f.pred).is_some())
+    let overflow = |ov: AtomSpaceOverflow| GroundError::TooManyAtoms {
+        required: ov.required,
+        budget: config.max_atoms,
+    };
+    // Deterministic ids for Δ: by predicate id, then argument ids.
+    let mut delta_facts: Vec<(PredSym, &[ConstSym])> = database
+        .tuples()
+        .filter(|&(pred, _)| program.arity(pred).is_some())
         .collect();
-    delta_facts.sort_unstable(); // deterministic ids for Δ
-    for fact in &delta_facts {
-        interner
-            .intern(fact)
-            .map_err(|ov| GroundError::TooManyAtoms {
-                required: ov.required,
-                budget: config.max_atoms,
-            })?;
+    delta_facts.sort_unstable();
+    for &(pred, args) in &delta_facts {
+        interner.intern_tuple(pred, args).map_err(overflow)?;
     }
+    drop(delta_facts);
 
     let budget = config.max_rule_instances;
     let mut rules_out: Vec<GroundRule> = Vec::new();
     let mut emitted: u64 = 0;
+    let mut args: Vec<ConstSym> = Vec::new();
 
     for (rule_index, rule) in program.rules().iter().enumerate() {
         let plan = || RuleEvaluator::new(rule);
@@ -376,8 +483,11 @@ pub(crate) fn emit_instances(
                 // construction (EDB positives ∈ Δ); only a negative
                 // literal on a Δ fact can be M₀-false here.
                 for lit in &rule.body {
-                    if lit.sign == Sign::Neg && database.contains(&ground(&lit.atom)) {
-                        return Ok(());
+                    if lit.sign == Sign::Neg {
+                        ground(&lit.atom, &mut args);
+                        if database.contains_tuple(lit.atom.pred, &args) {
+                            return Ok(());
+                        }
                     }
                 }
             }
@@ -391,18 +501,17 @@ pub(crate) fn emit_instances(
                     budget,
                 });
             }
-            let mut intern = |atom: &GroundAtom| -> Result<AtomId, GroundError> {
-                interner
-                    .intern(atom)
-                    .map_err(|ov| GroundError::TooManyAtoms {
-                        required: ov.required,
-                        budget: config.max_atoms,
-                    })
-            };
-            let head = intern(&ground(&rule.head))?;
+            ground(&rule.head, &mut args);
+            let head = interner
+                .intern_tuple(rule.head.pred, &args)
+                .map_err(overflow)?;
             let mut body = Vec::with_capacity(rule.body.len());
             for lit in &rule.body {
-                body.push((intern(&ground(&lit.atom))?, lit.sign));
+                ground(&lit.atom, &mut args);
+                let atom = interner
+                    .intern_tuple(lit.atom.pred, &args)
+                    .map_err(overflow)?;
+                body.push((atom, lit.sign));
             }
             rules_out.push(GroundRule {
                 head,

@@ -32,6 +32,21 @@ enum Source {
     Delta,
 }
 
+/// The state of one join: its sources, the partial substitution, and
+/// the trail of variable positions bound so far, shared by every depth.
+struct Join<'a> {
+    total: &'a Database,
+    delta: &'a Database,
+    delta_occurrence: Option<usize>,
+    universe: &'a [ConstSym],
+    subst: Vec<Option<ConstSym>>,
+    trail: Vec<usize>,
+    /// The leftover variables being enumerated: `(position, universe
+    /// index)`, reused by every leaf.
+    digits: Vec<(usize, usize)>,
+    scratch: &'a mut Vec<ConstSym>,
+}
+
 /// A compiled rule evaluator: variable indexing plus the body split.
 pub struct RuleEvaluator<'r> {
     rule: &'r Rule,
@@ -162,6 +177,21 @@ impl<'r> RuleEvaluator<'r> {
         }
     }
 
+    /// Writes the arguments of `atom` under a full assignment (in
+    /// [`RuleEvaluator::vars`] order) into `args`, cleared first: the
+    /// allocation-free form of [`RuleEvaluator::ground_atom`].
+    ///
+    /// # Panics
+    ///
+    /// If `atom` mentions a variable not in this rule.
+    pub fn ground_args(&self, atom: &Atom, assignment: &[ConstSym], args: &mut Vec<ConstSym>) {
+        args.clear();
+        args.extend(atom.args.iter().map(|t| match t {
+            Term::Const(c) => *c,
+            Term::Var(v) => assignment[self.var_index[v]],
+        }));
+    }
+
     /// Evaluates the rule, emitting every head instance derivable with the
     /// given sources:
     ///
@@ -272,64 +302,55 @@ impl<'r> RuleEvaluator<'r> {
         f: &mut impl FnMut(&Self, &[ConstSym]) -> Result<(), E>,
         scratch: &mut Vec<ConstSym>,
     ) -> Result<(), E> {
-        let mut subst: Vec<Option<ConstSym>> = vec![None; self.vars.len()];
-        self.join(
-            0,
+        let mut join = Join {
             total,
             delta,
             delta_occurrence,
             universe,
-            &mut subst,
-            f,
+            subst: vec![None; self.vars.len()],
+            trail: Vec::new(),
+            digits: Vec::new(),
             scratch,
-        )
+        };
+        self.join(0, &mut join, f)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn join<E>(
         &self,
         depth: usize,
-        total: &Database,
-        delta: &Database,
-        delta_occurrence: Option<usize>,
-        universe: &[ConstSym],
-        subst: &mut Vec<Option<ConstSym>>,
+        join: &mut Join<'_>,
         f: &mut impl FnMut(&Self, &[ConstSym]) -> Result<(), E>,
-        scratch: &mut Vec<ConstSym>,
     ) -> Result<(), E> {
         if depth == self.positive.len() {
-            return self.finish(universe, subst, f, scratch);
+            return self.finish(join, f);
         }
         let atom = self.positive[depth];
-        let source = if delta_occurrence == Some(depth) {
+        let source = if join.delta_occurrence == Some(depth) {
             Source::Delta
         } else {
             Source::Total
         };
         let db = match source {
-            Source::Total => total,
-            Source::Delta => delta,
+            Source::Total => join.total,
+            Source::Delta => join.delta,
         };
         let Some(rel) = db.relation(atom.pred) else {
             return Ok(()); // empty relation: no matches
         };
         for tuple in rel.iter() {
-            let mut trail: Vec<usize> = Vec::new();
-            if self.try_match(atom, tuple, subst, &mut trail) {
-                self.join(
-                    depth + 1,
-                    total,
-                    delta,
-                    delta_occurrence,
-                    universe,
-                    subst,
-                    f,
-                    scratch,
-                )?;
+            // Bindings made by this literal sit on the trail above
+            // `mark` and are undone before the next tuple.
+            let mark = join.trail.len();
+            let matched = self.try_match(atom, tuple, &mut join.subst, &mut join.trail);
+            let result = if matched {
+                self.join(depth + 1, join, f)
+            } else {
+                Ok(())
+            };
+            for pos in join.trail.drain(mark..) {
+                join.subst[pos] = None;
             }
-            for pos in trail {
-                subst[pos] = None;
-            }
+            result?;
         }
         Ok(())
     }
@@ -366,65 +387,67 @@ impl<'r> RuleEvaluator<'r> {
     }
 
     /// All positive literals matched: bind leftover variables over the
-    /// universe and hand each full assignment to `f`.
+    /// universe and hand each full assignment to `f`. The leftovers go
+    /// on the trail, so they are unbound again on the way out.
     fn finish<E>(
         &self,
-        universe: &[ConstSym],
-        subst: &mut [Option<ConstSym>],
+        join: &mut Join<'_>,
         f: &mut impl FnMut(&Self, &[ConstSym]) -> Result<(), E>,
-        scratch: &mut Vec<ConstSym>,
     ) -> Result<(), E> {
-        let unbound: Vec<usize> = (0..self.vars.len())
-            .filter(|&i| subst[i].is_none())
-            .collect();
-        if unbound.is_empty() {
-            scratch.clear();
-            scratch.extend(subst.iter().map(|o| o.expect("all bound")));
-            return f(self, scratch);
-        }
-        if universe.is_empty() {
-            return Ok(()); // variables with an empty range: no instances
-        }
-        // Projected-out variables take a single arbitrary witness; the
-        // rest are enumerated mixed-radix over the universe.
-        let enumerated: Vec<usize> = unbound
-            .iter()
-            .copied()
-            .filter(|&i| self.enumerate[i])
-            .collect();
-        for &pos in &unbound {
-            if !self.enumerate[pos] {
-                subst[pos] = Some(universe[0]);
-            }
-        }
-        let mut counter = vec![0usize; enumerated.len()];
-        loop {
-            for (slot, &pos) in counter.iter().zip(&enumerated) {
-                subst[pos] = Some(universe[*slot]);
-            }
-            scratch.clear();
-            scratch.extend(subst.iter().map(|o| o.expect("all bound")));
-            let r = f(self, scratch);
-            if r.is_err() {
-                for &pos in &unbound {
-                    subst[pos] = None;
+        let mark = join.trail.len();
+        join.digits.clear();
+        for pos in 0..self.vars.len() {
+            if join.subst[pos].is_none() {
+                join.trail.push(pos);
+                if self.enumerate[pos] {
+                    join.digits.push((pos, 0));
                 }
-                return r;
             }
-            // Advance.
+        }
+        let result = if join.trail.len() > mark && join.universe.is_empty() {
+            Ok(()) // variables with an empty range: no instances
+        } else {
+            self.enumerate_leftovers(join, mark, f)
+        };
+        for pos in join.trail.drain(mark..) {
+            join.subst[pos] = None;
+        }
+        result
+    }
+
+    /// Projected-out leftovers (on the trail above `mark`) take a single
+    /// arbitrary witness; the `digits` are enumerated mixed-radix over
+    /// the universe, the first one least significant.
+    fn enumerate_leftovers<E>(
+        &self,
+        join: &mut Join<'_>,
+        mark: usize,
+        f: &mut impl FnMut(&Self, &[ConstSym]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let universe = join.universe;
+        for &pos in &join.trail[mark..] {
+            if !self.enumerate[pos] {
+                join.subst[pos] = Some(universe[0]);
+            }
+        }
+        loop {
+            for &(pos, digit) in &join.digits {
+                join.subst[pos] = Some(universe[digit]);
+            }
+            join.scratch.clear();
+            join.scratch
+                .extend(join.subst.iter().map(|o| o.expect("all bound")));
+            f(self, &join.scratch[..])?;
             let mut i = 0;
             loop {
-                if i == counter.len() {
-                    for &pos in &unbound {
-                        subst[pos] = None;
-                    }
+                let Some((_, digit)) = join.digits.get_mut(i) else {
                     return Ok(());
-                }
-                counter[i] += 1;
-                if counter[i] < universe.len() {
+                };
+                *digit += 1;
+                if *digit < universe.len() {
                     break;
                 }
-                counter[i] = 0;
+                *digit = 0;
                 i += 1;
             }
         }

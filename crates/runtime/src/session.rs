@@ -259,8 +259,8 @@ impl Solver {
         }
         let prepared = prepare(&program, &database, &config)?;
         let mut const_refs: FxHashMap<ConstSym, usize> = FxHashMap::default();
-        for fact in database.facts() {
-            for &c in &fact.args {
+        for (_, args) in database.tuples() {
+            for &c in args {
                 *const_refs.entry(c).or_insert(0) += 1;
             }
         }

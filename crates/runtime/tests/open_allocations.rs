@@ -1,7 +1,9 @@
-//! Allocation gate for a cold open: parsing and preparing a program
-//! whose names are all new to the process allocates a constant number
-//! of times per clause. An allocation count is exact on any hardware,
-//! where a timing gate is not.
+//! Allocation gates for opens: parsing and preparing a program whose
+//! names are all new to the process allocates a constant number of
+//! times per clause, and the first-order path (parsing a fact file,
+//! grounding win–move over it) a constant number of times per fact and
+//! per atom. An allocation count is exact on any hardware, where a
+//! timing gate is not.
 //!
 //! This file is its own test binary because it installs a counting
 //! global allocator; the count is kept per thread, so the harness's
@@ -10,8 +12,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use datalog_ast::{parse_program, Database};
-use paper_constructions::generators::braided_unfounded_chain_program;
+use datalog_ast::{parse_database, parse_program, Database};
+use datalog_ground::{GroundConfig, GroundMode, SessionGrounder};
+use paper_constructions::generators::{
+    braided_tie_chain_db, braided_unfounded_chain_program, win_move_program,
+};
 use tiebreak_runtime::Solver;
 
 thread_local! {
@@ -84,5 +89,42 @@ fn a_cold_open_allocates_a_few_times_per_clause() {
     assert!(
         per_clause <= 8.0,
         "{allocations} allocations for {clauses} clauses ({per_clause:.2} per clause)"
+    );
+}
+
+#[test]
+fn first_order_grounding_allocates_at_most_twice_per_atom() {
+    // The hot benchmark instance's shape at half its size: win–move over
+    // 8 braided tie chains of 256 pockets.
+    let program = win_move_program();
+    let database = braided_tie_chain_db(8, 256);
+    let config = GroundConfig {
+        mode: GroundMode::Relevant,
+        ..GroundConfig::default()
+    };
+    let ((graph, _grounder), allocations) =
+        allocations_of(|| SessionGrounder::build(&program, &database, &config).expect("grounds"));
+    assert_eq!(graph.atom_count(), 10_241);
+    let per_atom = allocations as f64 / graph.atom_count() as f64;
+    assert!(
+        per_atom <= 2.0,
+        "{allocations} allocations for {} atoms ({per_atom:.2} per atom)",
+        graph.atom_count()
+    );
+}
+
+#[test]
+fn parsing_a_fact_file_does_not_allocate_per_fact() {
+    // Every name is interned by the generator first, so this counts the
+    // parse itself: lexing, fact insertion and relation growth.
+    let database = braided_tie_chain_db(8, 256);
+    let text: String = database.facts().map(|f| format!("{f}.\n")).collect();
+    let (parsed, allocations) = allocations_of(|| parse_database(&text).expect("parses"));
+    assert_eq!(parsed, database);
+    let per_fact = allocations as f64 / parsed.len() as f64;
+    assert!(
+        per_fact <= 0.25,
+        "{allocations} allocations for {} facts ({per_fact:.3} per fact)",
+        parsed.len()
     );
 }

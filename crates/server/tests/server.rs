@@ -654,3 +654,34 @@ fn over_cap_replies_are_answered_in_band() {
 
     stop_server(addr, handle);
 }
+
+#[test]
+fn interner_gauges_rise_with_each_instance_of_new_names() {
+    let (addr, _registry, handle) = start_server(ServerConfig::default());
+    let gauges = || {
+        let m = tiebreak_trace::metrics();
+        (m.interned_symbols.get(), m.interned_bytes.get())
+    };
+    let mut client = Client::connect(addr).expect("connect");
+    let mut before = gauges();
+    for tag in ["gauge_first", "gauge_second"] {
+        // Two constants no other test interns, each a `{tag}_x` text
+        // behind a 4-byte length prefix.
+        let db = format!("move({tag}_a, {tag}_b).\nmove({tag}_b, {tag}_a).");
+        let open = client.open(PROG, &db).expect("open");
+        assert!(open.status.contains("reused=false"), "{}", open.status);
+        let after = gauges();
+        let text_bytes = 2 * (4 + tag.len() + 2) as u64;
+        assert!(
+            after.0 >= before.0 + 2,
+            "{tag}: symbols {before:?} -> {after:?}"
+        );
+        assert!(
+            after.1 >= before.1 + text_bytes,
+            "{tag}: bytes {before:?} -> {after:?}"
+        );
+        before = after;
+    }
+    client.bye().expect("bye");
+    stop_server(addr, handle);
+}

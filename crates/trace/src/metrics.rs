@@ -219,6 +219,10 @@ pub struct Metrics {
     pub registry_rejected: Counter,
     pub sessions_resident: Gauge,
     pub resident_atoms: Gauge,
+    /// The process-global symbol interner: distinct names and the bytes
+    /// of their leaked texts. The interner never frees a name.
+    pub interned_symbols: Gauge,
+    pub interned_bytes: Gauge,
     pub requests: Counter,
     pub request_errors: Counter,
     /// Per-verb request latency in microseconds, indexed by
@@ -254,6 +258,8 @@ impl Metrics {
             registry_rejected: Counter::new(),
             sessions_resident: Gauge::new(),
             resident_atoms: Gauge::new(),
+            interned_symbols: Gauge::new(),
+            interned_bytes: Gauge::new(),
             requests: Counter::new(),
             request_errors: Counter::new(),
             request_latency_us: [const { Histogram::new() }; VERBS.len()],
@@ -330,6 +336,8 @@ impl Metrics {
         vec![
             ("sessions_resident", &self.sessions_resident),
             ("resident_atoms", &self.resident_atoms),
+            ("interned_symbols", &self.interned_symbols),
+            ("interned_bytes", &self.interned_bytes),
             ("conns_open", &self.conns_open),
         ]
     }

@@ -70,6 +70,19 @@ fn arb_program(preds: usize, max_rules: usize) -> impl Strategy<Value = Program>
     })
 }
 
+/// `program` with `pockets` disjoint two-atom ties
+/// `tie_a{i} :- not tie_b{i}. tie_b{i} :- not tie_a{i}.` appended.
+fn with_propositional_pockets(program: &Program, pockets: usize) -> Program {
+    let atom = |name: String| Atom::new(name.as_str(), std::iter::empty::<Term>());
+    let mut rules = program.rules().to_vec();
+    for i in 0..pockets {
+        let (a, b) = (format!("tie_a{i}"), format!("tie_b{i}"));
+        rules.push(Rule::new(atom(a.clone()), [Literal::neg(atom(b.clone()))]));
+        rules.push(Rule::new(atom(b), [Literal::neg(atom(a))]));
+    }
+    Program::new(rules).expect("propositional programs are arity-consistent")
+}
+
 fn db_from_mask(program: &Program, mask: u32) -> Database {
     let mut db = Database::new();
     for (i, &pred) in program.predicates().iter().enumerate() {
@@ -230,6 +243,13 @@ fn assert_random_walks_match_core(program: &Program, db: &Database, mode: Ground
                 "ties: {what}"
             );
             assert_eq!(session.stats.tie_log, core.stats.tie_log, "tie log: {what}");
+            // Every instance here plants at least two independent ties,
+            // so the coin streams are compared on more than one draw.
+            assert!(
+                session.stats.ties_broken >= 2,
+                "{} ties: {what}",
+                session.stats.ties_broken
+            );
         }
     }
 }
@@ -270,20 +290,31 @@ proptest! {
     fn propositional_random_walks_match_core(
         program in arb_program(5, 8),
         mask in any::<u32>(),
+        pockets in 2usize..=4,
     ) {
         let db = db_from_mask(&program, mask);
+        let program = with_propositional_pockets(&program, pockets);
         for mode in [GroundMode::Full, GroundMode::Relevant] {
             assert_random_walks_match_core(&program, &db, mode);
         }
     }
 
-    /// The same on first-order call-consistent programs, whose many
+    /// The same on first-order call-consistent programs, with win–move
+    /// added and disjoint `move` 2-cycles in the database, so that many
     /// independent tie pockets each take a coin from the one stream.
     #[test]
-    fn first_order_random_walks_match_core(seed in 0u64..5_000) {
+    fn first_order_random_walks_match_core(seed in 0u64..5_000, pockets in 2usize..=4) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let program = generators::random_call_consistent(&mut rng, 4, 6, 2);
-        let db = generators::random_database(&mut rng, &program, 2, 0.35, true);
+        let mut db = generators::random_database(&mut rng, &program, 2, 0.35, true);
+        let mut rules = program.rules().to_vec();
+        rules.extend(generators::win_move_program().rules().iter().cloned());
+        let program = Program::new(rules).expect("disjoint predicates");
+        for i in 0..pockets {
+            let (a, b) = (format!("m{i}a"), format!("m{i}b"));
+            db.insert_texts("move", &[&a, &b]);
+            db.insert_texts("move", &[&b, &a]);
+        }
         for mode in [GroundMode::Full, GroundMode::Relevant] {
             assert_random_walks_match_core(&program, &db, mode);
         }
