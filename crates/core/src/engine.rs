@@ -287,25 +287,27 @@ pub struct EvalOutcome {
 
 impl EvalOutcome {
     /// Decodes an interpreter run against its atom table: true and
-    /// undefined facts, each sorted by text — predicate name, then
+    /// undefined facts, each in text order — predicate name, then
     /// argument names ([`GroundAtom::text_cmp`]) — so the printed order
-    /// does not depend on the process's interning history.
+    /// does not depend on the process's interning history. Both lists
+    /// are filters of the table's cached text order
+    /// ([`datalog_ground::AtomTable::text_order`]); nothing is sorted.
     ///
     /// The single decoding point for every front-end — the `Engine`
     /// facade and the `tiebreak-runtime` session solver both go through
     /// it, so their printed fact order can never drift apart.
     pub fn decode(atoms: &datalog_ground::AtomTable, run: InterpreterRun) -> EvalOutcome {
-        let mut true_facts = run.model.true_atoms(atoms);
-        true_facts.sort_unstable_by(GroundAtom::text_cmp);
-        let mut undefined: Vec<GroundAtom> = run
-            .model
-            .undefined_atoms()
-            .map(|id| atoms.decode(id))
-            .collect();
-        undefined.sort_unstable_by(GroundAtom::text_cmp);
+        let in_text_order = |value: TruthValue| -> Vec<GroundAtom> {
+            atoms
+                .text_order()
+                .iter()
+                .filter(|&&id| id.index() < run.model.len() && run.model.get(id) == value)
+                .map(|&id| atoms.decode(id))
+                .collect()
+        };
         EvalOutcome {
-            true_facts,
-            undefined,
+            true_facts: in_text_order(TruthValue::True),
+            undefined: in_text_order(TruthValue::Undefined),
             total: run.total,
             stats: run.stats,
         }

@@ -12,8 +12,8 @@
 //! * the converse fails: the §3 three-rule example has stable models but
 //!   the interpreter reaches none of them.
 
-use datalog_ast::{Database, GroundAtom, Program};
-use datalog_ground::{AtomTable, GroundGraph, PartialModel, TruthValue};
+use datalog_ast::{Database, Program};
+use datalog_ground::{GroundGraph, PartialModel};
 
 use super::tie_breaking::{
     pure_tie_breaking, pure_tie_breaking_with, well_founded_tie_breaking,
@@ -38,76 +38,6 @@ impl OutcomeSet {
     pub fn total_models(&self) -> impl Iterator<Item = &PartialModel> {
         self.models.iter().filter(|m| m.is_total())
     }
-
-    /// Decodes the set against its atom table: every atom true in some
-    /// model is decoded once, and the union is sorted by text
-    /// ([`GroundAtom::text_cmp`]), so the printed order does not depend
-    /// on the process's interning history. Each model then lists indices
-    /// into that union, ascending — hence also in text order.
-    pub fn decode(&self, atoms: &AtomTable) -> DecodedOutcomes {
-        // Per atom id: its index in `facts` once sorted, `u32::MAX` while
-        // false or undefined in every model.
-        let width = self.models.iter().map(PartialModel::len).max().unwrap_or(0);
-        let mut index = vec![u32::MAX; width];
-        let mut ids = Vec::new();
-        for model in &self.models {
-            for (id, value) in model.defined() {
-                if value == TruthValue::True && index[id.index()] == u32::MAX {
-                    index[id.index()] = 0;
-                    ids.push(id);
-                }
-            }
-        }
-        let mut decoded: Vec<_> = ids.into_iter().map(|id| (atoms.decode(id), id)).collect();
-        decoded.sort_unstable_by(|(a, _), (b, _)| a.text_cmp(b));
-        for (i, (_, id)) in decoded.iter().enumerate() {
-            index[id.index()] = u32::try_from(i).expect("fewer facts than atom ids");
-        }
-        let models = self
-            .models
-            .iter()
-            .map(|model| {
-                let mut facts: Vec<u32> = model
-                    .defined()
-                    .filter(|&(_, value)| value == TruthValue::True)
-                    .map(|(id, _)| index[id.index()])
-                    .collect();
-                facts.sort_unstable();
-                DecodedModel {
-                    total: model.is_total(),
-                    facts,
-                }
-            })
-            .collect();
-        DecodedOutcomes {
-            facts: decoded.into_iter().map(|(fact, _)| fact).collect(),
-            models,
-            runs: self.runs,
-            truncated: self.truncated,
-        }
-    }
-}
-
-/// An [`OutcomeSet`] decoded for printing ([`OutcomeSet::decode`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DecodedOutcomes {
-    /// Every atom true in some model, each once, sorted by text.
-    pub facts: Vec<GroundAtom>,
-    /// The models, in the set's order.
-    pub models: Vec<DecodedModel>,
-    /// Number of interpreter runs performed.
-    pub runs: usize,
-    /// `true` if the exploration stopped at the run budget.
-    pub truncated: bool,
-}
-
-/// One model of a [`DecodedOutcomes`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DecodedModel {
-    /// Whether the model is total.
-    pub total: bool,
-    /// Its true atoms: ascending indices into [`DecodedOutcomes::facts`].
-    pub facts: Vec<u32>,
 }
 
 /// Explores every script of tie choices for the chosen interpreter

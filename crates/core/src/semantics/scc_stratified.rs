@@ -40,8 +40,7 @@
 //! individual runs may break isomorphic ties in a different order.
 
 use datalog_ast::{Database, Program};
-use datalog_ground::{AtomId, Closer, GroundGraph, PartialModel, TruthValue, UnfoundedEngine};
-use signed_graph::{tie, Sccs};
+use datalog_ground::{Closer, GroundGraph, PartialModel, TruthValue, UnfoundedEngine};
 
 use super::tie_breaking::{break_tie, TiePolicy};
 use super::{InterpreterRun, RunStats, SemanticsError};
@@ -141,7 +140,7 @@ pub fn process_components(
                 let unfounded = engine.local_unfounded(closer, c);
                 if !unfounded.is_empty() {
                     stats.unfounded_rounds += 1;
-                    for atom in unfounded {
+                    for &atom in unfounded {
                         closer.define(model, atom, TruthValue::False);
                     }
                     closer.run(model)?;
@@ -158,49 +157,22 @@ pub fn process_components(
                 break;
             }
 
-            // Bottom ties inside the component's alive remnant. A sub-SCC
-            // with an external alive in-edge is not bottom in the global
-            // graph (its upstream residue is stuck) and is skipped.
-            let sub = engine.alive_subgraph(closer, c);
-            let sccs = Sccs::compute(&sub.digraph);
-            let mut broke = false;
-            for s in sccs.bottom_components(&sub.digraph) {
-                if !sub.is_globally_bottom(sccs.members(s)) {
-                    continue;
-                }
-                let Ok(partition) = tie::check_tie(&sub.digraph, sccs.members(s)) else {
-                    continue; // odd component: not a tie
-                };
-                let root_side: Vec<AtomId> = partition
-                    .k_side()
-                    .filter_map(|n| sub.node_atoms[n as usize])
-                    .collect();
-                let other_side: Vec<AtomId> = partition
-                    .l_side()
-                    .filter_map(|n| sub.node_atoms[n as usize])
-                    .collect();
-                if root_side.is_empty() && other_side.is_empty() {
-                    // Unreachable post-close (every bottom SCC is cyclic
-                    // and hence contains an atom); guard against looping.
-                    continue;
-                }
-
-                break_tie(
-                    closer,
-                    model,
-                    policy,
-                    &root_side,
-                    &other_side,
-                    stats,
-                    pass.detailed,
-                )?;
-                rounds += 1;
-                broke = true;
-                break;
-            }
-            if !broke {
+            // The next bottom tie inside the component's alive remnant. A
+            // sub-SCC with an external alive in-edge is not bottom in the
+            // global graph (its upstream residue is stuck) and is skipped.
+            let Some((root_side, other_side)) = engine.bottom_tie(closer, c) else {
                 break; // stuck remnant (odd or vetoed): move on
-            }
+            };
+            break_tie(
+                closer,
+                model,
+                policy,
+                root_side,
+                other_side,
+                stats,
+                pass.detailed,
+            )?;
+            rounds += 1;
         }
         stats.record_component(rounds, pass.detailed);
     }

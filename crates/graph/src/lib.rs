@@ -13,6 +13,11 @@
 //!   partition in linear time or exhibits a cycle with an odd number of
 //!   negative edges as a witness.
 //!
+//! [`Sccs::recompute`] and [`tie::TieScratch`] run the same two
+//! algorithms over a caller's own adjacency (a CSR slab, say) with
+//! buffers kept from one call to the next, so a caller that condenses
+//! and checks many small graphs allocates nothing per graph.
+//!
 //! Harary called ties *cycle-balanced* graphs; the paper's Lemma 1 is the
 //! classical balance characterization specialized to strong components.
 
@@ -29,4 +34,4 @@ pub use condensation::Condensation;
 pub use double_cover::is_tie_double_cover;
 pub use graph::{EdgeSign, NodeId, SignedDigraph};
 pub use scc::Sccs;
-pub use tie::{OddCycle, TiePartition};
+pub use tie::{OddCycle, TiePartition, TieScratch};

@@ -6,12 +6,32 @@
 use crate::graph::{NodeId, SignedDigraph};
 
 /// The SCC decomposition of a [`SignedDigraph`].
-#[derive(Clone, Debug)]
+///
+/// The members of every component sit back to back in one buffer, and a
+/// decomposition can be recomputed in place ([`Sccs::recompute`]): once
+/// its buffers have grown to a graph's size, recomputing over a graph no
+/// larger allocates nothing.
+#[derive(Clone, Debug, Default)]
 pub struct Sccs {
     /// `comp_of[v]` is the component index of node `v`.
     comp_of: Vec<u32>,
-    /// `components[c]` lists the member nodes of component `c`.
-    components: Vec<Vec<NodeId>>,
+    /// The members of every component, component by component.
+    members: Vec<NodeId>,
+    /// `ends[c]` is where component `c`'s members end in `members`.
+    ends: Vec<u32>,
+    /// Tarjan's working state, kept for the next [`Sccs::recompute`].
+    scratch: TarjanScratch,
+}
+
+/// The buffers of one iterative Tarjan run.
+#[derive(Clone, Debug, Default)]
+struct TarjanScratch {
+    index: Vec<u32>,
+    lowlink: Vec<u32>,
+    on_stack: Vec<bool>,
+    stack: Vec<NodeId>,
+    /// Explicit DFS frames: (node, next out-edge position).
+    frames: Vec<(NodeId, usize)>,
 }
 
 impl Sccs {
@@ -35,18 +55,43 @@ impl Sccs {
         out_edges: impl Fn(NodeId) -> &'g [E],
         target: impl Fn(&E) -> NodeId,
     ) -> Self {
+        let mut sccs = Sccs::default();
+        sccs.recompute(n, out_edges, target);
+        // A one-shot decomposition keeps no working state.
+        sccs.scratch = TarjanScratch::default();
+        sccs
+    }
+
+    /// [`Sccs::of_adjacency`] into `self`, reusing its buffers: the
+    /// previous decomposition is replaced.
+    pub fn recompute<'g, E: 'g>(
+        &mut self,
+        n: usize,
+        out_edges: impl Fn(NodeId) -> &'g [E],
+        target: impl Fn(&E) -> NodeId,
+    ) {
         const UNVISITED: u32 = u32::MAX;
 
-        let mut index: Vec<u32> = vec![UNVISITED; n];
-        let mut lowlink: Vec<u32> = vec![0; n];
-        let mut on_stack: Vec<bool> = vec![false; n];
-        let mut stack: Vec<NodeId> = Vec::new();
-        let mut comp_of: Vec<u32> = vec![0; n];
-        let mut components: Vec<Vec<NodeId>> = Vec::new();
+        let TarjanScratch {
+            index,
+            lowlink,
+            on_stack,
+            stack,
+            frames,
+        } = &mut self.scratch;
+        index.clear();
+        index.resize(n, UNVISITED);
+        lowlink.clear();
+        lowlink.resize(n, 0);
+        on_stack.clear();
+        on_stack.resize(n, false);
+        stack.clear();
+        frames.clear();
+        self.comp_of.clear();
+        self.comp_of.resize(n, 0);
+        self.members.clear();
+        self.ends.clear();
         let mut next_index: u32 = 0;
-
-        // Explicit DFS frames: (node, next out-edge position).
-        let mut frames: Vec<(NodeId, usize)> = Vec::new();
 
         for root in 0..n as NodeId {
             if index[root as usize] != UNVISITED {
@@ -81,37 +126,31 @@ impl Sccs {
                             lowlink[parent as usize].min(lowlink[v as usize]);
                     }
                     if lowlink[v as usize] == index[v as usize] {
-                        let comp_id = components.len() as u32;
-                        let mut comp = Vec::new();
+                        let comp_id = self.ends.len() as u32;
                         loop {
                             let w = stack.pop().expect("Tarjan stack underflow");
                             on_stack[w as usize] = false;
-                            comp_of[w as usize] = comp_id;
-                            comp.push(w);
+                            self.comp_of[w as usize] = comp_id;
+                            self.members.push(w);
                             if w == v {
                                 break;
                             }
                         }
-                        components.push(comp);
+                        self.ends.push(self.members.len() as u32);
                     }
                 }
             }
-        }
-
-        Sccs {
-            comp_of,
-            components,
         }
     }
 
     /// Number of components.
     pub fn len(&self) -> usize {
-        self.components.len()
+        self.ends.len()
     }
 
     /// `true` iff the graph had no nodes.
     pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
+        self.ends.is_empty()
     }
 
     /// The component index of `node`.
@@ -121,19 +160,21 @@ impl Sccs {
 
     /// The member nodes of component `c`.
     pub fn members(&self, c: u32) -> &[NodeId] {
-        &self.components[c as usize]
+        let c = c as usize;
+        let start = if c == 0 { 0 } else { self.ends[c - 1] as usize };
+        &self.members[start..self.ends[c] as usize]
     }
 
     /// Iterates over components (reverse topological order; see
     /// [`Sccs::compute`]).
-    pub fn iter(&self) -> impl Iterator<Item = &Vec<NodeId>> {
-        self.components.iter()
+    pub fn iter(&self) -> impl Iterator<Item = &[NodeId]> {
+        (0..self.len() as u32).map(|c| self.members(c))
     }
 
     /// Component indices in **topological order** of the condensation
     /// (sources first).
     pub fn topological_order(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.components.len() as u32).rev()
+        (0..self.len() as u32).rev()
     }
 
     /// `true` iff node `v` is in a *trivial* component: a singleton with no
@@ -147,17 +188,35 @@ impl Sccs {
     /// components** — the "bottom" components in the paper's phrasing
     /// ("a tie T in G with no incoming edges").
     pub fn bottom_components(&self, graph: &SignedDigraph) -> Vec<u32> {
-        let mut has_incoming = vec![false; self.components.len()];
-        for (u, v, _) in graph.edges() {
-            let cu = self.comp_of[u as usize];
-            let cv = self.comp_of[v as usize];
-            if cu != cv {
-                has_incoming[cv as usize] = true;
+        let mut entered = Vec::new();
+        self.mark_entered(|v| graph.out_edges(v), |&(w, _)| w, &mut entered);
+        (0..self.len() as u32)
+            .filter(|&c| !entered[c as usize])
+            .collect()
+    }
+
+    /// Sets `entered[c]` (one entry per component) iff component `c` has
+    /// an in-edge from another component, over the adjacency the
+    /// decomposition was computed from (see [`Sccs::of_adjacency`]): the
+    /// components left unmarked are the [bottom
+    /// components](Sccs::bottom_components), without allocating once
+    /// `entered` has grown.
+    pub fn mark_entered<'g, E: 'g>(
+        &self,
+        out_edges: impl Fn(NodeId) -> &'g [E],
+        target: impl Fn(&E) -> NodeId,
+        entered: &mut Vec<bool>,
+    ) {
+        entered.clear();
+        entered.resize(self.len(), false);
+        for (u, &cu) in self.comp_of.iter().enumerate() {
+            for e in out_edges(u as NodeId) {
+                let cv = self.comp_of[target(e) as usize];
+                if cu != cv {
+                    entered[cv as usize] = true;
+                }
             }
         }
-        (0..self.components.len() as u32)
-            .filter(|&c| !has_incoming[c as usize])
-            .collect()
     }
 
     /// The edges of `graph` internal to component `c`.

@@ -149,6 +149,9 @@ impl fmt::Display for OddCycle {
 /// Tests whether the strongly connected component `members` of `graph` is a
 /// tie, returning the Lemma 1 partition or an odd-cycle witness.
 ///
+/// The allocating form of [`TieScratch::partition`]: the partition is
+/// the same, and an odd component additionally gets its witness.
+///
 /// # Preconditions
 ///
 /// `members` must be exactly the node set of one strongly connected
@@ -156,67 +159,151 @@ impl fmt::Display for OddCycle {
 /// a logic error; the function panics if some member is unreachable from
 /// the first within the member-induced subgraph.
 pub fn check_tie(graph: &SignedDigraph, members: &[NodeId]) -> Result<TiePartition, OddCycle> {
-    if members.is_empty() {
-        return Ok(TiePartition {
-            members: Vec::new(),
-            in_l: Vec::new(),
-        });
-    }
-
-    // Local indexing.
+    // Local indexing by a map of the members alone, so that checking
+    // every component of a large graph stays linear.
     let local: HashMap<NodeId, usize> = members
         .iter()
         .copied()
         .enumerate()
         .map(|(i, n)| (n, i))
         .collect();
+    let mut bfs = Bfs::default();
+    match bfs.partition(members, |v| graph.out_edges(v), |v| local.get(&v).copied()) {
+        Ok(()) => Ok(TiePartition {
+            members: members.to_vec(),
+            in_l: bfs.in_l,
+        }),
+        Err((ui, vi, s)) => Err(extract_odd_cycle(
+            graph,
+            members,
+            &local,
+            &bfs.parent,
+            members[0],
+            ui,
+            vi,
+            s,
+        )),
+    }
+}
 
-    // BFS spanning tree from members[0]; parity = #negative edges on the
-    // tree path mod 2. parent[i] = (local parent index, sign of tree edge).
-    let root = members[0];
-    let mut side: Vec<Option<bool>> = vec![None; members.len()];
-    let mut parent: Vec<Option<(usize, EdgeSign)>> = vec![None; members.len()];
-    side[0] = Some(false); // root in K
-    let mut queue: VecDeque<usize> = VecDeque::from([0usize]);
-    while let Some(ui) = queue.pop_front() {
-        let u = members[ui];
-        for &(v, s) in graph.out_edges(u) {
-            if let Some(&vi) = local.get(&v) {
-                if side[vi].is_none() {
-                    side[vi] = Some(side[ui].expect("BFS invariant") ^ s.is_neg());
-                    parent[vi] = Some((ui, s));
-                    queue.push_back(vi);
+/// Reusable buffers for Lemma 1 partitions over a caller's own
+/// adjacency: once they have grown to a component's size, checking a
+/// component no larger allocates nothing. [`check_tie`] runs the same
+/// search with fresh buffers and also extracts a witness.
+#[derive(Clone, Debug, Default)]
+pub struct TieScratch {
+    /// Member index of each node, [`NOT_MEMBER`] outside a call.
+    local: Vec<u32>,
+    bfs: Bfs,
+}
+
+/// Sentinel of [`TieScratch::local`] for nodes not in the component.
+const NOT_MEMBER: u32 = u32::MAX;
+
+impl TieScratch {
+    /// The Lemma 1 partition of the strongly connected component
+    /// `members` of a graph of `node_count` nodes whose out-edges of `v`
+    /// are `out_edges(v)`: `in_l` aligned with `members` (the root,
+    /// `members[0]`, in K), or `None` when the component is not a tie.
+    /// The spanning tree, and hence the partition, is [`check_tie`]'s for
+    /// the same edges in the same order.
+    ///
+    /// # Panics
+    ///
+    /// As for [`check_tie`], if `members` is not strongly connected.
+    pub fn partition<'g>(
+        &mut self,
+        node_count: usize,
+        members: &[NodeId],
+        out_edges: impl Fn(NodeId) -> &'g [(NodeId, EdgeSign)],
+    ) -> Option<&[bool]> {
+        if self.local.len() < node_count {
+            self.local.resize(node_count, NOT_MEMBER);
+        }
+        for (i, &n) in members.iter().enumerate() {
+            self.local[n as usize] = i as u32;
+        }
+        let local = &self.local;
+        let result = self.bfs.partition(members, out_edges, |v| {
+            let i = local[v as usize];
+            (i != NOT_MEMBER).then_some(i as usize)
+        });
+        for &n in members {
+            self.local[n as usize] = NOT_MEMBER;
+        }
+        result.ok().map(|()| self.bfs.in_l.as_slice())
+    }
+}
+
+/// The breadth-first spanning tree of Lemma 1 and its buffers.
+#[derive(Clone, Debug, Default)]
+struct Bfs {
+    /// Per member: its side once reached (`true` = L).
+    side: Vec<Option<bool>>,
+    /// Per member: (member index of its tree parent, tree edge's sign).
+    parent: Vec<Option<(usize, EdgeSign)>>,
+    queue: VecDeque<usize>,
+    /// Per member: `true` iff on the L side.
+    in_l: Vec<bool>,
+}
+
+impl Bfs {
+    /// Spans `members` breadth-first from `members[0]` (placed in K),
+    /// giving each member the parity of its tree path, then checks every
+    /// internal edge against that partition. `local` maps a node to its
+    /// member index. `Err` names the first violating edge, as member
+    /// indices and its sign.
+    fn partition<'g>(
+        &mut self,
+        members: &[NodeId],
+        out_edges: impl Fn(NodeId) -> &'g [(NodeId, EdgeSign)],
+        local: impl Fn(NodeId) -> Option<usize>,
+    ) -> Result<(), (usize, usize, EdgeSign)> {
+        self.side.clear();
+        self.parent.clear();
+        self.queue.clear();
+        self.in_l.clear();
+        if members.is_empty() {
+            return Ok(());
+        }
+        self.side.resize(members.len(), None);
+        self.parent.resize(members.len(), None);
+        self.side[0] = Some(false); // root in K
+        self.queue.push_back(0);
+        while let Some(ui) = self.queue.pop_front() {
+            for &(v, s) in out_edges(members[ui]) {
+                if let Some(vi) = local(v) {
+                    if self.side[vi].is_none() {
+                        self.side[vi] = Some(self.side[ui].expect("BFS invariant") ^ s.is_neg());
+                        self.parent[vi] = Some((ui, s));
+                        self.queue.push_back(vi);
+                    }
                 }
             }
         }
-    }
-    assert!(
-        side.iter().all(Option::is_some),
-        "check_tie precondition violated: members are not one strongly connected component"
-    );
-    let side: Vec<bool> = side.into_iter().map(Option::unwrap).collect();
+        assert!(
+            self.side.iter().all(Option::is_some),
+            "check_tie precondition violated: members are not one strongly connected component"
+        );
+        self.in_l
+            .extend(self.side.iter().map(|s| s.expect("checked above")));
 
-    // Verify all internal edges against the partition.
-    for (ui, &u) in members.iter().enumerate() {
-        for &(v, s) in graph.out_edges(u) {
-            if let Some(&vi) = local.get(&v) {
-                let ok = match s {
-                    EdgeSign::Pos => side[ui] == side[vi],
-                    EdgeSign::Neg => side[ui] != side[vi],
-                };
-                if !ok {
-                    return Err(extract_odd_cycle(
-                        graph, members, &local, &parent, root, ui, vi, s,
-                    ));
+        // Verify all internal edges against the partition.
+        for (ui, &u) in members.iter().enumerate() {
+            for &(v, s) in out_edges(u) {
+                if let Some(vi) = local(v) {
+                    let ok = match s {
+                        EdgeSign::Pos => self.in_l[ui] == self.in_l[vi],
+                        EdgeSign::Neg => self.in_l[ui] != self.in_l[vi],
+                    };
+                    if !ok {
+                        return Err((ui, vi, s));
+                    }
                 }
             }
         }
+        Ok(())
     }
-
-    Ok(TiePartition {
-        members: members.to_vec(),
-        in_l: side,
-    })
 }
 
 /// Convenience: `true` iff the component is a tie.

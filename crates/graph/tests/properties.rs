@@ -1,7 +1,7 @@
 //! Property-based tests for the signed-graph substrate.
 
 use proptest::prelude::*;
-use signed_graph::{is_tie_double_cover, tie, EdgeSign, Sccs, SignedDigraph};
+use signed_graph::{is_tie_double_cover, tie, EdgeSign, Sccs, SignedDigraph, TieScratch};
 
 /// Strategy: a random signed digraph with up to `n` nodes and `m` edges.
 fn arb_graph(n: usize, m: usize) -> impl Strategy<Value = SignedDigraph> {
@@ -80,6 +80,34 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Recomputing into buffers a larger graph grew, and checking ties
+    /// with a scratch an earlier graph used, gives exactly the fresh
+    /// decomposition and `check_tie`'s partitions: member order, root and
+    /// sides included.
+    #[test]
+    fn reused_buffers_match_fresh_computation(
+        first in arb_graph(12, 40),
+        g in arb_graph(8, 24),
+    ) {
+        let mut sccs = Sccs::compute(&first);
+        let mut scratch = TieScratch::default();
+        for c in 0..sccs.len() as u32 {
+            let _ = scratch.partition(first.node_count(), sccs.members(c), |v| first.out_edges(v));
+        }
+        sccs.recompute(g.node_count(), |v| g.out_edges(v), |&(w, _)| w);
+        let fresh = Sccs::compute(&g);
+        prop_assert_eq!(sccs.len(), fresh.len());
+        for c in 0..fresh.len() as u32 {
+            prop_assert_eq!(sccs.members(c), fresh.members(c));
+            let reused = scratch
+                .partition(g.node_count(), sccs.members(c), |v| g.out_edges(v))
+                .map(<[bool]>::to_vec);
+            let checked = tie::check_tie(&g, fresh.members(c)).ok().map(|p| p.in_l);
+            prop_assert_eq!(reused, checked);
+        }
+        prop_assert_eq!(sccs.bottom_components(&g), fresh.bottom_components(&g));
     }
 
     /// The Lemma 1 spanning-tree test and the double-cover test agree on

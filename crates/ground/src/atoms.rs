@@ -19,13 +19,24 @@
 //! Atom ids are `u32`, so every table caps its atom budget at
 //! `u32::MAX`; [`AtomTable::build`] and [`AtomInterner::intern`] report
 //! the required count on overflow instead of silently wrapping.
+//!
+//! **Text order.** Replies list facts in text order
+//! ([`GroundAtom::text_cmp`]), which does not depend on interning
+//! history. [`AtomTable::text_order`] lists every id in that order: it
+//! ranks the distinct predicate texts and takes the universe's position
+//! as a constant's rank (the universe is sorted by text), sorts the ids
+//! by rank tuples without reading a text, and caches the result until an
+//! append. A reply is then one filtered pass over the order, each atom's
+//! text appended straight from its symbols ([`AtomTable::write_atom`]);
+//! no text is stored per atom.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use std::hash::Hasher;
 
 use datalog_ast::fxhash::FxHasher;
-use datalog_ast::{ConstSym, Database, FxHashMap, GroundAtom, PredSym, Program};
+use datalog_ast::{ConstSym, Database, FxHashMap, FxHashSet, GroundAtom, PredSym, Program, Symbol};
 
 /// Identifier of a ground atom: an index into the [`AtomTable`] layout.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -258,6 +269,9 @@ pub struct AtomTable {
     const_index: FxHashMap<ConstSym, u32>,
     layout: Layout,
     total: u32,
+    /// Every id in text order, built on first use
+    /// ([`AtomTable::text_order`]) and dropped by an append.
+    text_order: OnceLock<Box<[AtomId]>>,
 }
 
 fn index_universe(universe: &[ConstSym]) -> FxHashMap<ConstSym, u32> {
@@ -333,6 +347,7 @@ impl AtomTable {
             const_index,
             layout: Layout::Dense { blocks, pred_index },
             total: u32::try_from(total).expect("total fits u32 within budget"),
+            text_order: OnceLock::new(),
         })
     }
 
@@ -495,9 +510,170 @@ impl AtomTable {
             panic!("intern on a dense atom table (the dense layout is universe-complete)");
         };
         let id = store.intern(pred, args, max_atoms.min(MAX_ATOM_SPACE))?;
+        if id == self.total {
+            // A new atom: the cached text order no longer lists every id.
+            self.text_order.take();
+        }
         self.total = store.len() as u32;
         Ok(AtomId(id))
     }
+
+    /// Every atom id in text order ([`GroundAtom::text_cmp`]): predicate
+    /// name, then argument names left to right. Built on the first call
+    /// (under a `session/text_order` trace span) and cached until an
+    /// atom is appended ([`AtomTable::intern`]).
+    ///
+    /// The sort reads no text: predicates are ranked by sorting their
+    /// distinct texts once, a constant's rank is its position in the
+    /// text-sorted universe, and ids are sorted by their rank tuples. A
+    /// dense table needs no per-atom sort at all, as its blocks already
+    /// number each predicate's tuples in text order.
+    pub fn text_order(&self) -> &[AtomId] {
+        self.text_order.get_or_init(|| {
+            let _span =
+                tiebreak_trace::span("session", "text_order", &[("atoms", u64::from(self.total))]);
+            match &self.layout {
+                Layout::Dense { blocks, .. } => {
+                    let rank = text_ranks(blocks.iter().map(|b| b.pred.symbol()));
+                    let mut by_rank: Vec<Option<&PredBlock>> = vec![None; blocks.len()];
+                    for b in blocks {
+                        by_rank[rank[&b.pred.symbol()] as usize] = Some(b);
+                    }
+                    by_rank
+                        .iter()
+                        .flatten()
+                        .flat_map(|b| (b.offset..b.offset + b.size).map(AtomId))
+                        .collect()
+                }
+                Layout::Sparse(store) => self.sparse_text_order(store),
+            }
+        })
+    }
+
+    /// [`AtomTable::text_order`] of a sparse table.
+    fn sparse_text_order(&self, store: &AtomStore) -> Box<[AtomId]> {
+        let pred_rank = text_ranks(store.by_pred.ends.keys().map(|p| p.symbol()));
+        // Per argument slot of the arena: its constant's rank.
+        let const_rank = self.const_ranks(&store.args);
+        let ranks_of = |id: u32| {
+            let i = id as usize;
+            let start = if i == 0 {
+                0
+            } else {
+                store.atoms[i - 1].1 as usize
+            };
+            &const_rank[start..store.atoms[i].1 as usize]
+        };
+        let mut keyed: Vec<(u32, u32)> = (0..store.len() as u32)
+            .map(|id| (pred_rank[&store.pred_of(id).symbol()], id))
+            .collect();
+        // Distinct atoms have distinct rank tuples, so the order is total.
+        keyed.sort_unstable_by(|&(pa, a), &(pb, b)| {
+            pa.cmp(&pb).then_with(|| ranks_of(a).cmp(ranks_of(b)))
+        });
+        keyed.into_iter().map(|(_, id)| AtomId(id)).collect()
+    }
+
+    /// The text rank of each constant of `args`: its universe position,
+    /// or, when some constant lies outside the universe, its rank among
+    /// the distinct constants of `args`.
+    fn const_ranks(&self, args: &[ConstSym]) -> Vec<u32> {
+        if let Some(ranks) = args.iter().map(|&c| self.const_index(c)).collect() {
+            return ranks;
+        }
+        let rank = text_ranks(args.iter().map(|c| c.symbol()));
+        args.iter().map(|c| rank[&c.symbol()]).collect()
+    }
+
+    /// Appends the text of atom `id` to `out`, byte for byte what
+    /// [`GroundAtom`]'s `Display` prints for [`AtomTable::decode`]`(id)`:
+    /// `pred` or `pred(a, b)`. Nothing is decoded or allocated.
+    ///
+    /// # Panics
+    ///
+    /// If `id` is out of range for this table.
+    pub fn write_atom(&self, id: AtomId, out: &mut Vec<u8>) {
+        let (pred, args) = self.parts(id);
+        out.extend_from_slice(pred.as_str().as_bytes());
+        let mut open = false;
+        for c in args {
+            let separator: &[u8] = if open { b", " } else { b"(" };
+            out.extend_from_slice(separator);
+            out.extend_from_slice(c.as_str().as_bytes());
+            open = true;
+        }
+        if open {
+            out.push(b')');
+        }
+    }
+
+    /// The length in bytes of [`AtomTable::write_atom`]'s text for `id`,
+    /// without writing it.
+    ///
+    /// # Panics
+    ///
+    /// If `id` is out of range for this table.
+    pub fn text_len(&self, id: AtomId) -> usize {
+        let (pred, args) = self.parts(id);
+        // `(` and `)` around the arguments, `, ` between them.
+        args.fold(pred.as_str().len(), |len, c| len + c.as_str().len() + 2)
+    }
+
+    /// The predicate and arguments of atom `id`.
+    fn parts(&self, id: AtomId) -> (PredSym, Args<'_>) {
+        assert!(id.0 < self.total, "AtomId {} out of range", id.0);
+        match &self.layout {
+            Layout::Dense { blocks, .. } => {
+                let block = block_of(blocks, id);
+                let args = Args::Digits {
+                    universe: &self.universe,
+                    code: u64::from(id.0 - block.offset),
+                    left: block.arity,
+                };
+                (block.pred, args)
+            }
+            Layout::Sparse(store) => (store.pred_of(id.0), Args::Tuple(store.args_of(id.0).iter())),
+        }
+    }
+}
+
+/// The arguments of one atom ([`AtomTable::parts`]).
+enum Args<'a> {
+    /// A dense id's mixed-radix digits over the universe, most
+    /// significant first; `left` digits remain.
+    Digits {
+        universe: &'a [ConstSym],
+        code: u64,
+        left: usize,
+    },
+    /// A sparse atom's stored tuple.
+    Tuple(std::slice::Iter<'a, ConstSym>),
+}
+
+impl Iterator for Args<'_> {
+    type Item = ConstSym;
+
+    fn next(&mut self) -> Option<ConstSym> {
+        match self {
+            Args::Digits {
+                universe,
+                code,
+                left,
+            } => {
+                *left = left.checked_sub(1)?;
+                let u = universe.len() as u64;
+                Some(universe[(*code / u.pow(*left as u32) % u) as usize])
+            }
+            Args::Tuple(tuple) => tuple.next().copied(),
+        }
+    }
+}
+
+/// Each distinct symbol of `symbols` and its rank in text order.
+fn text_ranks(symbols: impl Iterator<Item = Symbol>) -> FxHashMap<Symbol, u32> {
+    let mut distinct: Vec<Symbol> = symbols.collect::<FxHashSet<Symbol>>().into_iter().collect();
+    distinct.sort_unstable_by_key(|s| s.as_str());
+    distinct.into_iter().zip(0..).collect()
 }
 
 fn block_of(blocks: &[PredBlock], id: AtomId) -> &PredBlock {
@@ -610,6 +786,7 @@ impl AtomInterner {
             const_index,
             layout: Layout::Sparse(self.store),
             total,
+            text_order: OnceLock::new(),
         }
     }
 }
@@ -785,5 +962,75 @@ mod tests {
         assert!(interner
             .intern(&GroundAtom::from_texts("p", &["a"]))
             .is_ok());
+    }
+
+    /// Every id of `t`, sorted by decoding and comparing texts.
+    fn sorted_by_text(t: &AtomTable) -> Vec<AtomId> {
+        let mut ids: Vec<AtomId> = t.ids().collect();
+        ids.sort_by(|&a, &b| t.decode(a).text_cmp(&t.decode(b)));
+        ids
+    }
+
+    fn assert_text_forms(t: &AtomTable) {
+        assert_eq!(t.text_order(), sorted_by_text(t).as_slice());
+        for id in t.ids() {
+            let mut text = Vec::new();
+            t.write_atom(id, &mut text);
+            assert_eq!(t.text_len(id), text.len());
+            assert_eq!(String::from_utf8(text).unwrap(), t.decode(id).to_string());
+        }
+    }
+
+    #[test]
+    fn text_order_and_atom_text_match_the_decoded_atoms() {
+        // Interner ids run opposite to text order.
+        for name in ["tord_zz", "tord_z", "tord_m", "tord_a"] {
+            ConstSym::new(name);
+            PredSym::new(&format!("{name}_p"));
+        }
+        let p = parse_program(
+            "tord_zz_p(X, Y) :- tord_a_p(X), tord_a_p(Y), not tord_m_p.\n\
+             tord_m_p :- not tord_z_p.\ntord_z_p :- not tord_m_p.",
+        )
+        .unwrap();
+        let d = parse_database("tord_a_p(tord_zz). tord_a_p(tord_z). tord_a_p(tord_a).").unwrap();
+        assert_text_forms(&AtomTable::build(&p, &d, 1 << 20).unwrap());
+
+        let universe = Database::universe(&p, &d);
+        let mut sparse = AtomInterner::new(universe, 1 << 20);
+        for (pred, args) in [
+            ("tord_zz_p", &["tord_z", "tord_a"][..]),
+            ("tord_a_p", &["tord_zz"]),
+            ("tord_m_p", &[]),
+            ("tord_zz_p", &["tord_z", "tord_zz"]),
+            ("tord_a_p", &["tord_a"]),
+        ] {
+            sparse.intern(&GroundAtom::from_texts(pred, args)).unwrap();
+        }
+        let mut t = sparse.finish();
+        assert_text_forms(&t);
+
+        // An append drops the cached order; a known atom keeps it.
+        let cached = t.text_order().as_ptr();
+        t.intern(&GroundAtom::from_texts("tord_a_p", &["tord_a"]), 1 << 20)
+            .unwrap();
+        assert_eq!(t.text_order().as_ptr(), cached);
+        t.intern(&GroundAtom::from_texts("tord_a_p", &["tord_m"]), 1 << 20)
+            .unwrap();
+        assert_eq!(t.text_order().len(), 6);
+        assert_text_forms(&t);
+
+        // Constants outside the universe are ranked among themselves.
+        let mut outside = AtomInterner::new(Vec::new(), 1 << 20);
+        for args in [
+            ["tord_z", "tord_zz"],
+            ["tord_m", "tord_a"],
+            ["tord_z", "tord_a"],
+        ] {
+            outside
+                .intern(&GroundAtom::from_texts("tord_zz_p", &args))
+                .unwrap();
+        }
+        assert_text_forms(&outside.finish());
     }
 }

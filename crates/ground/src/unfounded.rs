@@ -36,9 +36,22 @@
 //! and [`UnfoundedEngine::patch_cone`] re-condenses only the cone's
 //! alive remnant, in O(cone): retained components keep their ids and
 //! position.
+//!
+//! **Tie phase without allocation.** [`UnfoundedEngine::bottom_tie`]
+//! finds the next tie to break inside a component: it lays the
+//! component's alive remnant out as a CSR graph
+//! ([`ComponentGraph`]), condenses it with [`signed_graph::Sccs`]'s
+//! Tarjan, and runs the Lemma 1 search ([`signed_graph::TieScratch`])
+//! on its bottom SCCs, all into buffers the engine keeps, as it keeps
+//! [`UnfoundedEngine::local_unfounded`]'s answer. Component numbering,
+//! member order and the search's root are those of the allocating
+//! oracles (`Sccs::compute`, `tie::check_tie` over a `SignedDigraph`),
+//! so a tie policy sees the same ties in the same order. An evaluation
+//! walks a private clone of the engine, so after the first components
+//! a walk allocates nothing per component.
 
 use datalog_ast::Sign;
-use signed_graph::{EdgeSign, NodeId, SignedDigraph};
+use signed_graph::{EdgeSign, NodeId, Sccs, TieScratch};
 
 use crate::atoms::AtomId;
 use crate::close::{Closer, NodeKind};
@@ -101,6 +114,30 @@ pub struct UnfoundedEngine {
     node_of_atom: Vec<NodeId>,
     /// Scratch of [`UnfoundedEngine::patch_cone`]'s cone condensation.
     tarjan: ConeTarjan,
+    /// Scratch of the tie phase ([`UnfoundedEngine::bottom_tie`]) and
+    /// of [`UnfoundedEngine::local_unfounded`]'s answer.
+    walk: WalkScratch,
+}
+
+/// The per-component buffers of the tie phase and of the unfounded-set
+/// answer: grown by the first components an engine visits and reused for
+/// every later one, so a walk allocates nothing per component once they
+/// have reached the largest component's size.
+#[derive(Clone, Default)]
+struct WalkScratch {
+    /// The component's alive remnant.
+    remnant: ComponentGraph,
+    /// The remnant's strongly connected components.
+    sccs: Sccs,
+    /// Per remnant SCC: `true` iff another SCC has an edge into it.
+    entered: Vec<bool>,
+    /// The Lemma 1 search.
+    tie: TieScratch,
+    /// The atoms of the tie found, on the root's side and the other.
+    root_side: Vec<AtomId>,
+    other_side: Vec<AtomId>,
+    /// The last [`UnfoundedEngine::local_unfounded`] answer.
+    unfounded: Vec<AtomId>,
 }
 
 /// Sentinel for [`UnfoundedEngine::node_of_atom`] entries not in the
@@ -202,21 +239,54 @@ pub struct ConePatch {
 
 /// The alive induced subgraph of one component, for tie detection.
 ///
-/// Nodes are the component's alive atoms and alive rule nodes, densely
-/// renumbered; edges are the surviving internal edges. `external_in`
-/// marks nodes that still receive an edge from an alive node *outside*
-/// the component — a sub-SCC containing such a node is not a bottom
-/// component of the global remaining graph and must not be tie-broken.
+/// Nodes are the component's alive atoms, then its alive rule nodes,
+/// densely renumbered in the component's member order; edges are the
+/// surviving internal edges, stored CSR: an atom node has one out-edge
+/// per body occurrence of it, in rule order, and a rule node one to its
+/// head.
+/// `external_in` marks nodes that still receive an edge from an alive
+/// node *outside* the component — a sub-SCC containing such a node is not
+/// a bottom component of the global remaining graph and must not be
+/// tie-broken.
+///
+/// The engine keeps one and rebuilds it in place per component
+/// ([`UnfoundedEngine::alive_subgraph`]).
+#[derive(Clone, Debug, Default)]
 pub struct ComponentGraph {
-    /// The induced subgraph.
-    pub digraph: SignedDigraph,
-    /// The atom behind each node, or `None` for rule nodes.
-    pub node_atoms: Vec<Option<AtomId>>,
+    /// Where each node's out-edges start in `edges`, plus the end.
+    offsets: Vec<u32>,
+    /// Every node's out-edges, node by node.
+    edges: Vec<(NodeId, EdgeSign)>,
+    /// The atom behind each atom node (the first nodes).
+    atoms: Vec<AtomId>,
     /// Whether each node has an alive in-edge from outside the component.
-    pub external_in: Vec<bool>,
+    external_in: Vec<bool>,
+    /// Placement cursor per node while the edges are laid out.
+    cursor: Vec<u32>,
 }
 
 impl ComponentGraph {
+    /// Number of nodes (alive atoms and alive rule nodes).
+    pub fn node_count(&self) -> usize {
+        self.external_in.len()
+    }
+
+    /// The out-edges of node `n` as `(target, sign)` pairs.
+    pub fn out_edges(&self, n: NodeId) -> &[(NodeId, EdgeSign)] {
+        let n = n as usize;
+        &self.edges[self.offsets[n] as usize..self.offsets[n + 1] as usize]
+    }
+
+    /// The atom behind node `n`, or `None` for a rule node.
+    pub fn node_atom(&self, n: NodeId) -> Option<AtomId> {
+        self.atoms.get(n as usize).copied()
+    }
+
+    /// Whether node `n` has an alive in-edge from outside the component.
+    pub fn has_external_in(&self, n: NodeId) -> bool {
+        self.external_in[n as usize]
+    }
+
     /// `true` iff every node of `members` is free of external in-edges.
     pub fn is_globally_bottom(&self, members: &[NodeId]) -> bool {
         members.iter().all(|&n| !self.external_in[n as usize])
@@ -247,6 +317,7 @@ impl UnfoundedEngine {
                 rule_index: vec![NO_NODE; graph.rule_count()],
                 ..ConeTarjan::default()
             },
+            walk: WalkScratch::default(),
         };
         // The whole graph is one cone: the patch's Tarjan over the ground
         // graph's own adjacency, roots in ascending atom then rule ids,
@@ -370,7 +441,8 @@ impl UnfoundedEngine {
     ///   reusable scratch. Roots are taken in the node order of a fresh
     ///   build (atoms ascending, then rules ascending), so component ids,
     ///   topological order and member lists come out exactly as
-    ///   re-condensing a [`SignedDigraph`] of the cone would give them;
+    ///   re-condensing a [`SignedDigraph`](signed_graph::SignedDigraph)
+    ///   of the cone would give them;
     /// * members are counting-sorted straight into the CSR arenas;
     /// * the topological order is edited from the first retired position
     ///   on — O(cone) once a cone's components sit at the end of the
@@ -652,8 +724,9 @@ impl UnfoundedEngine {
     /// matches the global `Atoms[close(M, G⁺)] ∩ c` when components are
     /// processed in topological order).
     ///
-    /// Cost: O(|c| + incident rules), independent of the graph size.
-    pub fn local_unfounded(&mut self, closer: &Closer<'_>, c: u32) -> Vec<AtomId> {
+    /// Cost: O(|c| + incident rules), independent of the graph size. The
+    /// answer lives in the engine's scratch until the next call.
+    pub fn local_unfounded(&mut self, closer: &Closer<'_>, c: u32) -> &[AtomId] {
         let graph = closer.graph();
         debug_assert!(self.queue.is_empty());
 
@@ -704,7 +777,8 @@ impl UnfoundedEngine {
             }
         }
 
-        let mut unfounded = Vec::new();
+        let unfounded = &mut self.walk.unfounded;
+        unfounded.clear();
         for &a in self.comp_atoms.get(c) {
             if closer.atom_alive(a) && !self.removed[a.index()] {
                 unfounded.push(a);
@@ -715,68 +789,105 @@ impl UnfoundedEngine {
     }
 
     /// The alive induced subgraph of component `c`, with external-inflow
-    /// markers (see [`ComponentGraph`]). Used for per-component tie
-    /// detection: the sub-SCCs of this graph are exactly the SCCs of the
-    /// global remaining graph that descend from `c`.
-    pub fn alive_subgraph(&mut self, closer: &Closer<'_>, c: u32) -> ComponentGraph {
+    /// markers (see [`ComponentGraph`]), rebuilt in the engine's scratch.
+    /// Used for per-component tie detection: the sub-SCCs of this graph
+    /// are exactly the SCCs of the global remaining graph that descend
+    /// from `c`.
+    pub fn alive_subgraph(&mut self, closer: &Closer<'_>, c: u32) -> &ComponentGraph {
         let graph = closer.graph();
         let atoms = self.comp_atoms.get(c);
         let rules = self.comp_rules.get(c);
+        let sub = &mut self.walk.remnant;
+        sub.atoms.clear();
+        sub.external_in.clear();
 
         // Dense renumbering: alive atoms first (indexed through the
         // graph-sized `node_of_atom` scratch, reset on exit), then alive
-        // rule nodes.
-        let mut node_atoms: Vec<Option<AtomId>> = Vec::new();
-        let mut external_in: Vec<bool> = Vec::new();
-        let mut rule_node: Vec<Option<NodeId>> = vec![None; rules.len()];
-
+        // rule nodes in member order.
         for &a in atoms {
             if !closer.atom_alive(a) {
                 continue;
             }
-            self.node_of_atom[a.index()] = node_atoms.len() as NodeId;
-            node_atoms.push(Some(a));
+            self.node_of_atom[a.index()] = sub.atoms.len() as NodeId;
+            sub.atoms.push(a);
             // An alive rule head-feeding `a` from another component (e.g.
             // an external support rule, or a member of a stuck upstream
             // component) keeps `a` out of every global bottom component.
-            external_in.push(
+            sub.external_in.push(
                 graph
                     .heads_of(a)
                     .iter()
                     .any(|&r| closer.rule_alive(r) && self.rule_comp[r.index()] != c),
             );
         }
-        for (i, &r) in rules.iter().enumerate() {
-            if !closer.rule_alive(r) {
-                continue;
+        for &r in rules {
+            if closer.rule_alive(r) {
+                sub.external_in.push(
+                    graph
+                        .rule(r)
+                        .body
+                        .iter()
+                        .any(|&(a, _)| closer.atom_alive(a) && self.atom_comp[a.index()] != c),
+                );
             }
-            rule_node[i] = Some(node_atoms.len() as NodeId);
-            node_atoms.push(None);
-            external_in.push(
-                graph
-                    .rule(r)
-                    .body
-                    .iter()
-                    .any(|&(a, _)| closer.atom_alive(a) && self.atom_comp[a.index()] != c),
-            );
         }
 
-        let mut digraph = SignedDigraph::new(node_atoms.len());
-        for (i, &r) in rules.iter().enumerate() {
-            let Some(rn) = rule_node[i] else { continue };
+        // The internal edges of each alive rule node `rn`: its head edge
+        // and one edge per body occurrence of an alive member atom. Two
+        // passes over the rules in member order — count, then place — so
+        // each node's out-edges keep rule order.
+        let n = sub.external_in.len();
+        let first_rule = sub.atoms.len() as NodeId;
+        let node_of_atom = &self.node_of_atom;
+        let alive_rules = || {
+            rules
+                .iter()
+                .filter(|&&r| closer.rule_alive(r))
+                .zip(first_rule..)
+        };
+        let ComponentGraph {
+            offsets,
+            edges,
+            cursor,
+            ..
+        } = sub;
+        offsets.clear();
+        offsets.resize(n + 1, 0);
+        for (&r, rn) in alive_rules() {
             let rule = graph.rule(r);
-            let hn = self.node_of_atom[rule.head.index()];
+            if node_of_atom[rule.head.index()] != NO_NODE {
+                offsets[rn as usize + 1] += 1;
+            }
+            for &(a, _) in &rule.body {
+                let an = node_of_atom[a.index()];
+                if an != NO_NODE {
+                    offsets[an as usize + 1] += 1;
+                }
+            }
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        cursor.clear();
+        cursor.extend_from_slice(&offsets[..n]);
+        edges.clear();
+        edges.resize(offsets[n] as usize, (0, EdgeSign::Pos));
+        for (&r, rn) in alive_rules() {
+            let rule = graph.rule(r);
+            let hn = node_of_atom[rule.head.index()];
             if hn != NO_NODE {
-                digraph.add_edge(rn, hn, EdgeSign::Pos);
+                edges[cursor[rn as usize] as usize] = (hn, EdgeSign::Pos);
+                cursor[rn as usize] += 1;
             }
             for &(a, s) in &rule.body {
-                let an = self.node_of_atom[a.index()];
+                let an = node_of_atom[a.index()];
                 if an != NO_NODE {
                     let sign = match s {
                         Sign::Pos => EdgeSign::Pos,
                         Sign::Neg => EdgeSign::Neg,
                     };
-                    digraph.add_edge(an, rn, sign);
+                    edges[cursor[an as usize] as usize] = (rn, sign);
+                    cursor[an as usize] += 1;
                 }
             }
         }
@@ -784,12 +895,58 @@ impl UnfoundedEngine {
         for &a in atoms {
             self.node_of_atom[a.index()] = NO_NODE; // reset scratch
         }
+        &self.walk.remnant
+    }
 
-        ComponentGraph {
-            digraph,
-            node_atoms,
-            external_in,
+    /// The first bottom tie inside component `c`'s alive remnant, as its
+    /// atoms on the side of the spanning-tree root (the paper's K) and on
+    /// the other side, each in member order: the tie the interpreters
+    /// break next in `c`, or `None` when the remnant holds none.
+    ///
+    /// The remnant ([`UnfoundedEngine::alive_subgraph`]) is condensed and
+    /// its SCCs are taken in emission order. The answer is the first one
+    /// that has no in-edge from another SCC and no external alive in-edge
+    /// ([`ComponentGraph::is_globally_bottom`]), is a tie (Lemma 1), and
+    /// holds an atom. Both sides live in the engine's scratch until the
+    /// next call; after the first components, a call allocates nothing.
+    pub fn bottom_tie(&mut self, closer: &Closer<'_>, c: u32) -> Option<(&[AtomId], &[AtomId])> {
+        self.alive_subgraph(closer, c);
+        let WalkScratch {
+            remnant,
+            sccs,
+            entered,
+            tie,
+            root_side,
+            other_side,
+            ..
+        } = &mut self.walk;
+        let n = remnant.node_count();
+        sccs.recompute(n, |v| remnant.out_edges(v), |&(w, _)| w);
+        sccs.mark_entered(|v| remnant.out_edges(v), |&(w, _)| w, entered);
+        for s in 0..sccs.len() as u32 {
+            let members = sccs.members(s);
+            if entered[s as usize] || !remnant.is_globally_bottom(members) {
+                continue;
+            }
+            let Some(in_l) = tie.partition(n, members, |v| remnant.out_edges(v)) else {
+                continue; // odd component: not a tie
+            };
+            root_side.clear();
+            other_side.clear();
+            for (&m, &l) in members.iter().zip(in_l) {
+                if let Some(a) = remnant.node_atom(m) {
+                    let side = if l { &mut *other_side } else { &mut *root_side };
+                    side.push(a);
+                }
+            }
+            if root_side.is_empty() && other_side.is_empty() {
+                // Unreachable post-close (every bottom SCC is cyclic and
+                // hence contains an atom); guard against looping.
+                continue;
+            }
+            return Some((root_side, other_side));
         }
+        None
     }
 }
 
@@ -800,7 +957,7 @@ mod tests {
     use crate::model::PartialModel;
     use crate::model::TruthValue;
     use datalog_ast::{parse_database, parse_program, GroundAtom};
-    use signed_graph::Sccs;
+    use signed_graph::{Sccs, SignedDigraph};
 
     fn closed(
         program_src: &str,
@@ -892,7 +1049,7 @@ mod tests {
         let mut all: Vec<AtomId> = Vec::new();
         for c in engine.order().to_vec() {
             loop {
-                let u = engine.local_unfounded(&closer, c);
+                let u = engine.local_unfounded(&closer, c).to_vec();
                 if u.is_empty() {
                     break;
                 }
@@ -918,7 +1075,7 @@ mod tests {
         let mut engine = UnfoundedEngine::build(&closer);
         let c = engine.component_of_atom(atom(&g, "p")).unwrap();
         assert_eq!(c, engine.component_of_atom(atom(&g, "q")).unwrap());
-        let mut u = engine.local_unfounded(&closer, c);
+        let mut u = engine.local_unfounded(&closer, c).to_vec();
         u.sort();
         let mut expect = closer.largest_unfounded_set();
         expect.sort();
@@ -972,19 +1129,15 @@ mod tests {
         let sub = engine.alive_subgraph(&closer, c);
         // p (fed by the alive rule `p :- x` from outside) carries the
         // external-in mark; q does not.
-        let pn = sub
-            .node_atoms
-            .iter()
-            .position(|&a| a == Some(atom(&g, "p")))
-            .unwrap();
-        let qn = sub
-            .node_atoms
-            .iter()
-            .position(|&a| a == Some(atom(&g, "q")))
-            .unwrap();
-        assert!(sub.external_in[pn]);
-        assert!(!sub.external_in[qn]);
-        assert!(!sub.is_globally_bottom(&[pn as NodeId, qn as NodeId]));
+        let node = |name| {
+            (0..sub.node_count() as NodeId)
+                .find(|&n| sub.node_atom(n) == Some(atom(&g, name)))
+                .unwrap()
+        };
+        let (pn, qn) = (node("p"), node("q"));
+        assert!(sub.has_external_in(pn));
+        assert!(!sub.has_external_in(qn));
+        assert!(!sub.is_globally_bottom(&[pn, qn]));
     }
 
     #[test]
@@ -994,11 +1147,93 @@ mod tests {
         let mut engine = UnfoundedEngine::build(&closer);
         let c = engine.component_of_atom(atom(&g, "p")).unwrap();
         let sub = engine.alive_subgraph(&closer, c);
-        assert_eq!(sub.digraph.node_count(), 4); // 2 atoms + 2 rules
+        assert_eq!(sub.node_count(), 4); // 2 atoms + 2 rules
         let all: Vec<NodeId> = (0..4).collect();
         assert!(sub.is_globally_bottom(&all));
-        let sccs = Sccs::compute(&sub.digraph);
+        let sccs = Sccs::of_adjacency(4, |v| sub.out_edges(v), |&(w, _)| w);
         assert_eq!(sccs.len(), 1);
+    }
+
+    /// The remnant as a [`SignedDigraph`], edge for edge.
+    fn remnant_digraph(sub: &ComponentGraph) -> SignedDigraph {
+        let mut digraph = SignedDigraph::new(sub.node_count());
+        for v in 0..sub.node_count() as NodeId {
+            for &(w, sign) in sub.out_edges(v) {
+                digraph.add_edge(v, w, sign);
+            }
+        }
+        digraph
+    }
+
+    /// One engine walking every component, tie after tie, finds the tie
+    /// the allocating oracles (`Sccs::compute`, `bottom_components`,
+    /// `check_tie`) find on the same remnant: its scratch, reused across
+    /// components of every size, carries nothing from one to the next.
+    #[test]
+    fn bottom_tie_matches_the_allocating_oracles() {
+        // A chain of draw pockets, pocket i with i % 3 even detours of
+        // length 4 (ties of three sizes), an odd 3-cycle downstream of
+        // the last pocket, and a pocket vetoed by an edge into that cycle.
+        let mut db = String::new();
+        for i in 0..6 {
+            db.push_str(&format!("move(a{i}, b{i}).\nmove(b{i}, a{i}).\n"));
+            for j in 0..i % 3 {
+                db.push_str(&format!(
+                    "move(b{i}, c{i}x{j}).\nmove(c{i}x{j}, d{i}x{j}).\nmove(d{i}x{j}, a{i}).\n"
+                ));
+            }
+            if i > 0 {
+                db.push_str(&format!("move(a{i}, a{}).\n", i - 1));
+            }
+        }
+        db.push_str("move(o1, o2).\nmove(o2, o3).\nmove(o3, o1).\nmove(o1, a5).\n");
+        db.push_str("move(e, f).\nmove(f, e).\nmove(e, o1).\n");
+        let (g, p, d) = closed("win(X) :- move(X, Y), not win(Y).", &db);
+        let (mut closer, mut m) = run_close(&g, &p, &d);
+        let mut engine = UnfoundedEngine::build(&closer);
+        let mut ties = 0;
+        for c in engine.order().to_vec() {
+            loop {
+                let oracle = {
+                    let digraph = remnant_digraph(engine.alive_subgraph(&closer, c));
+                    let sub = engine.alive_subgraph(&closer, c).clone();
+                    let sccs = Sccs::compute(&digraph);
+                    sccs.bottom_components(&digraph).into_iter().find_map(|s| {
+                        let members = sccs.members(s);
+                        let partition = signed_graph::tie::check_tie(&digraph, members).ok()?;
+                        let side = |l: bool| -> Vec<AtomId> {
+                            members
+                                .iter()
+                                .zip(&partition.in_l)
+                                .filter(|&(_, &in_l)| in_l == l)
+                                .filter_map(|(&n, _)| sub.node_atom(n))
+                                .collect()
+                        };
+                        sub.is_globally_bottom(members)
+                            .then(|| (side(false), side(true)))
+                    })
+                };
+                let found = engine
+                    .bottom_tie(&closer, c)
+                    .map(|(k, l)| (k.to_vec(), l.to_vec()));
+                assert_eq!(found, oracle);
+                let Some((k, l)) = found else { break };
+                ties += 1;
+                let (k_value, l_value) = if l.is_empty() {
+                    (TruthValue::False, TruthValue::False)
+                } else {
+                    (TruthValue::True, TruthValue::False)
+                };
+                for a in k {
+                    closer.define(&mut m, a, k_value);
+                }
+                for a in l {
+                    closer.define(&mut m, a, l_value);
+                }
+                closer.run(&mut m).unwrap();
+            }
+        }
+        assert!(ties >= 3, "{ties}");
     }
 
     /// Flip one fact, splice the cone through close + engine, and check
@@ -1054,7 +1289,7 @@ mod tests {
             let mut m = model.clone();
             for comp in eng.order().to_vec() {
                 loop {
-                    let u = eng.local_unfounded(&c, comp);
+                    let u = eng.local_unfounded(&c, comp).to_vec();
                     if u.is_empty() {
                         break;
                     }

@@ -30,8 +30,21 @@
 //! and the model order are those of the uncapped walk
 //! (`tests/runtime_parallel.rs` checks every budget up to the full run
 //! count).
+//!
+//! **Allocation.** The one engine clone per enumeration carries the
+//! kernel's per-component scratch (`UnfoundedEngine`'s remnant graph,
+//! Tarjan and tie-search buffers, tie sides and unfounded set), so every
+//! script reuses buffers the first scripts grew: a script run allocates
+//! its fork (close state, model, policy) and nothing per component
+//! (`crates/runtime/tests/open_allocations.rs` holds it to 64 per run).
+//!
+//! **Stopping early.** [`enumerate`] hands the set so far to a callback
+//! after every script run, which may stop the enumeration: the read memo
+//! stops an over-cap `? outcomes N` as soon as the reply's lower bound
+//! passes the cap ([`crate::reply::OutcomeBound::check`]).
 
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
 use datalog_ground::Closer;
 use tiebreak_core::semantics::outcomes::OutcomeSet;
@@ -47,21 +60,35 @@ pub(crate) fn all_outcomes(
     pure: bool,
     max_runs: usize,
 ) -> Result<OutcomeSet, SemanticsError> {
+    enumerate(solver, pure, max_runs, |_| ControlFlow::Continue(()))
+}
+
+/// [`all_outcomes`], calling `after_run` with the set so far after every
+/// script run; [`ControlFlow::Break`] stops the enumeration there, and
+/// the set so far is returned.
+pub(crate) fn enumerate(
+    solver: &Solver,
+    pure: bool,
+    max_runs: usize,
+    mut after_run: impl FnMut(&OutcomeSet) -> ControlFlow<()>,
+) -> Result<OutcomeSet, SemanticsError> {
     let mut span = tiebreak_trace::span("eval", "outcomes", &[("max_runs", max_runs as u64)]);
     let order = solver.engine.order();
     // One engine clone holds the kernel's scratch for every script.
     let mut engine = solver.engine.clone();
-    let mut models = Vec::new();
+    let mut set = OutcomeSet {
+        models: Vec::new(),
+        runs: 0,
+        truncated: false,
+    };
     let mut frontier: VecDeque<Vec<bool>> = VecDeque::from([Vec::new()]);
-    let mut runs = 0usize;
-    let mut truncated = false;
 
     while let Some(prefix) = frontier.pop_front() {
-        if runs >= max_runs {
-            truncated = true;
+        if set.runs >= max_runs {
+            set.truncated = true;
             break;
         }
-        runs += 1;
+        set.runs += 1;
         // One copy-on-write fork: state snapshot in, script-delta out.
         let mut closer = Closer::from_state(&solver.graph, &solver.base_close);
         let mut model = solver.base_model.clone();
@@ -83,8 +110,8 @@ pub(crate) fn all_outcomes(
         // same branching rule as the core driver. A child is queued only
         // if it falls within the run budget: the runs made plus the queue.
         for flip_at in prefix.len()..policy.consumed() {
-            if runs + frontier.len() >= max_runs {
-                truncated = true;
+            if set.runs + frontier.len() >= max_runs {
+                set.truncated = true;
                 break;
             }
             let mut next = prefix.clone();
@@ -92,17 +119,18 @@ pub(crate) fn all_outcomes(
             next.push(true);
             frontier.push_back(next);
         }
-        if !models.contains(&model) {
-            models.push(model);
+        if !set.models.contains(&model) {
+            set.models.push(model);
+        }
+        if after_run(&set).is_break() {
+            break;
         }
     }
 
-    span.arg("runs", runs as u64);
-    span.arg("models", models.len() as u64);
-    tiebreak_trace::metrics().outcome_scripts.add(runs as u64);
-    Ok(OutcomeSet {
-        models,
-        runs,
-        truncated,
-    })
+    span.arg("runs", set.runs as u64);
+    span.arg("models", set.models.len() as u64);
+    tiebreak_trace::metrics()
+        .outcome_scripts
+        .add(set.runs as u64);
+    Ok(set)
 }

@@ -4,30 +4,48 @@
 //! two replies are fixed for as long as the state lasts: the read memo
 //! ([`crate::ReadBatch`]) renders each once per state and serves the
 //! bytes to every later read. `datalog run`, `datalog outcomes`, the
-//! script interpreter and both server transports print through the same
-//! functions, so every front-end writes the same bytes.
+//! script interpreter and the server print through the same functions,
+//! so every front-end writes the same bytes.
 //!
-//! Facts are listed in text order ([`GroundAtom::text_cmp`]), so the
-//! bytes do not depend on the process's interning history.
+//! Facts are listed in text order
+//! ([`GroundAtom::text_cmp`](datalog_ast::GroundAtom::text_cmp)), so the
+//! bytes do not depend on the process's interning history. The order
+//! comes from the atom table ([`AtomTable::text_order`]), sorted once and
+//! cached until an atom is appended: rendering a model is one pass over
+//! it that keeps the true atoms and appends each one's text straight from
+//! its symbols ([`AtomTable::write_atom`]). Nothing is decoded and
+//! nothing is sorted per reply.
+//!
+//! **The reply cap.** A reply larger than the cap is refused with
+//! [`ReplyTooLarge`], and rendering stops at the line that shows it.
+//! `? outcomes N` can tell before the enumeration ends: the memo
+//! measures the set so far after every script run (`OutcomeBound`), and
+//! since a set's counts only grow, its summary line at the current
+//! counts plus the model lines so far is a lower bound on the final
+//! reply. Once that bound passes the cap the enumeration stops. The
+//! lines are measured ([`AtomTable::text_len`]), not rendered, so the
+//! enumeration holds no growing reply buffer.
 
 use std::fmt;
 use std::io::Write as _;
 use std::sync::Arc;
 
-use datalog_ast::GroundAtom;
-use datalog_ground::{AtomTable, PartialModel};
+use datalog_ground::{AtomId, AtomTable, PartialModel, TruthValue};
 use tiebreak_core::semantics::outcomes::OutcomeSet;
 use tiebreak_core::InterpreterRun;
 
 /// A rendered reply body, or the verdict that it outgrew the reply cap.
 pub type Reply = Result<Arc<[u8]>, ReplyTooLarge>;
 
-/// A reply that outgrew the reply cap: rendering stopped at the first
-/// line that took it past `cap`, so `bytes` counts what was rendered by
-/// then, not the whole reply.
+/// A reply that outgrew the reply cap. `bytes` is a lower bound on the
+/// whole reply, more than `cap`: the bytes up to the first line past the
+/// cap. For a `? outcomes N` read that line can come before the
+/// enumeration ends, and `bytes` then counts the summary line at the
+/// counts reached when it stopped (see the module docs), so an over-cap
+/// enumeration need not run all `N` scripts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplyTooLarge {
-    /// Bytes rendered when rendering stopped (more than `cap`).
+    /// A lower bound on the reply's size (more than `cap`).
     pub bytes: usize,
     /// The cap the reply outgrew.
     pub cap: usize,
@@ -45,22 +63,25 @@ impl fmt::Display for ReplyTooLarge {
 
 impl std::error::Error for ReplyTooLarge {}
 
-/// `Err` once `out` holds more than `cap` bytes.
-fn check_cap(out: &[u8], cap: Option<usize>) -> Result<(), ReplyTooLarge> {
+/// `Err` once a reply of `bytes` bytes outgrows `cap`.
+fn check_cap(bytes: usize, cap: Option<usize>) -> Result<(), ReplyTooLarge> {
     match cap {
-        Some(cap) if out.len() > cap => Err(ReplyTooLarge {
-            bytes: out.len(),
-            cap,
-        }),
+        Some(cap) if bytes > cap => Err(ReplyTooLarge { bytes, cap }),
         _ => Ok(()),
     }
 }
 
-/// The true atoms of `model`, decoded and sorted by text.
-fn sorted_true_atoms(atoms: &AtomTable, model: &PartialModel) -> Vec<GroundAtom> {
-    let mut facts = model.true_atoms(atoms);
-    facts.sort_unstable_by(GroundAtom::text_cmp);
-    facts
+/// The true atoms of `model`, in text order: a filter over the table's
+/// cached order.
+fn true_atoms<'a>(
+    atoms: &'a AtomTable,
+    model: &'a PartialModel,
+) -> impl Iterator<Item = AtomId> + 'a {
+    atoms
+        .text_order()
+        .iter()
+        .copied()
+        .filter(move |&id| id.index() < model.len() && model.get(id) == TruthValue::True)
 }
 
 /// Appends one `fact.` line per true atom of `model`, in text order:
@@ -77,9 +98,10 @@ pub fn write_true_facts(
     model: &PartialModel,
     cap: Option<usize>,
 ) -> Result<(), ReplyTooLarge> {
-    for fact in sorted_true_atoms(atoms, model) {
-        writeln!(out, "{fact}.").expect("writing to a Vec cannot fail");
-        check_cap(out, cap)?;
+    for id in true_atoms(atoms, model) {
+        atoms.write_atom(id, out);
+        out.extend_from_slice(b".\n");
+        check_cap(out.len(), cap)?;
     }
     Ok(())
 }
@@ -90,8 +112,8 @@ pub fn partial_model_line(undefined: usize) -> String {
 }
 
 /// The `? wf` reply: [`write_true_facts`], then, when the model is
-/// partial, its [`partial_model_line`]. Only true atoms are decoded;
-/// the undefined ones are counted.
+/// partial, its [`partial_model_line`]. The undefined atoms are counted,
+/// not rendered.
 ///
 /// # Errors
 ///
@@ -102,15 +124,13 @@ pub fn render_model(atoms: &AtomTable, run: &InterpreterRun, cap: Option<usize>)
     if !run.total {
         let undefined = run.model.undefined_atoms().count();
         writeln!(out, "{}", partial_model_line(undefined)).expect("writing to a Vec cannot fail");
-        check_cap(&out, cap)?;
+        check_cap(out.len(), cap)?;
     }
     Ok(out.into())
 }
 
 /// The `? outcomes N` reply (and `datalog outcomes`): a summary line,
-/// then one line per model listing its true facts in text order. Every
-/// fact true in some model is decoded and rendered once
-/// ([`OutcomeSet::decode`]); a model line concatenates those texts.
+/// then one line per model listing its true facts in text order.
 ///
 /// # Errors
 ///
@@ -118,6 +138,24 @@ pub fn render_model(atoms: &AtomTable, run: &InterpreterRun, cap: Option<usize>)
 /// the first line past it.
 pub fn render_outcomes(atoms: &AtomTable, set: &OutcomeSet, cap: Option<usize>) -> Reply {
     let mut out = Vec::new();
+    write_summary(&mut out, set);
+    check_cap(out.len(), cap)?;
+    for (i, model) in set.models.iter().enumerate() {
+        write_line_prefix(&mut out, i + 1, model);
+        for (j, id) in true_atoms(atoms, model).enumerate() {
+            if j > 0 {
+                out.extend_from_slice(b", ");
+            }
+            atoms.write_atom(id, &mut out);
+        }
+        out.extend_from_slice(b"}\n");
+        check_cap(out.len(), cap)?;
+    }
+    Ok(out.into())
+}
+
+/// The summary line of a `? outcomes` reply.
+fn write_summary(out: &mut Vec<u8>, set: &OutcomeSet) {
     writeln!(
         out,
         "% {} distinct outcome(s) over {} run(s){}",
@@ -126,37 +164,70 @@ pub fn render_outcomes(atoms: &AtomTable, set: &OutcomeSet, cap: Option<usize>) 
         if set.truncated { " (truncated)" } else { "" }
     )
     .expect("writing to a Vec cannot fail");
-    check_cap(&out, cap)?;
-    let decoded = set.decode(atoms);
-    // Each fact's text, once: `texts[ends[i - 1]..ends[i]]`.
-    let mut texts = Vec::new();
-    let mut ends = Vec::with_capacity(decoded.facts.len());
-    for fact in &decoded.facts {
-        write!(texts, "{fact}").expect("writing to a Vec cannot fail");
-        ends.push(texts.len());
-    }
-    let text = |i: u32| {
-        let i = i as usize;
-        &texts[if i == 0 { 0 } else { ends[i - 1] }..ends[i]]
-    };
-    for (i, model) in decoded.models.iter().enumerate() {
-        write!(
-            out,
-            "% outcome {} ({}): {{",
-            i + 1,
-            if model.total { "total" } else { "partial" },
-        )
-        .expect("writing to a Vec cannot fail");
-        let mut facts = model.facts.iter();
-        if let Some(&first) = facts.next() {
-            out.extend_from_slice(text(first));
-            for &fact in facts {
-                out.extend_from_slice(b", ");
-                out.extend_from_slice(text(fact));
-            }
+}
+
+/// The start of model `number`'s line, up to its opening brace.
+fn write_line_prefix(out: &mut Vec<u8>, number: usize, model: &PartialModel) {
+    write!(
+        out,
+        "% outcome {number} ({}): {{",
+        if model.is_total() { "total" } else { "partial" },
+    )
+    .expect("writing to a Vec cannot fail");
+}
+
+/// The size of a `? outcomes N` reply to a set that is still growing,
+/// measured without rendering it, so that an over-cap enumeration can
+/// stop early. [`render_outcomes`] renders the final set.
+pub(crate) struct OutcomeBound<'a> {
+    atoms: &'a AtomTable,
+    cap: Option<usize>,
+    /// Scratch for the summary line and line prefixes being measured.
+    scratch: Vec<u8>,
+    /// How many models `lines_len` covers.
+    measured: usize,
+    /// The byte length of those models' lines.
+    lines_len: usize,
+}
+
+impl<'a> OutcomeBound<'a> {
+    /// A bound on a reply over `atoms` under `cap`.
+    pub(crate) fn new(atoms: &'a AtomTable, cap: Option<usize>) -> Self {
+        OutcomeBound {
+            atoms,
+            cap,
+            scratch: Vec::new(),
+            measured: 0,
+            lines_len: 0,
         }
-        out.extend_from_slice(b"}\n");
-        check_cap(&out, cap)?;
     }
-    Ok(out.into())
+
+    /// Under a cap, measures the lines of `set`'s models not measured
+    /// yet and fails as soon as the reply must outgrow the cap: `set` is
+    /// a prefix of the final set, whose counts only grow, so the summary
+    /// line at `set`'s counts plus the lines measured so far is a lower
+    /// bound on the final reply. Without a cap it does nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`ReplyTooLarge`] carrying that lower bound.
+    pub(crate) fn check(&mut self, set: &OutcomeSet) -> Result<(), ReplyTooLarge> {
+        if self.cap.is_none() {
+            return Ok(());
+        }
+        for model in &set.models[self.measured..] {
+            self.measured += 1;
+            self.scratch.clear();
+            write_line_prefix(&mut self.scratch, self.measured, model);
+            // Each fact and the `, ` after it; the last one's `, ` counts
+            // the closing `}\n` instead.
+            let facts: usize = true_atoms(self.atoms, model)
+                .map(|id| self.atoms.text_len(id) + 2)
+                .sum();
+            self.lines_len += self.scratch.len() + facts.max(2);
+        }
+        self.scratch.clear();
+        write_summary(&mut self.scratch, set);
+        check_cap(self.scratch.len() + self.lines_len, self.cap)
+    }
 }

@@ -2,6 +2,7 @@
 //! mutable in place between them.
 
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use datalog_ast::{AstError, ConstSym, Database, FxHashMap, FxHashSet, GroundAtom, Program};
@@ -112,10 +113,24 @@ impl ReadMemo {
             }
         }
         let (pure, max_runs) = key;
-        let set = outcomes::all_outcomes(solver, pure, max_runs)?;
-        let reply = {
-            let _span = tiebreak_trace::span("session", "render_outcomes", &[]);
-            reply::render_outcomes(solver.graph.atoms(), &set, solver.reply_cap)
+        // Under a cap, the enumeration stops as soon as the reply must
+        // outgrow it.
+        let atoms = solver.graph.atoms();
+        let mut bound = reply::OutcomeBound::new(atoms, solver.reply_cap);
+        let mut too_large = None;
+        let set = outcomes::enumerate(solver, pure, max_runs, |set| match bound.check(set) {
+            Ok(()) => ControlFlow::Continue(()),
+            Err(e) => {
+                too_large = Some(e);
+                ControlFlow::Break(())
+            }
+        })?;
+        let reply = match too_large {
+            Some(e) => Err(e),
+            None => {
+                let _span = tiebreak_trace::span("session", "render_outcomes", &[]);
+                reply::render_outcomes(atoms, &set, solver.reply_cap)
+            }
         };
         self.outcomes = Some((key, reply.clone()));
         Ok(reply)

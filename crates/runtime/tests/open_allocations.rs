@@ -1,8 +1,11 @@
-//! Allocation gates for opens: parsing and preparing a program whose
-//! names are all new to the process allocates a constant number of
-//! times per clause, and the first-order path (parsing a fact file,
-//! grounding win–move over it) a constant number of times per fact and
-//! per atom. An allocation count is exact on any hardware, where a
+//! Allocation gates for opens and reads: parsing and preparing a
+//! program whose names are all new to the process allocates a constant
+//! number of times per clause, and the first-order path (parsing a fact
+//! file, grounding win–move over it) a constant number of times per fact
+//! and per atom. On the read path, an outcome enumeration allocates a
+//! constant number of times per script run, not per component it
+//! visits, and rendering its reply a constant number of times in all,
+//! not per fact. An allocation count is exact on any hardware, where a
 //! timing gate is not.
 //!
 //! This file is its own test binary because it installs a counting
@@ -17,7 +20,7 @@ use datalog_ground::{GroundConfig, GroundMode, SessionGrounder};
 use paper_constructions::generators::{
     braided_tie_chain_db, braided_unfounded_chain_program, win_move_program,
 };
-use tiebreak_runtime::Solver;
+use tiebreak_runtime::{reply, Solver};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -126,5 +129,38 @@ fn parsing_a_fact_file_does_not_allocate_per_fact() {
         per_fact <= 0.25,
         "{allocations} allocations for {} facts ({per_fact:.3} per fact)",
         parsed.len()
+    );
+}
+
+/// A session over the hot benchmark instance's shape at half its size:
+/// win–move over 8 braided tie chains of 256 pockets.
+fn braid_session() -> Solver {
+    Solver::new(win_move_program(), braided_tie_chain_db(8, 256)).expect("prepares")
+}
+
+#[test]
+fn an_enumeration_allocates_a_few_times_per_script_run() {
+    let solver = braid_session();
+    let (set, allocations) = allocations_of(|| solver.all_outcomes(false, 4).expect("enumerates"));
+    assert_eq!(set.runs, 4);
+    let per_run = allocations as f64 / set.runs as f64;
+    assert!(
+        per_run <= 64.0,
+        "{allocations} allocations for {} script runs ({per_run:.1} per run)",
+        set.runs
+    );
+}
+
+#[test]
+fn rendering_an_outcome_reply_allocates_a_bounded_number_of_times() {
+    let solver = braid_session();
+    let set = solver.all_outcomes(false, 4).expect("enumerates");
+    let atoms = solver.graph().atoms();
+    let (reply, allocations) = allocations_of(|| reply::render_outcomes(atoms, &set, None));
+    let bytes = reply.expect("no cap").len();
+    assert!(bytes > 100_000, "{bytes}");
+    assert!(
+        allocations <= 64,
+        "{allocations} allocations to render a {bytes}-byte reply"
     );
 }

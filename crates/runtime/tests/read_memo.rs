@@ -3,9 +3,12 @@
 //! change took (incremental splice, no-op batch, universe-moving rebuild,
 //! or a failed batch rolled back to the same epoch number).
 //!
-//! The memo's `? wf` and `? outcomes N` bytes must equal the formatter
-//! they replaced (decode, sort by text, `Display` per fact), kept here as
-//! the oracle.
+//! The memo's `? wf` and `? outcomes N` bytes, and the renderers behind
+//! them ([`reply::render_model`], [`reply::render_outcomes`]) on random
+//! instances and reply caps, must equal the formatter they replaced
+//! (decode, sort by [`GroundAtom::text_cmp`], `Display` per fact), kept
+//! here as the oracle. `tests/reply_bytes.rs` pins the exact bytes of
+//! one instance.
 //!
 //! The memo counters are process-global, so every test serializes on one
 //! mutex: a test that counts lookups sees only its own.
@@ -16,9 +19,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use datalog_ast::{parse_database, parse_program, Database, GroundAtom, Program};
 use datalog_ground::{AtomId, AtomTable, TruthValue};
 use paper_constructions::generators;
+use proptest::prelude::*;
 use tiebreak_core::semantics::outcomes::OutcomeSet;
-use tiebreak_core::{EngineConfig, GroundMode, Mutation};
-use tiebreak_runtime::{ReadBatch, ReplyTooLarge, Solver};
+use tiebreak_core::{EngineConfig, GroundMode, InterpreterRun, Mutation, RandomPolicy};
+use tiebreak_runtime::{reply, ReadBatch, ReplyTooLarge, Solver};
 
 const WIN: &str = "win(X) :- move(X, Y), not win(Y).";
 
@@ -47,23 +51,26 @@ fn atoms_of(solver: &Solver) -> Vec<GroundAtom> {
         .collect()
 }
 
-/// The `? wf` formatter the memo replaced: decode true and undefined
-/// atoms, sort both by text, print each fact through `Display`.
-fn oracle_wf(solver: &Solver) -> Vec<u8> {
-    let outcome = solver.well_founded().unwrap();
+/// The `? wf` formatter the memo replaced: decode the true atoms, sort
+/// them by text, print each fact through `Display`, then count the
+/// undefined atoms.
+fn oracle_model(atoms: &AtomTable, run: &InterpreterRun) -> Vec<u8> {
+    let mut facts = run.model.true_atoms(atoms);
+    facts.sort_by(GroundAtom::text_cmp);
     let mut out = Vec::new();
-    for fact in &outcome.true_facts {
+    for fact in &facts {
         writeln!(out, "{fact}.").unwrap();
     }
-    if !outcome.total {
-        writeln!(
-            out,
-            "% partial model: {} atoms left undefined",
-            outcome.undefined.len()
-        )
-        .unwrap();
+    if !run.total {
+        let undefined = run.model.undefined_atoms().count();
+        writeln!(out, "% partial model: {undefined} atoms left undefined").unwrap();
     }
     out
+}
+
+/// [`oracle_model`] of `solver`'s well-founded run.
+fn oracle_wf(solver: &Solver) -> Vec<u8> {
+    oracle_model(solver.graph().atoms(), &solver.well_founded_run().unwrap())
 }
 
 /// The `? outcomes` formatter the memo replaced: per model, decode its
@@ -543,4 +550,146 @@ fn an_over_cap_reply_keeps_only_the_verdict() {
     assert_eq!(memo_wf(&s), wf, "a reply at the cap fits");
     s.set_reply_cap(None);
     assert_eq!(memo_outcomes(&s, false, 4), outcomes);
+}
+
+#[test]
+fn an_over_cap_enumeration_stops_before_running_every_script() {
+    let _serial = serial();
+    let mut s = Solver::with_config(
+        generators::win_move_program(),
+        generators::braided_tie_chain_db(8, 64),
+        relevant(),
+    )
+    .unwrap();
+    let cap = 2048;
+    s.set_reply_cap(Some(cap));
+    let scripts = || tiebreak_trace::metrics().outcome_scripts.get();
+    let before = scripts();
+    let verdict = ReadBatch::new()
+        .outcomes(&s, false, 64)
+        .unwrap()
+        .unwrap_err();
+    let ran = scripts() - before;
+    assert!(ran <= 2, "{ran} scripts ran for an over-cap reply");
+    assert_eq!(verdict.cap, cap);
+
+    // The verdict's size is a lower bound on the whole reply.
+    s.set_reply_cap(None);
+    let full = memo_outcomes(&s, false, 64);
+    assert!(
+        verdict.bytes > cap && verdict.bytes <= full.len(),
+        "{verdict:?} for a {}-byte reply",
+        full.len()
+    );
+}
+
+/// Win–move with two- and three-argument consequences, a nullary tie
+/// and a nullary consequence.
+const RENDER_PROGRAM: &str = "\
+pwin(X) :- pmove(X, Y), not pwin(Y).
+phop(X, Z) :- pmove(X, Y), pmove(Y, Z).
+pchain(X, Y, Z) :- pmove(X, Y), pmove(Y, Z), not pwin(Z).
+pon :- not poff.
+poff :- not pon.
+pany :- pwin(X).
+";
+
+/// A name built from `seed`'s base-3 digits over `a`, `b`, `ab`, so
+/// names share prefixes and one is often a prefix of another.
+fn name(prefix: &str, seed: u32) -> String {
+    let mut s = prefix.to_string();
+    let mut n = seed;
+    loop {
+        s.push_str(["a", "b", "ab"][(n % 3) as usize]);
+        n /= 3;
+        if n == 0 {
+            break s;
+        }
+    }
+}
+
+/// `rendered` is `oracle` when it fits `cap`, and otherwise a verdict
+/// that the reply outgrew it.
+fn assert_capped(rendered: &reply::Reply, oracle: &[u8], cap: Option<usize>) {
+    match rendered {
+        Ok(bytes) => {
+            assert_eq!(
+                String::from_utf8_lossy(bytes),
+                String::from_utf8_lossy(oracle)
+            );
+            assert!(cap.is_none_or(|cap| oracle.len() <= cap));
+        }
+        Err(too_large) => {
+            let cap = cap.expect("no cap, no verdict");
+            assert_eq!(too_large.cap, cap);
+            assert!(oracle.len() > cap && too_large.bytes > cap);
+            assert!(too_large.bytes <= oracle.len(), "{too_large:?}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn renderers_match_the_text_order_oracle(
+        names in proptest::collection::vec(0u32..60, 2..7),
+        edges in proptest::collection::vec((0usize..7, 0usize..7), 1..12),
+        flags in proptest::collection::vec(0u32..40, 0..3),
+        seed in 0u64..1_000,
+        cap in 0usize..600,
+    ) {
+        // 0 stands for no cap.
+        let cap = (cap > 0).then_some(cap);
+        // Each case interns its names in its own order, so the interner
+        // ids follow no fixed relation to text order.
+        let consts: Vec<String> = names.iter().map(|&n| name("rnd_", n)).collect();
+        let mut db = String::new();
+        for &(from, to) in &edges {
+            let (from, to) = (&consts[from % consts.len()], &consts[to % consts.len()]);
+            db.push_str(&format!("pmove({from}, {to}).\n"));
+        }
+        for &flag in &flags {
+            db.push_str(&format!("{}.\n", name("flag_", flag)));
+        }
+        let mut program = RENDER_PROGRAM.to_string();
+        for &flag in &flags {
+            let flag = name("flag_", flag);
+            program.push_str(&format!("{flag}_seen :- {flag}, not pon.\n"));
+        }
+        let _serial = serial();
+        let solver = Solver::with_config(
+            parse_program(&program).unwrap(),
+            parse_database(&db).unwrap(),
+            relevant(),
+        )
+        .unwrap();
+        let atoms = solver.graph().atoms();
+
+        let mut runs = vec![solver.well_founded_run().unwrap()];
+        runs.push(solver.well_founded_tie_breaking_run(&mut RandomPolicy::seeded(seed)).unwrap());
+        runs.push(solver.pure_tie_breaking_run(&mut RandomPolicy::seeded(seed)).unwrap());
+        for run in &runs {
+            let oracle = oracle_model(atoms, run);
+            assert_capped(&reply::render_model(atoms, run, None), &oracle, None);
+            assert_capped(&reply::render_model(atoms, run, cap), &oracle, cap);
+        }
+        let mut oracles = Vec::new();
+        for (pure, max_runs) in [(false, 3), (true, 8), (false, 64)] {
+            let set = solver.all_outcomes(pure, max_runs).unwrap();
+            let oracle = oracle_outcomes(&set, atoms);
+            assert_capped(&reply::render_outcomes(atoms, &set, None), &oracle, None);
+            assert_capped(&reply::render_outcomes(atoms, &set, cap), &oracle, cap);
+            oracles.push((pure, max_runs, oracle));
+        }
+
+        // The memo under the same cap: an enumeration it stops early
+        // reports a bound that never exceeds the whole reply.
+        let mut solver = solver;
+        solver.set_reply_cap(cap);
+        for (pure, max_runs, oracle) in oracles {
+            let served = ReadBatch::new().outcomes(&solver, pure, max_runs).unwrap();
+            assert_capped(&served, &oracle, cap);
+        }
+    }
 }

@@ -21,10 +21,10 @@
 //! server memory). Accepting connections happens here too, so this is
 //! where a cap on open connections belongs.
 //!
-//! Responses come back over a completion queue plus a loopback *waker*
-//! connection (a std-only stand-in for `socketpair(2)`): a worker
-//! writes one byte to make `poll` return, the reactor drains the
-//! completions into per-connection write buffers and flushes them as
+//! Responses come back over a completion queue plus a *waker*, a
+//! connected pair of Unix sockets ([`UnixStream::pair`], `socketpair(2)`):
+//! a worker writes one byte to make `poll` return, the reactor drains
+//! the completions into per-connection write buffers and flushes them as
 //! `POLLOUT` allows.
 //!
 //! Connections with no frame activity for `max_idle_secs` are reaped
@@ -38,8 +38,9 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -165,10 +166,9 @@ pub(crate) mod sys {
 }
 
 /// Wakes the reactor's `poll` from worker threads: one byte over a
-/// loopback connection pair, deduplicated so a burst of completions
-/// costs one write.
+/// socket pair, deduplicated so a burst of completions costs one write.
 pub(crate) struct Notifier {
-    tx: Mutex<TcpStream>,
+    tx: Mutex<UnixStream>,
     pending: AtomicBool,
 }
 
@@ -181,31 +181,17 @@ impl Notifier {
     }
 }
 
-/// A std-only `socketpair(2)`: bind a throwaway loopback listener,
-/// connect to it, accept, and verify the accepted peer is our own
-/// connect (so a stranger racing the ephemeral port cannot hijack the
-/// waker).
-fn waker_pair() -> io::Result<(Notifier, TcpStream)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let tx = TcpStream::connect(listener.local_addr()?)?;
-    let ours = tx.local_addr()?;
-    for _ in 0..16 {
-        let (rx, peer) = listener.accept()?;
-        if peer == ours {
-            rx.set_nonblocking(true)?;
-            tx.set_nodelay(true)?;
-            return Ok((
-                Notifier {
-                    tx: Mutex::new(tx),
-                    pending: AtomicBool::new(false),
-                },
-                rx,
-            ));
-        }
-        // Not our connection: drop it and keep accepting.
-    }
-    Err(io::Error::other(
-        "could not establish the reactor waker pair",
+/// The waker: a [`Notifier`] for the workers and the nonblocking end
+/// the reactor polls.
+fn waker_pair() -> io::Result<(Notifier, UnixStream)> {
+    let (tx, rx) = UnixStream::pair()?;
+    rx.set_nonblocking(true)?;
+    Ok((
+        Notifier {
+            tx: Mutex::new(tx),
+            pending: AtomicBool::new(false),
+        },
+        rx,
     ))
 }
 
