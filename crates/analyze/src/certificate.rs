@@ -8,8 +8,12 @@ use std::fmt;
 /// call-consistency guarantees that every tie-breaking *run* terminates
 /// with a total model, but says nothing about uniqueness (`p ← ¬q ;
 /// q ← ¬p` is call-consistent with two outcomes and a partial
-/// well-founded model). Only the stratified grade licenses skipping the
-/// tie machinery.
+/// well-founded model). Only the stratified grade promises that no tie
+/// ever fires.
+///
+/// Theorem 3's nonuniform totality is deliberately not a grade: a
+/// certificate holds for every database, and Theorem 3 only for
+/// databases whose IDB relations start empty.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CertificateGrade {
     /// No cycle of the predicate dependency graph passes through a
@@ -46,19 +50,6 @@ pub struct TotalityCertificate {
     pub strata: Option<u32>,
 }
 
-impl TotalityCertificate {
-    /// `true` iff this certificate licenses the evaluation fast path
-    /// (`EvalOptions::certified_total`): the wf-tb interpreters may run
-    /// the plain well-founded algorithm because no tie can fire.
-    ///
-    /// Deliberately `false` for [`CertificateGrade::CallConsistent`]:
-    /// ties *do* fire there, the certificate only promises they always
-    /// resolve.
-    pub fn arms_fast_path(&self) -> bool {
-        self.grade == CertificateGrade::Stratified
-    }
-}
-
 impl fmt::Display for TotalityCertificate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.grade {
@@ -83,7 +74,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn only_the_stratified_grade_arms_the_fast_path() {
+    fn certificates_display_their_grade() {
         let strat = TotalityCertificate {
             grade: CertificateGrade::Stratified,
             strata: Some(2),
@@ -92,8 +83,6 @@ mod tests {
             grade: CertificateGrade::CallConsistent,
             strata: None,
         };
-        assert!(strat.arms_fast_path());
-        assert!(!cc.arms_fast_path());
         assert!(strat.to_string().contains("2 strata"));
         assert!(cc.to_string().contains("Theorem 2"));
     }

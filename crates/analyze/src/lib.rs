@@ -14,17 +14,28 @@
 //!   is checked for stratification and for odd negative cycles
 //!   (Theorem 2). A stratified program earns a
 //!   [`CertificateGrade::Stratified`] certificate (unique total
-//!   well-founded model, no ties — licenses the evaluation fast path);
-//!   an odd-cycle-free program earns
+//!   well-founded model, no ties); an odd-cycle-free program earns
 //!   [`CertificateGrade::CallConsistent`] (every tie-breaking run is
 //!   total). A program with an odd negative cycle gets a witness cycle
 //!   instead.
+//! * **Nonuniform totality** (Theorem 3) — the same odd-cycle test on
+//!   the reduced program Π′ without useless predicates, reported as
+//!   [`AnalysisReport::nonuniformly_total`]. It is a verdict, not a
+//!   certificate grade: it holds only for databases whose IDB relations
+//!   start empty. The useless predicates themselves are one
+//!   [`Severity::Info`] lint, listed in name order.
 //! * **Grounding cost estimates** — exact instance counts for full
 //!   grounding, a sound upper bound for relevant grounding, checked
 //!   against the configured atom/instance budgets so `two_counter`-style
 //!   blowups are predicted instead of hit.
 //! * **Reachability lints** — dead rules, unreachable predicates, and
 //!   unused database relations, from a populated-predicate fixpoint.
+//!
+//! Local stratification is not here: it is a property of the ground
+//! graph, and this pass runs before grounding. The exhaustive totality
+//! sweep (`tiebreak_core::analysis::propositional_totality`) is not
+//! here either: it is exponential, and the server's strict mode runs
+//! this pass on every open.
 //!
 //! The severity policy is deliberate: [`Severity::Error`] is reserved
 //! for findings that make evaluation *certain* to fail (an exact
@@ -44,7 +55,7 @@ pub mod report;
 
 use datalog_ast::{Database, FxHashSet, Program, Sign, VarSym};
 use datalog_ground::GroundConfig;
-use tiebreak_core::analysis::{stratify, structural_totality};
+use tiebreak_core::analysis::{reduce_program, stratify, structural_totality, useless_predicates};
 
 pub use certificate::{CertificateGrade, TotalityCertificate};
 pub use cost::{estimate, CostEstimate};
@@ -122,6 +133,8 @@ pub fn analyze(
         }
     };
 
+    let nonuniformly_total = nonuniform_totality(program, certificate.is_some(), &mut lints);
+
     let cost = database.map(|db| cost::estimate(program, db, &config.ground));
     if let Some(c) = &cost {
         if c.over_budget() {
@@ -160,8 +173,36 @@ pub fn analyze(
         certificate,
         odd_cycle,
         stratified: strat.stratified,
+        nonuniformly_total,
         cost,
     }
+}
+
+/// Theorem 3: structural nonuniform totality, the odd-cycle test on the
+/// reduced program Π′. Pushes one info lint naming the useless
+/// predicates, sorted by name text, when there are any. Π′ is built
+/// only when it can differ in verdict: without useless predicates it is
+/// Π, and a Theorem 2 certificate already covers its subgraph *G(Π′)*.
+fn nonuniform_totality(program: &Program, certified: bool, out: &mut Vec<Lint>) -> bool {
+    let useless = useless_predicates(program);
+    if useless.useless.is_empty() {
+        return certified;
+    }
+    let mut names: Vec<&str> = useless.useless.iter().map(|p| p.as_str()).collect();
+    names.sort_unstable();
+    out.push(Lint {
+        code: LintCode::UselessPredicate,
+        severity: Severity::Info,
+        message: format!(
+            "useless predicate{} {}: never derivable while IDB relations start \
+             empty; Theorem 3 drops them",
+            if names.len() == 1 { "" } else { "s" },
+            names.join(", ")
+        ),
+        rule: None,
+        pos: None,
+    });
+    certified || structural_totality(&reduce_program(program, &useless)).total
 }
 
 /// Range-restriction lints: unbound head variables and negation-only
@@ -244,7 +285,7 @@ fn join_vars(vars: &[VarSym]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datalog_ast::{parse_database, parse_program};
+    use datalog_ast::{parse_database, parse_program, PredSym};
     use datalog_ground::GroundMode;
 
     fn cfg(mode: GroundMode) -> AnalyzeConfig {
@@ -267,7 +308,7 @@ mod tests {
         assert!(r.stratified);
         let cert = r.certificate.expect("certificate");
         assert_eq!(cert.grade, CertificateGrade::Stratified);
-        assert!(cert.arms_fast_path());
+        assert!(r.nonuniformly_total);
         assert!(r.lints.is_empty(), "{:?}", r.lints);
         assert!(!r.has_errors());
     }
@@ -275,13 +316,12 @@ mod tests {
     #[test]
     fn even_cycle_earns_call_consistency_only() {
         // p ← ¬q ; q ← ¬p: even negative cycle — call-consistent, not
-        // stratified, and the certificate must not arm the fast path.
+        // stratified.
         let p = parse_program("p(X) :- d(X), not q(X).\nq(X) :- d(X), not p(X).").unwrap();
         let r = analyze(&p, None, &AnalyzeConfig::default());
         assert!(!r.stratified);
         let cert = r.certificate.expect("certificate");
         assert_eq!(cert.grade, CertificateGrade::CallConsistent);
-        assert!(!cert.arms_fast_path());
         assert!(r.odd_cycle.is_none());
     }
 
@@ -292,8 +332,73 @@ mod tests {
         assert!(r.certificate.is_none());
         assert!(r.odd_cycle.is_some());
         assert!(codes(&r).contains(&LintCode::OddNegativeCycle));
+        // `w` is useful, so Π′ keeps the cycle: no Theorem 3 either.
+        assert!(!r.nonuniformly_total);
+        assert!(!codes(&r).contains(&LintCode::UselessPredicate));
         // Structural, not fatal: the finding stays a warning.
         assert!(!r.has_errors());
+    }
+
+    #[test]
+    fn odd_cycle_through_a_useless_predicate_is_nonuniformly_total() {
+        // `u` has no base case, so it stays empty whenever IDB relations
+        // start empty: Π′ drops the rule with `u` and strips `not u`,
+        // which removes the odd cycle u -¬-> u. Theorem 3 holds, Theorem
+        // 2 does not, and no certificate (which is for every database)
+        // may be issued.
+        let p = parse_program("u(X) :- u(X), not u(X).\nw(X) :- d(X), not u(X).").unwrap();
+        let r = analyze(&p, None, &AnalyzeConfig::default());
+        assert!(r.nonuniformly_total);
+        assert!(r.certificate.is_none());
+        assert!(r.odd_cycle.is_some());
+        let useless = r
+            .lints
+            .iter()
+            .find(|l| l.code == LintCode::UselessPredicate)
+            .expect("useless-predicate lint");
+        assert_eq!(useless.severity, Severity::Info);
+        assert!(
+            useless.message.contains("predicate u:"),
+            "{}",
+            useless.message
+        );
+        assert!(!r.has_errors());
+        assert_eq!(
+            r.to_string()
+                .lines()
+                .find(|l| l.starts_with("nonuniform totality"))
+                .expect("Theorem 3 line"),
+            "nonuniform totality (Theorem 3, IDB relations start empty): yes"
+        );
+    }
+
+    #[test]
+    fn useless_predicates_are_listed_in_name_order() {
+        // Interned in reverse text order before parsing: the hash set's
+        // iteration order and the interner ids must both stay out of
+        // the message.
+        let names = ["zz_useless", "mm_useless", "aa_useless"];
+        for name in names {
+            PredSym::new(name);
+        }
+        assert!(PredSym::new("zz_useless") < PredSym::new("aa_useless"));
+        let src: String = names
+            .iter()
+            .map(|n| format!("{n}(X) :- {n}(X), d(X).\n"))
+            .collect();
+        let p = parse_program(&src).unwrap();
+        let r = analyze(&p, None, &AnalyzeConfig::default());
+        let lint = r
+            .lints
+            .iter()
+            .find(|l| l.code == LintCode::UselessPredicate)
+            .expect("useless-predicate lint");
+        assert!(
+            lint.message
+                .starts_with("useless predicates aa_useless, mm_useless, zz_useless:"),
+            "{}",
+            lint.message
+        );
     }
 
     #[test]
@@ -396,7 +501,7 @@ mod tests {
         let r = analyze(&p, Some(&d), &cfg(GroundMode::Relevant));
         let j = r.to_json();
         assert!(j.contains("\"grade\": \"call-consistent\""));
-        assert!(j.contains("\"arms_fast_path\": false"));
+        assert!(j.contains("\"nonuniformly_total\": true"));
         assert!(j.contains("\"mode\": \"relevant\""));
         assert!(j.contains("\"over_budget\": false"));
     }

@@ -45,6 +45,10 @@ pub enum LintCode {
     /// and some alphabetic variant of the program has no fixpoint
     /// (Theorem 2).
     OddNegativeCycle,
+    /// IDB predicates that no rule can derive while IDB relations start
+    /// empty (no positive-recursion-free expansion): Theorem 3 drops
+    /// them to form the reduced program Π′.
+    UselessPredicate,
     /// The grounding cost estimate exceeds the configured budget.
     GroundCost,
     /// A syntactically identical duplicate rule was dropped at program
@@ -66,6 +70,7 @@ impl LintCode {
             LintCode::UnboundHeadVariable => "unbound-head-variable",
             LintCode::NegationOnlyVariable => "negation-only-variable",
             LintCode::OddNegativeCycle => "odd-negative-cycle",
+            LintCode::UselessPredicate => "useless-predicate",
             LintCode::GroundCost => "ground-cost",
             LintCode::DuplicateRule => "duplicate-rule",
             LintCode::DeadRule => "dead-rule",

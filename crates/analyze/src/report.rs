@@ -12,7 +12,7 @@ use crate::lint::{Lint, Severity};
 #[derive(Clone, Debug)]
 pub struct AnalysisReport {
     /// All findings, in catalog order (safety, duplicates, totality,
-    /// cost, reachability).
+    /// useless predicates, cost, reachability).
     pub lints: Vec<Lint>,
     /// The totality certificate, when one could be issued.
     pub certificate: Option<TotalityCertificate>,
@@ -20,6 +20,11 @@ pub struct AnalysisReport {
     pub odd_cycle: Option<PredCycle>,
     /// `true` iff the program is stratified.
     pub stratified: bool,
+    /// `true` iff the program is structurally nonuniformly total
+    /// (Theorem 3): the reduced program Π′ without useless predicates
+    /// has no odd negative cycle, so every tie-breaking run is total on
+    /// every database whose IDB relations start empty.
+    pub nonuniformly_total: bool,
     /// Grounding cost estimate (requires a database).
     pub cost: Option<CostEstimate>,
 }
@@ -79,9 +84,8 @@ impl AnalysisReport {
         match &self.certificate {
             Some(c) => {
                 s.push_str(&format!(
-                    "{{\"grade\": {}, \"arms_fast_path\": {}",
-                    json_string(&c.grade.to_string()),
-                    c.arms_fast_path()
+                    "{{\"grade\": {}",
+                    json_string(&c.grade.to_string())
                 ));
                 if let Some(n) = c.strata {
                     s.push_str(&format!(", \"strata\": {n}"));
@@ -95,6 +99,10 @@ impl AnalysisReport {
             Some(c) => s.push_str(&json_string(&c.to_string())),
             None => s.push_str("null"),
         }
+        s.push_str(&format!(
+            ",\n  \"nonuniformly_total\": {}",
+            self.nonuniformly_total
+        ));
         s.push_str(",\n  \"cost\": ");
         match &self.cost {
             Some(c) => s.push_str(&format!(
@@ -149,6 +157,11 @@ impl fmt::Display for AnalysisReport {
         if let Some(c) = &self.odd_cycle {
             writeln!(f, "odd negative cycle: {c}")?;
         }
+        writeln!(
+            f,
+            "nonuniform totality (Theorem 3, IDB relations start empty): {}",
+            if self.nonuniformly_total { "yes" } else { "no" }
+        )?;
         if let Some(c) = &self.cost {
             writeln!(
                 f,
@@ -215,6 +228,7 @@ mod tests {
             }),
             odd_cycle: None,
             stratified: true,
+            nonuniformly_total: true,
             cost: None,
         }
     }
@@ -238,6 +252,7 @@ mod tests {
         assert!(j.contains("\\\"2\\\""), "{j}");
         assert!(j.contains("\"rule\": 2"));
         assert!(j.contains("\"odd_cycle\": null"));
+        assert!(j.contains("\"nonuniformly_total\": true"));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! `datalog` — command-line interface to the tie-breaking Datalog engine.
 //!
 //! ```text
-//! datalog analyze  <program.dl>
 //! datalog check    <program.dl> [database.dl] [--format text|json]
 //! datalog run      <program.dl> [database.dl] [--semantics wf|tb|pure-tb|stratified]
 //!                  [--policy root-true|root-false|random] [--seed N]
@@ -10,7 +9,6 @@
 //! datalog explain  <program.dl> [database.dl] --atom "win(a)" [--semantics wf|tb]
 //!                  [--policy root-true|root-false|random] [--seed N]
 //! datalog outcomes <program.dl> [database.dl] [--semantics tb|pure-tb] [--limit N]
-//! datalog totality <program.dl> [--nonuniform]          (propositional only)
 //! datalog session  <program.dl> [database.dl] [--script FILE] [--semantics tb|pure-tb]
 //! datalog serve    [--addr HOST:PORT] [--semantics tb|pure-tb]
 //!                  [--max-sessions N] [--max-resident-atoms N] [--strict]
@@ -28,12 +26,14 @@
 //! load per instrumentation point. Tracing also unlocks the
 //! `% timing: …` annotation on open replies and script query replies.
 //!
-//! `check` runs the `datalog-analyze` static pass — safety lints,
-//! totality certificates, grounding cost estimates against the budget,
-//! and reachability lints — without grounding or evaluating anything.
-//! The exit status is non-zero exactly when an error-severity lint
-//! fires (today: an exact full-mode grounding cost over budget), so CI
-//! can gate on it; `--format json` emits the machine-readable report.
+//! `check` is the one static analyzer: it runs the `datalog-analyze`
+//! pass — safety lints, totality certificates (stratified; Theorem 2
+//! with an odd-cycle witness), the Theorem 3 nonuniform totality verdict
+//! with a useless-predicate lint, grounding cost estimates against the
+//! budget, and reachability lints — without grounding or evaluating
+//! anything. The exit status is non-zero exactly when an error-severity
+//! lint fires (today: an exact full-mode grounding cost over budget), so
+//! CI can gate on it; `--format json` emits the machine-readable report.
 //!
 //! `serve --strict` makes the server run the same pass on every open:
 //! error lints reject the open before preparation is paid for, and the
@@ -107,7 +107,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage:\n  datalog analyze <program.dl>\n  datalog check <program.dl> [db.dl] [--format text|json]\n  datalog run <program.dl> [db.dl] [--semantics wf|tb|pure-tb|stratified] [--policy root-true|root-false|random] [--seed N]\n  datalog models <program.dl> [db.dl] [--stable] [--limit N]\n  datalog ground <program.dl> [db.dl]\n  datalog explain <program.dl> [db.dl] --atom \"win(a)\" [--semantics wf|tb] [--policy root-true|root-false|random] [--seed N]\n  datalog outcomes <program.dl> [db.dl] [--semantics tb|pure-tb] [--limit N]\n  datalog totality <program.dl> [--nonuniform]\n  datalog session <program.dl> [db.dl] [--script FILE] [--semantics tb|pure-tb]\n  datalog serve [--addr HOST:PORT] [--semantics tb|pure-tb] [--max-sessions N] [--max-resident-atoms N] [--strict] [--max-idle-secs N]\n  datalog client <program.dl> [db.dl] --addr HOST:PORT [--script FILE] [--concurrency N] [--repeat K]\n  datalog client --addr HOST:PORT --stats | --metrics | --shutdown\n\nGrounding commands also accept --ground-mode full|relevant (default: relevant).\nrun/outcomes/session/serve accept --trace-out FILE (chrome://tracing JSON) and\n--trace summary (aggregate span table on stderr); either enables the recorder.\nrun/explain/outcomes/session/serve evaluate on the session runtime, one thread,\none walk in topological order.\nsession scripts: '+fact.' insert, '-fact.' retract, '? wf', '?fact.',\n'? outcomes [N]', '? stats', '#' comments; reads stdin without --script.\nserve listens for client connections and keeps prepared sessions resident\nbehind an LRU; client opens (or reuses) a server-side session and streams a\nscript against it.\ncheck exits non-zero exactly when an error-severity lint fires; serve --strict\nruns the same analysis on every open and rejects error lints before preparing."
+    "usage:\n  datalog check <program.dl> [db.dl] [--format text|json]\n  datalog run <program.dl> [db.dl] [--semantics wf|tb|pure-tb|stratified] [--policy root-true|root-false|random] [--seed N]\n  datalog models <program.dl> [db.dl] [--stable] [--limit N]\n  datalog ground <program.dl> [db.dl]\n  datalog explain <program.dl> [db.dl] --atom \"win(a)\" [--semantics wf|tb] [--policy root-true|root-false|random] [--seed N]\n  datalog outcomes <program.dl> [db.dl] [--semantics tb|pure-tb] [--limit N]\n  datalog session <program.dl> [db.dl] [--script FILE] [--semantics tb|pure-tb]\n  datalog serve [--addr HOST:PORT] [--semantics tb|pure-tb] [--max-sessions N] [--max-resident-atoms N] [--strict] [--max-idle-secs N]\n  datalog client <program.dl> [db.dl] --addr HOST:PORT [--script FILE] [--concurrency N] [--repeat K]\n  datalog client --addr HOST:PORT --stats | --metrics | --shutdown\n\nGrounding commands also accept --ground-mode full|relevant (default: relevant).\nrun/outcomes/session/serve accept --trace-out FILE (chrome://tracing JSON) and\n--trace summary (aggregate span table on stderr); either enables the recorder.\nrun/explain/outcomes/session/serve evaluate on the session runtime, one thread,\none walk in topological order.\nsession scripts: '+fact.' insert, '-fact.' retract, '? wf', '?fact.',\n'? outcomes [N]', '? stats', '#' comments; reads stdin without --script.\nserve listens for client connections and keeps prepared sessions resident\nbehind an LRU; client opens (or reuses) a server-side session and streams a\nscript against it.\ncheck exits non-zero exactly when an error-severity lint fires; serve --strict\nruns the same analysis on every open and rejects error lints before preparing."
         .to_owned()
 }
 
@@ -120,7 +120,6 @@ struct Options {
     stable: bool,
     limit: usize,
     atom: Option<String>,
-    nonuniform: bool,
     ground_mode: GroundMode,
     script: Option<String>,
     addr: Option<String>,
@@ -147,7 +146,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         stable: false,
         limit: 0,
         atom: None,
-        nonuniform: false,
         ground_mode: GroundMode::Relevant,
         script: None,
         addr: None,
@@ -188,7 +186,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .map_err(|e| format!("bad limit: {e}"))?;
             }
             "--stable" => opts.stable = true,
-            "--nonuniform" => opts.nonuniform = true,
             "--atom" => {
                 opts.atom = Some(it.next().ok_or("--atom needs a value")?.clone());
             }
@@ -414,12 +411,6 @@ fn run(args: &[String]) -> Result<(), String> {
 
 fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
     match command {
-        "analyze" => {
-            let engine = load_engine(opts)?;
-            let report = engine.analyze().map_err(|e| e.to_string())?;
-            print!("{report}");
-            Ok(())
-        }
         "check" => {
             let (program_src, db_src) = load_sources(opts)?;
             let program = datalog_ast::parse_program(&program_src).map_err(|e| e.to_string())?;
@@ -573,30 +564,6 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
             let outcomes =
                 reply::render_outcomes(solver.graph().atoms(), &set, None).expect("no cap");
             write_stdout(&outcomes)
-        }
-        "totality" => {
-            let engine = load_engine(opts)?;
-            let report = tiebreak_core::analysis::propositional_totality(
-                engine.program(),
-                opts.nonuniform,
-                &tiebreak_core::analysis::TotalityConfig::default(),
-            )
-            .map_err(|e| e.to_string())?;
-            println!(
-                "total ({}): {} ({} databases checked)",
-                if opts.nonuniform {
-                    "nonuniform"
-                } else {
-                    "uniform"
-                },
-                report.total,
-                report.databases_checked
-            );
-            if let Some(cex) = report.counterexample {
-                println!("counterexample database (no fixpoint):");
-                print!("{cex}");
-            }
-            Ok(())
         }
         "session" => {
             let pure = semantics(opts, "session", TIE_BREAKING)? == "pure-tb";

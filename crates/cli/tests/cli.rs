@@ -19,19 +19,47 @@ fn datalog(args: &[&str]) -> Output {
 }
 
 #[test]
-fn analyze_reports_structure() {
+fn check_reports_structure() {
     let prog = write_temp("archetype.dl", "p(X) :- not q(X).\nq(X) :- not p(X).");
-    let out = datalog(&["analyze", prog.to_str().unwrap()]);
+    let out = datalog(&["check", prog.to_str().unwrap()]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("totality: call-consistent"), "{text}");
     assert!(
-        text.contains("stratified:                     false"),
+        text.contains("nonuniform totality (Theorem 3, IDB relations start empty): yes"),
         "{text}"
     );
-    assert!(
-        text.contains("structurally total (Thm 2):     true"),
-        "{text}"
+    assert!(text.contains("warn[unbound-head-variable]"), "{text}");
+}
+
+#[test]
+fn check_json_carries_the_theorem_3_verdict_and_useless_predicates() {
+    // `u` has no base case, so it is useless; dropping it removes the
+    // only odd cycle (u -¬-> u).
+    let prog = write_temp(
+        "useless.dl",
+        "u(X) :- u(X), not u(X).\nw(X) :- d(X), not u(X).",
     );
+    let out = datalog(&["check", prog.to_str().unwrap(), "--format", "json"]);
+    assert!(out.status.success());
+    let json = String::from_utf8_lossy(&out.stdout);
+    assert!(json.contains("\"nonuniformly_total\": true"), "{json}");
+    assert!(json.contains("\"certificate\": null"), "{json}");
+    assert!(
+        json.contains("\"code\": \"useless-predicate\", \"severity\": \"info\""),
+        "{json}"
+    );
+}
+
+#[test]
+fn folded_analyzer_verbs_are_unknown_commands() {
+    let prog = write_temp("folded.dl", "p :- not q.\nq :- not p.");
+    for verb in ["analyze", "totality"] {
+        let out = datalog(&[verb, prog.to_str().unwrap()]);
+        assert!(!out.status.success(), "{verb}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown command {verb}")), "{err}");
+    }
 }
 
 #[test]
@@ -449,6 +477,20 @@ fn models_enumerates_and_flags_stable() {
 }
 
 #[test]
+fn models_print_in_text_order_in_a_fresh_process() {
+    // Parsing the database interns `zeta` before `alpha`; each model
+    // must still list its facts in text order, as `run` does.
+    let prog = write_temp("models_order.dl", "p(X) :- e(X).");
+    let db = write_temp("models_order_db.dl", "e(zeta).\ne(alpha).");
+    let out = datalog(&["models", prog.to_str().unwrap(), db.to_str().unwrap()]);
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "% model 1 of 1:\ne(alpha).\ne(zeta).\np(alpha).\np(zeta).\n"
+    );
+}
+
+#[test]
 fn no_fixpoints_is_reported() {
     let prog = write_temp("odd.dl", "p :- not p.");
     let out = datalog(&["models", prog.to_str().unwrap()]);
@@ -494,7 +536,7 @@ fn stratified_semantics_and_errors() {
 #[test]
 fn bad_input_gives_parse_error_with_position() {
     let prog = write_temp("syntax_error.dl", "p(X) :- q(X)\nr(a).");
-    let out = datalog(&["analyze", prog.to_str().unwrap()]);
+    let out = datalog(&["check", prog.to_str().unwrap()]);
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("parse error"), "{err}");
@@ -554,25 +596,6 @@ fn outcomes_lists_all_orientations() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("2 distinct outcome(s)"), "{text}");
     assert!(text.contains("{p}") && text.contains("{q}"), "{text}");
-}
-
-#[test]
-fn totality_sweep_with_counterexample() {
-    let prog = write_temp("tot.dl", "p :- not p, e.");
-    let out = datalog(&["totality", prog.to_str().unwrap()]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("total (uniform): false"), "{text}");
-    assert!(text.contains("e."), "{text}");
-
-    let total_prog = write_temp("tot2.dl", "p :- not q.\nq :- not p.");
-    let out = datalog(&["totality", total_prog.to_str().unwrap()]);
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("total (uniform): true"), "{text}");
 }
 
 #[test]

@@ -1,6 +1,7 @@
-//! A one-stop facade over parsing, analysis, grounding, and evaluation.
+//! A one-stop facade over parsing, grounding, and evaluation.
 //!
 //! ```
+//! use tiebreak_core::analysis::structural_totality;
 //! use tiebreak_core::{Engine, RootTruePolicy};
 //!
 //! let engine = Engine::from_sources(
@@ -9,9 +10,8 @@
 //! )
 //! .unwrap();
 //!
-//! let report = engine.analyze().unwrap();
-//! assert!(!report.stratified);          // win depends negatively on win
-//! assert!(!report.structurally_total);  // odd self-cycle at `win`
+//! // Odd self-cycle at `win`: not structurally total (Theorem 2).
+//! assert!(!structural_totality(engine.program()).total);
 //!
 //! // Not structurally total — yet for THIS database the ground cycle is
 //! // even (a ↔ b), so the tie-breaking interpreter still finds a fixpoint
@@ -22,14 +22,9 @@
 //! assert!(outcome.total);
 //! ```
 
-use std::fmt;
-
 use datalog_ast::{AstError, Database, GroundAtom, Program};
 use datalog_ground::{ground, GroundConfig, GroundGraph, GroundMode, PartialModel, TruthValue};
 
-use crate::analysis::{
-    self, stratify, structural_nonuniform_totality, structural_totality, useless_predicates,
-};
 use crate::semantics::enumerate::{enumerate_fixpoints, enumerate_stable, EnumerateConfig};
 use crate::semantics::stratified::{stratified, StratifiedRun};
 use crate::semantics::tie_breaking::{
@@ -149,17 +144,10 @@ pub struct EngineConfig {
     pub ground: GroundConfig,
     /// Enumeration budgets.
     pub enumerate: EnumerateConfig,
-    /// Stats detail and totality certificate for the interpreters.
+    /// Stats detail for the interpreters.
     pub eval: EvalOptions,
     /// Incremental-session behaviour for the `tiebreak-runtime` solver.
     pub session: SessionConfig,
-    /// Run the `datalog-analyze` static pass before preparing a session
-    /// (`tiebreak-runtime` solver): error-level lints reject the program
-    /// with [`SemanticsError::Rejected`] before any grounding work, and a
-    /// stratification-grade totality certificate arms
-    /// [`EvalOptions::certified_total`]. Off by default; the sequential
-    /// [`Engine`] facade exposes analysis as an explicit call instead.
-    pub analysis: bool,
 }
 
 impl Default for EngineConfig {
@@ -172,7 +160,6 @@ impl Default for EngineConfig {
             enumerate: EnumerateConfig::default(),
             eval: EvalOptions::default(),
             session: SessionConfig::default(),
-            analysis: false,
         }
     }
 }
@@ -204,14 +191,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enables the pre-prepare static-analysis pass (see
-    /// [`EngineConfig::analysis`]).
-    #[must_use]
-    pub fn with_analysis(mut self, analysis: bool) -> Self {
-        self.analysis = analysis;
-        self
-    }
-
     /// Opts into detailed per-event statistics (`RunStats::tie_log`,
     /// `RunStats::component_rounds`). Off by default so long enumerations
     /// keep constant-size stats.
@@ -219,56 +198,6 @@ impl EngineConfig {
     pub fn with_detailed_stats(mut self, detailed: bool) -> Self {
         self.eval.detailed_stats = detailed;
         self
-    }
-}
-
-/// The static analysis report for a program (and, where noted, database).
-#[derive(Clone, Debug)]
-pub struct AnalysisReport {
-    /// Is the program stratified (Theorem 5's class)?
-    pub stratified: bool,
-    /// Is it structurally total — *G(Π)* odd-cycle-free (Theorem 2)?
-    pub structurally_total: bool,
-    /// Odd-cycle witness when not structurally total.
-    pub odd_cycle: Option<analysis::PredCycle>,
-    /// Structurally nonuniformly total — *G(Π′)* odd-cycle-free (Thm 3)?
-    pub structurally_nonuniform_total: bool,
-    /// The useless predicates (Theorem 3 machinery).
-    pub useless_predicates: Vec<String>,
-    /// Locally stratified for the engine's database (strict, full ground
-    /// graph)?
-    pub locally_stratified: Option<bool>,
-    /// Are all rules range-restricted (safe)?
-    pub safe: bool,
-}
-
-impl fmt::Display for AnalysisReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "stratified:                     {}", self.stratified)?;
-        writeln!(
-            f,
-            "structurally total (Thm 2):     {}",
-            self.structurally_total
-        )?;
-        if let Some(cycle) = &self.odd_cycle {
-            writeln!(f, "  odd cycle: {cycle}")?;
-        }
-        writeln!(
-            f,
-            "struct. nonuniform total (Thm 3): {}",
-            self.structurally_nonuniform_total
-        )?;
-        if !self.useless_predicates.is_empty() {
-            writeln!(
-                f,
-                "  useless predicates: {}",
-                self.useless_predicates.join(", ")
-            )?;
-        }
-        if let Some(ls) = self.locally_stratified {
-            writeln!(f, "locally stratified (this Δ):    {ls}")?;
-        }
-        writeln!(f, "safe (range-restricted):        {}", self.safe)
     }
 }
 
@@ -368,40 +297,6 @@ impl Engine {
     /// [`SemanticsError::Ground`] over budget or on arity conflicts.
     pub fn ground(&self) -> Result<GroundGraph, SemanticsError> {
         Ok(ground(&self.program, &self.database, &self.config.ground)?)
-    }
-
-    /// Runs every static analysis. Local stratification is included when
-    /// the instance grounds within budget.
-    ///
-    /// # Errors
-    ///
-    /// Never fails on analysis itself; returns `Err` only if the *ground*
-    /// step both fails and was required (it is optional here — a grounding
-    /// failure yields `locally_stratified: None`).
-    pub fn analyze(&self) -> Result<AnalysisReport, SemanticsError> {
-        let strat = stratify(&self.program);
-        let st = structural_totality(&self.program);
-        let non = structural_nonuniform_totality(&self.program);
-        let useless = useless_predicates(&self.program);
-        let locally = self
-            .ground()
-            .ok()
-            .map(|g| analysis::locally_stratified(&g).locally_stratified);
-        let mut useless_names: Vec<String> = useless
-            .useless
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect();
-        useless_names.sort();
-        Ok(AnalysisReport {
-            stratified: strat.stratified,
-            structurally_total: st.total,
-            odd_cycle: st.witness,
-            structurally_nonuniform_total: non.total,
-            useless_predicates: useless_names,
-            locally_stratified: locally,
-            safe: self.program.is_safe(),
-        })
     }
 
     fn decode(&self, graph: &GroundGraph, run: InterpreterRun) -> EvalOutcome {
@@ -504,14 +399,17 @@ impl Engine {
     }
 }
 
+/// The model's true atoms in text order: a filter of the table's cached
+/// text order, as [`EvalOutcome::decode`] does, so the printed order
+/// does not depend on the process's interning history.
 fn sorted_true(model: &PartialModel, graph: &GroundGraph) -> Vec<GroundAtom> {
-    let mut v: Vec<GroundAtom> = model
-        .defined()
-        .filter(|&(_, t)| t == TruthValue::True)
-        .map(|(id, _)| graph.atoms().decode(id))
-        .collect();
-    v.sort_by(|a, b| (a.pred.as_str(), &a.args).cmp(&(b.pred.as_str(), &b.args)));
-    v
+    let atoms = graph.atoms();
+    atoms
+        .text_order()
+        .iter()
+        .filter(|&&id| id.index() < model.len() && model.get(id) == TruthValue::True)
+        .map(|&id| atoms.decode(id))
+        .collect()
 }
 
 #[cfg(test)]
@@ -526,24 +424,9 @@ mod tests {
             "move(a, b).\nmove(b, c).",
         )
         .unwrap();
-        let report = engine.analyze().unwrap();
-        assert!(!report.stratified);
-        assert!(!report.structurally_total);
-        assert!(report.odd_cycle.is_some());
-        assert!(report.safe);
-
         let wf = engine.well_founded().unwrap();
         assert!(wf.total);
         assert!(wf.true_facts.iter().any(|f| f.to_string() == "win(b)"));
-    }
-
-    #[test]
-    fn analysis_report_displays() {
-        let engine = Engine::from_sources("p :- not q.\nq :- not p.", "").unwrap();
-        let report = engine.analyze().unwrap();
-        let text = report.to_string();
-        assert!(text.contains("structurally total (Thm 2):     true"));
-        assert!(text.contains("stratified:                     false"));
     }
 
     #[test]

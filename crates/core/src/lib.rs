@@ -29,7 +29,10 @@
 //!   ([`analysis::totality`]) — the undecidable property (Theorem 6),
 //!   decided exhaustively where that is possible.
 //!
-//! The [`engine`] module bundles everything behind a one-stop API.
+//! The [`engine`] module bundles grounding and evaluation behind a
+//! one-stop API. These analyses are the building blocks; the one
+//! program-level report over them (certificates, Theorem 3 verdict,
+//! lints) is the `datalog-analyze` crate's, behind `datalog check`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -43,15 +43,6 @@ pub struct EvalOptions {
     /// otherwise grow the logs without bound; the scalar counters
     /// (`ties_broken`, `components_processed`, …) are always kept.
     pub detailed_stats: bool,
-    /// The program carries a stratification-grade totality certificate
-    /// (see the `datalog-analyze` crate): the well-founded model is total
-    /// and unique, so no tie can ever fire. When set, the wf-tb
-    /// interpreters skip the tie-policy machinery entirely and run the
-    /// plain well-founded path — bit-identical results, none of the
-    /// tie-bookkeeping cost. Certificates are the analyzer's to issue;
-    /// setting this on an uncertified program degrades wf-tb back to
-    /// plain wf (ties would surface as a partial model, not be broken).
-    pub certified_total: bool,
 }
 
 /// Statistics collected by an interpreter run.
@@ -128,10 +119,6 @@ pub enum SemanticsError {
     /// The requested semantics does not apply to this program (e.g.
     /// stratified evaluation of an unstratifiable program).
     NotApplicable(String),
-    /// Static analysis rejected the program before evaluation (error-level
-    /// lints under [`crate::engine::EngineConfig`] analysis / server
-    /// strict mode). The message lists the offending lints.
-    Rejected(String),
 }
 
 impl fmt::Display for SemanticsError {
@@ -140,7 +127,6 @@ impl fmt::Display for SemanticsError {
             SemanticsError::Ground(e) => e.fmt(f),
             SemanticsError::Conflict(e) => e.fmt(f),
             SemanticsError::NotApplicable(msg) => write!(f, "semantics not applicable: {msg}"),
-            SemanticsError::Rejected(msg) => write!(f, "program rejected by analysis: {msg}"),
         }
     }
 }

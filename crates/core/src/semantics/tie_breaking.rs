@@ -187,12 +187,6 @@ pub fn well_founded_tie_breaking<P: TiePolicy>(
 /// ([`super::scc_stratified`]) with explicit [`EvalOptions`]: the same
 /// outcome set as [`well_founded_tie_breaking`].
 ///
-/// When [`EvalOptions::certified_total`] is set (a stratification-grade
-/// certificate from the analyzer), the policy is never consulted: the
-/// well-founded model is total on its own, so this dispatches straight to
-/// [`well_founded_with`](super::well_founded::well_founded_with) — same
-/// model, same stats, none of the tie-side bookkeeping.
-///
 /// # Errors
 ///
 /// As for [`well_founded_tie_breaking`].
@@ -203,9 +197,6 @@ pub fn well_founded_tie_breaking_with<P: TiePolicy>(
     policy: &mut P,
     options: &EvalOptions,
 ) -> Result<InterpreterRun, SemanticsError> {
-    if options.certified_total {
-        return super::well_founded::well_founded_with(graph, program, database, options);
-    }
     super::scc_stratified::run_stratified(
         graph,
         program,
@@ -475,52 +466,6 @@ mod tests {
         assert_eq!(gv("even", "2"), TruthValue::True);
         assert_eq!(gv("odd", "3"), TruthValue::True);
         assert_eq!(gv("even", "1"), TruthValue::False);
-    }
-
-    #[test]
-    fn certified_fast_path_is_bit_identical_on_stratified_programs() {
-        // A stratified program: wf-tb never consults the policy, so the
-        // certified fast path must reproduce the run exactly — model,
-        // totality, and every stats counter.
-        let (g, p, d) = setup(
-            "reach(Y) :- start(X), edge(X, Y).\nreach(Y) :- reach(X), edge(X, Y).\n\
-             blocked(X) :- node(X), not reach(X).",
-            "start(a).\nedge(a, b).\nedge(b, c).\nnode(a).\nnode(b).\nnode(c).\nnode(d).",
-        );
-        let base_opts = EvalOptions::default();
-        let fast_opts = EvalOptions {
-            certified_total: true,
-            ..base_opts
-        };
-        let mut pol = RootTruePolicy;
-        let base = well_founded_tie_breaking_with(&g, &p, &d, &mut pol, &base_opts).unwrap();
-        let mut pol = RootTruePolicy;
-        let fast = well_founded_tie_breaking_with(&g, &p, &d, &mut pol, &fast_opts).unwrap();
-        assert!(base.total && fast.total);
-        assert_eq!(base.model, fast.model);
-        assert_eq!(base.stats, fast.stats);
-        // The paper-literal loop agrees on the model (its stats differ:
-        // it visits no components).
-        let mut pol = RootTruePolicy;
-        let oracle = well_founded_tie_breaking(&g, &p, &d, &mut pol).unwrap();
-        assert_eq!(oracle.model, fast.model);
-        assert_eq!(oracle.stats.ties_broken, 0);
-    }
-
-    #[test]
-    fn uncertified_flag_on_tied_program_degrades_to_plain_wf() {
-        // Mis-certifying a program with a genuine tie must not invent
-        // answers: the fast path returns the (partial) wf model instead
-        // of consulting the policy.
-        let (g, p, d) = setup("p :- not q.\nq :- not p.", "");
-        let opts = EvalOptions {
-            certified_total: true,
-            ..EvalOptions::default()
-        };
-        let mut pol = RootTruePolicy;
-        let r = well_founded_tie_breaking_with(&g, &p, &d, &mut pol, &opts).unwrap();
-        assert!(!r.total);
-        assert_eq!(r.stats.ties_broken, 0);
     }
 
     #[test]

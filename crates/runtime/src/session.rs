@@ -258,20 +258,6 @@ impl Solver {
         database: Database,
         config: EngineConfig,
     ) -> Result<Self, SemanticsError> {
-        let mut config = config;
-        if config.analysis {
-            let report = datalog_analyze::analyze(
-                &program,
-                Some(&database),
-                &datalog_analyze::AnalyzeConfig::for_ground(config.ground),
-            );
-            if report.has_errors() {
-                return Err(SemanticsError::Rejected(report.error_messages().join("; ")));
-            }
-            if report.certificate.is_some_and(|c| c.arms_fast_path()) {
-                config.eval.certified_total = true;
-            }
-        }
         let prepared = prepare(&program, &database, &config)?;
         let mut const_refs: FxHashMap<ConstSym, usize> = FxHashMap::default();
         for (_, args) in database.tuples() {
@@ -860,12 +846,6 @@ impl Solver {
         &self,
         policy: &mut impl TiePolicy,
     ) -> Result<InterpreterRun, SemanticsError> {
-        if self.config.eval.certified_total {
-            // A stratification-grade certificate: no tie can fire, so
-            // the plain well-founded path computes the same (total)
-            // model without paying for tie machinery.
-            return self.well_founded_run();
-        }
         self.tie_breaking_run(policy, true)
     }
 

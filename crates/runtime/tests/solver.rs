@@ -10,9 +10,7 @@ use datalog_ast::{parse_database, parse_program};
 use datalog_ground::{ground, GroundConfig, PartialModel};
 use tiebreak_core::semantics::outcomes::all_outcomes_with;
 use tiebreak_core::semantics::well_founded::well_founded;
-use tiebreak_core::{
-    EngineConfig, EvalOptions, RootFalsePolicy, RootTruePolicy, TiePolicy, TieView,
-};
+use tiebreak_core::{EvalOptions, RootFalsePolicy, RootTruePolicy, TiePolicy, TieView};
 use tiebreak_runtime::Solver;
 
 fn solver(program: &str, database: &str) -> Solver {
@@ -204,73 +202,4 @@ fn opposite_uniform_policies_reach_opposite_orientations() {
         .unwrap();
     assert!(t.total && f.total);
     assert_ne!(t.true_facts, f.true_facts);
-}
-
-#[test]
-fn analysis_rejects_certain_blowups_before_prepare() {
-    // 7-step chained join, full grounding: 9^8 instances is an exact
-    // over-budget count, so the analysis gate must reject instead of
-    // letting prepare run (and fail) on a ~43M-instance grounding.
-    let program = parse_program(
-        "big(A, H) :- e(A, B), e(B, C), e(C, D), e(D, E), e(E, F), e(F, G), e(G, H).",
-    )
-    .unwrap();
-    let mut db = String::new();
-    for i in 0..8 {
-        db.push_str(&format!("e(c{}, c{}).\n", i, i + 1));
-    }
-    let database = parse_database(&db).unwrap();
-    let config = EngineConfig::default()
-        .with_ground_mode(datalog_ground::GroundMode::Full)
-        .with_analysis(true);
-    let err = match Solver::with_config(program, database, config) {
-        Ok(_) => panic!("expected analysis rejection"),
-        Err(e) => e,
-    };
-    match err {
-        tiebreak_core::SemanticsError::Rejected(msg) => {
-            assert!(msg.contains("ground-cost"), "{msg}");
-        }
-        other => panic!("expected analysis rejection, got {other:?}"),
-    }
-}
-
-#[test]
-fn analysis_certifies_stratified_sessions_onto_the_fast_path() {
-    let program = "reach(X) :- edge(X).\nreach(Y) :- reach(X), next(X, Y).\n\
-                   blocked(X) :- node(X), not reach(X).";
-    let db = "edge(a). next(a, b). node(a). node(b). node(c).";
-    let base = solver(program, db);
-    let fast = Solver::with_config(
-        parse_program(program).unwrap(),
-        parse_database(db).unwrap(),
-        EngineConfig::default().with_analysis(true),
-    )
-    .unwrap();
-    assert!(fast.config().eval.certified_total, "stratified → certified");
-    assert!(!base.config().eval.certified_total);
-
-    let slow = base.well_founded_tie_breaking(&mut RootTruePolicy).unwrap();
-    let quick = fast.well_founded_tie_breaking(&mut RootTruePolicy).unwrap();
-    assert!(slow.total && quick.total);
-    assert_eq!(slow.true_facts, quick.true_facts);
-    assert_eq!(quick.stats.ties_broken, 0);
-}
-
-#[test]
-fn analysis_leaves_tied_programs_on_the_tie_path() {
-    // Call-consistent but not stratified: the certificate must NOT arm
-    // the fast path, and ties still resolve per policy.
-    let solver = Solver::with_config(
-        parse_program("p(X) :- d(X), not q(X).\nq(X) :- d(X), not p(X).").unwrap(),
-        parse_database("d(a).").unwrap(),
-        EngineConfig::default().with_analysis(true),
-    )
-    .unwrap();
-    assert!(!solver.config().eval.certified_total);
-    let out = solver
-        .well_founded_tie_breaking(&mut RootTruePolicy)
-        .unwrap();
-    assert!(out.total);
-    assert_eq!(out.stats.ties_broken, 1);
 }

@@ -31,6 +31,13 @@
 //! (counted by `tiebreak_conns_reaped`); the open-connection count is
 //! exported as the `tiebreak_conns_open` gauge.
 //!
+//! An accept that fails for any reason but `WouldBlock` or `Interrupted`
+//! (typically `EMFILE`: the process is out of file descriptors) is
+//! counted by `tiebreak_accept_errors` and stops polling the listener
+//! for [`ACCEPT_BACKOFF_MS`]. The listener is level-triggered and stays
+//! readable while connections wait in its backlog, so without the pause
+//! the loop would spin on a full core until a descriptor frees up.
+//!
 //! The `poll(2)` call itself goes through a thin syscall shim in
 //! [`sys`] — no `libc` crate, consistent with the workspace's
 //! no-external-deps rule — with a portable sleep-and-assume-ready
@@ -48,6 +55,10 @@ use std::time::{Duration, Instant};
 use crate::dispatch::{ConnState, Dispatcher};
 use crate::server::{Next, Server};
 use crate::wire::FrameDecoder;
+
+/// How long, in ms, the reactor stops polling the listener after an
+/// accept error other than `WouldBlock`/`Interrupted`.
+const ACCEPT_BACKOFF_MS: u16 = 100;
 
 /// The raw `poll(2)` shim.
 pub(crate) mod sys {
@@ -280,8 +291,13 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
     // pollfds[i] ↦ connection id, for i ≥ 2.
     let mut slot_ids: Vec<u64> = Vec::new();
     let mut rbuf = [0u8; 16 * 1024];
+    // Set after a failed accept: the listener is not polled until then.
+    let mut accept_paused_until: Option<Instant> = None;
 
     loop {
+        if accept_paused_until.is_some_and(|t| Instant::now() >= t) {
+            accept_paused_until = None;
+        }
         pollfds.clear();
         slot_ids.clear();
         pollfds.push(sys::PollFd {
@@ -293,7 +309,7 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
             fd: listener
                 .as_ref()
                 .map_or(-1, std::os::fd::AsRawFd::as_raw_fd),
-            events: if listener.is_some() && !stopping {
+            events: if listener.is_some() && !stopping && accept_paused_until.is_none() {
                 sys::POLLIN
             } else {
                 0
@@ -316,7 +332,16 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
             slot_ids.push(*id);
         }
 
-        let timeout_ms = poll_timeout(stopping, max_idle_secs, &conns);
+        let mut timeout_ms = poll_timeout(stopping, max_idle_secs, &conns);
+        if accept_paused_until.is_some() {
+            // Wake by the end of the pause to poll the listener again.
+            let pause = i32::from(ACCEPT_BACKOFF_MS) + 1;
+            timeout_ms = if timeout_ms < 0 {
+                pause
+            } else {
+                timeout_ms.min(pause)
+            };
+        }
         sys::poll(&mut pollfds, timeout_ms)?;
         let now = Instant::now();
 
@@ -387,7 +412,12 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => break,
+                        Err(_) => {
+                            m.accept_errors.inc();
+                            accept_paused_until =
+                                Some(now + Duration::from_millis(ACCEPT_BACKOFF_MS.into()));
+                            break;
+                        }
                     }
                 }
                 m.conns_open.set(conns.len() as u64);

@@ -49,9 +49,10 @@ pub struct RegistryConfig {
     pub engine: EngineConfig,
     /// Strict admission: run the static analyzer on every miss before
     /// paying for preparation. Error-severity lints reject the open
-    /// (cheaply, pre-lock); a stratification-grade certificate arms the
-    /// session's evaluation fast path; the analysis summary is cached
-    /// on the entry and echoed in the open response.
+    /// (cheaply, pre-lock), and the analysis summary is cached on the
+    /// entry and echoed in the open response. The analysis changes no
+    /// evaluation: an admitted session serves the same bytes as without
+    /// strict mode.
     pub strict: bool,
     /// `? outcomes` semantics for prepared sessions (`pure-tb` vs
     /// wf-tb).
@@ -307,7 +308,7 @@ impl SessionRegistry {
             datalog_ast::parse_program(program).map_err(|e| OpenError::Prepare(e.to_string()))?;
         let ast_database =
             datalog_ast::parse_database(database).map_err(|e| OpenError::Prepare(e.to_string()))?;
-        let mut engine = self.config.engine;
+        let engine = self.config.engine;
         let mut summary = None;
         if self.config.strict {
             let report = datalog_analyze::analyze(
@@ -320,9 +321,6 @@ impl SessionRegistry {
                 inner.counters.rejected += 1;
                 tiebreak_trace::metrics().registry_rejected.inc();
                 return Err(OpenError::Rejected(report.error_messages().join("; ")));
-            }
-            if report.certificate.is_some_and(|c| c.arms_fast_path()) {
-                engine.eval.certified_total = true;
             }
             summary = Some(report.summary());
         }

@@ -551,6 +551,124 @@ fn idle_connections_are_reaped() {
     stop_server(addr, handle);
 }
 
+/// Set in the environment of the child process that
+/// `accept_errors_back_off_instead_of_spinning` starts from this test
+/// binary: it turns `reactor_child_server` into a server.
+const CHILD_SERVER_ENV: &str = "TIEBREAK_TEST_CHILD_SERVER";
+
+/// A no-op in a normal run. In the child process started by
+/// `accept_errors_back_off_instead_of_spinning`, serves on an
+/// OS-assigned port, prints `listening on ADDR`, and runs until a
+/// client sends `shutdown`.
+#[test]
+fn reactor_child_server() {
+    use std::io::Write as _;
+
+    if std::env::var_os(CHILD_SERVER_ENV).is_none() {
+        return;
+    }
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    println!("listening on {}", server.local_addr().expect("addr"));
+    std::io::stdout().flush().expect("flush");
+    server.run().expect("clean run exit");
+}
+
+/// utime + stime of process `pid` in seconds, from `/proc/<pid>/stat`
+/// (in clock ticks; the kernel reports them at 100 Hz).
+#[cfg(target_os = "linux")]
+fn cpu_seconds(pid: u32) -> f64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read stat");
+    // Fields after the parenthesised command name, starting at field 3
+    // (state); utime and stime are fields 14 and 15.
+    let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 2..]
+        .split_whitespace()
+        .collect();
+    let ticks: u64 =
+        fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime");
+    ticks as f64 / 100.0
+}
+
+/// Kills and reaps the child server if the test fails before shutting
+/// it down.
+#[cfg(target_os = "linux")]
+struct ChildGuard(std::process::Child);
+
+#[cfg(target_os = "linux")]
+impl Drop for ChildGuard {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Out of file descriptors, a failed accept pauses the listener instead
+/// of leaving the level-triggered loop spinning on it. The server runs
+/// in a child process whose descriptor limit (16) only it sees; 40
+/// connections exhaust it.
+#[cfg(target_os = "linux")]
+#[test]
+fn accept_errors_back_off_instead_of_spinning() {
+    use std::io::BufRead as _;
+    use std::process::{Command, Stdio};
+    use std::time::Duration;
+
+    const WINDOW: Duration = Duration::from_secs(3);
+
+    let exe = std::env::current_exe().expect("test binary path");
+    let mut child = ChildGuard(
+        Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -n 16; exec \"$0\" --exact reactor_child_server --nocapture --test-threads=1")
+        .arg(&exe)
+        .env(CHILD_SERVER_ENV, "1")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn child server"),
+    );
+    // Kept open until the child exits, so its last output has a reader.
+    let mut stdout = std::io::BufReader::new(child.0.stdout.take().expect("piped"));
+    let mut line = String::new();
+    let addr = loop {
+        line.clear();
+        assert!(
+            stdout.read_line(&mut line).expect("child stdout") > 0,
+            "child exited before listening"
+        );
+        // The harness prints `test reactor_child_server ... ` first.
+        if let Some((_, addr)) = line.trim().split_once("listening on ") {
+            break addr.to_owned();
+        }
+    };
+
+    let clients: Vec<TcpStream> = (0..40)
+        .map(|_| TcpStream::connect(&addr).expect("connect"))
+        .collect();
+    let before = cpu_seconds(child.0.id());
+    std::thread::sleep(WINDOW);
+    let used = cpu_seconds(child.0.id()) - before;
+    drop(clients);
+
+    // The closed connections free the child's descriptors; the next
+    // accept after the pause takes this one.
+    let mut client = Client::connect(&addr).expect("connect after the flood");
+    let metrics = client.metrics().expect("metrics").body;
+    let accept_errors: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("tiebreak_accept_errors_total "))
+        .expect("accept error counter exported")
+        .parse()
+        .expect("counter value");
+    client.shutdown().expect("shutdown");
+    assert!(child.0.wait().expect("child exit").success());
+
+    assert!(
+        used < WINDOW.as_secs_f64() / 6.0,
+        "server burned {used:.2}s of CPU in a {WINDOW:?} window out of descriptors"
+    );
+    assert!(accept_errors > 0, "accept errors must be counted");
+}
+
 #[test]
 fn strict_mode_rejects_certain_blowups_before_prepare() {
     use tiebreak_core::EngineConfig;

@@ -231,6 +231,9 @@ pub struct Metrics {
     // Reactor.
     pub conns_open: Gauge,
     pub conns_reaped: Counter,
+    /// Failed accepts other than `WouldBlock`/`Interrupted` (typically
+    /// the process out of file descriptors); each pauses the listener.
+    pub accept_errors: Counter,
     // The recorder's own health.
     pub trace_events_dropped: Counter,
 }
@@ -265,6 +268,7 @@ impl Metrics {
             request_latency_us: [const { Histogram::new() }; VERBS.len()],
             conns_open: Gauge::new(),
             conns_reaped: Counter::new(),
+            accept_errors: Counter::new(),
             trace_events_dropped: Counter::new(),
         }
     }
@@ -328,6 +332,7 @@ impl Metrics {
             ("requests", &self.requests),
             ("request_errors", &self.request_errors),
             ("conns_reaped", &self.conns_reaped),
+            ("accept_errors", &self.accept_errors),
             ("trace_events_dropped", &self.trace_events_dropped),
         ]
     }

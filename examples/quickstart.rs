@@ -21,7 +21,14 @@ fn main() {
     let engine = Engine::from_sources(program_src, database_src).expect("parses");
 
     println!("== program ==\n{}", engine.program());
-    println!("== analysis ==\n{}", engine.analyze().expect("analyzes"));
+    // The static analyzer behind `datalog check`, against the engine's
+    // (relevant-mode) grounding budgets.
+    let report = analyze(
+        engine.program(),
+        Some(engine.database()),
+        &AnalyzeConfig::for_ground(EngineConfig::default().ground),
+    );
+    println!("== analysis ==\n{report}");
 
     // The well-founded interpreter gets stuck: no unfounded sets, only a
     // tie.

@@ -29,7 +29,12 @@
 //!     "e(a).",
 //! ).unwrap();
 //!
-//! assert!(engine.analyze().unwrap().structurally_total);
+//! let report = analyze(engine.program(), Some(engine.database()), &AnalyzeConfig::default());
+//! assert_eq!(
+//!     report.certificate.map(|c| c.grade),
+//!     Some(CertificateGrade::CallConsistent) // Theorem 2
+//! );
+//! assert!(report.nonuniformly_total); // Theorem 3
 //! let out = engine.well_founded_tie_breaking(&mut RootTruePolicy).unwrap();
 //! assert!(out.total);
 //! ```
@@ -37,8 +42,9 @@
 //! The crates re-exported here can also be used individually:
 //! [`ast`] (language front-end), [`graph`] (signed graphs and ties),
 //! [`ground`] (ground graphs and `close`), [`core`] (semantics and
-//! analyses), [`analyze`] (the pre-grounding static analyzer: safety
-//! lints, totality certificates, grounding cost estimates),
+//! analyses), [`analyze`] (the one static analyzer, behind `datalog check`:
+//! safety lints, totality certificates, the Theorem 3 verdict, grounding
+//! cost estimates),
 //! [`runtime`] (the session solver: ground once, close once, serve many
 //! evaluations), [`trace`] (structured tracing and metrics
 //! across every layer), and [`constructions`] (reductions and

@@ -6,9 +6,8 @@
 //!   terminates with a *total* model, for every database, every tie
 //!   script, and both ground modes;
 //! * **stratified grade** — additionally the outcome set is a
-//!   singleton (no tie ever fires) and the `certified_total` fast path
-//!   (plain well-founded evaluation, no tie machinery) is bit-identical
-//!   to the tie-breaking path.
+//!   singleton: no tie ever fires, so every script and policy lands on
+//!   the same model.
 //!
 //! This suite runs those promises differentially over random
 //! call-consistent programs (which by construction have no odd negative
@@ -24,7 +23,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Certificate ⇒ total runs; stratified grade ⇒ singleton outcome
-    /// set and a bit-identical fast path.
+    /// set.
     #[test]
     fn certificates_keep_their_promises(seed in 0u64..5_000) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -36,8 +35,10 @@ proptest! {
         // certificate of some grade must always be issued.
         let cert = report.certificate.expect("call-consistent by construction");
         prop_assert!(report.odd_cycle.is_none());
+        // G(Π′) is a subgraph of G(Π): Theorem 2 implies Theorem 3.
+        prop_assert!(report.nonuniformly_total);
         let stratified = cert.grade == CertificateGrade::Stratified;
-        prop_assert_eq!(stratified, cert.arms_fast_path());
+        prop_assert_eq!(stratified, report.stratified);
 
         let mut reference_facts: Option<Vec<GroundAtom>> = None;
         for mode in [GroundMode::Full, GroundMode::Relevant] {
@@ -67,26 +68,6 @@ proptest! {
                 let set = solver.all_outcomes(false, 64).expect("enumerates");
                 prop_assert_eq!(set.models.len(), 1);
                 prop_assert!(!set.truncated);
-
-                // The analysis-armed fast path (plain well-founded
-                // evaluation) is bit-identical to the tie path.
-                let fast = Solver::with_config(
-                    program.clone(),
-                    db.clone(),
-                    EngineConfig::default()
-                        .with_ground_mode(mode)
-                        .with_analysis(true),
-                )
-                .expect("prepares");
-                prop_assert!(fast.config().eval.certified_total);
-                let quick = fast
-                    .well_founded_tie_breaking(&mut RootTruePolicy)
-                    .expect("runs");
-                prop_assert!(quick.total);
-                prop_assert_eq!(
-                    reference_facts.as_ref().expect("set above"),
-                    &quick.true_facts
-                );
             }
         }
     }
@@ -101,11 +82,6 @@ proptest! {
         let db = generators::random_database(&mut rng, &program, 2, 0.35, true);
         let report = analyze(&program, Some(&db), &AnalyzeConfig::default());
         prop_assert!(!report.has_errors(), "{:?}", report.lints);
-        let solver = Solver::with_config(
-            program,
-            db,
-            EngineConfig::default().with_analysis(true),
-        );
-        prop_assert!(solver.is_ok());
+        prop_assert!(Solver::new(program, db).is_ok());
     }
 }

@@ -207,7 +207,6 @@ fn assert_random_walks_match_core(program: &Program, db: &Database, mode: Ground
     .expect("session prepares");
     let options = EvalOptions {
         detailed_stats: true,
-        ..EvalOptions::default()
     };
     for seed in SEEDS {
         for pure in [false, true] {
