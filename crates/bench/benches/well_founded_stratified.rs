@@ -2,8 +2,10 @@
 //!
 //! Two alternation-heavy workloads where the global interpreters pay
 //! Θ(n²) (every tie break / unfounded round re-scans or re-clones the
-//! whole remaining graph) while the condensation-driven `*_with`
-//! interpreters walk the condensation once:
+//! whole remaining graph) while the session `Solver` walks the
+//! condensation once. The `global` side times the paper-literal loop on a
+//! graph grounded outside the timer; the `stratified` side times the
+//! `Solver` end to end — ground, close, condense, walk:
 //!
 //! * the **win–move tie chain** — `n` draw pockets `a_i ↔ b_i` linked by
 //!   `a_i → a_{i+1}`: one tie component per pocket, resolvable only
@@ -18,16 +20,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use datalog_ast::Database;
-use datalog_ground::{ground, GroundConfig, GroundMode};
+use datalog_ground::{ground, GroundMode};
 use paper_constructions::generators;
-use tiebreak_core::semantics::well_founded::{well_founded, well_founded_with};
-use tiebreak_core::semantics::{
-    well_founded_tie_breaking, well_founded_tie_breaking_with, RootTruePolicy,
-};
-use tiebreak_core::EvalOptions;
+use tiebreak_core::semantics::well_founded::well_founded;
+use tiebreak_core::semantics::{well_founded_tie_breaking, RootTruePolicy};
+use tiebreak_core::EngineConfig;
+use tiebreak_runtime::Solver;
 
-/// The two interpreters compared: the paper-literal global loop and the
-/// condensation-driven one.
+/// The two evaluators compared: the paper-literal global loop and the
+/// condensation-driven `Solver`.
 const MODES: [&str; 2] = ["global", "stratified"];
 
 fn bench_tie_chain(c: &mut Criterion) {
@@ -36,15 +37,8 @@ fn bench_tie_chain(c: &mut Criterion) {
     group.sample_size(10);
     for &n in &[256usize, 1024, 4096] {
         let db = generators::tie_chain_move_db(n);
-        let graph = ground(
-            &program,
-            &db,
-            &GroundConfig {
-                mode: GroundMode::Relevant,
-                ..GroundConfig::default()
-            },
-        )
-        .expect("grounds");
+        let config = EngineConfig::default();
+        let graph = ground(&program, &db, &config.ground).expect("grounds");
         group.throughput(Throughput::Elements(n as u64));
         for mode in MODES {
             let id = BenchmarkId::new(mode, n);
@@ -54,13 +48,8 @@ fn bench_tie_chain(c: &mut Criterion) {
                     let run = if mode == "global" {
                         well_founded_tie_breaking(&graph, &program, &db, &mut policy)
                     } else {
-                        well_founded_tie_breaking_with(
-                            &graph,
-                            &program,
-                            &db,
-                            &mut policy,
-                            &EvalOptions::default(),
-                        )
+                        Solver::with_config(program.clone(), db.clone(), config)
+                            .and_then(|solver| solver.well_founded_tie_breaking_run(&mut policy))
                     }
                     .expect("runs");
                     assert!(run.total, "every pocket is decided");
@@ -78,7 +67,8 @@ fn bench_unfounded_chain(c: &mut Criterion) {
     for &n in &[256usize, 1024, 4096] {
         let program = generators::unfounded_chain_program(n);
         let db = Database::new();
-        let graph = ground(&program, &db, &GroundConfig::default()).expect("grounds");
+        let config = EngineConfig::default().with_ground_mode(GroundMode::Full);
+        let graph = ground(&program, &db, &config.ground).expect("grounds");
         group.throughput(Throughput::Elements(n as u64));
         for mode in MODES {
             let id = BenchmarkId::new(mode, n);
@@ -87,7 +77,8 @@ fn bench_unfounded_chain(c: &mut Criterion) {
                     let run = if mode == "global" {
                         well_founded(&graph, &program, &db)
                     } else {
-                        well_founded_with(&graph, &program, &db, &EvalOptions::default())
+                        Solver::with_config(program.clone(), db.clone(), config)
+                            .and_then(|solver| solver.well_founded_run())
                     }
                     .expect("runs");
                     assert!(run.total);

@@ -5,11 +5,12 @@
 //! summary (instance sizes, mode, wall time, close/unfounded/tie round
 //! counts), and fails (exit code 1) when a perf gate regresses:
 //!
-//! * the condensation-driven interpreter (`stratified`) must not be
-//!   slower than the paper-literal global loop (`global`) on the
-//!   win–move tie chain at n ≥ 1024 (and ≥ 5× faster at n = 4096);
+//! * the session `Solver` (`stratified`, timed with its grounding,
+//!   close and condensation) must not be slower than the paper-literal
+//!   global loop (`global`, on a graph grounded untimed) on the win–move
+//!   tie chain at n ≥ 1024 (and ≥ 5× faster at n = 4096);
 //! * the session runtime's copy-on-write `all_outcomes` must be ≥ 5×
-//!   faster than the core per-script re-close enumerator at 64 scripts,
+//!   faster than re-closing from scratch per tie script at 64 scripts,
 //!   in the median of `COW_PAIRS` back-to-back (re-close, CoW) pairs;
 //! * incremental mutation (delta grounding + cone re-close +
 //!   condensation patch + advancing the served model) must be ≥ 3×
@@ -59,14 +60,17 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use datalog_ast::{Database, Program};
-use datalog_ground::{ground, GroundConfig, GroundMode, SessionGrounder};
-use paper_constructions::generators;
-use tiebreak_core::semantics::outcomes::all_outcomes_with;
-use tiebreak_core::semantics::well_founded::{well_founded, well_founded_with};
-use tiebreak_core::semantics::{
-    well_founded_tie_breaking, well_founded_tie_breaking_with, RootTruePolicy,
+use datalog_ground::{
+    ground, Closer, GroundConfig, GroundGraph, GroundMode, PartialModel, SessionGrounder,
+    UnfoundedEngine,
 };
-use tiebreak_core::{EngineConfig, EvalOptions, RunStats};
+use paper_constructions::generators;
+use tiebreak_core::semantics::outcomes::explore_scripts;
+use tiebreak_core::semantics::well_founded::well_founded;
+use tiebreak_core::semantics::{
+    process_components, well_founded_tie_breaking, ComponentPass, RootTruePolicy, ScriptedPolicy,
+};
+use tiebreak_core::{EngineConfig, RunStats};
 use tiebreak_runtime::{ReadBatch, Solver};
 
 /// Timed runs per configuration; the minimum is reported.
@@ -165,7 +169,10 @@ fn best_of<R>(mut f: impl FnMut() -> R) -> (f64, R) {
 }
 
 /// The win–move chain of draw pockets, evaluated with WF tie-breaking in
-/// both modes (relevant grounding keeps the graph linear in n).
+/// both modes (relevant grounding keeps the graph linear in n). The
+/// `global` side times the paper-literal loop on a graph grounded
+/// outside the timer; the `stratified` side times a `Solver` end to end:
+/// ground, close, condense and its one walk.
 fn tie_chain_entries(entries: &mut Vec<Entry>, sizes: &[usize]) {
     let program = generators::win_move_program();
     for &n in sizes {
@@ -179,21 +186,14 @@ fn tie_chain_entries(entries: &mut Vec<Entry>, sizes: &[usize]) {
             },
         )
         .expect("grounds");
-        // `global` is the paper-literal loop, `stratified` the
-        // condensation-driven interpreter.
         for mode in ["global", "stratified"] {
             let (wall_ms, stats) = best_of(|| {
                 let mut policy = RootTruePolicy;
                 let run = if mode == "global" {
                     well_founded_tie_breaking(&graph, &program, &db, &mut policy)
                 } else {
-                    well_founded_tie_breaking_with(
-                        &graph,
-                        &program,
-                        &db,
-                        &mut policy,
-                        &EvalOptions::default(),
-                    )
+                    Solver::with_config(program.clone(), db.clone(), EngineConfig::default())
+                        .and_then(|solver| solver.well_founded_tie_breaking_run(&mut policy))
                 }
                 .expect("runs");
                 assert!(run.total, "every pocket is decided");
@@ -212,18 +212,21 @@ fn tie_chain_entries(entries: &mut Vec<Entry>, sizes: &[usize]) {
     }
 }
 
-/// The unfounded chain, evaluated with plain well-founded in both modes.
+/// The unfounded chain, evaluated with plain well-founded in both modes
+/// over full grounding; `stratified` again times a `Solver` end to end.
 fn unfounded_chain_entries(entries: &mut Vec<Entry>, sizes: &[usize]) {
+    let config = EngineConfig::default().with_ground_mode(GroundMode::Full);
     for &n in sizes {
         let program = generators::unfounded_chain_program(n);
         let db = Database::new();
-        let graph = ground(&program, &db, &GroundConfig::default()).expect("grounds");
+        let graph = ground(&program, &db, &config.ground).expect("grounds");
         for mode in ["global", "stratified"] {
             let (wall_ms, stats) = best_of(|| {
                 let run = if mode == "global" {
                     well_founded(&graph, &program, &db)
                 } else {
-                    well_founded_with(&graph, &program, &db, &EvalOptions::default())
+                    Solver::with_config(program.clone(), db.clone(), config)
+                        .and_then(|solver| solver.well_founded_run())
                 }
                 .expect("runs");
                 assert!(run.total);
@@ -584,9 +587,10 @@ fn trace_overhead_entries(
     events
 }
 
-/// Outcome enumeration over 2^pockets scripts: the core per-script
-/// re-close enumerator vs. the session's copy-on-write forks, both over
-/// the identical relevant-mode ground graph and stratified kernel. After
+/// Outcome enumeration over 2^pockets scripts: a per-script re-close
+/// enumerator ([`reclose_outcomes`]) vs. the session's copy-on-write
+/// forks, both over the identical relevant-mode ground graph and
+/// stratified kernel. After
 /// one untimed run each, the two run in `COW_PAIRS` back-to-back pairs;
 /// records each mode's median and returns the median per-pair ratio
 /// reclose / cow. Timed in isolation, either side reads whatever the
@@ -605,17 +609,9 @@ fn outcomes_cow_entries(entries: &mut Vec<Entry>, decided: usize, pockets: usize
 
     let reclose = || {
         let t = Instant::now();
-        let set = all_outcomes_with(
-            &graph,
-            &program,
-            &db,
-            false,
-            scripts * 4,
-            &EvalOptions::default(),
-        )
-        .expect("enumerates");
+        let runs = reclose_outcomes(&graph, &program, &db, scripts * 4);
         let ms = t.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(set.runs, scripts);
+        assert_eq!(runs, scripts);
         ms
     };
     let cow = || {
@@ -651,6 +647,42 @@ fn outcomes_cow_entries(entries: &mut Vec<Entry>, decided: usize, pockets: usize
         });
     }
     median(&mut ratios)
+}
+
+/// The CoW gate's baseline: every tie script of well-founded tie-breaking
+/// closes `M₀` over `graph` from scratch, condenses, and walks the
+/// condensation with the stratified kernel. Returns the number of runs.
+fn reclose_outcomes(
+    graph: &GroundGraph,
+    program: &Program,
+    db: &Database,
+    max_runs: usize,
+) -> usize {
+    let set = explore_scripts(max_runs, |prefix| {
+        let mut policy = ScriptedPolicy::new(prefix.to_vec(), false);
+        let mut model = PartialModel::initial(program, db, graph.atoms());
+        let mut closer = Closer::new(graph);
+        closer.bootstrap(&model);
+        closer.run(&mut model)?;
+        let mut engine = UnfoundedEngine::build(&closer);
+        let order = engine.order().to_vec();
+        let mut pass = ComponentPass {
+            use_unfounded: true,
+            detailed: false,
+            policy: Some(&mut policy),
+        };
+        process_components(
+            &mut closer,
+            &mut model,
+            &mut engine,
+            &order,
+            &mut pass,
+            &mut RunStats::default(),
+        )?;
+        Ok((model, policy.consumed()))
+    })
+    .expect("enumerates");
+    set.runs
 }
 
 /// The OLTP-style churn workload: a prepared session absorbs a

@@ -79,7 +79,14 @@
 //! `outcomes` tie script copy-on-write off the shared post-close state.
 //! `--policy random` draws one stream, seeded by `--seed`, in that
 //! order. `--threads 1` is accepted and changes nothing (the `perfbench`
-//! harness passes it); any other value is rejected.
+//! harness passes it); any other value is rejected. `ground` prints that
+//! solver's ground graph and `models` enumerates fixpoints or stable
+//! models over it; `run --semantics stratified` runs the semi-naive
+//! stratified evaluator on the parsed program, without grounding.
+//!
+//! Every report goes to stdout in one buffered write; a closed stdout
+//! (`datalog ground … | head -1`) ends the command with `error: cannot
+//! write stdout: …` and exit status 1.
 //!
 //! Each command accepts only the `--semantics` values it can run (`run`:
 //! `wf|tb|pure-tb|stratified`; `explain`: `wf|tb`; `outcomes`,
@@ -88,10 +95,12 @@
 //! Programs use `head(X) :- body(X), not other(X).` syntax; database files
 //! contain ground facts only.
 
+use std::fmt::Write as _;
 use std::process::ExitCode;
 
+use tiebreak_core::semantics::enumerate::{enumerate_fixpoints, enumerate_stable, EnumerateConfig};
 use tiebreak_core::semantics::{RandomPolicy, TiePolicy};
-use tiebreak_core::{Engine, EngineConfig, GroundMode};
+use tiebreak_core::{EngineConfig, GroundMode};
 use tiebreak_runtime::{reply, Solver};
 use tiebreak_server::{Client, LineOutcome, RegistryConfig, ScriptSession, Server, ServerConfig};
 
@@ -300,19 +309,22 @@ fn load_sources(opts: &Options) -> Result<(String, String), String> {
     Ok((program_src, db_src))
 }
 
-fn load_engine(opts: &Options) -> Result<Engine, String> {
-    let (program_src, db_src) = load_sources(opts)?;
-    Engine::from_sources(&program_src, &db_src)
-        .map(|e| e.with_config(engine_config(opts)))
-        .map_err(|e| e.to_string())
-}
-
-/// Builds the session solver every evaluating command runs on (parsing
-/// the sources directly — no intermediate `Engine` to clone out of).
-fn load_solver(opts: &Options) -> Result<Solver, String> {
+/// Parses the program and database named in `opts`.
+fn load_parsed(opts: &Options) -> Result<(datalog_ast::Program, datalog_ast::Database), String> {
     let (program_src, db_src) = load_sources(opts)?;
     let program = datalog_ast::parse_program(&program_src).map_err(|e| e.to_string())?;
     let database = datalog_ast::parse_database(&db_src).map_err(|e| e.to_string())?;
+    Ok((program, database))
+}
+
+/// Builds the session solver every grounding command runs on. A fact
+/// whose arity conflicts with the program is rejected first: relevant
+/// session grounding does not check it.
+fn load_solver(opts: &Options) -> Result<Solver, String> {
+    let (program, database) = load_parsed(opts)?;
+    database
+        .validate_against(&program)
+        .map_err(|e| e.to_string())?;
     Solver::with_config(program, database, engine_config(opts)).map_err(|e| e.to_string())
 }
 
@@ -423,12 +435,12 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
                 ..datalog_ground::GroundConfig::default()
             });
             let report = datalog_analyze::analyze(&program, database.as_ref(), &config);
-            if opts.format == "json" {
-                println!("{}", report.to_json());
+            let text = if opts.format == "json" {
+                format!("{}\n", report.to_json())
             } else {
-                print!("{report}");
-                println!("% {}", report.summary());
-            }
+                format!("{report}% {}\n", report.summary())
+            };
+            write_stdout(text.as_bytes())?;
             if report.has_errors() {
                 return Err(format!("{} error-level lint(s)", report.error_count()));
             }
@@ -438,12 +450,14 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
             let semantics = semantics(opts, "run", &["wf", "tb", "pure-tb", "stratified"])?;
             let mut policy = Policy::from_options(opts)?;
             if semantics == "stratified" {
-                let engine = load_engine(opts)?;
-                let run = engine.stratified().map_err(|e| e.to_string())?;
+                let (program, database) = load_parsed(opts)?;
+                let run = tiebreak_core::semantics::stratified::stratified(&program, &database)
+                    .map_err(|e| e.to_string())?;
+                let mut facts = String::new();
                 for fact in run.true_atoms() {
-                    println!("{fact}.");
+                    let _ = writeln!(facts, "{fact}.");
                 }
-                return Ok(());
+                return write_stdout(facts.as_bytes());
             }
             let prepare = tiebreak_trace::span("run", "prepare", &[]);
             let solver = load_solver(opts)?;
@@ -476,51 +490,51 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
             Ok(())
         }
         "models" => {
-            let engine = load_engine(opts)?;
+            let solver = load_solver(opts)?;
+            let (graph, program, database) = (solver.graph(), solver.program(), solver.database());
+            let config = EnumerateConfig::default();
             let models = if opts.stable {
-                engine.stable_models().map_err(|e| e.to_string())?
+                enumerate_stable(graph, program, database, &config)
             } else {
-                engine.fixpoints().map_err(|e| e.to_string())?
-            };
+                enumerate_fixpoints(graph, program, database, &config)
+            }
+            .map_err(|e| e.to_string())?;
             let shown = if opts.limit == 0 {
                 models.len()
             } else {
                 opts.limit.min(models.len())
             };
+            // Writes into a `Vec` cannot fail.
+            use std::io::Write as _;
+            let mut out = Vec::new();
             for (i, model) in models.iter().take(shown).enumerate() {
-                println!("% model {} of {}:", i + 1, models.len());
-                for fact in model {
-                    println!("{fact}.");
-                }
+                let _ = writeln!(out, "% model {} of {}:", i + 1, models.len());
+                reply::write_true_facts(&mut out, graph.atoms(), model, None).expect("no cap");
             }
             if models.is_empty() {
-                println!(
-                    "% no {} exist",
-                    if opts.stable {
-                        "stable models"
-                    } else {
-                        "fixpoints"
-                    }
-                );
+                let what = if opts.stable {
+                    "stable models"
+                } else {
+                    "fixpoints"
+                };
+                let _ = writeln!(out, "% no {what} exist");
             }
-            Ok(())
+            write_stdout(&out)
         }
         "ground" => {
-            let engine = load_engine(opts)?;
-            let graph = engine.ground().map_err(|e| e.to_string())?;
-            println!(
-                "% {} ground atoms, {} rule nodes, {} edges",
+            let solver = load_solver(opts)?;
+            let graph = solver.graph();
+            let mut out = format!(
+                "% {} ground atoms, {} rule nodes, {} edges\n",
                 graph.atom_count(),
                 graph.rule_count(),
                 graph.edge_count()
             );
             for i in 0..graph.rule_count() {
-                println!(
-                    "{}",
-                    graph.describe_rule(engine.program(), datalog_ground::RuleId(i as u32))
-                );
+                let rule = graph.describe_rule(solver.program(), datalog_ground::RuleId(i as u32));
+                let _ = writeln!(out, "{rule}");
             }
-            Ok(())
+            write_stdout(out.as_bytes())
         }
         "explain" => {
             let semantics = semantics(opts, "explain", &["wf", "tb"])?;
@@ -862,11 +876,8 @@ fn print_explanation(
         .id_of(ground_atom)
         .ok_or_else(|| format!("atom {ground_atom} is not in the ground atom space"))?;
     let justification = tiebreak_core::analysis::justify(graph, database, model, id);
-    println!(
-        "{}",
-        tiebreak_core::analysis::explain::render(graph, program, model, id, &justification)
-    );
-    Ok(())
+    let text = tiebreak_core::analysis::explain::render(graph, program, model, id, &justification);
+    write_stdout(format!("{text}\n").as_bytes())
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! End-to-end tests of the `datalog` binary.
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -871,4 +872,30 @@ fn ground_prints_rule_nodes_in_emission_order() {
          r0: flies :- bird, not grounded\n\
          r1: grounded :- bird, not flies\n"
     );
+}
+
+#[test]
+fn closed_stdout_is_an_error_not_a_panic() {
+    // A 20,000-edge `move` chain grounds to far more than a pipe buffer
+    // holds, so the write meets the closed read end whatever the timing.
+    let prog = write_temp("pipe.dl", "win(X) :- move(X, Y), not win(Y).");
+    let mut db = String::new();
+    for i in 0..20_000 {
+        let _ = writeln!(db, "move(c{i}, c{}).", i + 1);
+    }
+    let db = write_temp("pipe_db.dl", &db);
+    for verb in ["ground", "models"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_datalog"))
+            .args([verb, prog.to_str().unwrap(), db.to_str().unwrap()])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawns");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("waits");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{verb}: {err}");
+        assert!(!err.contains("panicked"), "{verb}: {err}");
+        assert!(err.contains("error: cannot write stdout"), "{verb}: {err}");
+    }
 }

@@ -1,37 +1,23 @@
-//! A one-stop facade over parsing, grounding, and evaluation.
+//! Engine configuration and the value types the evaluators share:
+//! [`EngineConfig`] (grounding budgets and mode, stats detail, session
+//! behaviour), the decoded [`EvalOutcome`], and the session runtime's
+//! [`Mutation`] and [`PrepareDelta`].
 //!
 //! ```
-//! use tiebreak_core::analysis::structural_totality;
-//! use tiebreak_core::{Engine, RootTruePolicy};
+//! use tiebreak_core::{EngineConfig, GroundMode};
 //!
-//! let engine = Engine::from_sources(
-//!     "win(X) :- move(X, Y), not win(Y).",
-//!     "move(a, b). move(b, a).",
-//! )
-//! .unwrap();
-//!
-//! // Odd self-cycle at `win`: not structurally total (Theorem 2).
-//! assert!(!structural_totality(engine.program()).total);
-//!
-//! // Not structurally total — yet for THIS database the ground cycle is
-//! // even (a ↔ b), so the tie-breaking interpreter still finds a fixpoint
-//! // where the well-founded semantics leaves the draw undefined.
-//! let outcome = engine
-//!     .well_founded_tie_breaking(&mut RootTruePolicy)
-//!     .unwrap();
-//! assert!(outcome.total);
+//! // The production default grounds relevant instances only; `Full` is
+//! // the paper-literal instantiation with the same post-`close` graph.
+//! let config = EngineConfig::default();
+//! assert_eq!(config.ground.mode, GroundMode::Relevant);
+//! let full = config.with_ground_mode(GroundMode::Full);
+//! assert_eq!(full.ground.mode, GroundMode::Full);
 //! ```
 
-use datalog_ast::{AstError, Database, GroundAtom, Program};
-use datalog_ground::{ground, GroundConfig, GroundGraph, GroundMode, PartialModel, TruthValue};
+use datalog_ast::GroundAtom;
+use datalog_ground::{GroundConfig, GroundMode, TruthValue};
 
-use crate::semantics::enumerate::{enumerate_fixpoints, enumerate_stable, EnumerateConfig};
-use crate::semantics::stratified::{stratified, StratifiedRun};
-use crate::semantics::tie_breaking::{
-    pure_tie_breaking_with, well_founded_tie_breaking_with, TiePolicy,
-};
-use crate::semantics::well_founded::well_founded_with;
-use crate::semantics::{EvalOptions, InterpreterRun, RunStats, SemanticsError};
+use crate::semantics::{EvalOptions, InterpreterRun, RunStats};
 
 /// Nothing to configure. Only `perfbench` uses it;
 /// goes with ROADMAP item 1's benchmark cleanup.
@@ -47,8 +33,7 @@ impl RuntimeConfig {
     }
 }
 
-/// Incremental-session knobs (used by the `tiebreak-runtime` solver;
-/// the one-shot [`Engine`] facade re-prepares per query regardless).
+/// Incremental-session knobs of the `tiebreak-runtime` solver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SessionConfig {
     /// Serve mutations incrementally (delta grounding + cone re-close +
@@ -128,22 +113,21 @@ pub struct PrepareDelta {
     pub residual_atoms: usize,
 }
 
-/// Engine-wide budgets, grounding mode, evaluation options, and session
-/// behaviour.
+/// Grounding budgets and mode, evaluation options, and session
+/// behaviour of the `tiebreak-runtime` solver.
 ///
 /// The default is the **production path**: `GroundMode::Relevant`
-/// grounding, evaluated by the condensation-driven interpreters (the only
-/// ones the facade and the session runtime run). `GroundMode::Full` via
-/// [`EngineConfig::with_ground_mode`] restores the paper-literal dense
-/// grounding; the paper-literal global evaluation loops are the plain
-/// [`crate::semantics::well_founded()`]-style functions, which the
-/// differential suites check the production path against.
+/// grounding, evaluated by the condensation-driven kernel
+/// ([`crate::semantics::process_components`]) that the session runtime
+/// walks. `GroundMode::Full` via [`EngineConfig::with_ground_mode`]
+/// restores the paper-literal dense grounding; the paper-literal global
+/// evaluation loops are the plain [`crate::semantics::well_founded()`]-style
+/// functions, which the differential suites check the production path
+/// against.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Grounding budgets and [`GroundMode`].
     pub ground: GroundConfig,
-    /// Enumeration budgets.
-    pub enumerate: EnumerateConfig,
     /// Stats detail for the interpreters.
     pub eval: EvalOptions,
     /// Incremental-session behaviour for the `tiebreak-runtime` solver.
@@ -157,7 +141,6 @@ impl Default for EngineConfig {
                 mode: GroundMode::Relevant,
                 ..GroundConfig::default()
             },
-            enumerate: EnumerateConfig::default(),
             eval: EvalOptions::default(),
             session: SessionConfig::default(),
         }
@@ -222,9 +205,8 @@ impl EvalOutcome {
     /// are filters of the table's cached text order
     /// ([`datalog_ground::AtomTable::text_order`]); nothing is sorted.
     ///
-    /// The single decoding point for every front-end — the `Engine`
-    /// facade and the `tiebreak-runtime` session solver both go through
-    /// it, so their printed fact order can never drift apart.
+    /// The single decoding point of the `tiebreak-runtime` session
+    /// solver's decoded evaluations.
     pub fn decode(atoms: &datalog_ground::AtomTable, run: InterpreterRun) -> EvalOutcome {
         let in_text_order = |value: TruthValue| -> Vec<GroundAtom> {
             atoms
@@ -243,277 +225,9 @@ impl EvalOutcome {
     }
 }
 
-/// The facade: a program, a database, and budgets.
-#[derive(Clone, Debug)]
-pub struct Engine {
-    program: Program,
-    database: Database,
-    config: EngineConfig,
-}
-
-impl Engine {
-    /// Builds an engine from parsed parts.
-    pub fn new(program: Program, database: Database) -> Self {
-        Engine {
-            program,
-            database,
-            config: EngineConfig::default(),
-        }
-    }
-
-    /// Parses program and database sources.
-    ///
-    /// # Errors
-    ///
-    /// [`AstError`] on syntax or arity problems.
-    pub fn from_sources(program_src: &str, database_src: &str) -> Result<Self, AstError> {
-        Ok(Engine::new(
-            datalog_ast::parse_program(program_src)?,
-            datalog_ast::parse_database(database_src)?,
-        ))
-    }
-
-    /// Replaces the budgets.
-    #[must_use]
-    pub fn with_config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// The program.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// The database.
-    pub fn database(&self) -> &Database {
-        &self.database
-    }
-
-    /// Grounds the instance.
-    ///
-    /// # Errors
-    ///
-    /// [`SemanticsError::Ground`] over budget or on arity conflicts.
-    pub fn ground(&self) -> Result<GroundGraph, SemanticsError> {
-        Ok(ground(&self.program, &self.database, &self.config.ground)?)
-    }
-
-    fn decode(&self, graph: &GroundGraph, run: InterpreterRun) -> EvalOutcome {
-        EvalOutcome::decode(graph.atoms(), run)
-    }
-
-    /// Runs the well-founded interpreter.
-    ///
-    /// # Errors
-    ///
-    /// Grounding failures.
-    pub fn well_founded(&self) -> Result<EvalOutcome, SemanticsError> {
-        let graph = self.ground()?;
-        let _span = tiebreak_trace::span("eval", "well_founded", &[]);
-        let run = well_founded_with(&graph, &self.program, &self.database, &self.config.eval)?;
-        Ok(self.decode(&graph, run))
-    }
-
-    /// Runs the pure tie-breaking interpreter with `policy`.
-    ///
-    /// # Errors
-    ///
-    /// Grounding failures.
-    pub fn pure_tie_breaking<P: TiePolicy>(
-        &self,
-        policy: &mut P,
-    ) -> Result<EvalOutcome, SemanticsError> {
-        let graph = self.ground()?;
-        let _span = tiebreak_trace::span("eval", "pure_tie_breaking", &[]);
-        let run = pure_tie_breaking_with(
-            &graph,
-            &self.program,
-            &self.database,
-            policy,
-            &self.config.eval,
-        )?;
-        Ok(self.decode(&graph, run))
-    }
-
-    /// Runs the well-founded tie-breaking interpreter with `policy`.
-    ///
-    /// # Errors
-    ///
-    /// Grounding failures.
-    pub fn well_founded_tie_breaking<P: TiePolicy>(
-        &self,
-        policy: &mut P,
-    ) -> Result<EvalOutcome, SemanticsError> {
-        let graph = self.ground()?;
-        let _span = tiebreak_trace::span("eval", "well_founded_tie_breaking", &[]);
-        let run = well_founded_tie_breaking_with(
-            &graph,
-            &self.program,
-            &self.database,
-            policy,
-            &self.config.eval,
-        )?;
-        Ok(self.decode(&graph, run))
-    }
-
-    /// Runs stratified evaluation (errors on unstratified programs).
-    ///
-    /// # Errors
-    ///
-    /// [`SemanticsError::NotApplicable`] when not stratified.
-    pub fn stratified(&self) -> Result<StratifiedRun, SemanticsError> {
-        stratified(&self.program, &self.database)
-    }
-
-    /// Enumerates fixpoints (bounded; see [`EnumerateConfig`]).
-    ///
-    /// # Errors
-    ///
-    /// Grounding failures or enumeration budget.
-    pub fn fixpoints(&self) -> Result<Vec<Vec<GroundAtom>>, SemanticsError> {
-        let graph = self.ground()?;
-        let models = enumerate_fixpoints(
-            &graph,
-            &self.program,
-            &self.database,
-            &self.config.enumerate,
-        )?;
-        Ok(models.iter().map(|m| sorted_true(m, &graph)).collect())
-    }
-
-    /// Enumerates stable models (bounded).
-    ///
-    /// # Errors
-    ///
-    /// Grounding failures or enumeration budget.
-    pub fn stable_models(&self) -> Result<Vec<Vec<GroundAtom>>, SemanticsError> {
-        let graph = self.ground()?;
-        let models = enumerate_stable(
-            &graph,
-            &self.program,
-            &self.database,
-            &self.config.enumerate,
-        )?;
-        Ok(models.iter().map(|m| sorted_true(m, &graph)).collect())
-    }
-}
-
-/// The model's true atoms in text order: a filter of the table's cached
-/// text order, as [`EvalOutcome::decode`] does, so the printed order
-/// does not depend on the process's interning history.
-fn sorted_true(model: &PartialModel, graph: &GroundGraph) -> Vec<GroundAtom> {
-    let atoms = graph.atoms();
-    atoms
-        .text_order()
-        .iter()
-        .filter(|&&id| id.index() < model.len() && model.get(id) == TruthValue::True)
-        .map(|&id| atoms.decode(id))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::semantics::tie_breaking::RootTruePolicy;
-
-    #[test]
-    fn facade_pipeline() {
-        let engine = Engine::from_sources(
-            "win(X) :- move(X, Y), not win(Y).",
-            "move(a, b).\nmove(b, c).",
-        )
-        .unwrap();
-        let wf = engine.well_founded().unwrap();
-        assert!(wf.total);
-        assert!(wf.true_facts.iter().any(|f| f.to_string() == "win(b)"));
-    }
-
-    #[test]
-    fn fixpoint_and_stable_enumeration_via_facade() {
-        let engine = Engine::from_sources("p :- not q.\nq :- not p.", "").unwrap();
-        assert_eq!(engine.fixpoints().unwrap().len(), 2);
-        assert_eq!(engine.stable_models().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn tie_breaking_via_facade() {
-        let engine = Engine::from_sources("p :- not q.\nq :- not p.", "").unwrap();
-        let out = engine
-            .well_founded_tie_breaking(&mut RootTruePolicy)
-            .unwrap();
-        assert!(out.total);
-        assert_eq!(out.true_facts.len(), 1);
-        assert_eq!(out.stats.ties_broken, 1);
-    }
-
-    #[test]
-    fn relevant_mode_agrees_through_the_facade() {
-        let sources = (
-            "win(X) :- move(X, Y), not win(Y).",
-            "move(a, b).\nmove(b, c).\nmove(d, d).",
-        );
-        let full = Engine::from_sources(sources.0, sources.1)
-            .unwrap()
-            .with_config(EngineConfig::default().with_ground_mode(GroundMode::Full));
-        let relevant = Engine::from_sources(sources.0, sources.1)
-            .unwrap()
-            .with_config(EngineConfig::default().with_ground_mode(GroundMode::Relevant));
-
-        let a = full.well_founded().unwrap();
-        let b = relevant.well_founded().unwrap();
-        assert_eq!(a.true_facts, b.true_facts);
-        assert_eq!(a.undefined, b.undefined);
-        assert_eq!(a.total, b.total);
-        // The relevant graph is strictly smaller pre-close.
-        assert!(relevant.ground().unwrap().rule_count() < full.ground().unwrap().rule_count());
-    }
-
-    #[test]
-    fn stratified_eval_mode_agrees_through_the_facade() {
-        // The facade runs the condensation-driven interpreters; the
-        // paper-literal global loops over the same ground graph are the
-        // oracle.
-        let sources = (
-            "win(X) :- move(X, Y), not win(Y).",
-            "move(a, b).\nmove(b, a).\nmove(c, a).\nmove(d, e).\nmove(e, d).",
-        );
-        let engine = Engine::from_sources(sources.0, sources.1).unwrap();
-        let graph = engine.ground().unwrap();
-        let (program, database) = (engine.program(), engine.database());
-
-        let wf = engine.well_founded().unwrap();
-        let oracle = engine.decode(
-            &graph,
-            crate::semantics::well_founded(&graph, program, database).unwrap(),
-        );
-        assert_eq!(wf.true_facts, oracle.true_facts);
-        assert_eq!(wf.undefined, oracle.undefined);
-        assert_eq!(wf.total, oracle.total);
-
-        // The d ↔ e pocket is a tie both interpreters can break.
-        let tb = engine
-            .well_founded_tie_breaking(&mut RootTruePolicy)
-            .unwrap();
-        let oracle = crate::semantics::well_founded_tie_breaking(
-            &graph,
-            program,
-            database,
-            &mut RootTruePolicy,
-        )
-        .unwrap();
-        assert_eq!(tb.total, oracle.total);
-        assert_eq!(tb.stats.ties_broken, oracle.stats.ties_broken);
-        // Detailed stats stay off by default (the tie_log bugfix).
-        assert!(tb.stats.tie_log.is_empty());
-        let detailed = Engine::from_sources(sources.0, sources.1)
-            .unwrap()
-            .with_config(EngineConfig::default().with_detailed_stats(true));
-        let td = detailed
-            .well_founded_tie_breaking(&mut RootTruePolicy)
-            .unwrap();
-        assert_eq!(td.stats.tie_log.len(), td.stats.ties_broken);
-    }
 
     #[test]
     fn production_defaults_are_relevant_stratified() {
@@ -522,11 +236,12 @@ mod tests {
         assert_eq!(config.eval, EvalOptions::default());
         let full = EngineConfig::default().with_ground_mode(GroundMode::Full);
         assert_eq!(full.ground.mode, GroundMode::Full);
-        // Every facade evaluation walks the condensation: the
-        // stratified interpreter reports the components it visited.
-        let engine = Engine::from_sources("p :- not q.\nq :- not p.", "").unwrap();
-        let out = engine.well_founded().unwrap();
-        assert!(out.stats.components_processed > 0);
+        assert!(
+            EngineConfig::default()
+                .with_detailed_stats(true)
+                .eval
+                .detailed_stats
+        );
     }
 
     #[test]
@@ -542,16 +257,5 @@ mod tests {
         assert!(!delta.rebuilt && delta.rebuild_reason.is_none());
         let m = Mutation::Insert(GroundAtom::from_texts("p", &["a"]));
         assert_eq!(m.fact().pred.as_str(), "p");
-    }
-
-    #[test]
-    fn stratified_via_facade() {
-        let engine = Engine::from_sources(
-            "t(X, Y) :- e(X, Y).\nt(X, Z) :- t(X, Y), e(Y, Z).",
-            "e(a, b).\ne(b, c).",
-        )
-        .unwrap();
-        let run = engine.stratified().unwrap();
-        assert_eq!(run.facts.relation("t".into()).unwrap().len(), 3);
     }
 }

@@ -29,10 +29,15 @@
 //!   ([`analysis::totality`]) — the undecidable property (Theorem 6),
 //!   decided exhaustively where that is possible.
 //!
-//! The [`engine`] module bundles grounding and evaluation behind a
-//! one-stop API. These analyses are the building blocks; the one
-//! program-level report over them (certificates, Theorem 3 verdict,
-//! lints) is the `datalog-analyze` crate's, behind `datalog check`.
+//! These analyses are the building blocks; the one program-level report
+//! over them (certificates, Theorem 3 verdict, lints) is the
+//! `datalog-analyze` crate's, behind `datalog check`.
+//!
+//! The production evaluator is the `tiebreak-runtime` crate's `Solver`:
+//! it grounds, closes and condenses once and walks the condensation with
+//! this crate's kernel ([`semantics::process_components`]), configured by
+//! [`EngineConfig`] ([`engine`]). The paper-literal interpreters above are
+//! the references it is checked against.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -42,7 +47,7 @@ pub mod engine;
 pub mod semantics;
 
 pub use datalog_ground::{GroundConfig, GroundMode};
-pub use engine::{Engine, EngineConfig, Mutation, PrepareDelta, RuntimeConfig, SessionConfig};
+pub use engine::{EngineConfig, Mutation, PrepareDelta, RuntimeConfig, SessionConfig};
 pub use semantics::{
     EvalOptions, InterpreterRun, RandomPolicy, RootFalsePolicy, RootTruePolicy, RunStats,
     ScriptedPolicy, SemanticsError, TiePolicy, TieView,

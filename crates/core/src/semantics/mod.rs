@@ -19,23 +19,19 @@ use datalog_ground::{AtomId, CloseConflict, GroundError, PartialModel};
 
 pub use scc_stratified::{process_components, ComponentPass};
 pub use tie_breaking::{
-    pure_tie_breaking, pure_tie_breaking_with, well_founded_tie_breaking,
-    well_founded_tie_breaking_with, RandomPolicy, RootFalsePolicy, RootTruePolicy, ScriptedPolicy,
-    TiePolicy, TieView,
+    pure_tie_breaking, well_founded_tie_breaking, RandomPolicy, RootFalsePolicy, RootTruePolicy,
+    ScriptedPolicy, TiePolicy, TieView,
 };
-pub use well_founded::{well_founded, well_founded_with};
+pub use well_founded::well_founded;
 
-/// Per-run evaluation knobs shared by the `*_with` interpreters.
+/// Per-run evaluation knobs of the condensation-driven evaluator
+/// (`tiebreak_runtime::Solver`, which walks [`process_components`]).
 ///
-/// The `*_with` entry points ([`well_founded_with`],
-/// [`pure_tie_breaking_with`], [`well_founded_tie_breaking_with`],
-/// [`outcomes::all_outcomes_with`]) always run the condensation-driven
-/// interpreter of [`scc_stratified`]. The paper-literal global loops and
-/// the per-script enumerator over them are reached only through the
-/// plain names ([`well_founded()`], [`pure_tie_breaking()`],
-/// [`well_founded_tie_breaking()`], [`outcomes::all_outcomes`]): they are
-/// the paper-exact references the differential suites check the `*_with`
-/// interpreters against.
+/// The paper-literal global loops and the per-script enumerator over
+/// them ([`well_founded()`], [`pure_tie_breaking()`],
+/// [`well_founded_tie_breaking()`], [`outcomes::all_outcomes`]) take no
+/// options: they are the paper-exact references the differential suites
+/// check the `Solver` against.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalOptions {
     /// Record per-event details in [`RunStats`] (`tie_log`,

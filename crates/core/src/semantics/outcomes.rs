@@ -15,11 +15,8 @@
 use datalog_ast::{Database, Program};
 use datalog_ground::{GroundGraph, PartialModel};
 
-use super::tie_breaking::{
-    pure_tie_breaking, pure_tie_breaking_with, well_founded_tie_breaking,
-    well_founded_tie_breaking_with, ScriptedPolicy,
-};
-use super::{EvalOptions, SemanticsError};
+use super::tie_breaking::{pure_tie_breaking, well_founded_tie_breaking, ScriptedPolicy};
+use super::SemanticsError;
 
 /// The set of distinct outcomes of one interpreter over all choice
 /// scripts.
@@ -42,8 +39,8 @@ impl OutcomeSet {
 
 /// Explores every script of tie choices for the chosen interpreter
 /// flavour with the paper-literal loops, stopping after `max_runs` runs:
-/// the core enumerator the differential suites check
-/// [`all_outcomes_with`] and the session runtime against.
+/// the core enumerator the differential suites check the session
+/// runtime's copy-on-write enumeration against.
 ///
 /// # Errors
 ///
@@ -62,32 +59,6 @@ pub fn all_outcomes(
             pure_tie_breaking(graph, program, database, &mut policy)?
         } else {
             well_founded_tie_breaking(graph, program, database, &mut policy)?
-        };
-        Ok((run.model, policy.consumed()))
-    })
-}
-
-/// [`all_outcomes`] over the condensation-driven interpreters, with
-/// explicit [`EvalOptions`]: the same script tree and outcome set, each
-/// script re-closed from scratch.
-///
-/// # Errors
-///
-/// As for [`all_outcomes`].
-pub fn all_outcomes_with(
-    graph: &GroundGraph,
-    program: &Program,
-    database: &Database,
-    pure: bool,
-    max_runs: usize,
-    options: &EvalOptions,
-) -> Result<OutcomeSet, SemanticsError> {
-    explore_scripts(max_runs, |prefix| {
-        let mut policy = ScriptedPolicy::new(prefix.to_vec(), false);
-        let run = if pure {
-            pure_tie_breaking_with(graph, program, database, &mut policy, options)?
-        } else {
-            well_founded_tie_breaking_with(graph, program, database, &mut policy, options)?
         };
         Ok((run.model, policy.consumed()))
     })

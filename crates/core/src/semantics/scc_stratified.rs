@@ -1,5 +1,5 @@
-//! SCC-stratified evaluation: the interpreter behind every `*_with` entry
-//! point and the session runtime.
+//! SCC-stratified evaluation: the kernel the session runtime
+//! (`tiebreak_runtime::Solver`) walks for every evaluation.
 //!
 //! The paper's interpreters alternate `close` with whole-graph queries:
 //! every unfounded-set round clones the live deletion state
@@ -8,7 +8,8 @@
 //! win–move chain of draw pockets, the two-counter reduction — that makes
 //! evaluation quadratic even though each individual round is cheap.
 //!
-//! This module runs the *same* algorithms over the condensation instead:
+//! [`process_components`] runs the *same* algorithms over the
+//! condensation instead. Its caller does steps 1 and 2 once:
 //!
 //! 1. `close(M₀, G)` as usual;
 //! 2. condense the residual graph once
@@ -33,17 +34,18 @@
 //! residues (odd loops) therefore veto downstream tie breaks exactly as
 //! they do in the global loop.
 //!
-//! The differential suites (`tests/eval_modes.rs`, plus the unit tests
-//! here) check that stratified runs and the paper-literal global loops
-//! (the plain `well_founded`, `pure_tie_breaking`, … names) produce identical
-//! well-founded models and identical tie-breaking outcome *sets*;
-//! individual runs may break isomorphic ties in a different order.
+//! The differential suites (`tests/eval_modes.rs`,
+//! `tests/runtime_parallel.rs`, plus the unit tests here, which drive the
+//! kernel directly) check that condensation walks and the paper-literal
+//! global loops (the plain `well_founded`, `pure_tie_breaking`, … names)
+//! produce identical well-founded models and identical tie-breaking
+//! outcome *sets*; individual runs may break isomorphic ties in a
+//! different order.
 
-use datalog_ast::{Database, Program};
-use datalog_ground::{Closer, GroundGraph, PartialModel, TruthValue, UnfoundedEngine};
+use datalog_ground::{Closer, PartialModel, TruthValue, UnfoundedEngine};
 
 use super::tie_breaking::{break_tie, TiePolicy};
-use super::{InterpreterRun, RunStats, SemanticsError};
+use super::{RunStats, SemanticsError};
 
 /// One pass over a sequence of condensation components — the flavour
 /// switches (`policy: None` means plain well-founded; `use_unfounded`
@@ -61,63 +63,16 @@ pub struct ComponentPass<'p> {
     pub policy: Option<&'p mut dyn TiePolicy>,
 }
 
-/// The condensation-driven loop shared by all three flavours.
-///
-/// `policy: None` runs plain well-founded evaluation; `use_unfounded`
-/// keeps the unfounded-set priority of the well-founded flavours.
-pub(crate) fn run_stratified(
-    graph: &GroundGraph,
-    program: &Program,
-    database: &Database,
-    policy: Option<&mut dyn TiePolicy>,
-    use_unfounded: bool,
-    detailed: bool,
-) -> Result<InterpreterRun, SemanticsError> {
-    let mut model = PartialModel::initial(program, database, graph.atoms());
-    let mut closer = Closer::new(graph);
-    let mut stats = RunStats::default();
-
-    closer.bootstrap(&model);
-    closer.run(&mut model)?;
-    stats.close_rounds += 1;
-
-    let mut engine = UnfoundedEngine::build(&closer);
-    let order: Vec<u32> = engine.order().to_vec();
-
-    let mut pass = ComponentPass {
-        use_unfounded,
-        detailed,
-        policy,
-    };
-    process_components(
-        &mut closer,
-        &mut model,
-        &mut engine,
-        &order,
-        &mut pass,
-        &mut stats,
-    )?;
-
-    let total = model.is_total();
-    Ok(InterpreterRun {
-        model,
-        total,
-        stats,
-    })
-}
-
 /// Processes `components` (which must be listed in topological order of
 /// the condensation, upstream first) against live `closer`/`model` state:
 /// per component, falsify local unfounded sets to a fixpoint, then break
 /// bottom ties inside the alive remnant, re-running the incremental
 /// `close` after every batch.
 ///
-/// This is the shared evaluation kernel: the stratified interpreters
-/// (e.g. [`super::well_founded_with`]) drive it over the full topological
-/// order after grounding and closing, and the `tiebreak-runtime` session
-/// drives it over the same order on a fork of its shared post-close
-/// state (and over a mutation cone's new components when it advances
-/// its served model).
+/// This is the one evaluation kernel: the `tiebreak-runtime` session
+/// drives it over the full topological order on a fork of its shared
+/// post-close state, and over a mutation cone's new components when it
+/// advances its served model.
 ///
 /// # Errors
 ///
@@ -186,19 +141,76 @@ pub fn process_components(
 mod tests {
     use super::*;
     use crate::semantics::tie_breaking::{
-        pure_tie_breaking_with, well_founded_tie_breaking, well_founded_tie_breaking_with,
-        RootFalsePolicy, RootTruePolicy, ScriptedPolicy,
+        pure_tie_breaking, well_founded_tie_breaking, RootFalsePolicy, RootTruePolicy,
+        ScriptedPolicy,
     };
-    use crate::semantics::well_founded::{well_founded, well_founded_with};
-    use crate::semantics::EvalOptions;
-    use datalog_ast::{parse_database, parse_program, GroundAtom};
-    use datalog_ground::{ground, GroundConfig};
+    use crate::semantics::well_founded::well_founded;
+    use crate::semantics::InterpreterRun;
+    use datalog_ast::{parse_database, parse_program, Database, GroundAtom, Program};
+    use datalog_ground::{ground, GroundConfig, GroundGraph};
 
     fn setup(src: &str, db: &str) -> (GroundGraph, Program, Database) {
         let p = parse_program(src).unwrap();
         let d = parse_database(db).unwrap();
         let g = ground(&p, &d, &GroundConfig::default()).unwrap();
         (g, p, d)
+    }
+
+    /// The kernel over the whole condensation, as the session runtime
+    /// walks it: close, condense, then one pass in topological order.
+    fn walk(
+        g: &GroundGraph,
+        p: &Program,
+        d: &Database,
+        policy: Option<&mut dyn TiePolicy>,
+        use_unfounded: bool,
+        detailed: bool,
+    ) -> InterpreterRun {
+        let mut model = PartialModel::initial(p, d, g.atoms());
+        let mut closer = Closer::new(g);
+        closer.bootstrap(&model);
+        closer.run(&mut model).unwrap();
+        let mut stats = RunStats {
+            close_rounds: 1,
+            ..RunStats::default()
+        };
+        let mut engine = UnfoundedEngine::build(&closer);
+        let order = engine.order().to_vec();
+        let mut pass = ComponentPass {
+            use_unfounded,
+            detailed,
+            policy,
+        };
+        process_components(
+            &mut closer,
+            &mut model,
+            &mut engine,
+            &order,
+            &mut pass,
+            &mut stats,
+        )
+        .unwrap();
+        let total = model.is_total();
+        InterpreterRun {
+            model,
+            total,
+            stats,
+        }
+    }
+
+    /// Plain well-founded: no tie phase.
+    fn wf(g: &GroundGraph, p: &Program, d: &Database) -> InterpreterRun {
+        walk(g, p, d, None, true, false)
+    }
+
+    /// Well-founded tie-breaking with `policy`.
+    fn wf_tb(
+        g: &GroundGraph,
+        p: &Program,
+        d: &Database,
+        policy: &mut dyn TiePolicy,
+    ) -> InterpreterRun {
+        walk(g, p, d, Some(policy), true, false)
     }
 
     fn val(g: &GroundGraph, r: &InterpreterRun, pred: &str, args: &[&str]) -> TruthValue {
@@ -227,7 +239,7 @@ mod tests {
         ] {
             let (g, p, d) = setup(src, db);
             let global = well_founded(&g, &p, &d).unwrap();
-            let strat = well_founded_with(&g, &p, &d, &EvalOptions::default()).unwrap();
+            let strat = wf(&g, &p, &d);
             assert_eq!(strat.model, global.model, "program: {src}");
             assert_eq!(strat.total, global.total);
         }
@@ -236,7 +248,7 @@ mod tests {
     #[test]
     fn chained_unfounded_rounds_collapse_to_one_pass() {
         // The global algorithm needs Θ(n) unfounded rounds on this chain;
-        // stratified needs one per affected component and its stats say so.
+        // the kernel needs one per affected component and its stats say so.
         let mut src = String::from("a0 :- a0.\nb0 :- not a0.\n");
         for i in 1..8 {
             src.push_str(&format!(
@@ -246,7 +258,7 @@ mod tests {
         }
         let (g, p, d) = setup(&src, "");
         let global = well_founded(&g, &p, &d).unwrap();
-        let strat = well_founded_with(&g, &p, &d, &EvalOptions::default()).unwrap();
+        let strat = wf(&g, &p, &d);
         assert_eq!(strat.model, global.model);
         assert!(strat.total);
         assert_eq!(global.stats.unfounded_rounds, 4, "global alternates");
@@ -261,40 +273,18 @@ mod tests {
     #[test]
     fn tie_orientations_match_global() {
         let (g, p, d) = setup("p :- not q.\nq :- not p.", "");
-        for (policy_true, ()) in [(true, ()), (false, ())] {
-            let run = |strat: bool| {
-                if policy_true {
-                    let mut pol = RootTruePolicy;
-                    if strat {
-                        well_founded_tie_breaking_with(
-                            &g,
-                            &p,
-                            &d,
-                            &mut pol,
-                            &EvalOptions::default(),
-                        )
-                        .unwrap()
-                    } else {
-                        well_founded_tie_breaking(&g, &p, &d, &mut pol).unwrap()
-                    }
-                } else {
-                    let mut pol = RootFalsePolicy;
-                    if strat {
-                        well_founded_tie_breaking_with(
-                            &g,
-                            &p,
-                            &d,
-                            &mut pol,
-                            &EvalOptions::default(),
-                        )
-                        .unwrap()
-                    } else {
-                        well_founded_tie_breaking(&g, &p, &d, &mut pol).unwrap()
-                    }
-                }
+        for root_true in [true, false] {
+            let (a, b) = if root_true {
+                (
+                    well_founded_tie_breaking(&g, &p, &d, &mut RootTruePolicy).unwrap(),
+                    wf_tb(&g, &p, &d, &mut RootTruePolicy),
+                )
+            } else {
+                (
+                    well_founded_tie_breaking(&g, &p, &d, &mut RootFalsePolicy).unwrap(),
+                    wf_tb(&g, &p, &d, &mut RootFalsePolicy),
+                )
             };
-            let a = run(false);
-            let b = run(true);
             assert!(a.total && b.total);
             assert_eq!(a.model, b.model, "same policy, same single-tie model");
         }
@@ -303,20 +293,22 @@ mod tests {
     #[test]
     fn unfounded_priority_is_kept() {
         // {p, q} is unfounded, so WF-TB falsifies it instead of breaking
-        // the tie — in both modes.
+        // the tie — as the global loop does.
         let (g, p, d) = setup("p :- p, not q.\nq :- q, not p.", "");
-        let mut pol = RootTruePolicy;
-        let strat =
-            well_founded_tie_breaking_with(&g, &p, &d, &mut pol, &EvalOptions::default()).unwrap();
+        let strat = wf_tb(&g, &p, &d, &mut RootTruePolicy);
+        let global = well_founded_tie_breaking(&g, &p, &d, &mut RootTruePolicy).unwrap();
+        assert_eq!(strat.model, global.model);
         assert!(strat.total);
         assert_eq!(val(&g, &strat, "p", &[]), TruthValue::False);
         assert_eq!(val(&g, &strat, "q", &[]), TruthValue::False);
         assert_eq!(strat.stats.ties_broken, 0);
         assert_eq!(strat.stats.unfounded_rounds, 1);
 
-        // Pure tie-breaking instead breaks the tie in both modes.
-        let mut pol = RootTruePolicy;
-        let pure = pure_tie_breaking_with(&g, &p, &d, &mut pol, &EvalOptions::default()).unwrap();
+        // Pure tie-breaking instead breaks the tie, as its global loop
+        // does.
+        let pure = walk(&g, &p, &d, Some(&mut RootTruePolicy), false, false);
+        let global = pure_tie_breaking(&g, &p, &d, &mut RootTruePolicy).unwrap();
+        assert_eq!(pure.model, global.model);
         assert!(pure.total);
         assert_eq!(pure.stats.ties_broken, 1);
         assert_ne!(val(&g, &pure, "p", &[]), val(&g, &pure, "q", &[]));
@@ -326,13 +318,10 @@ mod tests {
     fn stuck_upstream_vetoes_downstream_ties() {
         // The odd loop `x` feeds `p` through an alive rule, so the {p, q}
         // tie never becomes a bottom component: the global loop leaves it
-        // unbroken and so must the stratified one.
+        // unbroken and so must the kernel.
         let (g, p, d) = setup("p :- not q.\nq :- not p.\np :- x.\nx :- not x.", "");
-        let mut pol = RootTruePolicy;
-        let global = well_founded_tie_breaking(&g, &p, &d, &mut pol).unwrap();
-        let mut pol = RootTruePolicy;
-        let strat =
-            well_founded_tie_breaking_with(&g, &p, &d, &mut pol, &EvalOptions::default()).unwrap();
+        let global = well_founded_tie_breaking(&g, &p, &d, &mut RootTruePolicy).unwrap();
+        let strat = wf_tb(&g, &p, &d, &mut RootTruePolicy);
         assert_eq!(strat.model, global.model);
         assert!(!strat.total);
         assert_eq!(strat.stats.ties_broken, 0);
@@ -344,11 +333,8 @@ mod tests {
         // Here the guard loop is unfounded: y := false resolves upstream,
         // which *closes* p to true — no tie remains anywhere.
         let (g, p, d) = setup("p :- not q.\nq :- not p.\np :- not y.\ny :- y.", "");
-        let mut pol = RootTruePolicy;
-        let global = well_founded_tie_breaking(&g, &p, &d, &mut pol).unwrap();
-        let mut pol = RootTruePolicy;
-        let strat =
-            well_founded_tie_breaking_with(&g, &p, &d, &mut pol, &EvalOptions::default()).unwrap();
+        let global = well_founded_tie_breaking(&g, &p, &d, &mut RootTruePolicy).unwrap();
+        let strat = wf_tb(&g, &p, &d, &mut RootTruePolicy);
         assert_eq!(strat.model, global.model);
         assert!(strat.total);
         assert_eq!(val(&g, &strat, "p", &[]), TruthValue::True);
@@ -368,17 +354,14 @@ mod tests {
             db.push_str(&format!("move(a{i}, a{}).\n", i + 1));
         }
         let (g, p, d) = setup("win(X) :- move(X, Y), not win(Y).", &db);
-        let mut pol = RootTruePolicy;
-        let strat =
-            well_founded_tie_breaking_with(&g, &p, &d, &mut pol, &EvalOptions::default()).unwrap();
+        let strat = wf_tb(&g, &p, &d, &mut RootTruePolicy);
         assert!(strat.total);
         assert!(strat.stats.ties_broken >= 1);
         assert!(strat.stats.components_processed > 0);
 
         // Identical outcome *sets* with the global loop are asserted by
         // the differential suites; here check both are total fixpoints.
-        let mut pol = RootTruePolicy;
-        let global = well_founded_tie_breaking(&g, &p, &d, &mut pol).unwrap();
+        let global = well_founded_tie_breaking(&g, &p, &d, &mut RootTruePolicy).unwrap();
         assert!(global.total);
     }
 
@@ -388,8 +371,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for &choice in &[false, true] {
             let mut pol = ScriptedPolicy::new(vec![choice], false);
-            let r = well_founded_tie_breaking_with(&g, &p, &d, &mut pol, &EvalOptions::default())
-                .unwrap();
+            let r = wf_tb(&g, &p, &d, &mut pol);
             assert!(r.total);
             assert_eq!(pol.consumed(), 1);
             seen.insert(format!("{:?}", val(&g, &r, "p", &[])));
@@ -400,14 +382,11 @@ mod tests {
     #[test]
     fn detailed_stats_record_component_rounds() {
         let (g, p, d) = setup("p :- not q.\nq :- not p.", "");
-        let mut pol = RootTruePolicy;
-        let run = run_stratified(&g, &p, &d, Some(&mut pol), true, true).unwrap();
+        let run = walk(&g, &p, &d, Some(&mut RootTruePolicy), true, true);
         assert_eq!(run.stats.tie_log.len(), 1);
         assert_eq!(run.stats.component_rounds.iter().sum::<usize>(), 1);
         // Default (non-detailed) keeps the logs empty but the counters.
-        let mut pol = RootTruePolicy;
-        let lean =
-            well_founded_tie_breaking_with(&g, &p, &d, &mut pol, &EvalOptions::default()).unwrap();
+        let lean = wf_tb(&g, &p, &d, &mut RootTruePolicy);
         assert!(lean.stats.tie_log.is_empty());
         assert!(lean.stats.component_rounds.is_empty());
         assert_eq!(lean.stats.ties_broken, 1);

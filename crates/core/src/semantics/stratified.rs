@@ -131,6 +131,14 @@ mod tests {
     }
 
     #[test]
+    fn transitive_closure_over_a_path() {
+        let p = parse_program("t(X, Y) :- e(X, Y).\nt(X, Z) :- t(X, Y), e(Y, Z).").unwrap();
+        let d = parse_database("e(a, b).\ne(b, c).").unwrap();
+        let run = stratified(&p, &d).unwrap();
+        assert_eq!(run.facts.relation("t".into()).unwrap().len(), 3);
+    }
+
+    #[test]
     fn idb_seed_facts_participate() {
         // Δ contains an IDB fact: it seeds the fixpoint (uniform setting).
         let p = parse_program("t(X, Z) :- t(X, Y), t(Y, Z).").unwrap();

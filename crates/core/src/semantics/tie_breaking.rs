@@ -28,7 +28,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use signed_graph::{tie, Sccs};
 
-use super::{EvalOptions, InterpreterRun, RunStats, SemanticsError};
+use super::{InterpreterRun, RunStats, SemanticsError};
 
 /// What the policy sees when a tie with two nonempty sides must be broken.
 ///
@@ -126,8 +126,9 @@ impl TiePolicy for ScriptedPolicy {
 }
 
 /// Runs **Algorithm Pure Tie-Breaking** as the paper-literal loop (every
-/// tie query rebuilds the whole remaining graph): the reference that
-/// [`pure_tie_breaking_with`] is checked against.
+/// tie query rebuilds the whole remaining graph): the reference that the
+/// condensation-driven kernel ([`super::process_components`], walked by
+/// `tiebreak_runtime::Solver`) is checked against.
 ///
 /// # Errors
 ///
@@ -142,34 +143,9 @@ pub fn pure_tie_breaking<P: TiePolicy>(
     tie_breaking_loop(graph, program, database, policy, false)
 }
 
-/// Algorithm Pure Tie-Breaking over the condensation
-/// ([`super::scc_stratified`]) with explicit [`EvalOptions`]: the same
-/// outcome set as [`pure_tie_breaking`], linear instead of quadratic on
-/// alternation-heavy instances.
-///
-/// # Errors
-///
-/// As for [`pure_tie_breaking`].
-pub fn pure_tie_breaking_with<P: TiePolicy>(
-    graph: &GroundGraph,
-    program: &Program,
-    database: &Database,
-    policy: &mut P,
-    options: &EvalOptions,
-) -> Result<InterpreterRun, SemanticsError> {
-    super::scc_stratified::run_stratified(
-        graph,
-        program,
-        database,
-        Some(policy),
-        false,
-        options.detailed_stats,
-    )
-}
-
 /// Runs **Algorithm Well-Founded Tie-Breaking** (unfounded sets take
 /// priority over tie-breaking) as the paper-literal loop: the reference
-/// that [`well_founded_tie_breaking_with`] is checked against.
+/// that the condensation-driven kernel is checked against.
 ///
 /// # Errors
 ///
@@ -181,30 +157,6 @@ pub fn well_founded_tie_breaking<P: TiePolicy>(
     policy: &mut P,
 ) -> Result<InterpreterRun, SemanticsError> {
     tie_breaking_loop(graph, program, database, policy, true)
-}
-
-/// Algorithm Well-Founded Tie-Breaking over the condensation
-/// ([`super::scc_stratified`]) with explicit [`EvalOptions`]: the same
-/// outcome set as [`well_founded_tie_breaking`].
-///
-/// # Errors
-///
-/// As for [`well_founded_tie_breaking`].
-pub fn well_founded_tie_breaking_with<P: TiePolicy>(
-    graph: &GroundGraph,
-    program: &Program,
-    database: &Database,
-    policy: &mut P,
-    options: &EvalOptions,
-) -> Result<InterpreterRun, SemanticsError> {
-    super::scc_stratified::run_stratified(
-        graph,
-        program,
-        database,
-        Some(policy),
-        true,
-        options.detailed_stats,
-    )
 }
 
 fn tie_breaking_loop<P: TiePolicy>(

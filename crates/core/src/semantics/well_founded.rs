@@ -13,35 +13,13 @@
 use datalog_ast::{Database, Program};
 use datalog_ground::{Closer, GroundGraph, PartialModel, TruthValue};
 
-use super::{EvalOptions, InterpreterRun, RunStats, SemanticsError};
-
-/// Runs the condensation-driven well-founded interpreter of
-/// [`super::scc_stratified`] with explicit [`EvalOptions`]: the same model
-/// as the paper-literal loop [`well_founded`], in time linear in the
-/// number of unfounded rounds instead of quadratic.
-///
-/// # Errors
-///
-/// As for [`well_founded`].
-pub fn well_founded_with(
-    graph: &GroundGraph,
-    program: &Program,
-    database: &Database,
-    options: &EvalOptions,
-) -> Result<InterpreterRun, SemanticsError> {
-    super::scc_stratified::run_stratified(
-        graph,
-        program,
-        database,
-        None,
-        true,
-        options.detailed_stats,
-    )
-}
+use super::{InterpreterRun, RunStats, SemanticsError};
 
 /// Runs the paper-literal well-founded loop over a pre-built ground graph
 /// (every unfounded-set query scans the whole remaining graph): the
-/// reference that [`well_founded_with`] is checked against.
+/// reference that the condensation-driven kernel
+/// ([`super::process_components`], walked by `tiebreak_runtime::Solver`)
+/// is checked against.
 ///
 /// # Errors
 ///

@@ -7,10 +7,9 @@
 //! (`tiebreak_core::semantics::process_components`) over
 //! [`UnfoundedEngine::order`](datalog_ground::UnfoundedEngine::order)
 //! with at most one tie policy. That policy therefore meets every tie of
-//! the run in topological order, exactly as in the one-shot
-//! `tiebreak_core::semantics::*_with` interpreters, which walk the same
-//! order of the same condensation: a fresh session and those
-//! interpreters make the same choices with the same policy (checked by
+//! the run in topological order, exactly as a from-scratch close,
+//! condense and walk of the same graph does: a fresh session and such a
+//! walk make the same choices with the same policy (checked by
 //! `tests/runtime_parallel.rs`).
 //!
 //! **Not the write path.** Serving reads ([`crate::ReadBatch`], every
@@ -33,7 +32,7 @@ use crate::session::Solver;
 ///
 /// `policy: None` runs plain well-founded evaluation (no tie phase);
 /// `use_unfounded` keeps the unfounded-set priority of the well-founded
-/// flavours, exactly as in the one-shot interpreters.
+/// flavours, exactly as in the paper-literal global loops.
 pub(crate) fn evaluate(
     solver: &Solver,
     policy: Option<&mut dyn TiePolicy>,
@@ -46,7 +45,7 @@ pub(crate) fn evaluate(
 
     // The base close is shared by every evaluation of the session; its
     // one propagation round is part of each run's accounting so session
-    // stats remain comparable with the one-shot interpreters.
+    // stats remain comparable with the paper-literal global loops.
     let mut stats = RunStats {
         close_rounds: 1,
         ..RunStats::default()

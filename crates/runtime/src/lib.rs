@@ -1,9 +1,10 @@
 //! The session-oriented solver runtime.
 //!
-//! The `tiebreak-core` facade rebuilds the whole pipeline — ground,
-//! `close(M₀, G)`, condense — for every query, and `all_outcomes` re-runs
-//! `close` once per tie script. This crate turns that pipeline into a
-//! persistent [`Solver`] **session**:
+//! The paper's interpreters (`tiebreak-core`) take a ground graph and
+//! run `close(M₀, G)` per query, and its `all_outcomes` re-runs `close`
+//! once per tie script. This crate runs the pipeline — ground,
+//! `close(M₀, G)`, condense — once, in a persistent [`Solver`]
+//! **session**, the one production evaluator:
 //!
 //! * **Ground once, close once, condense once.** [`Solver::with_config`]
 //!   grounds the instance, runs the first `close`, snapshots the
@@ -16,8 +17,7 @@
 //! * **One walk, one thread, one policy.** [`Solver::well_founded`] and
 //!   the tie-breaking evaluations fork the post-close state and walk the
 //!   condensation's components once in topological order, sources first,
-//!   with the same kernel the one-shot
-//!   `tiebreak_core::semantics::*_with` interpreters use
+//!   with the condensation kernel
 //!   (`tiebreak_core::semantics::process_components`). One
 //!   `&mut impl TiePolicy` drives the walk, so it meets the ties in that
 //!   order: an outcome depends on the policy, never on a schedule.

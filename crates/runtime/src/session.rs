@@ -204,9 +204,9 @@ fn prepare(
 ///
 /// The session honours [`EngineConfig::ground`] (grounding mode and
 /// budgets), [`EngineConfig::session`] (incremental serving), and
-/// `EngineConfig::eval.detailed_stats`. Like every production evaluator
-/// it is condensation-driven; the paper-literal global loops are test
-/// oracles only.
+/// `EngineConfig::eval.detailed_stats`. It is the one production
+/// evaluator and condensation-driven; the paper-literal global loops are
+/// test oracles only.
 pub struct Solver {
     pub(crate) program: Program,
     pub(crate) database: Database,
@@ -822,9 +822,8 @@ impl Solver {
     }
 
     /// Algorithm Well-Founded Tie-Breaking against the prepared state:
-    /// one walk in topological order, so `policy` meets the ties in the
-    /// order the one-shot `tiebreak_core` interpreters meet them.
-    /// Identical outcome set to those interpreters.
+    /// one walk in topological order, so `policy` meets the ties in that
+    /// order. Identical outcome set to the paper-literal global loop.
     ///
     /// # Errors
     ///
@@ -924,8 +923,8 @@ impl Solver {
         }
     }
 
-    /// Decodes an interpreter run into sorted fact lists (the shared
-    /// [`EvalOutcome::decode`], so facade and session output coincide).
+    /// Decodes an interpreter run into text-ordered fact lists
+    /// ([`EvalOutcome::decode`]).
     pub(crate) fn decode(&self, run: InterpreterRun) -> EvalOutcome {
         EvalOutcome::decode(self.graph.atoms(), run)
     }

@@ -1,20 +1,44 @@
 //! Session-level behaviour of the runtime [`Solver`].
 //!
 //! The cross-mode differential sweeps live in the root suite
-//! (`tests/runtime_parallel.rs`); here: session reuse, the one policy of
-//! a run, CoW enumeration equivalence on hand-picked instances.
+//! (`tests/eval_modes.rs`, `tests/runtime_parallel.rs`); here: session
+//! reuse, the one policy of a run, the paper's small examples against the
+//! paper-literal global loops, and CoW enumeration equivalence on
+//! hand-picked instances.
 
 use std::collections::BTreeSet;
 
-use datalog_ast::{parse_database, parse_program};
-use datalog_ground::{ground, GroundConfig, PartialModel};
-use tiebreak_core::semantics::outcomes::all_outcomes_with;
+use datalog_ast::{parse_database, parse_program, GroundAtom};
+use datalog_ground::{ground, GroundConfig, GroundMode, PartialModel, TruthValue};
+use tiebreak_core::semantics::enumerate::{enumerate_fixpoints, enumerate_stable, EnumerateConfig};
+use tiebreak_core::semantics::outcomes::all_outcomes;
 use tiebreak_core::semantics::well_founded::well_founded;
-use tiebreak_core::{EvalOptions, RootFalsePolicy, RootTruePolicy, TiePolicy, TieView};
+use tiebreak_core::semantics::{pure_tie_breaking, well_founded_tie_breaking};
+use tiebreak_core::{
+    EngineConfig, InterpreterRun, RootFalsePolicy, RootTruePolicy, ScriptedPolicy, TiePolicy,
+    TieView,
+};
 use tiebreak_runtime::Solver;
 
 fn solver(program: &str, database: &str) -> Solver {
     Solver::from_sources(program, database).unwrap()
+}
+
+/// A solver over paper-literal full grounding, whose graph the global
+/// loops then run on, so models compare atom by atom.
+fn full_solver(program: &str, database: &str) -> Solver {
+    Solver::with_config(
+        parse_program(program).unwrap(),
+        parse_database(database).unwrap(),
+        EngineConfig::default().with_ground_mode(GroundMode::Full),
+    )
+    .unwrap()
+}
+
+fn val(solver: &Solver, run: &InterpreterRun, pred: &str, args: &[&str]) -> TruthValue {
+    let atoms = solver.graph().atoms();
+    run.model
+        .get(atoms.id_of(&GroundAtom::from_texts(pred, args)).unwrap())
 }
 
 /// Two independent draw pockets + a decided chain.
@@ -96,30 +120,197 @@ fn one_policy_meets_every_tie_of_the_run_in_order() {
 
 #[test]
 fn pure_flavour_breaks_guarded_cycles() {
-    // Pure TB breaks the {p, q} tie; WF-TB falsifies it as unfounded.
-    let solver = solver("p :- p, not q.\nq :- q, not p.", "");
-    let pure = solver.pure_tie_breaking(&mut RootTruePolicy).unwrap();
+    // Pure TB breaks the {p, q} tie; WF-TB falsifies it as unfounded
+    // instead: unfounded sets take priority, as in the global loops.
+    let src = "p :- p, not q.\nq :- q, not p.";
+    let solver = full_solver(src, "");
+    let (p, d) = (solver.program(), solver.database());
+    let pure = solver.pure_tie_breaking_run(&mut RootTruePolicy).unwrap();
+    let global = pure_tie_breaking(solver.graph(), p, d, &mut RootTruePolicy).unwrap();
+    assert!(pure.model == global.model);
     assert!(pure.total);
     assert_eq!(pure.stats.ties_broken, 1);
-    assert_eq!(pure.true_facts.len(), 1);
+    assert_ne!(val(&solver, &pure, "p", &[]), val(&solver, &pure, "q", &[]));
     let wf = solver
-        .well_founded_tie_breaking(&mut RootTruePolicy)
+        .well_founded_tie_breaking_run(&mut RootTruePolicy)
         .unwrap();
+    let global = well_founded_tie_breaking(solver.graph(), p, d, &mut RootTruePolicy).unwrap();
+    assert!(wf.model == global.model);
     assert!(wf.total);
     assert_eq!(wf.stats.ties_broken, 0);
     assert_eq!(wf.stats.unfounded_rounds, 1);
-    assert!(wf.true_facts.is_empty());
+    assert_eq!(val(&solver, &wf, "p", &[]), TruthValue::False);
+    assert_eq!(val(&solver, &wf, "q", &[]), TruthValue::False);
 }
 
 #[test]
 fn stuck_residues_stay_partial_and_veto_downstream() {
-    let solver = solver("p :- not q.\nq :- not p.\np :- x.\nx :- not x.", "");
-    let out = solver
+    // The odd loop `x` feeds `p` through an alive rule, so the {p, q}
+    // tie never becomes a bottom component: the global loop leaves it
+    // unbroken and so does the solver.
+    let src = "p :- not q.\nq :- not p.\np :- x.\nx :- not x.";
+    let out = solver(src, "")
         .well_founded_tie_breaking(&mut RootTruePolicy)
         .unwrap();
     assert!(!out.total);
     assert_eq!(out.stats.ties_broken, 0);
     assert_eq!(out.undefined.len(), 3);
+    let solver = full_solver(src, "");
+    let (p, d) = (solver.program(), solver.database());
+    let run = solver
+        .well_founded_tie_breaking_run(&mut RootTruePolicy)
+        .unwrap();
+    let global = well_founded_tie_breaking(solver.graph(), p, d, &mut RootTruePolicy).unwrap();
+    assert!(run.model == global.model);
+    assert_eq!(run.model.defined_count(), 0);
+}
+
+#[test]
+fn resolved_upstream_unlocks_downstream_ties() {
+    // Here the guard loop is unfounded: y := false resolves upstream,
+    // which *closes* p to true — no tie remains anywhere.
+    let solver = full_solver("p :- not q.\nq :- not p.\np :- not y.\ny :- y.", "");
+    let (p, d) = (solver.program(), solver.database());
+    let run = solver
+        .well_founded_tie_breaking_run(&mut RootTruePolicy)
+        .unwrap();
+    let global = well_founded_tie_breaking(solver.graph(), p, d, &mut RootTruePolicy).unwrap();
+    assert!(run.model == global.model);
+    assert!(run.total);
+    assert_eq!(val(&solver, &run, "p", &[]), TruthValue::True);
+    assert_eq!(run.stats.ties_broken, 0);
+}
+
+#[test]
+fn wf_agrees_with_global_on_paper_examples() {
+    for (src, db) in [
+        ("p :- p, not q.\nq :- q, not p.", ""),
+        ("p :- not q.\nq :- not p.", ""),
+        ("p :- not q.\nq :- not r.\nr :- not p.", ""),
+        ("p(a) :- not p(X), e(b).", "e(b)."),
+        (POCKETS, "move(a, b).\nmove(b, a).\nmove(c, a)."),
+        (POCKETS, "move(a, b).\nmove(b, c)."),
+    ] {
+        let solver = full_solver(src, db);
+        let global = well_founded(solver.graph(), solver.program(), solver.database()).unwrap();
+        let run = solver.well_founded_run().unwrap();
+        assert!(run.model == global.model, "program: {src}");
+        assert_eq!(run.total, global.total, "program: {src}");
+    }
+    // The decided chain: b moves to the dead end c.
+    let wf = solver(POCKETS, "move(a, b).\nmove(b, c).")
+        .well_founded()
+        .unwrap();
+    assert!(wf.total);
+    assert!(wf.true_facts.iter().any(|f| f.to_string() == "win(b)"));
+}
+
+#[test]
+fn unfounded_chain_takes_one_round_per_component() {
+    // The global algorithm needs Θ(n) unfounded rounds on this chain; the
+    // solver's walk needs one per affected component, and its stats say so.
+    let mut src = String::from("a0 :- a0.\nb0 :- not a0.\n");
+    for i in 1..8 {
+        src.push_str(&format!(
+            "a{i} :- a{i}.\na{i} :- b{}.\nb{i} :- not a{i}.\n",
+            i - 1
+        ));
+    }
+    let solver = full_solver(&src, "");
+    let global = well_founded(solver.graph(), solver.program(), solver.database()).unwrap();
+    let run = solver.well_founded_run().unwrap();
+    assert!(run.model == global.model);
+    assert!(run.total);
+    assert_eq!(global.stats.unfounded_rounds, 4, "global alternates");
+    assert_eq!(run.stats.unfounded_rounds, 4);
+    assert_eq!(run.stats.max_component_rounds, 1, "one round per component");
+    assert!(run.stats.components_processed > 0);
+}
+
+#[test]
+fn scripted_policies_reach_both_orientations() {
+    let solver = full_solver("p :- not q.\nq :- not p.", "");
+    let (p, d) = (solver.program(), solver.database());
+    let mut seen = BTreeSet::new();
+    for choice in [false, true] {
+        let mut policy = ScriptedPolicy::new(vec![choice], false);
+        let run = solver.well_founded_tie_breaking_run(&mut policy).unwrap();
+        assert!(run.total);
+        assert_eq!(run.stats.ties_broken, 1);
+        assert_eq!(run.model.true_count(), 1);
+        assert_eq!(policy.consumed(), 1);
+        // One tie: the same answer orients the global loop's tie alike.
+        let mut policy = ScriptedPolicy::new(vec![choice], false);
+        let global = well_founded_tie_breaking(solver.graph(), p, d, &mut policy).unwrap();
+        assert!(run.model == global.model, "choice {choice}");
+        seen.insert(format!("{:?}", val(&solver, &run, "p", &[])));
+    }
+    assert_eq!(seen.len(), 2);
+}
+
+#[test]
+fn solver_runs_agree_with_the_global_loops() {
+    let (src, db) = (
+        POCKETS,
+        "move(a, b).\nmove(b, a).\nmove(c, a).\nmove(d, e).\nmove(e, d).",
+    );
+    let solver = full_solver(src, db);
+    let (g, p, d) = (solver.graph(), solver.program(), solver.database());
+    let wf = solver.well_founded_run().unwrap();
+    let global = well_founded(g, p, d).unwrap();
+    assert!(wf.model == global.model);
+    assert_eq!(wf.total, global.total);
+
+    // The d ↔ e pocket is a tie both evaluators can break.
+    let tb = solver
+        .well_founded_tie_breaking_run(&mut RootTruePolicy)
+        .unwrap();
+    let global = well_founded_tie_breaking(g, p, d, &mut RootTruePolicy).unwrap();
+    assert_eq!(tb.total, global.total);
+    assert_eq!(tb.stats.ties_broken, global.stats.ties_broken);
+    // Detailed stats stay off by default: the counters stay, the logs
+    // stay empty.
+    assert!(tb.stats.tie_log.is_empty());
+    assert!(tb.stats.component_rounds.is_empty());
+    let detailed = Solver::with_config(
+        parse_program(src).unwrap(),
+        parse_database(db).unwrap(),
+        EngineConfig::default().with_detailed_stats(true),
+    )
+    .unwrap()
+    .well_founded_tie_breaking_run(&mut RootTruePolicy)
+    .unwrap();
+    assert_eq!(detailed.stats.tie_log.len(), detailed.stats.ties_broken);
+    assert_eq!(
+        detailed.stats.component_rounds.len(),
+        detailed.stats.components_processed
+    );
+}
+
+#[test]
+fn relevant_mode_agrees_with_full() {
+    let (src, db) = (POCKETS, "move(a, b).\nmove(b, c).\nmove(d, d).");
+    let full = full_solver(src, db);
+    let relevant = solver(src, db);
+    let (a, b) = (
+        full.well_founded().unwrap(),
+        relevant.well_founded().unwrap(),
+    );
+    assert_eq!(a.true_facts, b.true_facts);
+    assert_eq!(a.undefined, b.undefined);
+    assert_eq!(a.total, b.total);
+    // The relevant graph is strictly smaller pre-close.
+    assert!(relevant.graph().rule_count() < full.graph().rule_count());
+}
+
+#[test]
+fn fixpoints_and_stable_models_enumerate_on_the_solver_graph() {
+    // What `datalog models` runs: the enumerators over the solver's graph.
+    let solver = solver("p :- not q.\nq :- not p.", "");
+    let (g, p, d) = (solver.graph(), solver.program(), solver.database());
+    let config = EnumerateConfig::default();
+    assert_eq!(enumerate_fixpoints(g, p, d, &config).unwrap().len(), 2);
+    assert_eq!(enumerate_stable(g, p, d, &config).unwrap().len(), 2);
 }
 
 fn outcome_keys(
@@ -131,25 +322,17 @@ fn outcome_keys(
 
 #[test]
 fn cow_enumeration_matches_core_outcomes() {
-    // 3 pockets ⇒ 8 scripts; enumerate via the core per-script re-close
-    // path and via the session's CoW forks, over the same ground graph.
+    // 3 pockets ⇒ 8 scripts; enumerate via the paper-literal per-script
+    // loops and via the session's CoW forks, over the solver's graph.
     let program = parse_program(POCKETS).unwrap();
     let db_src = "move(a, b). move(b, a). move(c, d). move(d, c). move(p, q). move(q, p).";
     let database = parse_database(db_src).unwrap();
 
     let solver = Solver::new(program.clone(), database.clone()).unwrap();
-    let graph = ground(&program, &database, &solver.config().ground).unwrap();
+    let graph = solver.graph();
 
     for pure in [false, true] {
-        let core_set = all_outcomes_with(
-            &graph,
-            &program,
-            &database,
-            pure,
-            1_000,
-            &EvalOptions::default(),
-        )
-        .unwrap();
+        let core_set = all_outcomes(graph, &program, &database, pure, 1_000).unwrap();
         let cow_set = solver.all_outcomes(pure, 1_000).unwrap();
         assert!(!core_set.truncated && !cow_set.truncated);
         assert_eq!(cow_set.runs, core_set.runs, "same exploration tree");

@@ -5,6 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use tie_breaking_datalog::core::semantics::enumerate::{enumerate_stable, EnumerateConfig};
 use tie_breaking_datalog::prelude::*;
 
 fn main() {
@@ -18,21 +19,23 @@ fn main() {
     ";
     let database_src = "e(a). e(b).";
 
-    let engine = Engine::from_sources(program_src, database_src).expect("parses");
+    // The session solver grounds, closes and condenses once; every
+    // evaluation below walks that prepared state.
+    let solver = Solver::from_sources(program_src, database_src).expect("parses");
 
-    println!("== program ==\n{}", engine.program());
-    // The static analyzer behind `datalog check`, against the engine's
+    println!("== program ==\n{}", solver.program());
+    // The static analyzer behind `datalog check`, against the solver's
     // (relevant-mode) grounding budgets.
     let report = analyze(
-        engine.program(),
-        Some(engine.database()),
-        &AnalyzeConfig::for_ground(EngineConfig::default().ground),
+        solver.program(),
+        Some(solver.database()),
+        &AnalyzeConfig::for_ground(solver.config().ground),
     );
     println!("== analysis ==\n{report}");
 
     // The well-founded interpreter gets stuck: no unfounded sets, only a
     // tie.
-    let wf = engine.well_founded().expect("runs");
+    let wf = solver.well_founded().expect("runs");
     println!(
         "well-founded: total = {}, undefined atoms = {}",
         wf.total,
@@ -43,7 +46,7 @@ fn main() {
     // policy chooses the orientation.
     for (name, root_true) in [("root-true", true), ("root-false", false)] {
         let mut policy = ScriptedPolicy::new(vec![root_true, root_true], root_true);
-        let out = engine.well_founded_tie_breaking(&mut policy).expect("runs");
+        let out = solver.well_founded_tie_breaking(&mut policy).expect("runs");
         let facts: Vec<String> = out
             .true_facts
             .iter()
@@ -58,10 +61,20 @@ fn main() {
     }
 
     // Both orientations are fixpoints — and both are stable models.
-    let stable = engine.stable_models().expect("enumerates");
+    // The enumerators run over the solver's ground graph.
+    let graph = solver.graph();
+    let stable = enumerate_stable(
+        graph,
+        solver.program(),
+        solver.database(),
+        &EnumerateConfig::default(),
+    )
+    .expect("enumerates");
     println!("stable models: {}", stable.len());
     for (i, model) in stable.iter().enumerate() {
-        let facts: Vec<String> = model.iter().map(std::string::ToString::to_string).collect();
+        let mut facts = model.true_atoms(graph.atoms());
+        facts.sort_by(GroundAtom::text_cmp);
+        let facts: Vec<String> = facts.iter().map(std::string::ToString::to_string).collect();
         println!("  #{}: {{{}}}", i + 1, facts.join(", "));
     }
 }

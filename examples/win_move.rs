@@ -10,7 +10,9 @@
 //! ```
 
 use tie_breaking_datalog::constructions::generators;
-use tie_breaking_datalog::core::semantics::well_founded_tie_breaking_with;
+use tie_breaking_datalog::core::semantics::enumerate::{
+    enumerate_fixpoints, enumerate_stable, EnumerateConfig,
+};
 use tie_breaking_datalog::prelude::*;
 
 fn main() {
@@ -25,9 +27,9 @@ fn main() {
     )
     .expect("parses");
 
-    let engine = Engine::new(program, database);
+    let solver = Solver::new(program, database).expect("prepares");
 
-    let wf = engine.well_founded().expect("runs");
+    let wf = solver.well_founded().expect("runs");
     println!("well-founded model (total = {}):", wf.total);
     for fact in &wf.true_facts {
         println!("  {fact}");
@@ -44,7 +46,7 @@ fn main() {
     // legitimate fixpoints.
     for seed in [1u64, 2, 3] {
         let mut policy = RandomPolicy::seeded(seed);
-        let out = engine.well_founded_tie_breaking(&mut policy).expect("runs");
+        let out = solver.well_founded_tie_breaking(&mut policy).expect("runs");
         let wins: Vec<String> = out
             .true_facts
             .iter()
@@ -58,41 +60,31 @@ fn main() {
         );
     }
 
-    // Fixpoint census of the drawn cluster.
-    let fixpoints = engine.fixpoints().expect("enumerates");
+    // Fixpoint census of the drawn cluster, over the solver's ground
+    // graph.
+    let (graph, program, database) = (solver.graph(), solver.program(), solver.database());
+    let config = EnumerateConfig::default();
+    let fixpoints = enumerate_fixpoints(graph, program, database, &config).expect("enumerates");
     println!("fixpoints: {}", fixpoints.len());
-    let stable = engine.stable_models().expect("enumerates");
+    let stable = enumerate_stable(graph, program, database, &config).expect("enumerates");
     println!("stable models: {}", stable.len());
 
     // Two interpreters: a chain of 64 draw pockets is quadratic for the
     // paper-literal global loop (each tie break re-scans the whole
-    // remaining graph) and linear for the condensation-driven one every
-    // `*_with` function and the engine run — same answers either way.
+    // remaining graph) and linear for the solver's one walk of the
+    // condensation — same answers either way.
     let program = generators::win_move_program();
     let chain = generators::tie_chain_move_db(64);
-    let graph = ground(
-        &program,
-        &chain,
-        &GroundConfig {
-            mode: GroundMode::Relevant,
-            ..GroundConfig::default()
-        },
-    )
-    .expect("grounds");
+    let solver = Solver::new(program.clone(), chain.clone()).expect("prepares");
+    let graph = solver.graph();
     let runs = [
         (
             "global",
-            well_founded_tie_breaking(&graph, &program, &chain, &mut RootTruePolicy),
+            well_founded_tie_breaking(graph, &program, &chain, &mut RootTruePolicy),
         ),
         (
             "stratified",
-            well_founded_tie_breaking_with(
-                &graph,
-                &program,
-                &chain,
-                &mut RootTruePolicy,
-                &EvalOptions::default(),
-            ),
+            solver.well_founded_tie_breaking_run(&mut RootTruePolicy),
         ),
     ];
     for (mode, run) in runs {

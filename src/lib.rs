@@ -23,19 +23,20 @@
 //! ```
 //! use tie_breaking_datalog::prelude::*;
 //!
-//! // The paper's archetypal structurally-total, unstratifiable program.
-//! let engine = Engine::from_sources(
+//! // The paper's archetypal structurally-total, unstratifiable program,
+//! // prepared once by the session solver: ground, close, condense.
+//! let solver = Solver::from_sources(
 //!     "p(X) :- not q(X).\n q(X) :- not p(X).",
 //!     "e(a).",
 //! ).unwrap();
 //!
-//! let report = analyze(engine.program(), Some(engine.database()), &AnalyzeConfig::default());
+//! let report = analyze(solver.program(), Some(solver.database()), &AnalyzeConfig::default());
 //! assert_eq!(
 //!     report.certificate.map(|c| c.grade),
 //!     Some(CertificateGrade::CallConsistent) // Theorem 2
 //! );
 //! assert!(report.nonuniformly_total); // Theorem 3
-//! let out = engine.well_founded_tie_breaking(&mut RootTruePolicy).unwrap();
+//! let out = solver.well_founded_tie_breaking(&mut RootTruePolicy).unwrap();
 //! assert!(out.total);
 //! ```
 //!
@@ -77,9 +78,7 @@ pub mod prelude {
         pure_tie_breaking, well_founded, well_founded_tie_breaking, RandomPolicy, RootFalsePolicy,
         RootTruePolicy, ScriptedPolicy, TiePolicy,
     };
-    pub use tiebreak_core::{
-        Engine, EngineConfig, EvalOptions, Mutation, PrepareDelta, SessionConfig,
-    };
+    pub use tiebreak_core::{EngineConfig, EvalOptions, Mutation, PrepareDelta, SessionConfig};
     pub use tiebreak_runtime::Solver;
     pub use tiebreak_trace::{metrics, MetricsSnapshot, Trace};
 }

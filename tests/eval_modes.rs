@@ -1,11 +1,12 @@
-//! Differential suite: the paper-literal global loops ≡ the
-//! condensation-driven interpreters.
+//! Differential suite: the paper-literal global loops ≡ the session
+//! [`Solver`].
 //!
-//! The SCC-stratified interpreters behind every `*_with` entry point
-//! (`well_founded_with`, `all_outcomes_with`, …) must be observationally
+//! The `Solver`, which walks the condensation once per evaluation and
+//! forks its outcome scripts copy-on-write, must be observationally
 //! identical to the paper-literal global loops and the core enumerator
-//! over them, reached through the plain names (`well_founded`,
-//! `all_outcomes`, …):
+//! over them (`well_founded`, `all_outcomes`, …), run on a graph
+//! grounded independently in the same `GroundMode` and compared as
+//! decoded text:
 //!
 //! * the **well-founded model** is the same partial model (it is unique,
 //!   so the runs must agree atom by atom);
@@ -26,10 +27,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tie_breaking_datalog::ast::{Atom, Literal, Rule, Sign, Term};
 use tie_breaking_datalog::constructions::generators;
-use tie_breaking_datalog::core::semantics::outcomes::{all_outcomes, all_outcomes_with};
-use tie_breaking_datalog::core::semantics::well_founded::{well_founded, well_founded_with};
-use tie_breaking_datalog::core::semantics::EvalOptions;
-use tie_breaking_datalog::ground::GroundGraph;
+use tie_breaking_datalog::core::semantics::outcomes::{all_outcomes, OutcomeSet};
+use tie_breaking_datalog::core::semantics::well_founded::well_founded;
+use tie_breaking_datalog::ground::AtomTable;
 use tie_breaking_datalog::prelude::*;
 
 /// A random propositional program over `preds` proposition names.
@@ -73,63 +73,63 @@ fn db_from_mask(program: &Program, mask: u32) -> Database {
 /// One decoded outcome: sorted true facts and sorted undefined facts.
 type Outcome = (Vec<String>, Vec<String>);
 
-/// The outcome set of one interpreter flavour — the global-loop oracle,
-/// or the condensation-driven interpreter when `stratified` — or `None`
-/// when exploration hit the run budget (skip the comparison then — a
-/// truncated set depends on exploration order).
-fn outcome_set(
-    graph: &GroundGraph,
-    program: &Program,
-    database: &Database,
-    pure: bool,
-    stratified: bool,
-) -> Option<BTreeSet<Outcome>> {
-    let set = if stratified {
-        all_outcomes_with(graph, program, database, pure, 512, &EvalOptions::default())
-    } else {
-        all_outcomes(graph, program, database, pure, 512)
-    }
-    .expect("outcomes enumerate");
-    if set.truncated {
-        return None;
-    }
-    Some(
-        set.models
-            .iter()
-            .map(|m| {
-                let mut t: Vec<String> = m
-                    .true_atoms(graph.atoms())
-                    .iter()
-                    .map(std::string::ToString::to_string)
-                    .collect();
-                t.sort();
-                let mut u: Vec<String> = m
-                    .undefined_atoms()
-                    .map(|id| graph.atoms().decode(id).to_string())
-                    .collect();
-                u.sort();
-                (t, u)
-            })
-            .collect(),
-    )
+fn decode(model: &PartialModel, atoms: &AtomTable) -> Outcome {
+    let mut t: Vec<String> = model
+        .true_atoms(atoms)
+        .iter()
+        .map(std::string::ToString::to_string)
+        .collect();
+    t.sort();
+    let mut u: Vec<String> = model
+        .undefined_atoms()
+        .map(|id| atoms.decode(id).to_string())
+        .collect();
+    u.sort();
+    (t, u)
 }
 
-/// The full cross-mode check for one ground instance.
-fn assert_modes_agree(graph: &GroundGraph, program: &Program, database: &Database) {
-    // Well-founded model: unique, so modes must agree exactly.
-    let global = well_founded(graph, program, database).expect("global wf runs");
-    let strat = well_founded_with(graph, program, database, &EvalOptions::default())
-        .expect("stratified wf runs");
-    assert_eq!(strat.model, global.model, "well-founded models differ");
-    assert_eq!(strat.total, global.total, "totality verdicts differ");
+/// An outcome set as decoded text, or `None` when exploration hit the
+/// run budget (skip the comparison then — a truncated set depends on
+/// exploration order).
+fn decoded_set(set: &OutcomeSet, atoms: &AtomTable) -> Option<BTreeSet<Outcome>> {
+    (!set.truncated).then(|| set.models.iter().map(|m| decode(m, atoms)).collect())
+}
+
+/// The full cross-check for one instance in one ground mode.
+fn assert_modes_agree(program: &Program, database: &Database, mode: GroundMode) {
+    let config = GroundConfig {
+        mode,
+        ..GroundConfig::default()
+    };
+    let graph = ground(program, database, &config).expect("grounds");
+    let solver = Solver::with_config(
+        program.clone(),
+        database.clone(),
+        EngineConfig::default().with_ground_mode(mode),
+    )
+    .expect("session prepares");
+
+    // Well-founded model: unique, so the decoded models must agree
+    // exactly, and with them the totality verdicts.
+    let global = well_founded(&graph, program, database).expect("global wf runs");
+    let session = solver.well_founded_run().expect("session wf runs");
+    assert_eq!(
+        decode(&session.model, solver.graph().atoms()),
+        decode(&global.model, graph.atoms()),
+        "well-founded models differ"
+    );
+    assert_eq!(session.total, global.total, "totality verdicts differ");
 
     // Outcome sets: identical for both tie-breaking flavours, and every
     // shared outcome carries the same totality verdict (encoded by its
     // undefined-fact list).
     for pure in [false, true] {
-        let a = outcome_set(graph, program, database, pure, false);
-        let b = outcome_set(graph, program, database, pure, true);
-        if let (Some(a), Some(b)) = (a, b) {
+        let a = all_outcomes(&graph, program, database, pure, 512).expect("outcomes enumerate");
+        let b = solver.all_outcomes(pure, 512).expect("outcomes enumerate");
+        if let (Some(a), Some(b)) = (
+            decoded_set(&a, graph.atoms()),
+            decoded_set(&b, solver.graph().atoms()),
+        ) {
             assert_eq!(
                 a, b,
                 "outcome sets differ (pure = {pure}) for program:\n{program}"
@@ -150,8 +150,7 @@ proptest! {
         mask in any::<u32>(),
     ) {
         let db = db_from_mask(&program, mask);
-        let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
-        assert_modes_agree(&graph, &program, &db);
+        assert_modes_agree(&program, &db, GroundMode::Full);
     }
 
     /// Random first-order call-consistent programs over random databases
@@ -161,8 +160,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let program = generators::random_call_consistent(&mut rng, 4, 6, 2);
         let db = generators::random_database(&mut rng, &program, 2, 0.35, true);
-        let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
-        assert_modes_agree(&graph, &program, &db);
+        assert_modes_agree(&program, &db, GroundMode::Full);
     }
 
     /// Random variants of the win–move skeleton — not necessarily
@@ -173,8 +171,7 @@ proptest! {
         let skeleton = generators::win_move_program().skeleton();
         let program = generators::random_variant(&mut rng, &skeleton, 2);
         let db = generators::random_database(&mut rng, &program, 2, 0.4, false);
-        let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
-        assert_modes_agree(&graph, &program, &db);
+        assert_modes_agree(&program, &db, GroundMode::Full);
     }
 }
 
@@ -208,16 +205,7 @@ fn chained_instances_agree_in_both_ground_modes() {
         let program = parse_program(src).unwrap();
         let db = parse_database(db_src).unwrap();
         for ground_mode in [GroundMode::Full, GroundMode::Relevant] {
-            let graph = ground(
-                &program,
-                &db,
-                &GroundConfig {
-                    mode: ground_mode,
-                    ..GroundConfig::default()
-                },
-            )
-            .unwrap();
-            assert_modes_agree(&graph, &program, &db);
+            assert_modes_agree(&program, &db, ground_mode);
         }
     }
 }
@@ -234,8 +222,6 @@ fn stuck_upstream_residues_agree() {
         "p :- not q.\nq :- not p.\np :- not y.\ny :- y.",
     ] {
         let program = parse_program(src).unwrap();
-        let db = Database::new();
-        let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
-        assert_modes_agree(&graph, &program, &db);
+        assert_modes_agree(&program, &Database::new(), GroundMode::Full);
     }
 }

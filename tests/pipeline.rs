@@ -72,18 +72,18 @@ fn stable_models_extend_the_well_founded_model() {
     assert!(fixpoints.len() >= stables.len());
 }
 
-/// Engine facade agrees with the low-level APIs.
+/// The facade's session solver agrees with the low-level APIs.
 #[test]
 fn facade_matches_low_level() {
     let src = "win(X) :- move(X, Y), not win(Y).";
     let db_src = "move(a, b). move(b, c). move(c, a)."; // odd ring: 3-cycle
-    let engine = Engine::from_sources(src, db_src).unwrap();
+    let solver = Solver::from_sources(src, db_src).unwrap();
 
     let program = parse_program(src).unwrap();
     let db = parse_database(db_src).unwrap();
     let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
     let low = well_founded(&graph, &program, &db).unwrap();
-    let high = engine.well_founded().unwrap();
+    let high = solver.well_founded().unwrap();
     assert_eq!(low.total, high.total);
     assert_eq!(low.model.true_count(), high.true_facts.len());
 }

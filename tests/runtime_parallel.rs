@@ -8,12 +8,14 @@
 //! * **the reference well-founded model** — the decoded fact list of the
 //!   paper-literal global loop on an independently grounded graph;
 //! * **the core enumerator's tie-breaking outcome *sets*** — the
-//!   session's copy-on-write enumeration agrees with
-//!   `all_outcomes_with`, for both the pure and well-founded flavours;
-//! * **the core walk's single runs** — a `RandomPolicy` meets the ties
-//!   of one session walk in the order `well_founded_tie_breaking_with`
-//!   and `pure_tie_breaking_with` meet them on the solver's own graph,
-//!   so model, totality, tie count and tie log are equal seed by seed.
+//!   session's copy-on-write enumeration agrees with the paper-literal
+//!   `all_outcomes` on the solver's own graph, for both the pure and
+//!   well-founded flavours;
+//! * **the kernel's single runs** — a `RandomPolicy` meets the ties of
+//!   one session walk in the order a fresh close-condense-walk of the
+//!   solver's graph ([`walk`]) meets them, so model, totality, tie count
+//!   and tie log are equal seed by seed, and each model is one of the
+//!   paper-literal enumerator's outcomes.
 //!
 //! The braided generators force the whole residual into **one**
 //! weakly-connected family of components; their churn suite re-checks
@@ -29,13 +31,11 @@ use rand::SeedableRng;
 use tie_breaking_datalog::ast::{Atom, Literal, Rule, Sign, Term};
 use tie_breaking_datalog::constructions::generators;
 use tie_breaking_datalog::core::engine::EvalOutcome;
-use tie_breaking_datalog::core::semantics::outcomes::all_outcomes_with;
-use tie_breaking_datalog::core::semantics::tie_breaking::{
-    pure_tie_breaking_with, well_founded_tie_breaking_with,
-};
+use tie_breaking_datalog::core::semantics::outcomes::all_outcomes;
 use tie_breaking_datalog::core::semantics::well_founded::well_founded;
 use tie_breaking_datalog::core::semantics::{process_components, ComponentPass};
 use tie_breaking_datalog::core::RunStats;
+use tie_breaking_datalog::core::TieView;
 use tie_breaking_datalog::ground::{Closer, GroundGraph, RuleId, UnfoundedEngine};
 use tie_breaking_datalog::prelude::*;
 
@@ -153,7 +153,7 @@ fn outcome_set(solver: &Solver, pure: bool) -> BTreeSet<Outcome> {
 
 /// The full reference check for one instance in one ground mode.
 fn assert_matches_reference(program: &Program, db: &Database, mode: GroundMode) {
-    // The one-shot reference interpreter on an independently grounded
+    // The paper-literal reference interpreter on an independently grounded
     // graph (paper-literal Full mode so the reference is mode-agnostic).
     let ref_graph = ground(program, db, &GroundConfig::default()).expect("reference grounds");
     let reference = well_founded(&ref_graph, program, db).expect("reference runs");
@@ -170,18 +170,10 @@ fn assert_matches_reference(program: &Program, db: &Database, mode: GroundMode) 
     assert_eq!(decoded(&wf).0, ref_true, "session wf ≠ reference wf");
     assert_eq!(wf.total, reference.total);
 
-    // Outcome sets agree with the core enumerator over the same prepared
-    // graph (the solver's own graph, so atom spaces coincide).
+    // Outcome sets agree with the paper-literal enumerator over the same
+    // prepared graph (the solver's own graph, so atom spaces coincide).
     for pure in [false, true] {
-        let core = all_outcomes_with(
-            solver.graph(),
-            program,
-            db,
-            pure,
-            4096,
-            &EvalOptions::default(),
-        )
-        .expect("core enumerates");
+        let core = all_outcomes(solver.graph(), program, db, pure, 4096).expect("core enumerates");
         assert!(!core.truncated);
         let core_set = outcome_set_of_models(&core.models, solver.graph().atoms());
         assert_eq!(
@@ -193,9 +185,11 @@ fn assert_matches_reference(program: &Program, db: &Database, mode: GroundMode) 
 }
 
 /// A fresh solver's single runs under `RandomPolicy::seeded(s)`, with
-/// detailed stats, equal the core interpreters' runs on the solver's own
-/// graph: both walk the same topological order with one policy, so they
-/// meet the same ties in the same order and draw the same coins.
+/// detailed stats, equal [`walk`]s of the solver's own graph in
+/// `engine.order()`: both walk the same topological order with one
+/// policy, so they meet the same ties in the same order and draw the
+/// same coins. Each model is also an outcome of the paper-literal
+/// enumerator.
 fn assert_random_walks_match_core(program: &Program, db: &Database, mode: GroundMode) {
     let solver = Solver::with_config(
         program.clone(),
@@ -205,43 +199,46 @@ fn assert_random_walks_match_core(program: &Program, db: &Database, mode: Ground
             .with_detailed_stats(true),
     )
     .expect("session prepares");
-    let options = EvalOptions {
-        detailed_stats: true,
-    };
-    for seed in SEEDS {
-        for pure in [false, true] {
-            let (session, core) = if pure {
-                (
-                    solver.pure_tie_breaking_run(&mut RandomPolicy::seeded(seed)),
-                    pure_tie_breaking_with(
-                        solver.graph(),
-                        program,
-                        db,
-                        &mut RandomPolicy::seeded(seed),
-                        &options,
-                    ),
-                )
+    let graph = solver.graph();
+    for pure in [false, true] {
+        for seed in SEEDS {
+            let session = if pure {
+                solver.pure_tie_breaking_run(&mut RandomPolicy::seeded(seed))
             } else {
-                (
-                    solver.well_founded_tie_breaking_run(&mut RandomPolicy::seeded(seed)),
-                    well_founded_tie_breaking_with(
-                        solver.graph(),
-                        program,
-                        db,
-                        &mut RandomPolicy::seeded(seed),
-                        &options,
-                    ),
-                )
-            };
-            let (session, core) = (session.expect("session runs"), core.expect("core runs"));
+                solver.well_founded_tie_breaking_run(&mut RandomPolicy::seeded(seed))
+            }
+            .expect("session runs");
+            let core = walk(
+                graph,
+                program,
+                db,
+                &mut RandomPolicy::seeded(seed),
+                pure,
+                false,
+            );
             let what = format!("seed {seed}, pure {pure}");
             assert!(session.model == core.model, "model: {what}");
-            assert_eq!(session.total, core.total, "total: {what}");
+            assert_eq!(session.total, core.model.is_total(), "total: {what}");
             assert_eq!(
                 session.stats.ties_broken, core.stats.ties_broken,
                 "ties: {what}"
             );
             assert_eq!(session.stats.tie_log, core.stats.tie_log, "tie log: {what}");
+            // The paper-literal loop, steered at each tie toward the
+            // session's model, reaches it: the model is in the global
+            // outcome set (a full enumeration would be cut by the run
+            // budget on the wide forest).
+            let mut toward = Toward(&session.model);
+            let global = if pure {
+                pure_tie_breaking(graph, program, db, &mut toward)
+            } else {
+                well_founded_tie_breaking(graph, program, db, &mut toward)
+            }
+            .expect("global runs");
+            assert!(
+                global.model == session.model,
+                "not a global outcome: {what}"
+            );
             // Every instance here plants at least two independent ties,
             // so the coin streams are compared on more than one draw.
             assert!(
@@ -250,6 +247,15 @@ fn assert_random_walks_match_core(program: &Program, db: &Database, mode: Ground
                 session.stats.ties_broken
             );
         }
+    }
+}
+
+/// Orients every tie the way `self.0` values its root side.
+struct Toward<'m>(&'m PartialModel);
+
+impl TiePolicy for Toward<'_> {
+    fn choose_root_side_true(&mut self, view: &TieView<'_>) -> bool {
+        self.0.get(view.root_side[0]) == TruthValue::True
     }
 }
 
@@ -385,16 +391,24 @@ fn latest_first_order(closer: &Closer<'_>, engine: &UnfoundedEngine) -> Vec<u32>
     walk
 }
 
-/// Runs Well-Founded Tie-Breaking on `graph` with `policy`, walking the
-/// condensation in `engine.order()` or in [`latest_first_order`];
-/// returns the model and the order walked.
+/// One walk of `graph` from scratch: close, condense, then tie-breaking
+/// with `policy` (pure, or well-founded with the unfounded-set priority)
+/// over the condensation in `engine.order()` or in
+/// [`latest_first_order`], with detailed stats.
+struct Walk {
+    model: PartialModel,
+    stats: RunStats,
+    order: Vec<u32>,
+}
+
 fn walk(
     graph: &GroundGraph,
     program: &Program,
     db: &Database,
     policy: &mut dyn TiePolicy,
+    pure: bool,
     latest_first: bool,
-) -> (PartialModel, Vec<u32>) {
+) -> Walk {
     let mut model = PartialModel::initial(program, db, graph.atoms());
     let mut closer = Closer::new(graph);
     closer.bootstrap(&model);
@@ -406,31 +420,53 @@ fn walk(
         engine.order().to_vec()
     };
     let mut pass = ComponentPass {
-        use_unfounded: true,
-        detailed: false,
+        use_unfounded: !pure,
+        detailed: true,
         policy: Some(policy),
     };
+    let mut stats = RunStats::default();
     process_components(
         &mut closer,
         &mut model,
         &mut engine,
         &order,
         &mut pass,
-        &mut RunStats::default(),
+        &mut stats,
     )
     .expect("walks");
-    (model, order)
+    Walk {
+        model,
+        stats,
+        order,
+    }
 }
 
 /// The session's model equals the walks in both topological orders, and
 /// the orders differ.
 fn assert_schedule_invariant(solver: &Solver, model: &PartialModel) {
     let (program, db) = (solver.program(), solver.database());
-    let (first, order) = walk(solver.graph(), program, db, &mut RootTruePolicy, false);
-    let (last, other) = walk(solver.graph(), program, db, &mut RootTruePolicy, true);
-    assert_ne!(order, other, "the instance has one topological order");
-    assert!(first == *model, "engine order");
-    assert!(last == *model, "latest-first order");
+    let first = walk(
+        solver.graph(),
+        program,
+        db,
+        &mut RootTruePolicy,
+        false,
+        false,
+    );
+    let last = walk(
+        solver.graph(),
+        program,
+        db,
+        &mut RootTruePolicy,
+        false,
+        true,
+    );
+    assert_ne!(
+        first.order, last.order,
+        "the instance has one topological order"
+    );
+    assert!(first.model == *model, "engine order");
+    assert!(last.model == *model, "latest-first order");
 }
 
 /// The deterministic wide-forest instance: twelve independent chains.
