@@ -53,17 +53,22 @@ fn pow(base: usize, exp: usize) -> u128 {
         .unwrap_or(u128::MAX)
 }
 
-/// Estimates grounding cost for `program` over `database` under
-/// `config`'s mode and budgets.
-pub fn estimate(program: &Program, database: &Database, config: &GroundConfig) -> CostEstimate {
+/// Estimates the cost of a `mode` grounding of `program` over
+/// `database` against `config`'s budgets.
+pub fn estimate(
+    program: &Program,
+    database: &Database,
+    mode: GroundMode,
+    config: &GroundConfig,
+) -> CostEstimate {
     let universe = Database::universe(program, database).len();
-    let (atoms, per_rule, exact) = match config.mode {
+    let (atoms, per_rule, exact) = match mode {
         GroundMode::Full => full_counts(program, universe),
         GroundMode::Relevant => relevant_bounds(program, database, universe),
     };
     let instances = per_rule.iter().fold(0u128, |acc, &b| acc.saturating_add(b));
     CostEstimate {
-        mode: config.mode,
+        mode,
         exact,
         universe,
         atoms,
@@ -184,11 +189,8 @@ mod tests {
     use super::*;
     use datalog_ast::{parse_database, parse_program};
 
-    fn cfg(mode: GroundMode) -> GroundConfig {
-        GroundConfig {
-            mode,
-            ..GroundConfig::default()
-        }
+    fn estimate(program: &Program, database: &Database, mode: GroundMode) -> CostEstimate {
+        super::estimate(program, database, mode, &GroundConfig::default())
     }
 
     #[test]
@@ -196,7 +198,7 @@ mod tests {
         // U = {a, b, c}; win/1, move/2: atoms = 3 + 9; rule has 2 vars.
         let p = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
         let d = parse_database("move(a, b).\nmove(b, c).").unwrap();
-        let e = estimate(&p, &d, &cfg(GroundMode::Full));
+        let e = estimate(&p, &d, GroundMode::Full);
         assert!(e.exact);
         assert_eq!(e.universe, 3);
         assert_eq!(e.atoms, 12);
@@ -215,8 +217,8 @@ mod tests {
             db_src.push_str(&format!("pad(k{i}).\n"));
         }
         let d = parse_database(&db_src).unwrap();
-        let full = estimate(&p, &d, &cfg(GroundMode::Full));
-        let rel = estimate(&p, &d, &cfg(GroundMode::Relevant));
+        let full = estimate(&p, &d, GroundMode::Full);
+        let rel = estimate(&p, &d, GroundMode::Relevant);
         assert!(!rel.exact);
         assert!(rel.instances <= 2, "join bound: {}", rel.instances);
         assert!(full.instances >= 100 * 100);
@@ -228,8 +230,9 @@ mod tests {
         // the real relevant grounding's rule-node count.
         let p = parse_program("t(X, Y) :- e(X, Y).\nt(X, Z) :- t(X, Y), e(Y, Z).").unwrap();
         let d = parse_database("e(a, b).\ne(b, c).\ne(c, d).").unwrap();
-        let e = estimate(&p, &d, &cfg(GroundMode::Relevant));
-        let g = datalog_ground::ground(&p, &d, &cfg(GroundMode::Relevant)).unwrap();
+        let e = estimate(&p, &d, GroundMode::Relevant);
+        let g =
+            datalog_ground::ground(&p, &d, GroundMode::Relevant, &GroundConfig::default()).unwrap();
         assert!(
             e.instances >= g.rule_count() as u128,
             "bound {} < actual {}",
@@ -245,7 +248,7 @@ mod tests {
         // |U| per rule even in relevant mode.
         let p = parse_program("p(X) :- not q(X).\nq(X) :- not p(X).").unwrap();
         let d = parse_database("e(a).\ne(b).").unwrap();
-        let e = estimate(&p, &d, &cfg(GroundMode::Relevant));
+        let e = estimate(&p, &d, GroundMode::Relevant);
         assert_eq!(e.universe, 2);
         assert_eq!(e.per_rule, vec![2, 2]);
     }
@@ -260,13 +263,13 @@ mod tests {
             src.push_str(&format!("e(c{i}).\n"));
         }
         let d = parse_database(&src).unwrap();
-        let e = estimate(&p, &d, &cfg(GroundMode::Full));
+        let e = estimate(&p, &d, GroundMode::Full);
         assert!(e.exact);
         assert!(e.over_budget());
         assert_eq!(e.instances, 12u128.pow(8));
         // The relevant bound agrees here: a cross product of 8
         // independent variables really is 12^8 supportable instances.
-        let rel = estimate(&p, &d, &cfg(GroundMode::Relevant));
+        let rel = estimate(&p, &d, GroundMode::Relevant);
         assert!(!rel.exact);
         assert!(rel.over_budget());
         assert_eq!(rel.per_rule, vec![12u128.pow(8)]);
@@ -287,10 +290,10 @@ mod tests {
             src.push_str(&format!("e(c{}, c{}).\n", i, i + 1));
         }
         let d = parse_database(&src).unwrap();
-        let full = estimate(&p, &d, &cfg(GroundMode::Full));
+        let full = estimate(&p, &d, GroundMode::Full);
         assert!(full.over_budget());
         assert_eq!(full.instances, 9u128.pow(8));
-        let rel = estimate(&p, &d, &cfg(GroundMode::Relevant));
+        let rel = estimate(&p, &d, GroundMode::Relevant);
         assert!(!rel.over_budget());
         assert_eq!(rel.per_rule, vec![8u128.pow(7)]);
     }

@@ -54,7 +54,7 @@ pub mod reachability;
 pub mod report;
 
 use datalog_ast::{Database, FxHashSet, Program, Sign, VarSym};
-use datalog_ground::GroundConfig;
+use datalog_ground::{GroundConfig, GroundMode};
 use tiebreak_core::analysis::{reduce_program, stratify, structural_totality, useless_predicates};
 
 pub use certificate::{CertificateGrade, TotalityCertificate};
@@ -65,14 +65,16 @@ pub use report::AnalysisReport;
 /// Configuration for the analysis pass.
 #[derive(Clone, Debug, Default)]
 pub struct AnalyzeConfig {
-    /// Grounding mode and budgets the cost estimate is checked against.
+    /// The grounding the cost estimate models.
+    pub mode: GroundMode,
+    /// Grounding budgets the cost estimate is checked against.
     pub ground: GroundConfig,
 }
 
 impl AnalyzeConfig {
-    /// Analysis against `ground`'s mode and budgets.
-    pub fn for_ground(ground: GroundConfig) -> Self {
-        Self { ground }
+    /// Analysis of a `mode` grounding against `ground`'s budgets.
+    pub fn for_ground(mode: GroundMode, ground: GroundConfig) -> Self {
+        Self { mode, ground }
     }
 }
 
@@ -135,7 +137,7 @@ pub fn analyze(
 
     let nonuniformly_total = nonuniform_totality(program, certificate.is_some(), &mut lints);
 
-    let cost = database.map(|db| cost::estimate(program, db, &config.ground));
+    let cost = database.map(|db| cost::estimate(program, db, config.mode, &config.ground));
     if let Some(c) = &cost {
         if c.over_budget() {
             lints.push(Lint {
@@ -148,10 +150,7 @@ pub fn analyze(
                 message: format!(
                     "{} grounding needs {} atoms and {} rule instances \
                      ({}exceeds budget of {} atoms / {} instances)",
-                    match c.mode {
-                        datalog_ground::GroundMode::Full => "full",
-                        datalog_ground::GroundMode::Relevant => "relevant",
-                    },
+                    c.mode,
                     c.atoms,
                     c.instances,
                     if c.exact { "" } else { "upper bound " },
@@ -286,13 +285,9 @@ fn join_vars(vars: &[VarSym]) -> String {
 mod tests {
     use super::*;
     use datalog_ast::{parse_database, parse_program, PredSym};
-    use datalog_ground::GroundMode;
 
     fn cfg(mode: GroundMode) -> AnalyzeConfig {
-        AnalyzeConfig::for_ground(GroundConfig {
-            mode,
-            ..GroundConfig::default()
-        })
+        AnalyzeConfig::for_ground(mode, GroundConfig::default())
     }
 
     fn codes(report: &AnalysisReport) -> Vec<LintCode> {
@@ -478,12 +473,13 @@ mod tests {
             src.push_str(&format!("u(c{i}).\n"));
         }
         let d = parse_database(&src).unwrap();
-        let config = AnalyzeConfig::for_ground(GroundConfig {
-            mode: GroundMode::Relevant,
-            max_atoms: 1000,
-            max_rule_instances: 1000,
-            ..GroundConfig::default()
-        });
+        let config = AnalyzeConfig::for_ground(
+            GroundMode::Relevant,
+            GroundConfig {
+                max_atoms: 1000,
+                max_rule_instances: 1000,
+            },
+        );
         let r = analyze(&p, Some(&d), &config);
         let lint = r
             .lints

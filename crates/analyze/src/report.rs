@@ -109,7 +109,7 @@ impl AnalysisReport {
                 "{{\"mode\": {}, \"exact\": {}, \"universe\": {}, \"atoms\": {}, \
                  \"instances\": {}, \"max_atoms\": {}, \"max_rule_instances\": {}, \
                  \"over_budget\": {}}}",
-                json_string(&format!("{:?}", c.mode).to_lowercase()),
+                json_string(&c.mode.to_string()),
                 c.exact,
                 c.universe,
                 c.atoms,
@@ -167,10 +167,7 @@ impl fmt::Display for AnalysisReport {
                 f,
                 "cost ({}{}): {} atoms, {} rule instances (budget {} / {})",
                 if c.exact { "exact, " } else { "bound, " },
-                match c.mode {
-                    datalog_ground::GroundMode::Full => "full",
-                    datalog_ground::GroundMode::Relevant => "relevant",
-                },
+                c.mode,
                 c.atoms,
                 c.instances,
                 c.max_atoms,

@@ -25,7 +25,6 @@
 pub mod atom;
 pub mod builder;
 pub mod database;
-pub mod display;
 pub mod error;
 pub mod fxhash;
 pub mod lexer;

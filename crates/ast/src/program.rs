@@ -310,15 +310,6 @@ impl Program {
         out
     }
 
-    /// The rule indices whose head predicate is `pred`.
-    pub fn rules_for_head(&self, pred: PredSym) -> impl Iterator<Item = usize> + '_ {
-        self.rules
-            .iter()
-            .enumerate()
-            .filter(move |(_, r)| r.head.pred == pred)
-            .map(|(i, _)| i)
-    }
-
     /// The skeleton (propositional form) of this program: rules with all
     /// parentheses, variables, and constants omitted (paper, Section 4).
     pub fn skeleton(&self) -> Skeleton {

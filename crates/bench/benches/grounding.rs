@@ -16,7 +16,8 @@ fn bench_ground_win_move(c: &mut Criterion) {
         group.throughput(Throughput::Elements(((n + 1) * (n + 1)) as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                let g = ground(&program, &db, &GroundConfig::default()).expect("grounds");
+                let g = ground(&program, &db, GroundMode::Full, &GroundConfig::default())
+                    .expect("grounds");
                 std::hint::black_box(g.rule_count())
             });
         });
@@ -34,51 +35,8 @@ fn bench_ground_three_vars(c: &mut Criterion) {
         group.throughput(Throughput::Elements(((n + 1) as u64).pow(3)));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                let g = ground(&program, &db, &GroundConfig::default()).expect("grounds");
-                std::hint::black_box(g.rule_count())
-            });
-        });
-    }
-    group.finish();
-}
-
-/// Ablation (DESIGN.md): full paper-literal instantiation vs. pruning
-/// rule instances already dead under M₀(Δ). Semantics-preserving (see
-/// the workspace property tests); the win is proportional to EDB
-/// selectivity.
-fn bench_ablation_prune_decided(c: &mut Criterion) {
-    let program = generators::win_move_program();
-    let mut group = c.benchmark_group("grounding_ablation_prune");
-    group.sample_size(20);
-    for &n in &[16usize, 32] {
-        // A move-chain of n edges over n + 1 constants.
-        let mut db = datalog_ast::Database::new();
-        for i in 0..n {
-            db.insert(datalog_ast::GroundAtom::from_texts(
-                "move",
-                &[&format!("c{i}"), &format!("c{}", i + 1)],
-            ))
-            .expect("binary facts");
-        }
-        group.bench_with_input(BenchmarkId::new("full", n), &n, |b, _| {
-            b.iter(|| {
-                let g = ground(&program, &db, &GroundConfig::default()).expect("grounds");
-                std::hint::black_box(g.rule_count())
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("pruned", n), &n, |b, _| {
-            b.iter(|| {
-                let g = ground(
-                    &program,
-                    &db,
-                    &GroundConfig {
-                        prune_decided: true,
-                        ..GroundConfig::default()
-                    },
-                )
-                .expect("grounds");
-                // A chain of n edges leaves exactly n live instances.
-                assert_eq!(g.rule_count(), n);
+                let g = ground(&program, &db, GroundMode::Full, &GroundConfig::default())
+                    .expect("grounds");
                 std::hint::black_box(g.rule_count())
             });
         });
@@ -107,7 +65,8 @@ fn bench_ablation_ground_mode(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("full", n), &n, |b, _| {
             b.iter(|| {
-                let g = ground(&program, &db, &GroundConfig::default()).expect("grounds");
+                let g = ground(&program, &db, GroundMode::Full, &GroundConfig::default())
+                    .expect("grounds");
                 assert_eq!(g.rule_count(), (n + 1) * (n + 1));
                 std::hint::black_box(g.rule_count())
             });
@@ -117,10 +76,8 @@ fn bench_ablation_ground_mode(c: &mut Criterion) {
                 let g = ground(
                     &program,
                     &db,
-                    &GroundConfig {
-                        mode: GroundMode::Relevant,
-                        ..GroundConfig::default()
-                    },
+                    GroundMode::Relevant,
+                    &GroundConfig::default(),
                 )
                 .expect("grounds");
                 // One supportable instance per chain edge.
@@ -153,10 +110,8 @@ fn bench_ground_counter_machine_relevant(c: &mut Criterion) {
             let g = ground(
                 &program,
                 &db,
-                &GroundConfig {
-                    mode: GroundMode::Relevant,
-                    ..GroundConfig::default()
-                },
+                GroundMode::Relevant,
+                &GroundConfig::default(),
             )
             .expect("grounds");
             std::hint::black_box(g.rule_count())
@@ -169,7 +124,6 @@ criterion_group!(
     benches,
     bench_ground_win_move,
     bench_ground_three_vars,
-    bench_ablation_prune_decided,
     bench_ablation_ground_mode,
     bench_ground_counter_machine_relevant
 );

@@ -12,7 +12,9 @@
 //!   source-first (grounded in `Relevant` mode so grounding cost does not
 //!   mask evaluation cost);
 //! * the **unfounded chain** — guard loops `a_i ← a_i` whose support
-//!   alternates with closure, forcing Θ(n) unfounded rounds.
+//!   alternates with closure, forcing Θ(n) unfounded rounds (the global
+//!   side grounds `Full`; the chain is propositional, so the `Solver`'s
+//!   relevant grounding is the same graph).
 //!
 //! The CI `bench-trajectory` job runs the same instances through
 //! `bench_trajectory` and gates on Stratified ≥ Global at n ≥ 1024 (and
@@ -38,7 +40,7 @@ fn bench_tie_chain(c: &mut Criterion) {
     for &n in &[256usize, 1024, 4096] {
         let db = generators::tie_chain_move_db(n);
         let config = EngineConfig::default();
-        let graph = ground(&program, &db, &config.ground).expect("grounds");
+        let graph = ground(&program, &db, GroundMode::Relevant, &config.ground).expect("grounds");
         group.throughput(Throughput::Elements(n as u64));
         for mode in MODES {
             let id = BenchmarkId::new(mode, n);
@@ -67,8 +69,8 @@ fn bench_unfounded_chain(c: &mut Criterion) {
     for &n in &[256usize, 1024, 4096] {
         let program = generators::unfounded_chain_program(n);
         let db = Database::new();
-        let config = EngineConfig::default().with_ground_mode(GroundMode::Full);
-        let graph = ground(&program, &db, &config.ground).expect("grounds");
+        let config = EngineConfig::default();
+        let graph = ground(&program, &db, GroundMode::Full, &config.ground).expect("grounds");
         group.throughput(Throughput::Elements(n as u64));
         for mode in MODES {
             let id = BenchmarkId::new(mode, n);

@@ -180,10 +180,8 @@ fn tie_chain_entries(entries: &mut Vec<Entry>, sizes: &[usize]) {
         let graph = ground(
             &program,
             &db,
-            &GroundConfig {
-                mode: GroundMode::Relevant,
-                ..GroundConfig::default()
-            },
+            GroundMode::Relevant,
+            &GroundConfig::default(),
         )
         .expect("grounds");
         for mode in ["global", "stratified"] {
@@ -212,14 +210,17 @@ fn tie_chain_entries(entries: &mut Vec<Entry>, sizes: &[usize]) {
     }
 }
 
-/// The unfounded chain, evaluated with plain well-founded in both modes
-/// over full grounding; `stratified` again times a `Solver` end to end.
+/// The unfounded chain, evaluated with plain well-founded in both modes;
+/// `global` runs on the full grounding, `stratified` again times a
+/// `Solver` end to end. The chain is propositional and every atom lies
+/// on a positive loop, so the `Solver`'s relevant grounding is the same
+/// graph.
 fn unfounded_chain_entries(entries: &mut Vec<Entry>, sizes: &[usize]) {
-    let config = EngineConfig::default().with_ground_mode(GroundMode::Full);
+    let config = EngineConfig::default();
     for &n in sizes {
         let program = generators::unfounded_chain_program(n);
         let db = Database::new();
-        let graph = ground(&program, &db, &config.ground).expect("grounds");
+        let graph = ground(&program, &db, GroundMode::Full, &config.ground).expect("grounds");
         for mode in ["global", "stratified"] {
             let (wall_ms, stats) = best_of(|| {
                 let run = if mode == "global" {
@@ -259,22 +260,15 @@ fn grounding_entries(entries: &mut Vec<Entry>, n: usize) {
         ))
         .expect("binary facts");
     }
-    for (mode, name) in [
-        (GroundMode::Full, "full"),
-        (GroundMode::Relevant, "relevant"),
-    ] {
-        let config = GroundConfig {
-            mode,
-            ..GroundConfig::default()
-        };
+    for mode in [GroundMode::Full, GroundMode::Relevant] {
         let (wall_ms, (atoms, rules)) = best_of(|| {
-            let g = ground(&program, &db, &config).expect("grounds");
+            let g = ground(&program, &db, mode, &GroundConfig::default()).expect("grounds");
             (g.atom_count(), g.rule_count())
         });
         entries.push(Entry {
             bench: "grounding_win_move_chain",
             n,
-            mode: name.to_owned(),
+            mode: mode.to_string(),
             wall_ms,
             atoms,
             rules,
@@ -288,10 +282,7 @@ fn grounding_entries(entries: &mut Vec<Entry>, n: usize) {
 /// session grounder's build. Returns the median pair ratio (see
 /// [`paired_scaling`]).
 fn ground_scaling_entries(entries: &mut Vec<Entry>) -> f64 {
-    let config = GroundConfig {
-        mode: GroundMode::Relevant,
-        ..GroundConfig::default()
-    };
+    let config = GroundConfig::default();
     let database = Database::new();
     let programs: Vec<Program> = [GROUND_SCALING_POCKETS, 2 * GROUND_SCALING_POCKETS]
         .into_iter()
@@ -326,10 +317,7 @@ fn ground_scaling_entries(entries: &mut Vec<Entry>) -> f64 {
 /// grounder, so per-fact and per-instance costs both show. Returns the
 /// median pair ratio (see [`paired_scaling`]).
 fn first_order_scaling_entries(entries: &mut Vec<Entry>) -> f64 {
-    let config = GroundConfig {
-        mode: GroundMode::Relevant,
-        ..GroundConfig::default()
-    };
+    let config = GroundConfig::default();
     let program = generators::win_move_program();
     let texts: Vec<String> = [FIRST_ORDER_SCALING_POCKETS, 2 * FIRST_ORDER_SCALING_POCKETS]
         .into_iter()
@@ -600,11 +588,13 @@ fn outcomes_cow_entries(entries: &mut Vec<Entry>, decided: usize, pockets: usize
     let program = generators::win_move_program();
     let db = generators::outcome_pocket_db(decided, pockets);
     let scripts = 1usize << pockets;
-    let config = GroundConfig {
-        mode: GroundMode::Relevant,
-        ..GroundConfig::default()
-    };
-    let graph = ground(&program, &db, &config).expect("grounds");
+    let graph = ground(
+        &program,
+        &db,
+        GroundMode::Relevant,
+        &GroundConfig::default(),
+    )
+    .expect("grounds");
     let solver = Solver::new(program.clone(), db.clone()).expect("prepares");
 
     let reclose = || {
@@ -689,64 +679,79 @@ fn reclose_outcomes(
 /// retract/insert flap of the *source* pocket's back-edge — a mutation
 /// whose forward cone is a handful of nodes out of a Θ(n) residual —
 /// through the incremental path (delta grounding + cone re-close +
-/// condensation patch + advancing the served model) and, for the
-/// baseline, through forced full re-preparation
-/// (`with_incremental(false)`), reading `win(a0)` after every flip.
-/// Both paths are exact (asserted here against a fresh solver), so the
-/// entries time a write plus the read that sees it, which is what the
-/// ≥ 3× gate bites on.
+/// condensation patch + advancing the served model), reading `win(a0)`
+/// after every flip. The baseline prepares a fresh `Solver` on the
+/// mutated database per flip (program and database clones included) and
+/// reads the same atom: the full re-preparation every write costs
+/// without the incremental path. The churned session is checked against
+/// a fresh solver, so the entries time a write plus the read that sees
+/// it, which is what the ≥ 3× gate bites on.
 fn session_churn_entries(entries: &mut Vec<Entry>, sizes: &[usize], churn: usize) {
     let program = generators::win_move_program();
     let fact = datalog_ast::GroundAtom::from_texts("move", &["b0", "a0"]);
     let probe = datalog_ast::GroundAtom::from_texts("win", &["a0"]);
     for &n in sizes {
         let db = generators::tie_chain_move_db(n);
-        for (incremental, name) in [(true, "incremental"), (false, "reprepare")] {
-            let mut solver = Solver::with_config(
-                program.clone(),
-                db.clone(),
-                EngineConfig::default().with_incremental(incremental),
-            )
-            .expect("prepares");
-            let (wall_ms, ()) = best_of(|| {
-                for _ in 0..churn {
-                    let d = solver.retract_fact(fact.clone()).expect("retracts");
-                    assert_eq!(d.rebuilt, !incremental, "path taken as configured");
-                    if incremental {
-                        // The whole point of the workload: the cone is a
-                        // sliver of the residual graph.
-                        assert!(
-                            d.cone_atoms * 10 <= d.residual_atoms.max(1),
-                            "cone {} vs residual {}",
-                            d.cone_atoms,
-                            d.residual_atoms
-                        );
-                    }
-                    // Read your write, as a serving client would.
-                    ReadBatch::new().truth(&solver, &probe).expect("reads");
-                    solver.insert_fact(fact.clone()).expect("inserts");
-                    ReadBatch::new().truth(&solver, &probe).expect("reads");
+        let mut solver = Solver::new(program.clone(), db.clone()).expect("prepares");
+        let (wall_ms, ()) = best_of(|| {
+            for _ in 0..churn {
+                let d = solver.retract_fact(fact.clone()).expect("retracts");
+                assert!(!d.rebuilt, "the flip stays incremental");
+                // The whole point of the workload: the cone is a sliver
+                // of the residual graph.
+                assert!(
+                    d.cone_atoms * 10 <= d.residual_atoms.max(1),
+                    "cone {} vs residual {}",
+                    d.cone_atoms,
+                    d.residual_atoms
+                );
+                // Read your write, as a serving client would.
+                ReadBatch::new().truth(&solver, &probe).expect("reads");
+                solver.insert_fact(fact.clone()).expect("inserts");
+                ReadBatch::new().truth(&solver, &probe).expect("reads");
+            }
+        });
+        // Exactness spot-check: the churned session answers like a fresh
+        // solver on the (unchanged net) database.
+        let out = solver.well_founded().expect("wf runs");
+        let fresh = Solver::new(program.clone(), db.clone())
+            .expect("fresh prepares")
+            .well_founded()
+            .expect("wf runs");
+        assert_eq!(out.true_facts, fresh.true_facts);
+        assert_eq!(out.undefined, fresh.undefined);
+        entries.push(Entry {
+            bench: "session_churn",
+            n,
+            mode: "incremental".to_owned(),
+            wall_ms,
+            atoms: solver.graph().atom_count(),
+            rules: solver.graph().rule_count(),
+            stats: RunStats::default(),
+        });
+
+        let mut retracted = db.clone();
+        assert!(retracted.remove(&fact), "the flipped edge is in the chain");
+        let (wall_ms, shape) = best_of(|| {
+            let mut shape = (0, 0);
+            for _ in 0..churn {
+                for db in [&retracted, &db] {
+                    let fresh = Solver::new(program.clone(), db.clone()).expect("fresh prepares");
+                    ReadBatch::new().truth(&fresh, &probe).expect("reads");
+                    shape = (fresh.graph().atom_count(), fresh.graph().rule_count());
                 }
-            });
-            // Exactness spot-check: the churned session answers like a
-            // fresh solver on the (unchanged net) database.
-            let out = solver.well_founded().expect("wf runs");
-            let fresh = Solver::with_config(program.clone(), db.clone(), *solver.config())
-                .expect("fresh prepares")
-                .well_founded()
-                .expect("wf runs");
-            assert_eq!(out.true_facts, fresh.true_facts);
-            assert_eq!(out.undefined, fresh.undefined);
-            entries.push(Entry {
-                bench: "session_churn",
-                n,
-                mode: name.to_owned(),
-                wall_ms,
-                atoms: solver.graph().atom_count(),
-                rules: solver.graph().rule_count(),
-                stats: RunStats::default(),
-            });
-        }
+            }
+            shape
+        });
+        entries.push(Entry {
+            bench: "session_churn",
+            n,
+            mode: "reprepare".to_owned(),
+            wall_ms,
+            atoms: shape.0,
+            rules: shape.1,
+            stats: RunStats::default(),
+        });
     }
 }
 

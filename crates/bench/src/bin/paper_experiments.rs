@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use datalog_ast::{parse_program, Database, Program};
 use datalog_bench::{ground_or_die, ring_move_db};
-use datalog_ground::{ground, GroundConfig};
+use datalog_ground::{ground, GroundConfig, GroundMode};
 use paper_constructions::counter_machine::CounterMachine;
 use paper_constructions::undecidability::{machine_to_program, natural_database, uniformize};
 use paper_constructions::variants::{
@@ -486,7 +486,7 @@ fn exp_theorem5(report: &mut Report) {
     for _ in 0..5 {
         let variant = generators::random_variant(&mut rng, &skel, 2);
         let db = generators::random_database(&mut rng, &variant, 2, 0.4, true);
-        if let Ok(graph) = ground(&variant, &db, &GroundConfig::default()) {
+        if let Ok(graph) = ground(&variant, &db, GroundMode::Full, &GroundConfig::default()) {
             let run = well_founded(&graph, &variant, &db).expect("runs");
             ok &= run.total;
         }

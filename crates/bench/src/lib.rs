@@ -2,12 +2,18 @@
 //! harness.
 
 use datalog_ast::{Database, Program};
-use datalog_ground::{ground, GroundConfig, GroundGraph};
+use datalog_ground::{ground, GroundConfig, GroundGraph, GroundMode};
 
 /// Grounds with default budgets, panicking on failure (bench inputs are
 /// sized in advance).
 pub fn ground_or_die(program: &Program, database: &Database) -> GroundGraph {
-    ground(program, database, &GroundConfig::default()).expect("bench instance grounds")
+    ground(
+        program,
+        database,
+        GroundMode::Full,
+        &GroundConfig::default(),
+    )
+    .expect("bench instance grounds")
 }
 
 /// A `move` relation forming one directed ring of `n` nodes — the ground

@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! datalog check    <program.dl> [database.dl] [--format text|json]
+//!                  [--ground-mode full|relevant]
 //! datalog run      <program.dl> [database.dl] [--semantics wf|tb|pure-tb|stratified]
 //!                  [--policy root-true|root-false|random] [--seed N]
 //! datalog models   <program.dl> [database.dl] [--stable] [--limit N]
@@ -35,9 +36,11 @@
 //! lint fires (today: an exact full-mode grounding cost over budget), so
 //! CI can gate on it; `--format json` emits the machine-readable report.
 //!
-//! `serve --strict` makes the server run the same pass on every open:
-//! error lints reject the open before preparation is paid for, and the
-//! open response carries a `% analysis: …` summary line.
+//! `serve --strict` makes the server run the same pass on every open,
+//! its cost estimate modeling the relevant grounding the server runs:
+//! error lints reject the open before preparation is paid for (the
+//! relevant cost model issues none), and the open response carries a
+//! `% analysis: …` summary line.
 //!
 //! `session` holds **one long-lived solver** and streams a mutation
 //! script against it (from `--script FILE`, or stdin): `+fact.` inserts,
@@ -67,10 +70,12 @@
 //! streams the script K times on each, reporting aggregate throughput.
 //! See the `tiebreak-server` crate docs for the wire protocol.
 //!
-//! Every command that grounds accepts `--ground-mode full|relevant`:
-//! `relevant` (the production default) builds the join-based relevant
-//! grounding; `full` builds the paper-literal *G(Π, Δ)* — same
-//! post-`close` semantics, `relevant` is far smaller on large databases.
+//! Every command that grounds builds the join-based relevant grounding:
+//! the same post-`close` semantics as the paper-literal *G(Π, Δ)*, far
+//! smaller on large databases. `check --ground-mode full|relevant`
+//! picks the grounding its cost estimate models (default `relevant`;
+//! `full` estimates the paper-literal |U|^k instantiation exactly); any
+//! other command given `--ground-mode` exits 1.
 //!
 //! `run` (`wf|tb|pure-tb`), `explain` and `outcomes` evaluate on one
 //! `tiebreak-runtime` session solver, the same evaluator `session` and
@@ -100,7 +105,7 @@ use std::process::ExitCode;
 
 use tiebreak_core::semantics::enumerate::{enumerate_fixpoints, enumerate_stable, EnumerateConfig};
 use tiebreak_core::semantics::{RandomPolicy, TiePolicy};
-use tiebreak_core::{EngineConfig, GroundMode};
+use tiebreak_core::GroundMode;
 use tiebreak_runtime::{reply, Solver};
 use tiebreak_server::{Client, LineOutcome, RegistryConfig, ScriptSession, Server, ServerConfig};
 
@@ -116,7 +121,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage:\n  datalog check <program.dl> [db.dl] [--format text|json]\n  datalog run <program.dl> [db.dl] [--semantics wf|tb|pure-tb|stratified] [--policy root-true|root-false|random] [--seed N]\n  datalog models <program.dl> [db.dl] [--stable] [--limit N]\n  datalog ground <program.dl> [db.dl]\n  datalog explain <program.dl> [db.dl] --atom \"win(a)\" [--semantics wf|tb] [--policy root-true|root-false|random] [--seed N]\n  datalog outcomes <program.dl> [db.dl] [--semantics tb|pure-tb] [--limit N]\n  datalog session <program.dl> [db.dl] [--script FILE] [--semantics tb|pure-tb]\n  datalog serve [--addr HOST:PORT] [--semantics tb|pure-tb] [--max-sessions N] [--max-resident-atoms N] [--strict] [--max-idle-secs N]\n  datalog client <program.dl> [db.dl] --addr HOST:PORT [--script FILE] [--concurrency N] [--repeat K]\n  datalog client --addr HOST:PORT --stats | --metrics | --shutdown\n\nGrounding commands also accept --ground-mode full|relevant (default: relevant).\nrun/outcomes/session/serve accept --trace-out FILE (chrome://tracing JSON) and\n--trace summary (aggregate span table on stderr); either enables the recorder.\nrun/explain/outcomes/session/serve evaluate on the session runtime, one thread,\none walk in topological order.\nsession scripts: '+fact.' insert, '-fact.' retract, '? wf', '?fact.',\n'? outcomes [N]', '? stats', '#' comments; reads stdin without --script.\nserve listens for client connections and keeps prepared sessions resident\nbehind an LRU; client opens (or reuses) a server-side session and streams a\nscript against it.\ncheck exits non-zero exactly when an error-severity lint fires; serve --strict\nruns the same analysis on every open and rejects error lints before preparing."
+    "usage:\n  datalog check <program.dl> [db.dl] [--format text|json] [--ground-mode full|relevant]\n  datalog run <program.dl> [db.dl] [--semantics wf|tb|pure-tb|stratified] [--policy root-true|root-false|random] [--seed N]\n  datalog models <program.dl> [db.dl] [--stable] [--limit N]\n  datalog ground <program.dl> [db.dl]\n  datalog explain <program.dl> [db.dl] --atom \"win(a)\" [--semantics wf|tb] [--policy root-true|root-false|random] [--seed N]\n  datalog outcomes <program.dl> [db.dl] [--semantics tb|pure-tb] [--limit N]\n  datalog session <program.dl> [db.dl] [--script FILE] [--semantics tb|pure-tb]\n  datalog serve [--addr HOST:PORT] [--semantics tb|pure-tb] [--max-sessions N] [--max-resident-atoms N] [--strict] [--max-idle-secs N]\n  datalog client <program.dl> [db.dl] --addr HOST:PORT [--script FILE] [--concurrency N] [--repeat K]\n  datalog client --addr HOST:PORT --stats | --metrics | --shutdown\n\ncheck also accepts --ground-mode full|relevant (the grounding its cost estimate\nmodels; default: relevant). The other commands ground relevantly.\nrun/outcomes/session/serve accept --trace-out FILE (chrome://tracing JSON) and\n--trace summary (aggregate span table on stderr); either enables the recorder.\nrun/explain/outcomes/session/serve evaluate on the session runtime, one thread,\none walk in topological order.\nsession scripts: '+fact.' insert, '-fact.' retract, '? wf', '?fact.',\n'? outcomes [N]', '? stats', '#' comments; reads stdin without --script.\nserve listens for client connections and keeps prepared sessions resident\nbehind an LRU; client opens (or reuses) a server-side session and streams a\nscript against it.\ncheck exits non-zero exactly when an error-severity lint fires; serve --strict\nruns the same analysis on every open and rejects error lints before preparing."
         .to_owned()
 }
 
@@ -129,7 +134,8 @@ struct Options {
     stable: bool,
     limit: usize,
     atom: Option<String>,
-    ground_mode: GroundMode,
+    /// `check`'s cost-model grounding; no other command accepts it.
+    ground_mode: Option<GroundMode>,
     script: Option<String>,
     addr: Option<String>,
     max_sessions: usize,
@@ -155,7 +161,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         stable: false,
         limit: 0,
         atom: None,
-        ground_mode: GroundMode::Relevant,
+        ground_mode: None,
         script: None,
         addr: None,
         max_sessions: 0,
@@ -199,11 +205,15 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 opts.atom = Some(it.next().ok_or("--atom needs a value")?.clone());
             }
             "--ground-mode" => {
-                opts.ground_mode = match it.next().ok_or("--ground-mode needs a value")?.as_str() {
-                    "full" => GroundMode::Full,
-                    "relevant" => GroundMode::Relevant,
-                    other => return Err(format!("unknown ground mode {other} (full|relevant)")),
-                };
+                opts.ground_mode = Some(
+                    match it.next().ok_or("--ground-mode needs a value")?.as_str() {
+                        "full" => GroundMode::Full,
+                        "relevant" => GroundMode::Relevant,
+                        other => {
+                            return Err(format!("unknown ground mode {other} (full|relevant)"))
+                        }
+                    },
+                );
             }
             // A no-op only `perfbench` passes;
             // goes with ROADMAP item 1's benchmark cleanup.
@@ -291,10 +301,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-fn engine_config(opts: &Options) -> EngineConfig {
-    EngineConfig::default().with_ground_mode(opts.ground_mode)
-}
-
 /// Reads the program and (optional) database sources named in `opts`.
 fn load_sources(opts: &Options) -> Result<(String, String), String> {
     let program_path = opts.files.first().ok_or_else(usage)?;
@@ -317,15 +323,10 @@ fn load_parsed(opts: &Options) -> Result<(datalog_ast::Program, datalog_ast::Dat
     Ok((program, database))
 }
 
-/// Builds the session solver every grounding command runs on. A fact
-/// whose arity conflicts with the program is rejected first: relevant
-/// session grounding does not check it.
+/// Builds the session solver every grounding command runs on.
 fn load_solver(opts: &Options) -> Result<Solver, String> {
     let (program, database) = load_parsed(opts)?;
-    database
-        .validate_against(&program)
-        .map_err(|e| e.to_string())?;
-    Solver::with_config(program, database, engine_config(opts)).map_err(|e| e.to_string())
+    Solver::new(program, database).map_err(|e| e.to_string())
 }
 
 /// The tie-breaking flavours `outcomes`, `session` and `serve` run.
@@ -422,6 +423,11 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
+    if command != "check" && opts.ground_mode.is_some() {
+        return Err(format!(
+            "--ground-mode is a check option ({command} grounds relevantly)"
+        ));
+    }
     match command {
         "check" => {
             let (program_src, db_src) = load_sources(opts)?;
@@ -430,10 +436,10 @@ fn dispatch(command: &str, opts: &Options) -> Result<(), String> {
                 Some(_) => Some(datalog_ast::parse_database(&db_src).map_err(|e| e.to_string())?),
                 None => None,
             };
-            let config = datalog_analyze::AnalyzeConfig::for_ground(datalog_ground::GroundConfig {
-                mode: opts.ground_mode,
-                ..datalog_ground::GroundConfig::default()
-            });
+            let config = datalog_analyze::AnalyzeConfig::for_ground(
+                opts.ground_mode.unwrap_or(GroundMode::Relevant),
+                datalog_ground::GroundConfig::default(),
+            );
             let report = datalog_analyze::analyze(&program, database.as_ref(), &config);
             let text = if opts.format == "json" {
                 format!("{}\n", report.to_json())
@@ -668,7 +674,6 @@ fn run_serve(opts: &Options) -> Result<(), String> {
     let pure = semantics(opts, "serve", TIE_BREAKING)? == "pure-tb";
     let addr = opts.addr.as_deref().unwrap_or("127.0.0.1:4545");
     let mut registry = RegistryConfig {
-        engine: engine_config(opts),
         strict: opts.strict,
         pure,
         ..RegistryConfig::default()

@@ -599,29 +599,17 @@ fn outcomes_lists_all_orientations() {
     assert!(text.contains("{p}") && text.contains("{q}"), "{text}");
 }
 
+/// Every grounding command grounds relevantly; `--ground-mode` picks
+/// the grounding `check`'s cost estimate models and is refused, naming
+/// `check`, by every other command.
 #[test]
-fn ground_mode_flag_switches_grounders() {
+fn ground_mode_is_a_check_option() {
     let prog = write_temp("gm.dl", "win(X) :- move(X, Y), not win(Y).");
     let db = write_temp("gm_db.dl", "move(a, b).\nmove(b, c).");
+    let (prog, db) = (prog.to_str().unwrap(), db.to_str().unwrap());
 
-    // Full (paper-literal, selected explicitly): |U|² = 9 instances.
-    let out = datalog(&[
-        "ground",
-        prog.to_str().unwrap(),
-        db.to_str().unwrap(),
-        "--ground-mode",
-        "full",
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("% 12 ground atoms, 9 rule nodes"), "{text}");
-
-    // Relevant (the production default): one instance per move fact.
-    let out = datalog(&["ground", prog.to_str().unwrap(), db.to_str().unwrap()]);
+    // Relevant grounding: one instance per move fact.
+    let out = datalog(&["ground", prog, db]);
     assert!(
         out.status.success(),
         "{}",
@@ -630,30 +618,34 @@ fn ground_mode_flag_switches_grounders() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("% 5 ground atoms, 2 rule nodes"), "{text}");
 
-    // Both modes answer `run` identically.
-    for mode in ["full", "relevant"] {
-        let out = datalog(&[
-            "run",
-            prog.to_str().unwrap(),
-            db.to_str().unwrap(),
-            "--semantics",
-            "wf",
-            "--ground-mode",
-            mode,
-        ]);
-        assert!(out.status.success());
-        let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.contains("win(b)."), "{mode}: {text}");
-        assert!(!text.contains("win(a)."), "{mode}: {text}");
+    // The paper-literal count, |U|² = 9 instances, is check's exact
+    // full-mode estimate.
+    let out = datalog(&["check", prog, db, "--ground-mode", "full"]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("cost (exact, full): 12 atoms, 9 rule instances"),
+        "{text}"
+    );
+    let out = datalog(&["check", prog, db]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("cost (bound, relevant):"), "{text}");
+
+    for command in [&["ground"][..], &["run", "--semantics", "wf"], &["models"]] {
+        for mode in ["full", "relevant"] {
+            let mut args = vec![command[0], prog, db];
+            args.extend(&command[1..]);
+            args.extend(["--ground-mode", mode]);
+            let out = datalog(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            let text = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                text.starts_with("error: --ground-mode is a check option"),
+                "{args:?}: {text}"
+            );
+        }
     }
 
-    let out = datalog(&[
-        "ground",
-        prog.to_str().unwrap(),
-        db.to_str().unwrap(),
-        "--ground-mode",
-        "bogus",
-    ]);
+    let out = datalog(&["check", prog, db, "--ground-mode", "bogus"]);
     assert!(!out.status.success());
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(text.contains("unknown ground mode"), "{text}");

@@ -176,7 +176,7 @@ impl DefaultTheory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datalog_ground::{ground, GroundConfig, TruthValue};
+    use datalog_ground::{ground, GroundConfig, GroundMode, TruthValue};
     use tiebreak_core::analysis::structural_totality;
     use tiebreak_core::semantics::enumerate::{enumerate_stable, EnumerateConfig};
     use tiebreak_core::semantics::tie_breaking::{well_founded_tie_breaking, RootTruePolicy};
@@ -184,7 +184,7 @@ mod tests {
     /// Extensions of the theory = stable models of the program (BF1/GL).
     fn cross_check(theory: &DefaultTheory) {
         let (program, db) = theory.to_program();
-        let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+        let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
         let stables = enumerate_stable(
             &graph,
             &program,
@@ -257,7 +257,7 @@ mod tests {
             .default_rule(Default::new(&["w"], &["a"], "c"));
         let (program, db) = theory.to_program();
         assert!(structural_totality(&program).total, "even theory");
-        let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+        let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
         let mut policy = RootTruePolicy;
         let run = well_founded_tie_breaking(&graph, &program, &db, &mut policy).unwrap();
         assert!(run.total);

@@ -267,12 +267,12 @@ pub fn uniformize(program: &Program) -> Program {
 mod tests {
     use super::*;
     use crate::counter_machine::{CounterMachine, MachineOutcome};
-    use datalog_ground::{ground, GroundConfig, TruthValue};
+    use datalog_ground::{ground, GroundConfig, GroundMode, TruthValue};
     use tiebreak_core::semantics::enumerate::{enumerate_fixpoints, EnumerateConfig};
     use tiebreak_core::semantics::well_founded::well_founded;
 
     fn has_fixpoint(program: &Program, db: &Database) -> bool {
-        let g = ground(program, db, &GroundConfig::default()).unwrap();
+        let g = ground(program, db, GroundMode::Full, &GroundConfig::default()).unwrap();
         !enumerate_fixpoints(
             &g,
             program,
@@ -295,7 +295,7 @@ mod tests {
         };
         let program = machine_to_program(&m);
         let db = natural_database(steps);
-        let g = ground(&program, &db, &GroundConfig::default()).unwrap();
+        let g = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
         let run = well_founded(&g, &program, &db).unwrap();
         // The machine reaches the halt state, so the troublesome rule
         // reduces to p ← ¬p and the WF model cannot be total — but all
@@ -346,7 +346,7 @@ mod tests {
         db.insert_texts("succ", &["0", "1"]);
         db.insert_texts("succ", &["1", "2"]);
         // no less facts at all
-        let g = ground(&program, &db, &GroundConfig::default()).unwrap();
+        let g = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
         let run = well_founded(&g, &program, &db).unwrap();
         assert!(run.total, "repair rule must fire and settle everything");
         let p = g.atoms().atom_id("p".into(), &[]).unwrap();

@@ -368,13 +368,13 @@ pub fn theorem3_quaternary_variant(
 mod tests {
     use super::*;
     use datalog_ast::parse_program;
-    use datalog_ground::{ground, GroundConfig};
+    use datalog_ground::{ground, GroundConfig, GroundMode};
     use tiebreak_core::analysis::{stratify, structural_totality, useless_predicates};
     use tiebreak_core::semantics::enumerate::{enumerate_fixpoints, EnumerateConfig};
     use tiebreak_core::semantics::well_founded::well_founded;
 
     fn no_fixpoint(program: &Program, delta: &Database) -> bool {
-        let g = ground(program, delta, &GroundConfig::default()).unwrap();
+        let g = ground(program, delta, GroundMode::Full, &GroundConfig::default()).unwrap();
         enumerate_fixpoints(
             &g,
             program,
@@ -480,7 +480,7 @@ mod tests {
         let real = realize_negative_cycle(&p, &strat.witness.unwrap()).unwrap();
         let (variant, delta) = theorem2_unary_variant(&p, &real);
         assert!(p.is_alphabetic_variant_of(&variant));
-        let g = ground(&variant, &delta, &GroundConfig::default()).unwrap();
+        let g = ground(&variant, &delta, GroundMode::Full, &GroundConfig::default()).unwrap();
         let run = well_founded(&g, &variant, &delta).unwrap();
         assert!(!run.total, "well-founded must get stuck on the variant");
         // ... while a fixpoint still exists (the cycle is even).

@@ -133,12 +133,12 @@ mod tests {
     use super::*;
     use crate::semantics::well_founded::well_founded;
     use datalog_ast::{parse_database, parse_program, GroundAtom};
-    use datalog_ground::{ground, GroundConfig};
+    use datalog_ground::{ground, GroundConfig, GroundMode};
 
     fn setup(src: &str, db_src: &str) -> (GroundGraph, Program, Database, PartialModel) {
         let p = parse_program(src).unwrap();
         let d = parse_database(db_src).unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let run = well_founded(&g, &p, &d).unwrap();
         (g, p, d, run.model)
     }

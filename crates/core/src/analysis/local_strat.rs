@@ -64,12 +64,12 @@ fn verdict(closer: &Closer<'_>) -> LocalStratification {
 mod tests {
     use super::*;
     use datalog_ast::{parse_database, parse_program};
-    use datalog_ground::{ground, GroundConfig};
+    use datalog_ground::{ground, GroundConfig, GroundMode};
 
     fn check(src: &str, db: &str) -> LocalStratification {
         let p = parse_program(src).unwrap();
         let d = parse_database(db).unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         locally_stratified(&g)
     }
 
@@ -118,7 +118,7 @@ mod tests {
         // resolves everything and the remaining graph is empty).
         let p = parse_program(src).unwrap();
         let d = parse_database(db).unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let r2 = locally_stratified_after_close(&g, &p, &d);
         assert!(r2.locally_stratified);
     }

@@ -10,7 +10,7 @@
 //! programs.
 
 use datalog_ast::{ConstSym, Database, GroundAtom, Program};
-use datalog_ground::{ground, GroundConfig};
+use datalog_ground::{ground, GroundConfig, GroundMode};
 
 use crate::semantics::enumerate::{enumerate_fixpoints, EnumerateConfig};
 use crate::semantics::SemanticsError;
@@ -139,7 +139,7 @@ fn sweep(
                 db.insert(fact.clone()).expect("consistent arities");
             }
         }
-        let graph = ground(program, &db, &config.ground)?;
+        let graph = ground(program, &db, GroundMode::Full, &config.ground)?;
         if !accept(&graph, program, &db)? {
             return Ok(TotalityReport {
                 total: false,

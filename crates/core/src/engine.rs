@@ -1,21 +1,19 @@
 //! Engine configuration and the value types the evaluators share:
-//! [`EngineConfig`] (grounding budgets and mode, stats detail, session
-//! behaviour), the decoded [`EvalOutcome`], and the session runtime's
-//! [`Mutation`] and [`PrepareDelta`].
+//! [`EngineConfig`] (grounding budgets, stats detail), the decoded
+//! [`EvalOutcome`], and the session runtime's [`Mutation`] and
+//! [`PrepareDelta`].
 //!
 //! ```
-//! use tiebreak_core::{EngineConfig, GroundMode};
+//! use tiebreak_core::EngineConfig;
 //!
-//! // The production default grounds relevant instances only; `Full` is
-//! // the paper-literal instantiation with the same post-`close` graph.
-//! let config = EngineConfig::default();
-//! assert_eq!(config.ground.mode, GroundMode::Relevant);
-//! let full = config.with_ground_mode(GroundMode::Full);
-//! assert_eq!(full.ground.mode, GroundMode::Full);
+//! // The session grounds relevant instances only, within these budgets.
+//! let config = EngineConfig::default().with_detailed_stats(true);
+//! assert_eq!(config.ground.max_atoms, 4_000_000);
+//! assert!(config.eval.detailed_stats);
 //! ```
 
 use datalog_ast::GroundAtom;
-use datalog_ground::{GroundConfig, GroundMode, TruthValue};
+use datalog_ground::{GroundConfig, TruthValue};
 
 use crate::semantics::{EvalOptions, InterpreterRun, RunStats};
 
@@ -30,23 +28,6 @@ impl RuntimeConfig {
     #[must_use]
     pub fn with_threads(_threads: usize) -> Self {
         RuntimeConfig
-    }
-}
-
-/// Incremental-session knobs of the `tiebreak-runtime` solver.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SessionConfig {
-    /// Serve mutations incrementally (delta grounding + cone re-close +
-    /// condensation patch). When `false` — or whenever the incremental
-    /// preconditions fail (a constant enters or leaves the universe,
-    /// `prune_decided` grounding) — every mutation re-prepares from
-    /// scratch; results are identical either way, only the cost differs.
-    pub incremental: bool,
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        SessionConfig { incremental: true }
     }
 }
 
@@ -96,7 +77,7 @@ pub struct PrepareDelta {
     pub new_atoms: usize,
     /// Rule instances appended by delta grounding.
     pub new_rules: usize,
-    /// Newly supportable atoms (|ΔS|; `Relevant` grounding only).
+    /// Newly supportable atoms (|ΔS|).
     pub delta_supportable: usize,
     /// Condensation components retired by the cone patch.
     pub components_removed: usize,
@@ -113,64 +94,30 @@ pub struct PrepareDelta {
     pub residual_atoms: usize,
 }
 
-/// Grounding budgets and mode, evaluation options, and session
-/// behaviour of the `tiebreak-runtime` solver.
+/// Grounding budgets and evaluation options of the `tiebreak-runtime`
+/// solver.
 ///
-/// The default is the **production path**: `GroundMode::Relevant`
-/// grounding, evaluated by the condensation-driven kernel
-/// ([`crate::semantics::process_components`]) that the session runtime
-/// walks. `GroundMode::Full` via [`EngineConfig::with_ground_mode`]
-/// restores the paper-literal dense grounding; the paper-literal global
-/// evaluation loops are the plain [`crate::semantics::well_founded()`]-style
-/// functions, which the differential suites check the production path
-/// against.
-#[derive(Clone, Copy, Debug)]
+/// The solver grounds relevantly ([`datalog_ground::SessionGrounder`])
+/// and evaluates with the condensation-driven kernel
+/// ([`crate::semantics::process_components`]). The paper-literal
+/// references — `Full` grounding ([`datalog_ground::ground`]) and the
+/// global evaluation loops, the plain
+/// [`crate::semantics::well_founded()`]-style functions — are the test
+/// oracles the differential suites check it against; no field selects
+/// them.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EngineConfig {
-    /// Grounding budgets and [`GroundMode`].
+    /// Grounding budgets.
     pub ground: GroundConfig,
     /// Stats detail for the interpreters.
     pub eval: EvalOptions,
-    /// Incremental-session behaviour for the `tiebreak-runtime` solver.
-    pub session: SessionConfig,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            ground: GroundConfig {
-                mode: GroundMode::Relevant,
-                ..GroundConfig::default()
-            },
-            eval: EvalOptions::default(),
-            session: SessionConfig::default(),
-        }
-    }
 }
 
 impl EngineConfig {
-    /// Selects the grounding mode (`Relevant` — the production default —
-    /// grounds only supportable instances; `Full` is the paper-literal
-    /// dense instantiation — identical post-`close` semantics).
-    #[must_use]
-    pub fn with_ground_mode(mut self, mode: GroundMode) -> Self {
-        self.ground.mode = mode;
-        self
-    }
-
     /// Returns `self` unchanged. Only `perfbench` calls it;
     /// goes with ROADMAP item 1's benchmark cleanup.
     #[must_use]
     pub fn with_runtime(self, _runtime: RuntimeConfig) -> Self {
-        self
-    }
-
-    /// Enables or disables incremental mutation serving in the
-    /// `tiebreak-runtime` session solver (on by default; `false` forces
-    /// every mutation through a full re-prepare — the differential
-    /// baseline and the churn benchmarks use this).
-    #[must_use]
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.session.incremental = incremental;
         self
     }
 
@@ -232,10 +179,8 @@ mod tests {
     #[test]
     fn production_defaults_are_relevant_stratified() {
         let config = EngineConfig::default();
-        assert_eq!(config.ground.mode, GroundMode::Relevant);
+        assert_eq!(config.ground.max_atoms, GroundConfig::default().max_atoms);
         assert_eq!(config.eval, EvalOptions::default());
-        let full = EngineConfig::default().with_ground_mode(GroundMode::Full);
-        assert_eq!(full.ground.mode, GroundMode::Full);
         assert!(
             EngineConfig::default()
                 .with_detailed_stats(true)
@@ -245,14 +190,7 @@ mod tests {
     }
 
     #[test]
-    fn session_config_defaults_and_toggle() {
-        assert!(EngineConfig::default().session.incremental);
-        assert!(
-            !EngineConfig::default()
-                .with_incremental(false)
-                .session
-                .incremental
-        );
+    fn prepare_delta_and_mutation_defaults() {
         let delta = PrepareDelta::default();
         assert!(!delta.rebuilt && delta.rebuild_reason.is_none());
         let m = Mutation::Insert(GroundAtom::from_texts("p", &["a"]));

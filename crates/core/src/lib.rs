@@ -47,7 +47,7 @@ pub mod engine;
 pub mod semantics;
 
 pub use datalog_ground::{GroundConfig, GroundMode};
-pub use engine::{EngineConfig, Mutation, PrepareDelta, RuntimeConfig, SessionConfig};
+pub use engine::{EngineConfig, Mutation, PrepareDelta, RuntimeConfig};
 pub use semantics::{
     EvalOptions, InterpreterRun, RandomPolicy, RootFalsePolicy, RootTruePolicy, RunStats,
     ScriptedPolicy, SemanticsError, TiePolicy, TieView,

@@ -98,12 +98,12 @@ mod tests {
     use super::*;
     use crate::semantics::well_founded::well_founded;
     use datalog_ast::{parse_database, parse_program};
-    use datalog_ground::{ground, GroundConfig};
+    use datalog_ground::{ground, GroundConfig, GroundMode};
 
     fn agree(src: &str, db_src: &str) {
         let p = parse_program(src).unwrap();
         let d = parse_database(db_src).unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let worklist = well_founded(&g, &p, &d).unwrap();
         let alternating = alternating_well_founded(&g, &p, &d);
         assert_eq!(
@@ -149,7 +149,7 @@ mod tests {
     fn gamma_round_count_is_reported() {
         let p = parse_program("p :- not q.\nq :- not p.").unwrap();
         let d = parse_database("").unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let run = alternating_well_founded(&g, &p, &d);
         assert!(!run.total);
         assert!(run.stats.close_rounds >= 2);

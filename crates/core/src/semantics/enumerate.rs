@@ -287,19 +287,19 @@ fn delta_mask(graph: &GroundGraph, database: &Database) -> Vec<bool> {
 mod tests {
     use super::*;
     use datalog_ast::{parse_database, parse_program};
-    use datalog_ground::{ground, GroundConfig};
+    use datalog_ground::{ground, GroundConfig, GroundMode};
 
     fn fixpoints(src: &str, db: &str) -> Vec<PartialModel> {
         let p = parse_program(src).unwrap();
         let d = parse_database(db).unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         enumerate_fixpoints(&g, &p, &d, &EnumerateConfig::default()).unwrap()
     }
 
     fn stables(src: &str, db: &str) -> Vec<PartialModel> {
         let p = parse_program(src).unwrap();
         let d = parse_database(db).unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         enumerate_stable(&g, &p, &d, &EnumerateConfig::default()).unwrap()
     }
 
@@ -365,7 +365,7 @@ mod tests {
     fn limit_short_circuits() {
         let p = parse_program("p :- not q.\nq :- not p.").unwrap();
         let d = Database::new();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let one = enumerate_fixpoints(
             &g,
             &p,
@@ -389,7 +389,7 @@ mod tests {
         }
         let p = parse_program(&src).unwrap();
         let d = Database::new();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let err = enumerate_fixpoints(
             &g,
             &p,

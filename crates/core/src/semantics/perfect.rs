@@ -49,13 +49,13 @@ pub fn perfect(
 mod tests {
     use super::*;
     use datalog_ast::{parse_database, parse_program, GroundAtom};
-    use datalog_ground::{ground, GroundConfig, TruthValue};
+    use datalog_ground::{ground, GroundConfig, GroundMode, TruthValue};
 
     #[test]
     fn perfect_model_of_stratified_instance() {
         let p = parse_program("reach(X) :- start(X).\nreach(Y) :- reach(X), edge(X, Y).").unwrap();
         let d = parse_database("start(a).\nedge(a, b).").unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let run = perfect(&g, &p, &d).unwrap();
         assert!(run.total);
         let rb = g
@@ -69,7 +69,7 @@ mod tests {
     fn rejects_non_locally_stratified() {
         let p = parse_program("p :- not q.\nq :- not p.").unwrap();
         let d = parse_database("").unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         assert!(matches!(
             perfect(&g, &p, &d),
             Err(SemanticsError::NotApplicable(_))
@@ -82,7 +82,7 @@ mod tests {
         // (no negative edges at all); perfect model = minimal model.
         let p = parse_program("p(X) :- e(X).\nq(X) :- q(X).").unwrap();
         let d = parse_database("e(a).").unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let run = perfect(&g, &p, &d).unwrap();
         assert!(run.total);
         // q(a) is in a positive loop with no base: false in the perfect

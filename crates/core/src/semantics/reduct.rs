@@ -100,12 +100,12 @@ mod tests {
     use super::*;
     use crate::semantics::stable::is_stable;
     use datalog_ast::{parse_database, parse_program, GroundAtom};
-    use datalog_ground::{ground, GroundConfig};
+    use datalog_ground::{ground, GroundConfig, GroundMode};
 
     fn instance(src: &str, db: &str) -> (GroundGraph, Program, Database, PartialModel) {
         let p = parse_program(src).unwrap();
         let d = parse_database(db).unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let m = PartialModel::initial(&p, &d, g.atoms());
         (g, p, d, m)
     }

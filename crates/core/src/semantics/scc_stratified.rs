@@ -147,12 +147,12 @@ mod tests {
     use crate::semantics::well_founded::well_founded;
     use crate::semantics::InterpreterRun;
     use datalog_ast::{parse_database, parse_program, Database, GroundAtom, Program};
-    use datalog_ground::{ground, GroundConfig, GroundGraph};
+    use datalog_ground::{ground, GroundConfig, GroundGraph, GroundMode};
 
     fn setup(src: &str, db: &str) -> (GroundGraph, Program, Database) {
         let p = parse_program(src).unwrap();
         let d = parse_database(db).unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         (g, p, d)
     }
 

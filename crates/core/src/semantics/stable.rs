@@ -8,8 +8,6 @@
 use datalog_ast::{Database, Program};
 use datalog_ground::{Closer, GroundGraph, PartialModel};
 
-use super::fixpoint::is_fixpoint;
-
 /// `true` iff `model` is a stable model of the grounded instance.
 pub fn is_stable(
     graph: &GroundGraph,
@@ -34,27 +32,17 @@ pub fn is_stable(
     m == *model
 }
 
-/// Checks the paper's containment: stable ⊆ fixpoint. Exposed for tests
-/// and the experiment harness (it recomputes both sides).
-pub fn stable_implies_fixpoint(
-    graph: &GroundGraph,
-    program: &Program,
-    database: &Database,
-    model: &PartialModel,
-) -> bool {
-    !is_stable(graph, program, database, model) || is_fixpoint(graph, database, model)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::semantics::fixpoint::is_fixpoint;
     use datalog_ast::{parse_database, parse_program, GroundAtom};
-    use datalog_ground::{ground, GroundConfig, TruthValue};
+    use datalog_ground::{ground, GroundConfig, GroundMode, TruthValue};
 
     fn instance(src: &str, db: &str) -> (GroundGraph, Program, Database, PartialModel) {
         let p = parse_program(src).unwrap();
         let d = parse_database(db).unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let m = PartialModel::initial(&p, &d, g.atoms());
         (g, p, d, m)
     }
@@ -151,7 +139,11 @@ mod tests {
             for (i, n) in names.iter().enumerate() {
                 set(&g, &mut m, n, bits & (1 << i) != 0);
             }
-            assert!(stable_implies_fixpoint(&g, &p, &d, &m), "bits={bits:04b}");
+            // The paper's containment: stable ⊆ fixpoint.
+            assert!(
+                !is_stable(&g, &p, &d, &m) || is_fixpoint(&g, &d, &m),
+                "bits={bits:04b}"
+            );
         }
     }
 }

@@ -109,7 +109,7 @@ mod tests {
 
     #[test]
     fn agrees_with_well_founded_on_stratified_programs() {
-        use datalog_ground::{ground, GroundConfig};
+        use datalog_ground::{ground, GroundConfig, GroundMode};
         let p = parse_program(
             "reach(X) :- start(X).\n\
              reach(Y) :- reach(X), edge(X, Y).\n\
@@ -118,7 +118,7 @@ mod tests {
         )
         .unwrap();
         let d = parse_database("start(a).\nedge(a, b).\nnode(a).\nnode(b).\nnode(c).").unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let wf = super::super::well_founded::well_founded(&g, &p, &d).unwrap();
         assert!(wf.total);
         let strat = stratified(&p, &d).unwrap();

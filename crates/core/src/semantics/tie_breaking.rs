@@ -280,12 +280,12 @@ pub(crate) fn break_tie(
 mod tests {
     use super::*;
     use datalog_ast::{parse_database, parse_program, GroundAtom};
-    use datalog_ground::{ground, GroundConfig};
+    use datalog_ground::{ground, GroundConfig, GroundMode};
 
     fn setup(src: &str, db: &str) -> (GroundGraph, Program, Database) {
         let p = parse_program(src).unwrap();
         let d = parse_database(db).unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         (g, p, d)
     }
 

@@ -64,12 +64,12 @@ pub fn well_founded(
 mod tests {
     use super::*;
     use datalog_ast::{parse_database, parse_program, GroundAtom};
-    use datalog_ground::{ground, GroundConfig};
+    use datalog_ground::{ground, GroundConfig, GroundMode};
 
     fn run(src: &str, db: &str) -> (GroundGraph, Program, Database, InterpreterRun) {
         let p = parse_program(src).unwrap();
         let d = parse_database(db).unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let r = well_founded(&g, &p, &d).unwrap();
         (g, p, d, r)
     }

@@ -2,7 +2,7 @@
 
 use std::collections::HashSet;
 
-use crate::graph::{EdgeSign, NodeId, SignedDigraph};
+use crate::graph::{EdgeSign, SignedDigraph};
 use crate::scc::Sccs;
 
 /// The condensation of a graph: one node per strongly connected component,
@@ -65,27 +65,6 @@ impl Condensation {
     }
 }
 
-/// Reachability from `starts` in `graph` (any sign), as a boolean mask.
-pub fn reachable_from(graph: &SignedDigraph, starts: &[NodeId]) -> Vec<bool> {
-    let mut seen = vec![false; graph.node_count()];
-    let mut stack: Vec<NodeId> = Vec::new();
-    for &s in starts {
-        if !seen[s as usize] {
-            seen[s as usize] = true;
-            stack.push(s);
-        }
-    }
-    while let Some(u) = stack.pop() {
-        for &(v, _) in graph.out_edges(u) {
-            if !seen[v as usize] {
-                seen[v as usize] = true;
-                stack.push(v);
-            }
-        }
-    }
-    seen
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,14 +125,5 @@ mod tests {
         g2.add_edge(0, 1, Neg); // now a negative edge inside {0,1}
         let sccs2 = Sccs::compute(&g2);
         assert!(Condensation::has_negative_cycle_edge(&g2, &sccs2));
-    }
-
-    #[test]
-    fn reachability() {
-        let (g, _) = two_sccs_bridged();
-        let r = reachable_from(&g, &[0]);
-        assert!(r.iter().all(|&b| b));
-        let r = reachable_from(&g, &[2]);
-        assert_eq!(r, vec![false, false, true, true]);
     }
 }

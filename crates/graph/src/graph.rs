@@ -110,38 +110,6 @@ impl SignedDigraph {
     pub fn has_negative_edge(&self) -> bool {
         self.out.iter().any(|vs| vs.iter().any(|(_, s)| s.is_neg()))
     }
-
-    /// The reverse graph (same signs, reversed edges).
-    #[must_use]
-    pub fn reversed(&self) -> SignedDigraph {
-        let mut rev = SignedDigraph::new(self.node_count());
-        for (u, v, s) in self.edges() {
-            rev.add_edge(v, u, s);
-        }
-        rev
-    }
-
-    /// The subgraph induced by `keep[node]` — nodes are *renumbered*
-    /// densely; returns the mapping `old → Option<new>` alongside.
-    #[must_use]
-    pub fn induced_subgraph(&self, keep: &[bool]) -> (SignedDigraph, Vec<Option<NodeId>>) {
-        assert_eq!(keep.len(), self.node_count());
-        let mut map: Vec<Option<NodeId>> = vec![None; self.node_count()];
-        let mut next: NodeId = 0;
-        for (i, &k) in keep.iter().enumerate() {
-            if k {
-                map[i] = Some(next);
-                next += 1;
-            }
-        }
-        let mut sub = SignedDigraph::new(next as usize);
-        for (u, v, s) in self.edges() {
-            if let (Some(nu), Some(nv)) = (map[u as usize], map[v as usize]) {
-                sub.add_edge(nu, nv, s);
-            }
-        }
-        (sub, map)
-    }
 }
 
 impl fmt::Display for SignedDigraph {
@@ -189,30 +157,6 @@ mod tests {
         g.add_edge(0, 1, EdgeSign::Neg);
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.out_edges(0).len(), 2);
-    }
-
-    #[test]
-    fn reversed_swaps_endpoints() {
-        let mut g = SignedDigraph::new(2);
-        g.add_edge(0, 1, EdgeSign::Neg);
-        let r = g.reversed();
-        assert_eq!(r.out_edges(1), &[(0, EdgeSign::Neg)]);
-        assert!(r.out_edges(0).is_empty());
-    }
-
-    #[test]
-    fn induced_subgraph_renumbers() {
-        let mut g = SignedDigraph::new(4);
-        g.add_edge(0, 1, EdgeSign::Pos);
-        g.add_edge(1, 3, EdgeSign::Neg);
-        g.add_edge(3, 0, EdgeSign::Pos);
-        let (sub, map) = g.induced_subgraph(&[true, false, true, true]);
-        assert_eq!(sub.node_count(), 3);
-        // Only 3→0 survives (1 is dropped).
-        assert_eq!(sub.edge_count(), 1);
-        assert_eq!(map[1], None);
-        assert_eq!(map[3], Some(2));
-        assert_eq!(sub.out_edges(map[3].unwrap()), &[(0, EdgeSign::Pos)]);
     }
 
     #[test]

@@ -177,13 +177,6 @@ impl Sccs {
         (0..self.len() as u32).rev()
     }
 
-    /// `true` iff node `v` is in a *trivial* component: a singleton with no
-    /// self-loop in `graph`.
-    pub fn is_trivial(&self, graph: &SignedDigraph, c: u32) -> bool {
-        let m = self.members(c);
-        m.len() == 1 && !graph.out_edges(m[0]).iter().any(|&(w, _)| w == m[0])
-    }
-
     /// The component indices with **no incoming edges from other
     /// components** — the "bottom" components in the paper's phrasing
     /// ("a tie T in G with no incoming edges").
@@ -217,21 +210,6 @@ impl Sccs {
                 }
             }
         }
-    }
-
-    /// The edges of `graph` internal to component `c`.
-    pub fn internal_edges<'g>(
-        &'g self,
-        graph: &'g SignedDigraph,
-        c: u32,
-    ) -> impl Iterator<Item = (NodeId, NodeId, crate::graph::EdgeSign)> + 'g {
-        self.members(c).iter().flat_map(move |&u| {
-            graph
-                .out_edges(u)
-                .iter()
-                .filter(move |&&(v, _)| self.comp_of[v as usize] == c)
-                .map(move |&(v, s)| (u, v, s))
-        })
     }
 }
 
@@ -285,18 +263,10 @@ mod tests {
         let mut g = graph(2, &[]);
         g.add_edge(1, 1, Neg);
         let sccs = Sccs::compute(&g);
+        // The self-loop keeps node 1 a singleton component of its own.
         assert_eq!(sccs.len(), 2);
-        assert!(sccs.is_trivial(&g, sccs.component_of(0)));
-        assert!(!sccs.is_trivial(&g, sccs.component_of(1)));
-    }
-
-    #[test]
-    fn internal_edges_exclude_bridges() {
-        let g = graph(4, &[(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)]);
-        let sccs = Sccs::compute(&g);
-        let c01 = sccs.component_of(0);
-        let internal: Vec<_> = sccs.internal_edges(&g, c01).collect();
-        assert_eq!(internal.len(), 2); // 0→1 and 1→0, not 1→2
+        assert_eq!(sccs.members(sccs.component_of(0)), &[0]);
+        assert_eq!(sccs.members(sccs.component_of(1)), &[1]);
     }
 
     #[test]

@@ -50,15 +50,6 @@ impl TiePartition {
             .map(|(&n, _)| n)
     }
 
-    /// Swaps the roles of K and L.
-    #[must_use]
-    pub fn swapped(mut self) -> TiePartition {
-        for b in &mut self.in_l {
-            *b = !*b;
-        }
-        self
-    }
-
     /// Checks the Lemma 1 conditions against `graph` (positive edges
     /// within parts, negative across), considering only edges internal to
     /// the member set. Used by tests and property checks.
@@ -498,7 +489,11 @@ mod tests {
     #[test]
     fn swapped_partition_still_valid() {
         let g = cycle(6, 2);
-        let p = check_tie(&g, &whole(&g)).unwrap().swapped();
+        // The Lemma 1 conditions are symmetric in K and L.
+        let mut p = check_tie(&g, &whole(&g)).unwrap();
+        for in_l in &mut p.in_l {
+            *in_l = !*in_l;
+        }
         assert!(p.is_valid(&g));
     }
 

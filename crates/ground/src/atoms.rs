@@ -1,24 +1,21 @@
-//! The atom table: a bijection between ground atoms and integers, in one
-//! of two layouts.
+//! The atom table: a bijection between ground atoms and integers.
 //!
 //! The paper's set V_P of predicate nodes is, for each m-ary predicate Q
 //! and each m-tuple over the universe *U*, the ground atom Q(a₁, …, a_m).
-//! The **dense** layout realizes that literally: predicates get
-//! consecutive blocks of |U|^arity ids and a tuple is its mixed-radix
-//! number in base |U| — encoding and decoding are pure arithmetic, no
-//! hashing on the hot path. The **sparse** layout (used by the relevant
-//! grounder, [`crate::grounder::GroundMode::Relevant`]) interns only the
-//! atoms that actually occur in Δ or in an emitted rule instance: ids are
-//! assigned in first-intern order. Its atoms live in one store: a
-//! predicate per id, every argument tuple back to back in one flat
-//! arena, and a hand-written open-addressing index of `u32` ids probed
-//! with a borrowed `(PredSym, &[ConstSym])` key — a known atom costs a
-//! hash probe, a new one an arena append, and neither allocates beyond
-//! amortized growth. Decoding copies the stored tuple out of the arena.
+//! The table interns only the atoms a grounding touches, in first-intern
+//! order: the relevant grounder those in Δ or in an emitted rule
+//! instance, the paper-literal `Full` grounder every atom over *U*, in an
+//! order that gives each id a closed form ([`crate::grounder`]). Its
+//! atoms live in one store: a predicate per id, every argument tuple
+//! back to back in one flat arena, and a hand-written open-addressing
+//! index of `u32` ids probed with a borrowed `(PredSym, &[ConstSym])`
+//! key — a known atom costs a hash probe, a new one an arena append, and
+//! neither allocates beyond amortized growth. Decoding copies the stored
+//! tuple out of the arena.
 //!
 //! Atom ids are `u32`, so every table caps its atom budget at
-//! `u32::MAX`; [`AtomTable::build`] and [`AtomInterner::intern`] report
-//! the required count on overflow instead of silently wrapping.
+//! `u32::MAX`; [`AtomInterner::intern`] reports the required count on
+//! overflow instead of silently wrapping.
 //!
 //! **Text order.** Replies list facts in text order
 //! ([`GroundAtom::text_cmp`]), which does not depend on interning
@@ -36,9 +33,9 @@ use std::sync::OnceLock;
 use std::hash::Hasher;
 
 use datalog_ast::fxhash::FxHasher;
-use datalog_ast::{ConstSym, Database, FxHashMap, FxHashSet, GroundAtom, PredSym, Program, Symbol};
+use datalog_ast::{ConstSym, FxHashMap, FxHashSet, GroundAtom, PredSym, Symbol};
 
-/// Identifier of a ground atom: an index into the [`AtomTable`] layout.
+/// Identifier of a ground atom: an index into the [`AtomTable`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct AtomId(pub u32);
 
@@ -49,13 +46,11 @@ impl AtomId {
     }
 }
 
-/// The atom space exceeds its budget. `required` is the exact count for
-/// the dense layout; for the interned layout it is the count reached when
-/// the build aborted — a lower bound on the true requirement.
+/// The atom space exceeds its budget. `required` is the count reached
+/// when interning aborted — a lower bound on the true requirement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AtomSpaceOverflow {
-    /// How many ground atoms the instance needs (dense: exact, saturating
-    /// at `u64::MAX`; sparse: at least this many).
+    /// How many ground atoms the instance needs (at least this many).
     pub required: u64,
 }
 
@@ -65,34 +60,10 @@ impl fmt::Display for AtomSpaceOverflow {
     }
 }
 
-/// Layout information for one predicate's block of atom ids (dense
-/// layout).
-#[derive(Clone, Debug)]
-struct PredBlock {
-    pred: PredSym,
-    arity: usize,
-    /// First [`AtomId`] of this predicate's block.
-    offset: u32,
-    /// Number of atoms in the block: |U|^arity (or 1 when arity = 0).
-    size: u32,
-}
-
-/// How the ids of an [`AtomTable`] map to ground atoms.
-#[derive(Clone, Debug)]
-enum Layout {
-    /// Consecutive |U|^arity blocks per predicate, mixed-radix within.
-    Dense {
-        blocks: Vec<PredBlock>,
-        pred_index: FxHashMap<PredSym, u32>,
-    },
-    /// Interned atoms in first-touch order.
-    Sparse(AtomStore),
-}
-
 /// End of a [`PredChains`] chain.
 const NO_NEXT: u32 = u32::MAX;
 
-/// The atom ids of each predicate of a sparse table, chained in
+/// The atom ids of each predicate of a table, chained in
 /// ascending order through one link per atom: a predicate costs one map
 /// entry, so a propositional atom costs no list of its own.
 #[derive(Clone, Debug, Default)]
@@ -116,7 +87,7 @@ impl PredChains {
     }
 
     fn iter(&self, pred: PredSym) -> PredIds<'_> {
-        PredIds::Chain {
+        PredIds {
             next: &self.next,
             at: self.ends.get(&pred).map_or(NO_NEXT, |&(first, _)| first),
         }
@@ -126,8 +97,7 @@ impl PredChains {
 /// An empty [`AtomStore`] index slot.
 const EMPTY: u64 = u64::MAX;
 
-/// The interned atoms of a sparse table, in id order (see the module
-/// docs).
+/// The interned atoms of a table, in id order (see the module docs).
 #[derive(Clone, Debug, Default)]
 struct AtomStore {
     /// Per atom id: its predicate, and where its arguments end in
@@ -261,14 +231,12 @@ impl AtomStore {
     }
 }
 
-/// The universe of ground atoms for one (program, database) pair, dense
-/// or interned.
+/// The universe of ground atoms for one (program, database) pair.
 #[derive(Clone, Debug)]
 pub struct AtomTable {
     universe: Vec<ConstSym>,
     const_index: FxHashMap<ConstSym, u32>,
-    layout: Layout,
-    total: u32,
+    store: AtomStore,
     /// Every id in text order, built on first use
     /// ([`AtomTable::text_order`]) and dropped by an append.
     text_order: OnceLock<Box<[AtomId]>>,
@@ -288,82 +256,14 @@ fn index_universe(universe: &[ConstSym]) -> FxHashMap<ConstSym, u32> {
 pub const MAX_ATOM_SPACE: u64 = u32::MAX as u64;
 
 impl AtomTable {
-    /// Builds the **dense** atom table for `program` over the universe of
-    /// (program, database): every predicate of the program (in its
-    /// deterministic order) gets a block of |U|^arity ids.
-    ///
-    /// `max_atoms` is clamped to [`MAX_ATOM_SPACE`] (ids are `u32`).
-    ///
-    /// # Errors
-    ///
-    /// [`AtomSpaceOverflow`] with the exact required count if the total
-    /// number of ground atoms would exceed the (clamped) budget.
-    pub fn build(
-        program: &Program,
-        database: &Database,
-        max_atoms: u64,
-    ) -> Result<AtomTable, AtomSpaceOverflow> {
-        let max_atoms = max_atoms.min(MAX_ATOM_SPACE);
-        let universe = Database::universe(program, database);
-        let u = universe.len() as u128;
-
-        // First pass: the exact required count, in u128 so even absurd
-        // arities report a real number instead of wrapping.
-        let mut required: u128 = 0;
-        for &pred in program.predicates() {
-            let arity = program
-                .arity(pred)
-                .expect("predicate listed by the program must have an arity");
-            let size = u.checked_pow(arity as u32).unwrap_or(u128::MAX);
-            required = required.saturating_add(size);
-        }
-        if required > u128::from(max_atoms) {
-            return Err(AtomSpaceOverflow {
-                required: u64::try_from(required).unwrap_or(u64::MAX),
-            });
-        }
-
-        // Within budget ⇒ every offset/size fits u32 (budget ≤ u32::MAX).
-        let mut blocks = Vec::new();
-        let mut pred_index = FxHashMap::default();
-        let mut total: u64 = 0;
-        for &pred in program.predicates() {
-            let arity = program.arity(pred).expect("arity known");
-            let size = (universe.len() as u64)
-                .checked_pow(arity as u32)
-                .expect("block size fits u64 within a u32 budget");
-            pred_index.insert(pred, blocks.len() as u32);
-            blocks.push(PredBlock {
-                pred,
-                arity,
-                offset: u32::try_from(total).expect("offset fits u32 within budget"),
-                size: u32::try_from(size).expect("size fits u32 within budget"),
-            });
-            total += size;
-        }
-        let const_index = index_universe(&universe);
-        Ok(AtomTable {
-            universe,
-            const_index,
-            layout: Layout::Dense { blocks, pred_index },
-            total: u32::try_from(total).expect("total fits u32 within budget"),
-            text_order: OnceLock::new(),
-        })
-    }
-
     /// Number of ground atoms (the size of V_P for this table).
     pub fn len(&self) -> usize {
-        self.total as usize
+        self.store.len()
     }
 
     /// `true` iff there are no ground atoms at all.
     pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// `true` iff this table uses the interned (sparse) layout.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self.layout, Layout::Sparse { .. })
+        self.store.len() == 0
     }
 
     /// The universe *U*, sorted by constant text.
@@ -376,30 +276,9 @@ impl AtomTable {
         self.const_index.get(&c).copied()
     }
 
-    /// The id of the ground atom `pred(args…)`, if it is in the table.
-    /// For a dense table that means: known predicate, right arity, all
-    /// constants in the universe; for a sparse table the atom must have
-    /// been interned.
+    /// The id of the ground atom `pred(args…)`, if it has been interned.
     pub fn atom_id(&self, pred: PredSym, args: &[ConstSym]) -> Option<AtomId> {
-        match &self.layout {
-            Layout::Dense { blocks, pred_index } => {
-                let &b = pred_index.get(&pred)?;
-                let block = &blocks[b as usize];
-                if args.len() != block.arity {
-                    return None;
-                }
-                let mut code: u64 = 0;
-                let u = self.universe.len() as u64;
-                for &c in args {
-                    let i = self.const_index(c)?;
-                    code = code.checked_mul(u)?.checked_add(u64::from(i))?;
-                }
-                debug_assert!(code < u64::from(block.size.max(1)));
-                let id = u64::from(block.offset).checked_add(code)?;
-                u32::try_from(id).ok().map(AtomId)
-            }
-            Layout::Sparse(store) => store.find(pred, args).map(AtomId),
-        }
+        self.store.find(pred, args).map(AtomId)
     }
 
     /// The id of a [`GroundAtom`].
@@ -413,26 +292,8 @@ impl AtomTable {
     ///
     /// If `id` is out of range for this table.
     pub fn decode(&self, id: AtomId) -> GroundAtom {
-        assert!(id.0 < self.total, "AtomId {} out of range", id.0);
-        match &self.layout {
-            Layout::Dense { blocks, .. } => {
-                let block = block_of(blocks, id);
-                let mut code = id.0 - block.offset;
-                let u = (self.universe.len() as u32).max(1);
-                // Mixed-radix digits come out least significant first.
-                let mut args: Vec<ConstSym> = Vec::with_capacity(block.arity);
-                for _ in 0..block.arity {
-                    args.push(self.universe[(code % u) as usize]);
-                    code /= u;
-                }
-                args.reverse();
-                GroundAtom {
-                    pred: block.pred,
-                    args: args.into_boxed_slice(),
-                }
-            }
-            Layout::Sparse(store) => store.decode(id.0),
-        }
+        assert!(id.index() < self.len(), "AtomId {} out of range", id.0);
+        self.store.decode(id.0)
     }
 
     /// The predicate of atom `id`.
@@ -441,31 +302,21 @@ impl AtomTable {
     ///
     /// If `id` is out of range for this table.
     pub fn pred_of(&self, id: AtomId) -> PredSym {
-        assert!(id.0 < self.total, "AtomId {} out of range", id.0);
-        match &self.layout {
-            Layout::Dense { blocks, .. } => block_of(blocks, id).pred,
-            Layout::Sparse(store) => store.pred_of(id.0),
-        }
+        assert!(id.index() < self.len(), "AtomId {} out of range", id.0);
+        self.store.pred_of(id.0)
     }
 
-    /// Iterates over all atom ids of predicate `pred`.
+    /// Iterates over all atom ids of predicate `pred`, ascending.
     pub fn ids_of_pred(&self, pred: PredSym) -> PredIds<'_> {
-        match &self.layout {
-            Layout::Dense { blocks, pred_index } => {
-                let block = pred_index.get(&pred).map(|&b| &blocks[b as usize]);
-                let (offset, size) = block.map_or((0, 0), |b| (b.offset, b.size));
-                PredIds::Range(offset..offset + size)
-            }
-            Layout::Sparse(store) => store.by_pred.iter(pred),
-        }
+        self.store.by_pred.iter(pred)
     }
 
     /// Iterates over all atom ids.
     pub fn ids(&self) -> impl Iterator<Item = AtomId> {
-        (0..self.total).map(AtomId)
+        (0..self.len() as u32).map(AtomId)
     }
 
-    /// Interns `atom` into a **sparse** table after the fact — the delta
+    /// Interns `atom` into the table after the fact — the delta
     /// grounder's extension point: new atoms discovered by an incremental
     /// mutation get ids appended past the prepared range, so every
     /// existing id (and every structure indexed by it) stays valid.
@@ -477,11 +328,6 @@ impl AtomTable {
     /// # Errors
     ///
     /// [`AtomSpaceOverflow`] when a *new* atom would exceed the budget.
-    ///
-    /// # Panics
-    ///
-    /// If the table uses the dense layout — the dense atom space is
-    /// universe-complete by construction and never needs extension.
     pub fn intern(
         &mut self,
         atom: &GroundAtom,
@@ -496,25 +342,20 @@ impl AtomTable {
     /// # Errors
     ///
     /// As for [`AtomTable::intern`].
-    ///
-    /// # Panics
-    ///
-    /// As for [`AtomTable::intern`].
     pub fn intern_tuple(
         &mut self,
         pred: PredSym,
         args: &[ConstSym],
         max_atoms: u64,
     ) -> Result<AtomId, AtomSpaceOverflow> {
-        let Layout::Sparse(store) = &mut self.layout else {
-            panic!("intern on a dense atom table (the dense layout is universe-complete)");
-        };
-        let id = store.intern(pred, args, max_atoms.min(MAX_ATOM_SPACE))?;
-        if id == self.total {
+        let known = self.len();
+        let id = self
+            .store
+            .intern(pred, args, max_atoms.min(MAX_ATOM_SPACE))?;
+        if self.len() > known {
             // A new atom: the cached text order no longer lists every id.
             self.text_order.take();
         }
-        self.total = store.len() as u32;
         Ok(AtomId(id))
     }
 
@@ -525,53 +366,34 @@ impl AtomTable {
     ///
     /// The sort reads no text: predicates are ranked by sorting their
     /// distinct texts once, a constant's rank is its position in the
-    /// text-sorted universe, and ids are sorted by their rank tuples. A
-    /// dense table needs no per-atom sort at all, as its blocks already
-    /// number each predicate's tuples in text order.
+    /// text-sorted universe, and ids are sorted by their rank tuples.
     pub fn text_order(&self) -> &[AtomId] {
         self.text_order.get_or_init(|| {
             let _span =
-                tiebreak_trace::span("session", "text_order", &[("atoms", u64::from(self.total))]);
-            match &self.layout {
-                Layout::Dense { blocks, .. } => {
-                    let rank = text_ranks(blocks.iter().map(|b| b.pred.symbol()));
-                    let mut by_rank: Vec<Option<&PredBlock>> = vec![None; blocks.len()];
-                    for b in blocks {
-                        by_rank[rank[&b.pred.symbol()] as usize] = Some(b);
-                    }
-                    by_rank
-                        .iter()
-                        .flatten()
-                        .flat_map(|b| (b.offset..b.offset + b.size).map(AtomId))
-                        .collect()
-                }
-                Layout::Sparse(store) => self.sparse_text_order(store),
-            }
-        })
-    }
-
-    /// [`AtomTable::text_order`] of a sparse table.
-    fn sparse_text_order(&self, store: &AtomStore) -> Box<[AtomId]> {
-        let pred_rank = text_ranks(store.by_pred.ends.keys().map(|p| p.symbol()));
-        // Per argument slot of the arena: its constant's rank.
-        let const_rank = self.const_ranks(&store.args);
-        let ranks_of = |id: u32| {
-            let i = id as usize;
-            let start = if i == 0 {
-                0
-            } else {
-                store.atoms[i - 1].1 as usize
+                tiebreak_trace::span("session", "text_order", &[("atoms", self.len() as u64)]);
+            let store = &self.store;
+            let pred_rank = text_ranks(store.by_pred.ends.keys().map(|p| p.symbol()));
+            // Per argument slot of the arena: its constant's rank.
+            let const_rank = self.const_ranks(&store.args);
+            let ranks_of = |id: u32| {
+                let i = id as usize;
+                let start = if i == 0 {
+                    0
+                } else {
+                    store.atoms[i - 1].1 as usize
+                };
+                &const_rank[start..store.atoms[i].1 as usize]
             };
-            &const_rank[start..store.atoms[i].1 as usize]
-        };
-        let mut keyed: Vec<(u32, u32)> = (0..store.len() as u32)
-            .map(|id| (pred_rank[&store.pred_of(id).symbol()], id))
-            .collect();
-        // Distinct atoms have distinct rank tuples, so the order is total.
-        keyed.sort_unstable_by(|&(pa, a), &(pb, b)| {
-            pa.cmp(&pb).then_with(|| ranks_of(a).cmp(ranks_of(b)))
-        });
-        keyed.into_iter().map(|(_, id)| AtomId(id)).collect()
+            let mut keyed: Vec<(u32, u32)> = (0..store.len() as u32)
+                .map(|id| (pred_rank[&store.pred_of(id).symbol()], id))
+                .collect();
+            // Distinct atoms have distinct rank tuples, so the order is
+            // total.
+            keyed.sort_unstable_by(|&(pa, a), &(pb, b)| {
+                pa.cmp(&pb).then_with(|| ranks_of(a).cmp(ranks_of(b)))
+            });
+            keyed.into_iter().map(|(_, id)| AtomId(id)).collect()
+        })
     }
 
     /// The text rank of each constant of `args`: its universe position,
@@ -616,56 +438,14 @@ impl AtomTable {
     pub fn text_len(&self, id: AtomId) -> usize {
         let (pred, args) = self.parts(id);
         // `(` and `)` around the arguments, `, ` between them.
-        args.fold(pred.as_str().len(), |len, c| len + c.as_str().len() + 2)
+        args.iter()
+            .fold(pred.as_str().len(), |len, c| len + c.as_str().len() + 2)
     }
 
     /// The predicate and arguments of atom `id`.
-    fn parts(&self, id: AtomId) -> (PredSym, Args<'_>) {
-        assert!(id.0 < self.total, "AtomId {} out of range", id.0);
-        match &self.layout {
-            Layout::Dense { blocks, .. } => {
-                let block = block_of(blocks, id);
-                let args = Args::Digits {
-                    universe: &self.universe,
-                    code: u64::from(id.0 - block.offset),
-                    left: block.arity,
-                };
-                (block.pred, args)
-            }
-            Layout::Sparse(store) => (store.pred_of(id.0), Args::Tuple(store.args_of(id.0).iter())),
-        }
-    }
-}
-
-/// The arguments of one atom ([`AtomTable::parts`]).
-enum Args<'a> {
-    /// A dense id's mixed-radix digits over the universe, most
-    /// significant first; `left` digits remain.
-    Digits {
-        universe: &'a [ConstSym],
-        code: u64,
-        left: usize,
-    },
-    /// A sparse atom's stored tuple.
-    Tuple(std::slice::Iter<'a, ConstSym>),
-}
-
-impl Iterator for Args<'_> {
-    type Item = ConstSym;
-
-    fn next(&mut self) -> Option<ConstSym> {
-        match self {
-            Args::Digits {
-                universe,
-                code,
-                left,
-            } => {
-                *left = left.checked_sub(1)?;
-                let u = universe.len() as u64;
-                Some(universe[(*code / u.pow(*left as u32) % u) as usize])
-            }
-            Args::Tuple(tuple) => tuple.next().copied(),
-        }
+    fn parts(&self, id: AtomId) -> (PredSym, &[ConstSym]) {
+        assert!(id.index() < self.len(), "AtomId {} out of range", id.0);
+        (self.store.pred_of(id.0), self.store.args_of(id.0))
     }
 }
 
@@ -676,53 +456,28 @@ fn text_ranks(symbols: impl Iterator<Item = Symbol>) -> FxHashMap<Symbol, u32> {
     distinct.into_iter().zip(0..).collect()
 }
 
-fn block_of(blocks: &[PredBlock], id: AtomId) -> &PredBlock {
-    // Binary search over block offsets.
-    let mut lo = 0usize;
-    let mut hi = blocks.len();
-    while hi - lo > 1 {
-        let mid = (lo + hi) / 2;
-        if blocks[mid].offset <= id.0 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    &blocks[lo]
-}
-
-/// Iterator over one predicate's atom ids, for either layout.
-pub enum PredIds<'a> {
-    /// A dense block's contiguous id range.
-    Range(std::ops::Range<u32>),
-    /// A sparse table's per-predicate chain: the links and the next id.
-    Chain {
-        /// Per atom id: the next id of the same predicate.
-        next: &'a [u32],
-        /// The next id to yield, or `u32::MAX` at the end.
-        at: u32,
-    },
+/// Iterator over one predicate's atom ids: a walk of its chain.
+pub struct PredIds<'a> {
+    /// Per atom id: the next id of the same predicate.
+    next: &'a [u32],
+    /// The next id to yield, or [`NO_NEXT`] at the end.
+    at: u32,
 }
 
 impl Iterator for PredIds<'_> {
     type Item = AtomId;
 
     fn next(&mut self) -> Option<AtomId> {
-        match self {
-            PredIds::Range(r) => r.next().map(AtomId),
-            PredIds::Chain { next, at } => {
-                let id = *at;
-                if id == NO_NEXT {
-                    return None;
-                }
-                *at = next[id as usize];
-                Some(AtomId(id))
-            }
+        let id = self.at;
+        if id == NO_NEXT {
+            return None;
         }
+        self.at = self.next[id as usize];
+        Some(AtomId(id))
     }
 }
 
-/// Builder for a **sparse** [`AtomTable`]: atoms are interned in
+/// Builder for an [`AtomTable`]: atoms are interned in
 /// first-touch order, ids assigned sequentially, budget enforced at every
 /// insertion.
 pub struct AtomInterner {
@@ -777,15 +532,13 @@ impl AtomInterner {
         self.store.intern(pred, args, self.max_atoms).map(AtomId)
     }
 
-    /// Finalizes the interner into a sparse [`AtomTable`].
+    /// Finalizes the interner into an [`AtomTable`].
     pub fn finish(self) -> AtomTable {
-        let total = self.store.len() as u32;
         let const_index = index_universe(&self.universe);
         AtomTable {
             universe: self.universe,
             const_index,
-            layout: Layout::Sparse(self.store),
-            total,
+            store: self.store,
             text_order: OnceLock::new(),
         }
     }
@@ -794,7 +547,8 @@ impl AtomInterner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datalog_ast::{parse_database, parse_program};
+    use crate::{ground, GroundConfig, GroundError, GroundMode};
+    use datalog_ast::{parse_database, parse_program, Database, Program};
 
     fn setup() -> (Program, Database) {
         let p = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
@@ -802,20 +556,29 @@ mod tests {
         (p, d)
     }
 
+    /// The atom table of `(p, d)`'s paper-literal grounding: every atom
+    /// over the universe.
+    fn full_table(p: &Program, d: &Database, max_atoms: u64) -> Result<AtomTable, GroundError> {
+        let config = GroundConfig {
+            max_atoms,
+            ..GroundConfig::default()
+        };
+        ground(p, d, GroundMode::Full, &config).map(|g| g.atoms().clone())
+    }
+
     #[test]
     fn layout_counts() {
         let (p, d) = setup();
-        let t = AtomTable::build(&p, &d, 1 << 20).unwrap();
+        let t = full_table(&p, &d, 1 << 20).unwrap();
         // |U| = 3 (a, b, c); win/1 ⇒ 3 atoms; move/2 ⇒ 9 atoms.
         assert_eq!(t.universe().len(), 3);
         assert_eq!(t.len(), 12);
-        assert!(!t.is_sparse());
     }
 
     #[test]
     fn round_trip_every_atom() {
         let (p, d) = setup();
-        let t = AtomTable::build(&p, &d, 1 << 20).unwrap();
+        let t = full_table(&p, &d, 1 << 20).unwrap();
         for id in t.ids() {
             let atom = t.decode(id);
             assert_eq!(t.id_of(&atom), Some(id), "atom {atom}");
@@ -825,7 +588,7 @@ mod tests {
     #[test]
     fn unknown_predicate_or_constant() {
         let (p, d) = setup();
-        let t = AtomTable::build(&p, &d, 1 << 20).unwrap();
+        let t = full_table(&p, &d, 1 << 20).unwrap();
         assert!(t.id_of(&GroundAtom::from_texts("nope", &["a"])).is_none());
         assert!(t.id_of(&GroundAtom::from_texts("win", &["zz"])).is_none());
         // Wrong arity.
@@ -838,7 +601,7 @@ mod tests {
     fn zero_arity_predicates_get_one_atom() {
         let p = parse_program("p :- not q.\nq :- not p.").unwrap();
         let d = Database::new();
-        let t = AtomTable::build(&p, &d, 1 << 20).unwrap();
+        let t = full_table(&p, &d, 1 << 20).unwrap();
         assert_eq!(t.len(), 2);
         let pa = t.atom_id("p".into(), &[]).unwrap();
         let qa = t.atom_id("q".into(), &[]).unwrap();
@@ -850,7 +613,7 @@ mod tests {
     fn empty_universe_positive_arity_gives_zero_atoms() {
         let p = parse_program("p(X) :- not q(X).").unwrap();
         let d = Database::new();
-        let t = AtomTable::build(&p, &d, 1 << 20).unwrap();
+        let t = full_table(&p, &d, 1 << 20).unwrap();
         assert_eq!(t.len(), 0);
         assert!(t.is_empty());
     }
@@ -860,9 +623,15 @@ mod tests {
         // 3-ary over a universe of 3: 27 + 3 atoms; cap at 10.
         let p = parse_program("t(X, Y, Z) :- e(X), e(Y), e(Z).").unwrap();
         let d = parse_database("e(a).\ne(b).\ne(c).").unwrap();
-        let err = AtomTable::build(&p, &d, 10).unwrap_err();
-        assert_eq!(err.required, 30);
-        assert!(AtomTable::build(&p, &d, 100).is_ok());
+        let err = full_table(&p, &d, 10).unwrap_err();
+        assert_eq!(
+            err,
+            GroundError::TooManyAtoms {
+                required: 30,
+                budget: 10
+            }
+        );
+        assert!(full_table(&p, &d, 100).is_ok());
     }
 
     #[test]
@@ -870,7 +639,7 @@ mod tests {
         // A budget past u32::MAX must not let ids silently alias: the
         // effective cap is MAX_ATOM_SPACE and overflow still errors.
         let (p, d) = setup();
-        let t = AtomTable::build(&p, &d, u64::MAX).unwrap();
+        let t = full_table(&p, &d, u64::MAX).unwrap();
         assert_eq!(t.len(), 12);
         for id in t.ids() {
             let atom = t.decode(id);
@@ -881,7 +650,7 @@ mod tests {
     #[test]
     fn pred_of_and_block_lookup() {
         let (p, d) = setup();
-        let t = AtomTable::build(&p, &d, 1 << 20).unwrap();
+        let t = full_table(&p, &d, 1 << 20).unwrap();
         let id = t
             .atom_id("move".into(), &[ConstSym::new("c"), ConstSym::new("a")])
             .unwrap();
@@ -904,7 +673,6 @@ mod tests {
         assert_eq!(interner.len(), 2);
 
         let t = interner.finish();
-        assert!(t.is_sparse());
         assert_eq!(t.len(), 2);
         assert_eq!(t.decode(id0), wa);
         assert_eq!(t.decode(id1), mv);
@@ -994,7 +762,7 @@ mod tests {
         )
         .unwrap();
         let d = parse_database("tord_a_p(tord_zz). tord_a_p(tord_z). tord_a_p(tord_a).").unwrap();
-        assert_text_forms(&AtomTable::build(&p, &d, 1 << 20).unwrap());
+        assert_text_forms(&full_table(&p, &d, 1 << 20).unwrap());
 
         let universe = Database::universe(&p, &d);
         let mut sparse = AtomInterner::new(universe, 1 << 20);

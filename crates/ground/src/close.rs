@@ -113,11 +113,6 @@ impl CloseState {
         self.atom_alive.iter().filter(|&&b| b).count()
     }
 
-    /// Number of rule nodes still in the graph at snapshot time.
-    pub fn alive_rule_count(&self) -> usize {
-        self.rule_alive.iter().filter(|&&b| b).count()
-    }
-
     /// Grows the snapshot to a graph that gained atoms and rules since it
     /// was taken (the delta grounder only ever appends). New entries get
     /// placeholder values — they are always inside the mutation cone, so
@@ -682,7 +677,7 @@ impl RemainingGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grounder::{ground, GroundConfig};
+    use crate::grounder::{ground, GroundConfig, GroundMode};
     use crate::model::PartialModel;
     use datalog_ast::{parse_database, parse_program, Database, GroundAtom};
 
@@ -692,7 +687,7 @@ mod tests {
     ) -> (crate::graph::GroundGraph, datalog_ast::Program, Database) {
         let p = parse_program(program_src).unwrap();
         let d = parse_database(db_src).unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         (g, p, d)
     }
 
@@ -749,7 +744,7 @@ mod tests {
         // p(X) :- e(X), not f(X). with f EDB.
         let p = parse_program("p(X) :- e(X), not f(X).").unwrap();
         let d = parse_database("e(a).\ne(b).\nf(b).").unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let (_, m) = run_close(&g, &p, &d);
         assert!(m.is_total());
         assert_eq!(truth(&g, &m, "p", &["a"]), TruthValue::True);
@@ -875,7 +870,6 @@ mod tests {
         let (closer, m) = run_close(&g, &p, &d);
         let snap = closer.snapshot();
         assert_eq!(snap.alive_atom_count(), closer.alive_atom_count());
-        assert_eq!(snap.alive_rule_count(), 3);
 
         let qa = g.atoms().atom_id("q".into(), &[]).unwrap();
         let run_fork = |value: TruthValue| {
@@ -900,7 +894,7 @@ mod tests {
     fn assert_cone_reclose_matches_fresh(program_src: &str, db_src: &str, flip: (&str, &[&str])) {
         let p = parse_program(program_src).unwrap();
         let d = parse_database(db_src).unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let (mut closer, mut model) = run_close(&g, &p, &d);
 
         let fact = GroundAtom::from_texts(flip.0, flip.1);
@@ -990,7 +984,7 @@ mod tests {
         // fresh closes of every intermediate database.
         let p = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
         let d0 = parse_database("move(a, b).\nmove(b, c).\nmove(c, d).\nmove(d, a).").unwrap();
-        let g = ground(&p, &d0, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d0, GroundMode::Full, &GroundConfig::default()).unwrap();
         let (mut closer, mut model) = run_close(&g, &p, &d0);
         let mut db = d0.clone();
         for (pred, args) in [

@@ -59,7 +59,7 @@ use signed_graph::Sccs;
 use crate::atoms::AtomSpaceOverflow;
 use crate::csr::CsrArena;
 use crate::graph::{GroundGraph, GroundRule};
-use crate::grounder::{ground, GroundConfig, GroundError, GroundMode};
+use crate::grounder::{GroundConfig, GroundError};
 use crate::relevant::{self, support_counted_gfp, SupportBudget};
 use crate::seminaive::{run_seeded, RuleEvaluator};
 
@@ -84,7 +84,6 @@ pub struct DeltaGround {
 
 /// The incremental grounding state of one session (see the module docs).
 pub struct SessionGrounder {
-    mode: GroundMode,
     /// Δ̂: every fact ever present (known predicates only). Insert-only.
     ground_db: Database,
     /// S(Δ̂), maintained exactly.
@@ -109,48 +108,36 @@ fn atom_overflow(config: &GroundConfig) -> impl Fn(AtomSpaceOverflow) -> GroundE
 }
 
 impl SessionGrounder {
-    /// Grounds `(program, database)` in the configured mode and returns
-    /// the graph together with the session state needed to extend it.
+    /// Grounds `(program, database)` relevantly and returns the graph
+    /// together with the session state needed to extend it.
     ///
     /// # Errors
     ///
-    /// As for [`crate::ground`].
+    /// As for [`crate::ground`]: a database fact whose arity conflicts
+    /// with the program is rejected before anything is grounded.
     pub fn build(
         program: &Program,
         database: &Database,
         config: &GroundConfig,
     ) -> Result<(GroundGraph, SessionGrounder), GroundError> {
         let mut span = tiebreak_trace::span("ground", "session_ground", &[]);
-        let (graph, supportable, ground_db) = match config.mode {
-            GroundMode::Full => (ground(program, database, config)?, Database::new(), {
-                // Full mode instantiates every rule over U up front: the
-                // graph is database-independent, so no grounding state is
-                // needed — mutations are pure model surgery.
-                Database::new()
-            }),
-            GroundMode::Relevant => {
-                let (graph, supportable) =
-                    relevant::ground_relevant_parts(program, database, config)?;
-                // The Full arm routes through `ground`, which books these
-                // itself; the parts entry point is only reached here.
-                let m = tiebreak_trace::metrics();
-                m.ground_runs.inc();
-                m.ground_atoms.add(graph.atom_count() as u64);
-                m.ground_instances.add(graph.rule_count() as u64);
-                // Δ̂ is copied tuple by tuple in Δ's own order, so its
-                // layout (which the scoped refresh's joins walk) is the
-                // same as when it was built from Δ's facts.
-                let mut ground_db = Database::new();
-                for (pred, args) in database.tuples() {
-                    if program.arity(pred).is_some() {
-                        ground_db
-                            .insert_tuple(pred, args)
-                            .map_err(GroundError::Validation)?;
-                    }
-                }
-                (graph, supportable, ground_db)
+        database.validate_against(program)?;
+        let (graph, supportable) = relevant::ground_relevant_parts(program, database, config)?;
+        let m = tiebreak_trace::metrics();
+        m.ground_runs.inc();
+        m.ground_atoms.add(graph.atom_count() as u64);
+        m.ground_instances.add(graph.rule_count() as u64);
+        // Δ̂ is copied tuple by tuple in Δ's own order, so its layout
+        // (which the scoped refresh's joins walk) is the same as when it
+        // was built from Δ's facts.
+        let mut ground_db = Database::new();
+        for (pred, args) in database.tuples() {
+            if program.arity(pred).is_some() {
+                ground_db
+                    .insert_tuple(pred, args)
+                    .map_err(GroundError::Validation)?;
             }
-        };
+        }
 
         // Positive predicate dependency graph, for affectedness and
         // cycle detection.
@@ -189,7 +176,6 @@ impl SessionGrounder {
         Ok((
             graph,
             SessionGrounder {
-                mode: config.mode,
                 ground_db,
                 supportable,
                 ignored_facts,
@@ -200,23 +186,16 @@ impl SessionGrounder {
         ))
     }
 
-    /// The grounding mode this state was built for.
-    pub fn mode(&self) -> GroundMode {
-        self.mode
-    }
-
-    /// Current size of the maintained supportable set (Relevant mode).
+    /// Current size of the maintained supportable set.
     pub fn supportable_len(&self) -> usize {
         self.supportable.len()
     }
 
     /// Extends `graph` for a batch of inserted facts: computes ΔS and
     /// appends the newly supportable rule instances (and their atoms).
-    /// In `Full` mode this is a no-op — the dense graph is already
-    /// universe-complete.
     ///
-    /// Preconditions (guarded by the session): every constant of every
-    /// fact lies in the prepared universe, and `prune_decided` is off.
+    /// Precondition (guarded by the session): every constant of every
+    /// fact lies in the prepared universe.
     ///
     /// # Errors
     ///
@@ -241,9 +220,6 @@ impl SessionGrounder {
             first_new_rule: graph.rule_count(),
             ..DeltaGround::default()
         };
-        if self.mode == GroundMode::Full {
-            return Ok(out);
-        }
         let overflow = atom_overflow(config);
 
         // Δ facts are always represented in the atom table, and Δ̂ gains
@@ -446,20 +422,15 @@ impl SessionGrounder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ground, GroundMode};
     use datalog_ast::{parse_database, parse_program};
-
-    fn relevant() -> GroundConfig {
-        GroundConfig {
-            mode: GroundMode::Relevant,
-            ..GroundConfig::default()
-        }
-    }
 
     /// Delta-extended graphs must contain every instance the fresh
     /// relevant grounder emits for the final database (possibly more —
     /// stale ones — which close deletes).
     fn assert_covers_fresh(graph: &GroundGraph, program: &Program, db: &Database) {
-        let fresh = ground(program, db, &relevant()).expect("fresh grounds");
+        let fresh = ground(program, db, GroundMode::Relevant, &GroundConfig::default())
+            .expect("fresh grounds");
         for rule in fresh.rules() {
             let head = fresh.atoms().decode(rule.head);
             let gh = graph.atoms().id_of(&head).expect("head atom present");
@@ -481,11 +452,23 @@ mod tests {
     use datalog_ast::Program;
 
     #[test]
+    fn build_rejects_conflicting_arities() {
+        // q/1 in the program, q/2 in the database: an error, not a
+        // candidate pass over a relation of the wrong width.
+        let program = parse_program("p(X) :- e(X), not q(X).\nq(X) :- e(X), not p(X).").unwrap();
+        let db = parse_database("e(a).\nq(a, b).").unwrap();
+        let err = SessionGrounder::build(&program, &db, &GroundConfig::default())
+            .err()
+            .expect("conflicting arity");
+        assert!(matches!(err, GroundError::Validation(_)), "{err:?}");
+    }
+
+    #[test]
     fn seeded_insert_grows_the_graph_like_fresh_grounding() {
         let program = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
         let db0 = parse_database("move(a, b).\nmove(b, c).\nmove(c, a).").unwrap();
         let (mut graph, mut sg) =
-            SessionGrounder::build(&program, &db0, &relevant()).expect("builds");
+            SessionGrounder::build(&program, &db0, &GroundConfig::default()).expect("builds");
         let rules0 = graph.rule_count();
 
         // Insert a move within the existing universe.
@@ -493,7 +476,7 @@ mod tests {
         let mut db1 = db0.clone();
         db1.insert(fact.clone()).unwrap();
         let d = sg
-            .delta_insert(&mut graph, &program, &relevant(), &[fact])
+            .delta_insert(&mut graph, &program, &GroundConfig::default(), &[fact])
             .expect("delta grounds");
         assert!(!d.scoped_refresh, "win–move has no positive cycle");
         assert_eq!(d.new_rules, 1, "one new supportable instance");
@@ -509,14 +492,14 @@ mod tests {
         let program = parse_program("p :- q, e.\nq :- p.").unwrap();
         let db0 = Database::new();
         let (mut graph, mut sg) =
-            SessionGrounder::build(&program, &db0, &relevant()).expect("builds");
+            SessionGrounder::build(&program, &db0, &GroundConfig::default()).expect("builds");
         assert_eq!(graph.rule_count(), 0, "nothing supportable without e");
 
         let fact = GroundAtom::from_texts("e", &[]);
         let mut db1 = db0.clone();
         db1.insert(fact.clone()).unwrap();
         let d = sg
-            .delta_insert(&mut graph, &program, &relevant(), &[fact])
+            .delta_insert(&mut graph, &program, &GroundConfig::default(), &[fact])
             .expect("delta grounds");
         assert!(d.scoped_refresh, "positive cycle affected");
         assert_eq!(d.new_rules, 2, "both cycle instances appear");
@@ -530,30 +513,15 @@ mod tests {
         let program = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
         let db = parse_database("move(a, b).").unwrap();
         let (mut graph, mut sg) =
-            SessionGrounder::build(&program, &db, &relevant()).expect("builds");
+            SessionGrounder::build(&program, &db, &GroundConfig::default()).expect("builds");
         let rules0 = graph.rule_count();
         let fact = GroundAtom::from_texts("move", &["a", "b"]);
         let d = sg
-            .delta_insert(&mut graph, &program, &relevant(), &[fact])
+            .delta_insert(&mut graph, &program, &GroundConfig::default(), &[fact])
             .expect("delta grounds");
         assert_eq!(d.new_rules, 0);
         assert_eq!(d.delta_supportable, 0);
         assert_eq!(graph.rule_count(), rules0);
-    }
-
-    #[test]
-    fn full_mode_delta_is_a_no_op() {
-        let program = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
-        let db = parse_database("move(a, b).").unwrap();
-        let (mut graph, mut sg) =
-            SessionGrounder::build(&program, &db, &GroundConfig::default()).expect("builds");
-        let (atoms0, rules0) = (graph.atom_count(), graph.rule_count());
-        let fact = GroundAtom::from_texts("move", &["b", "a"]);
-        let d = sg
-            .delta_insert(&mut graph, &program, &GroundConfig::default(), &[fact])
-            .expect("no-op");
-        assert_eq!((d.new_atoms, d.new_rules), (0, 0));
-        assert_eq!((graph.atom_count(), graph.rule_count()), (atoms0, rules0));
     }
 
     #[test]
@@ -565,10 +533,10 @@ mod tests {
         // Build over the 4-constant universe but with one edge missing.
         let missing = GroundAtom::from_texts("e", &["b", "d"]);
         let (mut graph, mut sg) =
-            SessionGrounder::build(&program, &db, &relevant()).expect("builds");
+            SessionGrounder::build(&program, &db, &GroundConfig::default()).expect("builds");
         db.insert(missing.clone()).unwrap();
         let d = sg
-            .delta_insert(&mut graph, &program, &relevant(), &[missing])
+            .delta_insert(&mut graph, &program, &GroundConfig::default(), &[missing])
             .expect("delta grounds");
         assert!(d.scoped_refresh);
         assert!(d.new_rules > 0);

@@ -192,17 +192,13 @@ impl GroundGraph {
         }
     }
 
-    /// Interns a new atom into a sparse table (see
-    /// [`AtomTable::intern`]), growing the incidence lists so the new id
-    /// is immediately addressable.
+    /// Interns a new atom into the table (see [`AtomTable::intern`]),
+    /// growing the incidence lists so the new id is immediately
+    /// addressable.
     ///
     /// # Errors
     ///
     /// [`AtomSpaceOverflow`] past the `max_atoms` budget.
-    ///
-    /// # Panics
-    ///
-    /// If the atom table uses the dense layout.
     pub fn intern_atom(
         &mut self,
         atom: &GroundAtom,
@@ -215,10 +211,6 @@ impl GroundGraph {
     /// borrowed tuple.
     ///
     /// # Errors
-    ///
-    /// As for [`GroundGraph::intern_atom`].
-    ///
-    /// # Panics
     ///
     /// As for [`GroundGraph::intern_atom`].
     pub fn intern_tuple(

@@ -2,16 +2,24 @@
 //!
 //! The paper's construction instantiates **every** rule with **every**
 //! k-tuple of universe constants (Section 2); the semantics of `close`,
-//! unfounded sets, and ties quantify over all instantiations. This module
-//! offers two ways to realize that object:
+//! unfounded sets, and ties quantify over all instantiations. [`ground`]
+//! realizes that object in either [`GroundMode`]:
 //!
-//! * [`GroundMode::Full`] — the paper-literal enumerator: a dense
-//!   [`AtomTable`] of |U|^arity atoms per predicate and |U|^k rule
-//!   instances per rule with k variables. This is the executable
-//!   specification; everything else is measured against it.
+//! * [`GroundMode::Full`] — the paper-literal enumerator: |U|^arity atoms
+//!   per predicate and |U|^k rule instances per rule with k variables.
+//!   This is the executable specification the test oracles run on;
+//!   everything else is measured against it.
 //! * [`GroundMode::Relevant`] — the join-based relevant grounder
 //!   (see [`crate::relevant`]): only rule instances whose positive body
-//!   is *supportable* are emitted, into a sparse interned atom table.
+//!   is *supportable* are emitted. It is the only grounding the session
+//!   ([`crate::SessionGrounder`]) builds.
+//!
+//! Both modes build the same interned atom table ([`AtomTable`]). `Full`
+//! interns every atom up front, predicate by predicate in
+//! [`Program::predicates`] order and each predicate's tuples in
+//! mixed-radix order over the text-sorted universe, so atom
+//! `offset(pred) + code(args)` has a closed-form id and rule instances
+//! resolve their atoms by arithmetic.
 //!
 //! **Why Relevant does not change the object under study.** `close(M₀, G)`
 //! deletes every rule instance with a positive body atom that the
@@ -30,34 +38,35 @@
 //! property suites check this on the paper programs and on random
 //! instances. The one observable difference is the *pre-close* graph
 //! (e.g. the strict local-stratification check sees the restricted
-//! graph), which is also why `Full` remains the default.
+//! graph), which is why the paper-literal oracles ground `Full`.
 //!
 //! Budgets: [`GroundConfig`] bounds the atom space and the rule-instance
 //! space so runaway cases become typed errors instead of OOM. Atom ids
 //! are `u32`, so `max_atoms` is clamped to `u32::MAX`
 //! ([`crate::atoms::MAX_ATOM_SPACE`]) rather than letting ids silently
-//! alias. With `prune_decided` (or in `Relevant` mode) the instance
-//! budget is checked against the instances actually emitted — not the
-//! unpruned |U|^k bound — and overflow aborts at the first instance past
-//! the budget, reporting the count reached.
+//! alias. `Full` checks both budgets against its exact |U|^arity and
+//! |U|^k counts before building anything; `Relevant` checks the
+//! instances actually emitted and aborts at the first instance past the
+//! budget, reporting the count reached.
 
 use std::fmt;
 
-use datalog_ast::{ConstSym, Database, Program, Sign, Term, ValidationError};
+use datalog_ast::{ConstSym, Database, FxHashMap, PredSym, Program, Sign, Term, ValidationError};
 
-use crate::atoms::{AtomId, AtomTable};
+use crate::atoms::{AtomId, AtomInterner, AtomTable, MAX_ATOM_SPACE};
 use crate::graph::{GroundGraph, GroundRule};
 
-/// How `ground` realizes *G(Π, Δ)*.
+/// How [`ground`] realizes *G(Π, Δ)*.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum GroundMode {
-    /// The paper-literal enumerator: dense atom table, |U|^k instances
-    /// per rule. The reference mode (default).
+    /// The paper-literal enumerator: every atom over U, |U|^k instances
+    /// per rule. The reference mode the test oracles ground in
+    /// (default).
     #[default]
     Full,
-    /// The join-based relevant grounder: sparse interned atom table, only
-    /// supportable instances. Identical post-`close` residual graph and
-    /// semantics (see the module docs); the pre-close graph is smaller.
+    /// The join-based relevant grounder: only supportable instances.
+    /// Identical post-`close` residual graph and semantics (see the
+    /// module docs); the pre-close graph is smaller.
     Relevant,
 }
 
@@ -70,7 +79,7 @@ impl fmt::Display for GroundMode {
     }
 }
 
-/// Budgets and mode for grounding.
+/// Budgets for grounding.
 #[derive(Clone, Copy, Debug)]
 pub struct GroundConfig {
     /// Maximum number of ground atoms (|V_P|). Clamped to
@@ -78,28 +87,6 @@ pub struct GroundConfig {
     pub max_atoms: u64,
     /// Maximum number of rule nodes (|V_R|).
     pub max_rule_instances: u64,
-    /// Skip rule instances containing a body literal that M₀(Δ) already
-    /// decides **false** (an EDB literal violated by Δ, or a negative
-    /// literal on an IDB fact of Δ).
-    ///
-    /// Sound for every interpreter and checker in this workspace: such
-    /// rule nodes are deleted by the very first `close(M₀, G)` round
-    /// before anything inspects the graph, so the post-close residual
-    /// graph — the object all semantics operate on — is identical.
-    /// Off by default because the *pre-close* graph is then no longer the
-    /// paper's literal G(Π, Δ) (e.g. the strict local-stratification
-    /// check would see the pruned graph). See the grounding ablation
-    /// bench.
-    ///
-    /// With pruning on, the instance budget applies to the instances that
-    /// *survive* pruning (counted by streaming the enumeration), so a
-    /// program whose pruned graph fits is accepted even when the unpruned
-    /// |U|^k bound does not. A successful pruned grounding still walks
-    /// the full |U|^k space; an over-budget one aborts at the first
-    /// surviving instance past the budget.
-    pub prune_decided: bool,
-    /// Full (paper-literal) or relevant (join-based) grounding.
-    pub mode: GroundMode,
 }
 
 impl Default for GroundConfig {
@@ -107,8 +94,6 @@ impl Default for GroundConfig {
         GroundConfig {
             max_atoms: 4_000_000,
             max_rule_instances: 4_000_000,
-            prune_decided: false,
-            mode: GroundMode::Full,
         }
     }
 }
@@ -127,11 +112,10 @@ pub enum GroundError {
     },
     /// The rule-instance space |V_R| exceeds the configured budget.
     TooManyRuleInstances {
-        /// How many instances the program needs. Exact when the overflow
-        /// is detected arithmetically (`Full` mode without pruning);
-        /// when instances are counted by streaming (`prune_decided`, or
-        /// `Relevant` mode) the count reached when grounding aborted — a
-        /// lower bound on the true requirement.
+        /// How many instances the program needs. Exact in `Full` mode;
+        /// in `Relevant` mode, where instances are counted as they are
+        /// emitted, the count reached when grounding aborted — a lower
+        /// bound on the true requirement.
         required: u64,
         /// The configured cap.
         budget: u64,
@@ -189,7 +173,7 @@ enum Slot {
 }
 
 struct AtomTemplate {
-    /// Block offset of the predicate.
+    /// First id of the predicate's atoms.
     offset: u32,
     slots: Vec<Slot>,
 }
@@ -211,8 +195,7 @@ impl AtomTemplate {
     }
 }
 
-/// Grounds `program` against `database` in the configured
-/// [`GroundMode`].
+/// Grounds `program` against `database` in `mode`.
 ///
 /// # Errors
 ///
@@ -225,11 +208,12 @@ impl AtomTemplate {
 pub fn ground(
     program: &Program,
     database: &Database,
+    mode: GroundMode,
     config: &GroundConfig,
 ) -> Result<GroundGraph, GroundError> {
     let mut span = tiebreak_trace::span("ground", "ground", &[]);
     database.validate_against(program)?;
-    let graph = match config.mode {
+    let graph = match mode {
         GroundMode::Full => ground_full(program, database, config),
         GroundMode::Relevant => crate::relevant::ground_relevant(program, database, config),
     }?;
@@ -242,86 +226,100 @@ pub fn ground(
     Ok(graph)
 }
 
+/// `|U|^k` in `u128`, saturating: even absurd arities report a real
+/// count instead of wrapping.
+fn tuple_count(u: usize, k: usize) -> u128 {
+    u32::try_from(k)
+        .ok()
+        .and_then(|k| (u as u128).checked_pow(k))
+        .unwrap_or(u128::MAX)
+}
+
+/// Interns every atom over the universe: each program predicate's
+/// |U|^arity tuples in mixed-radix order (the most significant argument
+/// first), predicate after predicate in [`Program::predicates`] order.
+/// Returns the table and each predicate's first id. The caller has
+/// checked the exact count against `max_atoms`.
+fn intern_full_atoms(
+    program: &Program,
+    universe: Vec<ConstSym>,
+    max_atoms: u64,
+) -> (AtomTable, FxHashMap<PredSym, u32>) {
+    let u = universe.len();
+    let mut interner = AtomInterner::new(universe.clone(), max_atoms);
+    let mut offsets = FxHashMap::default();
+    let mut args: Vec<ConstSym> = Vec::new();
+    let mut digits: Vec<usize> = Vec::new();
+    for &pred in program.predicates() {
+        let offset = interner.len() as u32;
+        offsets.insert(pred, offset);
+        let k = program
+            .arity(pred)
+            .expect("program predicates have an arity");
+        if k > 0 && u == 0 {
+            continue;
+        }
+        digits.clear();
+        digits.resize(k, 0);
+        loop {
+            args.clear();
+            args.extend(digits.iter().map(|&d| universe[d]));
+            let id = interner
+                .intern_tuple(pred, &args)
+                .expect("within the checked atom budget");
+            debug_assert_eq!(
+                u64::from(id.0 - offset),
+                digits.iter().fold(0, |code, &d| code * u as u64 + d as u64),
+                "{pred}: id is offset + mixed-radix code"
+            );
+            // Advance the mixed-radix counter; stop after wrapping.
+            let Some(pos) = digits.iter().rposition(|&d| d + 1 < u) else {
+                break;
+            };
+            digits[pos] += 1;
+            digits[pos + 1..].fill(0);
+        }
+    }
+    (interner.finish(), offsets)
+}
+
 fn ground_full(
     program: &Program,
     database: &Database,
     config: &GroundConfig,
 ) -> Result<GroundGraph, GroundError> {
-    let atoms = AtomTable::build(program, database, config.max_atoms).map_err(|overflow| {
-        GroundError::TooManyAtoms {
-            required: overflow.required,
+    let universe = Database::universe(program, database);
+    let u = universe.len() as u64;
+
+    // The exact atom and instance counts, in u128 so even extreme
+    // arities and variable counts report a real number instead of a
+    // sentinel; both budgets are checked before anything is built.
+    let max_atoms = config.max_atoms.min(MAX_ATOM_SPACE);
+    let atom_count = program.predicates().iter().fold(0u128, |sum, &pred| {
+        let arity = program
+            .arity(pred)
+            .expect("program predicates have an arity");
+        sum.saturating_add(tuple_count(universe.len(), arity))
+    });
+    if atom_count > u128::from(max_atoms) {
+        return Err(GroundError::TooManyAtoms {
+            required: u64::try_from(atom_count).unwrap_or(u64::MAX),
             budget: config.max_atoms,
-        }
-    })?;
-    let u = atoms.universe().len() as u64;
-
-    // The unpruned instance count, exact via u128 so even extreme
-    // variable counts report a real number instead of a sentinel.
-    let mut unpruned: u128 = 0;
-    for rule in program.rules() {
-        let k = rule.variables().len() as u32;
-        let instances = if k == 0 {
-            1
-        } else {
-            u128::from(u).checked_pow(k).unwrap_or(u128::MAX)
-        };
-        unpruned = unpruned.saturating_add(instances);
+        });
     }
-    let unpruned_u64 = u64::try_from(unpruned).unwrap_or(u64::MAX);
+    let instances = program.rules().iter().fold(0u128, |sum, rule| {
+        sum.saturating_add(tuple_count(universe.len(), rule.variables().len()))
+    });
     let budget = config.max_rule_instances;
-    if unpruned_u64 > budget {
-        // Without pruning the unpruned count is the real count: reject
-        // before allocating anything. With pruning we stream the
-        // enumeration and count survivors instead — but only when the
-        // unpruned space is walkable at all.
-        if !config.prune_decided || unpruned > u128::from(u64::MAX) {
-            return Err(GroundError::TooManyRuleInstances {
-                required: unpruned_u64,
-                budget,
-            });
-        }
+    if instances > u128::from(budget) {
+        return Err(GroundError::TooManyRuleInstances {
+            required: u64::try_from(instances).unwrap_or(u64::MAX),
+            budget,
+        });
     }
+    let (atoms, offsets) = intern_full_atoms(program, universe, max_atoms);
 
-    // For `prune_decided`: the atoms M₀(Δ) decides. `decided_true` marks
-    // Δ facts (EDB or IDB); `edb_mask` marks EDB atoms.
-    let (decided_true, edb_mask) = if config.prune_decided {
-        let mut in_delta = vec![false; atoms.len()];
-        for (pred, args) in database.tuples() {
-            if let Some(id) = atoms.atom_id(pred, args) {
-                in_delta[id.index()] = true;
-            }
-        }
-        let mut edb = vec![false; atoms.len()];
-        for &pred in program.predicates() {
-            if !program.is_idb(pred) {
-                for id in atoms.ids_of_pred(pred) {
-                    edb[id.index()] = true;
-                }
-            }
-        }
-        (in_delta, edb)
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    // A literal is decided false by M₀ iff:
-    //   positive on an EDB atom outside Δ, or
-    //   negative on any atom in Δ (EDB or IDB).
-    let literal_false_in_m0 = |atom: AtomId, sign: Sign| -> bool {
-        match sign {
-            Sign::Pos => edb_mask[atom.index()] && !decided_true[atom.index()],
-            Sign::Neg => decided_true[atom.index()],
-        }
-    };
-
-    let mut rules: Vec<GroundRule> = if unpruned_u64 <= budget {
-        Vec::with_capacity(unpruned_u64 as usize)
-    } else {
-        Vec::new() // pruned streaming: grow as survivors appear
-    };
-    // Instances that survive pruning (equals the unpruned count when
-    // pruning is off).
-    let mut emitted: u64 = 0;
-
+    let mut rules: Vec<GroundRule> = Vec::with_capacity(instances as usize);
     for (rule_index, rule) in program.rules().iter().enumerate() {
         let vars = rule.variables();
         let k = vars.len();
@@ -335,9 +333,6 @@ fn ground_full(
         // universe (it includes all program constants).
         let var_pos = |v| vars.iter().position(|&w| w == v).expect("var in list");
         let compile = |atom: &datalog_ast::Atom| -> AtomTemplate {
-            let offset = atoms.ids_of_pred(atom.pred).next().map_or(0, |id| id.0); // first id of block
-                                                                                   // NOTE: offset computed via first id; for empty blocks (u == 0
-                                                                                   // with positive arity) the rule is skipped above.
             let slots = atom
                 .args
                 .iter()
@@ -350,7 +345,10 @@ fn ground_full(
                     Term::Var(v) => Slot::Var(var_pos(*v)),
                 })
                 .collect();
-            AtomTemplate { offset, slots }
+            AtomTemplate {
+                offset: offsets[&atom.pred],
+                slots,
+            }
         };
 
         let head_t = compile(&rule.head);
@@ -368,51 +366,23 @@ fn ground_full(
                 .iter()
                 .map(|(t, s)| (t.resolve(u, &assignment), *s))
                 .collect();
-            let pruned =
-                config.prune_decided && body.iter().any(|&(a, s)| literal_false_in_m0(a, s));
-            if !pruned {
-                emitted += 1;
-                if emitted > budget {
-                    // Abort rather than walking the rest of the |U|^k
-                    // space; the error reports the pruned count reached
-                    // (a lower bound on the true requirement).
-                    return Err(GroundError::TooManyRuleInstances {
-                        required: emitted,
-                        budget,
-                    });
-                }
-                let subst: Box<[ConstSym]> = assignment
-                    .iter()
-                    .map(|&i| atoms.universe()[i as usize])
-                    .collect();
-                rules.push(GroundRule {
-                    head,
-                    body,
-                    rule_index: rule_index as u32,
-                    subst,
-                });
-            }
+            let subst: Box<[ConstSym]> = assignment
+                .iter()
+                .map(|&i| atoms.universe()[i as usize])
+                .collect();
+            rules.push(GroundRule {
+                head,
+                body,
+                rule_index: rule_index as u32,
+                subst,
+            });
 
             // Advance the counter; stop after wrapping.
-            let mut pos = k;
-            loop {
-                if pos == 0 {
-                    break;
-                }
-                pos -= 1;
-                assignment[pos] += 1;
-                if u64::from(assignment[pos]) < u {
-                    break;
-                }
-                assignment[pos] = 0;
-                if pos == 0 {
-                    pos = usize::MAX; // signal wrap
-                    break;
-                }
-            }
-            if k == 0 || pos == usize::MAX {
+            let Some(pos) = assignment.iter().rposition(|&i| u64::from(i) + 1 < u) else {
                 break;
-            }
+            };
+            assignment[pos] += 1;
+            assignment[pos + 1..].fill(0);
         }
     }
 
@@ -434,7 +404,7 @@ mod tests {
     #[test]
     fn instance_counts() {
         let (p, d) = win_move();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         // |U| = 3, rule has 2 variables ⇒ 9 rule nodes; 12 atoms.
         assert_eq!(g.rule_count(), 9);
         assert_eq!(g.atom_count(), 12);
@@ -445,7 +415,7 @@ mod tests {
     #[test]
     fn instantiation_is_correct() {
         let (p, d) = win_move();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let atoms = g.atoms();
         // Find the instance X=a, Y=b.
         let head = atoms.id_of(&GroundAtom::from_texts("win", &["a"])).unwrap();
@@ -474,7 +444,13 @@ mod tests {
     #[test]
     fn propositional_rules_have_one_instance() {
         let p = parse_program("p :- p, not q.\nq :- q, not p.").unwrap();
-        let g = ground(&p, &Database::new(), &GroundConfig::default()).unwrap();
+        let g = ground(
+            &p,
+            &Database::new(),
+            GroundMode::Full,
+            &GroundConfig::default(),
+        )
+        .unwrap();
         assert_eq!(g.rule_count(), 2);
         assert_eq!(g.atom_count(), 2);
         assert!(g.rules().iter().all(|r| r.subst.is_empty()));
@@ -483,7 +459,13 @@ mod tests {
     #[test]
     fn empty_universe_with_variables_grounds_to_nothing() {
         let p = parse_program("p(X) :- not q(X).").unwrap();
-        let g = ground(&p, &Database::new(), &GroundConfig::default()).unwrap();
+        let g = ground(
+            &p,
+            &Database::new(),
+            GroundMode::Full,
+            &GroundConfig::default(),
+        )
+        .unwrap();
         assert_eq!(g.rule_count(), 0);
         assert_eq!(g.atom_count(), 0);
     }
@@ -494,6 +476,7 @@ mod tests {
         let err = ground(
             &p,
             &d,
+            GroundMode::Full,
             &GroundConfig {
                 max_atoms: 4,
                 ..GroundConfig::default()
@@ -515,10 +498,10 @@ mod tests {
         let err = ground(
             &p,
             &d,
+            GroundMode::Full,
             &GroundConfig {
                 max_atoms: 1000,
                 max_rule_instances: 4,
-                ..GroundConfig::default()
             },
         )
         .unwrap_err();
@@ -529,52 +512,11 @@ mod tests {
     }
 
     #[test]
-    fn pruned_budget_counts_surviving_instances() {
-        // Unpruned: 9 instances (over a budget of 4); pruned: 2 — the
-        // pruned graph must be accepted.
-        let (p, d) = win_move();
-        let g = ground(
-            &p,
-            &d,
-            &GroundConfig {
-                max_rule_instances: 4,
-                prune_decided: true,
-                ..GroundConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(g.rule_count(), 2);
-
-        // And when even the pruned count overflows, the error reports
-        // the pruned count reached, not the |U|^k bound.
-        let err = ground(
-            &p,
-            &d,
-            &GroundConfig {
-                max_rule_instances: 1,
-                prune_decided: true,
-                ..GroundConfig::default()
-            },
-        )
-        .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                GroundError::TooManyRuleInstances {
-                    required: 2,
-                    budget: 1
-                }
-            ),
-            "{err:?}"
-        );
-    }
-
-    #[test]
     fn database_arity_conflict_rejected() {
         let p = parse_program("p(X) :- e(X).").unwrap();
         let d = parse_database("e(a, b).").unwrap();
         assert!(matches!(
-            ground(&p, &d, &GroundConfig::default()),
+            ground(&p, &d, GroundMode::Full, &GroundConfig::default()),
             Err(GroundError::Validation(_))
         ));
     }
@@ -582,67 +524,50 @@ mod tests {
     #[test]
     fn describe_rule_mentions_substitution() {
         let (p, d) = win_move();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let desc = g.describe_rule(&p, crate::graph::RuleId(0));
         assert!(desc.starts_with("r0["), "{desc}");
         assert!(desc.contains(":-"), "{desc}");
     }
 
     #[test]
-    fn prune_decided_drops_only_m0_dead_instances() {
-        let (p, d) = win_move();
-        let full = ground(&p, &d, &GroundConfig::default()).unwrap();
-        let pruned = ground(
-            &p,
-            &d,
-            &GroundConfig {
-                prune_decided: true,
-                ..GroundConfig::default()
-            },
+    fn full_ids_follow_the_mixed_radix_formula() {
+        // Nullary, unary and binary predicates over U = {a, b, c}: each
+        // predicate's atoms start at its offset (the atoms of the
+        // predicates listed before it), and a tuple sits at its
+        // mixed-radix code in base |U|, most significant argument first.
+        let p = parse_program(
+            "r(X, Y) :- e(X), e(Y), not s.\ns :- not t.\nt :- not s.\nq(X) :- e(X), not q(X).",
         )
         .unwrap();
-        // |U| = 3, 2 move facts: only 2 of the 9 instances have a true
-        // move literal.
-        assert_eq!(full.rule_count(), 9);
-        assert_eq!(pruned.rule_count(), 2);
-        // Atom space unchanged.
-        assert_eq!(full.atom_count(), pruned.atom_count());
-        // Every surviving instance is M0-alive: its move literal is a
-        // fact of Δ.
-        for rule in pruned.rules() {
-            let (move_atom, _) = rule.body[0];
-            let ga = pruned.atoms().decode(move_atom);
-            assert!(d.contains(&ga), "pruned graph kept a dead instance");
+        let d = parse_database("e(c).\ne(a).\ne(b).").unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
+        let atoms = g.atoms();
+        let u = atoms.universe();
+        assert_eq!(u.len(), 3);
+        let mut offset = 0u32;
+        for &pred in p.predicates() {
+            let arity = p.arity(pred).unwrap();
+            let size = 3u32.pow(arity as u32);
+            for code in 0..size {
+                let args: Vec<ConstSym> = (0..arity)
+                    .map(|i| u[(code / 3u32.pow((arity - 1 - i) as u32) % 3) as usize])
+                    .collect();
+                let id = AtomId(offset + code);
+                assert_eq!(
+                    atoms.decode(id),
+                    GroundAtom {
+                        pred,
+                        args: args.into()
+                    }
+                );
+                assert_eq!(atoms.atom_id(pred, &atoms.decode(id).args), Some(id));
+            }
+            assert_eq!(atoms.ids_of_pred(pred).count(), size as usize);
+            offset += size;
         }
-    }
-
-    #[test]
-    fn prune_decided_handles_negative_idb_delta_facts() {
-        // q(a) ∈ Δ decides ¬q(a) false: that instance is pruned.
-        let p = parse_program("p(X) :- e(X), not q(X).\nq(X) :- f(X).").unwrap();
-        let d = parse_database("e(a).\ne(b).\nq(a).").unwrap();
-        let full = ground(&p, &d, &GroundConfig::default()).unwrap();
-        let pruned = ground(
-            &p,
-            &d,
-            &GroundConfig {
-                prune_decided: true,
-                ..GroundConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(pruned.rule_count() < full.rule_count());
-        // The p(a) instance (¬q(a) false) must be gone...
-        let pa = pruned
-            .atoms()
-            .id_of(&GroundAtom::from_texts("p", &["a"]))
-            .unwrap();
-        assert!(pruned.heads_of(pa).is_empty());
-        // ...while the p(b) instance survives (q(b) is IDB-undecided).
-        let pb = pruned
-            .atoms()
-            .id_of(&GroundAtom::from_texts("p", &["b"]))
-            .unwrap();
-        assert_eq!(pruned.heads_of(pb).len(), 1);
+        // e/1, r/2, s/0, t/0, q/1.
+        assert_eq!(atoms.len(), offset as usize);
+        assert_eq!(atoms.len(), 3 + 9 + 1 + 1 + 3);
     }
 }

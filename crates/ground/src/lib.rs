@@ -4,19 +4,19 @@
 //! Implements Section 2 of Papadimitriou & Yannakakis, *"Tie-Breaking
 //! Semantics and Structural Totality"*:
 //!
-//! * [`AtomTable`] — a dense bijection between the ground atoms over the
-//!   universe *U* and integer [`AtomId`]s (mixed-radix encoding, no
-//!   hashing on the hot path);
+//! * [`AtomTable`] — an interned bijection between ground atoms and
+//!   integer [`AtomId`]s;
 //! * [`PartialModel`] — three-valued models over the atom table, with the
 //!   initial model M₀(Δ);
 //! * [`GroundGraph`] — the bipartite graph *G(Π, Δ)* with predicate nodes,
-//!   rule nodes, and signed body edges, built either by full instantiation
-//!   of every rule over *U* exactly as the paper defines
-//!   ([`GroundMode::Full`], with an explicit budget so pathological
-//!   arities fail fast instead of exhausting memory) or by the join-based
+//!   rule nodes, and signed body edges. [`ground`] builds it either by
+//!   full instantiation of every rule over *U* exactly as the paper
+//!   defines ([`GroundMode::Full`], with an explicit budget so
+//!   pathological arities fail fast instead of exhausting memory) — the
+//!   reference the test oracles run on — or by the join-based
 //!   **relevant** grounder ([`GroundMode::Relevant`]) that emits only
-//!   supportable rule instances into a sparse interned atom table while
-//!   preserving the post-`close` residual graph exactly;
+//!   supportable rule instances while preserving the post-`close`
+//!   residual graph exactly;
 //! * [`Closer`] — an incremental, confluent implementation of the paper's
 //!   `close(M, G)` procedure, reusable across the iterations of the
 //!   well-founded and tie-breaking interpreters, plus the largest
@@ -27,7 +27,8 @@
 //! * [`seminaive`] — the semi-naive join engine shared by the relevant
 //!   grounder and `tiebreak-core`'s stratified interpreter;
 //! * [`delta`] — delta grounding for the incremental session: a
-//!   [`SessionGrounder`] extends a prepared graph under fact insertion
+//!   [`SessionGrounder`] grounds relevantly and extends the prepared
+//!   graph under fact insertion
 //!   (seeded semi-naive passes, scoped gfp refresh for positive cycles),
 //!   [`GroundGraph::forward_cone`] bounds how far a mutation can reach,
 //!   [`Closer::reopen_cone`] re-closes exactly that cone against the

@@ -206,12 +206,19 @@ impl PartialModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ground, GroundConfig, GroundMode};
     use datalog_ast::{parse_database, parse_program};
+
+    /// Every atom over the universe of `(p, d)`.
+    fn full_table(p: &Program, d: &Database) -> AtomTable {
+        let g = ground(p, d, GroundMode::Full, &GroundConfig::default()).unwrap();
+        g.atoms().clone()
+    }
 
     fn setup() -> (Program, Database, AtomTable) {
         let p = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
         let d = parse_database("move(a, b).").unwrap();
-        let t = AtomTable::build(&p, &d, 1 << 20).unwrap();
+        let t = full_table(&p, &d);
         (p, d, t)
     }
 
@@ -242,7 +249,7 @@ mod tests {
     fn idb_facts_in_delta_are_true() {
         let p = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
         let d = parse_database("move(a, b).\nwin(b).").unwrap();
-        let t = AtomTable::build(&p, &d, 1 << 20).unwrap();
+        let t = full_table(&p, &d);
         let m = PartialModel::initial(&p, &d, &t);
         let w = t.id_of(&GroundAtom::from_texts("win", &["b"])).unwrap();
         assert_eq!(m.get(w), TruthValue::True);
@@ -280,7 +287,7 @@ mod tests {
     fn minus_undefines_derived_idb_truths_only() {
         let p = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
         let d = parse_database("move(a, b).\nwin(b).").unwrap();
-        let t = AtomTable::build(&p, &d, 1 << 20).unwrap();
+        let t = full_table(&p, &d);
         let mut m = PartialModel::initial(&p, &d, &t);
         let wa = t.id_of(&GroundAtom::from_texts("win", &["a"])).unwrap();
         let wb = t.id_of(&GroundAtom::from_texts("win", &["b"])).unwrap();

@@ -160,13 +160,13 @@ pub fn naive_largest_unfounded(graph: &GroundGraph, residual: &ResidualGraph) ->
 mod tests {
     use super::*;
     use crate::close::Closer;
-    use crate::grounder::{ground, GroundConfig};
+    use crate::grounder::{ground, GroundConfig, GroundMode};
     use datalog_ast::{parse_database, parse_program};
 
     fn cross_check(src: &str, db_src: &str) {
         let p = parse_program(src).unwrap();
         let d = parse_database(db_src).unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
 
         // Production engine.
         let mut fast_model = PartialModel::initial(&p, &d, g.atoms());
@@ -226,7 +226,7 @@ mod tests {
     fn naive_conflict_detection() {
         let p = parse_program("p :- e.").unwrap();
         let d = parse_database("e.").unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let mut m = PartialModel::initial(&p, &d, g.atoms());
         let pa = g.atoms().atom_id("p".into(), &[]).unwrap();
         m.set(pa, TruthValue::False);

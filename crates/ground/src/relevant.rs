@@ -1,4 +1,4 @@
-//! The join-based relevant grounder ([`GroundMode::Relevant`]).
+//! The join-based relevant grounder ([`crate::GroundMode::Relevant`]).
 //!
 //! Instead of enumerating all |U|^k substitutions per rule, this grounder
 //! computes the **supportable set** S — the greatest set of ground atoms
@@ -9,7 +9,7 @@
 //! ```
 //!
 //! and emits exactly the rule instances whose positive body lies in S,
-//! into a sparse interned [`AtomTable`](crate::AtomTable). S is precisely
+//! into an interned [`AtomTable`](crate::AtomTable). S is precisely
 //! the set of atoms that survive the EDB-false/unsupported cascade of
 //! `close(M₀, G)` (operations 2 and 4 on the full graph): everything the
 //! relevant grounder omits is deleted and decided **false** by the very
@@ -27,7 +27,7 @@
 //!
 //! 1. **Candidates** — each rule joined on its positive *EDB* literals
 //!    only ([`RuleEvaluator::edb_skeleton`]), other variables ranging
-//!    over U: a pre-fixpoint T̂ ⊇ S, never larger than the dense atom
+//!    over U: a pre-fixpoint T̂ ⊇ S, never larger than the full atom
 //!    space. Candidate atoms outside Δ get dense ids, except heads of
 //!    rules with no positive IDB literal: their supports lie in Δ.
 //! 2. **Support counting** — the positive-envelope instances
@@ -67,7 +67,7 @@ use datalog_ast::{
 
 use crate::atoms::{AtomInterner, AtomSpaceOverflow, MAX_ATOM_SPACE};
 use crate::graph::{GroundGraph, GroundRule};
-use crate::grounder::{GroundConfig, GroundError, GroundMode};
+use crate::grounder::{GroundConfig, GroundError};
 use crate::seminaive::RuleEvaluator;
 
 /// Grounds `program` against `database` relevantly. See the module docs.
@@ -87,7 +87,6 @@ pub(crate) fn ground_relevant_parts(
     database: &Database,
     config: &GroundConfig,
 ) -> Result<(GroundGraph, Database), GroundError> {
-    debug_assert_eq!(config.mode, GroundMode::Relevant);
     let universe = {
         let mut span = tiebreak_trace::span("ground", "universe", &[]);
         let universe = Database::universe(program, database);
@@ -174,7 +173,7 @@ pub(crate) fn support_counted_gfp(
     // Pass 1: candidate heads T̂ — join each rule on its positive EDB
     // literals only, streaming each head straight into the candidate
     // database so memory stays bounded by the atom budget (T̂ never
-    // exceeds the dense atom space Σ |U|^arity, so an instance Full mode
+    // exceeds the full atom space Σ |U|^arity, so an instance Full mode
     // accepts is never rejected here). New heads get dense ids — they
     // are the atoms pass 2 may retire — unless their rule has no positive
     // IDB literal: such a rule is its own envelope, its body lies in
@@ -478,19 +477,6 @@ pub(crate) fn emit_instances(
     for (rule_index, rule) in program.rules().iter().enumerate() {
         let plan = || RuleEvaluator::new(rule);
         for_each_instance(rule, plan, all, supportable, universe, |ground, subst| {
-            if config.prune_decided {
-                // Positive literals are satisfied in S by
-                // construction (EDB positives ∈ Δ); only a negative
-                // literal on a Δ fact can be M₀-false here.
-                for lit in &rule.body {
-                    if lit.sign == Sign::Neg {
-                        ground(&lit.atom, &mut args);
-                        if database.contains_tuple(lit.atom.pred, &args) {
-                            return Ok(());
-                        }
-                    }
-                }
-            }
             emitted += 1;
             if emitted > budget {
                 // Abort rather than walking the rest of the space;
@@ -529,26 +515,18 @@ pub(crate) fn emit_instances(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grounder::ground;
+    use crate::grounder::{ground, GroundMode};
     use datalog_ast::{parse_database, parse_program};
-
-    fn relevant() -> GroundConfig {
-        GroundConfig {
-            mode: GroundMode::Relevant,
-            ..GroundConfig::default()
-        }
-    }
 
     #[test]
     fn win_move_grounds_to_supportable_instances_only() {
         let p = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
         let d = parse_database("move(a, b).\nmove(b, c).").unwrap();
-        let g = ground(&p, &d, &relevant()).unwrap();
+        let g = ground(&p, &d, GroundMode::Relevant, &GroundConfig::default()).unwrap();
         // One instance per move tuple (vs 9 in Full mode).
         assert_eq!(g.rule_count(), 2);
         // Atoms: 2 Δ move facts + win(a), win(b), win(c) (vs 12).
         assert_eq!(g.atom_count(), 5);
-        assert!(g.atoms().is_sparse());
         for rule in g.rules() {
             let (mv, sign) = rule.body[0];
             assert_eq!(sign, Sign::Pos);
@@ -561,7 +539,13 @@ mod tests {
         // close(M₀) leaves p ← p, ¬q and q ← q, ¬p fully intact, so the
         // relevant grounder must not discard them (gfp, not lfp).
         let p = parse_program("p :- p, not q.\nq :- q, not p.").unwrap();
-        let g = ground(&p, &Database::new(), &relevant()).unwrap();
+        let g = ground(
+            &p,
+            &Database::new(),
+            GroundMode::Relevant,
+            &GroundConfig::default(),
+        )
+        .unwrap();
         assert_eq!(g.rule_count(), 2);
         assert_eq!(g.atom_count(), 2);
     }
@@ -571,7 +555,13 @@ mod tests {
         // a ← b, b ← c: no base case, both unfounded *and* unsupported —
         // close falsifies both, so relevance drops everything.
         let p = parse_program("a :- b.\nb :- c.\nc :- d.").unwrap();
-        let g = ground(&p, &Database::new(), &relevant()).unwrap();
+        let g = ground(
+            &p,
+            &Database::new(),
+            GroundMode::Relevant,
+            &GroundConfig::default(),
+        )
+        .unwrap();
         assert_eq!(g.rule_count(), 0);
         assert_eq!(g.atom_count(), 0);
     }
@@ -582,7 +572,7 @@ mod tests {
         // true in every model).
         let p = parse_program("p(X) :- e(X).").unwrap();
         let d = parse_database("e(a).\np(zz).").unwrap();
-        let g = ground(&p, &d, &relevant()).unwrap();
+        let g = ground(&p, &d, GroundMode::Relevant, &GroundConfig::default()).unwrap();
         assert!(g
             .atoms()
             .id_of(&datalog_ast::GroundAtom::from_texts("p", &["zz"]))
@@ -595,7 +585,7 @@ mod tests {
         // even though nothing derives it (close makes it false).
         let p = parse_program("p(X) :- e(X), not q(X).").unwrap();
         let d = parse_database("e(a).").unwrap();
-        let g = ground(&p, &d, &relevant()).unwrap();
+        let g = ground(&p, &d, GroundMode::Relevant, &GroundConfig::default()).unwrap();
         let qa = g
             .atoms()
             .id_of(&datalog_ast::GroundAtom::from_texts("q", &["a"]))
@@ -611,9 +601,9 @@ mod tests {
         let err = ground(
             &p,
             &d,
+            GroundMode::Relevant,
             &GroundConfig {
                 max_rule_instances: 1,
-                mode: GroundMode::Relevant,
                 ..GroundConfig::default()
             },
         )
@@ -628,26 +618,6 @@ mod tests {
             ),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn relevant_mode_composes_with_prune_decided() {
-        let p = parse_program("p(X) :- e(X), not q(X).").unwrap();
-        let d = parse_database("e(a).\ne(b).\nq(a).").unwrap();
-        let plain = ground(&p, &d, &relevant()).unwrap();
-        let pruned = ground(
-            &p,
-            &d,
-            &GroundConfig {
-                prune_decided: true,
-                mode: GroundMode::Relevant,
-                ..GroundConfig::default()
-            },
-        )
-        .unwrap();
-        // ¬q(a) is false under M₀ (q(a) ∈ Δ): pruning drops that instance.
-        assert_eq!(plain.rule_count(), 2);
-        assert_eq!(pruned.rule_count(), 1);
     }
 
     #[test]
@@ -670,9 +640,9 @@ mod tests {
         let err = ground(
             &p,
             &d,
+            GroundMode::Relevant,
             &GroundConfig {
                 max_atoms: 1000,
-                mode: GroundMode::Relevant,
                 ..GroundConfig::default()
             },
         )
@@ -699,11 +669,10 @@ mod tests {
         let err = ground(
             &p,
             &d,
+            GroundMode::Relevant,
             &GroundConfig {
                 max_atoms: 20_000,
                 max_rule_instances: 1000,
-                mode: GroundMode::Relevant,
-                ..GroundConfig::default()
             },
         )
         .unwrap_err();
@@ -728,7 +697,7 @@ mod tests {
         // e is not a program predicate: its facts only contribute the
         // constants a, b to the universe.
         let d = parse_database("e(a).\ne(b).").unwrap();
-        let g = ground(&p, &d, &relevant()).unwrap();
+        let g = ground(&p, &d, GroundMode::Relevant, &GroundConfig::default()).unwrap();
         assert_eq!(g.rule_count(), 16);
         // Atoms: p, q(a), q(b).
         assert_eq!(g.atom_count(), 3);
@@ -737,7 +706,13 @@ mod tests {
     #[test]
     fn propositional_facts_fire() {
         let p = parse_program("p(a).\nq(X) :- p(X).").unwrap();
-        let g = ground(&p, &Database::new(), &relevant()).unwrap();
+        let g = ground(
+            &p,
+            &Database::new(),
+            GroundMode::Relevant,
+            &GroundConfig::default(),
+        )
+        .unwrap();
         // p(a) is a bodiless instance; q(a) :- p(a) is supportable.
         assert_eq!(g.rule_count(), 2);
         assert_eq!(g.atom_count(), 2);

@@ -953,7 +953,7 @@ impl UnfoundedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grounder::{ground, GroundConfig};
+    use crate::grounder::{ground, GroundConfig, GroundMode};
     use crate::model::PartialModel;
     use crate::model::TruthValue;
     use datalog_ast::{parse_database, parse_program, GroundAtom};
@@ -969,7 +969,7 @@ mod tests {
     ) {
         let p = parse_program(program_src).unwrap();
         let d = parse_database(db_src).unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         (g, p, d)
     }
 
@@ -1243,7 +1243,7 @@ mod tests {
     fn assert_patch_matches_fresh(program_src: &str, db_src: &str, flip: (&str, &[&str])) {
         let p = parse_program(program_src).unwrap();
         let d = parse_database(db_src).unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let (mut closer, mut model) = run_close(&g, &p, &d);
         let mut engine = UnfoundedEngine::build(&closer);
 
@@ -1373,7 +1373,7 @@ mod tests {
         )
         .unwrap();
         let d = parse_database("e.").unwrap();
-        let g = ground(&p, &d, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d, GroundMode::Full, &GroundConfig::default()).unwrap();
         let (mut closer, mut model) = run_close(&g, &p, &d);
         let mut engine = UnfoundedEngine::build(&closer);
         assert_eq!(
@@ -1414,7 +1414,7 @@ mod tests {
         // retired ids are recycled before fresh ones append.
         let p = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
         let d0 = parse_database("move(a, b).\nmove(b, a).\nmove(c, d).\nmove(d, c).").unwrap();
-        let g = ground(&p, &d0, &GroundConfig::default()).unwrap();
+        let g = ground(&p, &d0, GroundMode::Full, &GroundConfig::default()).unwrap();
         let (mut closer, mut model) = run_close(&g, &p, &d0);
         let mut engine = UnfoundedEngine::build(&closer);
         let fact = datalog_ast::GroundAtom::from_texts("move", &["b", "a"]);
@@ -1611,11 +1611,7 @@ mod tests {
         flips: &[usize],
     ) {
         use crate::delta::SessionGrounder;
-        use crate::grounder::GroundMode;
-        let config = GroundConfig {
-            mode: GroundMode::Relevant,
-            ..GroundConfig::default()
-        };
+        let config = GroundConfig::default();
         let (mut graph, mut grounder) = SessionGrounder::build(program, db0, &config).unwrap();
         let mut db = db0.clone();
         let mut model = PartialModel::initial(program, &db, graph.atoms());

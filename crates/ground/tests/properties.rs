@@ -69,9 +69,10 @@ struct CloseSummary {
 fn close_summary(
     program: &Program,
     database: &Database,
-    config: &GroundConfig,
+    mode: GroundMode,
 ) -> (CloseSummary, Vec<String>) {
-    let graph = ground(program, database, config).expect("grounds within budget");
+    let graph =
+        ground(program, database, mode, &GroundConfig::default()).expect("grounds within budget");
     let mut model = PartialModel::initial(program, database, graph.atoms());
     let mut closer = Closer::new(&graph);
     closer.bootstrap(&model);
@@ -126,12 +127,8 @@ fn close_summary(
 /// Asserts Full ≡ Relevant for one instance; returns the summaries for
 /// extra checks. Panics with a readable diff on mismatch.
 fn assert_modes_equivalent(program: &Program, database: &Database) {
-    let (full, full_false) = close_summary(program, database, &GroundConfig::default());
-    let relevant_config = GroundConfig {
-        mode: GroundMode::Relevant,
-        ..GroundConfig::default()
-    };
-    let (relevant, relevant_false) = close_summary(program, database, &relevant_config);
+    let (full, full_false) = close_summary(program, database, GroundMode::Full);
+    let (relevant, relevant_false) = close_summary(program, database, GroundMode::Relevant);
     assert_eq!(
         full, relevant,
         "Full and Relevant disagree post-close on\n{program}\nover\n{database}"
@@ -155,7 +152,7 @@ proptest! {
     #[test]
     fn closer_matches_reference(program in arb_program(5, 8), mask in arb_db_mask()) {
         let db = db_from_mask(&program, mask);
-        let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+        let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
 
         let mut fast = PartialModel::initial(&program, &db, graph.atoms());
         let mut closer = Closer::new(&graph);
@@ -183,7 +180,7 @@ proptest! {
         values in proptest::collection::vec(prop::bool::ANY, 8),
     ) {
         let db = Database::new();
-        let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+        let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
 
         let run = |order_rev: bool| -> Option<PartialModel> {
             let mut model = PartialModel::initial(&program, &db, graph.atoms());
@@ -225,7 +222,7 @@ proptest! {
     #[test]
     fn residual_invariants(program in arb_program(5, 8), mask in arb_db_mask()) {
         let db = db_from_mask(&program, mask);
-        let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+        let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
         let mut model = PartialModel::initial(&program, &db, graph.atoms());
         let mut closer = Closer::new(&graph);
         closer.bootstrap(&model);
@@ -342,13 +339,9 @@ proptest! {
     #[test]
     fn relevant_graph_is_no_larger(program in arb_fo_program(6), mask in any::<u32>()) {
         let db = fo_db_from_mask(mask);
-        let full = ground(&program, &db, &GroundConfig::default()).unwrap();
-        let relevant = ground(
-            &program,
-            &db,
-            &GroundConfig { mode: GroundMode::Relevant, ..GroundConfig::default() },
-        )
-        .unwrap();
+        let full = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
+        let relevant =
+            ground(&program, &db, GroundMode::Relevant, &GroundConfig::default()).unwrap();
         prop_assert!(relevant.atom_count() <= full.atom_count());
         prop_assert!(relevant.rule_count() <= full.rule_count());
         // Every relevant atom exists in the full table.

@@ -78,4 +78,4 @@ mod wf_state;
 
 pub use reply::{Reply, ReplyTooLarge};
 pub use session::{ReadBatch, Solver, SolverError};
-pub use tiebreak_core::{Mutation, PrepareDelta, SessionConfig};
+pub use tiebreak_core::{Mutation, PrepareDelta};

@@ -7,8 +7,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use datalog_ast::{AstError, ConstSym, Database, FxHashMap, FxHashSet, GroundAtom, Program};
 use datalog_ground::{
-    AtomId, CloseState, Closer, Cone, GroundGraph, GroundMode, PartialModel, RuleId,
-    SessionGrounder, TruthValue, UnfoundedEngine,
+    AtomId, CloseState, Closer, Cone, GroundGraph, PartialModel, RuleId, SessionGrounder,
+    TruthValue, UnfoundedEngine,
 };
 use tiebreak_core::engine::EvalOutcome;
 use tiebreak_core::semantics::outcomes::OutcomeSet;
@@ -184,7 +184,7 @@ fn prepare(
 /// new components only. The result is provably identical to
 /// re-preparing from scratch on the mutated database (the fallback the
 /// session takes automatically when a mutation moves the universe of
-/// constants, and which [`tiebreak_core::SessionConfig`] can force).
+/// constants, or when the splice fails midway).
 /// Each state-changing batch bumps [`Solver::epoch`] and reports a
 /// [`PrepareDelta`].
 ///
@@ -202,11 +202,11 @@ fn prepare(
 /// them, and the next read runs in full again. The memo never holds a
 /// body larger than the reply cap ([`Solver::set_reply_cap`]).
 ///
-/// The session honours [`EngineConfig::ground`] (grounding mode and
-/// budgets), [`EngineConfig::session`] (incremental serving), and
+/// The session grounds relevantly ([`SessionGrounder`]) within the
+/// budgets of [`EngineConfig::ground`], and honours
 /// `EngineConfig::eval.detailed_stats`. It is the one production
-/// evaluator and condensation-driven; the paper-literal global loops are
-/// test oracles only.
+/// evaluator and condensation-driven; the paper-literal `Full` grounding
+/// and global loops are test oracles only.
 pub struct Solver {
     pub(crate) program: Program,
     pub(crate) database: Database,
@@ -417,9 +417,9 @@ impl Solver {
     ///    components are evaluated; every other component keeps its
     ///    value.
     ///
-    /// Mutations that move the universe of constants (or sessions
-    /// configured non-incremental / with `prune_decided` grounding) fall
-    /// back to a full re-prepare; either way the resulting state is
+    /// Mutations that move the universe of constants, and batches whose
+    /// splice fails midway, fall back to a full re-prepare; either way
+    /// the resulting state is
     /// indistinguishable from a fresh [`Solver`] on the mutated database
     /// (wf models, outcome sets, totality — see the differential
     /// suites). A batch that nets out to no change returns an empty
@@ -530,30 +530,24 @@ impl Solver {
 
         // Incremental preconditions.
         let mut rebuild_reason: Option<String> = None;
-        if !self.config.session.incremental {
-            rebuild_reason = Some("incremental serving disabled".to_owned());
-        } else if self.config.ground.prune_decided {
-            rebuild_reason = Some("prune_decided grounding prunes against M₀".to_owned());
-        } else {
-            for fact in &inserts {
-                if let Some(&c) = fact
-                    .args
-                    .iter()
-                    .find(|&&c| self.graph.atoms().const_index(c).is_none())
-                {
-                    rebuild_reason = Some(format!("constant {c} enters the universe"));
-                    break;
-                }
+        for fact in &inserts {
+            if let Some(&c) = fact
+                .args
+                .iter()
+                .find(|&&c| self.graph.atoms().const_index(c).is_none())
+            {
+                rebuild_reason = Some(format!("constant {c} enters the universe"));
+                break;
             }
-            if rebuild_reason.is_none() {
-                for fact in &retracts {
-                    if let Some(&c) = fact.args.iter().find(|&&c| {
-                        self.const_refs.get(&c).copied().unwrap_or(0) == 0
-                            && !self.program_consts.contains(&c)
-                    }) {
-                        rebuild_reason = Some(format!("constant {c} leaves the universe"));
-                        break;
-                    }
+        }
+        if rebuild_reason.is_none() {
+            for fact in &retracts {
+                if let Some(&c) = fact.args.iter().find(|&&c| {
+                    self.const_refs.get(&c).copied().unwrap_or(0) == 0
+                        && !self.program_consts.contains(&c)
+                }) {
+                    rebuild_reason = Some(format!("constant {c} leaves the universe"));
+                    break;
                 }
             }
         }
@@ -648,8 +642,7 @@ impl Solver {
         retracts: &[GroundAtom],
         delta: &mut PrepareDelta,
     ) -> Result<(), SemanticsError> {
-        // 1. Delta grounding (no-op in Full mode, whose graph is
-        //    universe-complete).
+        // 1. Delta grounding.
         let dg = self.grounder.delta_insert(
             &mut self.graph,
             &self.program,
@@ -908,19 +901,9 @@ impl Solver {
         outcomes::all_outcomes(self, pure, max_runs)
     }
 
-    /// Whether the session currently serves mutations incrementally.
-    pub fn is_incremental(&self) -> bool {
-        self.config.session.incremental && !self.config.ground.prune_decided
-    }
-
-    /// The size of the maintained supportable set (`Relevant` grounding;
-    /// 0 in `Full` mode where the graph is universe-complete).
+    /// The size of the maintained supportable set.
     pub fn supportable_len(&self) -> usize {
-        if self.grounder.mode() == GroundMode::Relevant {
-            self.grounder.supportable_len()
-        } else {
-            0
-        }
+        self.grounder.supportable_len()
     }
 
     /// Decodes an interpreter run into text-ordered fact lists

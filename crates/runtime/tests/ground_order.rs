@@ -11,7 +11,7 @@
 use std::fmt::Write as _;
 
 use datalog_ast::GroundAtom;
-use datalog_ground::{GroundConfig, GroundGraph, GroundMode, SessionGrounder};
+use datalog_ground::{GroundConfig, GroundGraph, SessionGrounder};
 use paper_constructions::generators::{braided_tie_chain_db, win_move_program};
 
 /// The atoms with ids from `atoms` on, then the rule nodes from
@@ -45,10 +45,7 @@ fn dump(graph: &GroundGraph, atoms: usize, rules: usize) -> String {
 fn session_grounder_keeps_atom_ids_and_rule_order() {
     let program = win_move_program();
     let database = braided_tie_chain_db(2, 4);
-    let config = GroundConfig {
-        mode: GroundMode::Relevant,
-        ..GroundConfig::default()
-    };
+    let config = GroundConfig::default();
     let (mut graph, mut grounder) =
         SessionGrounder::build(&program, &database, &config).expect("grounds");
     let built = dump(&graph, 0, 0);

@@ -1,22 +1,34 @@
 //! Session mutation semantics: epochs, [`PrepareDelta`] bookkeeping,
 //! rebuild fallbacks, and cone-sized re-evaluation.
 //!
-//! The cross-mode *exactness* sweeps (mutated solver ≡
-//! fresh solver after random churn) live in the root suite
-//! (`tests/session_mutation.rs`); here the API contract is pinned on
-//! hand-picked instances.
+//! The *exactness* sweeps (mutated solver ≡ fresh solver after random
+//! churn) live in the root suite (`tests/session_mutation.rs`); here the
+//! API contract is pinned on hand-picked instances, each state also
+//! checked against the paper-literal global loop on the `Full`
+//! grounding of its database.
 
 use datalog_ast::{parse_database, parse_program, GroundAtom};
+use datalog_ground::{ground, GroundConfig, GroundMode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use tiebreak_core::{EngineConfig, GroundMode, Mutation, RootTruePolicy};
+use tiebreak_core::engine::EvalOutcome;
+use tiebreak_core::semantics::outcomes::all_outcomes;
+use tiebreak_core::semantics::well_founded::well_founded;
+use tiebreak_core::{EngineConfig, Mutation, RootTruePolicy};
 use tiebreak_runtime::Solver;
 
-fn solver(program: &str, db: &str, mode: GroundMode) -> Solver {
-    Solver::with_config(
-        parse_program(program).unwrap(),
-        parse_database(db).unwrap(),
-        EngineConfig::default().with_ground_mode(mode),
+fn solver(program: &str, db: &str) -> Solver {
+    Solver::new(parse_program(program).unwrap(), parse_database(db).unwrap()).unwrap()
+}
+
+/// The `Full` grounding of `solver`'s current program and database.
+fn full_graph(solver: &Solver) -> datalog_ground::GroundGraph {
+    let config = GroundConfig::default();
+    ground(
+        solver.program(),
+        solver.database(),
+        GroundMode::Full,
+        &config,
     )
     .unwrap()
 }
@@ -37,17 +49,26 @@ fn assert_matches_fresh(mutated: &Solver) {
     assert_eq!(a.true_facts, b.true_facts, "wf true facts diverge");
     assert_eq!(a.undefined, b.undefined, "wf undefined facts diverge");
     assert_eq!(a.total, b.total, "totality diverges");
+
+    // The paper-literal global loop on the `Full` grounding, decoded.
+    let graph = full_graph(mutated);
+    let run = well_founded(&graph, mutated.program(), mutated.database()).unwrap();
+    let global = EvalOutcome::decode(graph.atoms(), run);
+    assert_eq!(
+        a.true_facts, global.true_facts,
+        "wf true facts diverge from Full"
+    );
+    assert_eq!(
+        a.undefined, global.undefined,
+        "wf undefined facts diverge from Full"
+    );
 }
 
 const WIN: &str = "win(X) :- move(X, Y), not win(Y).";
 
 #[test]
 fn epochs_and_deltas_track_mutations() {
-    let mut s = solver(
-        WIN,
-        "move(a, b). move(b, a). move(c, d). move(d, c).",
-        GroundMode::Relevant,
-    );
+    let mut s = solver(WIN, "move(a, b). move(b, a). move(c, d). move(d, c).");
     assert_eq!(s.epoch(), 0);
     assert!(s.last_delta().is_none());
 
@@ -76,7 +97,7 @@ fn epochs_and_deltas_track_mutations() {
 
 #[test]
 fn noop_batches_do_not_bump_the_epoch() {
-    let mut s = solver(WIN, "move(a, b).", GroundMode::Relevant);
+    let mut s = solver(WIN, "move(a, b).");
     // Already present / already absent.
     let d1 = s
         .insert_fact(GroundAtom::from_texts("move", &["a", "b"]))
@@ -100,81 +121,55 @@ fn noop_batches_do_not_bump_the_epoch() {
 
 #[test]
 fn new_constants_force_a_rebuild() {
-    for mode in [GroundMode::Full, GroundMode::Relevant] {
-        let mut s = solver(WIN, "move(a, b).", mode);
-        let delta = s
-            .insert_fact(GroundAtom::from_texts("move", &["b", "zz"]))
-            .unwrap();
-        assert!(delta.rebuilt, "constant zz is outside the universe");
-        assert!(delta
-            .rebuild_reason
-            .as_deref()
-            .unwrap()
-            .contains("enters the universe"));
-        assert_matches_fresh(&s);
+    let mut s = solver(WIN, "move(a, b).");
+    let delta = s
+        .insert_fact(GroundAtom::from_texts("move", &["b", "zz"]))
+        .unwrap();
+    assert!(delta.rebuilt, "constant zz is outside the universe");
+    assert!(delta
+        .rebuild_reason
+        .as_deref()
+        .unwrap()
+        .contains("enters the universe"));
+    assert_matches_fresh(&s);
 
-        // Once rebuilt, zz is in the universe: further zz churn is
-        // incremental again.
-        let delta = s
-            .insert_fact(GroundAtom::from_texts("move", &["zz", "a"]))
-            .unwrap();
-        assert!(!delta.rebuilt, "{mode:?}");
-        assert_matches_fresh(&s);
+    // Once rebuilt, zz is in the universe: further zz churn is
+    // incremental again.
+    let delta = s
+        .insert_fact(GroundAtom::from_texts("move", &["zz", "a"]))
+        .unwrap();
+    assert!(!delta.rebuilt);
+    assert_matches_fresh(&s);
 
-        // Retracting the last zz fact drops it from the universe.
-        let delta = s
-            .apply(vec![
-                Mutation::Retract(GroundAtom::from_texts("move", &["b", "zz"])),
-                Mutation::Retract(GroundAtom::from_texts("move", &["zz", "a"])),
-            ])
-            .unwrap();
-        assert!(delta.rebuilt);
-        assert!(delta
-            .rebuild_reason
-            .as_deref()
-            .unwrap()
-            .contains("leaves the universe"));
-        assert_matches_fresh(&s);
-    }
+    // Retracting the last zz fact drops it from the universe.
+    let delta = s
+        .apply(vec![
+            Mutation::Retract(GroundAtom::from_texts("move", &["b", "zz"])),
+            Mutation::Retract(GroundAtom::from_texts("move", &["zz", "a"])),
+        ])
+        .unwrap();
+    assert!(delta.rebuilt);
+    assert!(delta
+        .rebuild_reason
+        .as_deref()
+        .unwrap()
+        .contains("leaves the universe"));
+    assert_matches_fresh(&s);
 }
 
 #[test]
 fn program_constants_never_leave_the_universe() {
     // `a` also occurs in the program, so retracting its last fact keeps
     // the universe intact — no rebuild.
-    let mut s = solver(
-        "p(a) :- e(a).\nq(X) :- e(X).",
-        "e(a).",
-        GroundMode::Relevant,
-    );
+    let mut s = solver("p(a) :- e(a).\nq(X) :- e(X).", "e(a).");
     let delta = s.retract_fact(GroundAtom::from_texts("e", &["a"])).unwrap();
     assert!(!delta.rebuilt);
     assert_matches_fresh(&s);
 }
 
 #[test]
-fn incremental_can_be_disabled() {
-    let mut s = Solver::with_config(
-        parse_program(WIN).unwrap(),
-        parse_database("move(a, b). move(b, a).").unwrap(),
-        EngineConfig::default().with_incremental(false),
-    )
-    .unwrap();
-    assert!(!s.is_incremental());
-    let delta = s
-        .insert_fact(GroundAtom::from_texts("move", &["a", "a"]))
-        .unwrap();
-    assert!(delta.rebuilt);
-    assert_eq!(
-        delta.rebuild_reason.as_deref(),
-        Some("incremental serving disabled")
-    );
-    assert_matches_fresh(&s);
-}
-
-#[test]
 fn arity_conflicts_reject_the_whole_batch() {
-    let mut s = solver(WIN, "move(a, b).", GroundMode::Relevant);
+    let mut s = solver(WIN, "move(a, b).");
     let err = s.apply(vec![
         Mutation::Insert(GroundAtom::from_texts("move", &["a", "b", "c"])),
         Mutation::Insert(GroundAtom::from_texts("move", &["b", "a"])),
@@ -194,7 +189,7 @@ fn budget_failure_on_rebuild_reverts_epoch_and_database() {
     // epoch behind while the prepared state still described the old
     // instance — `? stats` reported the rolled-back epoch.
     let db = "move(a, b). move(b, a). move(c, d). move(d, c).";
-    let mut config = EngineConfig::default().with_ground_mode(GroundMode::Relevant);
+    let mut config = EngineConfig::default();
     let probe = Solver::with_config(
         parse_program(WIN).unwrap(),
         parse_database(db).unwrap(),
@@ -241,7 +236,7 @@ fn budget_failure_after_successful_epochs_keeps_delta_consistent() {
     // Same revert, but with history: the failed batch must not disturb
     // the last successful epoch's PrepareDelta report.
     let db = "move(a, b). move(b, a).";
-    let mut config = EngineConfig::default().with_ground_mode(GroundMode::Relevant);
+    let mut config = EngineConfig::default();
     let probe = Solver::with_config(
         parse_program(WIN).unwrap(),
         parse_database(db).unwrap(),
@@ -275,11 +270,7 @@ fn budget_failure_after_successful_epochs_keeps_delta_consistent() {
 
 #[test]
 fn delta_grounding_appends_supportable_instances() {
-    let mut s = solver(
-        WIN,
-        "move(a, b). move(b, c). move(c, a).",
-        GroundMode::Relevant,
-    );
+    let mut s = solver(WIN, "move(a, b). move(b, c). move(c, a).");
     let rules0 = s.graph().rule_count();
     let delta = s
         .insert_fact(GroundAtom::from_texts("move", &["c", "b"]))
@@ -296,16 +287,17 @@ fn guarded_positive_cycles_resurrect_exactly() {
     // The p/q cycle turns supportable only when e arrives (the scoped
     // gfp refresh), and pure tie-breaking can then break it — a fresh
     // solver and the mutated one must agree on the whole outcome set.
-    for mode in [GroundMode::Full, GroundMode::Relevant] {
-        let mut s = solver("p :- q, e.\nq :- p.", "", mode);
-        s.insert_fact(GroundAtom::from_texts("e", &[])).unwrap();
-        assert_matches_fresh(&s);
-        let fresh = fresh_like(&s);
-        for pure in [false, true] {
-            let a = s.all_outcomes(pure, 256).unwrap();
-            let b = fresh.all_outcomes(pure, 256).unwrap();
-            assert_eq!(a.models.len(), b.models.len(), "{mode:?} pure={pure}");
-        }
+    let mut s = solver("p :- q, e.\nq :- p.", "");
+    s.insert_fact(GroundAtom::from_texts("e", &[])).unwrap();
+    assert_matches_fresh(&s);
+    let fresh = fresh_like(&s);
+    let graph = full_graph(&s);
+    for pure in [false, true] {
+        let a = s.all_outcomes(pure, 256).unwrap();
+        let b = fresh.all_outcomes(pure, 256).unwrap();
+        assert_eq!(a.models.len(), b.models.len(), "pure={pure}");
+        let global = all_outcomes(&graph, s.program(), s.database(), pure, 256).unwrap();
+        assert_eq!(a.models.len(), global.models.len(), "Full, pure={pure}");
     }
 }
 
@@ -314,7 +306,6 @@ fn a_write_reevaluates_only_the_cone() {
     let mut s = solver(
         WIN,
         "move(a, b). move(b, a). move(c, d). move(d, c). move(e, f). move(f, e).",
-        GroundMode::Relevant,
     );
     let cold = s
         .retract_fact(GroundAtom::from_texts("move", &["f", "e"]))
@@ -350,7 +341,6 @@ fn advances_read_upstream_decisions_of_the_full_run() {
     let mut s = solver(
         "p :- p.\nq :- not p.\nr :- q.\nr :- e.\nx :- not y.\ny :- not x.",
         "e.",
-        GroundMode::Relevant,
     );
     s.well_founded().unwrap();
     let delta = s.retract_fact(GroundAtom::from_texts("e", &[])).unwrap();
@@ -372,22 +362,19 @@ fn killed_delta_rules_never_replay_as_fired() {
     // cone contains h(c) but not that dead rule) misreads it as *fired*
     // and forces h(c) true. A fresh solver on the final database says
     // false.
-    for mode in [GroundMode::Full, GroundMode::Relevant] {
-        let mut s = solver(
-            "h(X) :- e(X), not b(X).\nh(X) :- f(X), not g(X).",
-            "b(c). g(c).",
-            mode,
-        );
-        s.insert_fact(GroundAtom::from_texts("e", &["c"])).unwrap();
-        assert_matches_fresh(&s);
-        s.insert_fact(GroundAtom::from_texts("f", &["c"])).unwrap();
-        assert_matches_fresh(&s);
-        let wf = s.well_founded().unwrap();
-        assert!(
-            !wf.true_facts.iter().any(|f| f.to_string() == "h(c)"),
-            "{mode:?}: killed rule replayed as fired"
-        );
-    }
+    let mut s = solver(
+        "h(X) :- e(X), not b(X).\nh(X) :- f(X), not g(X).",
+        "b(c). g(c).",
+    );
+    s.insert_fact(GroundAtom::from_texts("e", &["c"])).unwrap();
+    assert_matches_fresh(&s);
+    s.insert_fact(GroundAtom::from_texts("f", &["c"])).unwrap();
+    assert_matches_fresh(&s);
+    let wf = s.well_founded().unwrap();
+    assert!(
+        !wf.true_facts.iter().any(|f| f.to_string() == "h(c)"),
+        "killed rule replayed as fired"
+    );
 }
 
 #[test]
@@ -399,32 +386,27 @@ fn mutation_sequences_stay_exact() {
         Mutation::Retract(GroundAtom::from_texts("move", &["a", "b"])),
         Mutation::Insert(GroundAtom::from_texts("move", &["d", "a"])),
     ];
-    for mode in [GroundMode::Full, GroundMode::Relevant] {
-        let mut s = solver(WIN, "move(a, b). move(b, a). move(c, d). move(d, c).", mode);
-        for m in &script {
-            s.apply(vec![m.clone()]).unwrap();
-            assert_matches_fresh(&s);
-            let fresh = fresh_like(&s);
-            let a = s.well_founded_tie_breaking(&mut RootTruePolicy).unwrap();
-            let b = fresh
-                .well_founded_tie_breaking(&mut RootTruePolicy)
-                .unwrap();
-            assert_eq!(a.true_facts, b.true_facts, "{mode:?}");
-        }
+    let mut s = solver(WIN, "move(a, b). move(b, a). move(c, d). move(d, c).");
+    for m in &script {
+        s.apply(vec![m.clone()]).unwrap();
+        assert_matches_fresh(&s);
+        let fresh = fresh_like(&s);
+        let a = s.well_founded_tie_breaking(&mut RootTruePolicy).unwrap();
+        let b = fresh
+            .well_founded_tie_breaking(&mut RootTruePolicy)
+            .unwrap();
+        assert_eq!(a.true_facts, b.true_facts, "{m:?}");
     }
 }
 
-/// Applies two seeded sequences of 60 random toggles from `toggles` to a
-/// solver over `(program, db)` whose memo holds a served state, and
+/// Applies four seeded sequences of 60 random toggles from `toggles` to
+/// a solver over `(program, db)` whose memo holds a served state, and
 /// after every write compares the maintained counters with a fresh
 /// solver's.
 fn assert_counters_track_fresh(program: &str, db: &str, toggles: &[GroundAtom]) {
-    for (mode, seed) in [GroundMode::Full, GroundMode::Relevant]
-        .into_iter()
-        .flat_map(|mode| [(mode, 1u64), (mode, 2)])
-    {
+    for seed in 1..=4u64 {
         let mut rng = SmallRng::seed_from_u64(0x5eed + seed);
-        let mut s = solver(program, db, mode);
+        let mut s = solver(program, db);
         s.well_founded_run().unwrap(); // the memo holds a state to advance
         for step in 0..60 {
             let fact = toggles[rng.gen_range(0..toggles.len())].clone();
@@ -434,23 +416,23 @@ fn assert_counters_track_fresh(program: &str, db: &str, toggles: &[GroundAtom]) 
                 s.insert_fact(fact)
             }
             .unwrap();
-            assert!(!delta.rebuilt, "{mode:?} seed {seed} step {step}");
+            assert!(!delta.rebuilt, "seed {seed} step {step}");
             let fresh = fresh_like(&s);
             assert_eq!(
                 s.residual_atom_count(),
                 fresh.residual_atom_count(),
-                "{mode:?} seed {seed} step {step}: residual atoms"
+                "seed {seed} step {step}: residual atoms"
             );
             assert_eq!(delta.residual_atoms, fresh.residual_atom_count());
             let served = s.well_founded_run().unwrap();
             let reference = fresh.well_founded_run().unwrap();
             assert_eq!(
                 served.total, reference.total,
-                "{mode:?} seed {seed} step {step}: totality"
+                "seed {seed} step {step}: totality"
             );
             assert_eq!(
                 served.stats, reference.stats,
-                "{mode:?} seed {seed} step {step}: run stats"
+                "seed {seed} step {step}: run stats"
             );
             assert_matches_fresh(&s);
         }

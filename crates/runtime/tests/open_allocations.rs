@@ -16,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use datalog_ast::{parse_database, parse_program, Database};
-use datalog_ground::{GroundConfig, GroundMode, SessionGrounder};
+use datalog_ground::{GroundConfig, SessionGrounder};
 use paper_constructions::generators::{
     braided_tie_chain_db, braided_unfounded_chain_program, win_move_program,
 };
@@ -101,10 +101,7 @@ fn first_order_grounding_allocates_at_most_twice_per_atom() {
     // 8 braided tie chains of 256 pockets.
     let program = win_move_program();
     let database = braided_tie_chain_db(8, 256);
-    let config = GroundConfig {
-        mode: GroundMode::Relevant,
-        ..GroundConfig::default()
-    };
+    let config = GroundConfig::default();
     let ((graph, _grounder), allocations) =
         allocations_of(|| SessionGrounder::build(&program, &database, &config).expect("grounds"));
     assert_eq!(graph.atom_count(), 10_241);

@@ -21,7 +21,7 @@ use datalog_ground::{AtomId, AtomTable, TruthValue};
 use paper_constructions::generators;
 use proptest::prelude::*;
 use tiebreak_core::semantics::outcomes::OutcomeSet;
-use tiebreak_core::{EngineConfig, GroundMode, InterpreterRun, Mutation, RandomPolicy};
+use tiebreak_core::{EngineConfig, InterpreterRun, Mutation, RandomPolicy};
 use tiebreak_runtime::{reply, ReadBatch, ReplyTooLarge, Solver};
 
 const WIN: &str = "win(X) :- move(X, Y), not win(Y).";
@@ -38,10 +38,6 @@ fn solver_with(db: &str, config: EngineConfig) -> Solver {
         config,
     )
     .unwrap()
-}
-
-fn relevant() -> EngineConfig {
-    EngineConfig::default().with_ground_mode(GroundMode::Relevant)
 }
 
 fn atoms_of(solver: &Solver) -> Vec<GroundAtom> {
@@ -176,7 +172,10 @@ fn assert_reads_match_fresh(solver: &Solver) {
 #[test]
 fn reads_follow_an_incremental_apply() {
     let _serial = serial();
-    let mut s = solver_with("move(a, b). move(b, a). move(c, d).", relevant());
+    let mut s = solver_with(
+        "move(a, b). move(b, a). move(c, d).",
+        EngineConfig::default(),
+    );
     warm(&s);
     let delta = s
         .apply(vec![Mutation::Retract(GroundAtom::from_texts(
@@ -191,7 +190,7 @@ fn reads_follow_an_incremental_apply() {
 #[test]
 fn reads_follow_a_noop_batch() {
     let _serial = serial();
-    let mut s = solver_with("move(a, b). move(b, a).", relevant());
+    let mut s = solver_with("move(a, b). move(b, a).", EngineConfig::default());
     warm(&s);
     let run = ReadBatch::new().run(&s).unwrap();
     let present = GroundAtom::from_texts("move", &["a", "b"]);
@@ -207,7 +206,7 @@ fn reads_follow_a_noop_batch() {
 #[test]
 fn reads_follow_a_universe_moving_rebuild() {
     let _serial = serial();
-    let mut s = solver_with("move(a, b). move(b, a).", relevant());
+    let mut s = solver_with("move(a, b). move(b, a).", EngineConfig::default());
     warm(&s);
     let delta = s
         .insert_fact(GroundAtom::from_texts("move", &["b", "memo_new"]))
@@ -226,8 +225,10 @@ fn reads_follow_a_failed_batch_rolled_back_to_the_same_epoch() {
     // the old numbering.
     let db = "move(a, b). move(b, a). move(c, d). move(d, c).";
     let grown = format!("{db} move(b, c).");
-    let budget = solver_with(&grown, relevant()).graph().rule_count() as u64;
-    let mut config = relevant();
+    let budget = solver_with(&grown, EngineConfig::default())
+        .graph()
+        .rule_count() as u64;
+    let mut config = EngineConfig::default();
     config.ground.max_rule_instances = budget;
     let mut s = solver_with(db, config);
     let delta = s
@@ -248,7 +249,7 @@ fn reads_follow_a_failed_batch_rolled_back_to_the_same_epoch() {
 #[test]
 fn reads_share_one_run_and_one_model_per_state() {
     let _serial = serial();
-    let mut s = solver_with("move(a, b). move(b, c).", relevant());
+    let mut s = solver_with("move(a, b). move(b, c).", EngineConfig::default());
     let (run, model) = {
         let mut batch = ReadBatch::new();
         (batch.run(&s).unwrap(), batch.model(&s).unwrap().unwrap())
@@ -330,7 +331,7 @@ fn outcome_reads_share_one_set_per_key() {
     let _serial = serial();
     let s = solver_with(
         "move(a, b). move(b, a). move(c, d). move(d, c).",
-        relevant(),
+        EngineConfig::default(),
     );
     let set = memo_outcomes(&s, false, 64);
     assert!(set.starts_with(b"% 4 distinct outcome(s) over 4 run(s)\n"));
@@ -352,7 +353,7 @@ fn outcome_reads_share_one_set_per_key() {
 #[test]
 fn outcome_reads_count_once_per_lookup() {
     let _serial = serial();
-    let s = solver_with("move(a, b). move(b, a).", relevant());
+    let s = solver_with("move(a, b). move(b, a).", EngineConfig::default());
     let metrics = tiebreak_trace::metrics();
     let counts = || (metrics.read_memo_hits.get(), metrics.read_memo_misses.get());
     let (hits, misses) = counts();
@@ -367,7 +368,7 @@ fn outcome_reads_count_once_per_lookup() {
 #[test]
 fn outcome_memo_survives_a_noop_batch() {
     let _serial = serial();
-    let mut s = solver_with("move(a, b). move(b, a).", relevant());
+    let mut s = solver_with("move(a, b). move(b, a).", EngineConfig::default());
     let set = memo_outcomes(&s, false, 64);
     let wf = memo_wf(&s);
     let present = GroundAtom::from_texts("move", &["a", "b"]);
@@ -386,7 +387,10 @@ fn outcome_memo_survives_a_noop_batch() {
 #[test]
 fn outcome_memo_follows_an_incremental_write() {
     let _serial = serial();
-    let mut s = solver_with("move(a, b). move(b, a). move(c, d).", relevant());
+    let mut s = solver_with(
+        "move(a, b). move(b, a). move(c, d).",
+        EngineConfig::default(),
+    );
     let before = memo_outcomes(&s, false, 64);
     let delta = s
         .insert_fact(GroundAtom::from_texts("move", &["d", "c"]))
@@ -412,8 +416,10 @@ fn outcome_memo_follows_a_failed_batch_rolled_back_to_the_same_epoch() {
     // the rollback restores epoch 1 over a renumbered graph.
     let db = "move(a, b). move(b, a). move(c, d). move(d, c).";
     let grown = format!("{db} move(b, c).");
-    let budget = solver_with(&grown, relevant()).graph().rule_count() as u64;
-    let mut config = relevant();
+    let budget = solver_with(&grown, EngineConfig::default())
+        .graph()
+        .rule_count() as u64;
+    let mut config = EngineConfig::default();
     config.ground.max_rule_instances = budget;
     let mut s = solver_with(db, config);
     s.insert_fact(GroundAtom::from_texts("move", &["b", "c"]))
@@ -435,7 +441,7 @@ fn twin(program: &str, database: &str) -> Solver {
     Solver::with_config(
         parse_program(program).unwrap(),
         parse_database(database).unwrap(),
-        relevant(),
+        EngineConfig::default(),
     )
     .unwrap()
 }
@@ -465,7 +471,7 @@ fn memo_bytes_match_the_oracle_on_the_example_twins_and_a_braid() {
     let braid = Solver::with_config(
         generators::win_move_program(),
         generators::braided_tie_chain_db(2, 16),
-        relevant(),
+        EngineConfig::default(),
     )
     .unwrap();
     assert_memo_bytes_match_oracle(&braid, "braided_tie_chain_db(2, 16)");
@@ -477,7 +483,7 @@ fn memo_bytes_match_the_oracle_after_batches_that_append_atoms() {
     let mut s = Solver::with_config(
         generators::win_move_program(),
         generators::braided_tie_chain_db(2, 4),
-        relevant(),
+        EngineConfig::default(),
     )
     .unwrap();
     assert_memo_bytes_match_oracle(&s, "before the writes");
@@ -522,7 +528,7 @@ fn an_over_cap_reply_keeps_only_the_verdict() {
     let _serial = serial();
     let program: Program = generators::win_move_program();
     let database: Database = generators::braided_tie_chain_db(2, 16);
-    let mut s = Solver::with_config(program, database, relevant()).unwrap();
+    let mut s = Solver::with_config(program, database, EngineConfig::default()).unwrap();
     let wf = memo_wf(&s);
     let outcomes = memo_outcomes(&s, false, 4);
 
@@ -558,7 +564,7 @@ fn an_over_cap_enumeration_stops_before_running_every_script() {
     let mut s = Solver::with_config(
         generators::win_move_program(),
         generators::braided_tie_chain_db(8, 64),
-        relevant(),
+        EngineConfig::default(),
     )
     .unwrap();
     let cap = 2048;
@@ -661,7 +667,7 @@ proptest! {
         let solver = Solver::with_config(
             parse_program(&program).unwrap(),
             parse_database(&db).unwrap(),
-            relevant(),
+            EngineConfig::default(),
         )
         .unwrap();
         let atoms = solver.graph().atoms();

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use datalog_ast::{parse_database, parse_program, ConstSym, GroundAtom, PredSym};
-use tiebreak_core::{EngineConfig, GroundMode, Mutation};
+use tiebreak_core::Mutation;
 use tiebreak_runtime::{ReadBatch, Solver};
 
 const PROGRAM: &str = "\
@@ -29,10 +29,6 @@ pmove(pb_z, pb_y). pmove(pb_y, pb_z).
 pmove(pb_m, pb_b). pmove(pb_b, pb_m).
 pmove(pb_b, pb_a). pmove(pb_a, pb_k).
 ";
-
-fn relevant() -> EngineConfig {
-    EngineConfig::default().with_ground_mode(GroundMode::Relevant)
-}
 
 fn text(bytes: &Arc<[u8]>) -> &str {
     std::str::from_utf8(bytes).expect("replies are UTF-8")
@@ -114,10 +110,9 @@ fn replies_keep_their_exact_bytes() {
     assert!(ConstSym::new("pb_z") < ConstSym::new("pb_a"));
     assert!(PredSym::new("pwin") < PredSym::new("pany"));
 
-    let mut solver = Solver::with_config(
+    let mut solver = Solver::new(
         parse_program(PROGRAM).unwrap(),
         parse_database(DATABASE).unwrap(),
-        relevant(),
     )
     .unwrap();
     let before = wf(&solver);

@@ -1,6 +1,6 @@
 //! Session-level behaviour of the runtime [`Solver`].
 //!
-//! The cross-mode differential sweeps live in the root suite
+//! The differential sweeps live in the root suite
 //! (`tests/eval_modes.rs`, `tests/runtime_parallel.rs`); here: session
 //! reuse, the one policy of a run, the paper's small examples against the
 //! paper-literal global loops, and CoW enumeration equivalence on
@@ -9,7 +9,9 @@
 use std::collections::BTreeSet;
 
 use datalog_ast::{parse_database, parse_program, GroundAtom};
-use datalog_ground::{ground, GroundConfig, GroundMode, PartialModel, TruthValue};
+use datalog_ground::{
+    ground, AtomTable, GroundConfig, GroundGraph, GroundMode, PartialModel, TruthValue,
+};
 use tiebreak_core::semantics::enumerate::{enumerate_fixpoints, enumerate_stable, EnumerateConfig};
 use tiebreak_core::semantics::outcomes::all_outcomes;
 use tiebreak_core::semantics::well_founded::well_founded;
@@ -24,15 +26,34 @@ fn solver(program: &str, database: &str) -> Solver {
     Solver::from_sources(program, database).unwrap()
 }
 
-/// A solver over paper-literal full grounding, whose graph the global
-/// loops then run on, so models compare atom by atom.
-fn full_solver(program: &str, database: &str) -> Solver {
-    Solver::with_config(
-        parse_program(program).unwrap(),
-        parse_database(database).unwrap(),
-        EngineConfig::default().with_ground_mode(GroundMode::Full),
+/// The paper-literal `Full` grounding of the solver's program and
+/// database: the graph the global loops run on.
+fn full_graph(solver: &Solver) -> GroundGraph {
+    let config = GroundConfig::default();
+    ground(
+        solver.program(),
+        solver.database(),
+        GroundMode::Full,
+        &config,
     )
     .unwrap()
+}
+
+/// `model` as decoded text: its true atoms and its undefined atoms, each
+/// sorted. Models over different groundings compare this way.
+fn text(model: &PartialModel, atoms: &AtomTable) -> (Vec<String>, Vec<String>) {
+    let mut t: Vec<String> = model
+        .true_atoms(atoms)
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+    let mut u: Vec<String> = model
+        .undefined_atoms()
+        .map(|id| atoms.decode(id).to_string())
+        .collect();
+    t.sort();
+    u.sort();
+    (t, u)
 }
 
 fn val(solver: &Solver, run: &InterpreterRun, pred: &str, args: &[&str]) -> TruthValue {
@@ -68,10 +89,16 @@ fn session_prepares_once_and_serves_many() {
 fn matches_the_one_shot_interpreters() {
     let program = parse_program(POCKETS).unwrap();
     let database = parse_database(POCKET_DB).unwrap();
-    let graph = ground(&program, &database, &GroundConfig::default()).unwrap();
+    let graph = ground(
+        &program,
+        &database,
+        GroundMode::Full,
+        &GroundConfig::default(),
+    )
+    .unwrap();
     let reference = well_founded(&graph, &program, &database).unwrap();
 
-    // The solver grounds in Relevant mode by default; compare decoded
+    // The solver grounds relevantly; compare decoded
     // fact lists, which are atom-table independent.
     let solver = solver(POCKETS, POCKET_DB);
     let wf = solver.well_founded().unwrap();
@@ -123,19 +150,20 @@ fn pure_flavour_breaks_guarded_cycles() {
     // Pure TB breaks the {p, q} tie; WF-TB falsifies it as unfounded
     // instead: unfounded sets take priority, as in the global loops.
     let src = "p :- p, not q.\nq :- q, not p.";
-    let solver = full_solver(src, "");
-    let (p, d) = (solver.program(), solver.database());
+    let solver = solver(src, "");
+    let (full, p, d) = (full_graph(&solver), solver.program(), solver.database());
+    let atoms = solver.graph().atoms();
     let pure = solver.pure_tie_breaking_run(&mut RootTruePolicy).unwrap();
-    let global = pure_tie_breaking(solver.graph(), p, d, &mut RootTruePolicy).unwrap();
-    assert!(pure.model == global.model);
+    let global = pure_tie_breaking(&full, p, d, &mut RootTruePolicy).unwrap();
+    assert_eq!(text(&pure.model, atoms), text(&global.model, full.atoms()));
     assert!(pure.total);
     assert_eq!(pure.stats.ties_broken, 1);
     assert_ne!(val(&solver, &pure, "p", &[]), val(&solver, &pure, "q", &[]));
     let wf = solver
         .well_founded_tie_breaking_run(&mut RootTruePolicy)
         .unwrap();
-    let global = well_founded_tie_breaking(solver.graph(), p, d, &mut RootTruePolicy).unwrap();
-    assert!(wf.model == global.model);
+    let global = well_founded_tie_breaking(&full, p, d, &mut RootTruePolicy).unwrap();
+    assert_eq!(text(&wf.model, atoms), text(&global.model, full.atoms()));
     assert!(wf.total);
     assert_eq!(wf.stats.ties_broken, 0);
     assert_eq!(wf.stats.unfounded_rounds, 1);
@@ -155,13 +183,14 @@ fn stuck_residues_stay_partial_and_veto_downstream() {
     assert!(!out.total);
     assert_eq!(out.stats.ties_broken, 0);
     assert_eq!(out.undefined.len(), 3);
-    let solver = full_solver(src, "");
-    let (p, d) = (solver.program(), solver.database());
+    let solver = solver(src, "");
+    let (full, p, d) = (full_graph(&solver), solver.program(), solver.database());
     let run = solver
         .well_founded_tie_breaking_run(&mut RootTruePolicy)
         .unwrap();
-    let global = well_founded_tie_breaking(solver.graph(), p, d, &mut RootTruePolicy).unwrap();
-    assert!(run.model == global.model);
+    let global = well_founded_tie_breaking(&full, p, d, &mut RootTruePolicy).unwrap();
+    let atoms = solver.graph().atoms();
+    assert_eq!(text(&run.model, atoms), text(&global.model, full.atoms()));
     assert_eq!(run.model.defined_count(), 0);
 }
 
@@ -169,13 +198,14 @@ fn stuck_residues_stay_partial_and_veto_downstream() {
 fn resolved_upstream_unlocks_downstream_ties() {
     // Here the guard loop is unfounded: y := false resolves upstream,
     // which *closes* p to true — no tie remains anywhere.
-    let solver = full_solver("p :- not q.\nq :- not p.\np :- not y.\ny :- y.", "");
-    let (p, d) = (solver.program(), solver.database());
+    let solver = solver("p :- not q.\nq :- not p.\np :- not y.\ny :- y.", "");
+    let (full, p, d) = (full_graph(&solver), solver.program(), solver.database());
     let run = solver
         .well_founded_tie_breaking_run(&mut RootTruePolicy)
         .unwrap();
-    let global = well_founded_tie_breaking(solver.graph(), p, d, &mut RootTruePolicy).unwrap();
-    assert!(run.model == global.model);
+    let global = well_founded_tie_breaking(&full, p, d, &mut RootTruePolicy).unwrap();
+    let atoms = solver.graph().atoms();
+    assert_eq!(text(&run.model, atoms), text(&global.model, full.atoms()));
     assert!(run.total);
     assert_eq!(val(&solver, &run, "p", &[]), TruthValue::True);
     assert_eq!(run.stats.ties_broken, 0);
@@ -191,10 +221,15 @@ fn wf_agrees_with_global_on_paper_examples() {
         (POCKETS, "move(a, b).\nmove(b, a).\nmove(c, a)."),
         (POCKETS, "move(a, b).\nmove(b, c)."),
     ] {
-        let solver = full_solver(src, db);
-        let global = well_founded(solver.graph(), solver.program(), solver.database()).unwrap();
+        let solver = solver(src, db);
+        let full = full_graph(&solver);
+        let global = well_founded(&full, solver.program(), solver.database()).unwrap();
         let run = solver.well_founded_run().unwrap();
-        assert!(run.model == global.model, "program: {src}");
+        assert_eq!(
+            text(&run.model, solver.graph().atoms()),
+            text(&global.model, full.atoms()),
+            "program: {src}"
+        );
         assert_eq!(run.total, global.total, "program: {src}");
     }
     // The decided chain: b moves to the dead end c.
@@ -216,10 +251,12 @@ fn unfounded_chain_takes_one_round_per_component() {
             i - 1
         ));
     }
-    let solver = full_solver(&src, "");
-    let global = well_founded(solver.graph(), solver.program(), solver.database()).unwrap();
+    let solver = solver(&src, "");
+    let full = full_graph(&solver);
+    let global = well_founded(&full, solver.program(), solver.database()).unwrap();
     let run = solver.well_founded_run().unwrap();
-    assert!(run.model == global.model);
+    let atoms = solver.graph().atoms();
+    assert_eq!(text(&run.model, atoms), text(&global.model, full.atoms()));
     assert!(run.total);
     assert_eq!(global.stats.unfounded_rounds, 4, "global alternates");
     assert_eq!(run.stats.unfounded_rounds, 4);
@@ -229,8 +266,9 @@ fn unfounded_chain_takes_one_round_per_component() {
 
 #[test]
 fn scripted_policies_reach_both_orientations() {
-    let solver = full_solver("p :- not q.\nq :- not p.", "");
-    let (p, d) = (solver.program(), solver.database());
+    let solver = solver("p :- not q.\nq :- not p.", "");
+    let (full, p, d) = (full_graph(&solver), solver.program(), solver.database());
+    let atoms = solver.graph().atoms();
     let mut seen = BTreeSet::new();
     for choice in [false, true] {
         let mut policy = ScriptedPolicy::new(vec![choice], false);
@@ -241,8 +279,12 @@ fn scripted_policies_reach_both_orientations() {
         assert_eq!(policy.consumed(), 1);
         // One tie: the same answer orients the global loop's tie alike.
         let mut policy = ScriptedPolicy::new(vec![choice], false);
-        let global = well_founded_tie_breaking(solver.graph(), p, d, &mut policy).unwrap();
-        assert!(run.model == global.model, "choice {choice}");
+        let global = well_founded_tie_breaking(&full, p, d, &mut policy).unwrap();
+        assert_eq!(
+            text(&run.model, atoms),
+            text(&global.model, full.atoms()),
+            "choice {choice}"
+        );
         seen.insert(format!("{:?}", val(&solver, &run, "p", &[])));
     }
     assert_eq!(seen.len(), 2);
@@ -254,18 +296,19 @@ fn solver_runs_agree_with_the_global_loops() {
         POCKETS,
         "move(a, b).\nmove(b, a).\nmove(c, a).\nmove(d, e).\nmove(e, d).",
     );
-    let solver = full_solver(src, db);
-    let (g, p, d) = (solver.graph(), solver.program(), solver.database());
+    let solver = solver(src, db);
+    let (g, p, d) = (full_graph(&solver), solver.program(), solver.database());
     let wf = solver.well_founded_run().unwrap();
-    let global = well_founded(g, p, d).unwrap();
-    assert!(wf.model == global.model);
+    let global = well_founded(&g, p, d).unwrap();
+    let atoms = solver.graph().atoms();
+    assert_eq!(text(&wf.model, atoms), text(&global.model, g.atoms()));
     assert_eq!(wf.total, global.total);
 
     // The d ↔ e pocket is a tie both evaluators can break.
     let tb = solver
         .well_founded_tie_breaking_run(&mut RootTruePolicy)
         .unwrap();
-    let global = well_founded_tie_breaking(g, p, d, &mut RootTruePolicy).unwrap();
+    let global = well_founded_tie_breaking(&g, p, d, &mut RootTruePolicy).unwrap();
     assert_eq!(tb.total, global.total);
     assert_eq!(tb.stats.ties_broken, global.stats.ties_broken);
     // Detailed stats stay off by default: the counters stay, the logs
@@ -290,17 +333,17 @@ fn solver_runs_agree_with_the_global_loops() {
 #[test]
 fn relevant_mode_agrees_with_full() {
     let (src, db) = (POCKETS, "move(a, b).\nmove(b, c).\nmove(d, d).");
-    let full = full_solver(src, db);
     let relevant = solver(src, db);
-    let (a, b) = (
-        full.well_founded().unwrap(),
-        relevant.well_founded().unwrap(),
+    let full = full_graph(&relevant);
+    let global = well_founded(&full, relevant.program(), relevant.database()).unwrap();
+    let run = relevant.well_founded_run().unwrap();
+    assert_eq!(
+        text(&run.model, relevant.graph().atoms()),
+        text(&global.model, full.atoms())
     );
-    assert_eq!(a.true_facts, b.true_facts);
-    assert_eq!(a.undefined, b.undefined);
-    assert_eq!(a.total, b.total);
+    assert_eq!(run.total, global.total);
     // The relevant graph is strictly smaller pre-close.
-    assert!(relevant.graph().rule_count() < full.graph().rule_count());
+    assert!(relevant.graph().rule_count() < full.rule_count());
 }
 
 #[test]

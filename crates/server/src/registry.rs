@@ -47,10 +47,11 @@ use crate::script::ScriptSession;
 pub struct RegistryConfig {
     /// Engine configuration applied to every prepared session.
     pub engine: EngineConfig,
-    /// Strict admission: run the static analyzer on every miss before
-    /// paying for preparation. Error-severity lints reject the open
-    /// (cheaply, pre-lock), and the analysis summary is cached on the
-    /// entry and echoed in the open response. The analysis changes no
+    /// Strict admission: run the static analyzer, modeling the relevant
+    /// grounding every session runs, on every miss before paying for
+    /// preparation. Error-severity lints reject the open (cheaply,
+    /// pre-lock), and the analysis summary is cached on the entry and
+    /// echoed in the open response. The analysis changes no
     /// evaluation: an admitted session serves the same bytes as without
     /// strict mode.
     pub strict: bool,
@@ -301,9 +302,9 @@ impl SessionRegistry {
         }
 
         // Miss: parse, (optionally) analyze, then prepare — all outside
-        // the lock. In strict mode the analyzer runs before preparation
-        // so a certain blowup costs a predicate-level pass, not a
-        // grounding attempt.
+        // the lock. In strict mode the analyzer runs before preparation,
+        // so an error lint costs a predicate-level pass, not a grounding
+        // attempt.
         let ast_program =
             datalog_ast::parse_program(program).map_err(|e| OpenError::Prepare(e.to_string()))?;
         let ast_database =
@@ -314,7 +315,10 @@ impl SessionRegistry {
             let report = datalog_analyze::analyze(
                 &ast_program,
                 Some(&ast_database),
-                &datalog_analyze::AnalyzeConfig::for_ground(engine.ground),
+                &datalog_analyze::AnalyzeConfig::for_ground(
+                    datalog_ground::GroundMode::Relevant,
+                    engine.ground,
+                ),
             );
             if report.has_errors() {
                 let mut inner = self.lock_inner();

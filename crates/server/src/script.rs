@@ -94,11 +94,6 @@ impl ScriptSession {
         &self.solver
     }
 
-    /// Mutations staged but not yet applied (batching in progress).
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
-    }
-
     /// Processes one script line against the session, writing every
     /// response line to `out`. `lineno` is 1-based and caller-supplied
     /// so the driver's numbering (file line, connection stream position)

@@ -39,7 +39,13 @@ fn main() {
     }
 
     // The [PS] mechanism: the tie-breaking interpreter finds an extension.
-    let graph = ground(&program, &database, &GroundConfig::default()).expect("grounds");
+    let graph = ground(
+        &program,
+        &database,
+        GroundMode::Full,
+        &GroundConfig::default(),
+    )
+    .expect("grounds");
     for seed in [0u64, 1, 2] {
         let mut policy = RandomPolicy::seeded(seed);
         let run = tie_breaking_datalog::core::semantics::well_founded_tie_breaking(

@@ -25,11 +25,11 @@ fn main() {
 
     println!("== program ==\n{}", solver.program());
     // The static analyzer behind `datalog check`, against the solver's
-    // (relevant-mode) grounding budgets.
+    // relevant grounding and budgets.
     let report = analyze(
         solver.program(),
         Some(solver.database()),
-        &AnalyzeConfig::for_ground(solver.config().ground),
+        &AnalyzeConfig::for_ground(GroundMode::Relevant, solver.config().ground),
     );
     println!("== analysis ==\n{report}");
 

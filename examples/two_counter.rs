@@ -44,19 +44,22 @@ fn main() {
     );
 
     // The paper-literal grounder rejects this instance on budget…
-    let full_err = ground(&program, &database, &GroundConfig::default())
-        .expect_err("the full |U|^k instantiation must blow the default budget");
+    let full_err = ground(
+        &program,
+        &database,
+        GroundMode::Full,
+        &GroundConfig::default(),
+    )
+    .expect_err("the full |U|^k instantiation must blow the default budget");
     let GroundError::TooManyRuleInstances { required, budget } = full_err else {
         panic!("expected a rule-instance overflow, got {full_err}");
     };
     println!("full grounding rejected: needs {required} rule instances (budget {budget})");
 
     // …while the relevant grounder handles it comfortably.
-    let config = GroundConfig {
-        mode: GroundMode::Relevant,
-        ..GroundConfig::default()
-    };
-    let graph = ground(&program, &database, &config).expect("relevant grounding fits");
+    let config = GroundConfig::default();
+    let graph = ground(&program, &database, GroundMode::Relevant, &config)
+        .expect("relevant grounding fits");
     println!(
         "relevant grounding: {} atoms, {} rule nodes",
         graph.atom_count(),
@@ -99,7 +102,7 @@ fn main() {
     let forever = CounterMachine::run_forever();
     let program2 = machine_to_program(&forever);
     let database2 = natural_database(3);
-    let graph2 = ground(&program2, &database2, &config).expect("grounds");
+    let graph2 = ground(&program2, &database2, GroundMode::Relevant, &config).expect("grounds");
     let run2 = well_founded::well_founded(&graph2, &program2, &database2).expect("runs");
     println!(
         "non-halting machine: well-founded total = {} (a fixpoint exists)",

@@ -78,7 +78,7 @@ pub mod prelude {
         pure_tie_breaking, well_founded, well_founded_tie_breaking, RandomPolicy, RootFalsePolicy,
         RootTruePolicy, ScriptedPolicy, TiePolicy,
     };
-    pub use tiebreak_core::{EngineConfig, EvalOptions, Mutation, PrepareDelta, SessionConfig};
+    pub use tiebreak_core::{EngineConfig, EvalOptions, Mutation, PrepareDelta};
     pub use tiebreak_runtime::Solver;
     pub use tiebreak_trace::{metrics, MetricsSnapshot, Trace};
 }

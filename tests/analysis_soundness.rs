@@ -3,8 +3,9 @@
 //! The analyzer promises, from the predicate dependency graph alone:
 //!
 //! * **call-consistent grade** — every well-founded tie-breaking run
-//!   terminates with a *total* model, for every database, every tie
-//!   script, and both ground modes;
+//!   terminates with a *total* model, for every database and every tie
+//!   script — on the session `Solver` and on the paper-literal global
+//!   loops over the `Full` grounding;
 //! * **stratified grade** — additionally the outcome set is a
 //!   singleton: no tie ever fires, so every script and policy lands on
 //!   the same model.
@@ -17,6 +18,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tie_breaking_datalog::constructions::generators;
+use tie_breaking_datalog::core::semantics::outcomes::all_outcomes;
 use tie_breaking_datalog::prelude::*;
 
 proptest! {
@@ -40,32 +42,47 @@ proptest! {
         let stratified = cert.grade == CertificateGrade::Stratified;
         prop_assert_eq!(stratified, report.stratified);
 
-        let mut reference_facts: Option<Vec<GroundAtom>> = None;
-        for mode in [GroundMode::Full, GroundMode::Relevant] {
-            let config = EngineConfig::default().with_ground_mode(mode);
-            let solver = Solver::with_config(program.clone(), db.clone(), config)
-                .expect("prepares");
-
-            // Call-consistent grade: every tie script totals.
-            for policy_seed in [seed, seed ^ 0xdead_beef] {
-                let out = solver
-                    .well_founded_tie_breaking(&mut RandomPolicy::seeded(policy_seed))
-                    .expect("runs");
-                prop_assert!(out.total, "certified program left a partial model");
+        // The session `Solver` and the global loops on the `Full`
+        // grounding, each held to the certificate.
+        let solver = Solver::new(program.clone(), db.clone()).expect("prepares");
+        let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default())
+            .expect("grounds");
+        let mut reference_facts: Option<Vec<String>> = None;
+        for policy_seed in [seed, seed ^ 0xdead_beef] {
+            let session = solver
+                .well_founded_tie_breaking_run(&mut RandomPolicy::seeded(policy_seed))
+                .expect("runs");
+            let global = well_founded_tie_breaking(
+                &graph,
+                &program,
+                &db,
+                &mut RandomPolicy::seeded(policy_seed),
+            )
+            .expect("runs");
+            for (run, atoms) in [(session, solver.graph().atoms()), (global, graph.atoms())] {
+                // Call-consistent grade: every tie script totals.
+                prop_assert!(run.total, "certified program left a partial model");
                 if stratified {
-                    // No tie can fire, so every script and policy
-                    // must land on the same (unique) model.
+                    // No tie can fire, so every script, policy and
+                    // evaluator must land on the same (unique) model.
+                    let mut facts: Vec<String> =
+                        run.model.true_atoms(atoms).iter().map(ToString::to_string).collect();
+                    facts.sort();
                     match &reference_facts {
-                        Some(r) => prop_assert_eq!(r, &out.true_facts),
-                        None => reference_facts = Some(out.true_facts.clone()),
+                        Some(r) => prop_assert_eq!(r, &facts),
+                        None => reference_facts = Some(facts),
                     }
-                    prop_assert_eq!(out.stats.ties_broken, 0);
+                    prop_assert_eq!(run.stats.ties_broken, 0);
                 }
             }
+        }
 
-            if stratified {
-                // Singleton outcome set, in both flavours' budgets.
-                let set = solver.all_outcomes(false, 64).expect("enumerates");
+        if stratified {
+            // Singleton outcome set, on both evaluators.
+            for set in [
+                solver.all_outcomes(false, 64).expect("enumerates"),
+                all_outcomes(&graph, &program, &db, false, 64).expect("enumerates"),
+            ] {
                 prop_assert_eq!(set.models.len(), 1);
                 prop_assert!(!set.truncated);
             }

@@ -4,9 +4,9 @@
 //! The `Solver`, which walks the condensation once per evaluation and
 //! forks its outcome scripts copy-on-write, must be observationally
 //! identical to the paper-literal global loops and the core enumerator
-//! over them (`well_founded`, `all_outcomes`, …), run on a graph
-//! grounded independently in the same `GroundMode` and compared as
-//! decoded text:
+//! over them (`well_founded`, `all_outcomes`, …), run on the
+//! paper-literal `Full` grounding while the `Solver` grounds relevantly,
+//! and compared as decoded text:
 //!
 //! * the **well-founded model** is the same partial model (it is unique,
 //!   so the runs must agree atom by atom);
@@ -95,19 +95,17 @@ fn decoded_set(set: &OutcomeSet, atoms: &AtomTable) -> Option<BTreeSet<Outcome>>
     (!set.truncated).then(|| set.models.iter().map(|m| decode(m, atoms)).collect())
 }
 
-/// The full cross-check for one instance in one ground mode.
-fn assert_modes_agree(program: &Program, database: &Database, mode: GroundMode) {
-    let config = GroundConfig {
-        mode,
-        ..GroundConfig::default()
-    };
-    let graph = ground(program, database, &config).expect("grounds");
-    let solver = Solver::with_config(
-        program.clone(),
-        database.clone(),
-        EngineConfig::default().with_ground_mode(mode),
+/// The full cross-check for one instance: the global loops on the
+/// `Full` graph against the `Solver`.
+fn assert_modes_agree(program: &Program, database: &Database) {
+    let graph = ground(
+        program,
+        database,
+        GroundMode::Full,
+        &GroundConfig::default(),
     )
-    .expect("session prepares");
+    .expect("grounds");
+    let solver = Solver::new(program.clone(), database.clone()).expect("session prepares");
 
     // Well-founded model: unique, so the decoded models must agree
     // exactly, and with them the totality verdicts.
@@ -150,7 +148,7 @@ proptest! {
         mask in any::<u32>(),
     ) {
         let db = db_from_mask(&program, mask);
-        assert_modes_agree(&program, &db, GroundMode::Full);
+        assert_modes_agree(&program, &db);
     }
 
     /// Random first-order call-consistent programs over random databases
@@ -160,7 +158,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let program = generators::random_call_consistent(&mut rng, 4, 6, 2);
         let db = generators::random_database(&mut rng, &program, 2, 0.35, true);
-        assert_modes_agree(&program, &db, GroundMode::Full);
+        assert_modes_agree(&program, &db);
     }
 
     /// Random variants of the win–move skeleton — not necessarily
@@ -171,11 +169,12 @@ proptest! {
         let skeleton = generators::win_move_program().skeleton();
         let program = generators::random_variant(&mut rng, &skeleton, 2);
         let db = generators::random_database(&mut rng, &program, 2, 0.4, false);
-        assert_modes_agree(&program, &db, GroundMode::Full);
+        assert_modes_agree(&program, &db);
     }
 }
 
-/// Deterministic alternation-heavy instances, both ground modes.
+/// Deterministic alternation-heavy instances: the `Solver`'s relevant
+/// grounding against the global loops' `Full` grounding.
 #[test]
 fn chained_instances_agree_in_both_ground_modes() {
     let tie_chain_db: String = {
@@ -204,13 +203,12 @@ fn chained_instances_agree_in_both_ground_modes() {
     ] {
         let program = parse_program(src).unwrap();
         let db = parse_database(db_src).unwrap();
-        for ground_mode in [GroundMode::Full, GroundMode::Relevant] {
-            assert_modes_agree(&program, &db, ground_mode);
-        }
+        assert_modes_agree(&program, &db);
     }
 }
 
-/// Stuck odd components veto downstream ties identically in both modes.
+/// Stuck odd components veto downstream ties identically in both
+/// evaluators.
 #[test]
 fn stuck_upstream_residues_agree() {
     for src in [
@@ -222,6 +220,6 @@ fn stuck_upstream_residues_agree() {
         "p :- not q.\nq :- not p.\np :- not y.\ny :- y.",
     ] {
         let program = parse_program(src).unwrap();
-        assert_modes_agree(&program, &Database::new(), GroundMode::Full);
+        assert_modes_agree(&program, &Database::new());
     }
 }

@@ -22,16 +22,6 @@ use tie_breaking_datalog::core::semantics::well_founded::well_founded;
 use tie_breaking_datalog::ground::{Closer, GroundGraph, GroundMode, PartialModel, RuleId};
 use tie_breaking_datalog::prelude::*;
 
-fn configs() -> (GroundConfig, GroundConfig) {
-    (
-        GroundConfig::default(),
-        GroundConfig {
-            mode: GroundMode::Relevant,
-            ..GroundConfig::default()
-        },
-    )
-}
-
 /// Sorted, decoded view of one mode's post-close state.
 #[derive(Debug, PartialEq, Eq)]
 struct Residual {
@@ -110,9 +100,10 @@ fn outcome_set(
 /// The workhorse: checks residual-graph, well-founded, and outcome-set
 /// equivalence for one instance.
 fn assert_equivalent(program: &Program, database: &Database) {
-    let (full_cfg, rel_cfg) = configs();
-    let full = ground(program, database, &full_cfg).expect("full grounding fits");
-    let relevant = ground(program, database, &rel_cfg).expect("relevant grounding fits");
+    let config = GroundConfig::default();
+    let full = ground(program, database, GroundMode::Full, &config).expect("full grounding fits");
+    let relevant =
+        ground(program, database, GroundMode::Relevant, &config).expect("relevant grounding fits");
     assert!(relevant.atom_count() <= full.atom_count());
     assert!(relevant.rule_count() <= full.rule_count());
 
@@ -218,16 +209,17 @@ fn relevant_mode_handles_what_full_mode_rejects() {
     };
     let program = machine_to_program(&machine);
     let database = natural_database(steps);
-    let (full_cfg, rel_cfg) = configs();
+    let config = GroundConfig::default();
 
-    let err = ground(&program, &database, &full_cfg).unwrap_err();
+    let err = ground(&program, &database, GroundMode::Full, &config).unwrap_err();
     let tie_breaking_datalog::ground::GroundError::TooManyRuleInstances { required, budget } = err
     else {
         panic!("expected a rule-instance overflow, got {err}");
     };
     assert!(required > budget);
 
-    let graph = ground(&program, &database, &rel_cfg).expect("relevant grounding fits");
+    let graph = ground(&program, &database, GroundMode::Relevant, &config)
+        .expect("relevant grounding fits");
     assert!(graph.rule_count() < 1000, "relevant graph stays small");
 
     // Theorem 6 on the restored size: the halting run kills every
@@ -258,8 +250,13 @@ fn deep_unsupported_chain_retires_whole_and_loops_survive() {
     }
     let program = parse_program(&src).unwrap();
     let database = Database::new();
-    let (_, rel_cfg) = configs();
-    let relevant = ground(&program, &database, &rel_cfg).expect("relevant grounding fits");
+    let relevant = ground(
+        &program,
+        &database,
+        GroundMode::Relevant,
+        &GroundConfig::default(),
+    )
+    .expect("relevant grounding fits");
     for i in 0..=LEN {
         let a = GroundAtom::from_texts(&format!("a{i}"), &[]);
         assert!(relevant.atoms().id_of(&a).is_none(), "a{i} must retire");

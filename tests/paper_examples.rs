@@ -24,7 +24,7 @@ fn cfg() -> EnumerateConfig {
 fn program_1_behaviour() {
     let program = parse_program("p(a) :- not p(X), e(b).").unwrap();
     let db = parse_database("e(b).").unwrap();
-    let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+    let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
 
     let run = well_founded(&graph, &program, &db).unwrap();
     assert!(run.total);
@@ -43,14 +43,14 @@ fn program_2_is_not_total() {
 
     for db_src in ["e(a).", "e(a). e(b).", "e(c)."] {
         let db = parse_database(db_src).unwrap();
-        let graph = ground(&p2, &db, &GroundConfig::default()).unwrap();
+        let graph = ground(&p2, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
         let fixpoints = enumerate_fixpoints(&graph, &p2, &db, &cfg()).unwrap();
         assert!(fixpoints.is_empty(), "E = {{{db_src}}}");
     }
 
     // With E empty, the single rule is vacuous and a fixpoint exists.
     let db = Database::new();
-    let graph = ground(&p2, &db, &GroundConfig::default()).unwrap();
+    let graph = ground(&p2, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
     let fixpoints = enumerate_fixpoints(&graph, &p2, &db, &cfg()).unwrap();
     assert!(!fixpoints.is_empty());
 }
@@ -63,7 +63,7 @@ fn program_2_is_not_total() {
 fn guarded_pq_example() {
     let program = parse_program("p :- p, not q.\nq :- q, not p.").unwrap();
     let db = Database::new();
-    let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+    let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
 
     let mut policy = RootTruePolicy;
     let pure = pure_tie_breaking(&graph, &program, &db, &mut policy).unwrap();
@@ -99,7 +99,7 @@ fn three_rules_example() {
     )
     .unwrap();
     let db = Database::new();
-    let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+    let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
 
     let mut policy = RootTruePolicy;
     let run = well_founded_tie_breaking(&graph, &program, &db, &mut policy).unwrap();
@@ -123,7 +123,7 @@ fn archetypal_program() {
     assert!(!stratify(&program).stratified);
 
     let db = parse_database("e(a). e(b).").unwrap();
-    let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+    let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
 
     // Per universe element one tie ⇒ 2^2 fixpoints, all stable.
     let fixpoints = enumerate_fixpoints(&graph, &program, &db, &cfg()).unwrap();
@@ -148,7 +148,7 @@ fn archetypal_program() {
 fn win_move_drawn_cycle_census() {
     let program = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
     let db = parse_database("move(a, b). move(b, a).").unwrap();
-    let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+    let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
 
     // WF leaves both undefined.
     let wf = well_founded(&graph, &program, &db).unwrap();

@@ -38,7 +38,7 @@ fn stratified_vs_well_founded_cross_validation() {
     .unwrap();
 
     let strat = stratified(&program, &db).unwrap();
-    let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+    let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
     let wf = well_founded(&graph, &program, &db).unwrap();
     assert!(wf.total);
 
@@ -57,7 +57,7 @@ fn stable_models_extend_the_well_founded_model() {
         parse_program("a :- not b.\nb :- not a.\nc :- a.\nd :- not c, not b.\ne(k) :- not a.")
             .unwrap();
     let db = Database::new();
-    let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+    let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
     let wf = well_founded(&graph, &program, &db).unwrap();
 
     let stables = enumerate_stable(&graph, &program, &db, &cfg()).unwrap();
@@ -81,7 +81,7 @@ fn facade_matches_low_level() {
 
     let program = parse_program(src).unwrap();
     let db = parse_database(db_src).unwrap();
-    let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+    let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
     let low = well_founded(&graph, &program, &db).unwrap();
     let high = solver.well_founded().unwrap();
     assert_eq!(low.total, high.total);
@@ -94,7 +94,7 @@ fn facade_matches_low_level() {
 fn odd_ground_ring_has_no_fixpoint() {
     let program = generators::win_move_program();
     let db = parse_database("move(a, b). move(b, c). move(c, a).").unwrap();
-    let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+    let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
 
     let mut policy = RootTruePolicy;
     let tb = well_founded_tie_breaking(&graph, &program, &db, &mut policy).unwrap();
@@ -110,7 +110,7 @@ fn odd_ground_ring_has_no_fixpoint() {
 fn even_ground_ring_two_fixpoints() {
     let program = generators::win_move_program();
     let db = parse_database("move(a, b). move(b, c). move(c, d). move(d, a).").unwrap();
-    let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+    let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
 
     let fixpoints = enumerate_fixpoints(&graph, &program, &db, &cfg()).unwrap();
     assert_eq!(fixpoints.len(), 2);
@@ -143,7 +143,7 @@ fn budget_failures_are_typed() {
         .unwrap();
     }
     // 6 variables over 25 constants = 244 million instances: over budget.
-    let err = ground(&program, &db, &GroundConfig::default()).unwrap_err();
+    let err = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("budget"), "{msg}");
 }

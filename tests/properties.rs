@@ -32,7 +32,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let program = generators::random_call_consistent(&mut rng, 4, 8, 2);
         let db = generators::random_database(&mut rng, &program, 2, 0.35, true);
-        let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+        let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
 
         let mut policy = RandomPolicy::seeded(seed);
         let pure = pure_tie_breaking(&graph, &program, &db, &mut policy).unwrap();
@@ -62,7 +62,7 @@ proptest! {
         prop_assert!(structural_totality(&variant).total);
 
         let db = generators::random_database(&mut rng, &variant, 2, 0.3, false);
-        if let Ok(graph) = ground(&variant, &db, &GroundConfig::default()) {
+        if let Ok(graph) = ground(&variant, &db, GroundMode::Full, &GroundConfig::default()) {
             let mut policy = RandomPolicy::seeded(seed);
             let run = well_founded_tie_breaking(&graph, &variant, &db, &mut policy).unwrap();
             prop_assert!(run.total);
@@ -81,7 +81,7 @@ proptest! {
         let skeleton = generators::win_move_program().skeleton();
         let program = generators::random_variant(&mut rng, &skeleton, 2);
         let db = generators::random_database(&mut rng, &program, 2, 0.4, false);
-        let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+        let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
         let run = well_founded(&graph, &program, &db).unwrap();
         prop_assert!(is_consistent(&graph, &program, &db, &run.model));
         if run.total {
@@ -98,7 +98,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let program = generators::random_call_consistent(&mut rng, 3, 6, 2);
         let db = generators::random_database(&mut rng, &program, 2, 0.3, false);
-        let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+        let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
         let Ok(fixpoints) = enumerate_fixpoints(&graph, &program, &db, &cfg()) else {
             return Ok(()); // over branch budget: skip this case
         };
@@ -123,36 +123,6 @@ proptest! {
         prop_assert_eq!(program, reparsed);
     }
 
-    /// Pruned grounding (skip M₀-dead rule instances) computes exactly
-    /// the same well-founded and tie-breaking models as the paper's full
-    /// instantiation.
-    #[test]
-    fn pruned_grounding_preserves_semantics(seed in 0u64..5_000) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let skeleton = generators::win_move_program().skeleton();
-        let program = generators::random_variant(&mut rng, &skeleton, 2);
-        let db = generators::random_database(&mut rng, &program, 2, 0.4, false);
-
-        let full = ground(&program, &db, &GroundConfig::default()).unwrap();
-        let pruned = ground(
-            &program,
-            &db,
-            &GroundConfig { prune_decided: true, ..GroundConfig::default() },
-        )
-        .unwrap();
-        prop_assert!(pruned.rule_count() <= full.rule_count());
-
-        let wf_full = well_founded(&full, &program, &db).unwrap();
-        let wf_pruned = well_founded(&pruned, &program, &db).unwrap();
-        prop_assert_eq!(&wf_full.model, &wf_pruned.model);
-
-        let mut pol = RandomPolicy::seeded(seed);
-        let tb_full = well_founded_tie_breaking(&full, &program, &db, &mut pol).unwrap();
-        let mut pol = RandomPolicy::seeded(seed);
-        let tb_pruned = well_founded_tie_breaking(&pruned, &program, &db, &mut pol).unwrap();
-        prop_assert_eq!(&tb_full.model, &tb_pruned.model);
-    }
-
     /// Negation-cycle parity: C(n, k) is structurally total iff k is
     /// even, and when even, tie-breaking totals on the empty database.
     #[test]
@@ -163,7 +133,7 @@ proptest! {
         prop_assert_eq!(st.total, k % 2 == 0);
         if k % 2 == 0 {
             let db = Database::new();
-            let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+            let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
             let mut policy = RootTruePolicy;
             let run = well_founded_tie_breaking(&graph, &program, &db, &mut policy).unwrap();
             prop_assert!(run.total);

@@ -136,7 +136,7 @@ fn corpus_semantics_are_pinned() {
             panic!("{}: parse error {e}", case.name);
         });
         let db = parse_database(case.database).unwrap();
-        let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+        let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
 
         let wf = well_founded(&graph, &program, &db).unwrap();
         assert_eq!(wf.total, case.wf_total, "{}: wf_total", case.name);
@@ -186,7 +186,7 @@ fn tie_breaking_respects_escape_cycles() {
     // tie-breaking interpreter must agree exactly (no ties remain).
     let program = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
     let db = parse_database("move(a, b). move(b, a). move(a, c).").unwrap();
-    let graph = ground(&program, &db, &GroundConfig::default()).unwrap();
+    let graph = ground(&program, &db, GroundMode::Full, &GroundConfig::default()).unwrap();
     let wf = well_founded(&graph, &program, &db).unwrap();
     let mut policy = RootTruePolicy;
     let tb = well_founded_tie_breaking(&graph, &program, &db, &mut policy).unwrap();

@@ -2,20 +2,21 @@
 //! interpreters.
 //!
 //! For every instance of the random program sweep (the same generators
-//! as `tests/eval_modes.rs`) and for **both ground modes**, the runtime
-//! [`Solver`] must produce:
+//! as `tests/eval_modes.rs`), the runtime [`Solver`], which grounds
+//! relevantly, must produce:
 //!
 //! * **the reference well-founded model** — the decoded fact list of the
-//!   paper-literal global loop on an independently grounded graph;
+//!   paper-literal global loop on the paper-literal `Full` grounding;
 //! * **the core enumerator's tie-breaking outcome *sets*** — the
 //!   session's copy-on-write enumeration agrees with the paper-literal
-//!   `all_outcomes` on the solver's own graph, for both the pure and
-//!   well-founded flavours;
+//!   `all_outcomes` on the solver's own graph and on the `Full` graph,
+//!   for both the pure and well-founded flavours;
 //! * **the kernel's single runs** — a `RandomPolicy` meets the ties of
 //!   one session walk in the order a fresh close-condense-walk of the
 //!   solver's graph ([`walk`]) meets them, so model, totality, tie count
 //!   and tie log are equal seed by seed, and each model is one of the
-//!   paper-literal enumerator's outcomes.
+//!   paper-literal loop's outcomes, on the solver's graph and on the
+//!   `Full` graph.
 //!
 //! The braided generators force the whole residual into **one**
 //! weakly-connected family of components; their churn suite re-checks
@@ -36,7 +37,7 @@ use tie_breaking_datalog::core::semantics::well_founded::well_founded;
 use tie_breaking_datalog::core::semantics::{process_components, ComponentPass};
 use tie_breaking_datalog::core::RunStats;
 use tie_breaking_datalog::core::TieView;
-use tie_breaking_datalog::ground::{Closer, GroundGraph, RuleId, UnfoundedEngine};
+use tie_breaking_datalog::ground::{AtomTable, Closer, GroundGraph, RuleId, UnfoundedEngine};
 use tie_breaking_datalog::prelude::*;
 
 /// Policy seeds of the single-run comparison.
@@ -94,13 +95,13 @@ fn db_from_mask(program: &Program, mask: u32) -> Database {
     db
 }
 
-fn solver_for(program: &Program, db: &Database, mode: GroundMode) -> Solver {
-    Solver::with_config(
-        program.clone(),
-        db.clone(),
-        EngineConfig::default().with_ground_mode(mode),
-    )
-    .expect("session prepares")
+fn solver_for(program: &Program, db: &Database) -> Solver {
+    Solver::new(program.clone(), db.clone()).expect("session prepares")
+}
+
+/// The paper-literal `Full` grounding of `(program, db)`.
+fn full_graph(program: &Program, db: &Database) -> GroundGraph {
+    ground(program, db, GroundMode::Full, &GroundConfig::default()).expect("reference grounds")
 }
 
 fn decoded(outcome: &EvalOutcome) -> (Vec<String>, Vec<String>) {
@@ -122,27 +123,24 @@ fn decoded(outcome: &EvalOutcome) -> (Vec<String>, Vec<String>) {
 /// One decoded outcome: sorted true facts and sorted undefined facts.
 type Outcome = (Vec<String>, Vec<String>);
 
-fn outcome_set_of_models(
-    models: &[PartialModel],
-    atoms: &tie_breaking_datalog::ground::AtomTable,
-) -> BTreeSet<Outcome> {
-    models
+fn outcome_set_of_models(models: &[PartialModel], atoms: &AtomTable) -> BTreeSet<Outcome> {
+    models.iter().map(|m| decode(m, atoms)).collect()
+}
+
+/// One model as decoded text.
+fn decode(model: &PartialModel, atoms: &AtomTable) -> Outcome {
+    let mut t: Vec<String> = model
+        .true_atoms(atoms)
         .iter()
-        .map(|m| {
-            let mut t: Vec<String> = m
-                .true_atoms(atoms)
-                .iter()
-                .map(std::string::ToString::to_string)
-                .collect();
-            t.sort();
-            let mut u: Vec<String> = m
-                .undefined_atoms()
-                .map(|id| atoms.decode(id).to_string())
-                .collect();
-            u.sort();
-            (t, u)
-        })
-        .collect()
+        .map(std::string::ToString::to_string)
+        .collect();
+    t.sort();
+    let mut u: Vec<String> = model
+        .undefined_atoms()
+        .map(|id| atoms.decode(id).to_string())
+        .collect();
+    u.sort();
+    (t, u)
 }
 
 fn outcome_set(solver: &Solver, pure: bool) -> BTreeSet<Outcome> {
@@ -151,11 +149,10 @@ fn outcome_set(solver: &Solver, pure: bool) -> BTreeSet<Outcome> {
     outcome_set_of_models(&set.models, solver.graph().atoms())
 }
 
-/// The full reference check for one instance in one ground mode.
-fn assert_matches_reference(program: &Program, db: &Database, mode: GroundMode) {
-    // The paper-literal reference interpreter on an independently grounded
-    // graph (paper-literal Full mode so the reference is mode-agnostic).
-    let ref_graph = ground(program, db, &GroundConfig::default()).expect("reference grounds");
+/// The full reference check for one instance.
+fn assert_matches_reference(program: &Program, db: &Database) {
+    // The paper-literal reference interpreter on the paper-literal graph.
+    let ref_graph = full_graph(program, db);
     let reference = well_founded(&ref_graph, program, db).expect("reference runs");
     let mut ref_true: Vec<String> = reference
         .model
@@ -165,22 +162,21 @@ fn assert_matches_reference(program: &Program, db: &Database, mode: GroundMode) 
         .collect();
     ref_true.sort();
 
-    let solver = solver_for(program, db, mode);
+    let solver = solver_for(program, db);
     let wf = solver.well_founded().expect("wf runs");
     assert_eq!(decoded(&wf).0, ref_true, "session wf ≠ reference wf");
     assert_eq!(wf.total, reference.total);
 
-    // Outcome sets agree with the paper-literal enumerator over the same
-    // prepared graph (the solver's own graph, so atom spaces coincide).
+    // Outcome sets agree with the paper-literal enumerator over the
+    // solver's own graph and over the `Full` graph.
     for pure in [false, true] {
-        let core = all_outcomes(solver.graph(), program, db, pure, 4096).expect("core enumerates");
-        assert!(!core.truncated);
-        let core_set = outcome_set_of_models(&core.models, solver.graph().atoms());
-        assert_eq!(
-            core_set,
-            outcome_set(&solver, pure),
-            "session ≠ core outcome set"
-        );
+        let session = outcome_set(&solver, pure);
+        for graph in [solver.graph(), &ref_graph] {
+            let core = all_outcomes(graph, program, db, pure, 4096).expect("core enumerates");
+            assert!(!core.truncated);
+            let core_set = outcome_set_of_models(&core.models, graph.atoms());
+            assert_eq!(core_set, session, "session ≠ core outcome set");
+        }
     }
 }
 
@@ -188,18 +184,17 @@ fn assert_matches_reference(program: &Program, db: &Database, mode: GroundMode) 
 /// detailed stats, equal [`walk`]s of the solver's own graph in
 /// `engine.order()`: both walk the same topological order with one
 /// policy, so they meet the same ties in the same order and draw the
-/// same coins. Each model is also an outcome of the paper-literal
-/// enumerator.
-fn assert_random_walks_match_core(program: &Program, db: &Database, mode: GroundMode) {
+/// same coins. Each model is also an outcome of the paper-literal loop,
+/// on the solver's graph and on the `Full` graph.
+fn assert_random_walks_match_core(program: &Program, db: &Database) {
     let solver = Solver::with_config(
         program.clone(),
         db.clone(),
-        EngineConfig::default()
-            .with_ground_mode(mode)
-            .with_detailed_stats(true),
+        EngineConfig::default().with_detailed_stats(true),
     )
     .expect("session prepares");
     let graph = solver.graph();
+    let full = full_graph(program, db);
     for pure in [false, true] {
         for seed in SEEDS {
             let session = if pure {
@@ -227,18 +222,25 @@ fn assert_random_walks_match_core(program: &Program, db: &Database, mode: Ground
             // The paper-literal loop, steered at each tie toward the
             // session's model, reaches it: the model is in the global
             // outcome set (a full enumeration would be cut by the run
-            // budget on the wide forest).
-            let mut toward = Toward(&session.model);
-            let global = if pure {
-                pure_tie_breaking(graph, program, db, &mut toward)
-            } else {
-                well_founded_tie_breaking(graph, program, db, &mut toward)
+            // budget on the wide forest), on either graph.
+            for walked in [graph, &full] {
+                let mut toward = Toward {
+                    model: &session.model,
+                    atoms: graph.atoms(),
+                    walked: walked.atoms(),
+                };
+                let global = if pure {
+                    pure_tie_breaking(walked, program, db, &mut toward)
+                } else {
+                    well_founded_tie_breaking(walked, program, db, &mut toward)
+                }
+                .expect("global runs");
+                assert_eq!(
+                    decode(&global.model, walked.atoms()),
+                    decode(&session.model, graph.atoms()),
+                    "not a global outcome: {what}"
+                );
             }
-            .expect("global runs");
-            assert!(
-                global.model == session.model,
-                "not a global outcome: {what}"
-            );
             // Every instance here plants at least two independent ties,
             // so the coin streams are compared on more than one draw.
             assert!(
@@ -250,12 +252,19 @@ fn assert_random_walks_match_core(program: &Program, db: &Database, mode: Ground
     }
 }
 
-/// Orients every tie the way `self.0` values its root side.
-struct Toward<'m>(&'m PartialModel);
+/// Orients every tie of a graph over `walked` the way `model`, a model
+/// over `atoms`, values its root side.
+struct Toward<'m> {
+    model: &'m PartialModel,
+    atoms: &'m AtomTable,
+    walked: &'m AtomTable,
+}
 
 impl TiePolicy for Toward<'_> {
     fn choose_root_side_true(&mut self, view: &TieView<'_>) -> bool {
-        self.0.get(view.root_side[0]) == TruthValue::True
+        let root = self.walked.decode(view.root_side[0]);
+        let id = self.atoms.id_of(&root).expect("residual atoms are shared");
+        self.model.get(id) == TruthValue::True
     }
 }
 
@@ -264,16 +273,14 @@ proptest! {
 
     /// Random propositional programs — arbitrary mixtures of positive
     /// loops, negation cycles, and stuck odd components — over random
-    /// fact masks, both ground modes.
+    /// fact masks.
     #[test]
     fn propositional_sessions_agree(
         program in arb_program(5, 8),
         mask in any::<u32>(),
     ) {
         let db = db_from_mask(&program, mask);
-        for mode in [GroundMode::Full, GroundMode::Relevant] {
-            assert_matches_reference(&program, &db, mode);
-        }
+        assert_matches_reference(&program, &db);
     }
 
     /// Random first-order call-consistent programs over random databases
@@ -283,9 +290,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let program = generators::random_call_consistent(&mut rng, 4, 6, 2);
         let db = generators::random_database(&mut rng, &program, 2, 0.35, true);
-        for mode in [GroundMode::Full, GroundMode::Relevant] {
-            assert_matches_reference(&program, &db, mode);
-        }
+        assert_matches_reference(&program, &db);
     }
 
     /// One `RandomPolicy` stream per run: the session walk and the core
@@ -299,9 +304,7 @@ proptest! {
     ) {
         let db = db_from_mask(&program, mask);
         let program = with_propositional_pockets(&program, pockets);
-        for mode in [GroundMode::Full, GroundMode::Relevant] {
-            assert_random_walks_match_core(&program, &db, mode);
-        }
+        assert_random_walks_match_core(&program, &db);
     }
 
     /// The same on first-order call-consistent programs, with win–move
@@ -320,9 +323,7 @@ proptest! {
             db.insert_texts("move", &[&a, &b]);
             db.insert_texts("move", &[&b, &a]);
         }
-        for mode in [GroundMode::Full, GroundMode::Relevant] {
-            assert_random_walks_match_core(&program, &db, mode);
-        }
+        assert_random_walks_match_core(&program, &db);
     }
 }
 
@@ -336,9 +337,7 @@ fn independent_pockets_random_walks_match_core() {
         generators::braided_tie_chain_db(3, 2),
         generators::outcome_pocket_db(4, 6),
     ] {
-        for mode in [GroundMode::Full, GroundMode::Relevant] {
-            assert_random_walks_match_core(&program, &db, mode);
-        }
+        assert_random_walks_match_core(&program, &db);
     }
 }
 
@@ -478,21 +477,19 @@ fn wide_forest_is_schedule_invariant() {
     let program = generators::win_move_program();
     let chains = 12;
     let db = generators::wide_tie_forest_db(chains, 4);
-    for mode in [GroundMode::Full, GroundMode::Relevant] {
-        let solver = solver_for(&program, &db, mode);
-        let forest = solver
-            .well_founded_tie_breaking_run(&mut RootTruePolicy)
-            .expect("runs");
-        assert!(forest.total);
-        // At least the source pocket of every chain needs an actual
-        // tie break (downstream pockets may resolve by propagation).
-        assert!(forest.stats.ties_broken >= chains);
-        assert_schedule_invariant(&solver, &forest.model);
-    }
+    let solver = solver_for(&program, &db);
+    let forest = solver
+        .well_founded_tie_breaking_run(&mut RootTruePolicy)
+        .expect("runs");
+    assert!(forest.total);
+    // At least the source pocket of every chain needs an actual
+    // tie break (downstream pockets may resolve by propagation).
+    assert!(forest.stats.ties_broken >= chains);
+    assert_schedule_invariant(&solver, &forest.model);
 }
 
 /// Alternation-heavy chains (ties + unfounded rounds) stay exact through
-/// the session path in both ground modes.
+/// the session path.
 #[test]
 fn chained_instances_agree_with_reference() {
     let tie_chain_db: String = {
@@ -507,10 +504,8 @@ fn chained_instances_agree_with_reference() {
     };
     let program = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
     let db = parse_database(&tie_chain_db).unwrap();
-    for mode in [GroundMode::Full, GroundMode::Relevant] {
-        assert_matches_reference(&program, &db, mode);
-        assert_random_walks_match_core(&program, &db, mode);
-    }
+    assert_matches_reference(&program, &db);
+    assert_random_walks_match_core(&program, &db);
 }
 
 /// The braid: one hub weakly connects every chain.
@@ -518,10 +513,8 @@ fn chained_instances_agree_with_reference() {
 fn braided_tie_chain_agrees() {
     let program = generators::win_move_program();
     let db = generators::braided_tie_chain_db(4, 3);
-    for mode in [GroundMode::Full, GroundMode::Relevant] {
-        assert_matches_reference(&program, &db, mode);
-        assert_random_walks_match_core(&program, &db, mode);
-    }
+    assert_matches_reference(&program, &db);
+    assert_random_walks_match_core(&program, &db);
 }
 
 /// The policy-free hot path over real per-component work: every pocket
@@ -532,14 +525,12 @@ fn braided_tie_chain_agrees() {
 fn braided_unfounded_chain_is_schedule_invariant() {
     let program = generators::braided_unfounded_chain_program(3, 2, 4);
     let db = Database::new();
-    for mode in [GroundMode::Full, GroundMode::Relevant] {
-        let solver = solver_for(&program, &db, mode);
-        let run = solver.well_founded_run().expect("wf runs");
-        assert!(run.total, "braided unfounded chain is decided");
-        assert_eq!(run.model.true_atoms(solver.graph().atoms()).len(), 0);
-        assert_schedule_invariant(&solver, &run.model);
-        assert_matches_reference(&program, &db, mode);
-    }
+    let solver = solver_for(&program, &db);
+    let run = solver.well_founded_run().expect("wf runs");
+    assert!(run.total, "braided unfounded chain is decided");
+    assert_eq!(run.model.true_atoms(solver.graph().atoms()).len(), 0);
+    assert_schedule_invariant(&solver, &run.model);
+    assert_matches_reference(&program, &db);
 }
 
 proptest! {
@@ -550,15 +541,14 @@ proptest! {
     fn random_braids_agree(chains in 1usize..4, pockets in 1usize..3) {
         let program = generators::win_move_program();
         let db = generators::braided_tie_chain_db(chains, pockets);
-        for mode in [GroundMode::Full, GroundMode::Relevant] {
-            assert_matches_reference(&program, &db, mode);
-        }
+        assert_matches_reference(&program, &db);
     }
 
     /// Incremental churn: flip advance and hub edges of a braid through
     /// `patch_cone` splices (the braid splits and re-merges) and re-check
     /// the wf model, its stats and the outcome set against a from-scratch
-    /// solver after every mutation.
+    /// solver, and the wf model against the global loop on the `Full`
+    /// grounding, after every mutation.
     #[test]
     fn churned_braids_agree(
         flips in proptest::collection::vec((0usize..3, 0usize..3, prop::bool::ANY), 1..5),
@@ -567,33 +557,35 @@ proptest! {
         let chains = 3;
         let pockets = 3;
         let db = generators::braided_tie_chain_db(chains, pockets);
-        for mode in [GroundMode::Full, GroundMode::Relevant] {
-            let mut solver = solver_for(&program, &db, mode);
-            let mut current = db.clone();
-            for &(c, i, hub_edge) in &flips {
-                // Hub edges reconnect whole chains; advance edges split a
-                // chain's tail off the braid. Both constants already
-                // exist, so the mutation stays on the incremental path.
-                let fact = if hub_edge {
-                    GroundAtom::from_texts("move", &["h", &format!("t{c}a0")])
-                } else {
-                    GroundAtom::from_texts("move", &[&format!("t{c}a{i}"), &format!("t{c}a{}", i + 1)])
-                };
-                let mutation = if current.remove(&fact) {
-                    Mutation::Retract(fact)
-                } else {
-                    current.insert(fact.clone()).expect("binary fact");
-                    Mutation::Insert(fact)
-                };
-                solver.apply(vec![mutation]).expect("mutation applies");
-                let wf = solver.well_founded().expect("wf runs");
-                // Ground truth: a from-scratch solver on the mutated db.
-                let fresh = solver_for(&program, &current, mode);
-                let fresh_wf = fresh.well_founded().expect("fresh wf runs");
-                prop_assert_eq!(decoded(&wf), decoded(&fresh_wf));
-                prop_assert_eq!(&wf.stats, &fresh_wf.stats);
-                prop_assert_eq!(outcome_set(&solver, false), outcome_set(&fresh, false));
-            }
+        let mut solver = solver_for(&program, &db);
+        let mut current = db.clone();
+        for &(c, i, hub_edge) in &flips {
+            // Hub edges reconnect whole chains; advance edges split a
+            // chain's tail off the braid. Both constants already
+            // exist, so the mutation stays on the incremental path.
+            let fact = if hub_edge {
+                GroundAtom::from_texts("move", &["h", &format!("t{c}a0")])
+            } else {
+                GroundAtom::from_texts("move", &[&format!("t{c}a{i}"), &format!("t{c}a{}", i + 1)])
+            };
+            let mutation = if current.remove(&fact) {
+                Mutation::Retract(fact)
+            } else {
+                current.insert(fact.clone()).expect("binary fact");
+                Mutation::Insert(fact)
+            };
+            solver.apply(vec![mutation]).expect("mutation applies");
+            let wf = solver.well_founded().expect("wf runs");
+            // Ground truth: a from-scratch solver on the mutated db.
+            let fresh = solver_for(&program, &current);
+            let fresh_wf = fresh.well_founded().expect("fresh wf runs");
+            prop_assert_eq!(decoded(&wf), decoded(&fresh_wf));
+            prop_assert_eq!(&wf.stats, &fresh_wf.stats);
+            prop_assert_eq!(outcome_set(&solver, false), outcome_set(&fresh, false));
+            // And the paper-literal loop on the `Full` grounding.
+            let full = full_graph(&program, &current);
+            let global = well_founded(&full, &program, &current).expect("global wf runs");
+            prop_assert_eq!(decoded(&wf), decode(&global.model, full.atoms()));
         }
     }
 }
@@ -603,7 +595,7 @@ proptest! {
 /// all of them), the set is truncated exactly when scripts were left,
 /// and its models are the full walk's first ones, in order.
 fn assert_truncation_is_a_prefix(program: &Program, db: &Database) {
-    let solver = solver_for(program, db, GroundMode::Relevant);
+    let solver = solver_for(program, db);
     for pure in [false, true] {
         let full = solver.all_outcomes(pure, 4096).expect("enumerates");
         assert!(!full.truncated, "instances are small");

@@ -18,7 +18,8 @@
 //!   flavours (individual runs may break isomorphic ties in different
 //!   component orders — the sets are the semantic object, exactly as in
 //!   the global-vs-stratified differential suite);
-//! * across **both ground modes**.
+//! * and the same wf model and outcome sets as the paper-literal global
+//!   loops run on the `Full` grounding of the mutated database.
 //!
 //! The sweep deliberately includes mutations that add or retire
 //! constants (exercising the re-prepare fallback), programs with
@@ -30,6 +31,8 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 use tie_breaking_datalog::ast::{Atom, Literal, Rule, Sign, Term};
 use tie_breaking_datalog::core::engine::EvalOutcome;
+use tie_breaking_datalog::core::semantics::outcomes::all_outcomes;
+use tie_breaking_datalog::ground::AtomTable;
 use tie_breaking_datalog::prelude::*;
 use tie_breaking_datalog::runtime::SolverError;
 
@@ -61,13 +64,8 @@ fn arb_program(preds: usize, max_rules: usize) -> impl Strategy<Value = Program>
     })
 }
 
-fn solver_for(program: &Program, db: &Database, mode: GroundMode) -> Solver {
-    Solver::with_config(
-        program.clone(),
-        db.clone(),
-        EngineConfig::default().with_ground_mode(mode),
-    )
-    .expect("session prepares")
+fn solver_for(program: &Program, db: &Database) -> Solver {
+    Solver::new(program.clone(), db.clone()).expect("session prepares")
 }
 
 fn decoded(outcome: &EvalOutcome) -> (Vec<String>, Vec<String>) {
@@ -88,27 +86,53 @@ fn decoded(outcome: &EvalOutcome) -> (Vec<String>, Vec<String>) {
 
 type Outcome = (Vec<String>, Vec<String>);
 
+fn decode(model: &PartialModel, atoms: &AtomTable) -> Outcome {
+    let mut t: Vec<String> = model
+        .true_atoms(atoms)
+        .iter()
+        .map(std::string::ToString::to_string)
+        .collect();
+    t.sort();
+    let mut u: Vec<String> = model
+        .undefined_atoms()
+        .map(|id| atoms.decode(id).to_string())
+        .collect();
+    u.sort();
+    (t, u)
+}
+
 fn outcome_set(solver: &Solver, pure: bool) -> BTreeSet<Outcome> {
     let set = solver.all_outcomes(pure, 4096).expect("enumerates");
     assert!(!set.truncated, "sweep instances are small");
     let atoms = solver.graph().atoms();
-    set.models
-        .iter()
-        .map(|m| {
-            let mut t: Vec<String> = m
-                .true_atoms(atoms)
-                .iter()
-                .map(std::string::ToString::to_string)
-                .collect();
-            t.sort();
-            let mut u: Vec<String> = m
-                .undefined_atoms()
-                .map(|id| atoms.decode(id).to_string())
-                .collect();
-            u.sort();
-            (t, u)
-        })
-        .collect()
+    set.models.iter().map(|m| decode(m, atoms)).collect()
+}
+
+/// The mutated session against the paper-literal global loops on the
+/// `Full` grounding of its database.
+fn assert_state_matches_global(mutated: &Solver, step: usize) {
+    let (program, db) = (mutated.program(), mutated.database());
+    let graph = ground(program, db, GroundMode::Full, &GroundConfig::default()).expect("grounds");
+    let global = well_founded(&graph, program, db).expect("global wf runs");
+    assert_eq!(
+        decoded(&mutated.well_founded().expect("mutated wf runs")),
+        decode(&global.model, graph.atoms()),
+        "wf model diverges from the global loop at step {step}"
+    );
+    for pure in [false, true] {
+        let set = all_outcomes(&graph, program, db, pure, 4096).expect("enumerates");
+        assert!(!set.truncated, "sweep instances are small");
+        let global: BTreeSet<Outcome> = set
+            .models
+            .iter()
+            .map(|m| decode(m, graph.atoms()))
+            .collect();
+        assert_eq!(
+            outcome_set(mutated, pure),
+            global,
+            "outcome set (pure = {pure}) diverges from the global loop at step {step}"
+        );
+    }
 }
 
 /// The full mutated-vs-fresh comparison for one state.
@@ -135,17 +159,12 @@ fn assert_state_matches_fresh(mutated: &Solver, step: usize) {
             "outcome set (pure = {pure}) diverges at step {step}"
         );
     }
+    assert_state_matches_global(mutated, step);
 }
 
 /// Runs one churn sequence, asserting exactness after every step.
-fn churn<F: Fn(u32) -> GroundAtom>(
-    program: &Program,
-    db0: &Database,
-    fact_of: F,
-    toggles: &[u32],
-    mode: GroundMode,
-) {
-    let mut solver = solver_for(program, db0, mode);
+fn churn<F: Fn(u32) -> GroundAtom>(program: &Program, db0: &Database, fact_of: F, toggles: &[u32]) {
+    let mut solver = solver_for(program, db0);
     for (step, &t) in toggles.iter().enumerate() {
         let fact = fact_of(t);
         let delta = if solver.database().contains(&fact) {
@@ -186,9 +205,7 @@ proptest! {
             let pred = preds[(t as usize) % preds.len()];
             GroundAtom::new(pred, std::iter::empty())
         };
-        for mode in [GroundMode::Full, GroundMode::Relevant] {
-            churn(&program, &db, fact_of, &toggles, mode);
-        }
+        churn(&program, &db, fact_of, &toggles);
     }
 
     /// First-order churn on the win–move game over a small constant
@@ -208,13 +225,11 @@ proptest! {
             db.insert(edge(x, y)).expect("facts");
         }
         let fact_of = |t: u32| edge(t / 4, t % 4);
-        for mode in [GroundMode::Full, GroundMode::Relevant] {
-            churn(&program, &db, fact_of, &toggles, mode);
-        }
+        churn(&program, &db, fact_of, &toggles);
     }
 
     /// Positive recursion (transitive closure feeding a negation): every
-    /// insert takes the scoped gfp path in Relevant mode, and wf models
+    /// insert takes the scoped gfp path, and wf models
     /// must track the closure exactly.
     #[test]
     fn transitive_closure_churn_is_exact(
@@ -229,9 +244,7 @@ proptest! {
         };
         let db = parse_database("e(c0, c1).\nn(c0).\nn(c1).\nn(c2).").unwrap();
         let fact_of = |t: u32| edge(t / 3, t % 3);
-        for mode in [GroundMode::Full, GroundMode::Relevant] {
-            churn(&program, &db, fact_of, &toggles, mode);
-        }
+        churn(&program, &db, fact_of, &toggles);
     }
 }
 
@@ -241,19 +254,17 @@ proptest! {
 fn batched_mutations_match_net_effect() {
     let program = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
     let db = parse_database("move(a, b).\nmove(b, a).\nmove(c, d).").unwrap();
-    for mode in [GroundMode::Full, GroundMode::Relevant] {
-        let mut solver = solver_for(&program, &db, mode);
-        solver
-            .apply(vec![
-                Mutation::Retract(GroundAtom::from_texts("move", &["b", "a"])),
-                Mutation::Insert(GroundAtom::from_texts("move", &["d", "c"])),
-                Mutation::Insert(GroundAtom::from_texts("move", &["b", "a"])),
-                Mutation::Retract(GroundAtom::from_texts("move", &["b", "a"])),
-            ])
-            .expect("batch applies");
-        assert_state_matches_fresh(&solver, 0);
-        assert_eq!(solver.epoch(), 1, "one batch, one epoch");
-    }
+    let mut solver = solver_for(&program, &db);
+    solver
+        .apply(vec![
+            Mutation::Retract(GroundAtom::from_texts("move", &["b", "a"])),
+            Mutation::Insert(GroundAtom::from_texts("move", &["d", "c"])),
+            Mutation::Insert(GroundAtom::from_texts("move", &["b", "a"])),
+            Mutation::Retract(GroundAtom::from_texts("move", &["b", "a"])),
+        ])
+        .expect("batch applies");
+    assert_state_matches_fresh(&solver, 0);
+    assert_eq!(solver.epoch(), 1, "one batch, one epoch");
 }
 
 /// A long alternating flap on one fact keeps the session exact while
@@ -263,7 +274,7 @@ fn flapping_fact_reuses_stale_instances() {
     let program = parse_program("win(X) :- move(X, Y), not win(Y).").unwrap();
     let db = parse_database("move(a, b).\nmove(b, a).\nmove(b, c).").unwrap();
     let fact = GroundAtom::from_texts("move", &["b", "c"]);
-    let mut solver = solver_for(&program, &db, GroundMode::Relevant);
+    let mut solver = solver_for(&program, &db);
     let rules_after_first_cycle = {
         solver.retract_fact(fact.clone()).unwrap();
         solver.insert_fact(fact.clone()).unwrap();
