@@ -263,7 +263,7 @@ fn duplicate_lints(program: &Program, out: &mut Vec<Lint>) {
                 dup.kept
             ),
             rule: Some(dup.kept),
-            pos: dup.span.as_ref().map(|s| s.rule),
+            pos: dup.pos,
         });
     }
 }

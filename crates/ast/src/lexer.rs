@@ -9,8 +9,10 @@
 //! * comments: `%` and `//` to end of line,
 //! * whitespace is insignificant.
 //!
-//! Identifier tokens borrow their text from the input, so lexing
-//! allocates only the token vector. Positions count characters, not
+//! A [`Lexer`] hands out one token at a time, on demand: identifier
+//! tokens borrow their text from the input, so lexing allocates nothing,
+//! and the lexer's whole state is a `Copy` cursor that a parser can save
+//! and restore to re-read a clause. Positions count characters, not
 //! bytes: a column after a multibyte identifier or `¬` is the one an
 //! editor shows.
 
@@ -62,113 +64,133 @@ pub struct Spanned<'a> {
     pub pos: Pos,
 }
 
-/// Lexes `input` into a token stream (ending with [`Token::Eof`]).
-///
-/// # Errors
-///
-/// [`ParseError`] on any character outside the token language.
-pub fn lex(input: &str) -> Result<Vec<Spanned<'_>>, ParseError> {
-    let bytes = input.as_bytes();
-    let mut out = Vec::new();
-    let mut at = 0;
-    let mut line: u32 = 1;
-    let mut col: u32 = 1;
-    loop {
-        let pos = Pos { line, col };
-        let Some(&b) = bytes.get(at) else {
-            out.push(Spanned {
-                token: Token::Eof,
-                pos,
-            });
-            return Ok(out);
-        };
-        // Single-byte tokens and ASCII whitespace; everything else is
-        // decoded as a character below.
-        let token = match b {
-            b'\n' => {
-                at += 1;
-                line += 1;
-                col = 1;
-                continue;
-            }
-            b' ' | b'\t' | b'\r' | b'\x0B' | b'\x0C' => {
-                at += 1;
-                col += 1;
-                continue;
-            }
-            b'%' => {
-                at = skip_line(input, at, &mut col);
-                continue;
-            }
-            b'/' => {
-                if bytes.get(at + 1) != Some(&b'/') {
-                    return Err(ParseError::new(pos, "stray `/` (expected `//` comment)"));
-                }
-                at = skip_line(input, at, &mut col);
-                continue;
-            }
-            b':' => {
-                if bytes.get(at + 1) != Some(&b'-') {
-                    return Err(ParseError::new(pos, "stray `:` (expected `:-`)"));
-                }
-                at += 2;
-                col += 2;
-                out.push(Spanned {
-                    token: Token::Arrow,
+/// A cursor over the input: the byte offset and the position of the next
+/// character to read.
+#[derive(Clone, Copy, Debug)]
+pub struct Lexer<'a> {
+    input: &'a str,
+    at: usize,
+    line: u32,
+    col: u32,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `input`.
+    pub fn new(input: &'a str) -> Self {
+        Lexer {
+            input,
+            at: 0,
+            line: 1,
+            col: 1,
+        }
+    }
+
+    /// The next token; [`Token::Eof`] at the end of the input, and again
+    /// on every later call.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseError`] on a character outside the token language. The
+    /// cursor stays in front of it, so calling again reports it again.
+    pub fn next_token(&mut self) -> Result<Spanned<'a>, ParseError> {
+        let input = self.input;
+        let bytes = input.as_bytes();
+        loop {
+            let pos = Pos {
+                line: self.line,
+                col: self.col,
+            };
+            let Some(&b) = bytes.get(self.at) else {
+                return Ok(Spanned {
+                    token: Token::Eof,
                     pos,
                 });
-                continue;
-            }
-            b'(' => Token::LParen,
-            b')' => Token::RParen,
-            b',' => Token::Comma,
-            b'.' => Token::Dot,
-            b'!' | b'~' => Token::Not,
-            _ => {
-                let c = input[at..].chars().next().expect("in bounds");
-                if c == '¬' || c.is_whitespace() {
-                    at += c.len_utf8();
-                    col += 1;
-                    if c == '¬' {
-                        out.push(Spanned {
-                            token: Token::Not,
-                            pos,
-                        });
-                    }
+            };
+            // Single-byte tokens and ASCII whitespace; everything else is
+            // decoded as a character below.
+            let token = match b {
+                b'\n' => {
+                    self.at += 1;
+                    self.line += 1;
+                    self.col = 1;
                     continue;
-                } else if is_ident_char(c) {
-                    let start = at;
-                    while let Some(&b) = bytes.get(at) {
-                        let len = if b.is_ascii_alphanumeric() || b == b'_' {
-                            1
-                        } else if b < 0x80 {
-                            break;
+                }
+                b' ' | b'\t' | b'\r' | b'\x0B' | b'\x0C' => {
+                    self.at += 1;
+                    self.col += 1;
+                    continue;
+                }
+                b'%' => {
+                    self.at = skip_line(input, self.at, &mut self.col);
+                    continue;
+                }
+                b'/' => {
+                    if bytes.get(self.at + 1) != Some(&b'/') {
+                        return Err(ParseError::new(pos, "stray `/` (expected `//` comment)"));
+                    }
+                    self.at = skip_line(input, self.at, &mut self.col);
+                    continue;
+                }
+                b':' => {
+                    if bytes.get(self.at + 1) != Some(&b'-') {
+                        return Err(ParseError::new(pos, "stray `:` (expected `:-`)"));
+                    }
+                    self.at += 2;
+                    self.col += 2;
+                    return Ok(Spanned {
+                        token: Token::Arrow,
+                        pos,
+                    });
+                }
+                b'(' => Token::LParen,
+                b')' => Token::RParen,
+                b',' => Token::Comma,
+                b'.' => Token::Dot,
+                b'!' | b'~' => Token::Not,
+                _ => {
+                    let c = input[self.at..].chars().next().expect("in bounds");
+                    if c == '¬' || c.is_whitespace() {
+                        self.at += c.len_utf8();
+                        self.col += 1;
+                        if c == '¬' {
+                            return Ok(Spanned {
+                                token: Token::Not,
+                                pos,
+                            });
+                        }
+                        continue;
+                    } else if is_ident_char(c) {
+                        let start = self.at;
+                        while let Some(&b) = bytes.get(self.at) {
+                            let len = if b.is_ascii_alphanumeric() || b == b'_' {
+                                1
+                            } else if b < 0x80 {
+                                break;
+                            } else {
+                                match input[self.at..].chars().next() {
+                                    Some(c) if is_ident_char(c) => c.len_utf8(),
+                                    _ => break,
+                                }
+                            };
+                            self.at += len;
+                            self.col += 1;
+                        }
+                        let ident = &input[start..self.at];
+                        let token = if ident == "not" {
+                            Token::Not
                         } else {
-                            match input[at..].chars().next() {
-                                Some(c) if is_ident_char(c) => c.len_utf8(),
-                                _ => break,
-                            }
+                            Token::Ident(ident)
                         };
-                        at += len;
-                        col += 1;
+                        return Ok(Spanned { token, pos });
                     }
-                    let ident = &input[start..at];
-                    let token = if ident == "not" {
-                        Token::Not
-                    } else {
-                        Token::Ident(ident)
-                    };
-                    out.push(Spanned { token, pos });
-                    continue;
-                } else {
                     return Err(ParseError::new(pos, format!("unexpected character `{c}`")));
                 }
-            }
-        };
-        // A one-byte token.
-        at += 1;
-        col += 1;
-        out.push(Spanned { token, pos });
+            };
+            // A one-byte token.
+            self.at += 1;
+            self.col += 1;
+            return Ok(Spanned { token, pos });
+        }
     }
 }
 
@@ -188,6 +210,19 @@ fn skip_line(input: &str, at: usize, col: &mut u32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every token of `input`, through the end-of-input token.
+    fn lex(input: &str) -> Result<Vec<Spanned<'_>>, ParseError> {
+        let mut lexer = Lexer::new(input);
+        let mut out = Vec::new();
+        loop {
+            let next = lexer.next_token()?;
+            out.push(next);
+            if next.token == Token::Eof {
+                return Ok(out);
+            }
+        }
+    }
 
     fn kinds(input: &str) -> Vec<Token<'_>> {
         lex(input).unwrap().into_iter().map(|s| s.token).collect()

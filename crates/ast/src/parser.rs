@@ -16,44 +16,67 @@
 use crate::atom::{Atom, Literal};
 use crate::database::Database;
 use crate::error::{AstError, ParseError, Pos};
-use crate::lexer::{lex, Spanned, Token};
-use crate::program::{Program, RuleSpan};
+use crate::lexer::{Lexer, Spanned, Token};
+use crate::program::Program;
 use crate::rule::Rule;
 use crate::symbol::{ConstSym, PredSym};
 use crate::term::{names_a_variable, Term};
 
+/// The parser's whole state: the token at hand and the lexer behind it,
+/// both `Copy`, so a copy of the parser saves a position for a re-parse.
+#[derive(Clone, Copy)]
 struct Parser<'a> {
-    tokens: Vec<Spanned<'a>>,
-    at: usize,
+    lexer: Lexer<'a>,
+    cur: Spanned<'a>,
+}
+
+/// The parsed clauses of a program, built straight into their final
+/// vectors: the rules, and per rule its head position and where its
+/// literal positions start in `literal_pos`.
+struct Clauses {
+    rules: Vec<Rule>,
+    rule_spans: Vec<(Pos, u32)>,
+    literal_pos: Vec<Pos>,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Result<Self, ParseError> {
-        Ok(Parser {
-            tokens: lex(input)?,
-            at: 0,
-        })
+        let mut lexer = Lexer::new(input);
+        let cur = lexer.next_token()?;
+        Ok(Parser { lexer, cur })
     }
 
     fn peek(&self) -> Token<'a> {
-        self.tokens[self.at].token
+        self.cur.token
     }
 
     fn pos(&self) -> Pos {
-        self.tokens[self.at].pos
+        self.cur.pos
     }
 
-    fn bump(&mut self) -> Token<'a> {
+    fn bump(&mut self) -> Result<Token<'a>, ParseError> {
         let t = self.peek();
-        if self.at + 1 < self.tokens.len() {
-            self.at += 1;
+        self.cur = self.lexer.next_token()?;
+        Ok(t)
+    }
+
+    /// `error`, unless the input from here on holds a character outside
+    /// the token language: the first such character is the error
+    /// reported, as if the whole input had been lexed before parsing.
+    fn first_error(&self, error: AstError) -> AstError {
+        let mut rest = self.lexer;
+        loop {
+            match rest.next_token() {
+                Ok(t) if t.token == Token::Eof => return error,
+                Ok(_) => {}
+                Err(lex) => return lex.into(),
+            }
         }
-        t
     }
 
     fn expect(&mut self, want: Token<'_>, what: &str) -> Result<(), ParseError> {
         if self.peek() == want {
-            self.bump();
+            self.bump()?;
             Ok(())
         } else {
             Err(ParseError::new(
@@ -66,7 +89,7 @@ impl<'a> Parser<'a> {
     fn ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
         match self.peek() {
             Token::Ident(s) => {
-                self.bump();
+                self.bump()?;
                 Ok(s)
             }
             other => Err(ParseError::new(
@@ -80,15 +103,15 @@ impl<'a> Parser<'a> {
         let name = self.ident("a predicate name")?;
         let mut args = Vec::new();
         if self.peek() == Token::LParen {
-            self.bump();
+            self.bump()?;
             loop {
                 args.push(Term::from_text(self.ident("a term")?));
                 match self.peek() {
                     Token::Comma => {
-                        self.bump();
+                        self.bump()?;
                     }
                     Token::RParen => {
-                        self.bump();
+                        self.bump()?;
                         break;
                     }
                     other => {
@@ -106,17 +129,17 @@ impl<'a> Parser<'a> {
     /// Parses `IDENT ( "(" IDENT ("," IDENT)* ")" )? "."` with every
     /// argument a constant, leaving the arguments in `args`. Returns
     /// `None`, with the position somewhere inside the clause, on anything
-    /// else (a variable, a body, a syntax error). Names are interned in
-    /// the order [`Parser::atom`] interns them: arguments left to right,
-    /// then the predicate.
+    /// else (a variable, a body, a syntax or lexical error). Names are
+    /// interned in the order [`Parser::atom`] interns them: arguments
+    /// left to right, then the predicate.
     fn ground_fact(&mut self, args: &mut Vec<ConstSym>) -> Option<PredSym> {
         let Token::Ident(name) = self.peek() else {
             return None;
         };
-        self.bump();
+        self.bump().ok()?;
         args.clear();
         if self.peek() == Token::LParen {
-            self.bump();
+            self.bump().ok()?;
             loop {
                 let Token::Ident(text) = self.peek() else {
                     return None;
@@ -124,9 +147,9 @@ impl<'a> Parser<'a> {
                 if names_a_variable(text) {
                     return None;
                 }
-                self.bump();
+                self.bump().ok()?;
                 args.push(ConstSym::new(text));
-                match self.bump() {
+                match self.bump().ok()? {
                     Token::Comma => {}
                     Token::RParen => break,
                     _ => return None,
@@ -136,31 +159,32 @@ impl<'a> Parser<'a> {
         if self.peek() != Token::Dot {
             return None;
         }
-        self.bump();
+        self.bump().ok()?;
         Some(PredSym::new(name))
     }
 
     fn literal(&mut self) -> Result<Literal, ParseError> {
         if self.peek() == Token::Not {
-            self.bump();
+            self.bump()?;
             Ok(Literal::neg(self.atom()?))
         } else {
             Ok(Literal::pos(self.atom()?))
         }
     }
 
-    fn clause(&mut self) -> Result<(Rule, RuleSpan), ParseError> {
+    /// Parses one clause, pushing each body literal's position onto
+    /// `literal_pos`.
+    fn clause(&mut self, literal_pos: &mut Vec<Pos>) -> Result<Rule, ParseError> {
         let head_pos = self.pos();
         let head = self.atom()?;
         let mut body = Vec::new();
-        let mut literal_positions = Vec::new();
         if self.peek() == Token::Arrow {
-            self.bump();
+            self.bump()?;
             loop {
-                literal_positions.push(self.pos());
+                literal_pos.push(self.pos());
                 body.push(self.literal()?);
                 if self.peek() == Token::Comma {
-                    self.bump();
+                    self.bump()?;
                 } else {
                     break;
                 }
@@ -173,23 +197,32 @@ impl<'a> Parser<'a> {
                     format!("{} (clause starting at {head_pos})", e.message),
                 )
             })?;
-        let span = RuleSpan {
-            rule: head_pos,
-            literals: literal_positions,
-        };
-        Ok((Rule::new(head, body), span))
+        Ok(Rule::new(head, body))
     }
 
-    fn program(&mut self) -> Result<Vec<(Rule, RuleSpan)>, ParseError> {
-        let mut rules = Vec::new();
+    /// Parses every clause up to the end of the input. `clauses` is an
+    /// upper bound on their count, used to size the rule vectors.
+    fn program(&mut self, clauses: usize) -> Result<Clauses, ParseError> {
+        let mut out = Clauses {
+            rules: Vec::with_capacity(clauses),
+            rule_spans: Vec::with_capacity(clauses),
+            literal_pos: Vec::new(),
+        };
         while self.peek() != Token::Eof {
-            rules.push(self.clause()?);
+            let start = u32::try_from(out.literal_pos.len()).expect("literal count fits u32");
+            out.rule_spans.push((self.pos(), start));
+            out.rules.push(self.clause(&mut out.literal_pos)?);
         }
-        Ok(rules)
+        Ok(out)
     }
 }
 
 /// Parses a Datalog¬ program from text.
+///
+/// The lexer runs on demand, one token ahead of the parser; an error
+/// reports the first character outside the token language anywhere in
+/// the input before any syntax error, as a lex-then-parse front end
+/// would.
 ///
 /// # Errors
 ///
@@ -197,25 +230,30 @@ impl<'a> Parser<'a> {
 /// predicate occurs with inconsistent arities.
 pub fn parse_program(input: &str) -> Result<Program, AstError> {
     let mut span = tiebreak_trace::span("parse", "parse_program", &[("bytes", input.len() as u64)]);
-    let mut parser = {
-        let _lex = tiebreak_trace::span("parse", "lex", &[]);
-        Parser::new(input)?
-    };
-    let rules = {
+    let clauses = {
         let _clauses = tiebreak_trace::span("parse", "clauses", &[]);
-        parser.program()?
+        // Every clause ends in a `.`, so this bounds the clause count.
+        let dots = input.bytes().filter(|&b| b == b'.').count();
+        let mut parser = Parser::new(input)?;
+        parser
+            .program(dots)
+            .map_err(|e| parser.first_error(e.into()))?
     };
-    drop(parser);
-    span.arg("rules", rules.len() as u64);
+    span.arg("rules", clauses.rules.len() as u64);
     let _build = tiebreak_trace::span("parse", "build", &[]);
-    Ok(Program::with_spans(rules)?)
+    Ok(Program::parsed(
+        clauses.rules,
+        clauses.rule_spans,
+        clauses.literal_pos,
+    )?)
 }
 
 /// Parses a database (fact file): every clause must be a ground fact.
 ///
 /// Each fact goes from its tokens straight into its relation through one
 /// reused argument buffer. A clause that is not a plain ground fact is
-/// re-parsed as a general clause, which reports the error.
+/// re-parsed as a general clause from the saved parser state, which
+/// reports the error.
 ///
 /// # Errors
 ///
@@ -226,22 +264,29 @@ pub fn parse_database(input: &str) -> Result<Database, AstError> {
     let mut parser = Parser::new(input)?;
     let mut db = Database::new();
     let mut args: Vec<ConstSym> = Vec::new();
+    let mut literal_pos = Vec::new();
     while parser.peek() != Token::Eof {
-        let start = parser.at;
+        let start = parser;
         if let Some(pred) = parser.ground_fact(&mut args) {
-            db.insert_tuple(pred, &args)?;
+            db.insert_tuple(pred, &args)
+                .map_err(|e| parser.first_error(e.into()))?;
             continue;
         }
-        parser.at = start;
+        parser = start;
         let pos = parser.pos();
-        let (rule, _span) = parser.clause()?;
-        if !rule.is_fact() {
-            return Err(ParseError::new(pos, "expected a fact (no `:-` in fact files)").into());
-        }
-        let Some(ground) = rule.head.to_ground() else {
-            return Err(ParseError::new(pos, "facts must be ground (no variables)").into());
+        let rule = parser
+            .clause(&mut literal_pos)
+            .map_err(|e| parser.first_error(e.into()))?;
+        let error = if !rule.is_fact() {
+            "expected a fact (no `:-` in fact files)"
+        } else if let Some(ground) = rule.head.to_ground() {
+            db.insert(ground)
+                .map_err(|e| parser.first_error(e.into()))?;
+            continue;
+        } else {
+            "facts must be ground (no variables)"
         };
-        db.insert(ground)?;
+        return Err(parser.first_error(ParseError::new(pos, error).into()));
     }
     Ok(db)
 }
@@ -327,6 +372,60 @@ mod tests {
     }
 
     #[test]
+    fn fact_file_fall_back_keeps_the_error_text() {
+        // A clause the fact path cannot take is re-parsed from the saved
+        // parser state, and the general clause parser words the error.
+        for (input, want) in [
+            (
+                "e(a, b).\ne(b) :- e(a, b).\n",
+                "parse error at 2:1: expected a fact (no `:-` in fact files)",
+            ),
+            (
+                "e(a, b).\n  e(a, Y).\n",
+                "parse error at 2:3: facts must be ground (no variables)",
+            ),
+        ] {
+            let err = parse_database(input).unwrap_err();
+            assert!(matches!(err, AstError::Parse(_)), "{input:?}: {err:?}");
+            assert_eq!(err.to_string(), want, "{input:?}");
+        }
+    }
+
+    #[test]
+    fn a_lexical_error_anywhere_wins_over_a_syntax_error() {
+        // The lexer runs on demand, but the reported error is the one a
+        // lex-then-parse front end reports: the first bad character in
+        // the whole input, even after a syntax or arity error.
+        for (input, at) in [("p :- q\nr. @", "2:4"), ("p(X) :- q(X)\nr(a). @", "2:7")] {
+            let err = parse_program(input).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("parse error at {at}: unexpected character `@`"),
+                "{input:?}"
+            );
+        }
+        for input in ["e(X).\nf(a). @", "e(a).\ne(a, b).\nf. @", "e(a) :- f.\n\n@"] {
+            let err = parse_database(input).unwrap_err().to_string();
+            assert!(
+                err.ends_with("unexpected character `@`"),
+                "{input:?}: {err}"
+            );
+        }
+        let err = parse_database("e(a).\ne(a, b).\nf. @").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at 3:4: unexpected character `@`"
+        );
+        // Without one, the syntax error stands.
+        let err = parse_program("p :- q\nr.").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at 2:1: expected `.` terminating the clause, found `r` \
+             (clause starting at 1:1)"
+        );
+    }
+
+    #[test]
     fn empty_input_is_an_empty_program() {
         let p = parse_program("  % only a comment\n").unwrap();
         assert!(p.is_empty());
@@ -365,7 +464,7 @@ mod tests {
         let dups = p.duplicate_rules();
         assert_eq!(dups.len(), 1);
         assert_eq!(dups[0].kept, 0);
-        assert_eq!(dups[0].span.as_ref().unwrap().rule.line, 3);
+        assert_eq!(dups[0].pos.unwrap().line, 3);
     }
 
     #[test]

@@ -20,13 +20,14 @@ use crate::symbol::{ConstSym, PredSym};
 ///
 /// Parsed programs carry one span per rule; programmatically built
 /// programs carry none. Spans are presentation metadata: they do not
-/// participate in [`Program`] equality.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RuleSpan {
+/// participate in [`Program`] equality. A span is a view: every rule's
+/// literal positions live in one vector per program.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RuleSpan<'a> {
     /// Position of the head atom (start of the clause).
     pub rule: Pos,
     /// Position of each body literal (at its `not`, if negated).
-    pub literals: Vec<Pos>,
+    pub literals: &'a [Pos],
 }
 
 /// A dropped duplicate rule. [`Program::new`] keeps the first occurrence
@@ -38,7 +39,7 @@ pub struct DuplicateRule {
     /// Index into [`Program::rules`] of the retained first occurrence.
     pub kept: usize,
     /// Source position of the dropped occurrence, when parsed.
-    pub span: Option<RuleSpan>,
+    pub pos: Option<Pos>,
 }
 
 /// Signature information for one predicate of a program.
@@ -50,6 +51,8 @@ pub struct PredInfo {
     pub is_idb: bool,
     /// `true` iff the predicate appears negated somewhere in a body.
     pub occurs_negatively: bool,
+    /// The predicate's dense id: its position in [`Program::predicates`].
+    pub index: u32,
 }
 
 /// A validated Datalog¬ program.
@@ -68,11 +71,22 @@ pub struct PredInfo {
 #[derive(Clone, Debug)]
 pub struct Program {
     rules: Vec<Rule>,
-    preds: FxHashMap<PredSym, PredInfo>,
-    /// Predicates in deterministic first-occurrence order.
+    /// Each predicate's dense id.
+    preds: FxHashMap<PredSym, u32>,
+    /// Predicates in deterministic first-occurrence order, by dense id.
     pred_order: Vec<PredSym>,
-    /// One span per rule for parsed programs; empty otherwise.
-    spans: Vec<RuleSpan>,
+    /// Signature info, by dense id.
+    pred_infos: Vec<PredInfo>,
+    /// The dense ids of every rule's head and body literal predicates,
+    /// rule after rule; rule `i`'s start at `pred_id_start[i]`.
+    pred_ids: Vec<u32>,
+    pred_id_start: Vec<u32>,
+    /// Per rule of a parsed program: its head position, and where its
+    /// literal positions start in `literal_pos`. Empty otherwise.
+    rule_spans: Vec<(Pos, u32)>,
+    /// The body literal positions of every parsed rule, dropped
+    /// duplicates' included, in source order.
+    literal_pos: Vec<Pos>,
     /// Dropped syntactic duplicates, in source order.
     duplicates: Vec<DuplicateRule>,
 }
@@ -93,27 +107,26 @@ impl Program {
     /// [`ValidationError::ArityMismatch`] if a predicate occurs with two
     /// different arities.
     pub fn new(rules: impl IntoIterator<Item = Rule>) -> Result<Self, ValidationError> {
-        Self::build(rules.into_iter().map(|r| (r, None)))
+        Self::build(rules.into_iter().collect(), Vec::new(), Vec::new())
     }
 
-    /// Like [`Program::new`], but attaches a source span to every rule
-    /// (the parser's entry point).
-    ///
-    /// # Errors
-    ///
-    /// [`ValidationError::ArityMismatch`] if a predicate occurs with two
-    /// different arities.
-    pub fn with_spans(
-        rules: impl IntoIterator<Item = (Rule, RuleSpan)>,
+    /// Like [`Program::new`], with the parser's source positions: per
+    /// rule its head position and the start of its literal positions in
+    /// `literal_pos`.
+    pub(crate) fn parsed(
+        rules: Vec<Rule>,
+        rule_spans: Vec<(Pos, u32)>,
+        literal_pos: Vec<Pos>,
     ) -> Result<Self, ValidationError> {
-        Self::build(rules.into_iter().map(|(r, s)| (r, Some(s))))
+        debug_assert_eq!(rules.len(), rule_spans.len(), "one span per rule");
+        Self::build(rules, rule_spans, literal_pos)
     }
 
     fn build(
-        spanned: impl IntoIterator<Item = (Rule, Option<RuleSpan>)>,
+        mut rules: Vec<Rule>,
+        mut rule_spans: Vec<(Pos, u32)>,
+        literal_pos: Vec<Pos>,
     ) -> Result<Self, ValidationError> {
-        let (mut rules, mut source_spans): (Vec<Rule>, Vec<Option<RuleSpan>>) =
-            spanned.into_iter().unzip();
         // First occurrence wins. The map borrows the rules, so finding
         // duplicates copies no rule.
         let mut keep: Vec<bool> = Vec::with_capacity(rules.len());
@@ -121,14 +134,14 @@ impl Program {
         {
             let mut seen: FxHashMap<&Rule, usize> = FxHashMap::default();
             seen.reserve(rules.len());
-            for (rule, span) in rules.iter().zip(&mut source_spans) {
+            for (i, rule) in rules.iter().enumerate() {
                 let next = seen.len();
                 match seen.entry(rule) {
                     Entry::Occupied(first) => {
                         keep.push(false);
                         duplicates.push(DuplicateRule {
                             kept: *first.get(),
-                            span: span.take(),
+                            pos: rule_spans.get(i).map(|&(pos, _)| pos),
                         });
                     }
                     Entry::Vacant(slot) => {
@@ -141,28 +154,28 @@ impl Program {
         if !duplicates.is_empty() {
             let mut flags = keep.iter();
             rules.retain(|_| *flags.next().expect("one flag per rule"));
-            let mut flags = keep.iter();
-            source_spans.retain(|_| *flags.next().expect("one flag per rule"));
+            if !rule_spans.is_empty() {
+                let mut flags = keep.iter();
+                rule_spans.retain(|_| *flags.next().expect("one flag per rule"));
+            }
         }
-        // Spans are all-or-nothing: a partially spanned input (never
-        // produced by the parser or the builder) degrades to span-less.
-        let spans: Vec<RuleSpan> = source_spans
-            .into_iter()
-            .collect::<Option<_>>()
-            .unwrap_or_default();
 
-        let mut preds: FxHashMap<PredSym, PredInfo> = FxHashMap::default();
+        let mut preds: FxHashMap<PredSym, u32> = FxHashMap::default();
         let mut pred_order: Vec<PredSym> = Vec::new();
+        let mut pred_infos: Vec<PredInfo> = Vec::new();
+        let mut pred_ids: Vec<u32> =
+            Vec::with_capacity(rules.iter().map(|r| 1 + r.body.len()).sum());
+        let mut pred_id_start: Vec<u32> = Vec::with_capacity(rules.len());
 
-        let note = |pred: PredSym,
-                    arity: usize,
-                    is_head: bool,
-                    neg: bool,
-                    preds: &mut FxHashMap<PredSym, PredInfo>,
-                    pred_order: &mut Vec<PredSym>|
-         -> Result<(), ValidationError> {
-            match preds.get_mut(&pred) {
-                Some(info) => {
+        let mut note = |pred: PredSym,
+                        arity: usize,
+                        is_head: bool,
+                        neg: bool|
+         -> Result<u32, ValidationError> {
+            let next = pred_order.len() as u32;
+            match preds.entry(pred) {
+                Entry::Occupied(known) => {
+                    let info = &mut pred_infos[*known.get() as usize];
                     if info.arity != arity {
                         return Err(ValidationError::ArityMismatch {
                             pred,
@@ -172,40 +185,27 @@ impl Program {
                     }
                     info.is_idb |= is_head;
                     info.occurs_negatively |= neg;
+                    Ok(info.index)
                 }
-                None => {
-                    preds.insert(
-                        pred,
-                        PredInfo {
-                            arity,
-                            is_idb: is_head,
-                            occurs_negatively: neg,
-                        },
-                    );
+                Entry::Vacant(slot) => {
+                    slot.insert(next);
+                    pred_infos.push(PredInfo {
+                        arity,
+                        is_idb: is_head,
+                        occurs_negatively: neg,
+                        index: next,
+                    });
                     pred_order.push(pred);
+                    Ok(next)
                 }
             }
-            Ok(())
         };
 
         for rule in &rules {
-            note(
-                rule.head.pred,
-                rule.head.arity(),
-                true,
-                false,
-                &mut preds,
-                &mut pred_order,
-            )?;
+            pred_id_start.push(u32::try_from(pred_ids.len()).expect("literal count fits u32"));
+            pred_ids.push(note(rule.head.pred, rule.head.arity(), true, false)?);
             for lit in &rule.body {
-                note(
-                    lit.atom.pred,
-                    lit.atom.arity(),
-                    false,
-                    lit.is_neg(),
-                    &mut preds,
-                    &mut pred_order,
-                )?;
+                pred_ids.push(note(lit.atom.pred, lit.atom.arity(), false, lit.is_neg())?);
             }
         }
 
@@ -213,7 +213,11 @@ impl Program {
             rules,
             preds,
             pred_order,
-            spans,
+            pred_infos,
+            pred_ids,
+            pred_id_start,
+            rule_spans,
+            literal_pos,
             duplicates,
         })
     }
@@ -229,8 +233,13 @@ impl Program {
     }
 
     /// The source span of rule `index`, if this program was parsed.
-    pub fn span(&self, index: usize) -> Option<&RuleSpan> {
-        self.spans.get(index)
+    pub fn span(&self, index: usize) -> Option<RuleSpan<'_>> {
+        let &(rule, start) = self.rule_spans.get(index)?;
+        let start = start as usize;
+        Some(RuleSpan {
+            rule,
+            literals: &self.literal_pos[start..start + self.rules[index].body.len()],
+        })
     }
 
     /// The syntactic duplicates dropped at construction, in source order.
@@ -250,20 +259,34 @@ impl Program {
 
     /// Signature info for `pred`, if it occurs in the program.
     pub fn pred_info(&self, pred: PredSym) -> Option<&PredInfo> {
-        self.preds.get(&pred)
+        self.preds.get(&pred).map(|&i| &self.pred_infos[i as usize])
     }
 
-    /// All predicates in deterministic first-occurrence order.
+    /// All predicates in deterministic first-occurrence order: a
+    /// predicate's position is its dense id ([`PredInfo::index`]).
     pub fn predicates(&self) -> &[PredSym] {
         &self.pred_order
+    }
+
+    /// Signature info of every predicate, by dense id.
+    pub fn pred_infos(&self) -> &[PredInfo] {
+        &self.pred_infos
+    }
+
+    /// The dense ids of rule `index`'s head predicate and then of each of
+    /// its body literals' predicates, in body order.
+    pub fn pred_ids(&self, index: usize) -> &[u32] {
+        let start = self.pred_id_start[index] as usize;
+        &self.pred_ids[start..=start + self.rules[index].body.len()]
     }
 
     /// IDB predicates (those that head a rule), in first-occurrence order.
     pub fn idb_predicates(&self) -> impl Iterator<Item = PredSym> + '_ {
         self.pred_order
             .iter()
-            .copied()
-            .filter(move |p| self.preds[p].is_idb)
+            .zip(&self.pred_infos)
+            .filter(|(_, info)| info.is_idb)
+            .map(|(&p, _)| p)
     }
 
     /// EDB predicates (those that never head a rule), in first-occurrence
@@ -271,18 +294,19 @@ impl Program {
     pub fn edb_predicates(&self) -> impl Iterator<Item = PredSym> + '_ {
         self.pred_order
             .iter()
-            .copied()
-            .filter(move |p| !self.preds[p].is_idb)
+            .zip(&self.pred_infos)
+            .filter(|(_, info)| !info.is_idb)
+            .map(|(&p, _)| p)
     }
 
     /// `true` iff `pred` is an IDB predicate of this program.
     pub fn is_idb(&self, pred: PredSym) -> bool {
-        self.preds.get(&pred).is_some_and(|i| i.is_idb)
+        self.pred_info(pred).is_some_and(|i| i.is_idb)
     }
 
     /// The arity of `pred`, if known.
     pub fn arity(&self, pred: PredSym) -> Option<usize> {
-        self.preds.get(&pred).map(|i| i.arity)
+        self.pred_info(pred).map(|i| i.arity)
     }
 
     /// `true` iff some body literal anywhere is negative.
@@ -452,7 +476,7 @@ mod tests {
         assert_eq!(p.len(), 2);
         assert_eq!(p.duplicate_rules().len(), 1);
         assert_eq!(p.duplicate_rules()[0].kept, 0);
-        assert!(p.duplicate_rules()[0].span.is_none());
+        assert!(p.duplicate_rules()[0].pos.is_none());
         // Equality ignores the duplicate record.
         let q = Program::new(vec![r("p", "q"), r("s", "q")]).unwrap();
         assert_eq!(p, q);

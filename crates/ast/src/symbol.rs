@@ -9,7 +9,11 @@
 //! lifetime of the process (the set of distinct identifiers is bounded by
 //! the input programs), and leaking lets `as_str` hand out `&'static str`
 //! without reference-counting overhead. This is the standard compiler
-//! interner design.
+//! interner design. New text is copied into a **text arena**: leaked
+//! 64 KiB chunks filled back to back, so a new name costs a copy, not an
+//! allocation of its own. A chunk's unused tail is abandoned when the
+//! next name does not fit it; a name longer than a chunk gets a leaked
+//! allocation of its own.
 //!
 //! **Reads take no lock.** [`Symbol::intern`] serializes writers on a
 //! mutex guarding the text → id map, but [`Symbol::as_str`] never touches
@@ -22,8 +26,9 @@
 //! 8 bytes of slot where a `Vec<&str>` entry cost 16.
 //!
 //! Two gauges watch the table's growth: `tiebreak_interned_symbols`
-//! (distinct names) and `tiebreak_interned_bytes` (leaked text bytes,
-//! length prefixes included). Both are set from the interner's own
+//! (distinct names) and `tiebreak_interned_bytes` (the bytes of every
+//! name's text plus its 4-byte length prefix — not chunk capacity, so
+//! each new name adds exactly `4 + len`). Both are set from the interner's own
 //! totals under the writer lock, so they never run backwards and a
 //! metrics reset lasts only until the next new name.
 //!
@@ -52,6 +57,8 @@ const FIRST_SEGMENT_BITS: u32 = 6;
 const SEGMENT_COUNT: usize = (33 - FIRST_SEGMENT_BITS) as usize;
 /// Bytes of the length prefix in front of each leaked text.
 const LEN_PREFIX: usize = 4;
+/// Bytes of one text-arena chunk.
+const CHUNK: usize = 64 << 10;
 
 /// The id → text directory: segment `s` points at 2^(6+s) slots, each
 /// null or a pointer to a length-prefixed leaked text. Written only under
@@ -91,10 +98,40 @@ impl Hasher for NameHasher {
 
 type NameMap = HashMap<&'static str, u32, BuildHasherDefault<NameHasher>>;
 
-/// The text → id map. Its length is the next id to hand out.
-fn texts() -> &'static Mutex<NameMap> {
-    static TEXTS: OnceLock<Mutex<NameMap>> = OnceLock::new();
-    TEXTS.get_or_init(|| Mutex::new(NameMap::default()))
+/// The writer side of the interner.
+#[derive(Default)]
+struct Texts {
+    /// The text → id map. Its length is the next id to hand out.
+    map: NameMap,
+    /// The unused tail of the current text-arena chunk.
+    free: &'static mut [u8],
+}
+
+impl Texts {
+    /// Copies `text` behind its 4-byte little-endian length into the
+    /// arena, returning the leaked prefix-and-text bytes.
+    fn store(&mut self, text: &str) -> &'static [u8] {
+        let len = u32::try_from(text.len()).expect("symbol text longer than 4 GiB");
+        let need = LEN_PREFIX + text.len();
+        let dest = if need > CHUNK {
+            Box::leak(vec![0u8; need].into_boxed_slice())
+        } else {
+            if need > self.free.len() {
+                self.free = Box::leak(vec![0u8; CHUNK].into_boxed_slice());
+            }
+            let (dest, rest) = std::mem::take(&mut self.free).split_at_mut(need);
+            self.free = rest;
+            dest
+        };
+        dest[..LEN_PREFIX].copy_from_slice(&len.to_le_bytes());
+        dest[LEN_PREFIX..].copy_from_slice(text.as_bytes());
+        dest
+    }
+}
+
+fn texts() -> &'static Mutex<Texts> {
+    static TEXTS: OnceLock<Mutex<Texts>> = OnceLock::new();
+    TEXTS.get_or_init(|| Mutex::new(Texts::default()))
 }
 
 /// The segment holding `id` and the slot's offset inside it.
@@ -110,16 +147,12 @@ impl Symbol {
     ///
     /// Interning the same text twice yields the same symbol.
     pub fn intern(text: &str) -> Self {
-        let mut map = texts().lock().expect("symbol interner poisoned");
-        if let Some(&id) = map.get(text) {
+        let mut texts = texts().lock().expect("symbol interner poisoned");
+        if let Some(&id) = texts.map.get(text) {
             return Symbol(id);
         }
-        let id = u32::try_from(map.len()).expect("interner overflow: > 2^32 symbols");
-        let len = u32::try_from(text.len()).expect("symbol text longer than 4 GiB");
-        let mut bytes = Vec::with_capacity(LEN_PREFIX + text.len());
-        bytes.extend_from_slice(&len.to_le_bytes());
-        bytes.extend_from_slice(text.as_bytes());
-        let leaked: &'static [u8] = Box::leak(bytes.into_boxed_slice());
+        let id = u32::try_from(texts.map.len()).expect("interner overflow: > 2^32 symbols");
+        let leaked = texts.store(text);
         let stored: &'static str =
             std::str::from_utf8(&leaked[LEN_PREFIX..]).expect("copied from a str");
 
@@ -138,7 +171,7 @@ impl Symbol {
         // the leaked segment lives for the rest of the process. Readers
         // never write through the stored (leaked, immutable) text.
         unsafe { &*slots.add(offset) }.store(leaked.as_ptr().cast_mut(), Ordering::Release);
-        map.insert(stored, id);
+        texts.map.insert(stored, id);
         let m = tiebreak_trace::metrics();
         m.interned_symbols.set(u64::from(id) + 1);
         let bytes = TEXT_BYTES.load(Ordering::Relaxed) + leaked.len() as u64;
@@ -161,7 +194,7 @@ impl Symbol {
         // for the rest of the process; `offset` is in range by `locate`.
         let text = unsafe { &*slots.add(offset) }.load(Ordering::Acquire);
         assert!(!text.is_null(), "symbol {} was never interned", self.0);
-        // SAFETY: a non-null slot points at a leaked allocation of a
+        // SAFETY: a non-null slot points at leaked arena bytes holding a
         // 4-byte little-endian length followed by that many bytes of
         // UTF-8, written before the slot's release store.
         unsafe {

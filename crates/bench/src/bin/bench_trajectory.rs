@@ -37,7 +37,11 @@
 //!   disabled span (`trace_disabled_span`), against the disabled run's
 //!   wall time. The enabled-recorder cost is recorded but never gated.
 //!
-//! The detected core count is recorded as `cores_detected`.
+//! The detected core count is recorded as `cores_detected`. The
+//! `ground_braid_scaling` entries also carry `passes_ms`, the mean time
+//! of each relevant-grounding pass (universe, candidates, envelope,
+//! emit) over extra untimed builds with the span recorder on, after the
+//! timed pairs; it is reported in the summary and never gated.
 //!
 //! Gates compare configurations on the same machine in the same process,
 //! so they are ratios — robust to runner speed. Usage:
@@ -277,11 +281,27 @@ fn grounding_entries(entries: &mut Vec<Entry>, n: usize) {
     }
 }
 
+/// The relevant grounder's passes, as the span recorder names them.
+const GROUND_PASSES: [&str; 4] = ["universe", "candidates_pass", "envelope_pass", "emit_pass"];
+
+/// Untimed traced builds per size for the per-pass breakdown.
+const PASS_BREAKDOWN_RUNS: usize = 5;
+
+/// Mean milliseconds per grounding pass of one entry's instance, read
+/// from the span recorder. Recorded, never gated.
+struct PassBreakdown {
+    bench: &'static str,
+    n: usize,
+    passes: Vec<(&'static str, f64)>,
+}
+
 /// Relevant grounding of the braided unfounded chain (one predicate per
 /// atom, every atom on a positive loop) at n and 2n pockets: the
 /// session grounder's build. Returns the median pair ratio (see
-/// [`paired_scaling`]).
-fn ground_scaling_entries(entries: &mut Vec<Entry>) -> f64 {
+/// [`paired_scaling`]). After the timed pairs, `PASS_BREAKDOWN_RUNS`
+/// more builds per size run with the span recorder on, and each pass's
+/// mean time goes into `breakdowns`; the timed pairs run with it off.
+fn ground_scaling_entries(entries: &mut Vec<Entry>, breakdowns: &mut Vec<PassBreakdown>) -> f64 {
     let config = GroundConfig::default();
     let database = Database::new();
     let programs: Vec<Program> = [GROUND_SCALING_POCKETS, 2 * GROUND_SCALING_POCKETS]
@@ -294,21 +314,55 @@ fn ground_scaling_entries(entries: &mut Vec<Entry>) -> f64 {
             )
         })
         .collect();
-    paired_scaling(
+    let build = |size: usize| {
+        SessionGrounder::build(&programs[size], &database, &config)
+            .expect("grounds")
+            .0
+    };
+    let ratio = paired_scaling(
         entries,
         "ground_braid_scaling",
         GROUND_SCALING_POCKETS,
         |size| {
             let t = Instant::now();
-            let (graph, _) =
-                SessionGrounder::build(&programs[size], &database, &config).expect("grounds");
+            let graph = build(size);
             (
                 t.elapsed().as_secs_f64() * 1e3,
                 graph.atom_count(),
                 graph.rule_count(),
             )
         },
-    )
+    );
+    let was_enabled = tiebreak_trace::enabled();
+    tiebreak_trace::set_enabled(true);
+    for (size, n) in [GROUND_SCALING_POCKETS, 2 * GROUND_SCALING_POCKETS]
+        .into_iter()
+        .enumerate()
+    {
+        drop(tiebreak_trace::drain());
+        for _ in 0..PASS_BREAKDOWN_RUNS {
+            drop(build(size));
+        }
+        let events = tiebreak_trace::drain();
+        let passes = GROUND_PASSES
+            .iter()
+            .map(|&pass| {
+                let ns: u64 = events
+                    .iter()
+                    .filter(|e| e.cat == "ground" && e.name == pass)
+                    .map(|e| e.dur_ns)
+                    .sum();
+                (pass, ns as f64 / 1e6 / PASS_BREAKDOWN_RUNS as f64)
+            })
+            .collect();
+        breakdowns.push(PassBreakdown {
+            bench: "ground_braid_scaling",
+            n,
+            passes,
+        });
+    }
+    tiebreak_trace::set_enabled(was_enabled);
+    ratio
 }
 
 /// First-order relevant grounding: win–move over
@@ -1163,11 +1217,24 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-fn to_json(sha: &str, entries: &[Entry], gates: &[Gate], baseline: &[BaselineEntry]) -> String {
+/// The per-pass breakdown recorded for an entry, if any.
+fn breakdown_of<'b>(breakdowns: &'b [PassBreakdown], e: &Entry) -> Option<&'b PassBreakdown> {
+    breakdowns
+        .iter()
+        .find(|b| b.bench == e.bench && b.n == e.n && e.mode == "median")
+}
+
+fn to_json(
+    sha: &str,
+    entries: &[Entry],
+    breakdowns: &[PassBreakdown],
+    gates: &[Gate],
+    baseline: &[BaselineEntry],
+) -> String {
     let cores = detected_cores();
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": 3,");
+    let _ = writeln!(out, "  \"schema\": 4,");
     let _ = writeln!(out, "  \"sha\": \"{}\",", json_escape(sha));
     let _ = writeln!(out, "  \"cores_detected\": {cores},");
     let _ = writeln!(out, "  \"entries\": [");
@@ -1195,6 +1262,14 @@ fn to_json(sha: &str, entries: &[Entry], gates: &[Gate], baseline: &[BaselineEnt
                 ", \"baseline_wall_ms\": {base_ms:.3}, \"vs_baseline\": {ratio:.3}"
             );
         }
+        if let Some(b) = breakdown_of(breakdowns, e) {
+            let passes: Vec<String> = b
+                .passes
+                .iter()
+                .map(|(pass, ms)| format!("\"{pass}\": {ms:.3}"))
+                .collect();
+            let _ = write!(out, ", \"passes_ms\": {{{}}}", passes.join(", "));
+        }
         let _ = write!(out, "}}");
         let _ = writeln!(out, "{}", if i + 1 < entries.len() { "," } else { "" });
     }
@@ -1219,7 +1294,12 @@ fn to_json(sha: &str, entries: &[Entry], gates: &[Gate], baseline: &[BaselineEnt
 /// gate (measured ratio vs required gate, with its verdict), then — when
 /// a baseline was supplied — one line per entry that has a
 /// cross-commit delta.
-fn summary_markdown(gates: &[Gate], entries: &[Entry], baseline: &[BaselineEntry]) -> String {
+fn summary_markdown(
+    gates: &[Gate],
+    entries: &[Entry],
+    breakdowns: &[PassBreakdown],
+    baseline: &[BaselineEntry],
+) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1230,6 +1310,19 @@ fn summary_markdown(gates: &[Gate], entries: &[Entry], baseline: &[BaselineEntry
     for g in gates {
         let verdict = if g.pass { "PASS" } else { "FAIL" };
         let _ = writeln!(out, "- **{}**: {} ({verdict})", g.name, g.detail);
+    }
+    if !breakdowns.is_empty() {
+        let _ = writeln!(out);
+        let _ = writeln!(out, "### Grounding passes (mean ms, not gated)");
+        let _ = writeln!(out);
+        for b in breakdowns {
+            let passes: Vec<String> = b
+                .passes
+                .iter()
+                .map(|(pass, ms)| format!("{pass} {ms:.3}"))
+                .collect();
+            let _ = writeln!(out, "- `{} n={}`: {}", b.bench, b.n, passes.join(", "));
+        }
     }
     let deltas: Vec<(&Entry, f64, f64)> = entries
         .iter()
@@ -1295,8 +1388,9 @@ fn main() {
     tie_chain_entries(&mut entries, &tie_sizes);
     unfounded_chain_entries(&mut entries, &tie_sizes);
     grounding_entries(&mut entries, 256);
+    let mut breakdowns = Vec::new();
     let ground_scaling_ratios = [
-        ground_scaling_entries(&mut entries),
+        ground_scaling_entries(&mut entries, &mut breakdowns),
         first_order_scaling_entries(&mut entries),
     ];
     braided_chain_entries(&mut entries, BRAID_CHAINS, BRAID_POCKETS, BRAID_LOOP);
@@ -1321,11 +1415,14 @@ fn main() {
             trace_events,
         },
     );
-    let json = to_json(&sha, &entries, &gates, &baseline);
+    let json = to_json(&sha, &entries, &breakdowns, &gates, &baseline);
     std::fs::write(&out_path, &json).expect("write summary");
     if let Some(path) = &summary_path {
-        std::fs::write(path, summary_markdown(&gates, &entries, &baseline))
-            .expect("write markdown summary");
+        std::fs::write(
+            path,
+            summary_markdown(&gates, &entries, &breakdowns, &baseline),
+        )
+        .expect("write markdown summary");
     }
 
     for e in &entries {
@@ -1344,6 +1441,19 @@ fn main() {
             e.stats.ties_broken,
             e.stats.unfounded_rounds,
             delta
+        );
+    }
+    for b in &breakdowns {
+        let passes: Vec<String> = b
+            .passes
+            .iter()
+            .map(|(pass, ms)| format!("{pass} {ms:.3}"))
+            .collect();
+        println!(
+            "{:<26} n={:<5} passes_ms  {}",
+            b.bench,
+            b.n,
+            passes.join(", ")
         );
     }
     // Cross-commit regressions warn (runner-to-runner noise is real);

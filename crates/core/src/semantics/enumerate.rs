@@ -141,7 +141,7 @@ impl<'g> Search<'g> {
 
 fn initial_state(graph: &GroundGraph, program: &Program, database: &Database) -> State {
     let model = PartialModel::initial(program, database, graph.atoms());
-    let rule_pending: Vec<u32> = graph.rules().iter().map(|r| r.body.len() as u32).collect();
+    let rule_pending: Vec<u32> = graph.rules().map(|r| r.body.len() as u32).collect();
     let atom_support: Vec<u32> = (0..graph.atom_count())
         .map(|i| graph.heads_of(AtomId(i as u32)).len() as u32)
         .collect();
@@ -178,7 +178,7 @@ pub fn enumerate_fixpoints(
     // are forced false by propagation once their counters are seen — but
     // counters only change on events, so seed those too.
     let mut st = initial_state(graph, program, database);
-    for (i, rule) in graph.rules().iter().enumerate() {
+    for (i, rule) in graph.rules().enumerate() {
         if rule.body.is_empty() && !st.rule_dead[i] {
             let head = rule.head;
             if st.model.get(head) == TruthValue::Undefined {

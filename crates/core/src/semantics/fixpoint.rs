@@ -31,7 +31,7 @@ pub fn fixpoint_violations(
 
     // Which atoms are derived by a rule with an all-true body?
     let mut derived: Vec<Option<RuleId>> = vec![None; graph.atom_count()];
-    for (i, rule) in graph.rules().iter().enumerate() {
+    for (i, rule) in graph.rules().enumerate() {
         let body_true = rule
             .body
             .iter()
@@ -82,7 +82,7 @@ pub fn is_consistent(
     if !model.extends(&m0) {
         return false;
     }
-    graph.rules().iter().all(|rule| {
+    graph.rules().all(|rule| {
         let body_true = rule
             .body
             .iter()

@@ -49,7 +49,7 @@ pub fn reduct_least_model(
             }
         }
     }
-    for (i, rule) in graph.rules().iter().enumerate() {
+    for (i, rule) in graph.rules().enumerate() {
         if alive[i] && pending[i] == 0 && !truth[rule.head.index()] {
             truth[rule.head.index()] = true;
             queue.push(rule.head);

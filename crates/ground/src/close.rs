@@ -136,7 +136,7 @@ impl CloseState {
 impl<'g> Closer<'g> {
     /// Fresh state over `graph`: everything alive, nothing queued.
     pub fn new(graph: &'g GroundGraph) -> Self {
-        let rule_pending: Vec<u32> = graph.rules().iter().map(|r| r.body.len() as u32).collect();
+        let rule_pending: Vec<u32> = graph.rules().map(|r| r.body.len() as u32).collect();
         let atom_support: Vec<u32> = (0..graph.atom_count())
             .map(|i| graph.heads_of(AtomId(i as u32)).len() as u32)
             .collect();
@@ -304,7 +304,7 @@ impl<'g> Closer<'g> {
             let rule = self.graph.rule(r);
             let mut pending = 0u32;
             let mut dead = false;
-            for &(a, sign) in &rule.body {
+            for &(a, sign) in rule.body {
                 if cone.atom_in[a.index()] {
                     pending += 1; // resolved by cone events, if ever
                     continue;
@@ -521,7 +521,7 @@ impl<'g> Closer<'g> {
         let mut support: Vec<u32> = self.atom_support.clone();
         let mut queue: VecDeque<Event> = VecDeque::new();
 
-        for (i, rule) in self.graph.rules().iter().enumerate() {
+        for (i, rule) in self.graph.rules().enumerate() {
             if !rule_in[i] {
                 continue;
             }
@@ -620,12 +620,12 @@ impl<'g> Closer<'g> {
         }
 
         let mut digraph = SignedDigraph::new(kinds.len());
-        for (i, rule) in self.graph.rules().iter().enumerate() {
+        for (i, rule) in self.graph.rules().enumerate() {
             let Some(rn) = rule_node[i] else { continue };
             if let Some(hn) = atom_node[rule.head.index()] {
                 digraph.add_edge(rn, hn, EdgeSign::Pos);
             }
-            for &(a, s) in &rule.body {
+            for &(a, s) in rule.body {
                 if let Some(an) = atom_node[a.index()] {
                     let sign = match s {
                         Sign::Pos => EdgeSign::Pos,

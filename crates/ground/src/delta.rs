@@ -51,12 +51,10 @@
 //! decoded models, e.g. `p(c) ← ¬q(c)` staying true after `c`'s last
 //! fact is retracted).
 
-use datalog_ast::{
-    ConstSym, Database, FxHashMap, FxHashSet, GroundAtom, PredSym, Program, Rule, Sign, Tuple,
-};
+use datalog_ast::{ConstSym, Database, FxHashSet, GroundAtom, PredSym, Program, Sign, Tuple};
 use signed_graph::Sccs;
 
-use crate::atoms::AtomSpaceOverflow;
+use crate::atoms::{AtomId, AtomSpaceOverflow};
 use crate::csr::CsrArena;
 use crate::graph::{GroundGraph, GroundRule};
 use crate::grounder::{GroundConfig, GroundError};
@@ -91,8 +89,6 @@ pub struct SessionGrounder {
     /// Facts of unknown predicates carried inside `supportable` since
     /// build (budget arithmetic discounts them).
     ignored_facts: u64,
-    /// Program predicates in [`Program::predicates`] order.
-    pred_index: FxHashMap<PredSym, u32>,
     /// Positive dependency successors: slot `p` lists head
     /// predicates of rules with a positive body literal of predicate `p`.
     pos_succ: CsrArena<u32>,
@@ -139,22 +135,17 @@ impl SessionGrounder {
             }
         }
 
-        // Positive predicate dependency graph, for affectedness and
-        // cycle detection.
+        // Positive predicate dependency graph over dense predicate ids,
+        // for affectedness and cycle detection.
         let preds = program.predicates();
-        let pred_index: FxHashMap<PredSym, u32> = preds
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p, i as u32))
-            .collect();
         let pos_edges = || {
-            let pred_index = &pred_index;
-            program.rules().iter().flat_map(move |rule| {
-                let head = pred_index[&rule.head.pred];
+            program.rules().iter().enumerate().flat_map(|(r, rule)| {
+                let ids = program.pred_ids(r);
                 rule.body
                     .iter()
-                    .filter(|lit| lit.sign == Sign::Pos)
-                    .map(move |lit| (pred_index[&lit.atom.pred], head))
+                    .zip(&ids[1..])
+                    .filter(|(lit, _)| lit.sign == Sign::Pos)
+                    .map(move |(_, &body)| (body, ids[0]))
             })
         };
         let mut counts = vec![0u32; preds.len()];
@@ -179,16 +170,10 @@ impl SessionGrounder {
                 ground_db,
                 supportable,
                 ignored_facts,
-                pred_index,
                 pos_succ,
                 on_pos_cycle,
             },
         ))
-    }
-
-    /// Current size of the maintained supportable set.
-    pub fn supportable_len(&self) -> usize {
-        self.supportable.len()
     }
 
     /// Extends `graph` for a batch of inserted facts: computes ΔS and
@@ -250,7 +235,7 @@ impl SessionGrounder {
         // Copied out because emission below grows the graph it lives in.
         let universe: Vec<ConstSym> = graph.atoms().universe().to_vec();
         let budget = SupportBudget::new(config, self.ignored_facts);
-        let affected = self.affected_preds(&seeds);
+        let affected = self.affected_preds(program, &seeds);
         let cyclic = affected.iter().any(|&p| self.on_pos_cycle[p as usize]);
         let mut delta_s: Vec<GroundAtom> = if cyclic {
             out.scoped_refresh = true;
@@ -282,6 +267,7 @@ impl SessionGrounder {
         // whose predicate gained supportable atoms; substitutions
         // deduplicated across occurrences.
         let mut args: Vec<ConstSym> = Vec::new();
+        let mut body: Vec<(AtomId, Sign)> = Vec::new();
         for (rule_index, rule) in program.rules().iter().enumerate() {
             let ev = RuleEvaluator::new(rule);
             if ev.positive_len() == 0 {
@@ -312,7 +298,7 @@ impl SessionGrounder {
                         let head = graph
                             .intern_tuple(rule.head.pred, &args, config.max_atoms)
                             .map_err(&overflow)?;
-                        let mut body = Vec::with_capacity(rule.body.len());
+                        body.clear();
                         for lit in &rule.body {
                             ev.ground_args(&lit.atom, assignment, &mut args);
                             let atom = graph
@@ -320,12 +306,11 @@ impl SessionGrounder {
                                 .map_err(&overflow)?;
                             body.push((atom, lit.sign));
                         }
-                        let body = body.into_boxed_slice();
                         graph.push_rule(GroundRule {
                             head,
-                            body,
+                            body: &body,
                             rule_index: rule_index as u32,
-                            subst: assignment.into(),
+                            subst: assignment,
                         });
                         out.new_rules += 1;
                         Ok(())
@@ -340,11 +325,14 @@ impl SessionGrounder {
     /// Predicates positively reachable from the seeds' predicates
     /// (inclusive): the only predicates whose supportable relations can
     /// grow.
-    fn affected_preds(&self, seeds: &[GroundAtom]) -> Vec<u32> {
+    fn affected_preds(&self, program: &Program, seeds: &[GroundAtom]) -> Vec<u32> {
         let mut in_set = vec![false; self.pos_succ.slot_count()];
         let mut stack: Vec<u32> = Vec::new();
         for fact in seeds {
-            let p = self.pred_index[&fact.pred];
+            let p = program
+                .pred_info(fact.pred)
+                .expect("a program predicate")
+                .index;
             if !in_set[p as usize] {
                 in_set[p as usize] = true;
                 stack.push(p);
@@ -380,14 +368,12 @@ impl SessionGrounder {
             is_affected[p as usize] = true;
         }
         let affected_pred = |p: PredSym| -> bool {
-            self.pred_index
-                .get(&p)
-                .is_some_and(|&i| is_affected[i as usize])
+            program
+                .pred_info(p)
+                .is_some_and(|info| is_affected[info.index as usize])
         };
-        let scope: Vec<&Rule> = program
-            .rules()
-            .iter()
-            .filter(|r| affected_pred(r.head.pred))
+        let scope: Vec<usize> = (0..program.len())
+            .filter(|&r| is_affected[program.pred_ids(r)[0] as usize])
             .collect();
 
         // Frozen context + Δ̂∩affected never retire; the old affected
@@ -408,7 +394,7 @@ impl SessionGrounder {
         }
 
         let current =
-            support_counted_gfp(program, &scope, &self.ground_db, base, universe, budget)?;
+            support_counted_gfp(program, &scope, &self.ground_db, base, universe, budget)?.db;
 
         let delta: Vec<GroundAtom> = current
             .facts()
@@ -434,7 +420,7 @@ mod tests {
         for rule in fresh.rules() {
             let head = fresh.atoms().decode(rule.head);
             let gh = graph.atoms().id_of(&head).expect("head atom present");
-            let found = graph.rules().iter().any(|r| {
+            let found = graph.rules().any(|r| {
                 r.rule_index == rule.rule_index
                     && r.head == gh
                     && r.body.len() == rule.body.len()

@@ -33,20 +33,78 @@ impl RuleId {
     }
 }
 
-/// One rule node: an instantiation `r(a₁, …, a_k)` of a source rule.
-#[derive(Clone, Debug)]
-pub struct GroundRule {
+/// One rule node: an instantiation `r(a₁, …, a_k)` of a source rule, as
+/// a view into the graph's rule slab ([`GroundGraph::rule`]).
+#[derive(Clone, Copy, Debug)]
+pub struct GroundRule<'g> {
     /// The instantiated head atom.
     pub head: AtomId,
     /// The instantiated body: `(atom, sign)` per literal, in source order.
     /// The same atom may occur several times (even with both signs).
-    pub body: Box<[(AtomId, Sign)]>,
+    pub body: &'g [(AtomId, Sign)],
     /// Index of the source rule in the program.
     pub rule_index: u32,
     /// The substitution: constants assigned to the rule's variables in
     /// [`datalog_ast::Rule::variables`] order. Empty for variable-free
     /// rules.
-    pub subst: Box<[ConstSym]>,
+    pub subst: &'g [ConstSym],
+}
+
+/// A rule node's fixed part: its body and substitution end where the
+/// slab's next node's start.
+#[derive(Clone, Copy, Debug)]
+struct RuleNode {
+    head: AtomId,
+    rule_index: u32,
+    body_end: usize,
+    subst_end: usize,
+}
+
+/// Every rule node of a graph in three vectors: the nodes, and every
+/// body and every substitution back to back, so a rule costs no
+/// allocation of its own.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RuleSlab {
+    nodes: Vec<RuleNode>,
+    body: Vec<(AtomId, Sign)>,
+    subst: Vec<ConstSym>,
+}
+
+impl RuleSlab {
+    /// Appends one literal to the body of the rule being built.
+    pub(crate) fn push_literal(&mut self, atom: AtomId, sign: Sign) {
+        self.body.push((atom, sign));
+    }
+
+    /// Ends the rule being built: its body is every literal pushed since
+    /// the previous rule ended.
+    pub(crate) fn end_rule(&mut self, head: AtomId, rule_index: u32, subst: &[ConstSym]) {
+        self.subst.extend_from_slice(subst);
+        self.nodes.push(RuleNode {
+            head,
+            rule_index,
+            body_end: self.body.len(),
+            subst_end: self.subst.len(),
+        });
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn get(&self, i: usize) -> GroundRule<'_> {
+        let node = self.nodes[i];
+        let (body_start, subst_start) = match i.checked_sub(1) {
+            Some(prev) => (self.nodes[prev].body_end, self.nodes[prev].subst_end),
+            None => (0, 0),
+        };
+        GroundRule {
+            head: node.head,
+            body: &self.body[body_start..node.body_end],
+            rule_index: node.rule_index,
+            subst: &self.subst[subst_start..node.subst_end],
+        }
+    }
 }
 
 /// The forward cone of a mutation: the nodes reachable from the changed
@@ -90,7 +148,7 @@ pub struct GraphFootprint {
 #[derive(Clone, Debug)]
 pub struct GroundGraph {
     atoms: AtomTable,
-    rules: Vec<GroundRule>,
+    rules: RuleSlab,
     /// For each atom: the rule nodes in whose body it occurs, with sign.
     atom_uses: CsrArena<(RuleId, Sign)>,
     /// For each atom: the rule nodes whose head it is.
@@ -99,25 +157,26 @@ pub struct GroundGraph {
 
 impl GroundGraph {
     /// Assembles a ground graph from its parts. `rules` must reference
-    /// only atoms of `atoms`. (Normally called via [`crate::ground`].)
-    pub fn from_parts(atoms: AtomTable, rules: Vec<GroundRule>) -> Self {
+    /// only atoms of `atoms`. (Called by the grounders.)
+    pub(crate) fn from_parts(atoms: AtomTable, rules: RuleSlab) -> Self {
         let mut use_counts = vec![0u32; atoms.len()];
         let mut head_counts = vec![0u32; atoms.len()];
-        for rule in &rules {
-            head_counts[rule.head.index()] += 1;
-            for &(a, _) in &rule.body {
-                use_counts[a.index()] += 1;
-            }
+        for node in &rules.nodes {
+            head_counts[node.head.index()] += 1;
+        }
+        for &(a, _) in &rules.body {
+            use_counts[a.index()] += 1;
         }
         let (mut atom_uses, mut use_cursors) =
             CsrArena::from_counts(&use_counts, (RuleId(0), Sign::Pos));
         let (mut atom_heads, mut head_cursors) = CsrArena::from_counts(&head_counts, RuleId(0));
-        for (i, rule) in rules.iter().enumerate() {
-            let id = RuleId(i as u32);
-            atom_heads.place(&mut head_cursors, rule.head.0, id);
-            for &(a, s) in &rule.body {
-                atom_uses.place(&mut use_cursors, a.0, (id, s));
+        let mut body_start = 0;
+        for (id, node) in (0u32..).zip(&rules.nodes) {
+            atom_heads.place(&mut head_cursors, node.head.0, RuleId(id));
+            for &(a, s) in &rules.body[body_start..node.body_end] {
+                atom_uses.place(&mut use_cursors, a.0, (RuleId(id), s));
             }
+            body_start = node.body_end;
         }
         GroundGraph {
             atoms,
@@ -137,9 +196,9 @@ impl GroundGraph {
         self.atoms.len()
     }
 
-    /// The rule nodes.
-    pub fn rules(&self) -> &[GroundRule] {
-        &self.rules
+    /// The rule nodes, in id order.
+    pub fn rules(&self) -> impl ExactSizeIterator<Item = GroundRule<'_>> + '_ {
+        (0..self.rules.len()).map(|i| self.rules.get(i))
     }
 
     /// Number of rule nodes.
@@ -148,8 +207,8 @@ impl GroundGraph {
     }
 
     /// The rule node with id `r`.
-    pub fn rule(&self, r: RuleId) -> &GroundRule {
-        &self.rules[r.index()]
+    pub fn rule(&self, r: RuleId) -> GroundRule<'_> {
+        self.rules.get(r.index())
     }
 
     /// The body occurrences of `atom` across all rule nodes.
@@ -164,7 +223,7 @@ impl GroundGraph {
 
     /// Total number of edges (head edges + body edges).
     pub fn edge_count(&self) -> usize {
-        self.rules.len() + self.rules.iter().map(|r| r.body.len()).sum::<usize>()
+        self.rules.len() + self.rules.body.len()
     }
 
     /// The graph's resident-size accounting: node/edge counts plus an
@@ -178,10 +237,10 @@ impl GroundGraph {
         let atoms = self.atom_count();
         let rules = self.rule_count();
         let edges = self.edge_count();
-        let subst_consts: usize = self.rules.iter().map(|r| r.subst.len()).sum();
+        let subst_consts = self.rules.subst.len();
         // Per atom: decode entry + index slot + per-predicate link + two
         // incidence spans (12 bytes each).
-        // Per rule: the GroundRule header (with two boxed-slice headers).
+        // Per rule: its slab node plus the slab vectors' growth room.
         // Per edge: a body slot plus its incidence-arena mirror.
         let approx_bytes = atoms * 88 + rules * 48 + edges * 16 + subst_consts * 4;
         GraphFootprint {
@@ -225,17 +284,18 @@ impl GroundGraph {
         Ok(id)
     }
 
-    /// Appends a rule node, wiring its head and body incidence. All of
-    /// its atoms must already be in the table.
-    pub fn push_rule(&mut self, rule: GroundRule) -> RuleId {
+    /// Appends a rule node, copied into the slab, wiring its head and
+    /// body incidence. All of its atoms must already be in the table.
+    pub fn push_rule(&mut self, rule: GroundRule<'_>) -> RuleId {
         let id = RuleId(u32::try_from(self.rules.len()).expect("rule ids fit u32 within budget"));
         self.atom_heads.push(rule.head.0, id);
-        for &(a, s) in &rule.body {
+        for &(a, s) in rule.body {
             self.atom_uses.push(a.0, (id, s));
+            self.rules.push_literal(a, s);
         }
         self.atom_heads.compact();
         self.atom_uses.compact();
-        self.rules.push(rule);
+        self.rules.end_rule(rule.head, rule.rule_index, rule.subst);
         id
     }
 

@@ -54,7 +54,7 @@ use std::fmt;
 use datalog_ast::{ConstSym, Database, FxHashMap, PredSym, Program, Sign, Term, ValidationError};
 
 use crate::atoms::{AtomId, AtomInterner, AtomTable, MAX_ATOM_SPACE};
-use crate::graph::{GroundGraph, GroundRule};
+use crate::graph::{GroundGraph, RuleSlab};
 
 /// How [`ground`] realizes *G(Π, Δ)*.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -319,7 +319,8 @@ fn ground_full(
     }
     let (atoms, offsets) = intern_full_atoms(program, universe, max_atoms);
 
-    let mut rules: Vec<GroundRule> = Vec::with_capacity(instances as usize);
+    let mut rules = RuleSlab::default();
+    let mut subst: Vec<ConstSym> = Vec::new();
     for (rule_index, rule) in program.rules().iter().enumerate() {
         let vars = rule.variables();
         let k = vars.len();
@@ -362,20 +363,12 @@ fn ground_full(
         let mut assignment: Vec<u32> = vec![0; k];
         loop {
             let head = head_t.resolve(u, &assignment);
-            let body: Box<[(AtomId, Sign)]> = body_t
-                .iter()
-                .map(|(t, s)| (t.resolve(u, &assignment), *s))
-                .collect();
-            let subst: Box<[ConstSym]> = assignment
-                .iter()
-                .map(|&i| atoms.universe()[i as usize])
-                .collect();
-            rules.push(GroundRule {
-                head,
-                body,
-                rule_index: rule_index as u32,
-                subst,
-            });
+            for (t, s) in &body_t {
+                rules.push_literal(t.resolve(u, &assignment), *s);
+            }
+            subst.clear();
+            subst.extend(assignment.iter().map(|&i| atoms.universe()[i as usize]));
+            rules.end_rule(head, rule_index as u32, &subst);
 
             // Advance the counter; stop after wrapping.
             let Some(pos) = assignment.iter().rposition(|&i| u64::from(i) + 1 < u) else {
@@ -419,7 +412,7 @@ mod tests {
         let atoms = g.atoms();
         // Find the instance X=a, Y=b.
         let head = atoms.id_of(&GroundAtom::from_texts("win", &["a"])).unwrap();
-        let found = g.rules().iter().any(|r| {
+        let found = g.rules().any(|r| {
             r.head == head
                 && r.subst.len() == 2
                 && r.subst[0].as_str() == "a"
@@ -453,7 +446,7 @@ mod tests {
         .unwrap();
         assert_eq!(g.rule_count(), 2);
         assert_eq!(g.atom_count(), 2);
-        assert!(g.rules().iter().all(|r| r.subst.is_empty()));
+        assert!(g.rules().all(|r| r.subst.is_empty()));
     }
 
     #[test]

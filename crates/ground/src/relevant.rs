@@ -21,9 +21,17 @@
 //! (its rule node keeps its incoming edge), so it must be grounded even
 //! though no least-model computation ever derives `p`.
 //!
-//! The computation is three passes over [`RuleEvaluator`]s, each rule
-//! joined once per pass (a variable-free rule needs no join plan: its
-//! one instance is a membership test per positive literal):
+//! The computation is three passes over the program's rules, each rule
+//! read once per pass. Every rule is read through
+//! [`Program::pred_ids`], the dense predicate ids the program compiled
+//! once when it was built. A **propositional** rule (every atom nullary,
+//! the whole of the braided benchmark programs) needs no join and no
+//! atom lookup at all: its one instance exists iff each of its positive
+//! atoms is in the set at hand, and a nullary atom is its predicate, so
+//! membership and pass-2 ids are flags and slots indexed by dense
+//! predicate id. Every other rule is joined by a [`RuleEvaluator`] (a
+//! variable-free rule with constants needs no join plan: its one
+//! instance is a membership test per positive literal):
 //!
 //! 1. **Candidates** — each rule joined on its positive *EDB* literals
 //!    only ([`RuleEvaluator::edb_skeleton`]), other variables ranging
@@ -42,15 +50,25 @@
 //!    stored (a few `u32`s each), at most `max_rule_instances +
 //!    max_atoms` of them
 //!    ([`GroundError::TooManyCandidateInstances`] past that); an
-//!    instance over fixed atoms alone supports its head for good.
-//! 3. **Emission** — each rule's positive body joined against S
+//!    instance over fixed atoms alone supports its head for good. The
+//!    pass ends with S as a database and, per nullary predicate, a flag.
+//! 3. **Emission** — a propositional rule's instance is written out
+//!    when the S flags of its positive atoms are set; any other rule's
+//!    positive body is joined against S
 //!    ([`RuleEvaluator::for_each_substitution`]), each satisfying
-//!    substitution emitted exactly once; head and body atoms (including
+//!    substitution emitted exactly once. Head and body atoms (including
 //!    negative literals, so the instance is the paper's untruncated rule
-//!    node) are interned on first touch. Δ's facts are interned first so
-//!    the initial model M₀(Δ) is fully representable. Emission walks each
-//!    relation of S in its hash-set order, and that walk fixes atom ids
-//!    and rule order.
+//!    node) are interned on first touch, a nullary atom's id then kept
+//!    by dense predicate id. Δ's facts are interned first so the initial
+//!    model M₀(Δ) is fully representable. Emission visits the rules in
+//!    program order and walks each relation of S in its hash-set order,
+//!    and that walk fixes atom ids and rule order. Bodies and
+//!    substitutions go into the graph's rule slab, not a box each.
+//!
+//! A first-order rule is joined again at emission rather than replayed
+//! from a pass-2 record: on the first-order benchmark shape (win–move)
+//! pass 2 enumerates no instance at all, since no head can retire, so a
+//! record would move the join into pass 2 rather than save it.
 //!
 //! No pass builds a [`GroundAtom`](datalog_ast::GroundAtom) to look one up: each literal is
 //! grounded into one reused argument buffer
@@ -61,12 +79,10 @@
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
 
-use datalog_ast::{
-    Atom, ConstSym, Database, FxHashMap, FxHashSet, PredSym, Program, Rule, Sign, Tuple,
-};
+use datalog_ast::{Atom, ConstSym, Database, FxHashMap, PredSym, Program, Rule, Sign, Tuple};
 
-use crate::atoms::{AtomInterner, AtomSpaceOverflow, MAX_ATOM_SPACE};
-use crate::graph::{GroundGraph, GroundRule};
+use crate::atoms::{AtomId, AtomInterner, AtomSpaceOverflow, MAX_ATOM_SPACE};
+use crate::graph::{GroundGraph, RuleSlab};
 use crate::grounder::{GroundConfig, GroundError};
 use crate::seminaive::RuleEvaluator;
 
@@ -94,7 +110,7 @@ pub(crate) fn ground_relevant_parts(
         universe
     };
     let budget = SupportBudget::new(config, ignored_fact_count(program, database));
-    let rules: Vec<&Rule> = program.rules().iter().collect();
+    let rules: Vec<usize> = (0..program.len()).collect();
     let supportable = support_counted_gfp(
         program,
         &rules,
@@ -104,7 +120,7 @@ pub(crate) fn ground_relevant_parts(
         &budget,
     )?;
     let graph = emit_instances(program, database, config, &universe, &supportable)?;
-    Ok((graph, supportable))
+    Ok((graph, supportable.db))
 }
 
 /// The number of database facts about predicates the program never
@@ -157,19 +173,130 @@ impl SupportBudget {
     }
 }
 
-/// Passes 1 + 2 over `rules`: the greatest set S ⊇ `fixed` closed under
-/// the positive envelopes of `rules` (see the module docs). Atoms of
-/// `fixed` never retire: Δ for a fresh grounding, Δ plus the frozen
-/// context for the incremental session's scoped refresh. `edb` is the
-/// database the candidate pass joins the rules' EDB skeletons against.
+/// No pass-2 id: the atom is fixed, or no candidate.
+const NO_ID: u32 = u32::MAX;
+
+/// The supportable set S: every atom in `db`, and for each nullary
+/// predicate (by dense id) whether its one atom is in S.
+pub(crate) struct Supportable {
+    pub(crate) db: Database,
+    nullary: Vec<bool>,
+}
+
+/// `true` iff every atom of rule `r` is nullary: the rule is its own one
+/// instance, and each of its atoms is identified by its predicate's
+/// dense id.
+fn is_propositional(program: &Program, r: usize) -> bool {
+    let infos = program.pred_infos();
+    program
+        .pred_ids(r)
+        .iter()
+        .all(|&p| infos[p as usize].arity == 0)
+}
+
+/// The rule's body literals with their predicates' dense ids.
+fn dense_body<'p>(program: &'p Program, r: usize) -> impl Iterator<Item = (u32, Sign)> + 'p {
+    let ids = &program.pred_ids(r)[1..];
+    ids.iter()
+        .zip(&program.rules()[r].body)
+        .map(|(&p, lit)| (p, lit.sign))
+}
+
+/// Whether each nullary program predicate's atom is in `db`, by dense
+/// id.
+fn nullary_members(program: &Program, db: &Database) -> Vec<bool> {
+    let mut members = vec![false; program.predicates().len()];
+    for (pred, rel) in db.relations() {
+        if rel.arity() == 0 && !rel.is_empty() {
+            if let Some(info) = program.pred_info(pred) {
+                members[info.index as usize] = true;
+            }
+        }
+    }
+    members
+}
+
+/// The candidate set T̂ of pass 1, with pass 2's dense ids for the atoms
+/// that may retire. A nullary atom is its predicate: its membership and
+/// id are read by dense predicate id, every other atom's by a hash
+/// probe. Every candidate is also in `db`, which the joins read.
+struct Candidates {
+    db: Database,
+    /// Per nullary predicate: its atom is a candidate.
+    nullary: Vec<bool>,
+    /// Per nullary predicate: its atom's id, or [`NO_ID`].
+    nullary_id: Vec<u32>,
+    ids: FxHashMap<AtomKey, u32>,
+    /// Ids handed out so far, nullary and keyed together.
+    next_id: u32,
+    /// Per predicate: some atom of it has an id.
+    retirable: Vec<bool>,
+}
+
+impl Candidates {
+    fn contains(&self, p: u32, pred: PredSym, args: &[ConstSym]) -> bool {
+        if args.is_empty() {
+            self.nullary[p as usize]
+        } else {
+            self.db.contains_tuple(pred, args)
+        }
+    }
+
+    fn id(&self, p: u32, pred: PredSym, args: &[ConstSym]) -> Option<u32> {
+        if args.is_empty() {
+            Some(self.nullary_id[p as usize]).filter(|&id| id != NO_ID)
+        } else {
+            id_in(&self.ids, pred, args)
+        }
+    }
+
+    /// Adds a new candidate; one that may retire gets the next id.
+    fn insert(
+        &mut self,
+        p: u32,
+        pred: PredSym,
+        args: &[ConstSym],
+        retirable: bool,
+        budget: &SupportBudget,
+    ) -> Result<(), GroundError> {
+        if retirable {
+            self.retirable[p as usize] = true;
+            if args.is_empty() {
+                self.nullary_id[p as usize] = self.next_id;
+            } else {
+                let key = AtomKey {
+                    pred,
+                    args: Tuple::new(args),
+                };
+                self.ids.insert(key, self.next_id);
+            }
+            self.next_id += 1;
+        }
+        if args.is_empty() {
+            self.nullary[p as usize] = true;
+        }
+        self.db.insert_tuple(pred, args).expect("arity consistent");
+        if self.db.len() as u64 > budget.fact_cap {
+            return Err(budget.too_many(self.db.len() as u64));
+        }
+        Ok(())
+    }
+}
+
+/// Passes 1 + 2 over the rules with indices `rules`: the greatest set
+/// S ⊇ `fixed` closed under the positive envelopes of those rules (see
+/// the module docs). Atoms of `fixed` never retire: Δ for a fresh
+/// grounding, Δ plus the frozen context for the incremental session's
+/// scoped refresh. `edb` is the database the candidate pass joins the
+/// rules' EDB skeletons against.
 pub(crate) fn support_counted_gfp(
     program: &Program,
-    rules: &[&Rule],
+    rules: &[usize],
     edb: &Database,
     fixed: Database,
     universe: &[ConstSym],
     budget: &SupportBudget,
-) -> Result<Database, GroundError> {
+) -> Result<Supportable, GroundError> {
     // Pass 1: candidate heads T̂ — join each rule on its positive EDB
     // literals only, streaming each head straight into the candidate
     // database so memory stays bounded by the atom budget (T̂ never
@@ -177,43 +304,51 @@ pub(crate) fn support_counted_gfp(
     // accepts is never rejected here). New heads get dense ids — they
     // are the atoms pass 2 may retire — unless their rule has no positive
     // IDB literal: such a rule is its own envelope, its body lies in
-    // `fixed`, so its heads are supported for good.
+    // `fixed`, so its heads are supported for good. A propositional rule
+    // is read by dense predicate id alone.
     let mut pass1 = tiebreak_trace::span("ground", "candidates_pass", &[]);
-    let mut candidates = fixed;
-    let mut ids: FxHashMap<AtomKey, u32> = FxHashMap::default();
-    let mut retirable_preds: FxHashSet<PredSym> = FxHashSet::default();
+    let infos = program.pred_infos();
+    let preds = program.predicates();
+    let propositional: Vec<bool> = rules
+        .iter()
+        .map(|&r| is_propositional(program, r))
+        .collect();
+    let edb_nullary = nullary_members(program, edb);
+    let mut cands = Candidates {
+        nullary: nullary_members(program, &fixed),
+        db: fixed,
+        nullary_id: vec![NO_ID; preds.len()],
+        ids: FxHashMap::default(),
+        next_id: 0,
+        retirable: vec![false; preds.len()],
+    };
     let mut args: Vec<ConstSym> = Vec::new();
-    for rule in rules {
-        let supported_for_good = rule
-            .body
-            .iter()
-            .all(|l| l.sign == Sign::Neg || !program.is_idb(l.atom.pred));
+    for (&r, &propositional) in rules.iter().zip(&propositional) {
+        let rule = &program.rules()[r];
+        let h = program.pred_ids(r)[0];
+        let supported_for_good =
+            dense_body(program, r).all(|(p, sign)| sign == Sign::Neg || !infos[p as usize].is_idb);
+        if propositional {
+            let holds = dense_body(program, r).all(|(p, sign)| {
+                sign == Sign::Neg || infos[p as usize].is_idb || edb_nullary[p as usize]
+            });
+            if holds && !cands.nullary[h as usize] {
+                cands.insert(h, preds[h as usize], &[], !supported_for_good, budget)?;
+            }
+            continue;
+        }
         let joined = |a: &Atom| !program.is_idb(a.pred);
         let plan = || RuleEvaluator::edb_skeleton(rule, program);
         let pred = rule.head.pred;
         for_each_instance(rule, plan, joined, edb, universe, |ground, _| {
             ground(&rule.head, &mut args);
-            if candidates.contains_tuple(pred, &args) {
+            if cands.contains(h, pred, &args) {
                 return Ok(());
             }
-            if !supported_for_good {
-                retirable_preds.insert(pred);
-                let key = AtomKey {
-                    pred,
-                    args: Tuple::new(&args),
-                };
-                ids.insert(key, ids.len() as u32);
-            }
-            candidates
-                .insert_tuple(pred, &args)
-                .expect("arity consistent");
-            if candidates.len() as u64 > budget.fact_cap {
-                return Err(budget.too_many(candidates.len() as u64));
-            }
-            Ok(())
+            cands.insert(h, pred, &args, !supported_for_good, budget)
         })?;
     }
-    pass1.arg("candidates", candidates.len() as u64);
+    pass1.arg("candidates", cands.db.len() as u64);
     drop(pass1);
 
     // Pass 2: support counting. Every envelope instance over T̂ with a
@@ -227,60 +362,89 @@ pub(crate) fn support_counted_gfp(
     // left with no live instance retires in turn — the unsupported
     // cascade of `close`, run on T̂.
     let mut pass2 = tiebreak_trace::span("ground", "envelope_pass", &[]);
-    let mut supports: Vec<u32> = vec![0; ids.len()];
-    let mut anchored: Vec<bool> = vec![false; ids.len()];
+    let id_count = cands.next_id as usize;
+    let mut supports: Vec<u32> = vec![0; id_count];
+    let mut anchored: Vec<bool> = vec![false; id_count];
     let mut inst_head: Vec<u32> = Vec::new();
     let mut inst_body_end: Vec<usize> = Vec::new();
     let mut inst_body: Vec<u32> = Vec::new();
-    for rule in rules {
+    // Stores one instance with head id `head` whose retirable body atoms
+    // were pushed onto `inst_body` from `start` on.
+    let mut store = |head: u32,
+                     start: usize,
+                     inst_body: &mut Vec<u32>,
+                     anchored: &mut Vec<bool>|
+     -> Result<(), GroundError> {
+        if inst_body.len() == start {
+            anchored[head as usize] = true;
+            return Ok(());
+        }
+        inst_head.push(head);
+        inst_body_end.push(inst_body.len());
+        supports[head as usize] += 1;
+        if inst_head.len() as u64 > budget.instance_cap {
+            return Err(GroundError::TooManyCandidateInstances {
+                required: inst_head.len() as u64,
+                budget: budget.instance_cap,
+            });
+        }
+        Ok(())
+    };
+    for (&r, &propositional) in rules.iter().zip(&propositional) {
+        let h = program.pred_ids(r)[0];
         // Only atoms of predicates with retirable atoms need looking up.
-        if !retirable_preds.contains(&rule.head.pred) {
+        if !cands.retirable[h as usize] {
             continue;
         }
+        if propositional {
+            let head = cands.nullary_id[h as usize];
+            let exists = dense_body(program, r)
+                .all(|(p, sign)| sign == Sign::Neg || cands.nullary[p as usize]);
+            if !exists || head == NO_ID || anchored[head as usize] {
+                continue;
+            }
+            let start = inst_body.len();
+            for (p, sign) in dense_body(program, r) {
+                let id = cands.nullary_id[p as usize];
+                if sign == Sign::Pos && id != NO_ID && !inst_body[start..].contains(&id) {
+                    inst_body.push(id);
+                }
+            }
+            store(head, start, &mut inst_body, &mut anchored)?;
+            continue;
+        }
+        let rule = &program.rules()[r];
         let plan = || RuleEvaluator::envelope(rule);
-        for_each_instance(rule, plan, all, &candidates, universe, |ground, _| {
+        for_each_instance(rule, plan, all, &cands.db, universe, |ground, _| {
             ground(&rule.head, &mut args);
-            let Some(head) = id_in(&ids, rule.head.pred, &args) else {
+            let Some(head) = cands.id(h, rule.head.pred, &args) else {
                 return Ok(()); // a fixed head never retires
             };
             if anchored[head as usize] {
                 return Ok(());
             }
             let start = inst_body.len();
-            for lit in &rule.body {
-                if lit.sign == Sign::Neg || !retirable_preds.contains(&lit.atom.pred) {
+            for (lit, &p) in rule.body.iter().zip(&program.pred_ids(r)[1..]) {
+                if lit.sign == Sign::Neg || !cands.retirable[p as usize] {
                     continue;
                 }
                 ground(&lit.atom, &mut args);
-                if let Some(id) = id_in(&ids, lit.atom.pred, &args) {
+                if let Some(id) = cands.id(p, lit.atom.pred, &args) {
                     if !inst_body[start..].contains(&id) {
                         inst_body.push(id);
                     }
                 }
             }
-            if inst_body.len() == start {
-                anchored[head as usize] = true;
-                return Ok(());
-            }
-            inst_head.push(head);
-            inst_body_end.push(inst_body.len());
-            supports[head as usize] += 1;
-            if inst_head.len() as u64 > budget.instance_cap {
-                return Err(GroundError::TooManyCandidateInstances {
-                    required: inst_head.len() as u64,
-                    budget: budget.instance_cap,
-                });
-            }
-            Ok(())
+            store(head, start, &mut inst_body, &mut anchored)
         })?;
     }
 
     // Occurrence index: the stored instances each atom occurs in.
-    let mut occ_start: Vec<usize> = vec![0; ids.len() + 1];
+    let mut occ_start: Vec<usize> = vec![0; id_count + 1];
     for &a in &inst_body {
         occ_start[a as usize + 1] += 1;
     }
-    for i in 0..ids.len() {
+    for i in 0..id_count {
         occ_start[i + 1] += occ_start[i];
     }
     let mut fill = occ_start.clone();
@@ -295,7 +459,7 @@ pub(crate) fn support_counted_gfp(
     }
 
     let mut alive = vec![true; inst_head.len()];
-    let mut worklist: Vec<u32> = (0..ids.len() as u32)
+    let mut worklist: Vec<u32> = (0..id_count as u32)
         .filter(|&a| !anchored[a as usize] && supports[a as usize] == 0)
         .collect();
     let mut retired = worklist.len() as u64;
@@ -313,14 +477,26 @@ pub(crate) fn support_counted_gfp(
         }
     }
     // Counts only fall, so an atom retired exactly when it hit zero.
-    for (key, &id) in &ids {
-        if !anchored[id as usize] && supports[id as usize] == 0 {
+    let is_retired = |id: u32| !anchored[id as usize] && supports[id as usize] == 0;
+    let mut candidates = cands.db;
+    for (key, &id) in &cands.ids {
+        if is_retired(id) {
             candidates.remove_tuple(key.pred, &key.args);
+        }
+    }
+    let mut nullary = cands.nullary;
+    for (p, &id) in cands.nullary_id.iter().enumerate() {
+        if id != NO_ID && is_retired(id) {
+            candidates.remove_tuple(preds[p], &[]);
+            nullary[p] = false;
         }
     }
     pass2.arg("retired", retired);
     pass2.arg("supportable", candidates.len() as u64);
-    Ok(candidates)
+    Ok(Supportable {
+        db: candidates,
+        nullary,
+    })
 }
 
 /// A candidate atom as a key of pass 2's id map. It hashes exactly like
@@ -444,13 +620,16 @@ fn ground_of(atom: &Atom, args: &mut Vec<ConstSym>) {
     );
 }
 
-/// Pass 3: emit every instance whose positive body lies in S.
+/// Pass 3: emit every instance whose positive body lies in S. A
+/// propositional rule's one instance is emitted when each of its
+/// positive atoms is in S, read by dense predicate id, and a nullary
+/// atom's table id is kept by dense predicate id after its first touch.
 pub(crate) fn emit_instances(
     program: &Program,
     database: &Database,
     config: &GroundConfig,
     universe: &[ConstSym],
-    supportable: &Database,
+    supportable: &Supportable,
 ) -> Result<GroundGraph, GroundError> {
     let _span = tiebreak_trace::span("ground", "emit_pass", &[]);
     let mut interner = AtomInterner::new(universe.to_vec(), config.max_atoms);
@@ -469,44 +648,74 @@ pub(crate) fn emit_instances(
     }
     drop(delta_facts);
 
+    let preds = program.predicates();
+    let mut nullary_atom: Vec<Option<AtomId>> = vec![None; preds.len()];
+    let mut intern = |interner: &mut AtomInterner, p: u32, args: &[ConstSym]| {
+        if !args.is_empty() {
+            return interner.intern_tuple(preds[p as usize], args);
+        }
+        if let Some(id) = nullary_atom[p as usize] {
+            return Ok(id);
+        }
+        let id = interner.intern_tuple(preds[p as usize], args)?;
+        nullary_atom[p as usize] = Some(id);
+        Ok(id)
+    };
     let budget = config.max_rule_instances;
-    let mut rules_out: Vec<GroundRule> = Vec::new();
+    let mut rules_out = RuleSlab::default();
     let mut emitted: u64 = 0;
+    let mut count = || {
+        emitted += 1;
+        if emitted > budget {
+            // Abort rather than walking the rest of the space; the
+            // error reports the count reached (a lower bound on the
+            // true requirement).
+            return Err(GroundError::TooManyRuleInstances {
+                required: emitted,
+                budget,
+            });
+        }
+        Ok(())
+    };
     let mut args: Vec<ConstSym> = Vec::new();
 
     for (rule_index, rule) in program.rules().iter().enumerate() {
+        let ids = program.pred_ids(rule_index);
+        if is_propositional(program, rule_index) {
+            let exists = dense_body(program, rule_index)
+                .all(|(p, sign)| sign == Sign::Neg || supportable.nullary[p as usize]);
+            if !exists {
+                continue;
+            }
+            count()?;
+            let head = intern(&mut interner, ids[0], &[]).map_err(overflow)?;
+            for (p, sign) in dense_body(program, rule_index) {
+                let atom = intern(&mut interner, p, &[]).map_err(overflow)?;
+                rules_out.push_literal(atom, sign);
+            }
+            rules_out.end_rule(head, rule_index as u32, &[]);
+            continue;
+        }
         let plan = || RuleEvaluator::new(rule);
-        for_each_instance(rule, plan, all, supportable, universe, |ground, subst| {
-            emitted += 1;
-            if emitted > budget {
-                // Abort rather than walking the rest of the space;
-                // the error reports the count reached (a lower
-                // bound on the true requirement).
-                return Err(GroundError::TooManyRuleInstances {
-                    required: emitted,
-                    budget,
-                });
-            }
-            ground(&rule.head, &mut args);
-            let head = interner
-                .intern_tuple(rule.head.pred, &args)
-                .map_err(overflow)?;
-            let mut body = Vec::with_capacity(rule.body.len());
-            for lit in &rule.body {
-                ground(&lit.atom, &mut args);
-                let atom = interner
-                    .intern_tuple(lit.atom.pred, &args)
-                    .map_err(overflow)?;
-                body.push((atom, lit.sign));
-            }
-            rules_out.push(GroundRule {
-                head,
-                body: body.into_boxed_slice(),
-                rule_index: rule_index as u32,
-                subst: subst.into(),
-            });
-            Ok(())
-        })?;
+        for_each_instance(
+            rule,
+            plan,
+            all,
+            &supportable.db,
+            universe,
+            |ground, subst| {
+                count()?;
+                ground(&rule.head, &mut args);
+                let head = intern(&mut interner, ids[0], &args).map_err(overflow)?;
+                for (lit, &p) in rule.body.iter().zip(&ids[1..]) {
+                    ground(&lit.atom, &mut args);
+                    let atom = intern(&mut interner, p, &args).map_err(overflow)?;
+                    rules_out.push_literal(atom, lit.sign);
+                }
+                rules_out.end_rule(head, rule_index as u32, subst);
+                Ok(())
+            },
+        )?;
     }
 
     Ok(GroundGraph::from_parts(interner.finish(), rules_out))

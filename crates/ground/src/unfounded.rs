@@ -369,7 +369,7 @@ impl UnfoundedEngine {
         }
 
         let mut head_counts = vec![0u32; n_comps];
-        for (i, rule) in graph.rules().iter().enumerate() {
+        for (i, rule) in graph.rules().enumerate() {
             if closer.rule_alive(RuleId(i as u32)) {
                 let head_comp = atom_comp[rule.head.index()];
                 if head_comp != NO_COMP {
@@ -379,7 +379,7 @@ impl UnfoundedEngine {
         }
         let (mut comp_head_rules, mut head_cursors) =
             CsrArena::from_counts(&head_counts, RuleId(0));
-        for (i, rule) in graph.rules().iter().enumerate() {
+        for (i, rule) in graph.rules().enumerate() {
             let r = RuleId(i as u32);
             if !closer.rule_alive(r) {
                 continue;
@@ -858,7 +858,7 @@ impl UnfoundedEngine {
             if node_of_atom[rule.head.index()] != NO_NODE {
                 offsets[rn as usize + 1] += 1;
             }
-            for &(a, _) in &rule.body {
+            for &(a, _) in rule.body {
                 let an = node_of_atom[a.index()];
                 if an != NO_NODE {
                     offsets[an as usize + 1] += 1;
@@ -879,7 +879,7 @@ impl UnfoundedEngine {
                 edges[cursor[rn as usize] as usize] = (hn, EdgeSign::Pos);
                 cursor[rn as usize] += 1;
             }
-            for &(a, s) in &rule.body {
+            for &(a, s) in rule.body {
                 let an = node_of_atom[a.index()];
                 if an != NO_NODE {
                     let sign = match s {
@@ -1521,7 +1521,7 @@ mod tests {
             if hn != NO_NODE && cone.atom_in[rule.head.index()] {
                 digraph.add_edge(rn, hn, EdgeSign::Pos);
             }
-            for &(a, s) in &rule.body {
+            for &(a, s) in rule.body {
                 let an = node_of_atom[a.index()];
                 if cone.atom_in[a.index()] && an != NO_NODE {
                     let sign = if s.is_pos() {

@@ -234,7 +234,7 @@ proptest! {
         for r in 0..graph.rule_count() {
             let rid = datalog_ground::RuleId(r as u32);
             if closer.rule_alive(rid) {
-                for &(a, s) in &graph.rule(rid).body {
+                for &(a, s) in graph.rule(rid).body {
                     prop_assert_ne!(
                         model.literal_truth(a, s),
                         Some(false),

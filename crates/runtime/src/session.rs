@@ -901,11 +901,6 @@ impl Solver {
         outcomes::all_outcomes(self, pure, max_runs)
     }
 
-    /// The size of the maintained supportable set.
-    pub fn supportable_len(&self) -> usize {
-        self.grounder.supportable_len()
-    }
-
     /// Decodes an interpreter run into text-ordered fact lists
     /// ([`EvalOutcome::decode`]).
     pub(crate) fn decode(&self, run: InterpreterRun) -> EvalOutcome {

@@ -21,7 +21,7 @@ fn dump(graph: &GroundGraph, atoms: usize, rules: usize) -> String {
     for id in graph.atoms().ids().skip(atoms) {
         writeln!(out, "a{} {}", id.0, graph.atoms().decode(id)).unwrap();
     }
-    for rule in &graph.rules()[rules..] {
+    for rule in graph.rules().skip(rules) {
         let body: Vec<String> = rule
             .body
             .iter()
@@ -66,7 +66,7 @@ fn session_grounder_keeps_atom_ids_and_rule_order() {
         .map(|id| format!("a{} {}", id.0, graph.atoms().decode(id)))
         .collect();
     assert!(BUILT.starts_with(&(ids.join("\n") + "\n")));
-    assert_eq!(graph.rules()[..delta.first_new_rule].len(), 24);
+    assert_eq!(graph.rules().take(delta.first_new_rule).len(), 24);
 }
 
 const BUILT: &str = "\

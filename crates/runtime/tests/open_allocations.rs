@@ -80,17 +80,23 @@ fn a_cold_open_allocates_a_few_times_per_clause() {
         .to_string()
         .replace("hub", "coldgate_h")
         .replace('u', "coldgate_u");
-    let ((clauses, solver), allocations) = allocations_of(|| {
-        let program = parse_program(&source).expect("parses");
+    let ((clauses, solver, parsing), allocations) = allocations_of(|| {
+        let (program, parsing) = allocations_of(|| parse_program(&source).expect("parses"));
         let clauses = program.len();
         let solver = Solver::new(program, Database::new()).expect("prepares");
-        (clauses, solver)
+        (clauses, solver, parsing)
     });
     assert_eq!(clauses, 4352);
     assert_eq!(solver.footprint().atoms, 4097);
+    // Parsing: the body of each clause with one, and amortized growth.
+    let per_clause = parsing as f64 / clauses as f64;
+    assert!(
+        per_clause <= 1.1,
+        "parsing: {parsing} allocations for {clauses} clauses ({per_clause:.2} per clause)"
+    );
     let per_clause = allocations as f64 / clauses as f64;
     assert!(
-        per_clause <= 8.0,
+        per_clause <= 2.0,
         "{allocations} allocations for {clauses} clauses ({per_clause:.2} per clause)"
     );
 }

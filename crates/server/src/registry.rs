@@ -373,15 +373,18 @@ impl SessionRegistry {
 
         let evicted = self.make_room(&mut inner, atoms as u64);
         inner.counters.misses += 1;
-        inner.counters.evictions += evicted as u64;
+        inner.counters.evictions += evicted.len() as u64;
         let m = tiebreak_trace::metrics();
         m.registry_misses.inc();
-        m.registry_evictions.add(evicted as u64);
+        m.registry_evictions.add(evicted.len() as u64);
         inner.entries.insert(key, Arc::clone(&entry));
+        // An evicted session is torn down after the lock is released, so
+        // its teardown stalls no other connection's open or lookup.
+        drop(inner);
         Ok(OpenOutcome {
             entry,
             reused: false,
-            evicted,
+            evicted: evicted.len(),
         })
     }
 
@@ -390,12 +393,13 @@ impl SessionRegistry {
     /// open re-prepares.
     pub fn evict(&self, key: u64) -> bool {
         let mut inner = self.lock_inner();
-        let removed = inner.entries.remove(&key).is_some();
-        if removed {
+        let removed = inner.entries.remove(&key);
+        if removed.is_some() {
             inner.counters.evictions += 1;
             tiebreak_trace::metrics().registry_evictions.inc();
         }
-        removed
+        drop(inner);
+        removed.is_some()
     }
 
     /// Current registry counters plus the per-session breakdown.
@@ -437,9 +441,10 @@ impl SessionRegistry {
 
     /// Evicts LRU entries until both the capacity and the resident-atom
     /// budget can absorb a new `incoming_atoms`-sized session. Returns
-    /// how many entries were evicted.
-    fn make_room(&self, inner: &mut Inner, incoming_atoms: u64) -> usize {
-        let mut evicted = 0;
+    /// the evicted entries, for the caller to drop once it has released
+    /// the lock.
+    fn make_room(&self, inner: &mut Inner, incoming_atoms: u64) -> Vec<Arc<SessionEntry>> {
+        let mut evicted = Vec::new();
         loop {
             let resident: u64 = inner.entries.values().map(|e| e.atoms() as u64).sum();
             let over_capacity = inner.entries.len() >= self.config.max_sessions;
@@ -453,8 +458,7 @@ impl SessionRegistry {
                 .min_by_key(|e| e.last_used.load(Ordering::Relaxed))
                 .map(|e| e.key)
                 .expect("non-empty");
-            inner.entries.remove(&lru_key);
-            evicted += 1;
+            evicted.extend(inner.entries.remove(&lru_key));
         }
     }
 

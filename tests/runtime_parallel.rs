@@ -355,14 +355,14 @@ fn latest_first_order(closer: &Closer<'_>, engine: &UnfoundedEngine) -> Vec<u32>
     }
     let mut succ: Vec<Vec<u32>> = vec![Vec::new(); slots];
     let mut indegree = vec![0usize; slots];
-    for (i, rule) in closer.graph().rules().iter().enumerate() {
+    for (i, rule) in closer.graph().rules().enumerate() {
         if !closer.rule_alive(RuleId(i as u32)) {
             continue;
         }
         let Some(to) = engine.component_of_atom(rule.head) else {
             continue;
         };
-        for &(atom, _) in &rule.body {
+        for &(atom, _) in rule.body {
             if let Some(from) = engine.component_of_atom(atom) {
                 if from != to && !succ[from as usize].contains(&to) {
                     succ[from as usize].push(to);

@@ -167,14 +167,15 @@ fn server_request_spans_parent_the_pipeline_and_metrics_render() {
         has_ancestor(evaluate, script_request.id),
         "evaluation descends from the script request"
     );
-    // Parsing shows where its time goes, as grounding does: lexing,
-    // clause parsing with interning, and the program build.
+    // Parsing shows where its time goes, as grounding does: clause
+    // parsing (the lexer runs on demand inside it) with interning, and
+    // the program build.
     let parse = span("parse_program");
     assert!(
         has_ancestor(parse, registry_open.id),
         "parsing descends from the registry open"
     );
-    for name in ["lex", "clauses", "build"] {
+    for name in ["clauses", "build"] {
         let child = trace
             .events
             .iter()
